@@ -390,4 +390,7 @@ func printResult(r harness.Result) {
 		}
 		fmt.Printf("time-parallel  %12d slices (%d ops functionally warmed)\n", tp.Slices, warm)
 	}
+	if r.Fallback != "" {
+		fmt.Printf("engine         %s\n", r.Fallback)
+	}
 }

@@ -191,6 +191,27 @@ type Stats struct {
 	ArmIntervals []ArmIntervals
 }
 
+// Add returns the statistics of a run made of s's chunk followed by next's
+// (same menu): counters and the per-arm interval breakdown sum, while the
+// end-of-run values — FinalArm and the sensor EWMAs — are next's.
+func (s Stats) Add(next Stats) Stats {
+	next.Intervals += s.Intervals
+	next.Switches += s.Switches
+	next.Sweeps += s.Sweeps
+	next.Explores += s.Explores
+	next.PhaseChanges += s.PhaseChanges
+	next.IdleDemotes += s.IdleDemotes
+	arms := make([]ArmIntervals, len(next.ArmIntervals))
+	for i, a := range next.ArmIntervals {
+		if i < len(s.ArmIntervals) {
+			a.Intervals += s.ArmIntervals[i].Intervals
+		}
+		arms[i] = a
+	}
+	next.ArmIntervals = arms
+	return next
+}
+
 // Unit is the adaptive controller: a baseline.Unit hosting the candidate
 // arms and the decision policy.
 type Unit struct {

@@ -20,6 +20,14 @@ type IssuerStats struct {
 	QueueDrop int64
 }
 
+// Add accumulates o into s; every field is a counter.
+func (s *IssuerStats) Add(o IssuerStats) {
+	s.Generated += o.Generated
+	s.Issued += o.Issued
+	s.TLBDrops += o.TLBDrops
+	s.QueueDrop += o.QueueDrop
+}
+
 // issuer queues prefetch addresses and drains them into the L1 through the
 // TLB, one translation at a time, exactly like the programmable prefetcher's
 // request queue (§4.6) so comparisons are apples to apples.

@@ -7,6 +7,11 @@ import (
 	"eventpf/internal/sim"
 )
 
+// fn is the tests' event handler: a closure scheduled through the typed path.
+type fn func()
+
+func (f fn) Handle(sim.Ticks, uint64, uint64) { f() }
+
 type stubLevel struct {
 	eng     *sim.Engine
 	latency sim.Ticks
@@ -17,8 +22,7 @@ func (s *stubLevel) Access(req *mem.Request) {
 		return
 	}
 	if h := req.Completer(); h != nil {
-		a := req.CompA
-		s.eng.After(s.latency, func() { h.Handle(s.eng.Now(), a, 0) })
+		s.eng.ScheduleAfter(s.latency, h, req.CompA, 0)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTSKIDDelaysIssue(t *testing.T) {
 		// Let simulated time pass between trigger and target so the learned
 		// delay exceeds LeadTicks and the issue path goes through the
 		// scheduled handler.
-		f.eng.After(4*cfg.LeadTicks, func() {})
+		f.eng.ScheduleAfter(4*cfg.LeadTicks, fn(func() {}), 0, 0)
 		f.eng.Run()
 		f.load(0x1000000+i*4096, 2)
 	}

@@ -81,6 +81,19 @@ type Stats struct {
 	Cycles      int64 // FinishTick in core cycles
 }
 
+// Add accumulates o — the statistics of a later, separately simulated chunk
+// of the same program — into s. Every field is a counter or a duration.
+func (s *Stats) Add(o Stats) {
+	s.Ops += o.Ops
+	s.Loads += o.Loads
+	s.Stores += o.Stores
+	s.Branches += o.Branches
+	s.Mispredicts += o.Mispredicts
+	s.SWPrefetch += o.SWPrefetch
+	s.FinishTick += o.FinishTick
+	s.Cycles += o.Cycles
+}
+
 const completionRing = 256 // must exceed any plausible ROB size
 
 type robEntry struct {

@@ -37,6 +37,11 @@ func loadOp(addr uint64, deps ...int64) MicroOp {
 }
 
 // fixedMem services loads with constant latency.
+// fn is the tests' event handler: a closure scheduled through the typed path.
+type fn func()
+
+func (f fn) Handle(sim.Ticks, uint64, uint64) { f() }
+
 type fixedMem struct {
 	eng      *sim.Engine
 	latency  sim.Ticks
@@ -52,10 +57,10 @@ func (m *fixedMem) ports() Ports {
 		if m.inFlight > m.maxInFly {
 			m.maxInFly = m.inFlight
 		}
-		m.eng.After(m.latency, func() {
+		m.eng.ScheduleAfter(m.latency, fn(func() {
 			m.inFlight--
 			h.Handle(m.eng.Now(), a, 0)
-		})
+		}), 0, 0)
 	}}
 }
 

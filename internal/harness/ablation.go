@@ -20,13 +20,13 @@ type AblationRow struct {
 // Ablations measures sensitivity to the design parameters DESIGN.md calls
 // out: observation-queue depth, prefetch-request-queue depth, and the MSHR
 // count shared with demand traffic. The mutated-Config runs cannot use the
-// suite memo, so they fan out directly on the worker pool; rows come back
-// in the fixed job order regardless of completion order.
+// suite memo, so they go straight to the worker pool (forkSweep); rows come
+// back in the fixed cell order regardless of completion order.
 //
 // Queue-depth cells differ only in the prefetcher's queue limits, which a
 // machine fork may change, so they share one warmed parent instead of each
 // re-simulating the warmup; MSHR cells change cache geometry and run in
-// full.
+// full, alongside that warm-up.
 func (s *Suite) Ablations() ([]AblationRow, error) {
 	b := workloads.HJ8
 	base, err := s.run(b, NoPF)
@@ -34,76 +34,50 @@ func (s *Suite) Ablations() ([]AblationRow, error) {
 		return nil, err
 	}
 
-	type job struct {
-		param    string
-		value    int
-		forkable bool
-		mutate   func(cfg *system.Config)
-	}
-	var jobs []job
-	for _, q := range []int{5, 10, 40, 160} {
-		q := q
-		jobs = append(jobs, job{"obs-queue", q, true, func(cfg *system.Config) { cfg.Prefetcher.ObsQueue = q }})
-	}
-	for _, q := range []int{25, 50, 200, 800} {
-		q := q
-		jobs = append(jobs, job{"req-queue", q, true, func(cfg *system.Config) { cfg.Prefetcher.ReqQueue = q }})
-	}
-	for _, m := range []int{6, 12, 24} {
-		m := m
-		jobs = append(jobs, job{"l1-mshrs", m, false, func(cfg *system.Config) { cfg.L1.MSHRs = m }})
-	}
-
-	cellOpt := func(i int) Options {
+	var rows []AblationRow
+	var opts []Options
+	cell := func(param string, value int, mutate func(cfg *system.Config)) {
 		cfg := system.DefaultConfig()
-		jobs[i].mutate(&cfg)
+		mutate(&cfg)
 		opt := s.Opt
 		opt.Config = &cfg
-		return opt
+		rows = append(rows, AblationRow{Parameter: param, Value: value})
+		opts = append(opts, opt)
+	}
+	for _, q := range []int{5, 10, 40, 160} {
+		cell("obs-queue", q, func(cfg *system.Config) { cfg.Prefetcher.ObsQueue = q })
+	}
+	for _, q := range []int{25, 50, 200, 800} {
+		cell("req-queue", q, func(cfg *system.Config) { cfg.Prefetcher.ReqQueue = q })
+	}
+	forked := len(rows)
+	for _, m := range []int{6, 12, 24} {
+		cell("l1-mshrs", m, func(cfg *system.Config) { cfg.L1.MSHRs = m })
 	}
 
-	// One warmup serves every forkable cell.
 	warmOpt := s.Opt
 	dcfg := system.DefaultConfig()
 	warmOpt.Config = &dcfg
-	s.sem <- struct{}{}
-	w, err := Warm(b, Manual, warmOpt, base.Core.Ops/2)
-	<-s.sem
-	if err != nil {
-		return nil, err
-	}
-	conts := make([]*RunCont, len(jobs))
-	if !w.Done() {
-		for i, j := range jobs {
-			if !j.forkable {
-				continue
+	// The MSHR cells run in full while the forkable cells share a warm-up to
+	// half the program.
+	fullErr := make(chan error, 1)
+	go func() {
+		fullErr <- s.fanOut(len(rows)-forked, func(i int) error {
+			r, err := Run(b, Manual, opts[forked+i])
+			if err == nil {
+				rows[forked+i].Speedup = Speedup(base, r)
 			}
-			cfg, err := ConfigFor(cellOpt(i), Manual)
-			if err != nil {
-				return nil, err
-			}
-			conts[i], err = w.Fork(cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	rows := make([]AblationRow, len(jobs))
-	err = s.fanOut(len(jobs), func(i int) error {
-		var r Result
-		var err error
-		if conts[i] != nil {
-			r, err = conts[i].Finish()
-		} else {
-			r, err = Run(b, Manual, cellOpt(i))
-		}
-		if err != nil {
 			return err
+		})
+	}()
+	err = s.forkSweep(b, Manual, warmOpt, base.Core.Ops/2, opts[:forked], func(i int, r Result, err error) {
+		if err == nil {
+			rows[i].Speedup = Speedup(base, r)
 		}
-		rows[i] = AblationRow{Parameter: jobs[i].param, Value: jobs[i].value, Speedup: Speedup(base, r)}
-		return nil
 	})
+	if ferr := <-fullErr; err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return nil, err
 	}

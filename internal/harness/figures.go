@@ -223,19 +223,7 @@ func (s *Suite) runPairCtx(ctx context.Context, p Pair, inst *Instrument) (Resul
 		close(c.done)
 		return Result{}, ctx.Err()
 	}
-	opt := s.Opt
-	if p.PPUs != 0 {
-		opt.PPUs = p.PPUs
-	}
-	if p.PPUMHz != 0 {
-		opt.PPUMHz = p.PPUMHz
-	}
-	if p.Scale != 0 {
-		opt.Scale = p.Scale
-	}
-	if p.Slices != 0 {
-		opt.Slices = p.Slices
-	}
+	opt := s.pairOptions(p)
 	if inst != nil {
 		if inst.Sink != nil {
 			opt.TraceSink = inst.Sink
@@ -277,107 +265,109 @@ func fill(c *suiteCall, res Result, err error) {
 	close(c.done)
 }
 
-// sweepForked simulates one benchmark's Manual runs across several PPU
-// clocks by running the warmup phase once: the machine is warmed at the
-// suite's default clock to two thirds of the no-prefetch dynamic op count,
-// checkpointed there, and forked into one continuation per clock point still
-// missing from the memo. The default-clock point is byte-identical to a full
-// run (forking is exact); other clock points treat the shared warmup as
-// functional warming — the sweep measures steady-state behaviour, which is
-// exactly what Figure 9 plots. Falls back to full runs when the program is
-// too short to leave a fork point.
-func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) error {
-	type point struct {
-		pair Pair
-		call *suiteCall
+// pairOptions applies p's overrides to the suite's options.
+func (s *Suite) pairOptions(p Pair) Options {
+	opt := s.Opt
+	if p.PPUs != 0 {
+		opt.PPUs = p.PPUs
 	}
-	var todo []point
+	if p.PPUMHz != 0 {
+		opt.PPUMHz = p.PPUMHz
+	}
+	if p.Scale != 0 {
+		opt.Scale = p.Scale
+	}
+	if p.Slices != 0 {
+		opt.Slices = p.Slices
+	}
+	return opt
+}
+
+// sweepForked simulates one benchmark's Manual runs across several PPU
+// clocks by running the warmup phase once (forkSweep): the machine is warmed
+// at the suite's default clock to two thirds of the no-prefetch dynamic op
+// count and forked into one continuation per clock point still missing from
+// the memo. The default-clock point is byte-identical to a full run (forking
+// is exact); other clock points treat the shared warmup as functional
+// warming — the sweep measures steady-state behaviour, which is exactly what
+// Figure 9 plots.
+func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) error {
+	var todo []*suiteCall
+	var opts []Options
 	for _, mhz := range clocks {
 		p := Pair{Bench: b, Scheme: Manual, PPUs: ppus, PPUMHz: mhz}
 		if c, ok := s.claim(p); ok {
-			todo = append(todo, point{pair: p, call: c})
+			todo = append(todo, c)
+			opts = append(opts, s.pairOptions(p))
 		}
 	}
 	if len(todo) == 0 {
 		return nil
 	}
-	abort := func(err error) error {
-		for _, pt := range todo {
-			fill(pt.call, Result{}, err)
+	// Under time-parallel execution a pair's result must not depend on
+	// which path — a sliced Run or an exact forked continuation — claims
+	// its memo entry first, so there is no shared serial warmup (warmOps
+	// stays 0) and every point runs in full, slicing internally.
+	var warmOps int64
+	if s.Opt.Slices <= 1 {
+		base, err := s.run(b, NoPF) // sizes the warmup from the op count
+		if err != nil {
+			for _, c := range todo {
+				fill(c, Result{}, err)
+			}
+			return err
 		}
-		return err
+		warmOps = base.Core.Ops * 2 / 3
 	}
+	return s.forkSweep(b, Manual, s.pairOptions(Pair{PPUs: ppus}), warmOps, opts,
+		func(i int, res Result, err error) { fill(todo[i], res, err) })
+}
 
-	// fullRuns simulates each claimed point independently, in full.
-	fullRuns := func() error {
-		for _, pt := range todo {
-			pt := pt
-			go func() {
-				s.sem <- struct{}{}
-				defer func() { <-s.sem }()
-				opt := s.Opt
-				opt.PPUs, opt.PPUMHz = pt.pair.PPUs, pt.pair.PPUMHz
-				res, err := Run(b, Manual, opt)
-				fill(pt.call, res, err)
-			}()
-		}
-		// Join through the memo so errors propagate in order.
-		for _, pt := range todo {
-			if _, err := s.runPair(pt.pair); err != nil {
-				return err
+// forkSweep simulates b×scheme once per entry of opts, sharing one warm-up
+// between them: the run is warmed under warmOpt until warmOps micro-ops have
+// retired, forked into one continuation per entry — opts[i]'s configuration
+// may differ from warmOpt's only in what a machine fork may change — and the
+// continuations finish on the worker pool. When the program ends before the
+// fork point, or warmOps <= 0 (sweepForked under slicing), there is nothing
+// to share and every entry runs in full.
+// done(i, …) receives each entry's outcome exactly once, also when the
+// warm-up or a fork fails; the lowest-indexed error is returned.
+func (s *Suite) forkSweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64,
+	opts []Options, done func(i int, res Result, err error)) error {
+	var conts []*RunCont
+	if warmOps > 0 {
+		s.sem <- struct{}{} // the warm-up is a simulation: hold a worker token
+		w, err := Warm(b, scheme, warmOpt, warmOps)
+		<-s.sem
+		if err == nil && !w.Done() {
+			// Fork sequentially: forking reads the paused parent.
+			conts = make([]*RunCont, len(opts))
+			for i := range opts {
+				var cfg system.Config
+				if cfg, err = ConfigFor(opts[i], scheme); err != nil {
+					break
+				}
+				if conts[i], err = w.Fork(cfg); err != nil {
+					break
+				}
 			}
 		}
-		return nil
-	}
-
-	if s.Opt.Slices > 1 {
-		// Under time-parallel execution a pair's result must not depend on
-		// which path — a sliced Run or an exact forked continuation — claims
-		// its memo entry first, so the shared serial warmup is skipped and
-		// every point runs in full (slicing internally).
-		return fullRuns()
-	}
-
-	base, err := s.run(b, NoPF) // sizes the warmup from the op count
-	if err != nil {
-		return abort(err)
-	}
-
-	warmOpt := s.Opt
-	if ppus != 0 {
-		warmOpt.PPUs = ppus
-	}
-	s.sem <- struct{}{} // the warmup is a simulation: hold a worker token
-	w, err := Warm(b, Manual, warmOpt, base.Core.Ops*2/3)
-	<-s.sem
-	if err != nil {
-		return abort(err)
-	}
-	if w.Done() {
-		// Program shorter than the warmup: no fork point.
-		return fullRuns()
-	}
-
-	// Fork sequentially (forking reads the paused parent), then complete
-	// the continuations in parallel on the worker pool.
-	conts := make([]*RunCont, len(todo))
-	for i, pt := range todo {
-		opt := s.Opt
-		opt.PPUs, opt.PPUMHz = pt.pair.PPUs, pt.pair.PPUMHz
-		cfg, err := ConfigFor(opt, Manual)
 		if err != nil {
-			return abort(err)
-		}
-		conts[i], err = w.Fork(cfg)
-		if err != nil {
-			return abort(err)
+			for i := range opts {
+				done(i, Result{}, err)
+			}
+			return err
 		}
 	}
-	return forEach(len(todo), func(i int) error {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		res, err := conts[i].Finish()
-		fill(todo[i].call, res, err)
+	return s.fanOut(len(opts), func(i int) error {
+		var res Result
+		var err error
+		if conts != nil {
+			res, err = conts[i].Finish()
+		} else {
+			res, err = Run(b, scheme, opts[i])
+		}
+		done(i, res, err)
 		return err
 	})
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -107,6 +108,51 @@ func TestFig11AllRowsPresent(t *testing.T) {
 		if r.Blocked <= 0 || r.Events <= 0 {
 			t.Errorf("%s: blocked=%v events=%v", r.Benchmark, r.Blocked, r.Events)
 		}
+	}
+}
+
+// TestAblationsReturnsEveryCell is the regression test for the MSHR-full
+// livelock: the l1-mshrs=24 cell used to strand L1 miss registers behind
+// prefetch fill requests the L2 dropped, so Ablations never returned.
+func TestAblationsReturnsEveryCell(t *testing.T) {
+	rows, err := NewSuite(Options{Scale: figScale}).Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 11 {
+		t.Fatalf("rows = %d, want 11", len(rows))
+	}
+	for _, r := range rows {
+		if math.IsNaN(r.Speedup) || r.Speedup <= 0 {
+			t.Errorf("%s=%d speedup = %v", r.Parameter, r.Value, r.Speedup)
+		}
+	}
+}
+
+// TestSweepForkedMatchesFullRuns pins the sweep helper's exactness claim:
+// the Figure 9(a) default-clock point, obtained as a continuation forked
+// from the shared warm-up, is byte-identical to an uninterrupted Run.
+func TestSweepForkedMatchesFullRuns(t *testing.T) {
+	b := workloads.HJ2
+	opt := Options{Scale: goldenScale}
+	s := NewSuite(opt)
+	if err := s.sweepForked(b, 0, Fig9aClocks); err != nil {
+		t.Fatal(err)
+	}
+	_, before := s.MemoStats()
+	swept, err := s.run(b, Manual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, after := s.MemoStats(); after != before {
+		t.Fatal("default-clock point was not filled by the sweep")
+	}
+	straight, err := Run(b, Manual, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, swept), encode(t, straight)) {
+		t.Errorf("forked default-clock point differs from a full run: %d vs %d cycles", swept.Cycles, straight.Cycles)
 	}
 }
 

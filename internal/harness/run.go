@@ -5,6 +5,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 
 	"eventpf/internal/compiler"
 	"eventpf/internal/cpu"
@@ -63,10 +64,11 @@ type Options struct {
 	// Slices, if above 1, runs time-parallel: the dynamic op stream is cut
 	// into that many contiguous slices, each fast-forwarded functionally to
 	// its boundary on a forked machine and detail-simulated concurrently
-	// (system.RunTimeParallel). Approximate but deterministic; ignored when
-	// Sample is set, and silently serial when the stream cannot be forked
-	// or the program is too short to slice. 0 or 1 keeps the exact serial
-	// engine — results then stay byte-identical to earlier versions.
+	// (system.Plan). Approximate but deterministic. When Sample is set, the
+	// stream cannot be forked or the program is too short to slice, the
+	// request is not honoured and Result.Fallback says why. 0 or 1 keeps the
+	// exact serial engine — results then stay byte-identical to earlier
+	// versions.
 	Slices int
 }
 
@@ -91,62 +93,39 @@ type Result struct {
 }
 
 // Run executes one benchmark under one scheme and validates the result
-// against the benchmark's oracle.
+// against the benchmark's oracle. Options.Sample and Options.Slices become a
+// system.Plan, executed by the one run driver. Slice boundaries need the
+// program's dynamic op count up front, so the plan carries countOps for the
+// driver to call if it gets as far as slicing. The driver returns the
+// machine of the final lane — the one that reached end of program and
+// carries the state the oracle check needs — so the setup is retargeted at
+// it and its stream (after a serial run these are the setup's own).
 func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 	rs, err := prepare(b, scheme, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	var sys system.Result
-	switch {
-	case opt.Sample != nil:
-		sys = rs.m.RunSampled(rs.stream, *opt.Sample)
-	case opt.Slices > 1:
-		sys, err = rs.runSliced(b, scheme, opt)
-		if err != nil {
-			return Result{}, err
-		}
-	default:
-		sys = rs.m.Run(rs.stream)
-	}
-	return rs.collect(sys)
-}
-
-// runSliced executes the prepared run time-parallel. The slice boundaries
-// need the program's dynamic op count up front, which only a functional
-// execution can provide, so a throwaway counting machine drains a second
-// copy of the stream first (interpreters execute at Next time; the count
-// costs a functional pass, a small fraction of one detailed slice). After a
-// sliced run the setup's machine and stream are retargeted at the final
-// slice's — the pair that reached end of program and carries the state the
-// oracle check needs.
-func (rs *runSetup) runSliced(b *workloads.Benchmark, scheme Scheme, opt Options) (system.Result, error) {
-	total, err := countOps(b, scheme, opt)
-	if err != nil {
-		return system.Result{}, err
-	}
-	sys, fm, err := rs.m.RunTimeParallel(rs.stream, system.TimeParallelConfig{
+	sys, fm, err := rs.m.RunPlan(rs.stream, system.Plan{
+		Sample:   opt.Sample,
 		Slices:   opt.Slices,
-		TotalOps: total,
+		CountOps: func() (int64, error) { return countOps(b, scheme, opt) },
 	})
 	if err != nil {
-		return system.Result{}, err
+		return Result{}, err
 	}
-	if fm != rs.m {
-		fs, ok := fm.Stream().(*seq)
-		if !ok {
-			return system.Result{}, fmt.Errorf("harness: %s: final slice stream is %T, not a run sequence", b.Name, fm.Stream())
-		}
-		rs.m = fm
-		rs.stream = fs
+	fs, ok := fm.Stream().(*seq)
+	if !ok {
+		return Result{}, fmt.Errorf("harness: %s: final lane's stream is %T, not a run sequence", b.Name, fm.Stream())
 	}
-	return sys, nil
+	rs.m, rs.stream = fm, fs
+	return rs.collect(sys)
 }
 
 // countOps measures the benchmark's dynamic op count by draining a second,
 // throwaway copy of the stream functionally — no events, no timing, its own
-// machine. Observers are stripped: the counting pass must not double-fire
-// capture hooks or emit trace events.
+// machine (interpreters execute at Next time; the count costs a functional
+// pass, a small fraction of one detailed slice). Observers are stripped: the
+// counting pass must not double-fire capture hooks or emit trace events.
 func countOps(b *workloads.Benchmark, scheme Scheme, opt Options) (int64, error) {
 	opt.TraceLast = 0
 	opt.TraceSink = nil
@@ -449,21 +428,22 @@ func forkStream(st cpu.Stream, f *system.Machine) (cpu.Stream, error) {
 	return nil, fmt.Errorf("harness: stream %T does not support forking", st)
 }
 
+// unhook returns the stream a hookStream wraps, or st itself.
+func unhook(st cpu.Stream) cpu.Stream {
+	if h, ok := st.(*hookStream); ok {
+		return h.inner
+	}
+	return st
+}
+
 // lastInterp returns the final invocation's interpreter, whose return value
 // the oracle check consumes.
 func (s *seq) lastInterp() *ir.Interp {
 	if len(s.all) == 0 {
 		return nil
 	}
-	switch st := s.all[len(s.all)-1].(type) {
-	case *ir.Interp:
-		return st
-	case *hookStream:
-		if it, ok := st.inner.(*ir.Interp); ok {
-			return it
-		}
-	}
-	return nil
+	it, _ := unhook(s.all[len(s.all)-1]).(*ir.Interp)
+	return it
 }
 
 // errStream is a stream that latches its own error state (decode failures
@@ -473,16 +453,28 @@ type errStream interface{ Err() error }
 // streamErr returns the first latched error of any member stream.
 func (s *seq) streamErr() error {
 	for _, st := range s.all {
-		if h, ok := st.(*hookStream); ok {
-			st = h.inner
-		}
-		if es, ok := st.(errStream); ok {
+		if es, ok := unhook(st).(errStream); ok {
 			if err := es.Err(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// Close implements io.Closer so the run driver can release a sequence it
+// abandons mid-run (a non-final lane's clone): member streams that hold a
+// resource — a trace replayer's file — are closed, the rest need nothing.
+func (s *seq) Close() error {
+	var first error
+	for _, st := range s.all {
+		if c, ok := unhook(st).(io.Closer); ok {
+			if err := c.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // Speedup returns base cycles / this run's cycles.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"eventpf/internal/ir"
 	"eventpf/internal/system"
 	"eventpf/internal/tracein"
 	"eventpf/internal/workloads"
@@ -112,31 +114,134 @@ func TestTimeParallelSerialOptionByteStable(t *testing.T) {
 	}
 }
 
-// TestTimeParallelShortProgramFallsBack asks for far more slices than
-// MinSliceOps permits; the clamp must force serial execution with a result
-// byte-identical to a plain run (and no TimeParallel block).
+// tinyBench is a one-instruction program: far too short to slice.
+func tinyBench(t *testing.T) *workloads.Benchmark {
+	t.Helper()
+	return &workloads.Benchmark{
+		Name: "tiny",
+		Build: func(*system.Machine, float64) *workloads.Instance {
+			return &workloads.Instance{
+				BuildFn: func(workloads.Variant) *ir.Fn {
+					b := ir.NewBuilder("tiny", 0)
+					b.SetBlock(b.NewBlock("entry"))
+					b.Ret(b.Const(0))
+					return b.MustFinish()
+				},
+				Runs:  []workloads.Run{{}},
+				Check: func(*system.Machine, uint64, bool) error { return nil },
+			}
+		},
+	}
+}
+
+// TestTimeParallelShortProgramFallsBack slices a program too short for two
+// MinSliceOps slices: the driver must run it serially, say why in
+// Result.Fallback, and leave every other byte equal to a plain run (no
+// TimeParallel block).
 func TestTimeParallelShortProgramFallsBack(t *testing.T) {
-	b, err := workloads.ByName("RandAcc")
+	b := tinyBench(t)
+	plain, err := Run(b, Stride, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(b, Stride, Options{Scale: 0.01})
+	if plain.Core.Ops >= 2*system.MinSliceOps {
+		t.Fatalf("test program has %d ops, too long to force the fallback", plain.Core.Ops)
+	}
+	res, err := Run(b, Stride, Options{Slices: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(b, Stride, Options{Scale: 0.01, Slices: 4096})
+	if !strings.Contains(res.Fallback, "slicing needs at least") {
+		t.Errorf("Fallback = %q, want the too-short reason", res.Fallback)
+	}
+	res.Fallback = ""
+	if !bytes.Equal(encode(t, plain), encode(t, res)) {
+		t.Error("forced-serial fallback differs from plain run beyond the Fallback reason")
+	}
+}
+
+// TestTimeParallelClampsSliceCount asks for far more slices than MinSliceOps
+// permits on a program long enough to slice: the request is clamped to
+// ops/MinSliceOps lanes (dozens of them, each barely MinSliceOps long), the
+// run still covers every op exactly once and passes the oracle, and no
+// fallback is recorded — the engine asked for did run.
+func TestTimeParallelClampsSliceCount(t *testing.T) {
+	plain, err := Run(workloads.RandAcc, Stride, Options{Scale: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TimeParallel != nil && res.TimeParallel.Slices >= 4096 {
-		t.Errorf("clamp did not bite: %d effective slices over %d ops",
-			res.TimeParallel.Slices, plain.Core.Ops)
+	want := int(plain.Core.Ops / system.MinSliceOps)
+	if want < 2 || want >= 4096 {
+		t.Fatalf("test program has %d ops: clamp would give %d lanes, want 2..4095", plain.Core.Ops, want)
 	}
-	if plain.Core.Ops < 2*4096 {
-		// Program genuinely too short to slice at all: must be exactly serial.
-		if !bytes.Equal(encode(t, plain), encode(t, res)) {
-			t.Error("forced-serial fallback differs from plain run")
+	res, err := Run(workloads.RandAcc, Stride, Options{Scale: 0.01, Slices: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.TimeParallel
+	if st == nil {
+		t.Fatalf("run did not slice: %q", res.Fallback)
+	}
+	if res.Fallback != "" {
+		t.Errorf("Fallback = %q on a run that sliced", res.Fallback)
+	}
+	if st.Slices != want {
+		t.Errorf("effective slices = %d, want %d ops / %d = %d", st.Slices, plain.Core.Ops, system.MinSliceOps, want)
+	}
+	var detail int64
+	for i, d := range st.DetailOps {
+		if d < system.MinSliceOps {
+			t.Errorf("lane %d detailed %d ops, below MinSliceOps", i, d)
 		}
+		detail += d
+	}
+	if detail != plain.Core.Ops || res.Core.Ops != plain.Core.Ops {
+		t.Errorf("lanes detailed %d ops (stitched Core.Ops %d), serial %d", detail, res.Core.Ops, plain.Core.Ops)
+	}
+}
+
+// TestSlicesIgnoredUnderSampling pins the other recorded reason the harness
+// can reach: sampling wins over slicing, and the result says so.
+func TestSlicesIgnoredUnderSampling(t *testing.T) {
+	sc := system.SampleConfig{WarmupOps: 1_000, MeasureOps: 4_000, FFOps: 15_000}
+	res, err := Run(workloads.RandAcc, Stride, Options{Scale: goldenScale, Sample: &sc, Slices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sampled == nil || res.TimeParallel != nil {
+		t.Errorf("Sampled = %v, TimeParallel = %v; want a sampled, unsliced run", res.Sampled, res.TimeParallel)
+	}
+	if !strings.Contains(res.Fallback, "sampling is set") {
+		t.Errorf("Fallback = %q, want the slices-ignored reason", res.Fallback)
+	}
+}
+
+// TestTimeParallelAdaptiveStitch slices the adaptive controller's showcase
+// benchmark: the stitched controller statistics must sum counters (the
+// per-arm breakdown adds up to Intervals) and take gauges — the sensor
+// EWMAs, per-mille values — from the last slice instead of summing them.
+func TestTimeParallelAdaptiveStitch(t *testing.T) {
+	b, err := workloads.ByName("PhaseMix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(b, Adaptive, Options{Scale: goldenScale, Slices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TimeParallel == nil {
+		t.Fatalf("run did not slice: %q", res.Fallback)
+	}
+	st := res.Adaptive
+	if st.MissPerMille > 1000 || st.AccuracyPerMille > 1000 {
+		t.Errorf("per-mille sensors summed across slices: miss %d, accuracy %d", st.MissPerMille, st.AccuracyPerMille)
+	}
+	var arms int64
+	for _, a := range st.ArmIntervals {
+		arms += a.Intervals
+	}
+	if arms != st.Intervals {
+		t.Errorf("ArmIntervals sum to %d, Intervals = %d", arms, st.Intervals)
 	}
 }
 
@@ -151,9 +256,15 @@ func TestTimeParallelTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fdsBefore := openFDs()
 	first, err := Run(tracein.Bench(path), GHBRegular, Options{Slices: 4})
 	if err != nil {
 		t.Fatalf("sliced replay: %v", err)
+	}
+	// Every lane but the last abandons its replayer mid-trace; the driver
+	// must close those files rather than leave them to the finalizer.
+	if after := openFDs(); after > fdsBefore {
+		t.Errorf("sliced replay left %d file descriptors open", after-fdsBefore)
 	}
 	second, err := Run(tracein.Bench(path), GHBRegular, Options{Slices: 4})
 	if err != nil {
@@ -192,6 +303,13 @@ func TestTimeParallelTraceReplay(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Errorf("sliced truncated replay error = %v, want *tracein.FormatError", err)
 	}
+}
+
+// openFDs counts this process's open file descriptors (0 where /proc is not
+// available, which disables the leak check).
+func openFDs() int {
+	ents, _ := os.ReadDir("/proc/self/fd")
+	return len(ents)
 }
 
 // TestSampledTraceReplay covers RunSampled over a decoded stream — sampling

@@ -25,14 +25,33 @@ type CacheStats struct {
 	Misses        int64 // demand misses sent down (loads + stores)
 	MSHRMerges    int64 // accesses merged into an in-flight miss
 	LateMerges    int64 // demand accesses that merged into an in-flight prefetch
-	MSHRStalls    int64 // demand misses that had to wait for a free MSHR
+	MSHRStalls    int64 // misses somebody waits on that had to wait for a free MSHR
 	PrefetchIssue int64 // prefetch requests accepted by this cache
 	PrefetchHits  int64 // prefetches that found the line already present
 	PrefetchFills int64 // prefetch fills that allocated a line
-	PrefetchDrop  int64 // prefetches dropped for want of an MSHR
+	PrefetchDrop  int64 // unawaited prefetches dropped for want of an MSHR
 	PrefetchUsed  int64 // prefetched lines touched by demand before eviction
 	PrefetchDead  int64 // prefetched lines evicted untouched
 	Writebacks    int64
+}
+
+// Add accumulates o into s; every field is a counter.
+func (s *CacheStats) Add(o CacheStats) {
+	s.DemandLoads += o.DemandLoads
+	s.DemandHits += o.DemandHits
+	s.DemandStores += o.DemandStores
+	s.StoreHits += o.StoreHits
+	s.Misses += o.Misses
+	s.MSHRMerges += o.MSHRMerges
+	s.LateMerges += o.LateMerges
+	s.MSHRStalls += o.MSHRStalls
+	s.PrefetchIssue += o.PrefetchIssue
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchFills += o.PrefetchFills
+	s.PrefetchDrop += o.PrefetchDrop
+	s.PrefetchUsed += o.PrefetchUsed
+	s.PrefetchDead += o.PrefetchDead
+	s.Writebacks += o.Writebacks
 }
 
 // ReadHitRate returns the demand-load hit rate (Figure 8b).
@@ -90,7 +109,8 @@ type tagged struct {
 
 // Cache is one set-associative, write-back, write-allocate cache level with
 // a fixed number of MSHRs. It is non-blocking: demand misses beyond the MSHR
-// count queue; prefetches beyond it are dropped (they are only hints).
+// count queue; prefetches beyond it are dropped (they are only hints) unless
+// the level above waits on them.
 type Cache struct {
 	eng  *sim.Engine
 	clk  sim.Clock
@@ -335,7 +355,11 @@ func (c *Cache) miss(req *Request) {
 		return
 	}
 	if c.mshrCount >= c.cfg.MSHRs {
-		if req.Kind == Prefetch {
+		// A prefetch nobody waits on is only a hint and is dropped. One that
+		// carries a completer is the fill request of an MSHR in the level
+		// above: that slot, and every demand load merged into it, would wait
+		// forever, so it queues like a demand miss.
+		if req.Kind == Prefetch && !req.HasDone() {
 			c.Stats.PrefetchDrop++
 			c.Bus.Emit(trace.Event{At: c.eng.Now(), Kind: trace.CachePFDrop,
 				Addr: req.Line, A: c.Level, ID: int64(req.Tag)})

@@ -18,8 +18,7 @@ type fixedLevel struct {
 func (f *fixedLevel) Access(req *Request) {
 	f.count++
 	if h := req.Completer(); h != nil {
-		a := req.CompA
-		f.eng.After(f.latency, func() { h.Handle(f.eng.Now()+f.latency, a, 0) })
+		f.eng.ScheduleAfter(f.latency, h, req.CompA, 0)
 	}
 }
 
@@ -106,6 +105,33 @@ func TestCachePrefetchDroppedWhenMSHRsFull(t *testing.T) {
 	eng.Run()
 	if c.Stats.PrefetchDrop != 1 {
 		t.Errorf("PrefetchDrop = %d, want 1", c.Stats.PrefetchDrop)
+	}
+}
+
+// An upper level with more MSHRs than the level below can send down a
+// prefetch fill request when the lower MSHRs are full. That request carries
+// the upper MSHR's fill handler, so dropping it would strand the upper slot
+// and every demand load merged into it: it must queue instead.
+func TestCacheAwaitedPrefetchQueuesWhenLowerMSHRsFull(t *testing.T) {
+	eng := sim.NewEngine()
+	clk := sim.ClockFromMHz(1000)
+	l2, _ := newTestCache(eng, 1)
+	l1 := NewCache(eng, clk, CacheConfig{Name: "L1", SizeBytes: 1024, Ways: 2, HitCycles: 2, MSHRs: 4}, l2)
+
+	done := 0
+	loadAt(eng, l1, 0x1000, func(sim.Ticks) { done++ }) // occupies the only L2 MSHR
+	l1.Access(&Request{Addr: 0x2000, Kind: Prefetch, PC: -1, Tag: NoTag, TimedAt: -1})
+	loadAt(eng, l1, 0x2008, func(sim.Ticks) { done++ }) // merges into the prefetch's L1 MSHR
+	eng.Run()
+
+	if done != 2 {
+		t.Errorf("done = %d, want 2 (the load merged into the prefetch never completed)", done)
+	}
+	if l1.InFlightMSHRs() != 0 || l2.InFlightMSHRs() != 0 {
+		t.Errorf("MSHRs still held after drain: L1 %d, L2 %d", l1.InFlightMSHRs(), l2.InFlightMSHRs())
+	}
+	if l2.Stats.PrefetchDrop != 0 || l2.Stats.MSHRStalls != 1 {
+		t.Errorf("L2 PrefetchDrop = %d, MSHRStalls = %d, want 0 and 1", l2.Stats.PrefetchDrop, l2.Stats.MSHRStalls)
 	}
 }
 

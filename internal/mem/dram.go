@@ -51,6 +51,17 @@ type DRAMStats struct {
 	BankWaitSum sim.Ticks
 }
 
+// Add accumulates o into s; every field is a counter or a duration sum.
+func (s *DRAMStats) Add(o DRAMStats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.RowHits += o.RowHits
+	s.RowMisses += o.RowMisses
+	s.RowEmpties += o.RowEmpties
+	s.LatencySum += o.LatencySum
+	s.BankWaitSum += o.BankWaitSum
+}
+
 // DRAM is a banked, open-page memory controller model. Each bank tracks its
 // open row and busy-until time; the shared data bus serialises bursts.
 type DRAM struct {

@@ -41,6 +41,16 @@ type TLBStats struct {
 	WalkQueue int64 // walks that waited for a free walker slot
 }
 
+// Add accumulates o into s; every field is a counter.
+func (s *TLBStats) Add(o TLBStats) {
+	s.Accesses += o.Accesses
+	s.L1Hits += o.L1Hits
+	s.L2Hits += o.L2Hits
+	s.Walks += o.Walks
+	s.Faults += o.Faults
+	s.WalkQueue += o.WalkQueue
+}
+
 // TLB models the two-level TLB plus a hardware page-table walker. Because
 // our simulated address space is identity-mapped, "translation" produces no
 // new address — only latency and page-fault information, which is exactly

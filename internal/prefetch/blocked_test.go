@@ -304,11 +304,11 @@ func TestBlockedDropAtMSHRResumesOnce(t *testing.T) {
 	// first-touch translation walks the page table for 300 more; fill the
 	// remaining 11 MSHRs inside that window so the post-translate check
 	// fails.
-	f.eng.At(1000, func() {
+	f.eng.Schedule(1000, fn(func() {
 		for i := uint64(0); i < 11; i++ {
 			f.demandLoad(fill.Base + i*64)
 		}
-	})
+	}), 0, 0)
 	f.eng.Run()
 
 	if f.pf.Stats.MSHRDrops == 0 {

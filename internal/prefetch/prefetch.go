@@ -81,6 +81,31 @@ type Stats struct {
 	Flushes          int64 // context-switch flushes
 }
 
+// Add accumulates o into s; every field is a counter or a duration sum.
+func (s *Stats) Add(o Stats) {
+	s.LoadObservations += o.LoadObservations
+	s.FillObservations += o.FillObservations
+	s.ObsDropped += o.ObsDropped
+	s.KernelRuns += o.KernelRuns
+	s.KernelFaults += o.KernelFaults
+	s.ICacheMisses += o.ICacheMisses
+	s.PFGenerated += o.PFGenerated
+	s.ReqDropped += o.ReqDropped
+	s.FillLatencySum += o.FillLatencySum
+	s.FillCount += o.FillCount
+	s.ResidentLatSum += o.ResidentLatSum
+	s.ResidentHits += o.ResidentHits
+	s.QueueDepthSum += o.QueueDepthSum
+	s.PumpBusy += o.PumpBusy
+	s.PumpGated += o.PumpGated
+	s.IssueLatencySum += o.IssueLatencySum
+	s.IssueCount += o.IssueCount
+	s.TLBDrops += o.TLBDrops
+	s.MSHRDrops += o.MSHRDrops
+	s.Issued += o.Issued
+	s.Flushes += o.Flushes
+}
+
 type observation struct {
 	addr    uint64
 	kernel  int

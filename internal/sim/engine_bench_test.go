@@ -9,24 +9,24 @@ import "testing"
 // queue depths the machine actually reaches (tens to a few thousand
 // in-flight events).
 
-func prefilled(n int) (*Engine, func()) {
+func prefilled(n int) (*Engine, Handler) {
 	e := NewEngine()
-	fn := func() {}
+	h := fn(func() {})
 	for i := 0; i < n; i++ {
-		e.At(Ticks(i), fn)
+		e.Schedule(Ticks(i), h, 0, 0)
 	}
-	return e, fn
+	return e, h
 }
 
 // BenchmarkEnginePushPop measures one schedule + one dispatch with the queue
 // held at a steady depth. It must report 0 allocs/op: the backing slice is
 // warm, so push appends into retained capacity and pop only shrinks it.
 func BenchmarkEnginePushPop(b *testing.B) {
-	e, fn := prefilled(1024)
+	e, h := prefilled(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(100, fn)
+		e.ScheduleAfter(100, h, 0, 0)
 		e.Step()
 	}
 }
@@ -36,11 +36,11 @@ func BenchmarkEnginePushPop(b *testing.B) {
 func BenchmarkEngineChurn(b *testing.B) {
 	for _, depth := range []int{64, 512, 8192} {
 		b.Run(itoa(depth), func(b *testing.B) {
-			e, fn := prefilled(depth)
+			e, h := prefilled(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.After(Ticks(1+i%97), fn)
+				e.ScheduleAfter(Ticks(1+i%97), h, 0, 0)
 				e.Step()
 			}
 		})
@@ -52,10 +52,10 @@ func BenchmarkEngineChurn(b *testing.B) {
 // response, a PPU cycle scheduling the next).
 func BenchmarkEngineCascade(b *testing.B) {
 	e := NewEngine()
-	var kick func()
-	kick = func() { e.After(7, kick) }
+	var kick fn
+	kick = func() { e.ScheduleAfter(7, kick, 0, 0) }
 	for i := 0; i < 32; i++ {
-		e.After(Ticks(i), kick)
+		e.ScheduleAfter(Ticks(i), kick, 0, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -82,12 +82,12 @@ func itoa(n int) string {
 // in the ordinary test run, so an accidental reintroduction of boxing fails
 // `go test` rather than waiting for someone to read benchmark output.
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
-	e, fn := prefilled(1024)
+	e, h := prefilled(1024)
 	for i := 0; i < 512; i++ {
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
-		e.After(100, fn)
+		e.ScheduleAfter(100, h, 0, 0)
 		e.Step()
 	})
 	if allocs != 0 {

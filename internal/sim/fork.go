@@ -35,18 +35,18 @@ func (r *Remap) Register(src, dst Handler) {
 }
 
 // Lookup translates a parent-owned handler into the fork's counterpart. nil
-// maps to nil. A handler whose dynamic type is not comparable (a closure
-// scheduled through the At/After compatibility shims, or a func-typed
-// completion callback) cannot be translated — such events are inherently
-// bound to parent state, so forking a machine with one pending is an error
-// rather than a silent corruption. An unregistered comparable handler is an
-// error too: it means a component forgot to register its pairs.
+// maps to nil. A handler whose dynamic type is not comparable (a func-typed
+// completion callback such as mem.Request.Done's adapter) cannot be
+// translated — it is inherently bound to parent state, so forking a machine
+// with one pending is an error rather than a silent corruption. An
+// unregistered comparable handler is an error too: it means a component
+// forgot to register its pairs.
 func (r *Remap) Lookup(h Handler) (Handler, error) {
 	if h == nil {
 		return nil, nil
 	}
 	if !reflect.TypeOf(h).Comparable() {
-		return nil, fmt.Errorf("sim: cannot fork a pending closure event (%T); only typed handlers survive a fork", h)
+		return nil, fmt.Errorf("sim: cannot fork a pending func-typed handler (%T); only comparable typed handlers survive a fork", h)
 	}
 	d, ok := r.m[h]
 	if !ok {

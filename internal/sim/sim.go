@@ -64,13 +64,6 @@ type Handler interface {
 	Handle(at Ticks, a, b uint64)
 }
 
-// funcHandler adapts the legacy closure API onto the typed path. func values
-// are pointer-shaped, so the interface conversion itself does not allocate —
-// only the closure the caller already built does.
-type funcHandler func()
-
-func (f funcHandler) Handle(Ticks, uint64, uint64) { f() }
-
 type event struct {
 	at   Ticks
 	seq  uint64 // tie-break so simultaneous events run in schedule order
@@ -81,7 +74,7 @@ type event struct {
 // before is the heap ordering: earliest time first, schedule order within a
 // tick. (at, seq) is a total order, so the pop sequence is unique and any
 // correct heap yields bit-identical simulations.
-func (e event) before(o event) bool {
+func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -93,6 +86,12 @@ func (e event) before(o event) bool {
 // one allocation per Push and per Pop, which dominates the scheduler on the
 // simulator's hot path. Here Push appends into retained capacity and Pop
 // shrinks the length, so steady-state operation allocates nothing.
+//
+// Sifting moves events into a hole instead of swapping, and compares them in
+// place through pointers: a 48-byte event copied to the stack goes through
+// 16-byte moves on a stack Go aligns to only 8, and those stall when they
+// straddle a cache line — which made the whole simulator's speed depend on
+// the frame sizes of whoever called Engine.Run.
 type eventQueue struct {
 	ev []event
 }
@@ -105,39 +104,45 @@ func (q *eventQueue) min() event { return q.ev[0] }
 
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
+	ev := q.ev
+	i := len(ev) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.ev[i].before(q.ev[p]) {
+		if !e.before(&ev[p]) {
 			break
 		}
-		q.ev[i], q.ev[p] = q.ev[p], q.ev[i]
+		ev[i] = ev[p]
 		i = p
 	}
+	ev[i] = e
 }
 
 func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
-	q.ev[n] = event{} // release the handler so finished events can be GC'd
-	q.ev = q.ev[:n]
+	ev := q.ev
+	top := ev[0]
+	n := len(ev) - 1
+	last := ev[n]
+	ev[n] = event{} // release the handler so finished events can be GC'd
+	q.ev = ev[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		c := l
-		if r < n && q.ev[r].before(q.ev[l]) {
+		if r := c + 1; r < n && ev[r].before(&ev[c]) {
 			c = r
 		}
-		if !q.ev[c].before(q.ev[i]) {
+		if !ev[c].before(&last) {
 			break
 		}
-		q.ev[i], q.ev[c] = q.ev[c], q.ev[i]
+		ev[i] = ev[c]
 		i = c
 	}
+	ev[i] = last
 	return top
 }
 
@@ -174,16 +179,6 @@ func (e *Engine) Schedule(t Ticks, h Handler, a, b uint64) {
 func (e *Engine) ScheduleAfter(d Ticks, h Handler, a, b uint64) {
 	e.Schedule(e.now+d, h, a, b)
 }
-
-// At schedules fn to run at time t. This is the closure compatibility shim
-// over Schedule: each call costs the closure allocation the caller built, so
-// hot paths should implement Handler and call Schedule instead.
-func (e *Engine) At(t Ticks, fn func()) {
-	e.Schedule(t, funcHandler(fn), 0, 0)
-}
-
-// After schedules fn to run d ticks from now.
-func (e *Engine) After(d Ticks, fn func()) { e.At(e.now+d, fn) }
 
 // Pending reports how many events are waiting to run.
 func (e *Engine) Pending() int { return e.queue.len() }

@@ -378,14 +378,19 @@ type Result struct {
 	Baseline   baseline.IssuerStats
 	Ticks      sim.Ticks
 	Cycles     int64
-	// Sampled is set only on RunSampled runs, so full-run result encodings
-	// are byte-identical to earlier versions.
+	// Sampled, Adaptive, TimeParallel and Fallback are omitted when unset, so
+	// exact serial encodings are byte-identical to earlier versions.
+	//
+	// Sampled is set only on sampled runs (Plan.Sample).
 	Sampled *SampledStats `json:",omitempty"`
-	// Adaptive is set only for the adaptive scheme (same reason).
+	// Adaptive is set only for the adaptive scheme.
 	Adaptive *adaptive.Stats `json:",omitempty"`
-	// TimeParallel is set only on RunTimeParallel runs that actually
-	// sliced, keeping serial encodings byte-stable.
+	// TimeParallel is set only on runs that actually sliced (Plan.Slices).
 	TimeParallel *TimeParallelStats `json:",omitempty"`
+	// Fallback says why RunPlan did not honour part of its Plan (ran
+	// serially although slices were asked for, or ignored Slices under
+	// sampling). Empty whenever the requested engine ran.
+	Fallback string `json:",omitempty"`
 }
 
 // Run executes the micro-op stream to completion and returns the collected
