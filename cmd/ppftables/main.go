@@ -1,6 +1,7 @@
 // Command ppftables regenerates the paper's tables and figures (Tables 1–2,
 // Figures 7–11, the §7 textual analyses, and the repository's own Figure 12
-// adaptive-control study) as aligned text tables.
+// adaptive-control study) as aligned text tables. The experiments come from
+// the harness.Experiments registry.
 //
 // Usage:
 //
@@ -14,112 +15,45 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"eventpf/internal/harness"
 )
 
-var experiments = []string{
-	"table1", "table2", "fig7", "fig8a", "fig8b", "fig9a", "fig9b",
-	"fig10", "fig11", "fig12", "instrs", "extramem", "ablation", "ctxswitch",
-}
-
 func main() {
+	var ids []string
+	for _, e := range harness.Experiments {
+		ids = append(ids, e.ID)
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1 table2 fig7 fig8a fig8b fig9a fig9b fig10 fig11 fig12 instrs extramem ablation ctxswitch) or 'all'")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(ids, " ")+") or 'all'")
 		scale    = flag.Float64("scale", 0.15, "input scale relative to the default reduced inputs")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 
-	suite := harness.NewSuite(harness.Options{Scale: *scale, Parallel: *parallel})
-	todo := experiments
+	todo := harness.Experiments
 	if *exp != "all" {
-		todo = []string{*exp}
+		todo = nil
+		for _, e := range harness.Experiments {
+			if e.ID == *exp {
+				todo = append(todo, e)
+			}
+		}
+		if todo == nil {
+			fmt.Fprintf(os.Stderr, "ppftables: unknown experiment %q; valid: %s all\n", *exp, strings.Join(ids, " "))
+			os.Exit(2)
+		}
 	}
-	for _, id := range todo {
+	suite := harness.NewSuite(harness.Options{Scale: *scale, Parallel: *parallel})
+	for _, e := range todo {
 		start := time.Now()
-		out, err := runExperiment(suite, id)
+		out, err := e.Table(suite)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppftables: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "ppftables: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("== %s (scale %.2f, %v) ==\n%s\n", id, *scale, time.Since(start).Round(time.Millisecond), out)
+		fmt.Printf("== %s (scale %.2f, %v) ==\n%s\n", e.ID, *scale, time.Since(start).Round(time.Millisecond), out)
 	}
-}
-
-func runExperiment(s *harness.Suite, id string) (string, error) {
-	switch id {
-	case "table1":
-		return harness.Table1(s.Opt), nil
-	case "table2":
-		return harness.Table2(), nil
-	case "fig7":
-		rows, err := s.Fig7()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig7(rows), nil
-	case "fig8a", "fig8b":
-		rows, err := s.Fig8()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig8(rows), nil
-	case "fig9a":
-		rows, err := s.Fig9a()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig9a(rows), nil
-	case "fig9b":
-		cells, err := s.Fig9b()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig9b(cells), nil
-	case "fig10":
-		rows, err := s.Fig10()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig10(rows), nil
-	case "fig11":
-		rows, err := s.Fig11()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig11(rows), nil
-	case "fig12":
-		rows, err := s.Fig12()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatFig12(rows), nil
-	case "instrs":
-		rows, err := s.InstrOverhead()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatInstrOverhead(rows), nil
-	case "extramem":
-		rows, err := s.ExtraMem()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatExtraMem(rows), nil
-	case "ablation":
-		rows, err := s.Ablations()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatAblations(rows), nil
-	case "ctxswitch":
-		rows, err := s.ContextSwitches()
-		if err != nil {
-			return "", err
-		}
-		return harness.FormatContextSwitches(rows), nil
-	}
-	return "", fmt.Errorf("unknown experiment %q", id)
 }

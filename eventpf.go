@@ -27,6 +27,7 @@ import (
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
+	"eventpf/internal/trace"
 	"eventpf/internal/workloads"
 )
 
@@ -212,4 +213,4 @@ func InsertSoftwarePrefetches(fn *IRFn, dist int64) int {
 }
 
 // PrefetchTracer is the ring tracer attachable via Options.TraceLast.
-type PrefetchTracer = prefetch.RingTracer
+type PrefetchTracer = trace.Ring

@@ -29,7 +29,7 @@ type AblationRow struct {
 // full, alongside that warm-up.
 func (s *Suite) Ablations() ([]AblationRow, error) {
 	b := workloads.HJ8
-	base, err := s.run(b, NoPF)
+	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
 	if err != nil {
 		return nil, err
 	}
@@ -60,25 +60,25 @@ func (s *Suite) Ablations() ([]AblationRow, error) {
 	warmOpt.Config = &dcfg
 	// The MSHR cells run in full while the forkable cells share a warm-up to
 	// half the program.
-	fullErr := make(chan error, 1)
-	go func() {
-		fullErr <- s.fanOut(len(rows)-forked, func(i int) error {
-			r, err := Run(b, Manual, opts[forked+i])
-			if err == nil {
-				rows[forked+i].Speedup = Speedup(base, r)
-			}
-			return err
-		})
-	}()
-	err = s.forkSweep(b, Manual, warmOpt, base.Core.Ops/2, opts[:forked], func(i int, r Result, err error) {
-		if err == nil {
-			rows[i].Speedup = Speedup(base, r)
-		}
-	})
-	if ferr := <-fullErr; err == nil {
-		err = ferr
+	groups := []func() error{
+		func() error {
+			return s.forkSweep(b, Manual, warmOpt, base.Core.Ops/2, opts[:forked], func(i int, r Result, err error) {
+				if err == nil {
+					rows[i].Speedup = Speedup(base, r)
+				}
+			})
+		},
+		func() error {
+			return s.fanOut(len(rows)-forked, func(i int) error {
+				r, err := Run(b, Manual, opts[forked+i])
+				if err == nil {
+					rows[forked+i].Speedup = Speedup(base, r)
+				}
+				return err
+			})
+		},
 	}
-	if err != nil {
+	if err := forEach(len(groups), func(g int) error { return groups[g]() }); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -104,7 +104,7 @@ type ContextSwitchRow struct {
 // ContextSwitches measures prefetcher-flush sensitivity on IntSort.
 func (s *Suite) ContextSwitches() ([]ContextSwitchRow, error) {
 	b := workloads.IntSort
-	base, err := s.run(b, NoPF)
+	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
 	if err != nil {
 		return nil, err
 	}

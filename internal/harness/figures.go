@@ -145,21 +145,19 @@ func (s *Suite) FillMetrics(reg *trace.Registry) {
 	reg.Counter("suite.memo.misses").N = misses
 }
 
-func (s *Suite) run(b *workloads.Benchmark, sch Scheme) (Result, error) {
-	return s.runPair(Pair{Bench: b, Scheme: sch})
-}
-
 // Run returns the memoised measurement for p, simulating it on the worker
 // pool if it is not cached yet. Callers that need several pairs should
 // Prefetch them first so the simulations overlap.
-func (s *Suite) Run(p Pair) (Result, error) { return s.runPair(p) }
+func (s *Suite) Run(p Pair) (Result, error) {
+	return s.RunInstrumented(context.Background(), p, nil)
+}
 
 // RunCtx is Run with cancellation: a caller that stops waiting (queued job
 // cancelled, client disconnected) returns ctx.Err() without consuming a
 // worker. Once a simulation has started it always runs to completion — a
 // cancelled waiter never poisons the memo entry other callers share.
 func (s *Suite) RunCtx(ctx context.Context, p Pair) (Result, error) {
-	return s.runPairCtx(ctx, p, nil)
+	return s.RunInstrumented(ctx, p, nil)
 }
 
 // Instrument attaches per-run observers to a memoised measurement. The
@@ -176,25 +174,19 @@ type Instrument struct {
 	Started func()
 }
 
-// RunInstrumented is RunCtx with per-run instrumentation. This is how the
-// serving layer streams progress from inside the singleflight: the first
-// request for a key simulates with its sink attached, duplicates share the
-// result without re-simulating or double-instrumenting.
-func (s *Suite) RunInstrumented(ctx context.Context, p Pair, inst *Instrument) (Result, error) {
-	return s.runPairCtx(ctx, p, inst)
-}
-
-func (s *Suite) runPair(p Pair) (Result, error) {
-	return s.runPairCtx(context.Background(), p, nil)
-}
-
-// runPairCtx returns the memoised measurement for p, running it if needed.
+// RunInstrumented returns the memoised measurement for p, running it if
+// needed, with inst (which may be nil) attached if this call is the one that
+// simulates. This is how the serving layer streams progress from inside the
+// singleflight: the first request for a key simulates with its sink
+// attached, duplicates share the result without re-simulating or
+// double-instrumenting.
+//
 // The first caller for a key executes the simulation (holding a worker-pool
 // token); later callers block on the same entry without consuming a worker,
 // so a full fan-out can never deadlock the pool. A first caller cancelled
 // while still waiting for a worker token removes its entry so a later
 // request can retry; waiters that joined it inherit the cancellation error.
-func (s *Suite) runPairCtx(ctx context.Context, p Pair, inst *Instrument) (Result, error) {
+func (s *Suite) RunInstrumented(ctx context.Context, p Pair, inst *Instrument) (Result, error) {
 	key := s.Key(p)
 	s.mu.Lock()
 	c, ok := s.cache[key]
@@ -310,7 +302,7 @@ func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) erro
 	// stays 0) and every point runs in full, slicing internally.
 	var warmOps int64
 	if s.Opt.Slices <= 1 {
-		base, err := s.run(b, NoPF) // sizes the warmup from the op count
+		base, err := s.Run(Pair{Bench: b, Scheme: NoPF}) // sizes the warmup from the op count
 		if err != nil {
 			for _, c := range todo {
 				fill(c, Result{}, err)
@@ -378,7 +370,7 @@ func (s *Suite) forkSweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options
 // other failure is returned after all workers finish.
 func (s *Suite) Prefetch(pairs []Pair) error {
 	return forEach(len(pairs), func(i int) error {
-		_, err := s.runPair(pairs[i])
+		_, err := s.Run(pairs[i])
 		if errors.Is(err, ErrUnsupported) {
 			return nil
 		}
@@ -420,16 +412,41 @@ func forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// crossAll builds the cross product of every Table 2 benchmark with the
-// given schemes, the request shape shared by most figures.
-func crossAll(schemes ...Scheme) []Pair {
+// collect is the figure loop every benchmark×scheme table shares: prefetch
+// the cross product so the simulations overlap on the worker pool, then hand
+// row each benchmark's results keyed by scheme, in benches order. A pair the
+// benchmark does not support (the paper's missing bars) is absent from the
+// map; any other failure aborts the figure before row has run at all, so a
+// caller's rows are empty whenever the error is set.
+func (s *Suite) collect(benches []*workloads.Benchmark, schemes []Scheme,
+	row func(b *workloads.Benchmark, r map[Scheme]Result)) error {
 	var pairs []Pair
-	for _, b := range workloads.All {
+	for _, b := range benches {
 		for _, sch := range schemes {
 			pairs = append(pairs, Pair{Bench: b, Scheme: sch})
 		}
 	}
-	return pairs
+	if err := s.Prefetch(pairs); err != nil {
+		return err
+	}
+	results := make([]map[Scheme]Result, len(benches))
+	for i, b := range benches {
+		results[i] = make(map[Scheme]Result, len(schemes))
+		for _, sch := range schemes {
+			res, err := s.Run(Pair{Bench: b, Scheme: sch})
+			if errors.Is(err, ErrUnsupported) {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			results[i][sch] = res
+		}
+	}
+	for i, b := range benches {
+		row(b, results[i])
+	}
+	return nil
 }
 
 // Fig7Row is one benchmark's bars in Figure 7: speedup over no prefetching.
@@ -439,39 +456,27 @@ type Fig7Row struct {
 	Speedup   map[Scheme]float64
 }
 
+// staticSpeedups computes one benchmark's Figure 7 bars from its results
+// under NoPF and every Schemes entry: NaN where the benchmark does not
+// support the scheme.
+func staticSpeedups(r map[Scheme]Result) map[Scheme]float64 {
+	bars := make(map[Scheme]float64, len(Schemes))
+	for _, sch := range Schemes {
+		bars[sch] = math.NaN()
+		if res, ok := r[sch]; ok {
+			bars[sch] = Speedup(r[NoPF], res)
+		}
+	}
+	return bars
+}
+
 // Fig7 reproduces Figure 7: speedups for all schemes on all benchmarks.
 func (s *Suite) Fig7() ([]Fig7Row, error) {
-	var pairs []Pair
-	for _, b := range workloads.All {
-		pairs = append(pairs, Pair{Bench: b, Scheme: NoPF})
-		for _, sch := range Schemes {
-			pairs = append(pairs, Pair{Bench: b, Scheme: sch})
-		}
-	}
-	if err := s.Prefetch(pairs); err != nil {
-		return nil, err
-	}
 	var rows []Fig7Row
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{Benchmark: b.Name, Speedup: map[Scheme]float64{}}
-		for _, sch := range Schemes {
-			r, err := s.run(b, sch)
-			if err == ErrUnsupported {
-				row.Speedup[sch] = math.NaN()
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			row.Speedup[sch] = Speedup(base, r)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	err := s.collect(workloads.All, append([]Scheme{NoPF}, Schemes...), func(b *workloads.Benchmark, r map[Scheme]Result) {
+		rows = append(rows, Fig7Row{Benchmark: b.Name, Speedup: staticSpeedups(r)})
+	})
+	return rows, err
 }
 
 // FormatFig7 renders the Figure 7 data as an aligned text table.
@@ -529,19 +534,9 @@ type Fig8Row struct {
 
 // Fig8 reproduces Figure 8.
 func (s *Suite) Fig8() ([]Fig8Row, error) {
-	if err := s.Prefetch(crossAll(NoPF, Manual)); err != nil {
-		return nil, err
-	}
 	var rows []Fig8Row
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
-		}
-		man, err := s.run(b, Manual)
-		if err != nil {
-			return nil, err
-		}
+	err := s.collect(workloads.All, []Scheme{NoPF, Manual}, func(b *workloads.Benchmark, r map[Scheme]Result) {
+		base, man := r[NoPF], r[Manual]
 		rows = append(rows, Fig8Row{
 			Benchmark:   b.Name,
 			Utilisation: man.L1.PrefetchUtilisation(),
@@ -550,8 +545,8 @@ func (s *Suite) Fig8() ([]Fig8Row, error) {
 			L2HitNoPF:   base.L2.ReadHitRate(),
 			L2HitPF:     man.L2.ReadHitRate(),
 		})
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatFig8 renders both Figure 8 panels.
@@ -581,34 +576,42 @@ type Fig9aRow struct {
 	Speedup   map[int]float64 // MHz → speedup over no prefetching
 }
 
-// Fig9a reproduces Figure 9(a). Each benchmark's clock points share one
-// warmup: the machine is warmed once at the default clock and forked per
-// point (sweepForked), so the sweep costs little more than one run per
-// benchmark instead of one per point.
-func (s *Suite) Fig9a() ([]Fig9aRow, error) {
-	if err := s.Prefetch(crossAll(NoPF)); err != nil {
+// clockSweep returns b's Manual speedup over no prefetching at each PPU
+// clock, with ppus units (0 = default). The clock points share one warm-up:
+// the machine is warmed once at the default clock and forked per point
+// (sweepForked), so a sweep costs little more than one run instead of one
+// per point.
+func (s *Suite) clockSweep(b *workloads.Benchmark, ppus int, clocks []int) (map[int]float64, error) {
+	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
+	if err != nil {
 		return nil, err
 	}
-	if err := forEach(len(workloads.All), func(i int) error {
-		return s.sweepForked(workloads.All[i], 0, Fig9aClocks)
-	}); err != nil {
+	if err := s.sweepForked(b, ppus, clocks); err != nil {
 		return nil, err
 	}
-	var rows []Fig9aRow
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
+	speedup := make(map[int]float64, len(clocks))
+	for _, mhz := range clocks {
+		r, err := s.Run(Pair{Bench: b, Scheme: Manual, PPUs: ppus, PPUMHz: mhz})
 		if err != nil {
 			return nil, err
 		}
-		row := Fig9aRow{Benchmark: b.Name, Speedup: map[int]float64{}}
-		for _, mhz := range Fig9aClocks {
-			r, err := s.runPair(Pair{Bench: b, Scheme: Manual, PPUMHz: mhz})
-			if err != nil {
-				return nil, err
-			}
-			row.Speedup[mhz] = Speedup(base, r)
-		}
-		rows = append(rows, row)
+		speedup[mhz] = Speedup(base, r)
+	}
+	return speedup, nil
+}
+
+// Fig9a reproduces Figure 9(a): one clock sweep per benchmark, the sweeps
+// overlapping on the worker pool.
+func (s *Suite) Fig9a() ([]Fig9aRow, error) {
+	rows := make([]Fig9aRow, len(workloads.All))
+	err := forEach(len(rows), func(i int) error {
+		b := workloads.All[i]
+		speedup, err := s.clockSweep(b, 0, Fig9aClocks)
+		rows[i] = Fig9aRow{Benchmark: b.Name, Speedup: speedup}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -638,35 +641,29 @@ type Fig9bCell struct {
 	Speedup float64
 }
 
-// Fig9b reproduces Figure 9(b): G500-CSR speedup across PPU count and clock.
-// One warmup per PPU count, forked per clock point (sweepForked).
+// Fig9b reproduces Figure 9(b): G500-CSR speedup across PPU count and clock,
+// one clock sweep per PPU count. Cells come back row-major, Fig9bPPUs by
+// Fig9bClocks.
 func (s *Suite) Fig9b() ([]Fig9bCell, error) {
-	if _, err := s.run(workloads.G500CSR, NoPF); err != nil {
-		return nil, err
-	}
-	if err := forEach(len(Fig9bPPUs), func(i int) error {
-		return s.sweepForked(workloads.G500CSR, Fig9bPPUs[i], Fig9bClocks)
-	}); err != nil {
-		return nil, err
-	}
-	base, err := s.run(workloads.G500CSR, NoPF)
+	grid := make([]map[int]float64, len(Fig9bPPUs))
+	err := forEach(len(grid), func(i int) (err error) {
+		grid[i], err = s.clockSweep(workloads.G500CSR, Fig9bPPUs[i], Fig9bClocks)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	var cells []Fig9bCell
-	for _, ppus := range Fig9bPPUs {
+	for i, ppus := range Fig9bPPUs {
 		for _, mhz := range Fig9bClocks {
-			r, err := s.runPair(Pair{Bench: workloads.G500CSR, Scheme: Manual, PPUs: ppus, PPUMHz: mhz})
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, Fig9bCell{PPUs: ppus, MHz: mhz, Speedup: Speedup(base, r)})
+			cells = append(cells, Fig9bCell{PPUs: ppus, MHz: mhz, Speedup: grid[i][mhz]})
 		}
 	}
 	return cells, nil
 }
 
-// FormatFig9b renders the Figure 9(b) grid.
+// FormatFig9b renders the Figure 9(b) grid from cells in Fig9b's row-major
+// order.
 func FormatFig9b(cells []Fig9bCell) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s", "PPUs")
@@ -674,14 +671,10 @@ func FormatFig9b(cells []Fig9bCell) string {
 		fmt.Fprintf(&sb, " %8dMHz", mhz)
 	}
 	sb.WriteByte('\n')
-	for _, ppus := range Fig9bPPUs {
+	for i, ppus := range Fig9bPPUs {
 		fmt.Fprintf(&sb, "%-8d", ppus)
-		for _, mhz := range Fig9bClocks {
-			for _, c := range cells {
-				if c.PPUs == ppus && c.MHz == mhz {
-					fmt.Fprintf(&sb, " %10.2fx", c.Speedup)
-				}
-			}
+		for j := range Fig9bClocks {
+			fmt.Fprintf(&sb, " %10.2fx", cells[i*len(Fig9bClocks)+j].Speedup)
 		}
 		sb.WriteByte('\n')
 	}
@@ -699,17 +692,10 @@ type Fig10Row struct {
 
 // Fig10 reproduces Figure 10.
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	if err := s.Prefetch(crossAll(Manual)); err != nil {
-		return nil, err
-	}
 	var rows []Fig10Row
-	for _, b := range workloads.All {
-		r, err := s.run(b, Manual)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig10Row{Benchmark: b.Name, Activity: r.Activity}
-		sorted := append([]float64(nil), r.Activity...)
+	err := s.collect(workloads.All, []Scheme{Manual}, func(b *workloads.Benchmark, r map[Scheme]Result) {
+		row := Fig10Row{Benchmark: b.Name, Activity: r[Manual].Activity}
+		sorted := append([]float64(nil), row.Activity...)
 		sort.Float64s(sorted)
 		q := func(f float64) float64 {
 			idx := f * float64(len(sorted)-1)
@@ -722,8 +708,8 @@ func (s *Suite) Fig10() ([]Fig10Row, error) {
 		}
 		row.Min, row.Q1, row.Median, row.Q3, row.Max = q(0), q(0.25), q(0.5), q(0.75), q(1)
 		rows = append(rows, row)
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatFig10 renders the Figure 10 box data.
@@ -747,30 +733,15 @@ type Fig11Row struct {
 
 // Fig11 reproduces Figure 11.
 func (s *Suite) Fig11() ([]Fig11Row, error) {
-	if err := s.Prefetch(crossAll(NoPF, Manual, ManualBlocked)); err != nil {
-		return nil, err
-	}
 	var rows []Fig11Row
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := s.run(b, Manual)
-		if err != nil {
-			return nil, err
-		}
-		bl, err := s.run(b, ManualBlocked)
-		if err != nil {
-			return nil, err
-		}
+	err := s.collect(workloads.All, []Scheme{NoPF, Manual, ManualBlocked}, func(b *workloads.Benchmark, r map[Scheme]Result) {
 		rows = append(rows, Fig11Row{
 			Benchmark: b.Name,
-			Blocked:   Speedup(base, bl),
-			Events:    Speedup(base, ev),
+			Blocked:   Speedup(r[NoPF], r[ManualBlocked]),
+			Events:    Speedup(r[NoPF], r[Manual]),
 		})
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatFig11 renders the Figure 11 comparison.
@@ -793,32 +764,24 @@ type InstrRow struct {
 }
 
 // InstrOverhead reproduces the §7.1 instruction-increase numbers
-// (paper: IntSort +113 %, RandAcc +83 %, HJ-2 +56 %).
+// (paper: IntSort +113 %, RandAcc +83 %, HJ-2 +56 %). Benchmarks without a
+// software-prefetch variant have no row.
 func (s *Suite) InstrOverhead() ([]InstrRow, error) {
-	if err := s.Prefetch(crossAll(NoPF, Software)); err != nil {
-		return nil, err
-	}
 	var rows []InstrRow
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
+	err := s.collect(workloads.All, []Scheme{NoPF, Software}, func(b *workloads.Benchmark, r map[Scheme]Result) {
+		sw, ok := r[Software]
+		if !ok {
+			return
 		}
-		sw, err := s.run(b, Software)
-		if err == ErrUnsupported {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
+		base := r[NoPF]
 		rows = append(rows, InstrRow{
 			Benchmark:   b.Name,
 			PlainOps:    base.Core.Ops,
 			SWPfOps:     sw.Core.Ops,
 			IncreasePct: 100 * (float64(sw.Core.Ops)/float64(base.Core.Ops) - 1),
 		})
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatInstrOverhead renders the instruction-overhead analysis.
@@ -850,19 +813,9 @@ type ExtraMemRow struct {
 
 // ExtraMem reproduces the extra-memory-access analysis.
 func (s *Suite) ExtraMem() ([]ExtraMemRow, error) {
-	if err := s.Prefetch(crossAll(NoPF, Manual)); err != nil {
-		return nil, err
-	}
 	var rows []ExtraMemRow
-	for _, b := range workloads.All {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
-		}
-		man, err := s.run(b, Manual)
-		if err != nil {
-			return nil, err
-		}
+	err := s.collect(workloads.All, []Scheme{NoPF, Manual}, func(b *workloads.Benchmark, r map[Scheme]Result) {
+		base, man := r[NoPF], r[Manual]
 		row := ExtraMemRow{
 			Benchmark:    b.Name,
 			BaseReads:    base.DRAM.Reads,
@@ -878,8 +831,8 @@ func (s *Suite) ExtraMem() ([]ExtraMemRow, error) {
 			row.MeanFillTicks = float64(man.PF.FillLatencySum) / float64(man.PF.FillCount)
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatExtraMem renders the extra-traffic analysis with the prefetch-chain
@@ -955,67 +908,37 @@ type Fig12Row struct {
 	IdleDemotes int64
 }
 
-// fig12Benches is the Figure 12 row set: every Table 2 benchmark plus the
-// Extra workloads (the synthetic phase-alternation study), which figure
-// sweeps over All deliberately exclude.
-func fig12Benches() []*workloads.Benchmark {
-	benches := append([]*workloads.Benchmark{}, workloads.All...)
-	return append(benches, workloads.Extra...)
-}
-
 // Fig12 runs the adaptive-control comparison: the adaptive controller
 // against every static scheme and the oracle-best static, on the Table 2
-// benchmarks plus the Extra phase-alternation workload.
+// benchmarks plus the Extra workloads (the synthetic phase-alternation
+// study), which figure sweeps over All deliberately exclude.
 func (s *Suite) Fig12() ([]Fig12Row, error) {
-	benches := fig12Benches()
-	var pairs []Pair
-	for _, b := range benches {
-		pairs = append(pairs, Pair{Bench: b, Scheme: NoPF}, Pair{Bench: b, Scheme: Adaptive})
-		for _, sch := range Schemes {
-			pairs = append(pairs, Pair{Bench: b, Scheme: sch})
-		}
-	}
-	if err := s.Prefetch(pairs); err != nil {
-		return nil, err
-	}
+	benches := append(append([]*workloads.Benchmark{}, workloads.All...), workloads.Extra...)
 	var rows []Fig12Row
-	for _, b := range benches {
-		base, err := s.run(b, NoPF)
-		if err != nil {
-			return nil, err
-		}
-		ad, err := s.run(b, Adaptive)
-		if err != nil {
-			return nil, err
-		}
+	err := s.collect(benches, append([]Scheme{NoPF, Adaptive}, Schemes...), func(b *workloads.Benchmark, r map[Scheme]Result) {
+		ad := r[Adaptive]
 		row := Fig12Row{
 			Benchmark: b.Name,
-			Adaptive:  Speedup(base, ad),
+			Adaptive:  Speedup(r[NoPF], ad),
 			Oracle:    math.NaN(),
-			Static:    map[Scheme]float64{},
+			Static:    staticSpeedups(r),
 		}
 		if ad.Adaptive != nil {
 			row.Switches = ad.Adaptive.Switches
 			row.IdleDemotes = ad.Adaptive.IdleDemotes
 		}
 		for _, sch := range Schemes {
-			r, err := s.run(b, sch)
-			if err == ErrUnsupported {
-				row.Static[sch] = math.NaN()
+			v := row.Static[sch]
+			if math.IsNaN(v) {
 				continue
 			}
-			if err != nil {
-				return nil, err
-			}
-			v := Speedup(base, r)
-			row.Static[sch] = v
 			if math.IsNaN(row.Oracle) || v > row.Oracle {
 				row.Oracle, row.OracleScheme = v, sch
 			}
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // FormatFig12 renders the adaptive-control study. The closing geomean row

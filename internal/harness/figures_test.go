@@ -140,7 +140,7 @@ func TestSweepForkedMatchesFullRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, before := s.MemoStats()
-	swept, err := s.run(b, Manual)
+	swept, err := s.Run(Pair{Bench: b, Scheme: Manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestExtraMemReported(t *testing.T) {
 
 func TestSuiteCachesRuns(t *testing.T) {
 	s := NewSuite(Options{Scale: figScale})
-	a, err := s.run(workloads.HJ2, NoPF)
+	a, err := s.Run(Pair{Bench: workloads.HJ2, Scheme: NoPF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.run(workloads.HJ2, NoPF)
+	b, err := s.Run(Pair{Bench: workloads.HJ2, Scheme: NoPF})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"eventpf/internal/cpu"
 	"eventpf/internal/ir"
 	"eventpf/internal/mem"
-	"eventpf/internal/prefetch"
 	"eventpf/internal/sim"
 	"eventpf/internal/system"
 	"eventpf/internal/trace"
@@ -64,11 +63,12 @@ type Options struct {
 	// Slices, if above 1, runs time-parallel: the dynamic op stream is cut
 	// into that many contiguous slices, each fast-forwarded functionally to
 	// its boundary on a forked machine and detail-simulated concurrently
-	// (system.Plan). Approximate but deterministic. When Sample is set, the
-	// stream cannot be forked or the program is too short to slice, the
-	// request is not honoured and Result.Fallback says why. 0 or 1 keeps the
-	// exact serial engine — results then stay byte-identical to earlier
-	// versions.
+	// (system.Plan). Approximate but deterministic. When Sample is set, a
+	// per-run observer is attached (TraceSink, OpSink, Metrics, TraceLast —
+	// it would see the first slice only), the stream cannot be forked or the
+	// program is too short to slice, the request is not honoured and
+	// Result.Fallback says why. 0 or 1 keeps the exact serial engine —
+	// results then stay byte-identical to earlier versions.
 	Slices int
 }
 
@@ -89,7 +89,7 @@ type Result struct {
 	// Pass reports compiler-pass statistics for Pragma/Converted runs.
 	Pass *compiler.Result
 	// Trace holds the retained prefetcher events when Options.TraceLast > 0.
-	Trace *prefetch.RingTracer
+	Trace *trace.Ring
 }
 
 // Run executes one benchmark under one scheme and validates the result
@@ -124,14 +124,10 @@ func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 // countOps measures the benchmark's dynamic op count by draining a second,
 // throwaway copy of the stream functionally — no events, no timing, its own
 // machine (interpreters execute at Next time; the count costs a functional
-// pass, a small fraction of one detailed slice). Observers are stripped: the
-// counting pass must not double-fire capture hooks or emit trace events.
+// pass, a small fraction of one detailed slice). opt carries no observers
+// that could double-fire: the driver slices, and so counts, only a run that
+// has none attached.
 func countOps(b *workloads.Benchmark, scheme Scheme, opt Options) (int64, error) {
-	opt.TraceLast = 0
-	opt.TraceSink = nil
-	opt.Metrics = nil
-	opt.OpSink = nil
-	opt.Slices = 0
 	rs, err := prepare(b, scheme, opt)
 	if err != nil {
 		return 0, err
@@ -159,7 +155,7 @@ type runSetup struct {
 	m      *system.Machine
 	stream *seq
 	inst   *workloads.Instance
-	tracer *prefetch.RingTracer
+	tracer *trace.Ring
 	pass   *compiler.Result
 }
 
@@ -183,12 +179,18 @@ func prepare(b *workloads.Benchmark, scheme Scheme, opt Options) (*runSetup, err
 	inst := b.Build(m, opt.Scale)
 	rs := &runSetup{b: b, scheme: scheme, m: m, inst: inst}
 
-	if opt.TraceLast > 0 && m.PF != nil {
-		rs.tracer = prefetch.NewRingTracer(opt.TraceLast)
-		m.PF.Tracer = rs.tracer
-	}
 	if opt.TraceSink != nil {
 		m.AttachTrace(trace.NewBus(opt.TraceSink))
+	}
+	if opt.TraceLast > 0 && m.PF != nil {
+		// The ring keeps prefetcher events only, so it joins the
+		// prefetcher's bus, ahead of the machine-wide sink if there is one.
+		rs.tracer = trace.NewRing(opt.TraceLast)
+		sinks := []trace.Sink{rs.tracer}
+		if opt.TraceSink != nil {
+			sinks = append(sinks, opt.TraceSink)
+		}
+		m.PF.Bus = trace.NewBus(sinks...)
 	}
 	if opt.Metrics != nil {
 		m.AttachMetrics(opt.Metrics)

@@ -10,6 +10,7 @@ import (
 
 	"eventpf/internal/ir"
 	"eventpf/internal/system"
+	"eventpf/internal/trace"
 	"eventpf/internal/tracein"
 	"eventpf/internal/workloads"
 )
@@ -213,6 +214,43 @@ func TestSlicesIgnoredUnderSampling(t *testing.T) {
 	}
 	if !strings.Contains(res.Fallback, "sampling is set") {
 		t.Errorf("Fallback = %q, want the slices-ignored reason", res.Fallback)
+	}
+}
+
+// TestSlicesIgnoredUnderObservation pins the no-lane-0-only rule: observers
+// do not follow a machine fork, so a sliced run with one attached would show
+// it the first slice only. It runs serially instead — the collector sees the
+// serial run's every event — and the result names the observer.
+func TestSlicesIgnoredUnderObservation(t *testing.T) {
+	events := func(slices int) (int, Result) {
+		c := trace.NewCollector()
+		res, err := Run(workloads.HJ2, Manual, Options{Scale: goldenScale, Slices: slices, TraceSink: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(c.Events()), res
+	}
+	serial, _ := events(0)
+	sliced, res := events(4)
+	if sliced != serial {
+		t.Errorf("Slices=4 with a trace sink saw %d events, the serial run %d", sliced, serial)
+	}
+	if res.TimeParallel != nil || !strings.Contains(res.Fallback, "trace sink") {
+		t.Errorf("TimeParallel = %v, Fallback = %q; want a serial run naming the trace sink", res.TimeParallel, res.Fallback)
+	}
+	for name, opt := range map[string]Options{
+		"op-trace sink":         {OpSink: trace.NewCollector()},
+		"metrics registry":      {Metrics: trace.NewRegistry()},
+		"prefetcher trace sink": {TraceLast: 8},
+	} {
+		opt.Scale, opt.Slices = goldenScale, 4
+		res, err := Run(workloads.HJ2, Manual, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TimeParallel != nil || !strings.Contains(res.Fallback, name) {
+			t.Errorf("%s: TimeParallel = %v, Fallback = %q; want a serial run naming it", name, res.TimeParallel, res.Fallback)
+		}
 	}
 }
 

@@ -271,7 +271,7 @@ func (c *Cache) Access(req *Request) {
 		// Forward the same request down; ownership transfers with it.
 		req.Kind = Writeback
 		req.Tag, req.TimedAt = NoTag, -1
-		req.Done, req.Comp = nil, nil
+		req.Comp = nil
 		c.next.Access(req)
 		return
 	}

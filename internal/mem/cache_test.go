@@ -31,8 +31,22 @@ func newTestCache(eng *sim.Engine, mshrs int) (*Cache, *fixedLevel) {
 	return c, next
 }
 
+// doneFn and transFn are the tests' completion targets: closures taken
+// through the typed handler path.
+type doneFn func(at sim.Ticks)
+
+func (f doneFn) Handle(at sim.Ticks, _, _ uint64) { f(at) }
+
+type transFn func(ok bool)
+
+func (f transFn) Handle(_ sim.Ticks, _, ok uint64) { f(ok != 0) }
+
 func loadAt(eng *sim.Engine, c *Cache, addr uint64, done func(sim.Ticks)) {
-	c.Access(&Request{Addr: addr, Kind: Load, PC: -1, Tag: NoTag, TimedAt: -1, Done: done})
+	req := &Request{Addr: addr, Kind: Load, PC: -1, Tag: NoTag, TimedAt: -1}
+	if done != nil {
+		req.Comp = doneFn(done)
+	}
+	c.Access(req)
 }
 
 func TestCacheMissThenHit(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 func dramRead(eng *sim.Engine, d *DRAM, line uint64) sim.Ticks {
 	var at sim.Ticks = -1
 	d.Access(&Request{Addr: line, Line: line, Kind: Load, PC: -1, Tag: NoTag, TimedAt: -1,
-		Done: func(t sim.Ticks) { at = t }})
+		Comp: doneFn(func(t sim.Ticks) { at = t })})
 	eng.Run()
 	return at
 }
@@ -41,16 +41,16 @@ func TestDRAMBankParallelism(t *testing.T) {
 	engA := sim.NewEngine()
 	dA := NewDRAM(engA, cfg)
 	var lastA sim.Ticks
-	dA.Access(&Request{Line: 0, Kind: Load, Done: func(t sim.Ticks) { lastA = t }})
-	dA.Access(&Request{Line: cfg.RowBytes * uint64(cfg.Banks), Kind: Load, Done: func(t sim.Ticks) { lastA = maxTicks(lastA, t) }})
+	dA.Access(&Request{Line: 0, Kind: Load, Comp: doneFn(func(t sim.Ticks) { lastA = t })})
+	dA.Access(&Request{Line: cfg.RowBytes * uint64(cfg.Banks), Kind: Load, Comp: doneFn(func(t sim.Ticks) { lastA = maxTicks(lastA, t) })})
 	engA.Run()
 
 	// Parallel: two accesses to different banks.
 	engB := sim.NewEngine()
 	dB := NewDRAM(engB, cfg)
 	var lastB sim.Ticks
-	dB.Access(&Request{Line: 0, Kind: Load, Done: func(t sim.Ticks) { lastB = t }})
-	dB.Access(&Request{Line: cfg.RowBytes, Kind: Load, Done: func(t sim.Ticks) { lastB = maxTicks(lastB, t) }})
+	dB.Access(&Request{Line: 0, Kind: Load, Comp: doneFn(func(t sim.Ticks) { lastB = t })})
+	dB.Access(&Request{Line: cfg.RowBytes, Kind: Load, Comp: doneFn(func(t sim.Ticks) { lastB = maxTicks(lastB, t) })})
 	engB.Run()
 
 	if lastB >= lastA {
@@ -72,7 +72,7 @@ func TestDRAMBusSerialisesBursts(t *testing.T) {
 	var times []sim.Ticks
 	for b := 0; b < 4; b++ {
 		d.Access(&Request{Line: cfg.RowBytes * uint64(b), Kind: Load,
-			Done: func(t sim.Ticks) { times = append(times, t) }})
+			Comp: doneFn(func(t sim.Ticks) { times = append(times, t) })})
 	}
 	eng.Run()
 	burst := sim.ClockFromMHz(cfg.BusMHz).Cycles(int64(cfg.BurstCycles))
@@ -102,7 +102,7 @@ func TestDRAMSequentialFasterThanRandom(t *testing.T) {
 		var last sim.Ticks
 		for i := uint64(0); i < 64; i++ {
 			d.Access(&Request{Line: i * stride, Kind: Load,
-				Done: func(t sim.Ticks) { last = maxTicks(last, t) }})
+				Comp: doneFn(func(t sim.Ticks) { last = maxTicks(last, t) })})
 		}
 		eng.Run()
 		return last

@@ -48,13 +48,8 @@ func (a *Arena) CopyFrom(src *Arena) {
 }
 
 // cloneRequest copies src into a request drawn from pool — the fork's pool,
-// never the parent's — translating the completion target. A request carrying
-// a closure completion (Done) cannot be forked; steady-state issuers all use
-// the typed Comp path.
+// never the parent's — translating the completion target.
 func cloneRequest(pool *Pool, src *Request, remap *sim.Remap) (*Request, error) {
-	if src.Done != nil {
-		return nil, fmt.Errorf("mem: cannot fork an in-flight request with a closure completion")
-	}
 	dst := pool.Get()
 	*dst = *src
 	if src.Comp != nil {

@@ -66,7 +66,7 @@ func TestCacheAllDemandsComplete(t *testing.T) {
 			}
 			want++
 			c.Access(&Request{Addr: addr, Kind: Load, PC: -1, Tag: NoTag, TimedAt: -1,
-				Done: func(sim.Ticks) { got++ }})
+				Comp: doneFn(func(sim.Ticks) { got++ })})
 		}
 		eng.Run()
 		return got == want
@@ -117,11 +117,11 @@ func TestDRAMCompletionBounds(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			line := uint64(rng.Intn(1<<20)) &^ 63
 			issued := eng.Now()
-			d.Access(&Request{Line: line, Kind: Load, Done: func(at sim.Ticks) {
+			d.Access(&Request{Line: line, Kind: Load, Comp: doneFn(func(at sim.Ticks) {
 				if at-issued < minService {
 					okAll = false
 				}
-			}})
+			})})
 			if rng.Intn(3) == 0 {
 				eng.RunUntil(eng.Now() + sim.Ticks(rng.Intn(500)))
 			}
@@ -155,12 +155,12 @@ func TestTLBCorrectness(t *testing.T) {
 			page := uint64(rng.Intn(64)) * PageSize
 			want := mapped[page]
 			pending++
-			tlb.Translate(page+uint64(rng.Intn(PageSize)), func(ok bool) {
+			tlb.TranslateTo(page+uint64(rng.Intn(PageSize)), transFn(func(ok bool) {
 				pending--
 				if ok != want {
 					okAll = false
 				}
-			})
+			}), 0)
 			if rng.Intn(3) == 0 {
 				eng.Run()
 			}

@@ -50,49 +50,27 @@ type Request struct {
 	// (§4.5); negative when the request is not being timed.
 	TimedAt sim.Ticks
 
-	// Done is invoked when the access completes, with the completion time.
-	// May be nil for posted writes. This is the closure compatibility path;
-	// steady-state issuers set Comp/CompA instead so completing a request
-	// allocates nothing.
-	Done func(at sim.Ticks)
-
-	// Comp, when non-nil, receives the completion as Comp.Handle(at, CompA, 0)
-	// and takes precedence over Done.
+	// Comp, the request's completion target, receives Comp.Handle(at, CompA,
+	// 0) when the access completes. Nil for posted writes and for prefetches
+	// nobody waits on. A typed handler rather than a closure, so completing a
+	// request allocates nothing and an in-flight request can be forked.
 	Comp  sim.Handler
 	CompA uint64
 }
 
-// HasDone reports whether any completion target is attached.
-func (r *Request) HasDone() bool { return r.Comp != nil || r.Done != nil }
+// HasDone reports whether a completion target is attached.
+func (r *Request) HasDone() bool { return r.Comp != nil }
 
-// Completer returns the request's completion target as a Handler: Comp if
-// set, otherwise the Done closure wrapped without allocating (func values are
-// pointer-shaped), or nil when the request is posted.
-func (r *Request) Completer() sim.Handler {
-	if r.Comp != nil {
-		return r.Comp
-	}
-	if r.Done != nil {
-		return doneFunc(r.Done)
-	}
-	return nil
-}
+// Completer returns the request's completion target, or nil when the request
+// is posted.
+func (r *Request) Completer() sim.Handler { return r.Comp }
 
 // Complete fires the completion target, if any, with the completion time.
 func (r *Request) Complete(at sim.Ticks) {
 	if r.Comp != nil {
 		r.Comp.Handle(at, r.CompA, 0)
-		return
-	}
-	if r.Done != nil {
-		r.Done(at)
 	}
 }
-
-// doneFunc adapts a Done closure onto the typed completion path.
-type doneFunc func(at sim.Ticks)
-
-func (f doneFunc) Handle(at sim.Ticks, _, _ uint64) { f(at) }
 
 // Pool is a machine-wide free list of Requests. The engine (and every
 // component built on it) is confined to one goroutine, so a plain slice —
@@ -129,7 +107,7 @@ func (p *Pool) Put(r *Request) {
 	if p == nil || r == nil {
 		return
 	}
-	r.Done, r.Comp = nil, nil // drop references eagerly
+	r.Comp = nil // drop the reference eagerly
 	p.free = append(p.free, r)
 }
 

@@ -283,18 +283,6 @@ func (t *TLB) startWalk(ri int32) {
 	t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.WalkCycles), t.walkDone, uint64(ri), 0)
 }
 
-// transFunc adapts a func(ok bool) callback onto the typed translation path
-// without allocating (func values are pointer-shaped).
-type transFunc func(ok bool)
-
-func (f transFunc) Handle(_ sim.Ticks, _, b uint64) { f(b != 0) }
-
-// Translate resolves the page containing addr, then calls done with whether
-// the page is mapped. Closure compatibility shim over TranslateTo.
-func (t *TLB) Translate(addr uint64, done func(ok bool)) {
-	t.TranslateTo(addr, transFunc(done), 0)
-}
-
 // QueuedWalks reports translations waiting for a walker slot (diagnostics).
 func (t *TLB) QueuedWalks() int { return len(t.walkQueue) }
 

@@ -15,7 +15,7 @@ func newTestTLB(eng *sim.Engine) (*TLB, *Backing) {
 func translate(eng *sim.Engine, t *TLB, addr uint64) (ok bool, delay sim.Ticks) {
 	start := eng.Now()
 	done := false
-	t.Translate(addr, func(o bool) { ok, done = o, true })
+	t.TranslateTo(addr, transFn(func(o bool) { ok, done = o, true }), 0)
 	eng.Run()
 	if !done {
 		panic("translate never completed")
@@ -82,7 +82,7 @@ func TestTLBWalkConcurrencyLimit(t *testing.T) {
 	}
 	var doneTimes []sim.Ticks
 	for i := uint64(0); i < 4; i++ {
-		tlb.Translate(0x20000+i*0x10000, func(bool) { doneTimes = append(doneTimes, eng.Now()) })
+		tlb.TranslateTo(0x20000+i*0x10000, transFn(func(bool) { doneTimes = append(doneTimes, eng.Now()) }), 0)
 	}
 	eng.Run()
 	if tlb.Stats.WalkQueue != 2 {

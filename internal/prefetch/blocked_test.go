@@ -21,7 +21,7 @@ func blockedConfig() Config {
 	return cfg
 }
 
-func countKind(tr *RingTracer, k TraceKind) int {
+func countKind(tr *trace.Ring, k trace.Kind) int {
 	n := 0
 	for _, e := range tr.Events() {
 		if e.Kind == k {
@@ -34,7 +34,7 @@ func countKind(tr *RingTracer, k TraceKind) int {
 // assertUnitIdle checks the single PPU ended the run free and was released
 // exactly once — a drop that resumed it twice would free it twice, one that
 // never resumed it would leave it busy forever.
-func assertUnitIdle(t *testing.T, f *fixture, tr *RingTracer) {
+func assertUnitIdle(t *testing.T, f *fixture, tr *trace.Ring) {
 	t.Helper()
 	if f.pf.units[0].busy {
 		t.Error("PPU 0 still busy after the run: suspended unit never resumed")
@@ -51,8 +51,8 @@ func assertUnitIdle(t *testing.T, f *fixture, tr *RingTracer) {
 // exactly as a fresh event-path kernel would.
 func TestBlockedChainedKernelFaultCounted(t *testing.T) {
 	f := newFixture(t, blockedConfig())
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 
 	f.pf.RegisterKernel(1, ppu.MustAssemble(`
@@ -87,8 +87,8 @@ func TestBlockedChainedKernelFaultCounted(t *testing.T) {
 // path, not just on fresh invocations.
 func TestBlockedResumedKernelFaultCounted(t *testing.T) {
 	f := newFixture(t, blockedConfig())
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 
 	f.pf.RegisterKernel(1, ppu.MustAssemble(`
@@ -161,8 +161,8 @@ func TestBlockedResumeChargesPPUCycles(t *testing.T) {
 // the event path: a two-kernel chain shows two PFKernel events.
 func TestBlockedChainEmitsKernelTrace(t *testing.T) {
 	f := newFixture(t, blockedConfig())
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 
 	f.pf.RegisterKernel(1, ppu.MustAssemble(`
@@ -178,12 +178,12 @@ func TestBlockedChainEmitsKernelTrace(t *testing.T) {
 	f.demandLoad(arr.Base)
 	f.eng.Run()
 
-	if got := countKind(tr, TraceKernel); got != 2 {
+	if got := countKind(tr, trace.PFKernel); got != 2 {
 		t.Fatalf("PFKernel events = %d, want 2 (chained kernel missing from trace)", got)
 	}
 	kernels := map[int32]bool{}
 	for _, e := range tr.Events() {
-		if e.Kind == TraceKernel {
+		if e.Kind == trace.PFKernel {
 			kernels[e.A] = true
 		}
 	}
@@ -200,8 +200,8 @@ func TestBlockedDropAtRequestQueueResumesOnce(t *testing.T) {
 	cfg := blockedConfig()
 	cfg.ReqQueue = 1
 	f := newFixture(t, cfg)
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 	fill := f.arena.AllocWords("F", 1024)
 
@@ -234,7 +234,7 @@ func TestBlockedDropAtRequestQueueResumesOnce(t *testing.T) {
 	}
 	dropped := false
 	for _, e := range tr.Events() {
-		if e.Kind == TraceDrop && e.A == trace.DropQueue {
+		if e.Kind == trace.PFDrop && e.A == trace.DropQueue {
 			dropped = true
 		}
 	}
@@ -248,8 +248,8 @@ func TestBlockedDropAtRequestQueueResumesOnce(t *testing.T) {
 // and must resume the suspended PPU exactly once.
 func TestBlockedDropAtTLBResumesOnce(t *testing.T) {
 	f := newFixture(t, blockedConfig())
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 8)
 
 	f.pf.RegisterKernel(1, ppu.MustAssemble(`
@@ -284,8 +284,8 @@ func TestBlockedDropAtTLBResumesOnce(t *testing.T) {
 // them during the ~300-tick page walk.
 func TestBlockedDropAtMSHRResumesOnce(t *testing.T) {
 	f := newFixture(t, blockedConfig())
-	tr := NewRingTracer(256)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 	fill := f.arena.AllocWords("F", 1024)
 
@@ -319,7 +319,7 @@ func TestBlockedDropAtMSHRResumesOnce(t *testing.T) {
 	}
 	dropped := false
 	for _, e := range tr.Events() {
-		if e.Kind == TraceDrop && e.A == trace.DropMSHR {
+		if e.Kind == trace.PFDrop && e.A == trace.DropMSHR {
 			dropped = true
 		}
 	}

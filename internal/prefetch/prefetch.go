@@ -157,10 +157,9 @@ type Prefetcher struct {
 
 	Enabled bool
 
-	// Tracer, if set, receives lifecycle events (see trace.go).
-	Tracer Tracer
-	// Bus, if set, receives the same lifecycle events as machine-wide
-	// trace.Event values; nil (the default) costs one branch per event.
+	// Bus, if set, receives the prefetcher's lifecycle events (observe,
+	// kernel, generate, issue, fill, drop, flush); nil (the default) costs
+	// one branch per event.
 	Bus *trace.Bus
 
 	// Queue-occupancy histograms, sampled on every enqueue AND dequeue so
@@ -305,6 +304,16 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 		p.dropPending(tag, trace.DropMSHR)
 	}
 	return p
+}
+
+// emit stamps e with the current time and delivers it to the bus; free when
+// none is attached.
+func (p *Prefetcher) emit(e trace.Event) {
+	if p.Bus == nil {
+		return
+	}
+	e.At = p.eng.Now()
+	p.Bus.Emit(e)
 }
 
 // AttachMetrics registers the prefetcher's queue-occupancy histograms with

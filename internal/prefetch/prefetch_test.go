@@ -6,6 +6,7 @@ import (
 	"eventpf/internal/mem"
 	"eventpf/internal/ppu"
 	"eventpf/internal/sim"
+	"eventpf/internal/trace"
 )
 
 // fn is the tests' event handler: a closure scheduled through the typed path.
@@ -602,8 +603,8 @@ func TestMSHRHeadroomReservedForDemand(t *testing.T) {
 
 func TestTracerSeesLifecycle(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	tr := NewRingTracer(64)
-	f.pf.Tracer = tr
+	tr := trace.NewRing(64)
+	f.pf.Bus = trace.NewBus(tr)
 	arr := f.arena.AllocWords("A", 1024)
 	f.pf.RegisterKernel(1, ppu.MustAssemble("vaddr r1\naddi r1, r1, 64\npf r1\nhalt"))
 	f.pf.SetRange(0, RangeConfig{Lo: arr.Base, Hi: arr.End(),
@@ -611,11 +612,11 @@ func TestTracerSeesLifecycle(t *testing.T) {
 	f.demandLoad(arr.Base)
 	f.eng.Run()
 
-	kinds := map[TraceKind]bool{}
+	kinds := map[trace.Kind]bool{}
 	for _, e := range tr.Events() {
 		kinds[e.Kind] = true
 	}
-	for _, want := range []TraceKind{TraceObserve, TraceKernel, TraceGenerate, TraceIssue, TraceFill} {
+	for _, want := range []trace.Kind{trace.PFObserve, trace.PFKernel, trace.PFGenerate, trace.PFIssue, trace.PFFill} {
 		if !kinds[want] {
 			t.Errorf("trace missing %s events; got %v", want, tr.Events())
 		}
@@ -623,9 +624,9 @@ func TestTracerSeesLifecycle(t *testing.T) {
 }
 
 func TestRingTracerWraps(t *testing.T) {
-	tr := NewRingTracer(4)
+	tr := trace.NewRing(4)
 	for i := 0; i < 10; i++ {
-		tr.Event(TraceEvent{At: sim.Ticks(i)})
+		tr.Event(trace.Event{At: sim.Ticks(i)})
 	}
 	ev := tr.Events()
 	if len(ev) != 4 {

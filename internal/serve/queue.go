@@ -84,14 +84,17 @@ func (s *Server) finishJob(jb *Job, st State, msg string) {
 // simulate is the production runJob: one suite measurement with the job's
 // own progress sink and metrics registry attached. The registry is confined
 // to the simulation goroutine until the run finishes, then merged into the
-// server-wide aggregate.
+// server-wide aggregate. A sliced job runs unobserved — observers would force
+// it serial (harness.Options.Slices) — so it publishes its state transitions
+// but no progress and no sim_ metrics.
 func (s *Server) simulate(jb *Job) ([]byte, error) {
 	reg := trace.NewRegistry()
-	sink := &progressSink{job: jb, every: s.cfg.ProgressEvery}
 	inst := &harness.Instrument{
-		Sink:    sink,
-		Metrics: reg,
 		Started: func() { jb.Publish(ProgressEvent{State: StateRunning, Phase: "simulating"}) },
+	}
+	if jb.resolved.Slices <= 1 {
+		inst.Sink = &progressSink{job: jb, every: s.cfg.ProgressEvery}
+		inst.Metrics = reg
 	}
 	res, err := s.suite.RunInstrumented(context.Background(), jb.resolved.Pair(), inst)
 	if err != nil {

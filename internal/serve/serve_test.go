@@ -149,6 +149,27 @@ func TestSubmitCacheHitAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestSlicedJobStaysSliced: a job that asks for time-parallel slices gets
+// them. The server attaches its progress sink and registry to unsliced jobs
+// only, because an observed run falls back to serial.
+func TestSlicedJobStaysSliced(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 4, ProgressEvery: 1000})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	resp, sr := postJob(t, hs.URL, harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: 0.05, Slices: 4}, "?wait=1")
+	if resp.StatusCode != http.StatusOK || sr.State != StateDone {
+		t.Fatalf("submit: status=%d state=%s err=%q", resp.StatusCode, sr.State, sr.Error)
+	}
+	var res harness.Result
+	if err := json.Unmarshal(sr.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.TimeParallel == nil || res.TimeParallel.Slices != 4 || res.Fallback != "" {
+		t.Errorf("TimeParallel = %+v, Fallback = %q; want 4 slices and no fallback", res.TimeParallel, res.Fallback)
+	}
+}
+
 func TestValidationErrorsListMenus(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, QueueDepth: 1})
 	hs := httptest.NewServer(srv.Handler())

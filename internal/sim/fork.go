@@ -36,11 +36,11 @@ func (r *Remap) Register(src, dst Handler) {
 
 // Lookup translates a parent-owned handler into the fork's counterpart. nil
 // maps to nil. A handler whose dynamic type is not comparable (a func-typed
-// completion callback such as mem.Request.Done's adapter) cannot be
-// translated — it is inherently bound to parent state, so forking a machine
-// with one pending is an error rather than a silent corruption. An
-// unregistered comparable handler is an error too: it means a component
-// forgot to register its pairs.
+// handler, as tests use to schedule closures) cannot be translated — it is
+// inherently bound to parent state, so forking a machine with one pending is
+// an error rather than a silent corruption. An unregistered comparable
+// handler is an error too: it means a component forgot to register its
+// pairs.
 func (r *Remap) Lookup(h Handler) (Handler, error) {
 	if h == nil {
 		return nil, nil

@@ -101,9 +101,10 @@ type Plan struct {
 
 var serialLanes = []lane{{detail: -1}}
 
-// lanes resolves the request. why is non-empty when something requested was
-// not honoured; it ends up in Result.Fallback.
-func (p Plan) lanes() (lanes []lane, why string, err error) {
+// lanes resolves the request for a machine with the named per-run observer
+// attached ("" for none). why is non-empty when something requested was not
+// honoured; it ends up in Result.Fallback.
+func (p Plan) lanes(observer string) (lanes []lane, why string, err error) {
 	if c := p.Sample; c != nil {
 		if c.MeasureOps <= 0 || c.FFOps <= 0 || c.WarmupOps < 0 {
 			return nil, "", fmt.Errorf("system: invalid sample config %+v", *c)
@@ -115,6 +116,11 @@ func (p Plan) lanes() (lanes []lane, why string, err error) {
 	}
 	if p.Slices <= 1 {
 		return serialLanes, "", nil
+	}
+	if observer != "" {
+		// Observers stay with the machine they were attached to; a fork
+		// starts with none, so every lane but the first would run unseen.
+		return serialLanes, fmt.Sprintf("serial: slices=%d ignored: the %s would see only the first slice", p.Slices, observer), nil
 	}
 	total, err := p.CountOps()
 	if err != nil {
@@ -141,7 +147,7 @@ func (p Plan) lanes() (lanes []lane, why string, err error) {
 // on m, byte-identical to m.Run(stream) except that Result.Fallback says
 // why.
 func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
-	lanes, why, err := p.lanes()
+	lanes, why, err := p.lanes(m.observer())
 	if err != nil {
 		return Result{}, nil, err
 	}

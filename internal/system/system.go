@@ -87,6 +87,7 @@ type Machine struct {
 
 	glue     *portGlue
 	ctxH     ctxSwitchHandler
+	metrics  *trace.Registry // set by AttachMetrics
 	stream   cpu.Stream
 	coreDone bool
 	runDone  bool
@@ -297,6 +298,7 @@ func (m *Machine) AttachOpTrace(bus *trace.Bus) { m.Core.OpBus = bus }
 // AttachMetrics registers the machine's queue-occupancy histograms
 // (observation, request and walk queues) with reg. Call before Run.
 func (m *Machine) AttachMetrics(reg *trace.Registry) {
+	m.metrics = reg
 	m.TLB.AttachMetrics(reg)
 	if m.PF != nil {
 		m.PF.AttachMetrics(reg)
@@ -304,6 +306,23 @@ func (m *Machine) AttachMetrics(reg *trace.Registry) {
 	if mb, ok := m.Baseline.(interface{ AttachMetrics(*trace.Registry) }); ok {
 		mb.AttachMetrics(reg)
 	}
+}
+
+// observer names a per-run observer attached to the machine, or "" if there
+// is none. Attachments are not carried over by Fork, so RunPlan will not
+// split an observed run into lanes.
+func (m *Machine) observer() string {
+	switch {
+	case m.Core.Bus != nil:
+		return "trace sink"
+	case m.Core.OpBus != nil:
+		return "op-trace sink"
+	case m.metrics != nil:
+		return "metrics registry"
+	case m.PF != nil && m.PF.Bus != nil:
+		return "prefetcher trace sink"
+	}
+	return ""
 }
 
 // TraceLayout describes the machine's traced resources for the Chrome
