@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,7 +40,7 @@ func main() {
 		slices    = flag.Int("slices", 0, "time-parallel slices per run: >1 splits the run across cores via functional warming (approximate but deterministic), 0 keeps the exact serial engine")
 		traceN    = flag.Int("trace", 0, "dump the last N prefetcher trace events after the run")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the run to this file")
-		metrics   = flag.Bool("metrics", false, "print the metrics registry (counters + queue-occupancy histograms) after the run")
+		metrics   = flag.Bool("metrics", false, "print the metrics registry (counters + queue-occupancy histograms) after the run (to stderr with -json)")
 		jsonOut   = flag.Bool("json", false, "emit the full result record as JSON")
 		sample    = flag.Bool("sample", false, "run under SMARTS-style interval sampling (detailed intervals + functionally-warmed fast-forward)")
 		sWarm     = flag.Int64("sample-warm", 0, "with -sample, detailed warmup ops before each measurement interval (0 = default)")
@@ -285,20 +286,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
 		os.Exit(1)
 	}
-	if *jsonOut {
-		// EncodeResult is the canonical encoding ppfserve caches; using it
-		// here keeps the CLI and the daemon byte-identical for one config.
-		if err := harness.EncodeResult(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	printResult(res)
-	if res.Trace != nil {
-		fmt.Println("\nlast prefetcher events:")
-		res.Trace.Dump(os.Stdout)
-	}
 	if collector != nil {
 		lay, lerr := harness.LayoutFor(opt, scheme)
 		if lerr != nil {
@@ -309,12 +296,35 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", werr)
 			os.Exit(1)
 		}
-		fmt.Printf("\ntrace: %d simulator events exported to %s\n", len(collector.Events()), *traceOut)
 	}
-	if reg != nil {
-		fmt.Println("\nmetrics:")
-		fmt.Print(reg.Format())
+	// observed reports what the run's observers gathered: where the trace
+	// went and the metrics registry.
+	observed := func(w io.Writer) {
+		if collector != nil {
+			fmt.Fprintf(w, "\ntrace: %d simulator events exported to %s\n", len(collector.Events()), *traceOut)
+		}
+		if reg != nil {
+			fmt.Fprintln(w, "\nmetrics:")
+			fmt.Fprint(w, reg.Format())
+		}
 	}
+	if *jsonOut {
+		// EncodeResult is the canonical encoding ppfserve caches; using it
+		// here keeps the CLI and the daemon byte-identical for one config.
+		// Stdout carries nothing else, so the observers report to stderr.
+		if err := harness.EncodeResult(os.Stdout, res); err != nil {
+			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
+			os.Exit(1)
+		}
+		observed(os.Stderr)
+		return
+	}
+	printResult(res)
+	if res.Trace != nil {
+		fmt.Println("\nlast prefetcher events:")
+		res.Trace.Dump(os.Stdout)
+	}
+	observed(os.Stdout)
 
 	if runBaseline {
 		fmt.Printf("\nno-pf cycles   %12d\nspeedup        %12.2fx\n",

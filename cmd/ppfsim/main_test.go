@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,6 +80,33 @@ func TestEngineFlagPlumbing(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(ckpt); err != nil || !bytes.Contains(raw, []byte(`"warmup_ops": 100000`)) {
 		t.Errorf("-checkpoint-ops did not reach the checkpoint file (%v):\n%s", err, raw)
+	}
+
+	// -json keeps stdout pure JSON but must not drop the observers the run
+	// paid for: the trace file is written and the registry goes to stderr.
+	tracePath := filepath.Join(dir, "hj2.trace.json")
+	cmd := exec.Command(bin, append(base[:len(base):len(base)], "-json", "-trace-out", tracePath, "-metrics")...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	observed, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("ppfsim -json -trace-out -metrics: %v\n%s", err, stderr.Bytes())
+	}
+	if !bytes.Equal(observed, serial) {
+		t.Errorf("-json with observers: stdout is not the plain result\n got %s\nwant %s", observed, serial)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if raw, err := os.ReadFile(tracePath); err != nil {
+		t.Errorf("-json -trace-out wrote no trace: %v", err)
+	} else if err := json.Unmarshal(raw, &chrome); err != nil || len(chrome.TraceEvents) == 0 {
+		t.Errorf("-json -trace-out: %d trace events, err %v", len(chrome.TraceEvents), err)
+	}
+	for _, want := range []string{"trace: ", "metrics:", "pf/obs-queue-depth"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("-json -metrics: stderr lacks %q:\n%s", want, stderr.String())
+		}
 	}
 
 	// The text form names the reason when part of the request was not honoured.

@@ -328,10 +328,14 @@ func (c *Core) tick() {
 	now := c.eng.Now()
 
 	if c.idleTick(now) {
-		// Nothing to do this cycle: keep the tick chain alive (so event
-		// ordering — and therefore timing — is bit-identical to a full
-		// tick that finds no work) but skip the window scans.
-		c.scheduleTick(now + c.cfg.Clock.Period)
+		// Nothing to do this cycle, nor on any later cycle until some other
+		// event fires: skip the window scans and tick next at the idle
+		// horizon. With no horizon nothing can ever wake the core, so it
+		// stops ticking; the engine drains and the run driver reports the
+		// deadlock.
+		if at, ok := c.idleHorizon(now); ok {
+			c.scheduleTick(at)
+		}
 		return
 	}
 	c.dirty = false
@@ -359,16 +363,44 @@ func (c *Core) tick() {
 //   - dispatch: the stream is gone, the window is full, or dispatch is
 //     stalled behind a redirect.
 //
-// A tracer (Bus) disables the fast path so stall-transition events are
-// emitted on the exact cycle they occur.
+// With a tracer (Bus) attached the tick must also have nothing to emit:
+// retire and dispatch report stalls through the transition-gated setStall,
+// so once the retire stall is flagged and the redirect flag agrees with the
+// redirect state, a full tick is silent and the idle one may stand in for it.
 func (c *Core) idleTick(now sim.Ticks) bool {
-	if c.dirty || c.Bus != nil || c.robN == 0 || c.unissuedN == 0 {
+	if c.dirty || c.robN == 0 || c.unissuedN == 0 {
 		return false
 	}
 	if c.robAt(0).completeAt >= 0 {
 		return false
 	}
-	return c.stream == nil || c.robN >= c.cfg.ROB || now < c.stallUntil || c.redirectPending
+	redirect := now < c.stallUntil || c.redirectPending
+	if c.Bus != nil && (!c.stallActive[trace.StallRetire] ||
+		c.stream != nil && c.stallActive[trace.StallRedirect] != redirect) {
+		return false
+	}
+	return c.stream == nil || c.robN >= c.cfg.ROB || redirect
+}
+
+// idleHorizon returns the clock edge an idle core should tick on next: the
+// first edge at or after the moment anything can change what a tick would
+// do, never sooner than the next cycle. An idle core changes state only when
+// some other event fires, so that moment is the engine's next pending event
+// — or the end of a redirect stall, when dispatch resumes (and a tracer sees
+// the stall end) with no event involved. ok is false when neither lies ahead.
+//
+// Jumping there is order-preserving, not an approximation. Every event
+// already queued was scheduled before the tick this schedules, so one landing
+// exactly on a clock edge still runs before that edge's tick, as it would
+// ahead of a tick chain kept alive cycle by cycle; and whatever those events
+// schedule in turn is scheduled after the tick either way. The ticks skipped
+// in between would each have found the core exactly as this one did.
+func (c *Core) idleHorizon(now sim.Ticks) (at sim.Ticks, ok bool) {
+	at, ok = c.eng.NextAt()
+	if c.stream != nil && now < c.stallUntil && (!ok || c.stallUntil < at) {
+		at, ok = c.stallUntil, true
+	}
+	return max(c.cfg.Clock.NextEdge(at), now+c.cfg.Clock.Period), ok
 }
 
 func (c *Core) streamDone() bool { return c.stream == nil && !c.hasPending }
@@ -598,11 +630,12 @@ func (c *Core) scheduleNext(now sim.Ticks) {
 		}
 		// Head incomplete. If there are unissued ops that may become ready,
 		// tick next cycle; if everything issued and waiting on memory, sleep
-		// until a load callback wakes us. (Replacing the dense tick chain
-		// with a sleep here is NOT timing-neutral: a completion landing
-		// exactly on a clock edge behind an already-queued tick event takes
-		// effect a cycle later than a fresh wake would. The idleTick fast
-		// path in tick() makes the dense chain cheap instead.)
+		// until a load callback wakes us. (With ops unissued the sleep is NOT
+		// timing-neutral: a completion landing exactly on a clock edge behind
+		// a tick already queued for that edge takes effect a cycle later,
+		// where a fresh wake would tick in that very cycle. So a core with
+		// unissued ops always keeps a tick queued, and the idle horizon in
+		// tick() places it without paying for the cycles in between.)
 		if c.unissuedN > 0 {
 			c.scheduleTick(next)
 			return

@@ -73,11 +73,16 @@ func testConfig() Config {
 
 func runOps(t *testing.T, cfg Config, latency sim.Ticks, ops []MicroOp) (*Core, *fixedMem) {
 	t.Helper()
+	return runStream(t, cfg, latency, &sliceStream{ops: ops})
+}
+
+func runStream(t *testing.T, cfg Config, latency sim.Ticks, s Stream) (*Core, *fixedMem) {
+	t.Helper()
 	eng := sim.NewEngine()
 	mem := &fixedMem{eng: eng, latency: latency}
 	core := New(eng, cfg, mem.ports())
 	finished := false
-	core.Run(&sliceStream{ops: ops}, func() { finished = true })
+	core.Run(s, func() { finished = true })
 	eng.Run()
 	if !finished {
 		t.Fatal("core never finished")
@@ -372,5 +377,87 @@ func TestPredictableBranchesLearnt(t *testing.T) {
 	rate := float64(core.Stats.Mispredicts) / float64(core.Stats.Branches)
 	if rate > 0.10 {
 		t.Errorf("mispredict rate %.2f on a periodic pattern, want < 0.10", rate)
+	}
+}
+
+func TestIdleHorizon(t *testing.T) {
+	const now, none = 100, -1 // period is 5 ticks, so 100 is an edge
+	for _, tc := range []struct {
+		name       string
+		nextEvent  sim.Ticks // none: empty queue
+		stallUntil sim.Ticks
+		noStream   bool
+		want       sim.Ticks // none: no horizon
+	}{
+		{name: "event at now", nextEvent: 100, want: 105},
+		{name: "event inside the next cycle", nextEvent: 103, want: 105},
+		{name: "event on the next edge", nextEvent: 105, want: 105},
+		{name: "event on a later edge", nextEvent: 150, want: 150},
+		{name: "event between later edges", nextEvent: 152, want: 155},
+		{name: "stall ends off-edge before the event", nextEvent: 200, stallUntil: 123, want: 125},
+		{name: "stall ends on an edge before the event", nextEvent: 200, stallUntil: 120, want: 120},
+		{name: "stall ends inside the next cycle", nextEvent: 200, stallUntil: 101, want: 105},
+		{name: "stall ends after the event", nextEvent: 152, stallUntil: 300, want: 155},
+		{name: "stall already over", nextEvent: 200, stallUntil: 100, want: 200},
+		{name: "stall without a stream", nextEvent: 200, stallUntil: 123, noStream: true, want: 200},
+		{name: "empty queue", nextEvent: none, want: none},
+		{name: "empty queue, stall ahead", nextEvent: none, stallUntil: 123, want: 125},
+		{name: "empty queue, stall without a stream", nextEvent: none, stallUntil: 123, noStream: true, want: none},
+	} {
+		eng := sim.NewEngine()
+		eng.RunUntil(now)
+		if tc.nextEvent != none {
+			eng.Schedule(tc.nextEvent, fn(func() {}), 0, 0)
+		}
+		c := New(eng, testConfig(), Ports{})
+		c.stallUntil = tc.stallUntil
+		if !tc.noStream {
+			c.stream = &sliceStream{}
+		}
+		at, ok := c.idleHorizon(now)
+		if !ok {
+			at = none
+		}
+		if at != tc.want {
+			t.Errorf("%s: horizon = %d, want %d", tc.name, at, tc.want)
+		}
+	}
+}
+
+// TestStuckLoadDrainsEngine: a core whose head load never completes, with an
+// op still unissued behind it, has nothing left that could wake it. It must
+// stop ticking so the engine drains and the run driver can report the
+// deadlock, instead of ticking through empty cycles forever.
+func TestStuckLoadDrainsEngine(t *testing.T) {
+	eng := sim.NewEngine()
+	core := New(eng, testConfig(), Ports{Load: func(uint64, int, sim.Handler, uint64) {}})
+	finished := false
+	core.Run(&sliceStream{ops: []MicroOp{loadOp(0), intOp(0)}}, func() { finished = true })
+	eng.Run()
+	if finished {
+		t.Fatal("core finished although its load never completed")
+	}
+	rob, loads, headComplete, headKind := core.Window()
+	if rob != 2 || loads != 1 || headComplete || headKind != OpLoad {
+		t.Errorf("window = (rob %d, loads %d, head complete %v, head kind %d), want the stuck load at the head of 2",
+			rob, loads, headComplete, headKind)
+	}
+}
+
+// TestStalledChainEventBudget pins the cost of a stalled core in engine
+// events, which is deterministic where host time is not. Each node of the
+// benchmarks' dependent chain (chainStream) at 300 cycles a load needs its
+// completion event, one tick per op it retires and issues, and one tick that
+// finds nothing more to do and jumps the stall: at most three events an op.
+// A tick chain kept alive through the stall costs one event per stalled
+// cycle, a hundred an op.
+func TestStalledChainEventBudget(t *testing.T) {
+	const nodes = 1000
+	core, _ := runStream(t, testConfig(), testConfig().Clock.Cycles(300), &chainStream{n: 3 * nodes})
+	if core.Stats.Ops != 3*nodes || core.Stats.Cycles < 300*nodes {
+		t.Fatalf("chain retired %d ops in %d cycles, want %d ops in ≥ %d", core.Stats.Ops, core.Stats.Cycles, 3*nodes, 300*nodes)
+	}
+	if perOp := float64(core.eng.Seq()) / float64(core.Stats.Ops); perOp > 3 {
+		t.Errorf("%.2f engine events per op, want ≤ 3", perOp)
 	}
 }

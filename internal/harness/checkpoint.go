@@ -15,8 +15,14 @@ import (
 // changed since the save) instead of silently continuing from the wrong
 // state.
 
-// CheckpointVersion is the current checkpoint file format version.
-const CheckpointVersion = 1
+// CheckpointVersion is the current checkpoint file format version. The file
+// layout has not changed since version 1, but what Digest fingerprints has:
+// it folds in the engine's schedule counter, and since the core jumps idle
+// stretches instead of ticking through them the same state is reached with
+// fewer events scheduled. The bump makes a checkpoint written by an older
+// build fail as an unsupported version rather than as a digest mismatch that
+// blames the inputs.
+const CheckpointVersion = 2
 
 // Checkpoint is the on-disk form written by SaveCheckpoint.
 type Checkpoint struct {

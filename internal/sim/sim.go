@@ -98,10 +98,6 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.ev) }
 
-// min returns the earliest event without removing it; the queue must be
-// non-empty.
-func (q *eventQueue) min() event { return q.ev[0] }
-
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e)
 	ev := q.ev
@@ -183,6 +179,16 @@ func (e *Engine) ScheduleAfter(d Ticks, h Handler, a, b uint64) {
 // Pending reports how many events are waiting to run.
 func (e *Engine) Pending() int { return e.queue.len() }
 
+// NextAt returns the time of the earliest pending event; ok is false when
+// none is pending. A component that would otherwise poll every cycle uses it
+// to find the first moment anything outside itself can change.
+func (e *Engine) NextAt() (at Ticks, ok bool) {
+	if len(e.queue.ev) == 0 {
+		return 0, false
+	}
+	return e.queue.ev[0].at, true
+}
+
 // Step runs the next event, returning false if the queue is empty.
 func (e *Engine) Step() bool {
 	if e.queue.len() == 0 {
@@ -202,7 +208,7 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (e *Engine) RunUntil(t Ticks) {
-	for e.queue.len() > 0 && e.queue.min().at <= t {
+	for at, ok := e.NextAt(); ok && at <= t; at, ok = e.NextAt() {
 		e.Step()
 	}
 	if e.now < t {

@@ -147,6 +147,28 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+func TestNextAt(t *testing.T) {
+	e := NewEngine()
+	if at, ok := e.NextAt(); ok {
+		t.Errorf("NextAt() on an empty engine = %d, true", at)
+	}
+	for _, at := range []Ticks{30, 10, 20} {
+		e.Schedule(at, fn(func() {}), 0, 0)
+	}
+	for _, want := range []Ticks{10, 20, 30} {
+		if at, ok := e.NextAt(); !ok || at != want {
+			t.Errorf("NextAt() = %d, %v, want %d, true", at, ok, want)
+		}
+		if e.Now() == want {
+			t.Errorf("NextAt() advanced the clock to %d", want)
+		}
+		e.Step()
+	}
+	if _, ok := e.NextAt(); ok {
+		t.Error("NextAt() reports an event after the queue drained")
+	}
+}
+
 // Property: however events are scheduled, they are observed in nondecreasing
 // time order and every scheduled event runs exactly once.
 func TestEngineOrderProperty(t *testing.T) {
