@@ -316,11 +316,12 @@ func (d *daemon) duplicate(t *testing.T) (first, second submitted) {
 }
 
 // load drives a duplicate-heavy ppfload mix; -assert makes it exit nonzero
-// when the hit rate is under one half or a duplicate was simulated again.
-func (e env) load(t *testing.T, d *daemon, n int) {
+// when a request fails, the hit rate is under one half or a duplicate was
+// simulated again.
+func (e env) load(t *testing.T, d *daemon, n int, chaos ...string) {
 	t.Helper()
-	e.run(t, "ppfload", "-addr", d.url, "-n", fmt.Sprint(n), "-c", "4", "-dup", "0.5",
-		"-bench", "HJ-2,RandAcc", "-scheme", "stride,ghb-regular", "-scale", "0.02", "-assert", "0.5")
+	e.run(t, "ppfload", append([]string{"-addr", d.url, "-n", fmt.Sprint(n), "-c", "4", "-dup", "0.5",
+		"-bench", "HJ-2,RandAcc", "-scheme", "stride,ghb-regular", "-scale", "0.02", "-assert", "0.5"}, chaos...)...)
 }
 
 func hasLine(text, prefix string) bool {
@@ -345,19 +346,24 @@ func (e env) serve(t *testing.T) {
 }
 
 // cluster: a coordinator and two workers route a duplicate to the worker
-// that ran the original, merge fleet metrics, and keep serving after one
-// worker drains.
+// that ran the original, merge fleet metrics, keep serving after one worker
+// drains, and lose no request and re-simulate nothing when another is
+// SIGKILLed under load.
 func (e env) cluster(t *testing.T) {
 	t.Parallel()
 	coord := e.start(t, "-cluster")
 	w1 := e.start(t, "-coordinator", coord.url, "-workers", "2")
 	e.start(t, "-coordinator", coord.url, "-workers", "2")
-	coord.waitFor(t, "/workers", func(body string) bool {
-		var reply struct {
-			Workers []json.RawMessage `json:"workers"`
-		}
-		return json.Unmarshal([]byte(body), &reply) == nil && len(reply.Workers) == 2
-	})
+	ring := func(workers int) {
+		t.Helper()
+		coord.waitFor(t, "/workers", func(body string) bool {
+			var reply struct {
+				Workers []json.RawMessage `json:"workers"`
+			}
+			return json.Unmarshal([]byte(body), &reply) == nil && len(reply.Workers) == workers
+		})
+	}
+	ring(2)
 	first, second := coord.duplicate(t)
 	if a, b := strings.Split(first.ID, "-")[0], strings.Split(second.ID, "-")[0]; a != b {
 		t.Errorf("duplicate routed to worker %s, the original ran on %s", b, a)
@@ -371,4 +377,14 @@ func (e env) cluster(t *testing.T) {
 	}
 	w1.terminate(t)
 	e.load(t, coord, 10)
+
+	// Chaos: a third worker joins and takes over the keys it outranks the
+	// survivor for; it is killed well after the mix's four configs have all
+	// been sent once. ppfload exits 0 only if every request was answered and
+	// no more replies were fresh simulations than configs were sent.
+	w3 := e.start(t, "-coordinator", coord.url, "-workers", "2")
+	ring(2)
+	e.load(t, coord, 60, "-kill-pid", fmt.Sprint(w3.cmd.Process.Pid), "-kill-after", "30")
+	w3.cmd.Wait() // reap it; the SIGKILL is its exit status
+	ring(1)
 }

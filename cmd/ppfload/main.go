@@ -1,9 +1,10 @@
 // Command ppfload drives a running ppfserve with a configurable mix of
 // fresh and duplicate simulation requests and reports what the service
 // did with them: submit→done latency percentiles, cache/dedup hit rate,
-// and — scraped from /metrics — whether any duplicate was ever
-// re-simulated (the suite memo-miss delta must equal the number of
-// distinct configs sent).
+// and whether any duplicate was ever re-simulated — counted twice over:
+// from the replies (those neither cached nor deduplicated may not outnumber
+// the distinct configs sent) and from /metrics (nor may the suite memo-miss
+// delta).
 //
 // Usage:
 //
@@ -20,8 +21,10 @@
 //	ppfload -addr http://localhost:8090 -n 200 -dup 0.5 -assert 0.5 \
 //	        -kill-pid $WORKER_PID -kill-after 50
 //
-// which asserts that failover never re-simulated a duplicate (the merged
-// memo-miss delta, tombstones included, still equals the distinct configs).
+// which asserts that failover never re-simulated a duplicate. Across a kill
+// it is the count from the replies that says so: the coordinator's /metrics
+// sums the live workers only, so the memo-miss delta loses the dead worker's
+// share and can under-count (never over-count).
 package main
 
 import (
@@ -275,12 +278,12 @@ func post(client *http.Client, addr string, sp spec) outcome {
 
 func report(outcomes []outcome, before, after map[string]int64, assert float64) bool {
 	var (
-		lats              []time.Duration
-		cached, dedup     int
-		errs, retries     int
-		total             = len(outcomes)
-		distinct          = map[string]struct{}{}
-		elapsedSimulating int
+		lats          []time.Duration
+		cached, dedup int
+		errs, retries int
+		total         = len(outcomes)
+		distinct      = map[string]struct{}{}
+		simulated     int // replies that were neither cached nor dedup
 	)
 	for _, o := range outcomes {
 		lats = append(lats, o.latency)
@@ -298,7 +301,7 @@ func report(outcomes []outcome, before, after map[string]int64, assert float64) 
 		case o.dedup:
 			dedup++
 		default:
-			elapsedSimulating++
+			simulated++
 		}
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -317,7 +320,7 @@ func report(outcomes []outcome, before, after map[string]int64, assert float64) 
 
 	fmt.Printf("  latency  p50=%v p90=%v p99=%v max=%v\n", pct(0.50), pct(0.90), pct(0.99), pct(1.0))
 	fmt.Printf("  hit rate %.1f%%  (cached=%d dedup=%d simulated=%d errors=%d retries=%d)\n",
-		hitRate*100, cached, dedup, elapsedSimulating, errs, retries)
+		hitRate*100, cached, dedup, simulated, errs, retries)
 	fmt.Printf("  distinct configs sent=%d  server memo-miss delta=%d\n", len(distinct), missDelta)
 
 	ok := true
@@ -325,11 +328,16 @@ func report(outcomes []outcome, before, after map[string]int64, assert float64) 
 		fmt.Printf("  FAIL: %d requests errored\n", errs)
 		ok = false
 	}
-	if missDelta > int64(len(distinct)) {
+	switch {
+	case simulated > len(distinct):
+		fmt.Printf("  FAIL: %d replies were fresh simulations but only %d distinct configs were sent — a duplicate was re-simulated\n",
+			simulated, len(distinct))
+		ok = false
+	case missDelta > int64(len(distinct)):
 		fmt.Printf("  FAIL: server simulated %d configs but only %d distinct were sent — a duplicate was re-simulated\n",
 			missDelta, len(distinct))
 		ok = false
-	} else {
+	default:
 		fmt.Printf("  no duplicate request was re-simulated\n")
 	}
 	if assert >= 0 && hitRate < assert {

@@ -1,8 +1,8 @@
 // Command ppfserve is the simulation-as-a-service daemon: it accepts
 // benchmark×scheme×config jobs over HTTP/JSON, runs them on a bounded
 // worker pool, serves repeated requests from a content-addressed result
-// cache, streams per-job progress over SSE, and exposes server + simulator
-// metrics.
+// cache, streams each job's latest status over SSE, and exposes server +
+// simulator metrics.
 //
 // Usage (single server):
 //
@@ -10,14 +10,16 @@
 //
 //	curl -s localhost:8091/jobs -d '{"bench":"HJ-2","scheme":"manual","scale":0.05}'
 //	curl -s localhost:8091/jobs/j1
-//	curl -N  localhost:8091/jobs/j1/events      # SSE progress stream
+//	curl -N  localhost:8091/jobs/j1/events      # SSE: status now, then each change
 //	curl -s  localhost:8091/jobs/j1/result      # canonical result JSON
 //	curl -s  localhost:8091/metrics
 //
 // Cluster mode shards the service: one coordinator routes each job by
 // rendezvous hashing of its content key to the worker that already holds
-// the cached bytes, replicates completed results, and fails streams over
-// when a worker dies.
+// the cached bytes and replicates completed results to the key's runner-up
+// workers, so a worker's death re-simulates nothing. Requests about a job
+// pass through to the worker its ID names; if that worker is gone (502, or
+// an event stream that ends early), resubmit the spec.
 //
 //	ppfserve -cluster -addr :8090                                # coordinator
 //	ppfserve -addr :8091 -coordinator http://localhost:8090      # worker 1
@@ -25,7 +27,7 @@
 //
 //	curl -s localhost:8090/jobs -d '{"bench":"HJ-2","scheme":"stride"}'
 //	curl -s localhost:8090/workers
-//	curl -s localhost:8090/metrics              # merged across the fleet
+//	curl -s localhost:8090/metrics              # merged across the live workers
 //
 // The first SIGINT/SIGTERM drains gracefully (in-flight jobs finish, queued
 // jobs are rejected, new submissions get 503); a second one force-exits.
@@ -48,14 +50,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8091", "listen address")
-		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
-		scale     = flag.Float64("default-scale", 0.05, "input scale when a job omits one")
-		maxScale  = flag.Float64("max-scale", 1.0, "largest accepted input scale")
-		cacheN    = flag.Int("cache", 4096, "content-addressed result cache entries")
-		cacheMB   = flag.Int("cache-mb", 256, "result cache byte cap in MiB (LRU eviction)")
-		eventHist = flag.Int("event-history", 256, "per-job retained progress events; older fold into a snapshot")
+		addr     = flag.String("addr", ":8091", "listen address")
+		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		queue    = flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
+		scale    = flag.Float64("default-scale", 0.05, "input scale when a job omits one")
+		maxScale = flag.Float64("max-scale", 1.0, "largest accepted input scale")
+		cacheN   = flag.Int("cache", 4096, "content-addressed result cache entries")
+		cacheMB  = flag.Int("cache-mb", 256, "result cache byte cap in MiB (LRU eviction)")
 
 		coordinatorMode = flag.Bool("cluster", false, "run as a cluster coordinator (route to registered workers; no local simulation)")
 		replicas        = flag.Int("replicas", 2, "coordinator: workers holding each completed result")
@@ -77,7 +78,6 @@ func main() {
 		MaxScale:     *maxScale,
 		CacheEntries: *cacheN,
 		CacheBytes:   int64(*cacheMB) << 20,
-		EventHistory: *eventHist,
 		IDPrefix:     idPrefix(*coordURL, *name, *addr),
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -120,7 +120,7 @@ func main() {
 
 // runCoordinator serves the cluster router: no local simulation, only ring
 // membership, proxying, replication, and merged metrics. It holds no job
-// state worth draining, so the first signal shuts it down gracefully and
+// state at all, so the first signal shuts it down gracefully and
 // the second force-exits.
 func runCoordinator(addr string, replicas int, scale float64) {
 	c := cluster.NewCoordinator(cluster.Config{Replicas: replicas, DefaultScale: scale})

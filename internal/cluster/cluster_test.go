@@ -60,28 +60,56 @@ func registerWorker(t *testing.T, coordURL string, info WorkerInfo) {
 	}
 }
 
-// newTestCluster starts a coordinator plus n stub workers named w0..w{n-1}.
-// Backoff and jitter are pinned so failover retries are instant.
-func newTestCluster(t *testing.T, n int) (*Coordinator, *httptest.Server, []*testWorker) {
+// newTestCluster starts a coordinator plus n stub workers named w0..w{n-1},
+// returned by ID as well.
+func newTestCluster(t *testing.T, n int) (*httptest.Server, []*testWorker, map[string]*testWorker) {
 	t.Helper()
-	c := NewCoordinator(Config{
-		RetryBase: time.Millisecond,
-		RetryCap:  2 * time.Millisecond,
-		Jitter:    func() float64 { return 0 },
-		// Workers in tests register once and never heartbeat; keep the
-		// liveness window far beyond test runtime so only explicit
-		// ejection (transport failure, DELETE /register) removes them.
-		HeartbeatEvery: 100 * time.Millisecond,
-		HeartbeatMiss:  100,
-	})
+	// Workers in tests register once and never heartbeat; keep the liveness
+	// window far beyond test runtime so only explicit ejection (transport
+	// failure, DELETE /register) removes them.
+	c := NewCoordinator(Config{HeartbeatEvery: time.Minute})
 	t.Cleanup(c.Close)
 	hs := httptest.NewServer(c.Handler())
 	t.Cleanup(hs.Close)
 	workers := make([]*testWorker, n)
+	byID := map[string]*testWorker{}
 	for i := range workers {
 		workers[i] = newTestWorker(t, hs.URL, fmt.Sprintf("w%d", i), nil)
+		byID[workers[i].id] = workers[i]
 	}
-	return c, hs, workers
+	return hs, workers, byID
+}
+
+// kill closes a worker the hard way: no drain, no deregistration.
+func (w *testWorker) kill() {
+	w.hs.CloseClientConnections()
+	w.hs.Close()
+}
+
+func totalRuns(workers []*testWorker) (n int64) {
+	for _, w := range workers {
+		n += w.runs.Load()
+	}
+	return n
+}
+
+// cached reports whether a worker's cache holds a content key.
+func (w *testWorker) cached(key string) bool {
+	_, ok := w.srv.CacheGet(key)
+	return ok
+}
+
+// sseFrame reads one SSE event (through its blank line) verbatim; ok is
+// false when the stream ended first.
+func sseFrame(r *bufio.Reader) (frame string, ok bool) {
+	for !strings.HasSuffix(frame, "\n\n") {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return frame, false
+		}
+		frame += line
+	}
+	return frame, true
 }
 
 func submitSpec(t *testing.T, baseURL string, sp harness.JobSpec, query string) (*http.Response, workerSubmitResponse) {
@@ -186,7 +214,7 @@ func TestRankWorkersProperties(t *testing.T) {
 // byte-identical results, and the cluster-wide simulation count equals the
 // number of distinct configs.
 func TestRouteDuplicatesToSameWorker(t *testing.T) {
-	_, hs, workers := newTestCluster(t, 3)
+	hs, workers, _ := newTestCluster(t, 3)
 	ids := []string{"w0", "w1", "w2"}
 
 	specs := []harness.JobSpec{
@@ -216,152 +244,121 @@ func TestRouteDuplicatesToSameWorker(t *testing.T) {
 		}
 	}
 
-	var runs int64
-	for _, w := range workers {
-		runs += w.runs.Load()
-	}
-	if runs != int64(len(specs)) {
+	if runs := totalRuns(workers); runs != int64(len(specs)) {
 		t.Errorf("cluster simulated %d times for %d distinct configs", runs, len(specs))
 	}
 }
 
-// TestFailoverMidStreamNoResim is the ISSUE acceptance scenario: three
-// workers, the key's owner dies mid-SSE-stream while a replica already
-// holds the replicated result, and the client must see one gap-free,
-// strictly-increasing seq chain ending in done — served from the replica's
-// cache, with zero additional simulations.
-func TestFailoverMidStreamNoResim(t *testing.T) {
-	c, hs, workers := newTestCluster(t, 3)
+// TestWorkerKillNoResim: a hard worker death re-simulates nothing, because
+// the worker its keys fall to was given the bytes. First through a blocking
+// submit — the owner dies after its result was replicated and the resubmit
+// is a cache hit on the runner-up after one retry. Then through an SSE stream
+// on a job that never finishes — the coordinator passes the owner's events
+// through verbatim, the stream ends without a terminal event when the owner
+// dies, and the resubmitted spec is answered by the replica. (It replaces
+// TestFailoverMidStreamNoResim: the stream is no longer re-numbered onto a
+// replica, the client resubmits.)
+func TestWorkerKillNoResim(t *testing.T) {
+	hs, workers, byID := newTestCluster(t, 3)
 	ids := []string{"w0", "w1", "w2"}
 	sp := harness.JobSpec{Bench: "HJ-2", Scheme: "stride", Scale: 0.02}
 	key := keyOf(t, sp)
 	order := rankWorkers(key, ids)
-	byID := map[string]*testWorker{}
-	for _, w := range workers {
-		byID[w.id] = w
-	}
-	owner := byID[order[0]]
 
-	// The owner's sim publishes progress then wedges — the job never
-	// completes there. The replicas already hold the canonical bytes (the
-	// replication a completed prior run would have performed).
-	started := make(chan struct{})
-	gate := make(chan struct{})
+	resp, sr := submitSpec(t, hs.URL, sp, "?wait=1")
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(sr.ID, order[0]+"-") {
+		t.Fatalf("first submit: status %d, job %q, want 200 on owner %s", resp.StatusCode, sr.ID, order[0])
+	}
+	waitFor(t, "replication to the runner-up", func() bool { return byID[order[1]].cached(key) })
+	byID[order[0]].kill()
+
+	resp, sr2 := submitSpec(t, hs.URL, sp, "?wait=1")
+	if resp.StatusCode != http.StatusOK || !sr2.Cached || !bytes.Equal(sr2.Result, sr.Result) {
+		t.Fatalf("resubmit after the owner's death: status %d cached=%v, want the replica's cache hit with the same bytes", resp.StatusCode, sr2.Cached)
+	}
+	if m := scrapeCluster(t, hs.URL); totalRuns(workers) != 1 || m["cluster_proxy_retries"] != 1 || m["cluster_workers_live"] != 2 {
+		t.Errorf("runs=%d retries=%d live=%d, want 1 run, 1 retry, 2 workers left",
+			totalRuns(workers), m["cluster_proxy_retries"], m["cluster_workers_live"])
+	}
+
+	// Mid-stream: a second key on the two survivors. Its owner's simulation
+	// publishes progress and wedges; the runner-up already holds the bytes
+	// (the replication a completed earlier run would have performed).
+	sp = harness.JobSpec{Bench: "RandAcc", Scheme: "stride", Scale: 0.02}
+	key = keyOf(t, sp)
+	order = rankWorkers(key, []string{order[1], order[2]})
+	owner := byID[order[0]]
+	started, gate := make(chan struct{}), make(chan struct{})
 	defer close(gate)
 	owner.srv.SetRunner(func(jb *serve.Job) ([]byte, error) {
 		owner.runs.Add(1)
-		jb.Publish(serve.ProgressEvent{State: serve.StateRunning, Phase: "simulating", Events: 100})
 		jb.Publish(serve.ProgressEvent{State: serve.StateRunning, Phase: "simulating", Events: 200})
 		close(started)
 		<-gate
 		return stubResult(), nil
 	})
 	byID[order[1]].srv.CachePut(key, stubResult())
-	byID[order[2]].srv.CachePut(key, stubResult())
-
-	_, sr := submitSpec(t, hs.URL, sp, "")
+	_, sr = submitSpec(t, hs.URL, sp, "")
 	if !strings.HasPrefix(sr.ID, owner.id+"-") {
 		t.Fatalf("job %s did not route to owner %s", sr.ID, owner.id)
 	}
 	<-started
 
-	resp, err := http.Get(hs.URL + "/jobs/" + sr.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	var frames [2]string
+	var proxied *bufio.Reader
+	for i, base := range []string{owner.hs.URL, hs.URL} {
+		stream, err := http.Get(base + "/jobs/" + sr.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Body.Close()
+		proxied = bufio.NewReader(stream.Body)
+		frames[i], _ = sseFrame(proxied)
 	}
-	defer resp.Body.Close()
-
-	var events []serve.ProgressEvent
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
-		var ev serve.ProgressEvent
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad SSE data %q: %v", data, err)
-		}
-		events = append(events, ev)
-		if len(events) == 4 {
-			// queued, running(starting), and both progress events arrived:
-			// kill the owner mid-stream, hard.
-			owner.hs.CloseClientConnections()
-			owner.hs.Close()
-		}
+	if frames[1] != frames[0] || !strings.Contains(frames[0], `"events":200`) {
+		t.Errorf("event through the coordinator:\n%q\nfrom the owner itself:\n%q", frames[1], frames[0])
+	}
+	owner.kill()
+	if frame, ok := sseFrame(proxied); ok {
+		t.Errorf("stream went on after the owner's death: %q", frame)
 	}
 
-	if len(events) < 5 {
-		t.Fatalf("only %d events before the stream closed: %+v", len(events), events)
+	resp, sr2 = submitSpec(t, hs.URL, sp, "?wait=1")
+	if resp.StatusCode != http.StatusOK || !sr2.Cached {
+		t.Fatalf("resubmit after the stream ended: status %d cached=%v (%s)", resp.StatusCode, sr2.Cached, sr2.Error)
 	}
-	for i, ev := range events {
-		if ev.Seq != int64(i) {
-			t.Fatalf("seq chain has a gap at %d (seq %d): %+v", i, ev.Seq, events)
-		}
+	if runs := totalRuns(workers); runs != 2 {
+		t.Errorf("%d runs in total, want 2: one per key, both on the owners that died", runs)
 	}
-	last := events[len(events)-1]
-	if last.State != serve.StateDone {
-		t.Fatalf("chain ended in %s (%s), want done", last.State, last.Error)
-	}
-	if !strings.Contains(last.Phase, "replica") {
-		t.Errorf("terminal event not marked as replica-served: %+v", last)
-	}
-	for _, ev := range events[:len(events)-1] {
-		if ev.State.Terminal() {
-			t.Errorf("terminal state %s before the end of the chain", ev.State)
-		}
-	}
-
-	var runs int64
-	for _, w := range workers {
-		runs += w.runs.Load()
-	}
-	if runs != 1 {
-		t.Errorf("failover re-simulated: %d total runs, want 1 (owner only)", runs)
-	}
-	if got := c.m.sseFailovers.Load(); got != 1 {
-		t.Errorf("sse failovers = %d, want 1", got)
+	// The dead owner's job ID now names no worker.
+	if gone, err := http.Get(hs.URL + "/jobs/" + sr.ID); err != nil || gone.StatusCode != http.StatusBadGateway {
+		t.Errorf("GET of a dead worker's job: %v, %v; want 502", gone, err)
 	}
 }
 
-// TestPeerFillOnMembershipChange: after a result is computed and
-// replicated, a new worker that takes over the key's ownership is filled
-// from the previous owner before its first submit — so rebalancing is a
-// cache hit, never a re-simulation.
-func TestPeerFillOnMembershipChange(t *testing.T) {
-	_, hs, workers := newTestCluster(t, 2)
+// TestJoinResimulatesAtMostOnce: a worker that joins and outranks the
+// incumbents for a key simulates it once — it is not filled from a peer —
+// and from then on answers from its own cache with the same bytes. (It
+// replaces TestPeerFillOnMembershipChange.)
+func TestJoinResimulatesAtMostOnce(t *testing.T) {
+	hs, _, byID := newTestCluster(t, 2)
 	ids := []string{"w0", "w1"}
 	sp := harness.JobSpec{Bench: "HJ-2", Scheme: "stride", Scale: 0.02}
 	key := keyOf(t, sp)
-	runnerUp := rankWorkers(key, ids)[1]
-	byID := map[string]*testWorker{}
-	for _, w := range workers {
-		byID[w.id] = w
-	}
 
-	resp, sr := submitSpec(t, hs.URL, sp, "?wait=1")
-	if resp.StatusCode != http.StatusOK || sr.State != serve.StateDone {
-		t.Fatalf("seed run failed: status %d state %s", resp.StatusCode, sr.State)
+	resp, original := submitSpec(t, hs.URL, sp, "?wait=1")
+	if resp.StatusCode != http.StatusOK || original.State != serve.StateDone {
+		t.Fatalf("seed run failed: status %d state %s", resp.StatusCode, original.State)
 	}
-	// The coordinator replicates asynchronously; wait for the runner-up to
-	// hold the bytes.
-	waitFor(t, "replication to the runner-up", func() bool {
-		r, err := http.Get(byID[runnerUp].hs.URL + "/cache/" + key)
-		if err != nil {
-			return false
-		}
-		r.Body.Close()
-		return r.StatusCode == http.StatusOK
-	})
-
+	// Let the seed's replication finish first: it would hand the bytes to
+	// whoever ranks second when it runs, the joiner included.
+	waitFor(t, "replication to the runner-up", func() bool { return byID[rankWorkers(key, ids)[1]].cached(key) })
 	// Pick a joining worker ID that outranks both incumbents for this key,
 	// so the new worker becomes the owner the moment it registers.
 	newID := ""
-	for i := 0; i < 10000; i++ {
-		id := fmt.Sprintf("nw%d", i)
-		if rankWorkers(key, append([]string{id}, ids...))[0] == id {
+	for i := 0; newID == "" && i < 10000; i++ {
+		if id := fmt.Sprintf("nw%d", i); rankWorkers(key, append([]string{id}, ids...))[0] == id {
 			newID = id
-			break
 		}
 	}
 	if newID == "" {
@@ -369,70 +366,51 @@ func TestPeerFillOnMembershipChange(t *testing.T) {
 	}
 	nw := newTestWorker(t, hs.URL, newID, nil)
 
-	resp2, sr2 := submitSpec(t, hs.URL, sp, "")
-	if resp2.StatusCode != http.StatusOK || !sr2.Cached {
-		t.Fatalf("post-rebalance submit: status %d cached=%v (%s)", resp2.StatusCode, sr2.Cached, sr2.Error)
+	for i, wantCached := range []bool{false, true} {
+		resp, sr := submitSpec(t, hs.URL, sp, "?wait=1")
+		if resp.StatusCode != http.StatusOK || sr.Cached != wantCached || !bytes.Equal(sr.Result, original.Result) {
+			t.Errorf("submit %d after the join: status %d cached=%v, want cached=%v and the original bytes",
+				i+1, resp.StatusCode, sr.Cached, wantCached)
+		}
 	}
-	if nw.runs.Load() != 0 {
-		t.Errorf("new owner re-simulated %d times after taking over the key", nw.runs.Load())
-	}
-	m := scrapeCluster(t, hs.URL)
-	if m["cluster_peer_fills"] < 1 {
-		t.Errorf("cluster_peer_fills = %d, want >= 1", m["cluster_peer_fills"])
-	}
-	// The fill landed in the new owner's cache via PUT /cache.
-	r, err := http.Get(nw.hs.URL + "/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Errorf("new owner's cache has no entry for the key after peer fill")
+	if nw.runs.Load() != 1 {
+		t.Errorf("the new owner simulated %d times, want exactly once", nw.runs.Load())
 	}
 }
 
-// TestMetricsMergeSurvivesWorkerDeath: a departed worker's last-scraped
-// counters fold into the merged /metrics view (the tombstone), so
-// cluster-wide memo-miss accounting — what ppfload's zero-re-simulation
-// assertion reads — survives losing the worker that did the simulating.
-func TestMetricsMergeSurvivesWorkerDeath(t *testing.T) {
-	_, hs, workers := newTestCluster(t, 2)
-	sp := harness.JobSpec{Bench: "HJ-2", Scheme: "stride", Scale: 0.02}
+// TestMetricsMergeLiveWorkers: the coordinator's /metrics is the merge of
+// the live workers that answer — counters summed, quantile lines maxed —
+// and a dead worker neither stalls the scrape nor stays in the sum. (It
+// replaces TestMetricsMergeSurvivesWorkerDeath: no tombstones.)
+func TestMetricsMergeLiveWorkers(t *testing.T) {
+	c := NewCoordinator(Config{HeartbeatEvery: time.Minute})
+	defer c.Close()
+	hs := httptest.NewServer(c.Handler())
+	defer hs.Close()
+	fake := map[string]*httptest.Server{}
+	for id, lines := range map[string]string{
+		"a": "ppfserve_memo_misses 3\nsim_load_lat_p50 4\nsim_load_lat_p99 10\nsim_load_lat_max 12\n",
+		"b": "ppfserve_memo_misses 4\nsim_load_lat_p50 5\nsim_load_lat_p99 7\nsim_load_lat_max 30\n",
+	} {
+		fake[id] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, lines) }))
+		defer fake[id].Close()
+		registerWorker(t, hs.URL, WorkerInfo{ID: id, URL: fake[id].URL})
+	}
+	m := scrapeCluster(t, hs.URL)
+	if m["ppfserve_memo_misses"] != 7 || m["sim_load_lat_p50"] != 5 || m["sim_load_lat_p99"] != 10 || m["sim_load_lat_max"] != 30 || m["cluster_workers_live"] != 2 {
+		t.Errorf("merged %v, want memo_misses summed to 7, p50/p99/max the worst (5, 10, 30), 2 live workers", m)
+	}
 
-	resp, sr := submitSpec(t, hs.URL, sp, "?wait=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed run failed: status %d", resp.StatusCode)
+	fake["b"].Close()
+	start := time.Now()
+	m = scrapeCluster(t, hs.URL)
+	if m["ppfserve_memo_misses"] != 3 || m["sim_load_lat_max"] != 12 || time.Since(start) >= scrapeTimeout {
+		t.Errorf("with b dead: memo_misses=%d max=%d after %v, want a's 3 and 12 at once",
+			m["ppfserve_memo_misses"], m["sim_load_lat_max"], time.Since(start))
 	}
-	ownerID, _, _ := strings.Cut(sr.ID, "-")
-
-	before := scrapeCluster(t, hs.URL) // also scrapes + snapshots every worker
-	if before["ppfserve_cache_misses"] < 1 {
-		t.Fatalf("merged cache_misses = %d before death, want >= 1", before["ppfserve_cache_misses"])
-	}
-
-	for _, w := range workers {
-		if w.id == ownerID {
-			w.hs.CloseClientConnections()
-			w.hs.Close()
-		}
-	}
-	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/register/"+ownerID, nil)
-	r, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-
-	after := scrapeCluster(t, hs.URL)
-	if after["ppfserve_cache_misses"] < before["ppfserve_cache_misses"] {
-		t.Errorf("merged cache_misses dropped from %d to %d after worker death — tombstone lost",
-			before["ppfserve_cache_misses"], after["ppfserve_cache_misses"])
-	}
-	if after["cluster_workers_departed"] != 1 {
-		t.Errorf("cluster_workers_departed = %d, want 1", after["cluster_workers_departed"])
-	}
-	if after["cluster_workers_live"] != 1 {
-		t.Errorf("cluster_workers_live = %d, want 1", after["cluster_workers_live"])
+	c.reg.remove("b") // what the heartbeat TTL or the next routed request does
+	if live := scrapeCluster(t, hs.URL)["cluster_workers_live"]; live != 1 {
+		t.Errorf("cluster_workers_live = %d after the death, want 1", live)
 	}
 }
 
@@ -440,7 +418,7 @@ func TestMetricsMergeSurvivesWorkerDeath(t *testing.T) {
 // appears in /workers shortly after starting and disappears promptly when
 // its context is cancelled (deregistration, not TTL expiry).
 func TestHeartbeatRegistersAndDeregisters(t *testing.T) {
-	c := NewCoordinator(Config{HeartbeatEvery: 20 * time.Millisecond, HeartbeatMiss: 3})
+	c := NewCoordinator(Config{HeartbeatEvery: 20 * time.Millisecond})
 	defer c.Close()
 	hs := httptest.NewServer(c.Handler())
 	defer hs.Close()

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"eventpf/internal/harness"
+	"eventpf/internal/serve"
 	"eventpf/internal/workloads"
 )
 
@@ -26,29 +28,16 @@ type Config struct {
 	// HeartbeatEvery is the registration refresh interval advertised to
 	// workers and the coordinator's own health-check cadence (default 1s).
 	HeartbeatEvery time.Duration
-	// HeartbeatMiss is how many missed heartbeats eject a worker
-	// (default 3).
-	HeartbeatMiss int
-	// RetryBase and RetryCap bound the exponential backoff between proxy
-	// attempts on successive replicas (defaults 50ms and 1s); each delay
-	// gets up to 50% random jitter so synchronized clients do not retry in
-	// lockstep.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// RouteHistory caps the job-ID → worker routing table (default 4096).
-	RouteHistory int
-	// KeyHistory caps the content-key → holders table that drives peer
-	// fill (default 8192).
-	KeyHistory int
-	// ScrapeTimeout bounds each worker /metrics scrape (default 2s).
-	ScrapeTimeout time.Duration
-	// Client performs proxied requests (default: no timeout, because
-	// ?wait=1 submissions legitimately block for a full simulation).
-	Client *http.Client
-	// Jitter returns a pseudo-random float in [0,1) for backoff jitter;
-	// tests may pin it (default math/rand).
-	Jitter func() float64
 }
+
+const (
+	// heartbeatMiss is how many missed heartbeats eject a worker.
+	heartbeatMiss = 3
+	// scrapeTimeout bounds each worker /metrics scrape. Every other request
+	// to a worker goes out with no timeout, because a ?wait=1 submission
+	// legitimately blocks for a full simulation.
+	scrapeTimeout = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -60,69 +49,27 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
 	}
-	if c.HeartbeatMiss <= 0 {
-		c.HeartbeatMiss = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = time.Second
-	}
-	if c.RouteHistory <= 0 {
-		c.RouteHistory = 4096
-	}
-	if c.KeyHistory <= 0 {
-		c.KeyHistory = 8192
-	}
-	if c.ScrapeTimeout <= 0 {
-		c.ScrapeTimeout = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	return c
 }
 
-// route remembers where a proxied job lives: which worker, under which
-// upstream ID, and the spec + content key needed to re-place it on another
-// replica if that worker dies mid-stream.
-type route struct {
-	workerID   string
-	upstreamID string
-	key        string
-	spec       harness.JobSpec
-}
-
-// clusterMetrics are the coordinator's own counters, merged into /metrics
-// alongside the workers' lines.
+// clusterMetrics are the coordinator's own counters, written to /metrics
+// after the workers' merged lines.
 type clusterMetrics struct {
 	routed       atomic.Int64 // POST /jobs bodies routed
 	proxyRetries atomic.Int64 // failed attempts retried on the next replica
-	peerFills    atomic.Int64 // results copied old owner → new owner
-	peerFillErrs atomic.Int64 // peer-fill attempts that found/copied nothing
 	replications atomic.Int64 // results copied owner → runner-up replicas
-	sseFailovers atomic.Int64 // SSE streams re-attached after a worker died
 	noWorkers    atomic.Int64 // submissions refused: empty ring
 }
 
-// Coordinator routes jobs across registered ppfserve workers. It holds no
-// simulation state of its own — only the ring membership, the routing and
-// holder tables, and merged metrics — so it restarts cheaply: routes and
-// holder hints rebuild as traffic flows (a lost hint only costs one worker
-// cache miss, never a wrong result).
+// Coordinator routes jobs across registered ppfserve workers. It holds the
+// ring membership and nothing else: the rendezvous order says which workers
+// hold a key's bytes and a job ID names its worker (<worker>-<n>), so a
+// restart loses nothing — the ring refills from the next heartbeats.
 type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
 	reg *registry
 	m   clusterMetrics
-
-	mu          sync.Mutex
-	routes      map[string]*route
-	routeOrder  []string
-	holders     map[string][]string // content key → worker IDs holding its bytes
-	holderOrder []string
-	replicating map[string]bool // keys with an in-flight replication
 
 	stopOnce sync.Once
 	stopc    chan struct{}
@@ -131,22 +78,20 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator and starts its health-check loop.
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
-		cfg:         cfg.withDefaults(),
-		reg:         newRegistry(),
-		routes:      map[string]*route{},
-		holders:     map[string][]string{},
-		replicating: map[string]bool{},
-		stopc:       make(chan struct{}),
+		cfg:   cfg.withDefaults(),
+		reg:   newRegistry(),
+		stopc: make(chan struct{}),
 	}
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /register", c.handleRegister)
 	c.mux.HandleFunc("DELETE /register/{id}", c.handleDeregister)
 	c.mux.HandleFunc("GET /workers", c.handleWorkers)
 	c.mux.HandleFunc("POST /jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /jobs/{id}", c.handleJob)
-	c.mux.HandleFunc("GET /jobs/{id}/result", c.handleJobResult)
-	c.mux.HandleFunc("GET /jobs/{id}/events", c.handleJobEvents)
-	c.mux.HandleFunc("DELETE /jobs/{id}", c.handleJobCancel)
+	jobs := c.jobProxy()
+	c.mux.Handle("GET /jobs/{id}", jobs)
+	c.mux.Handle("GET /jobs/{id}/result", jobs)
+	c.mux.Handle("GET /jobs/{id}/events", jobs)
+	c.mux.Handle("DELETE /jobs/{id}", jobs)
 	c.mux.HandleFunc("GET /benchmarks", c.handleBenchmarks)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -160,9 +105,7 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // Close stops the health-check loop.
 func (c *Coordinator) Close() { c.stopOnce.Do(func() { close(c.stopc) }) }
 
-// healthLoop ejects workers whose heartbeats went stale and keeps each
-// live worker's metrics snapshot fresh, so a worker that dies between
-// /metrics calls still leaves recent counters in its tombstone.
+// healthLoop ejects workers whose heartbeats went stale.
 func (c *Coordinator) healthLoop() {
 	t := time.NewTicker(c.cfg.HeartbeatEvery)
 	defer t.Stop()
@@ -171,11 +114,9 @@ func (c *Coordinator) healthLoop() {
 		case <-c.stopc:
 			return
 		case now := <-t.C:
-			ttl := c.cfg.HeartbeatEvery * time.Duration(c.cfg.HeartbeatMiss+1)
-			for _, id := range c.reg.stale(now, ttl) {
+			for _, id := range c.reg.stale(now, c.cfg.HeartbeatEvery*(heartbeatMiss+1)) {
 				c.reg.remove(id)
 			}
-			c.scrapeLiveWorkers()
 		}
 	}
 }
@@ -188,7 +129,11 @@ type registerResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var info WorkerInfo
-	if err := json.NewDecoder(r.Body).Decode(&info); err != nil || info.ID == "" || info.URL == "" {
+	if code, err := serve.DecodeBody(w, r, &info); err != nil {
+		writeJSON(w, code, errorResponse{Error: "bad registration body: " + err.Error()})
+		return
+	}
+	if info.ID == "" || info.URL == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "registration needs {id, url}"})
 		return
 	}
@@ -238,48 +183,22 @@ func (c *Coordinator) rankLive(key string) []WorkerInfo {
 	return out
 }
 
-// recordRoute remembers which worker owns a proxied job ID, evicting the
-// oldest record past the cap.
-func (c *Coordinator) recordRoute(id string, rt *route) {
-	c.mu.Lock()
-	if _, ok := c.routes[id]; !ok {
-		c.routeOrder = append(c.routeOrder, id)
-		for len(c.routeOrder) > c.cfg.RouteHistory {
-			delete(c.routes, c.routeOrder[0])
-			c.routeOrder = c.routeOrder[1:]
-		}
-	}
-	c.routes[id] = rt
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) routeOf(id string) (*route, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rt, ok := c.routes[id]
-	return rt, ok
-}
-
-// handleMetrics merges every worker's /metrics into one registry view:
-// counters summed across live workers plus the departed tombstones,
-// per-worker detail lines for the load-balancing gauges, and the
-// coordinator's own cluster_* counters.
+// handleMetrics merges the /metrics of every live worker that answers the
+// scrape: counters and gauges summed, the worst of each quantile line,
+// per-worker detail lines for the load-balancing gauges, then the
+// coordinator's own cluster_* counters. A dead worker's counters leave the
+// sum with it, so a total read across a death can only under-count.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	c.scrapeLiveWorkers()
-	perWorker, departed, departedN := c.reg.snapshot()
-
+	perWorker := c.scrapeLiveWorkers()
 	merged := map[string]int64{}
 	for _, m := range perWorker {
 		for name, v := range m {
-			if summable(name) || !isQuantile(name) {
+			if !isQuantile(name) {
 				merged[name] += v
 			} else if v > merged[name] {
-				merged[name] = v // cross-worker p50/p99/max: take the worst
+				merged[name] = v
 			}
 		}
-	}
-	for name, v := range departed {
-		merged[name] += v
 	}
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -312,23 +231,20 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		name string
 		v    int64
 	}{
-		{"cluster_workers_live", int64(len(perWorker))},
-		{"cluster_workers_departed", int64(departedN)},
+		{"cluster_workers_live", int64(len(c.reg.liveWorkers()))},
 		{"cluster_jobs_routed", c.m.routed.Load()},
 		{"cluster_proxy_retries", c.m.proxyRetries.Load()},
-		{"cluster_peer_fills", c.m.peerFills.Load()},
-		{"cluster_peer_fill_errors", c.m.peerFillErrs.Load()},
 		{"cluster_replications", c.m.replications.Load()},
-		{"cluster_sse_failovers", c.m.sseFailovers.Load()},
 		{"cluster_no_worker_rejections", c.m.noWorkers.Load()},
 	} {
 		fmt.Fprintf(w, "%s %d\n", kv.name, kv.v)
 	}
 }
 
+// isQuantile reports whether a metric line is a histogram summary, which
+// merges across workers as a maximum rather than a sum.
 func isQuantile(name string) bool {
-	return !summable(name) && (len(name) > 4 &&
-		(name[len(name)-4:] == "_p50" || name[len(name)-4:] == "_p99" || name[len(name)-4:] == "_max"))
+	return strings.HasSuffix(name, "_p50") || strings.HasSuffix(name, "_p99") || strings.HasSuffix(name, "_max")
 }
 
 // errorResponse mirrors the workers' non-2xx JSON body shape.

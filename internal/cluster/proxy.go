@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"strings"
-	"time"
 
 	"eventpf/internal/harness"
 	"eventpf/internal/serve"
@@ -17,8 +16,8 @@ import (
 )
 
 // workerSubmitResponse is the slice of a worker's POST /jobs body the
-// coordinator needs for bookkeeping; the client still receives the
-// worker's bytes verbatim.
+// coordinator (and its tests) read; the client still receives the worker's
+// bytes verbatim.
 type workerSubmitResponse struct {
 	ID     string          `json:"id"`
 	Key    string          `json:"key"`
@@ -31,13 +30,14 @@ type workerSubmitResponse struct {
 
 // handleSubmit resolves the spec locally (same fold as the workers, so the
 // content key — and therefore the route — is decided before any network
-// hop), walks the key's replica order with capped exponential backoff +
-// jitter, peer-fills ahead of ownership changes, and forwards the chosen
-// worker's response verbatim.
+// hop), walks the key's live replica order until a worker answers, forwards
+// that answer verbatim, and replicates the result of a fresh admission. A
+// worker that fails at the transport level is ejected and the next one is
+// tried at once: it holds the replicated bytes, so the retry is a cache hit.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if code, err := serve.DecodeBody(w, r, &spec); err != nil {
+		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	c.m.routed.Add(1)
@@ -64,31 +64,23 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	body, _ := json.Marshal(spec)
-	query := ""
+	path := "/jobs"
 	if r.URL.RawQuery != "" {
-		query = "?" + r.URL.RawQuery
+		path += "?" + r.URL.RawQuery
 	}
 	var lastErr error
 	for i, wk := range order {
 		if i > 0 {
 			c.m.proxyRetries.Add(1)
-			time.Sleep(c.backoff(i - 1))
 		}
-		// If this worker is not yet a holder of an already-computed result
-		// (it just joined, or it is a failover target), fill it from a peer
-		// before submitting so it never re-simulates.
-		c.maybePeerFill(key, wk)
-
-		resp, err := c.cfg.Client.Post(wk.URL+"/jobs"+query, "application/json", bytes.NewReader(body))
-		if err != nil {
-			c.ejectDead(wk, err)
-			lastErr = err
-			continue
+		resp, err := http.Post(wk.URL+path, "application/json", bytes.NewReader(body))
+		var raw []byte
+		if err == nil {
+			raw, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
 		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		if err != nil {
-			c.ejectDead(wk, err)
+			c.reg.remove(wk.ID)
 			lastErr = err
 			continue
 		}
@@ -98,22 +90,18 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("worker %s is draining", wk.ID)
 			continue
 		}
-
 		var sr workerSubmitResponse
-		if json.Unmarshal(raw, &sr) == nil {
-			if sr.ID != "" {
-				c.recordRoute(sr.ID, &route{workerID: wk.ID, upstreamID: sr.ID, key: key, spec: spec})
-			}
-			if sr.Cached {
-				c.addHolder(key, wk.ID)
-			} else if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-				go c.replicate(wk, key, spec)
+		admitted := resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted
+		if admitted && json.Unmarshal(raw, &sr) == nil && !sr.Cached && !sr.Dedup {
+			go c.replicate(wk, key, body)
+		}
+		for _, h := range []string{"Content-Type", "Retry-After"} { // the backpressure hint survives the proxy
+			if v := resp.Header.Get(h); v != "" {
+				w.Header().Set(h, v)
 			}
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra) // backpressure hint survives the proxy
-		}
-		copyRaw(w, resp.StatusCode, resp.Header.Get("Content-Type"), raw)
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(raw)
 		return
 	}
 	writeJSON(w, http.StatusBadGateway, errorResponse{
@@ -121,276 +109,32 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// backoff returns the capped exponential delay before retry n (0-based),
-// with up to 50% jitter so synchronized retries spread out.
-func (c *Coordinator) backoff(n int) time.Duration {
-	d := c.cfg.RetryBase << uint(n)
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
+// jobProxy serves GET /jobs/{id}[/result|/events] and DELETE /jobs/{id} by
+// passing the request through to the worker the ID names. The stdlib proxy
+// flushes a text/event-stream response as it arrives, so an SSE stream
+// reaches the client byte for byte and simply ends if the worker dies; the
+// client then resubmits the spec, which a replica answers from its cache.
+func (c *Coordinator) jobProxy() http.Handler {
+	workerOf := func(r *http.Request) string {
+		id := r.PathValue("id")
+		return id[:max(strings.LastIndexByte(id, '-'), 0)]
 	}
-	jitter := c.cfg.Jitter
-	if jitter == nil {
-		jitter = rand.Float64
-	}
-	return d + time.Duration(jitter()*0.5*float64(d))
-}
-
-// ejectDead removes a worker that failed at the transport level; its
-// tombstone counters stay in the merged metrics.
-func (c *Coordinator) ejectDead(wk WorkerInfo, _ error) {
-	c.reg.remove(wk.ID)
-}
-
-// handleJob proxies a job status lookup to the worker that owns the ID.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	c.proxyJobGet(w, r, "")
-}
-
-// handleJobResult proxies the canonical result bytes; if the owning worker
-// died, any surviving holder of the content key serves them instead.
-func (c *Coordinator) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	c.proxyJobGet(w, r, "/result")
-}
-
-func (c *Coordinator) proxyJobGet(w http.ResponseWriter, r *http.Request, suffix string) {
-	rt, ok := c.routeOf(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job routed through this coordinator"})
-		return
-	}
-	if wk, ok := c.reg.get(rt.workerID); ok {
-		resp, err := c.cfg.Client.Get(wk.URL + "/jobs/" + rt.upstreamID + suffix)
-		if err == nil {
-			defer resp.Body.Close()
-			copyResponse(w, resp)
-			return
-		}
-		c.ejectDead(wk, err)
-	}
-	if suffix == "/result" {
-		if b, ok := c.fetchFromHolders(rt.key); ok {
-			copyRaw(w, http.StatusOK, "application/json", b)
-			return
-		}
-	}
-	writeJSON(w, http.StatusBadGateway, errorResponse{Error: "worker holding this job is gone"})
-}
-
-func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	rt, ok := c.routeOf(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job routed through this coordinator"})
-		return
-	}
-	wk, ok := c.reg.get(rt.workerID)
-	if !ok {
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "worker holding this job is gone"})
-		return
-	}
-	req, _ := http.NewRequestWithContext(r.Context(), http.MethodDelete, wk.URL+"/jobs/"+rt.upstreamID, nil)
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.ejectDead(wk, err)
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "worker holding this job is gone"})
-		return
-	}
-	defer resp.Body.Close()
-	copyResponse(w, resp)
-}
-
-// stateRank orders lifecycle states so a failover re-attach can drop
-// duplicate "queued"/"running" transitions the client already saw.
-func stateRank(s serve.State) int {
-	switch s {
-	case serve.StateQueued:
-		return 0
-	case serve.StateRunning:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// handleJobEvents streams a job's SSE chain through the coordinator. The
-// coordinator re-numbers events densely with its own counter; when the
-// upstream worker dies mid-stream it re-places the job on the next live
-// replica (peer-filling first), drops the replacement's duplicate
-// lifecycle prefix, and continues the chain — so the client sees one
-// gap-free, strictly increasing seq chain with a single terminal event no
-// matter how many workers died along the way.
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	rt, ok := c.routeOf(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job routed through this coordinator"})
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	out := int64(0) // next client-facing seq
-	sentRank := -1
-	cur := *rt
-	tried := map[string]bool{}
-	for hop := 0; hop < len(c.reg.liveWorkers())+2; hop++ {
-		if wk, ok := c.reg.get(cur.workerID); ok {
-			tried[wk.ID] = true
-			if c.streamEvents(w, r, fl, wk, cur.upstreamID, &out, &sentRank) {
-				return // terminal event delivered
+	return &httputil.ReverseProxy{
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			// An ID that names no live worker leaves the outbound URL
+			// without a host; the transport refuses it and ErrorHandler
+			// answers.
+			if wk, ok := c.reg.get(workerOf(pr.In)); ok {
+				if target, err := url.Parse(wk.URL); err == nil {
+					pr.SetURL(target)
+				}
 			}
-			if r.Context().Err() != nil {
-				return // client went away
+		},
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			if r.Context().Err() == nil { // a client hanging up says nothing about the worker
+				c.reg.remove(workerOf(r))
 			}
-		}
-		// The upstream ended without a terminal event: the worker died or
-		// evicted the job. Re-place the job on the next live replica.
-		c.m.sseFailovers.Add(1)
-		next, sr, ok := c.failoverSubmit(rt.key, rt.spec, tried)
-		if !ok {
-			serve.WriteSSE(w, serve.ProgressEvent{
-				Seq: out, State: serve.StateFailed, Phase: "failover",
-				Error: "worker lost mid-stream and no replica could take the job",
-			})
-			fl.Flush()
-			return
-		}
-		if sr.Cached || sr.State == serve.StateDone {
-			// The replica already holds the result (replication or peer
-			// fill): close the chain without re-simulating.
-			if sentRank < stateRank(serve.StateRunning) {
-				serve.WriteSSE(w, serve.ProgressEvent{Seq: out, State: serve.StateRunning, Phase: "failover"})
-				out++
-			}
-			serve.WriteSSE(w, serve.ProgressEvent{
-				Seq: out, State: serve.StateDone, Phase: "failover: served from replica cache",
-			})
-			fl.Flush()
-			return
-		}
-		cur = route{workerID: next.ID, upstreamID: sr.ID, key: rt.key, spec: rt.spec}
-		c.recordRoute(r.PathValue("id"), &cur) // later /result lookups follow the job
+			writeJSON(w, http.StatusBadGateway, errorResponse{Error: "worker gone — resubmit the spec"})
+		},
 	}
-	serve.WriteSSE(w, serve.ProgressEvent{
-		Seq: out, State: serve.StateFailed, Phase: "failover", Error: "failover attempts exhausted",
-	})
-	fl.Flush()
-}
-
-// streamEvents forwards one upstream SSE stream, re-numbering seqs with
-// the coordinator's dense counter and dropping lifecycle duplicates after
-// a failover. Returns true when a terminal event was delivered.
-func (c *Coordinator) streamEvents(w http.ResponseWriter, r *http.Request, fl http.Flusher,
-	wk WorkerInfo, upstreamID string, out *int64, sentRank *int) bool {
-
-	resp, err := c.cfg.Client.Get(wk.URL + "/jobs/" + upstreamID + "/events")
-	if err != nil {
-		c.ejectDead(wk, err)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	// Unblock the scanner when the client disconnects.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-r.Context().Done():
-			resp.Body.Close()
-		case <-done:
-		}
-	}()
-
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
-		var ev serve.ProgressEvent
-		if json.Unmarshal([]byte(data), &ev) != nil {
-			continue
-		}
-		if rk := stateRank(ev.State); rk < *sentRank {
-			continue // duplicate queued/running replay after a failover
-		} else if rk > *sentRank {
-			*sentRank = rk
-		}
-		ev.Seq = *out
-		*out++
-		serve.WriteSSE(w, ev)
-		fl.Flush()
-		if ev.State.Terminal() {
-			return true
-		}
-	}
-	return false
-}
-
-// failoverSubmit re-places a job's spec on the best untried live replica,
-// peer-filling the target first so an already-computed result is served
-// from cache rather than re-simulated. Returns the worker and its decoded
-// submit response.
-func (c *Coordinator) failoverSubmit(key string, spec harness.JobSpec, tried map[string]bool) (WorkerInfo, workerSubmitResponse, bool) {
-	body, _ := json.Marshal(spec)
-	for i, wk := range c.rankLive(key) {
-		if tried[wk.ID] {
-			continue
-		}
-		tried[wk.ID] = true
-		if i > 0 {
-			time.Sleep(c.backoff(0))
-		}
-		c.maybePeerFill(key, wk)
-		resp, err := c.cfg.Client.Post(wk.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			c.ejectDead(wk, err)
-			continue
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode == http.StatusServiceUnavailable {
-			continue
-		}
-		var sr workerSubmitResponse
-		if json.Unmarshal(raw, &sr) != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
-			continue
-		}
-		if sr.Cached {
-			c.addHolder(key, wk.ID)
-		}
-		if sr.ID != "" {
-			go c.replicate(wk, key, spec)
-		}
-		return wk, sr, true
-	}
-	return WorkerInfo{}, workerSubmitResponse{}, false
-}
-
-// copyResponse forwards an upstream response verbatim.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// copyRaw writes already-read upstream bytes verbatim.
-func copyRaw(w http.ResponseWriter, code int, contentType string, b []byte) {
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	w.WriteHeader(code)
-	_, _ = w.Write(b)
 }

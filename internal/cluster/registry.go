@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -18,58 +17,28 @@ type WorkerInfo struct {
 type workerState struct {
 	info     WorkerInfo
 	lastBeat time.Time
-	// metrics is the last successful /metrics scrape; when the worker is
-	// ejected these counters fold into the departed aggregate so cluster
-	// totals (memo misses above all) survive worker death.
-	metrics map[string]int64
 }
 
-// registry tracks live workers and the folded counters of departed ones.
+// registry is the ring membership: the live workers and their last beats.
 type registry struct {
-	mu       sync.Mutex
-	live     map[string]*workerState
-	departed map[string]int64 // summed counters of every ejected worker
-	departedN int
+	mu   sync.Mutex
+	live map[string]*workerState
 }
 
-func newRegistry() *registry {
-	return &registry{
-		live:     map[string]*workerState{},
-		departed: map[string]int64{},
-	}
-}
+func newRegistry() *registry { return &registry{live: map[string]*workerState{}} }
 
-// upsert registers or refreshes a worker, returning true when it is new.
-func (r *registry) upsert(info WorkerInfo, now time.Time) bool {
+// upsert registers a worker or refreshes its heartbeat.
+func (r *registry) upsert(info WorkerInfo, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, ok := r.live[info.ID]
-	if ok {
-		w.info = info
-		w.lastBeat = now
-		return false
-	}
 	r.live[info.ID] = &workerState{info: info, lastBeat: now}
-	return true
 }
 
-// remove ejects a worker, folding its last-known counters into the
-// departed aggregate. Idempotent.
-func (r *registry) remove(id string) bool {
+// remove ejects a worker. Idempotent.
+func (r *registry) remove(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, ok := r.live[id]
-	if !ok {
-		return false
-	}
-	for name, v := range w.metrics {
-		if summable(name) {
-			r.departed[name] += v
-		}
-	}
-	r.departedN++
 	delete(r.live, id)
-	return true
 }
 
 // get returns a live worker's info.
@@ -106,47 +75,4 @@ func (r *registry) stale(now time.Time, ttl time.Duration) []string {
 		}
 	}
 	return out
-}
-
-// setMetrics records a worker's latest /metrics scrape.
-func (r *registry) setMetrics(id string, m map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok := r.live[id]; ok {
-		w.metrics = m
-	}
-}
-
-// snapshot returns a copy of every live worker's last scrape, the departed
-// aggregate, and the departed count.
-func (r *registry) snapshot() (perWorker map[string]map[string]int64, departed map[string]int64, departedN int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	perWorker = make(map[string]map[string]int64, len(r.live))
-	for id, w := range r.live {
-		m := make(map[string]int64, len(w.metrics))
-		for k, v := range w.metrics {
-			m[k] = v
-		}
-		perWorker[id] = m
-	}
-	departed = make(map[string]int64, len(r.departed))
-	for k, v := range r.departed {
-		departed[k] = v
-	}
-	return perWorker, departed, r.departedN
-}
-
-// summable reports whether a metric line is a monotonic counter that can
-// be summed across workers and folded into the departed aggregate. Gauges
-// (queue depth, inflight, …) and histogram quantiles are not.
-func summable(name string) bool {
-	switch name {
-	case "ppfserve_queue_depth", "ppfserve_queue_capacity", "ppfserve_workers",
-		"ppfserve_jobs_inflight", "ppfserve_cache_entries", "ppfserve_cache_bytes",
-		"ppfserve_draining":
-		return false
-	}
-	return !strings.HasSuffix(name, "_p50") && !strings.HasSuffix(name, "_p99") &&
-		!strings.HasSuffix(name, "_max")
 }

@@ -2,12 +2,13 @@
 // workers behind one thin coordinator. Jobs route by rendezvous hashing of
 // their SHA-256 content address (harness.Job.Key), so every duplicate
 // request for the same resolved config lands on the worker that already
-// holds the cached bytes; completed results replicate to the next replica
-// on the ring, a newly-responsible worker peer-fills from the previous
-// owner before simulating, and a dead worker's traffic fails over to its
-// replicas with capped exponential backoff. The shape mirrors the paper's
-// own scaling unit — many small identical units behind one scheduler —
-// applied one level up.
+// holds the cached bytes; completed results replicate to the next replicas
+// on the key's rendezvous order, and a dead worker's traffic moves to those
+// same replicas at once, so its death re-simulates nothing. The coordinator
+// holds the ring membership and nothing else: requests about a job reach
+// its worker by the ID's prefix, and the recovery from any loss is to
+// resubmit the spec. The shape mirrors the paper's own scaling unit — many
+// small identical units behind one scheduler — applied one level up.
 package cluster
 
 import (

@@ -8,27 +8,31 @@ import (
 	"sync"
 )
 
-// scrapeLiveWorkers refreshes every live worker's /metrics snapshot in
-// parallel. Scrapes are bounded by ScrapeTimeout so one hung worker cannot
-// stall the merged /metrics view; a failed scrape keeps the previous
-// snapshot (liveness is the heartbeat's job, not the scraper's).
-func (c *Coordinator) scrapeLiveWorkers() {
-	live := c.reg.liveWorkers()
-	if len(live) == 0 {
-		return
-	}
-	client := &http.Client{Timeout: c.cfg.ScrapeTimeout}
-	var wg sync.WaitGroup
-	for _, wk := range live {
+// scrapeLiveWorkers fetches every live worker's /metrics in parallel and
+// returns the lines of those that answered, by worker ID. Scrapes are bounded
+// by scrapeTimeout so one hung or dead worker cannot stall the merged view;
+// a failed scrape ejects nobody (liveness is the heartbeat's job, not the
+// scraper's).
+func (c *Coordinator) scrapeLiveWorkers() map[string]map[string]int64 {
+	client := &http.Client{Timeout: scrapeTimeout}
+	var (
+		mu  sync.Mutex
+		wg  sync.WaitGroup
+		out = map[string]map[string]int64{}
+	)
+	for _, wk := range c.reg.liveWorkers() {
 		wg.Add(1)
 		go func(wk WorkerInfo) {
 			defer wg.Done()
 			if m, ok := scrapeMetrics(client, wk.URL); ok {
-				c.reg.setMetrics(wk.ID, m)
+				mu.Lock()
+				out[wk.ID] = m
+				mu.Unlock()
 			}
 		}(wk)
 	}
 	wg.Wait()
+	return out
 }
 
 // scrapeMetrics fetches one worker's /metrics and parses its
@@ -56,21 +60,4 @@ func scrapeMetrics(client *http.Client, baseURL string) (map[string]int64, bool)
 		out[fields[0]] = v
 	}
 	return out, true
-}
-
-// fetchFromHolders retrieves a key's canonical result bytes from any live
-// recorded holder — the read path's fallback when the worker that owned the
-// job ID has died but its result was replicated.
-func (c *Coordinator) fetchFromHolders(key string) ([]byte, bool) {
-	for _, id := range c.holdersOf(key) {
-		wk, ok := c.reg.get(id)
-		if !ok {
-			continue
-		}
-		if b, ok := c.cacheFetch(wk, key); ok {
-			return b, true
-		}
-		c.dropHolder(key, id)
-	}
-	return nil, false
 }

@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"time"
@@ -18,8 +19,9 @@ import (
 )
 
 // State is a job's position in its lifecycle. Transitions only move
-// forward: Queued → Running → one of the terminal states, or Queued
-// directly to Rejected when a drain empties the queue.
+// forward (Job.Publish enforces it): Queued → Running → Done or Failed, or
+// Queued directly to Rejected when a drain or a cancel takes the job out of
+// the queue.
 type State string
 
 // Job states.
@@ -31,17 +33,15 @@ const (
 	StateRejected State = "rejected" // dropped from the queue (drain or cancel)
 )
 
-// Terminal reports whether no further transitions can happen. Exported so
-// the cluster coordinator can recognise the end of a proxied SSE stream.
+// Terminal reports whether no further transitions can happen.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateRejected
 }
 
-// ProgressEvent is one entry of a job's ordered progress chain, streamed to
-// SSE subscribers. Seq is dense and starts at 0 (the "queued" event), so a
-// client can detect gaps; a late subscriber replays the retained chain,
-// preceded by a synthesized snapshot event when the oldest entries have
-// been compacted away (Snapshot true, Seq = last compacted seq).
+// ProgressEvent is a job's status at one moment. Every field is cumulative —
+// Events and SimTicks only grow, State only moves forward — so a reader that
+// skips an event loses nothing by it. Seq counts the job's publishes (the
+// "queued" event is 1): it is strictly increasing along a stream and may skip.
 type ProgressEvent struct {
 	Seq   int64 `json:"seq"`
 	State State `json:"state"`
@@ -49,14 +49,10 @@ type ProgressEvent struct {
 	// ("oracle-checked", "draining", …).
 	Phase string `json:"phase,omitempty"`
 	// Events is the number of machine trace events observed so far; SimTicks
-	// is the simulated clock they reach. Zero outside Running progress.
+	// is the simulated clock they reach.
 	Events   int64  `json:"events,omitempty"`
 	SimTicks int64  `json:"sim_ticks,omitempty"`
 	Error    string `json:"error,omitempty"`
-	// Snapshot marks a synthesized event folding every compacted entry up
-	// to and including Seq: its State/Events/SimTicks are the latest values
-	// the dropped prefix reached.
-	Snapshot bool `json:"snapshot,omitempty"`
 }
 
 // Job is one admitted simulation request and its runtime state. The spec is
@@ -68,144 +64,77 @@ type Job struct {
 
 	resolved harness.Job
 
-	mu     sync.Mutex
-	state  State
-	errMsg string
-	result []byte // canonical harness.EncodeResult bytes, set when done
-	// events is the retained tail of the progress chain: seqs
-	// [firstSeq, nextSeq). Older entries are folded into snap so a long
-	// sweep cannot grow job memory without bound.
-	events   []ProgressEvent
-	firstSeq int64
-	nextSeq  int64
-	snap     *ProgressEvent // folded prefix [0, firstSeq); nil until compaction
-	histCap  int
-	subs     map[chan ProgressEvent]struct{}
-	created  time.Time
+	mu       sync.Mutex
+	status   ProgressEvent // the latest publish, nothing older is kept
+	changed  chan struct{} // closed and replaced by every applied Publish
+	result   []byte        // canonical harness.EncodeResult bytes, set when done
 	started  time.Time
 	finished time.Time
 }
 
-func newJob(id string, spec harness.JobSpec, resolved harness.Job, now time.Time, histCap int) *Job {
+func newJob(id string, spec harness.JobSpec, resolved harness.Job) *Job {
 	j := &Job{
 		ID:       id,
 		Key:      resolved.Key(),
 		Spec:     spec,
 		resolved: resolved,
-		state:    StateQueued,
-		histCap:  histCap,
-		subs:     map[chan ProgressEvent]struct{}{},
-		created:  now,
+		changed:  make(chan struct{}),
 	}
 	j.Publish(ProgressEvent{State: StateQueued})
 	return j
 }
 
-// Publish appends the next event of the chain (assigning its Seq) and fans
-// it out to subscribers. Callers must NOT hold j.mu. Exported so cluster
-// tests and custom runners (SetRunner) can emit progress.
-func (j *Job) Publish(ev ProgressEvent) {
-	j.mu.Lock()
-	ev.Seq = j.nextSeq
-	j.nextSeq++
-	j.events = append(j.events, ev)
-	if ev.State != "" {
-		j.state = ev.State
-	}
-	if ev.Error != "" {
-		j.errMsg = ev.Error
-	}
-	if j.histCap > 0 && len(j.events) > j.histCap {
-		j.compactLocked()
-	}
-	var subs []chan ProgressEvent
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		// Subscriber channels are buffered; a stalled client drops events
-		// rather than stalling the simulation. The SSE handler resyncs from
-		// the replay log on reconnect.
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// compactLocked folds the oldest events beyond the history cap into the
-// snapshot event, keeping the chain's tail exact and its prefix summarised.
-// Callers hold j.mu.
-func (j *Job) compactLocked() {
-	drop := len(j.events) - j.histCap
-	snap := ProgressEvent{}
-	if j.snap != nil {
-		snap = *j.snap
-	}
-	for _, ev := range j.events[:drop] {
-		if ev.State != "" {
-			snap.State = ev.State
-		}
-		if ev.Phase != "" && !ev.Snapshot {
-			snap.Phase = ev.Phase
-		}
-		if ev.Events > snap.Events {
-			snap.Events = ev.Events
-		}
-		if ev.SimTicks > snap.SimTicks {
-			snap.SimTicks = ev.SimTicks
-		}
-		if ev.Error != "" {
-			snap.Error = ev.Error
-		}
-	}
-	j.firstSeq += int64(drop)
-	snap.Seq = j.firstSeq - 1
-	snap.Snapshot = true
-	j.snap = &snap
-	j.events = append(j.events[:0], j.events[drop:]...)
-}
-
-// replayFromLocked returns every retained event with seq >= from, preceded
-// by the snapshot event when `from` predates the retained tail. Callers
-// hold j.mu; the returned slice is freshly allocated.
-func (j *Job) replayFromLocked(from int64) []ProgressEvent {
-	var out []ProgressEvent
-	if j.snap != nil && from <= j.snap.Seq {
-		out = append(out, *j.snap)
-		from = j.firstSeq
-	}
-	if from < j.firstSeq {
-		from = j.firstSeq
-	}
-	if idx := from - j.firstSeq; idx < int64(len(j.events)) {
-		out = append(out, j.events[idx:]...)
-	}
-	return out
-}
-
-// replayFrom is replayFromLocked with locking.
-func (j *Job) replayFrom(from int64) []ProgressEvent {
+// Publish makes ev the job's status and wakes every watcher. It is the one
+// gate that keeps states moving forward: nothing applies after a terminal
+// state, and only a queued job can be rejected, so of a racing cancel and
+// dispatch exactly one wins. It reports whether ev applied. Callers must NOT
+// hold j.mu. Exported so cluster tests and custom runners (SetRunner) can
+// emit progress.
+func (j *Job) Publish(ev ProgressEvent) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.replayFromLocked(from)
+	cur := j.status
+	if cur.State.Terminal() || (ev.State == StateRejected && cur.State != StateQueued) {
+		return false
+	}
+	ev.Seq = cur.Seq + 1
+	if ev.State == "" {
+		ev.State = cur.State
+	}
+	ev.Events = max(ev.Events, cur.Events)
+	ev.SimTicks = max(ev.SimTicks, cur.SimTicks)
+	now := time.Now()
+	if ev.State == StateRunning && j.started.IsZero() {
+		j.started = now
+	}
+	if ev.State.Terminal() {
+		j.finished = now
+	}
+	j.status = ev
+	close(j.changed)
+	j.changed = make(chan struct{})
+	return true
 }
 
-// subscribe registers a new subscriber and returns the replay of everything
-// retained so far; the channel receives all later events.
-func (j *Job) subscribe() (<-chan ProgressEvent, []ProgressEvent, func()) {
-	ch := make(chan ProgressEvent, 64)
-	j.mu.Lock()
-	replay := j.replayFromLocked(0)
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	cancel := func() {
+// watch hands send the job's current status, then its status after every
+// change this goroutine keeps up with, and returns true once it has sent a
+// terminal one, false if ctx ended first. A publish never waits for a
+// watcher: one that is slow finds a later status when it looks again.
+func (j *Job) watch(ctx context.Context, send func(ProgressEvent)) bool {
+	for {
 		j.mu.Lock()
-		delete(j.subs, ch)
+		st, changed := j.status, j.changed
 		j.mu.Unlock()
+		send(st)
+		if st.State.Terminal() {
+			return true
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return false
+		}
 	}
-	return ch, replay, cancel
 }
 
 // snapshot returns the job's externally visible status.
@@ -216,9 +145,9 @@ func (j *Job) snapshot() JobStatus {
 		ID:     j.ID,
 		Key:    j.Key,
 		Spec:   j.Spec,
-		State:  j.state,
-		Error:  j.errMsg,
-		Events: j.nextSeq,
+		State:  j.status.State,
+		Error:  j.status.Error,
+		Events: j.status.Seq,
 	}
 	if !j.started.IsZero() && !j.finished.IsZero() {
 		st.RunSeconds = j.finished.Sub(j.started).Seconds()
@@ -233,7 +162,7 @@ type JobStatus struct {
 	Spec       harness.JobSpec `json:"spec"`
 	State      State           `json:"state"`
 	Error      string          `json:"error,omitempty"`
-	Events     int64           `json:"progress_events"`
+	Events     int64           `json:"progress_events"` // publishes so far
 	RunSeconds float64         `json:"run_seconds,omitempty"`
 }
 
@@ -241,7 +170,7 @@ type JobStatus struct {
 func (j *Job) currentState() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.status.State
 }
 
 // setResult stores the canonical result bytes (called once, on done).

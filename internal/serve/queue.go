@@ -27,30 +27,23 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// dispatch runs one popped job, or rejects it if it was cancelled while
-// queued or the server is draining (drain semantics: in-flight jobs finish,
-// queued jobs are rejected).
+// dispatch runs one popped job, or rejects it if the server is draining
+// (drain semantics: in-flight jobs finish, queued jobs are rejected). Its
+// Running publish is the claim: a job cancelled while queued refuses it.
 func (s *Server) dispatch(jb *Job) {
-	if jb.currentState() != StateQueued {
-		return // cancelled while queued; already terminal
-	}
 	if s.m.draining.Load() {
 		s.finishJob(jb, StateRejected, "server draining: queued job rejected")
 		return
 	}
+	if !jb.Publish(ProgressEvent{State: StateRunning, Phase: "starting"}) {
+		return
+	}
 	s.m.inflight.Add(1)
-	jb.mu.Lock()
-	jb.started = time.Now()
-	jb.mu.Unlock()
-	jb.Publish(ProgressEvent{State: StateRunning, Phase: "starting"})
+	start := time.Now()
 
 	result, err := s.runJob(jb)
 
-	jb.mu.Lock()
-	jb.finished = time.Now()
-	dur := jb.finished.Sub(jb.started)
-	jb.mu.Unlock()
-	s.observeRunDuration(dur)
+	s.observeRunDuration(time.Since(start))
 	s.m.inflight.Add(-1)
 
 	switch {
@@ -67,9 +60,12 @@ func (s *Server) dispatch(jb *Job) {
 	}
 }
 
-// finishJob moves a job to a terminal failure/rejection state and clears
-// its in-flight registration.
-func (s *Server) finishJob(jb *Job, st State, msg string) {
+// finishJob moves a job to a terminal failure/rejection state and, if the
+// job took it (see Job.Publish), clears its in-flight registration.
+func (s *Server) finishJob(jb *Job, st State, msg string) bool {
+	if !jb.Publish(ProgressEvent{State: st, Error: msg}) {
+		return false
+	}
 	s.mu.Lock()
 	if s.byKey[jb.Key] == jb {
 		delete(s.byKey, jb.Key)
@@ -78,7 +74,7 @@ func (s *Server) finishJob(jb *Job, st State, msg string) {
 	if st == StateFailed {
 		s.m.failed.Add(1)
 	}
-	jb.Publish(ProgressEvent{State: st, Error: msg})
+	return true
 }
 
 // simulate is the production runJob: one suite measurement with the job's

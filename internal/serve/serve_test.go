@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -390,16 +391,19 @@ func TestSignalPolicy(t *testing.T) {
 	})
 }
 
-// TestSSEChainOrder: progress events arrive strictly seq-ordered with the
-// lifecycle states in chain order, for both a live subscriber and a late
-// one that replays.
-func TestSSEChainOrder(t *testing.T) {
+// TestSSEStatusStream pins the stream's contract. A live subscriber gets the
+// current status on attach, then changes with strictly increasing (possibly
+// skipping) seqs and states that never go backwards, ending in one terminal
+// event that carries the final totals; a late subscriber of a finished job
+// gets that terminal event alone. (It replaces TestSSEChainOrder; the
+// compaction test went with the event log.)
+func TestSSEStatusStream(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, QueueDepth: 2})
 	gate := make(chan struct{})
 	srv.runJob = func(jb *Job) ([]byte, error) {
 		<-gate // hold until the subscriber attached
 		for i := 1; i <= 5; i++ {
-			jb.Publish(ProgressEvent{State: StateRunning, Phase: "simulating", Events: int64(i * 100)})
+			jb.Publish(ProgressEvent{State: StateRunning, Phase: "simulating", Events: int64(i * 100), SimTicks: int64(i)})
 		}
 		return []byte("{\"stub\":true}\n"), nil
 	}
@@ -408,30 +412,6 @@ func TestSSEChainOrder(t *testing.T) {
 
 	_, sr := postJob(t, hs.URL, harness.JobSpec{Bench: "HJ-2", Scheme: "no-pf", Scale: 0.01}, "")
 
-	check := func(t *testing.T, events []ProgressEvent) {
-		t.Helper()
-		if len(events) < 4 {
-			t.Fatalf("only %d events streamed", len(events))
-		}
-		for i, ev := range events {
-			if ev.Seq != int64(i) {
-				t.Fatalf("event %d has seq %d: chain broken (%+v)", i, ev.Seq, events)
-			}
-		}
-		order := map[State]int{StateQueued: 0, StateRunning: 1, StateDone: 2, StateFailed: 2, StateRejected: 2}
-		for i := 1; i < len(events); i++ {
-			if order[events[i].State] < order[events[i-1].State] {
-				t.Fatalf("state went backwards: %s after %s", events[i].State, events[i-1].State)
-			}
-		}
-		if events[0].State != StateQueued {
-			t.Errorf("chain starts with %s, want queued", events[0].State)
-		}
-		if last := events[len(events)-1]; last.State != StateDone {
-			t.Errorf("chain ends with %s, want done", last.State)
-		}
-	}
-
 	// Live subscriber: attach before the job makes progress, then open the gate.
 	resp, err := http.Get(hs.URL + "/jobs/" + sr.ID + "/events")
 	if err != nil {
@@ -439,14 +419,44 @@ func TestSSEChainOrder(t *testing.T) {
 	}
 	close(gate)
 	live := readSSE(t, resp)
-	check(t, live)
+	if len(live) < 2 {
+		t.Fatalf("live subscriber saw %d events, want the status on attach and the terminal one: %+v", len(live), live)
+	}
+	order := map[State]int{StateQueued: 0, StateRunning: 1, StateDone: 2, StateFailed: 2, StateRejected: 2}
+	for i := 1; i < len(live); i++ {
+		if live[i].Seq <= live[i-1].Seq {
+			t.Fatalf("seq not strictly increasing at %d: %+v", i, live)
+		}
+		if order[live[i].State] < order[live[i-1].State] {
+			t.Fatalf("state went backwards: %s after %s", live[i].State, live[i-1].State)
+		}
+		if live[i-1].State.Terminal() {
+			t.Fatalf("event after the terminal one: %+v", live)
+		}
+	}
+	last := live[len(live)-1]
+	if last.State != StateDone || last.Events != 500 || last.SimTicks != 5 {
+		t.Errorf("stream ends with %+v, want done carrying the final totals (500 events, tick 5)", last)
+	}
 
-	// Late subscriber: the job is long done; the whole chain replays.
-	resp2, err := http.Get(hs.URL + "/jobs/" + sr.ID + "/events")
+	// Late subscriber: the job is long done; its status is the terminal event.
+	if resp, err = http.Get(hs.URL + "/jobs/" + sr.ID + "/events"); err != nil {
+		t.Fatal(err)
+	}
+	if late := readSSE(t, resp); len(late) != 1 || late[0] != last {
+		t.Errorf("late subscriber got %+v, want exactly the terminal event %+v", late, last)
+	}
+	// queued, starting, five progress publishes, done: skipped or not, every
+	// publish is counted.
+	st, err := http.Get(hs.URL + "/jobs/" + sr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, readSSE(t, resp2))
+	body, _ := io.ReadAll(st.Body)
+	st.Body.Close()
+	if !strings.Contains(string(body), "\"progress_events\": 8") || last.Seq != 8 {
+		t.Errorf("job status does not count 8 publishes (terminal seq %d): %s", last.Seq, body)
+	}
 }
 
 // readSSE consumes one SSE stream until it closes, returning the data
@@ -531,5 +541,104 @@ func TestUnsupportedPairFails(t *testing.T) {
 	}
 	if !strings.Contains(sr.Error, "not applicable") {
 		t.Errorf("error %q does not explain unsupportedness", sr.Error)
+	}
+}
+
+// TestCancelDispatchRace: a cancel and the worker's dispatch race for a
+// queued job; Job.Publish lets exactly one win. Never a non-terminal status
+// after a terminal one, never a stored result for a job reported rejected.
+func TestCancelDispatchRace(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	srv.runJob = func(*Job) ([]byte, error) { return []byte("{\"stub\":true}\n"), nil }
+	cancelled := 0
+	for round := 0; round < 200; round++ {
+		spec := harness.JobSpec{Bench: "HJ-2", Scheme: "no-pf", Scale: 0.01 + float64(round)*1e-4}
+		resolved, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb := newJob(fmt.Sprintf("r%d", round), spec, resolved)
+		srv.jobs[jb.ID], srv.byKey[jb.Key] = jb, jb // nothing else is running yet
+
+		// Record every status this goroutine keeps up with, past the terminal
+		// one too (watch would stop there).
+		var seen []State
+		stop, watched := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(watched)
+			for {
+				jb.mu.Lock()
+				st, changed := jb.status.State, jb.changed
+				jb.mu.Unlock()
+				seen = append(seen, st)
+				select {
+				case <-changed:
+				case <-stop:
+					return
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		rec := httptest.NewRecorder()
+		wg.Add(2)
+		go func() { defer wg.Done(); srv.dispatch(jb) }()
+		go func() {
+			defer wg.Done()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/jobs/"+jb.ID, nil))
+		}()
+		wg.Wait()
+		close(stop)
+		<-watched
+
+		for i := 1; i < len(seen); i++ {
+			if seen[i-1].Terminal() && seen[i] != seen[i-1] {
+				t.Fatalf("round %d: status %s after terminal %s", round, seen[i], seen[i-1])
+			}
+		}
+		_, stored := srv.CacheGet(jb.Key)
+		switch final := jb.currentState(); {
+		case rec.Code == http.StatusOK && (final != StateRejected || stored || jb.resultBytes() != nil):
+			t.Fatalf("round %d: cancel answered 200 but the job ended %s (result stored: %v)", round, final, stored)
+		case rec.Code == http.StatusConflict && (final != StateDone || !stored):
+			t.Fatalf("round %d: cancel answered 409 but the job ended %s (result stored: %v)", round, final, stored)
+		case rec.Code == http.StatusOK:
+			cancelled++
+		case rec.Code != http.StatusConflict:
+			t.Fatalf("round %d: cancel answered %d", round, rec.Code)
+		}
+	}
+	t.Logf("cancel won %d of 200 rounds", cancelled)
+}
+
+// TestRejectsBadOutsideInput: request bodies are bounded and a cache PUT
+// must carry a real content key and a JSON document.
+func TestRejectsBadOutsideInput(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	key := strings.Repeat("ab", 32)
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"job body over 1 MiB", http.MethodPost, "/jobs", `{"bench":"` + strings.Repeat("x", maxBody) + `"}`, http.StatusRequestEntityTooLarge},
+		{"job body not JSON", http.MethodPost, "/jobs", "bench=HJ-2", http.StatusBadRequest},
+		{"cache key too short", http.MethodPut, "/cache/abcd", "{}", http.StatusBadRequest},
+		{"cache key not hex", http.MethodPut, "/cache/" + strings.Repeat("zz", 32), "{}", http.StatusBadRequest},
+		{"cache body not JSON", http.MethodPut, "/cache/" + key, "{\"truncated\":", http.StatusBadRequest},
+		{"cache body empty", http.MethodPut, "/cache/" + key, "", http.StatusBadRequest},
+	} {
+		req, _ := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if _, ok := srv.CacheGet(key); ok {
+		t.Error("a rejected PUT reached the cache")
 	}
 }

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"container/list"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"sync"
-	"time"
 
 	"eventpf/internal/harness"
 	"eventpf/internal/stats"
@@ -36,12 +37,6 @@ type Config struct {
 	// eviction is LRU, but a single entry larger than the cap is retained
 	// rather than thrashed).
 	CacheBytes int64
-	// JobHistory caps how many terminal jobs stay queryable by ID
-	// (default 1024).
-	JobHistory int
-	// EventHistory caps each job's retained progress chain; older events
-	// fold into one synthesized snapshot event (default 256).
-	EventHistory int
 	// ProgressEvery publishes one SSE progress event per this many machine
 	// trace events (default 65536).
 	ProgressEvery int64
@@ -49,6 +44,12 @@ type Config struct {
 	// their worker name so IDs stay unique across the fleet.
 	IDPrefix string
 }
+
+// jobHistory caps how many terminal jobs stay queryable by ID.
+const jobHistory = 1024
+
+// maxBody bounds a JSON request body (a JobSpec, a worker registration).
+const maxBody = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -69,12 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 1024
-	}
-	if c.EventHistory <= 0 {
-		c.EventHistory = 256
-	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 1 << 16
 	}
@@ -85,7 +80,7 @@ func (c Config) withDefaults() Config {
 }
 
 // cacheEntry is one content-addressed result: the canonical bytes plus the
-// job that produced them (empty for peer-filled entries).
+// job that produced them (empty for entries PUT by the cluster).
 type cacheEntry struct {
 	key   string
 	bytes []byte
@@ -104,7 +99,7 @@ type Server struct {
 	sim   *simAggregate
 
 	// runJob performs one admitted simulation; tests and cluster stubs
-	// substitute it via SetRunner so queue/drain/SSE behaviour is checkable
+	// substitute it via SetRunner so queue/drain/status behaviour is checkable
 	// without real simulations.
 	runJob func(*Job) ([]byte, error)
 
@@ -184,6 +179,23 @@ type errorResponse struct {
 	RetryAfter      int      `json:"retry_after_seconds,omitempty"`
 }
 
+// DecodeBody decodes a JSON request body of at most maxBody bytes into v. On
+// failure it returns the status to answer with: 413 for an oversized body,
+// 400 for anything else. Exported for the cluster coordinator, which takes
+// the same bodies from the same clients.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -197,9 +209,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // 503; otherwise enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if code, err := DecodeBody(w, r, &spec); err != nil {
 		s.m.rejectedValidation.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	s.m.submitted.Add(1)
@@ -247,7 +259,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	jb := newJob(jobID(s.cfg.IDPrefix, s.seq), spec, resolved, time.Now(), s.cfg.EventHistory)
+	jb := newJob(jobID(s.cfg.IDPrefix, s.seq), spec, resolved)
 	select {
 	case s.queue <- jb:
 		s.m.cacheMisses.Add(1)
@@ -276,24 +288,9 @@ func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, jb *Jo
 		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
-	ch, replay, cancel := jb.subscribe()
-	defer cancel()
-	st := jb.currentState()
-	for _, ev := range replay {
-		if ev.State != "" {
-			st = ev.State
-		}
-	}
-	for !st.Terminal() {
-		select {
-		case ev := <-ch:
-			if ev.State != "" {
-				st = ev.State
-			}
-		case <-r.Context().Done():
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		}
+	if !jb.watch(r.Context(), func(ProgressEvent) {}) {
+		writeJSON(w, http.StatusAccepted, resp)
+		return
 	}
 	snap := jb.snapshot()
 	resp.State = snap.State
@@ -349,16 +346,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
-	if jb.currentState() != StateQueued {
+	if !s.finishJob(jb, StateRejected, "cancelled by client") {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: "only queued jobs can be cancelled"})
 		return
 	}
-	s.finishJob(jb, StateRejected, "cancelled by client")
 	writeJSON(w, http.StatusOK, jb.snapshot())
 }
 
-// handleCacheGet serves the raw cached bytes for a content key — the peer
-// half of the cluster's peer-fill protocol. A hit refreshes LRU recency.
+// handleCacheGet serves the raw cached bytes for a content key — the read
+// half of the cluster's replication. A hit refreshes LRU recency.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.CacheGet(r.PathValue("key"))
 	if !ok {
@@ -370,18 +366,17 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCachePut inserts externally produced canonical bytes under a
-// content key. The cluster coordinator uses it to replicate results and to
-// fill a newly-responsible worker from the previous owner, so rebalancing
-// never re-runs a sweep.
+// content key. The cluster coordinator uses it to replicate a result to the
+// key's runner-up workers, so losing the owner loses no results.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if len(key) != 64 {
+	if _, err := hex.DecodeString(key); err != nil || len(key) != 64 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "key must be a hex SHA-256 content address"})
 		return
 	}
 	b, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil || len(b) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty or unreadable body"})
+	if err != nil || !json.Valid(b) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be a JSON result"})
 		return
 	}
 	s.CachePut(key, b)
@@ -470,7 +465,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // evictJobsLocked trims terminal jobs beyond the history cap, oldest first.
 // Callers hold s.mu.
 func (s *Server) evictJobsLocked() {
-	for len(s.jobOrder) > s.cfg.JobHistory {
+	for len(s.jobOrder) > jobHistory {
 		evicted := false
 		for i, id := range s.jobOrder {
 			jb := s.jobs[id]

@@ -9,22 +9,18 @@ import (
 )
 
 // progressSink turns the machine-wide trace bus into job progress: it
-// counts every event the simulation emits and publishes a progress entry
-// each `every` events with the running totals and the simulated clock. It
-// runs inline on the simulation goroutine (harness.Instrument confines it),
-// so the per-event cost is one increment; publishing amortises to nothing.
+// counts every event the simulation emits and publishes the running totals
+// and the simulated clock each `every` events. It runs inline on the
+// simulation goroutine (harness.Instrument confines it), so the per-event
+// cost is one increment; publishing amortises to nothing.
 type progressSink struct {
 	job   *Job
 	every int64
 	n     int64
-	fills int64
 }
 
 func (p *progressSink) Event(e trace.Event) {
 	p.n++
-	if e.Kind == trace.PFFill {
-		p.fills++
-	}
 	if p.n%p.every == 0 {
 		p.job.Publish(ProgressEvent{
 			State:    StateRunning,
@@ -35,10 +31,12 @@ func (p *progressSink) Event(e trace.Event) {
 	}
 }
 
-// handleEvents streams a job's progress chain as Server-Sent Events. The
-// retained chain replays first (preceded by a snapshot event when old
-// entries were compacted), so a subscriber attaching at any point can
-// reconstruct the job's state; the stream ends after the terminal event.
+// handleEvents streams a job's status as Server-Sent Events: the current
+// status on attach, then every change the client keeps up with, ending after
+// the one terminal event. Seq is strictly increasing and skips what a slow
+// client missed; each event is cumulative, so a subscriber attaching at any
+// point (or again after a disconnect) reconstructs the job's state from the
+// first event it sees.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -54,60 +52,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-
-	ch, replay, cancel := jb.subscribe()
-	defer cancel()
-
-	// next is the lowest seq the client still needs; replay covers
-	// everything retained, the channel everything after. Events the buffered
-	// channel dropped for a slow client are resent from the job's log (or
-	// summarised by its snapshot if they were compacted meanwhile).
-	next := int64(0)
-	send := func(ev ProgressEvent) bool {
-		if ev.Seq < next {
-			return false // duplicate of a replayed event
-		}
-		WriteSSE(w, ev)
-		next = ev.Seq + 1
-		return ev.State.Terminal()
-	}
-	for _, ev := range replay {
-		if send(ev) {
-			fl.Flush()
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev := <-ch:
-			if ev.Seq > next {
-				// The channel dropped events while we weren't listening;
-				// refetch the gap (and ev itself) from the job's log.
-				for _, g := range jb.replayFrom(next) {
-					if send(g) {
-						fl.Flush()
-						return
-					}
-				}
-				fl.Flush()
-				continue
-			}
-			terminal := send(ev)
-			fl.Flush()
-			if terminal {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// WriteSSE renders one event in SSE wire format: id is the chain seq,
-// event the job state, data the full JSON record. Exported so the cluster
-// coordinator re-emits proxied events in the identical format.
-func WriteSSE(w http.ResponseWriter, ev ProgressEvent) {
-	data, _ := json.Marshal(ev)
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.State, data)
+	jb.watch(r.Context(), func(ev ProgressEvent) {
+		// SSE wire format: id is the seq, event the job state, data the
+		// full JSON record.
+		data, _ := json.Marshal(ev)
+		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.State, data)
+		fl.Flush()
+	})
 }
