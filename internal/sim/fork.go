@@ -61,22 +61,39 @@ func (r *Remap) Lookup(h Handler) (Handler, error) {
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // CopyFrom makes e an exact copy of src's scheduling state — current time,
-// schedule sequence counter, and the pending event queue — with every stored
-// handler translated through remap. The queue's backing array is copied in
-// heap order, so the fork pops events in byte-identically the same order the
-// parent would have. Payload words are copied verbatim: they name slots and
-// indices in component state the caller is responsible for copying in
-// parallel.
+// schedule sequence counter, and the pending events — with every stored
+// handler translated through remap. The wheel's slab, slot lists, free list
+// and occupancy bitmaps and the overflow heap's backing array are copied
+// verbatim, so node indices, FIFO order and heap order all carry over and the
+// fork pops events in byte-identically the same order the parent would have.
+// Payload words are copied verbatim: they name slots and indices in component
+// state the caller is responsible for copying in parallel.
 func (e *Engine) CopyFrom(src *Engine, remap *Remap) error {
 	e.now = src.now
 	e.seq = src.seq
-	e.queue.ev = append(e.queue.ev[:0], src.queue.ev...)
-	for i := range e.queue.ev {
-		h, err := remap.Lookup(e.queue.ev[i].h)
+	e.nodes = append(e.nodes[:0], src.nodes...)
+	e.free = src.free
+	e.near = src.near
+	e.slots = src.slots
+	e.occ = src.occ
+	e.sum = src.sum
+	e.far.ev = append(e.far.ev[:0], src.far.ev...)
+	// A released node holds a nil handler, which Lookup maps to nil.
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		h, err := remap.Lookup(nd.h)
 		if err != nil {
-			return fmt.Errorf("event at t=%d: %w", e.queue.ev[i].at, err)
+			return fmt.Errorf("event at t=%d: %w", nd.at, err)
 		}
-		e.queue.ev[i].h = h
+		nd.h = h
+	}
+	for i := range e.far.ev {
+		ev := &e.far.ev[i]
+		h, err := remap.Lookup(ev.h)
+		if err != nil {
+			return fmt.Errorf("event at t=%d: %w", ev.at, err)
+		}
+		ev.h = h
 	}
 	return nil
 }

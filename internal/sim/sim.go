@@ -9,6 +9,8 @@
 // (128 ticks) to 4 GHz (4 ticks) are all exact.
 package sim
 
+import "math/bits"
+
 // Ticks is a point in (or span of) simulated time. One tick is 62.5 ps.
 type Ticks = int64
 
@@ -71,9 +73,9 @@ type event struct {
 	h    Handler
 }
 
-// before is the heap ordering: earliest time first, schedule order within a
-// tick. (at, seq) is a total order, so the pop sequence is unique and any
-// correct heap yields bit-identical simulations.
+// before is the overflow heap's ordering: earliest time first, schedule
+// order within a tick. (at, seq) is a total order, so the pop sequence is
+// unique and any correct queue yields bit-identical simulations.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -81,17 +83,17 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventQueue is a concrete binary min-heap over a reusable backing slice.
-// It deliberately avoids container/heap: the interface{} boxing there costs
-// one allocation per Push and per Pop, which dominates the scheduler on the
-// simulator's hot path. Here Push appends into retained capacity and Pop
-// shrinks the length, so steady-state operation allocates nothing.
+// eventQueue is a concrete binary min-heap over a reusable backing slice. It
+// is the engine's overflow: only events scheduled a whole wheel span or more
+// ahead live here (see Engine). It deliberately avoids the standard library's
+// heap package: the interface{} boxing there costs one allocation per Push
+// and per Pop. Here push appends into retained capacity and pop shrinks the
+// length, so steady-state operation allocates nothing.
 //
 // Sifting moves events into a hole instead of swapping, and compares them in
 // place through pointers: a 48-byte event copied to the stack goes through
 // 16-byte moves on a stack Go aligns to only 8, and those stall when they
-// straddle a cache line — which made the whole simulator's speed depend on
-// the frame sizes of whoever called Engine.Run.
+// straddle a cache line.
 type eventQueue struct {
 	ev []event
 }
@@ -142,19 +144,73 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// wheelSpan is the number of consecutive ticks the timing wheel covers, one
+// slot a tick. It is sized from the distances t − now that Schedule is called
+// with, counted over the twenty ppf-detail pairs of the benchmark (8 Table-2
+// benches × manual, 4 × converted and pragma, 2 × manual-blocked, 2 ×
+// adaptive; 9.36 M calls at scale 0.022), cumulatively:
+//
+//	< 16 ticks   72.4 %
+//	< 256        96.4 %
+//	< 2048       99.88 %
+//	< 4096       99.997 %
+//	< 8192       13 more calls (page walks, at most 4 in any one pair)
+//	≥ 8192       244 calls, all the adaptive unit's interval timer
+//
+// so at 4096 the overflow heap sees a few events a run, for 32 KiB of slot
+// heads per engine. The queue was 8–127 deep at 89 % of those calls.
+const (
+	wheelSpan = 4096
+	wheelMask = wheelSpan - 1
+)
+
+// wheelNode is one pending near event: a pooled FIFO link in the slab.
+// Released nodes hold a nil handler, which both lets finished events be
+// collected and marks the node free for CopyFrom.
+type wheelNode struct {
+	at   Ticks
+	a, b uint64
+	h    Handler
+	next int32 // next node in the slot's FIFO, or in the free list; -1 ends it
+}
+
+// wheelSlot is the FIFO of events due at one instant. Its fields are
+// meaningful only while the slot's occupancy bit is set.
+type wheelSlot struct{ head, tail int32 }
+
 // Engine is a single-threaded discrete-event scheduler. Events scheduled for
 // the same tick run in the order they were scheduled, which keeps runs
 // deterministic. An Engine (and the Machine built around it) is confined to
 // one goroutine; the harness runs many engines in parallel, never one engine
 // from two goroutines.
+//
+// The queue is a timing wheel with a heap behind it. An event due less than
+// wheelSpan ticks ahead is appended to slot at&wheelMask; anything further
+// goes to the overflow heap. Every live wheel event satisfies
+// now ≤ at < now+wheelSpan (now only grows, and never past a pending event),
+// so a slot holds events of exactly one instant, in schedule order, and the
+// first occupied slot at or cyclically after now&wheelMask is the wheel's
+// earliest. Step takes the earlier of that and the heap's top, the heap
+// winning a tie: an overflow event for instant T was scheduled while
+// T − now ≥ wheelSpan, a wheel event for T while T − now < wheelSpan, so
+// later in time and therefore in sequence. The firing order is thus exactly
+// (at, seq).
 type Engine struct {
-	now   Ticks
-	seq   uint64
-	queue eventQueue
+	now Ticks
+	seq uint64
+
+	nodes []wheelNode // slab; indices are stable, so links survive growth
+	free  int32       // head of the free list through nodes[].next, -1 if none
+	near  int         // events on the wheel
+	slots [wheelSpan]wheelSlot
+	occ   [wheelSpan / 64]uint64 // bit s: slot s is non-empty
+	sum   uint64                 // bit w: occ[w] != 0
+
+	far eventQueue // overflow: events scheduled ≥ wheelSpan ticks ahead
 }
 
 // NewEngine returns an engine with the clock at tick zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{free: -1} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Ticks { return e.now }
@@ -168,7 +224,30 @@ func (e *Engine) Schedule(t Ticks, h Handler, a, b uint64) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, a: a, b: b, h: h})
+	if t-e.now >= wheelSpan {
+		e.far.push(event{at: t, seq: e.seq, a: a, b: b, h: h})
+		return
+	}
+	i := e.free
+	if i >= 0 {
+		e.free = e.nodes[i].next
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, wheelNode{})
+	}
+	e.nodes[i] = wheelNode{at: t, a: a, b: b, h: h, next: -1}
+	s := int(t & wheelMask)
+	sl := &e.slots[s]
+	w, bit := s>>6, uint64(1)<<(s&63)
+	if e.occ[w]&bit == 0 {
+		e.occ[w] |= bit
+		e.sum |= 1 << w
+		sl.head = i
+	} else {
+		e.nodes[sl.tail].next = i
+	}
+	sl.tail = i
+	e.near++
 }
 
 // ScheduleAfter is Schedule at d ticks from now.
@@ -177,27 +256,87 @@ func (e *Engine) ScheduleAfter(d Ticks, h Handler, a, b uint64) {
 }
 
 // Pending reports how many events are waiting to run.
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return e.near + e.far.len() }
+
+// firstSlot returns the first occupied wheel slot at or cyclically after the
+// cursor now&wheelMask. The wheel must not be empty.
+func (e *Engine) firstSlot() int {
+	p := int(e.now & wheelMask)
+	w := p >> 6
+	if m := e.occ[w] >> (p & 63); m != 0 {
+		return p + bits.TrailingZeros64(m)
+	}
+	// Words after the cursor's, else wrap to the lowest occupied word —
+	// which may be the cursor's own, for its bits below the cursor.
+	m := e.sum &^ (1<<(w+1) - 1)
+	if m == 0 {
+		m = e.sum
+	}
+	w = bits.TrailingZeros64(m)
+	return w<<6 + bits.TrailingZeros64(e.occ[w])
+}
+
+// next locates the earliest pending event: its time and the wheel slot it
+// heads, or slot −1 if it is the overflow heap's top. ok is false when
+// nothing is pending.
+func (e *Engine) next() (at Ticks, slot int, ok bool) {
+	if e.near == 0 {
+		if e.far.len() == 0 {
+			return 0, 0, false
+		}
+		return e.far.ev[0].at, -1, true
+	}
+	slot = e.firstSlot()
+	at = e.nodes[e.slots[slot].head].at
+	if e.far.len() > 0 && e.far.ev[0].at <= at {
+		return e.far.ev[0].at, -1, true
+	}
+	return at, slot, true
+}
 
 // NextAt returns the time of the earliest pending event; ok is false when
 // none is pending. A component that would otherwise poll every cycle uses it
 // to find the first moment anything outside itself can change.
 func (e *Engine) NextAt() (at Ticks, ok bool) {
-	if len(e.queue.ev) == 0 {
-		return 0, false
-	}
-	return e.queue.ev[0].at, true
+	at, _, ok = e.next()
+	return at, ok
 }
 
 // Step runs the next event, returning false if the queue is empty.
 func (e *Engine) Step() bool {
-	if e.queue.len() == 0 {
-		return false
+	at, slot, ok := e.next()
+	if ok {
+		e.fire(at, slot)
 	}
-	ev := e.queue.pop()
-	e.now = ev.at
-	ev.h.Handle(ev.at, ev.a, ev.b)
-	return true
+	return ok
+}
+
+// fire removes the event next() located and runs it.
+func (e *Engine) fire(at Ticks, slot int) {
+	e.now = at
+	if slot < 0 {
+		ev := e.far.pop()
+		ev.h.Handle(at, ev.a, ev.b)
+		return
+	}
+	sl := &e.slots[slot]
+	i := sl.head
+	nd := &e.nodes[i]
+	a, b, h := nd.a, nd.b, nd.h
+	if nd.next >= 0 {
+		sl.head = nd.next
+	} else {
+		w := slot >> 6
+		e.occ[w] &^= 1 << (slot & 63)
+		if e.occ[w] == 0 {
+			e.sum &^= 1 << w
+		}
+	}
+	nd.h = nil
+	nd.next = e.free
+	e.free = i
+	e.near--
+	h.Handle(at, a, b)
 }
 
 // Run executes events until none remain.
@@ -208,8 +347,8 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (e *Engine) RunUntil(t Ticks) {
-	for at, ok := e.NextAt(); ok && at <= t; at, ok = e.NextAt() {
-		e.Step()
+	for at, slot, ok := e.next(); ok && at <= t; at, slot, ok = e.next() {
+		e.fire(at, slot)
 	}
 	if e.now < t {
 		e.now = t
