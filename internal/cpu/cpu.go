@@ -8,6 +8,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"eventpf/internal/sim"
 	"eventpf/internal/trace"
 )
@@ -94,7 +96,14 @@ func (s *Stats) Add(o Stats) {
 	s.Cycles += o.Cycles
 }
 
-const completionRing = 256 // must exceed any plausible ROB size
+// completionRing is the number of recent op ids whose completion state the
+// core remembers, one slot per id modulo the ring. depCompletion trusts a slot
+// for ids back to ROB + retiredSlack behind the newest, so New rejects a
+// window for which that reach would wrap onto a younger op's slot.
+const (
+	completionRing = 256
+	retiredSlack   = 8
+)
 
 type robEntry struct {
 	id         int64
@@ -106,6 +115,7 @@ type robEntry struct {
 	unresolved int       // count of deps whose completion is still unknown
 	issued     bool
 	mispred    bool      // mispredicted branch: install redirect stall at issue
+	waitNext   [2]uint16 // per dep: next link in the producer's wait list (see Core.waitHead)
 	completeAt sim.Ticks // -1 until known
 }
 
@@ -131,8 +141,19 @@ type Core struct {
 	// completion ring, so a delayed load launch can be scheduled with just
 	// the op id as payload (the entry is still in the window at launch time,
 	// and completionRing > ROB keeps the slot from being reused under it).
-	ringAddr   [completionRing]uint64
-	ringPC     [completionRing]int32
+	ringAddr [completionRing]uint64
+	ringPC   [completionRing]int32
+	// waitHead[slot] heads the list of window entries waiting for the op in
+	// that ring slot to complete. A link names one dependence of one waiter:
+	// 1 + 2×(the waiter's index in rob) + (which of its two deps), 0 ending
+	// the list; the chain runs through robEntry.waitNext. recordCompletion
+	// walks the list once and empties it, so every list is empty again by
+	// the time its producer retires.
+	waitHead [completionRing]uint16
+	// ready has one bit per ring slot, set for an unissued window entry all
+	// of whose dependences are recorded: exactly the ops the next full tick
+	// issues. resolveAndIssue leaves it zero.
+	ready      [completionRing / 64]uint64
 	inflightLd int
 	inflightSt int
 	// unissuedN counts window entries with issued == false. It lets the
@@ -213,7 +234,7 @@ func (c *Core) setStall(reason int32, on bool) {
 
 // New builds a core.
 func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
-	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.ROB >= completionRing {
+	if cfg.Width <= 0 || cfg.ROB <= 0 || cfg.ROB+retiredSlack > completionRing {
 		panic("cpu: invalid core configuration")
 	}
 	c := &Core{eng: eng, cfg: cfg, ports: ports}
@@ -236,12 +257,17 @@ func (c *Core) robAt(i int) *robEntry {
 	return &c.rob[p]
 }
 
-func (c *Core) robPush(e robEntry) {
+// robTail returns the index in rob the next dispatched entry will occupy.
+func (c *Core) robTail() int {
 	p := c.robHead + c.robN
 	if p >= len(c.rob) {
 		p -= len(c.rob)
 	}
-	c.rob[p] = e
+	return p
+}
+
+func (c *Core) robPush(e robEntry) {
+	c.rob[c.robTail()] = e
 	c.robN++
 	c.unissuedN++
 	c.dirty = true
@@ -306,7 +332,7 @@ func (c *Core) depCompletion(id int64) (sim.Ticks, bool) {
 		return 0, true
 	}
 	// Anything older than the window is certainly retired.
-	if id < c.nextID-int64(c.cfg.ROB)-8 {
+	if id < c.nextID-int64(c.cfg.ROB)-retiredSlack {
 		return 0, true
 	}
 	slot := id % completionRing
@@ -316,11 +342,49 @@ func (c *Core) depCompletion(id int64) (sim.Ticks, bool) {
 	return 0, false
 }
 
+// recordCompletion publishes op id's completion time and wakes the entries
+// waiting on it: each has its readyAt raised, and one whose last outstanding
+// dependence this was becomes ready to issue.
 func (c *Core) recordCompletion(id int64, at sim.Ticks) {
 	slot := id % completionRing
 	c.completion[slot] = at
 	c.known[slot] = true
 	c.dirty = true
+	for l := c.waitHead[slot]; l != 0; {
+		e := &c.rob[(l-1)>>1]
+		l = e.waitNext[(l-1)&1]
+		if at > e.readyAt {
+			e.readyAt = at
+		}
+		if e.unresolved--; e.unresolved == 0 {
+			c.markReady(e.id)
+		}
+	}
+	c.waitHead[slot] = 0
+}
+
+func (c *Core) markReady(id int64) {
+	slot := uint(id % completionRing)
+	c.ready[slot>>6] |= 1 << (slot & 63)
+}
+
+// firstReady returns the ring slot of the oldest ready entry. Window ids are
+// consecutive and fewer than the ring has slots, so that is the first set bit
+// at or cyclically after the head's slot.
+func (c *Core) firstReady(head uint) (slot uint, ok bool) {
+	w := head >> 6
+	if m := c.ready[w] >> (head & 63); m != 0 {
+		return head + uint(bits.TrailingZeros64(m)), true
+	}
+	// The words after the head's, wrapping round to the head's own word
+	// for its bits below the head.
+	for i := uint(1); i <= uint(len(c.ready)); i++ {
+		w = (head>>6 + i) % uint(len(c.ready))
+		if m := c.ready[w]; m != 0 {
+			return w<<6 + uint(bits.TrailingZeros64(m)), true
+		}
+	}
+	return 0, false
 }
 
 func (c *Core) tick() {
@@ -432,32 +496,23 @@ func (c *Core) retire(now sim.Ticks) {
 	c.setStall(trace.StallRetire, retired == 0 && c.robN > 0 && c.robAt(0).completeAt < 0)
 }
 
+// resolveAndIssue issues every ready entry, oldest first. An op it issues
+// that completes at a known time (anything but a load) wakes its consumers on
+// the spot; they are younger, so their bits land ahead of the scan and they
+// issue in this same pass.
 func (c *Core) resolveAndIssue(now sim.Ticks) {
-	// Stop once every entry that was unissued on entry has been examined;
-	// everything after the last of them is already issued.
-	target := c.unissuedN
-	for i, seen := 0, 0; i < c.robN && seen < target; i++ {
-		e := c.robAt(i)
-		if e.issued {
-			continue
+	if c.robN == 0 {
+		return
+	}
+	headID := c.robAt(0).id
+	head := uint(headID % completionRing)
+	for {
+		slot, ok := c.firstReady(head)
+		if !ok {
+			return
 		}
-		seen++
-		if e.unresolved > 0 {
-			e.unresolved = 0
-			for _, d := range e.deps {
-				if at, ok := c.depCompletion(d); ok {
-					if at > e.readyAt {
-						e.readyAt = at
-					}
-				} else {
-					e.unresolved++
-				}
-			}
-			if e.unresolved > 0 {
-				continue
-			}
-		}
-		c.issue(e, now)
+		c.ready[slot>>6] &^= 1 << (slot & 63)
+		c.issue(c.robAt(int((slot-head)%completionRing)), now)
 	}
 }
 
@@ -580,16 +635,24 @@ func (c *Core) dispatch(now sim.Ticks) {
 			id: id, kind: op.Kind, addr: op.Addr, pc: op.PC,
 			deps: op.Deps, readyAt: now, completeAt: -1,
 		}
-		for _, d := range e.deps {
+		link := uint16(1 + 2*c.robTail())
+		for i, d := range e.deps {
 			if at, ok := c.depCompletion(d); ok {
 				if at > e.readyAt {
 					e.readyAt = at
 				}
 			} else {
+				// The producer is still in the window: wait on its slot.
 				e.unresolved++
+				head := &c.waitHead[d%completionRing]
+				e.waitNext[i] = *head
+				*head = link + uint16(i)
 			}
 		}
 		c.robPush(e)
+		if e.unresolved == 0 {
+			c.markReady(id)
+		}
 		if op.Kind == OpBranch {
 			if c.bp.predictAndUpdate(op.PC, op.Taken) != op.Taken {
 				c.Stats.Mispredicts++

@@ -90,6 +90,38 @@ func runStream(t *testing.T, cfg Config, latency sim.Ticks, s Stream) (*Core, *f
 	return core, mem
 }
 
+// TestNewValidatesConfig: the completion ring must be able to tell a window
+// entry from an op a ring's length younger. depCompletion reads slots for ids
+// back to ROB+retiredSlack behind the newest, so 248 is the largest window a
+// 256-slot ring serves; 249–255 used to pass and alias.
+func TestNewValidatesConfig(t *testing.T) {
+	cases := []struct {
+		name       string
+		width, rob int
+		ok         bool
+	}{
+		{"table 1", 3, 40, true},
+		{"zero width", 0, 40, false},
+		{"zero window", 3, 0, false},
+		{"largest window the ring serves", 3, completionRing - retiredSlack, true},
+		{"window whose slack wraps the ring", 3, completionRing - retiredSlack + 1, false},
+		{"window one short of the ring", 3, completionRing - 1, false},
+		{"window as large as the ring", 3, completionRing, false},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.Width, cfg.ROB = tc.width, tc.rob
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked == tc.ok {
+					t.Errorf("%s (width %d, ROB %d): panicked = %v, want %v", tc.name, tc.width, tc.rob, panicked, !tc.ok)
+				}
+			}()
+			New(sim.NewEngine(), cfg, Ports{})
+		}()
+	}
+}
+
 func TestIndependentLoadsOverlap(t *testing.T) {
 	const n = 8
 	var ops []MicroOp

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"os"
@@ -224,4 +225,219 @@ func TestRandomStreamsPinned(t *testing.T) {
 			t.Errorf("seed %d:\n got  %+v\n want %+v", got[i].Seed, got[i], want[i])
 		}
 	}
+}
+
+// rescanReference is the issue stage as it was before ops were issued by
+// wake-up: visit every unissued window entry oldest first, look its
+// dependences up again, and issue the ones whose producers have all recorded
+// a completion — including producers issued earlier in this same pass. It is
+// the definition of which ops a full tick issues, and in what order; the
+// wake-list path is checked against it tick by tick. It returns the ids it
+// issued.
+func (c *Core) rescanReference(now sim.Ticks) []int64 {
+	var order []int64
+	// Stop once every entry that was unissued on entry has been examined;
+	// everything after the last of them is already issued.
+	target := c.unissuedN
+	for i, seen := 0, 0; i < c.robN && seen < target; i++ {
+		e := c.robAt(i)
+		if e.issued {
+			continue
+		}
+		seen++
+		if e.unresolved > 0 {
+			e.unresolved = 0
+			for _, d := range e.deps {
+				if at, ok := c.depCompletion(d); ok {
+					if at > e.readyAt {
+						e.readyAt = at
+					}
+				} else {
+					e.unresolved++
+				}
+			}
+			if e.unresolved > 0 {
+				continue
+			}
+		}
+		order = append(order, e.id)
+		c.issue(e, now)
+	}
+	return order
+}
+
+// referenceCopy returns a copy of c that rescanReference can issue on without
+// touching c: its own window, a scratch engine that is never run, and a load
+// port that only logs. The copy forgets what the wake lists worked out — no wait lists, no
+// ready bits, every unissued entry marked as having dependences to look up —
+// so the rescan decides from the completion ring alone, as it always did.
+func (c *Core) referenceCopy(scratch *sim.Engine, loads *[]int64) *Core {
+	ref := *c
+	ref.rob = append([]robEntry(nil), c.rob...)
+	ref.eng = scratch
+	ref.ports = Ports{Load: func(_ uint64, _ int, _ sim.Handler, a uint64) { *loads = append(*loads, int64(a)) }}
+	ref.Bus, ref.OpBus = nil, nil
+	ref.waitHead = [completionRing]uint16{}
+	ref.ready = [completionRing / 64]uint64{}
+	for i := 0; i < ref.robN; i++ {
+		if e := ref.robAt(i); !e.issued {
+			e.unresolved = 1
+		}
+	}
+	return &ref
+}
+
+// entryByID returns the window entry of op id, or nil if it has retired.
+func (c *Core) entryByID(id int64) *robEntry {
+	if c.robN == 0 {
+		return nil
+	}
+	if i := id - c.robAt(0).id; i >= 0 && i < int64(c.robN) {
+		return c.robAt(int(i))
+	}
+	return nil
+}
+
+// checkIssueByWakeup runs ops on a core one engine event at a time. Before
+// each event it takes a reference copy of the core; after an event that
+// turns out to have been a full tick it lets the old rescan issue on the copy
+// at the tick's time and requires the same outcome from both: the same ops
+// issued, the same demand loads sent to memory in the same order, and every
+// window entry and completion-ring slot left in the same state. Between full
+// ticks it checks the premise the idle tick rests on: a core that is not
+// dirty has nothing the rescan would issue.
+func checkIssueByWakeup(t *testing.T, name string, cfg Config, ops []MicroOp, memSeed uint64) {
+	t.Helper()
+	eng := sim.NewEngine()
+	mem := &edgeMem{eng: eng, clk: cfg.Clock, rng: splitmix(memSeed)}
+	ports := mem.ports()
+	var loads, refLoads []int64
+	sendLoad := ports.Load
+	ports.Load = func(addr uint64, pc int, h sim.Handler, a uint64) {
+		loads = append(loads, int64(a))
+		sendLoad(addr, pc, h, a)
+	}
+	core := New(eng, cfg, ports)
+	finished := false
+	core.Run(&sliceStream{ops: ops}, func() { finished = true })
+
+	scratch := sim.NewEngine()
+	fullTicks := 0
+	for {
+		loads, refLoads = loads[:0], refLoads[:0]
+		ref := core.referenceCopy(scratch, &refLoads)
+		wasDirty, nextID := core.dirty, core.nextID
+		if !eng.Step() {
+			break
+		}
+		now := eng.Now()
+
+		var got []int64 // unissued before the event, issued after it
+		for i := 0; i < ref.robN; i++ {
+			if e := ref.robAt(i); !e.issued && core.entryByID(e.id).issued {
+				got = append(got, e.id)
+			}
+		}
+		// Only a full tick issues, dispatches, or clears dirty.
+		fullTick := len(got) > 0 || core.nextID != nextID || wasDirty && !core.dirty
+		want := ref.rescanReference(now)
+		if !fullTick {
+			if !wasDirty && len(want) > 0 {
+				t.Fatalf("%s t=%d: core was not dirty, yet the rescan would issue %v", name, now, want)
+			}
+			continue
+		}
+		fullTicks++
+		if !equalIDs(got, want) {
+			t.Fatalf("%s t=%d: wake-list path issued %v, rescan issues %v", name, now, got, want)
+		}
+		if !equalIDs(loads, refLoads) {
+			t.Fatalf("%s t=%d: loads sent %v, rescan sends %v", name, now, loads, refLoads)
+		}
+		if core.stallUntil != ref.stallUntil {
+			t.Fatalf("%s t=%d: stallUntil %d, rescan leaves %d", name, now, core.stallUntil, ref.stallUntil)
+		}
+		for i := 0; i < ref.robN; i++ {
+			w := ref.robAt(i)
+			g := core.entryByID(w.id)
+			if g == nil {
+				continue // retired by this tick
+			}
+			if g.issued != w.issued || g.readyAt != w.readyAt || g.completeAt != w.completeAt ||
+				!g.issued && g.unresolved != w.unresolved {
+				t.Fatalf("%s t=%d op %d:\n wake-list %+v\n rescan    %+v", name, now, w.id, *g, *w)
+			}
+			slot := w.id % completionRing
+			if core.known[slot] != ref.known[slot] || core.completion[slot] != ref.completion[slot] {
+				t.Fatalf("%s t=%d op %d: completion ring (%v, %d), rescan leaves (%v, %d)", name, now, w.id,
+					core.known[slot], core.completion[slot], ref.known[slot], ref.completion[slot])
+			}
+		}
+	}
+	if !finished {
+		t.Fatalf("%s: core never finished", name)
+	}
+	if fullTicks == 0 {
+		t.Fatalf("%s: no full tick was recognised", name)
+	}
+	if core.unissuedN != 0 || core.ready != [completionRing / 64]uint64{} || core.waitHead != [completionRing]uint16{} {
+		t.Fatalf("%s: drained core keeps unissuedN=%d ready=%x waitHead=%v", name, core.unissuedN, core.ready, core.waitHead)
+	}
+}
+
+func equalIDs(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIssueByWakeupMatchesRescan checks the wake-list issue stage against the
+// window rescan it replaced, on the pinned random streams and on three shapes
+// they do not draw: both dependences on one producer, producers long retired,
+// and a whole window of ALU ops chained behind one load, which a single pass
+// must issue from first to last.
+func TestIssueByWakeupMatchesRescan(t *testing.T) {
+	stride := uint64(1)
+	if testing.Short() {
+		stride = 8 // a reference copy per engine event is slow under the race detector
+	}
+	for seed := uint64(1); seed <= randomStreamSeeds; seed += stride {
+		cfg, ops := randomStream(seed)
+		checkIssueByWakeup(t, fmt.Sprintf("random stream %d", seed), cfg, ops, seed^0xabcdef)
+	}
+
+	var twice []MicroOp
+	for i := int64(0); i < 120; i += 3 {
+		twice = append(twice, loadOp(uint64(i)*64, i-1, i-1), intOp(i, i), MicroOp{Kind: OpMul, Deps: [2]int64{i + 1, i}})
+	}
+	twice[0].Deps = [2]int64{NoDep, NoDep}
+	checkIssueByWakeup(t, "both deps on one producer", testConfig(), twice, 1)
+
+	small := testConfig()
+	small.ROB = 8
+	var old []MicroOp
+	for i := int64(0); i < 200; i++ {
+		op := intOp(max(i-30, NoDep), max(i-9, NoDep)) // ROB+8 = 16: one certainly retired, one perhaps
+		if i%5 == 0 {
+			op = loadOp(uint64(i)*64, max(i-17, NoDep), max(i-16, NoDep)) // either side of the cut-off
+		}
+		old = append(old, op)
+	}
+	checkIssueByWakeup(t, "deps older than the window", small, old, 2)
+
+	var chain []MicroOp
+	for i := int64(0); i < 200; i++ {
+		if i%40 == 0 {
+			chain = append(chain, loadOp(uint64(i)*64, i-1))
+		} else {
+			chain = append(chain, intOp(i-1))
+		}
+	}
+	checkIssueByWakeup(t, "39 ALU ops behind a load", testConfig(), chain, 3)
 }

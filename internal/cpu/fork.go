@@ -30,6 +30,8 @@ func (c *Core) CopyStateFrom(src *Core, stream Stream, onDone func()) {
 	c.known = src.known
 	c.ringAddr = src.ringAddr
 	c.ringPC = src.ringPC
+	c.waitHead = src.waitHead
+	c.ready = src.ready
 	c.inflightLd = src.inflightLd
 	c.inflightSt = src.inflightSt
 	c.unissuedN = src.unissuedN
