@@ -38,6 +38,13 @@ type Interp struct {
 	block *Block
 	idx   int
 
+	// phiVals/phiOps are enterBlock's scratch: the incoming values and
+	// producer ids of a block's phis, read before any phi is written. They
+	// are reused from one block entry to the next, hold nothing between
+	// entries, and are not carried over by Clone.
+	phiVals []uint64
+	phiOps  []int64
+
 	counter *int64 // shared dynamic micro-op numbering across a core run
 
 	steps    int64
@@ -120,8 +127,7 @@ func (it *Interp) Ops() int64 { return *it.counter }
 func (it *Interp) enterBlock(from BlockID, to BlockID) {
 	b := it.fn.Block(to)
 	// Evaluate phis in parallel: read all incomings before writing any.
-	var vals []uint64
-	var ops []int64
+	vals, ops := it.phiVals[:0], it.phiOps[:0]
 	n := 0
 	for _, v := range b.Instrs {
 		in := it.fn.Instr(v)
@@ -148,6 +154,7 @@ func (it *Interp) enterBlock(from BlockID, to BlockID) {
 		it.env[v] = vals[i]
 		it.envOp[v] = ops[i]
 	}
+	it.phiVals, it.phiOps = vals, ops
 	it.block = b
 	it.idx = n
 }

@@ -3,6 +3,7 @@ package ir
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -349,5 +350,74 @@ func TestStreamDepOrdering(t *testing.T) {
 			}
 		}
 		id++
+	}
+}
+
+// sumLoopInterp returns an interpreter over the 100-element sum loop.
+func sumLoopInterp(t testing.TB) (*Interp, *mem.Backing) {
+	fn := buildSumLoop(t)
+	bk := mem.NewBacking()
+	arr := mem.NewArena(bk).AllocWords("arr", 100)
+	for i := uint64(0); i < 100; i++ {
+		bk.Write64(arr.Base+i*8, i*3)
+	}
+	return NewInterp(fn, bk, nil, new(int64), arr.Base, 100), bk
+}
+
+// sameOp compares everything of a micro-op but Do, which no sum-loop op sets.
+func sameOp(a, b cpu.MicroOp) bool {
+	return a.Kind == b.Kind && a.PC == b.PC && a.Addr == b.Addr && a.Deps == b.Deps && a.Taken == b.Taken
+}
+
+// TestCloneDoesNotSharePhiScratch: block entry reads a block's phis into
+// scratch the interpreter keeps between entries. Forks run their clones on
+// other goroutines, so a clone taken mid-loop must have scratch of its own:
+// run beside the original, both must produce the rest of the straight run's
+// stream (and the race detector must stay quiet).
+func TestCloneDoesNotSharePhiScratch(t *testing.T) {
+	straight, _ := sumLoopInterp(t)
+	want := drain(t, straight)
+
+	orig, bk := sumLoopInterp(t)
+	const at = 250 // mid-loop
+	for i := 0; i < at; i++ {
+		orig.Next()
+	}
+	counter := *orig.counter
+	its := []*Interp{orig, orig.Clone(bk, nil, &counter)}
+	got := make([][]cpu.MicroOp, len(its))
+	var wg sync.WaitGroup
+	for i, it := range its {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = drain(t, it)
+		}()
+	}
+	wg.Wait()
+	for i, it := range its {
+		if len(got[i]) != len(want)-at {
+			t.Fatalf("interpreter %d: %d ops after the clone, want %d", i, len(got[i]), len(want)-at)
+		}
+		for j, op := range got[i] {
+			if !sameOp(op, want[at+j]) {
+				t.Fatalf("interpreter %d op %d: got %+v, want %+v", i, at+j, op, want[at+j])
+			}
+		}
+		if sum, ok := it.Result(); !ok || sum != 99*100/2*3 {
+			t.Errorf("interpreter %d: sum = %d (ok=%v), want %d", i, sum, ok, 99*100/2*3)
+		}
+	}
+}
+
+// TestInterpLoopDoesNotAllocate: once the first entry to a block with phis
+// has sized the scratch, going round the loop allocates nothing.
+func TestInterpLoopDoesNotAllocate(t *testing.T) {
+	it, _ := sumLoopInterp(t)
+	for i := 0; i < 50; i++ {
+		it.Next()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { it.Next() }); allocs != 0 {
+		t.Errorf("one interpreter step allocates %v objects, want 0", allocs)
 	}
 }
