@@ -28,9 +28,18 @@ func PageAddr(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 // Backing is the functional memory: a sparse 64-bit virtual address space of
 // 64-bit words. Reads of unallocated memory are a program error and panic,
 // which catches workload bugs early.
+//
+// A mapped page nobody has written a non-zero word to points at zeroPage,
+// shared by every Backing in the process; the first such write gives the
+// Backing a page of its own. A trace replay maps every page its trace
+// touches and writes none, so it pays for a map entry a page, not 4 KiB.
 type Backing struct {
 	pages map[uint64]*[wordsPerPage]uint64
 }
+
+// zeroPage stands for every all-zero page. It is only ever read: Write64 and
+// CopyFrom replace a Backing's pointer to it before storing through.
+var zeroPage [wordsPerPage]uint64
 
 // NewBacking returns an empty backing store.
 func NewBacking() *Backing {
@@ -43,11 +52,12 @@ func (b *Backing) Mapped(addr uint64) bool {
 	return ok
 }
 
-// MapPage allocates (zeroed) the page containing addr if not already mapped.
+// MapPage maps the page containing addr, reading as zeros, if not already
+// mapped.
 func (b *Backing) MapPage(addr uint64) {
 	pa := PageAddr(addr)
 	if _, ok := b.pages[pa]; !ok {
-		b.pages[pa] = new([wordsPerPage]uint64)
+		b.pages[pa] = &zeroPage
 	}
 }
 
@@ -74,7 +84,15 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 	if addr&7 != 0 {
 		panic(fmt.Sprintf("mem: misaligned write at %#x", addr))
 	}
-	b.page(addr)[(addr%PageSize)/8] = v
+	p := b.page(addr)
+	if p == &zeroPage {
+		if v == 0 {
+			return
+		}
+		p = new([wordsPerPage]uint64)
+		b.pages[PageAddr(addr)] = p
+	}
+	p[(addr%PageSize)/8] = v
 }
 
 // ReadLine returns the 8 words of the cache line containing addr. This is

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -128,5 +129,124 @@ func TestLineAndPageAddr(t *testing.T) {
 	}
 	if PageAddr(0x12345) != 0x12000 {
 		t.Errorf("PageAddr = %#x", PageAddr(0x12345))
+	}
+}
+
+// shared reports whether b still reads the page at addr from the zero page.
+func shared(b *Backing, addr uint64) bool { return b.pages[PageAddr(addr)] == &zeroPage }
+
+func TestMappedPageReadsZeroAndStaysShared(t *testing.T) {
+	b := NewBacking()
+	b.MapPage(0x1000)
+	if !b.Mapped(0x1ff8) {
+		t.Fatal("mapped page reports unmapped")
+	}
+	for addr := uint64(0x1000); addr < 0x2000; addr += 8 {
+		if got := b.Read64(addr); got != 0 {
+			t.Fatalf("fresh page reads %d at %#x", got, addr)
+		}
+	}
+	if line := b.ReadLine(0x1040); line != [wordsPerLine]uint64{} {
+		t.Errorf("fresh page line = %v", line)
+	}
+	b.Write64(0x1008, 0)
+	if !shared(b, 0x1000) {
+		t.Error("writing a zero word gave the page a private copy")
+	}
+	b.MapPage(0x1000) // mapping again must not drop anything either way
+	b.Write64(0x1008, 7)
+	b.MapPage(0x1000)
+	if shared(b, 0x1000) || b.Read64(0x1008) != 7 || b.Read64(0x1010) != 0 {
+		t.Errorf("after a write: shared=%v, word=%d, neighbour=%d", shared(b, 0x1000), b.Read64(0x1008), b.Read64(0x1010))
+	}
+	b.Write64(0x1008, 0) // a private page takes zero words like any other
+	if b.Read64(0x1008) != 0 {
+		t.Error("zero written to a private page did not stick")
+	}
+}
+
+// TestWritesStayInTheirBacking: every Backing starts on the same zero page,
+// so a write must never travel through it — not to an unrelated Backing, not
+// from a parent to a fork copied earlier, not from a fork back to its parent.
+func TestWritesStayInTheirBacking(t *testing.T) {
+	a, other := NewBacking(), NewBacking()
+	for _, b := range []*Backing{a, other} {
+		b.MapPage(0x1000)
+		b.MapPage(0x2000)
+	}
+	a.Write64(0x1000, 1)
+
+	fork := NewBacking()
+	fork.CopyFrom(a)
+	if fork.Read64(0x1000) != 1 || !shared(fork, 0x2000) {
+		t.Fatalf("fork: word=%d, untouched page shared=%v", fork.Read64(0x1000), shared(fork, 0x2000))
+	}
+	fork.Write64(0x1000, 2)
+	fork.Write64(0x2008, 3)
+	a.Write64(0x2010, 4)
+
+	for _, c := range []struct {
+		name string
+		b    *Backing
+		want [3]uint64 // words at 0x1000, 0x2008, 0x2010
+	}{
+		{"parent", a, [3]uint64{1, 0, 4}},
+		{"fork", fork, [3]uint64{2, 3, 0}},
+		{"unrelated", other, [3]uint64{0, 0, 0}},
+	} {
+		got := [3]uint64{c.b.Read64(0x1000), c.b.Read64(0x2008), c.b.Read64(0x2010)}
+		if got != c.want {
+			t.Errorf("%s reads %v, want %v", c.name, got, c.want)
+		}
+	}
+	if zeroPage != [wordsPerPage]uint64{} {
+		t.Fatal("the shared zero page was written")
+	}
+
+	// Copying over a fork that already owns pages: a page the source never
+	// wrote goes back to the shared zero page, and later writes to it still
+	// stay in the fork.
+	fork.CopyFrom(other)
+	if fork.Read64(0x1000) != 0 || !shared(fork, 0x1000) || !shared(fork, 0x2000) {
+		t.Errorf("fork of an unwritten store: word=%d, shared=%v/%v", fork.Read64(0x1000), shared(fork, 0x1000), shared(fork, 0x2000))
+	}
+	fork.Write64(0x1000, 5)
+	if other.Read64(0x1000) != 0 || zeroPage != [wordsPerPage]uint64{} {
+		t.Error("a write to the re-copied fork leaked")
+	}
+}
+
+// TestBackingsInParallel: machines run on their own goroutines and share
+// nothing but the zero page, which none may write. Under the race detector
+// this fails if a write ever goes through it.
+func TestBackingsInParallel(t *testing.T) {
+	parent := NewBacking()
+	for pa := uint64(0); pa < 64*PageSize; pa += PageSize {
+		parent.MapPage(pa)
+	}
+	var wg sync.WaitGroup
+	for g := uint64(1); g <= 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := NewBacking()
+			b.CopyFrom(parent)
+			for pa := uint64(0); pa < 64*PageSize; pa += PageSize {
+				if b.Read64(pa+8) != 0 {
+					t.Errorf("goroutine %d: page %#x not zero", g, pa)
+				}
+				b.Write64(pa, 0)
+				if pa%(2*PageSize) == 0 {
+					b.Write64(pa+8, g)
+				}
+				if got := b.ReadLine(pa)[1]; got != 0 && got != g {
+					t.Errorf("goroutine %d: page %#x holds %d", g, pa, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if zeroPage != [wordsPerPage]uint64{} {
+		t.Fatal("the shared zero page was written")
 	}
 }

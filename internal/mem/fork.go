@@ -22,7 +22,8 @@ import (
 
 // CopyFrom deep-copies src's pages into b. Existing page arrays in b are
 // reused where the same page is mapped (the common warm-fork case); pages b
-// has that src lacks are dropped.
+// has that src lacks are dropped. A page src never wrote stays the shared
+// zero page in b too.
 func (b *Backing) CopyFrom(src *Backing) {
 	for pa := range b.pages {
 		if _, ok := src.pages[pa]; !ok {
@@ -30,8 +31,12 @@ func (b *Backing) CopyFrom(src *Backing) {
 		}
 	}
 	for pa, pg := range src.pages {
-		np, ok := b.pages[pa]
-		if !ok {
+		if pg == &zeroPage {
+			b.pages[pa] = pg
+			continue
+		}
+		np := b.pages[pa]
+		if np == nil || np == &zeroPage {
 			np = new([wordsPerPage]uint64)
 			b.pages[pa] = np
 		}
