@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"eventpf/internal/sim"
@@ -348,10 +349,10 @@ func checkIssueByWakeup(t *testing.T, name string, cfg Config, ops []MicroOp, me
 			continue
 		}
 		fullTicks++
-		if !equalIDs(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s t=%d: wake-list path issued %v, rescan issues %v", name, now, got, want)
 		}
-		if !equalIDs(loads, refLoads) {
+		if !slices.Equal(loads, refLoads) {
 			t.Fatalf("%s t=%d: loads sent %v, rescan sends %v", name, now, loads, refLoads)
 		}
 		if core.stallUntil != ref.stallUntil {
@@ -383,18 +384,6 @@ func checkIssueByWakeup(t *testing.T, name string, cfg Config, ops []MicroOp, me
 	if core.unissuedN != 0 || core.ready != [completionRing / 64]uint64{} || core.waitHead != [completionRing]uint16{} {
 		t.Fatalf("%s: drained core keeps unissuedN=%d ready=%x waitHead=%v", name, core.unissuedN, core.ready, core.waitHead)
 	}
-}
-
-func equalIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestIssueByWakeupMatchesRescan checks the wake-list issue stage against the

@@ -78,22 +78,24 @@ func (e *Engine) CopyFrom(src *Engine, remap *Remap) error {
 	e.occ = src.occ
 	e.sum = src.sum
 	e.far.ev = append(e.far.ev[:0], src.far.ev...)
+	translate := func(at Ticks, h *Handler) error {
+		d, err := remap.Lookup(*h)
+		if err != nil {
+			return fmt.Errorf("event at t=%d: %w", at, err)
+		}
+		*h = d
+		return nil
+	}
 	// A released node holds a nil handler, which Lookup maps to nil.
 	for i := range e.nodes {
-		nd := &e.nodes[i]
-		h, err := remap.Lookup(nd.h)
-		if err != nil {
-			return fmt.Errorf("event at t=%d: %w", nd.at, err)
+		if err := translate(e.nodes[i].at, &e.nodes[i].h); err != nil {
+			return err
 		}
-		nd.h = h
 	}
 	for i := range e.far.ev {
-		ev := &e.far.ev[i]
-		h, err := remap.Lookup(ev.h)
-		if err != nil {
-			return fmt.Errorf("event at t=%d: %w", ev.at, err)
+		if err := translate(e.far.ev[i].at, &e.far.ev[i].h); err != nil {
+			return err
 		}
-		ev.h = h
 	}
 	return nil
 }

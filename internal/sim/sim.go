@@ -93,7 +93,8 @@ func (e *event) before(o *event) bool {
 // Sifting moves events into a hole instead of swapping, and compares them in
 // place through pointers: a 48-byte event copied to the stack goes through
 // 16-byte moves on a stack Go aligns to only 8, and those stall when they
-// straddle a cache line.
+// straddle a cache line — which made the whole simulator's speed depend on
+// the frame sizes of whoever called Engine.Run.
 type eventQueue struct {
 	ev []event
 }

@@ -30,7 +30,7 @@ const (
 	opParent           // at progDist[arg&15]; its handler schedules a child progDist[arg>>4] later
 	opStep             // arg%4+1 steps
 	opRunUntil         // now + progDist[arg&15]
-	opProbe            // NextAt, Pending, Seq
+	opProbe            // nothing but the Now/NextAt/Pending/Seq check that follows every operation
 	opCopy             // CopyFrom into the second engine, which then runs the rest of the program too
 	opBurst            // 256 events over two wheel spans (the first maxBursts times)
 	opCount
