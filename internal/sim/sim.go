@@ -236,7 +236,8 @@ func (e *Engine) Schedule(t Ticks, h Handler, a, b uint64) {
 		i = int32(len(e.nodes))
 		e.nodes = append(e.nodes, wheelNode{})
 	}
-	e.nodes[i] = wheelNode{at: t, a: a, b: b, h: h, next: -1}
+	nd := &e.nodes[i]
+	nd.at, nd.a, nd.b, nd.h, nd.next = t, a, b, h, -1
 	s := int(t & wheelMask)
 	sl := &e.slots[s]
 	w, bit := s>>6, uint64(1)<<(s&63)
