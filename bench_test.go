@@ -10,38 +10,17 @@ package eventpf_test
 
 import (
 	"math"
-	"os"
-	"strconv"
 	"testing"
 
 	"eventpf"
 )
 
 // benchScale keeps `go test -bench=.` to minutes; cmd/ppftables exposes the
-// same experiments at any scale. Under -short (the CI perf job) every figure
-// benchmark drops to benchScaleShort, trading absolute fidelity for a run
-// that finishes in well under a minute — the resulting metrics are only
-// compared against other -short runs, so the comparison stays sound.
-const (
-	benchScale      = 0.05
-	benchScaleShort = 0.01
-)
+// same experiments at any scale.
+const benchScale = 0.05
 
 func suite() *eventpf.Suite {
-	scale := benchScale
-	if testing.Short() {
-		scale = benchScaleShort
-	}
-	opt := eventpf.Options{Scale: scale}
-	// EVENTPF_SLICES above 1 runs every simulation time-parallel
-	// (scripts/bench.sh sets it from SLICES and stamps the value into the
-	// BENCH meta, since sliced timings are only comparable to sliced ones).
-	if s := os.Getenv("EVENTPF_SLICES"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			opt.Slices = n
-		}
-	}
-	return eventpf.NewSuite(opt)
+	return eventpf.NewSuite(eventpf.Options{Scale: benchScale})
 }
 
 // BenchmarkTable1Config reports the Table 1 machine configuration (a

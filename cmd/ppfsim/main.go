@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,16 +19,30 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"eventpf/internal/adaptive"
 	"eventpf/internal/harness"
-	"eventpf/internal/sim"
 	"eventpf/internal/system"
 	"eventpf/internal/trace"
 	"eventpf/internal/tracein"
 	"eventpf/internal/workloads"
 )
 
+// usageError marks a mistake on the command line: exit status 2, not 1.
+type usageError struct{ error }
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole program. It returns its failure rather than exiting, so
+// the deferred profile writers run on every path: a profile of a failing run
+// is still a readable file.
+func run() (err error) {
 	var (
 		benchName = flag.String("bench", "HJ-2", "benchmark name (see -list or -list-benches)")
 		traceIn   = flag.String("trace-in", "", "replay a captured trace file (ppftracegen output or a ChampSim trace) instead of -bench")
@@ -46,18 +61,6 @@ func main() {
 		sWarm     = flag.Int64("sample-warm", 0, "with -sample, detailed warmup ops before each measurement interval (0 = default)")
 		sMeasure  = flag.Int64("sample-measure", 0, "with -sample, measured ops per detailed interval (0 = default)")
 		sFF       = flag.Int64("sample-ff", 0, "with -sample, fast-forwarded ops between detailed intervals (0 = default)")
-		aInterval = flag.Int64("adaptive-interval", 0, "adaptive scheme: decision interval in engine ticks (0 = default)")
-		aEpsilon  = flag.Int("adaptive-epsilon", -1, "adaptive scheme: explore 1-in-N decisions, 0 disables (-1 = default)")
-		aSeed     = flag.Uint64("adaptive-seed", 0, "adaptive scheme: exploration RNG seed (0 = default)")
-		aArms     = flag.String("adaptive-arms", "", "adaptive scheme: comma-separated candidate menu (empty = default)")
-		aTrial    = flag.Int("adaptive-trial", 0, "adaptive scheme: measured intervals per sweep trial (0 = default)")
-		aPfTrial  = flag.Int("adaptive-pf-trial", 0, "adaptive scheme: measured intervals per pf-arm trial (0 = default)")
-		aPhase    = flag.Int64("adaptive-phase", 0, "adaptive scheme: phase-change miss-rate threshold in per-mille (0 = default)")
-		aCool     = flag.Int("adaptive-cooldown", -1, "adaptive scheme: phase-detector cooldown intervals (-1 = default)")
-		showAdapt = flag.Bool("show-adaptive", false, "print the effective adaptive controller configuration and exit")
-		ckptOut   = flag.String("checkpoint-out", "", "simulate -checkpoint-ops micro-ops, write a resumable checkpoint to this file, and exit")
-		ckptOps   = flag.Int64("checkpoint-ops", 0, "with -checkpoint-out, how many retired micro-ops to simulate before checkpointing")
-		ckptIn    = flag.String("checkpoint-in", "", "resume the run described by this checkpoint file and complete it")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		listBench = flag.Bool("list-benches", false, "print every resolvable benchmark name (Table 2 rows and extras), one per line, and exit")
 		listSch   = flag.Bool("list-schemes", false, "print the registered scheme names, one per line, and exit")
@@ -68,7 +71,7 @@ func main() {
 
 	if *list {
 		fmt.Print(harness.Table2())
-		return
+		return nil
 	}
 	if *listBench {
 		// Column 1 is the parseable name; scripts should select on it ($1),
@@ -80,7 +83,7 @@ func main() {
 			}
 			fmt.Printf("%-10s %-7s %-40s %s\n", b.Name, origin, b.Pattern, b.Input)
 		}
-		return
+		return nil
 	}
 	if *listSch {
 		// Column 1 is the parseable name; scripts should select on it
@@ -96,119 +99,47 @@ func main() {
 			}
 			fmt.Printf("%-15s %-12s %-5s %s\n", info.Name, prog, fig7, info.Description)
 		}
-		return
+		return nil
 	}
 
 	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
+		stop, perr := startCPUProfile(*cpuProf)
+		if perr != nil {
+			return perr
 		}
 		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
+			if serr := stop(); err == nil {
+				err = serr
+			}
 		}()
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // flush dead objects so the profile shows live + cumulative allocs accurately
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-				os.Exit(1)
+			if werr := writeHeapProfile(*memProf); err == nil {
+				err = werr
 			}
 		}()
-	}
-
-	if *ckptIn != "" {
-		f, err := os.Open(*ckptIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		res, err := harness.ResumeCheckpoint(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		emitResult(res, *jsonOut)
-		return
 	}
 
 	var b *workloads.Benchmark
 	if *traceIn != "" {
 		b = tracein.Bench(*traceIn)
-	} else {
-		var err error
-		b, err = workloads.ByName(*benchName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(2)
-		}
+	} else if b, err = workloads.ByName(*benchName); err != nil {
+		return usageError{err}
 	}
 	scheme, ok := harness.ParseScheme(*schemeStr)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ppfsim: unknown scheme %q; valid: %s\n",
-			*schemeStr, strings.Join(harness.SchemeNames(), " "))
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown scheme %q; valid: %s",
+			*schemeStr, strings.Join(harness.SchemeNames(), " "))}
+	}
+	if *baseline && *jsonOut {
+		// The JSON record has no field for the baseline run, so the
+		// combination would simulate it and throw it away.
+		return usageError{errors.New("-baseline and -json cannot be combined: the JSON record carries no speedup")}
 	}
 
 	opt := harness.Options{Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz, TraceLast: *traceN,
 		Parallel: *parallel, Slices: *slices}
-	if *aInterval != 0 || *aEpsilon >= 0 || *aSeed != 0 || *aArms != "" || *aTrial > 0 || *aPfTrial > 0 || *aPhase > 0 || *aCool >= 0 {
-		cfg := system.DefaultConfig()
-		if *aInterval != 0 {
-			cfg.Adaptive.IntervalTicks = sim.Ticks(*aInterval)
-		}
-		if *aEpsilon >= 0 {
-			cfg.Adaptive.Epsilon = *aEpsilon
-		}
-		if *aSeed != 0 {
-			cfg.Adaptive.Seed = *aSeed
-		}
-		if *aArms != "" {
-			cfg.Adaptive.Arms = *aArms
-		}
-		if *aTrial > 0 {
-			cfg.Adaptive.TrialIntervals = *aTrial
-		}
-		if *aPfTrial > 0 {
-			cfg.Adaptive.PfTrialIntervals = *aPfTrial
-		}
-		if *aPhase > 0 {
-			cfg.Adaptive.PhasePerMille = *aPhase
-		}
-		if *aCool >= 0 {
-			cfg.Adaptive.Cooldown = *aCool
-		}
-		if err := cfg.Adaptive.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(2)
-		}
-		opt.Config = &cfg
-	}
-	if *showAdapt {
-		cfg, err := harness.ConfigFor(opt, scheme)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(2)
-		}
-		a := cfg.Adaptive
-		fmt.Printf("policy=%s interval=%d epsilon=%d seed=%d arms=%s\n",
-			adaptive.PolicyName, a.IntervalTicks, a.Epsilon, a.Seed, a.Arms)
-		return
-	}
 	if *sample {
 		sc := system.DefaultSampleConfig()
 		if *sWarm > 0 {
@@ -223,27 +154,6 @@ func main() {
 		opt.Sample = &sc
 	}
 
-	if *ckptOut != "" {
-		spec := harness.JobSpec{Bench: b.Name, Scheme: scheme.String(),
-			Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz}
-		f, err := os.Create(*ckptOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		cp, err := harness.SaveCheckpoint(f, spec, *ckptOps)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint: %s %s at %d ops (digest %016x) written to %s\n",
-			cp.Job.Bench, cp.Job.Scheme, cp.WarmupOps, cp.Digest, *ckptOut)
-		return
-	}
-
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollector()
@@ -256,7 +166,6 @@ func main() {
 	}
 
 	var res, base harness.Result
-	var err error
 	runBaseline := *baseline && scheme != harness.NoPF
 	switch {
 	case runBaseline:
@@ -283,18 +192,15 @@ func main() {
 		res, err = harness.Run(b, scheme, opt)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if collector != nil {
-		lay, lerr := harness.LayoutFor(opt, scheme)
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", lerr)
-			os.Exit(1)
+		lay, err := harness.LayoutFor(opt, scheme)
+		if err != nil {
+			return err
 		}
-		if werr := writeChromeTrace(*traceOut, collector.Events(), lay); werr != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", werr)
-			os.Exit(1)
+		if err := writeChromeTrace(*traceOut, collector.Events(), lay); err != nil {
+			return err
 		}
 	}
 	// observed reports what the run's observers gathered: where the trace
@@ -313,11 +219,10 @@ func main() {
 		// here keeps the CLI and the daemon byte-identical for one config.
 		// Stdout carries nothing else, so the observers report to stderr.
 		if err := harness.EncodeResult(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		observed(os.Stderr)
-		return
+		return nil
 	}
 	printResult(res)
 	if res.Trace != nil {
@@ -330,19 +235,36 @@ func main() {
 		fmt.Printf("\nno-pf cycles   %12d\nspeedup        %12.2fx\n",
 			base.Cycles, harness.Speedup(base, res))
 	}
+	return nil
 }
 
-// emitResult prints a standalone result (checkpoint resumes) in the same
-// JSON or text form the normal path uses.
-func emitResult(res harness.Result, jsonOut bool) {
-	if jsonOut {
-		if err := harness.EncodeResult(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "ppfsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
+// startCPUProfile begins profiling into path; stop ends it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
-	printResult(res)
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // flush dead objects so the profile shows live + cumulative allocs accurately
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeChromeTrace(path string, events []trace.Event, lay trace.Layout) error {

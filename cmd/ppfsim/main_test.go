@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,17 +18,25 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// TestEngineFlagPlumbing covers what only the CLI can get wrong about the
-// run engines: that -checkpoint-out/-in, -sample* and -slices reach
-// harness.Options unchanged. Each invocation's -json output must equal, byte
-// for byte, the EncodeResult of the library call it stands for; what those
-// results must look like is the harness tests' business.
-func TestEngineFlagPlumbing(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "ppfsim")
+// build compiles ppfsim into a directory the test owns and returns the
+// binary's path and that directory.
+func build(t *testing.T) (bin, dir string) {
+	t.Helper()
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "ppfsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin, dir
+}
+
+// TestEngineFlagPlumbing covers what only the CLI can get wrong about the
+// run engines and the prefetcher sizing: that -sample*, -slices, -ppus and
+// -ppu-mhz reach harness.Options unchanged. Each invocation's -json output
+// must equal, byte for byte, the EncodeResult of the library call it stands
+// for; what those results must look like is the harness tests' business.
+func TestEngineFlagPlumbing(t *testing.T) {
+	bin, dir := build(t)
 	base := []string{"-bench", "HJ-2", "-scheme", "manual", "-scale", "0.05"}
 	cli := func(args ...string) []byte {
 		t.Helper()
@@ -63,23 +75,11 @@ func TestEngineFlagPlumbing(t *testing.T) {
 		{"slices4", []string{"-slices", "4"}, lib(harness.Options{Slices: 4})},
 		{"sampled", []string{"-sample", "-sample-warm", "1000", "-sample-measure", "4000", "-sample-ff", "15000"},
 			lib(harness.Options{Sample: &sample})},
+		{"sizing", []string{"-ppus", "6", "-ppu-mhz", "500"}, lib(harness.Options{PPUs: 6, PPUMHz: 500})},
 	} {
 		if got := cli(append(c.args, "-json")...); !bytes.Equal(got, c.want) {
 			t.Errorf("%s: CLI JSON differs from the library result\n got %s\nwant %s", c.name, got, c.want)
 		}
-	}
-
-	ckpt := filepath.Join(dir, "hj2.ckpt")
-	cli("-checkpoint-out", ckpt, "-checkpoint-ops", "100000")
-	resumed, err := exec.Command(bin, "-checkpoint-in", ckpt, "-json").Output()
-	if err != nil {
-		t.Fatalf("ppfsim -checkpoint-in: %v", err)
-	}
-	if !bytes.Equal(resumed, serial) {
-		t.Error("resumed checkpoint differs from the uninterrupted run")
-	}
-	if raw, err := os.ReadFile(ckpt); err != nil || !bytes.Contains(raw, []byte(`"warmup_ops": 100000`)) {
-		t.Errorf("-checkpoint-ops did not reach the checkpoint file (%v):\n%s", err, raw)
 	}
 
 	// -json keeps stdout pure JSON but must not drop the observers the run
@@ -112,5 +112,72 @@ func TestEngineFlagPlumbing(t *testing.T) {
 	// The text form names the reason when part of the request was not honoured.
 	if text := cli("-sample", "-slices", "4"); !strings.Contains(string(text), "sampling is set") {
 		t.Errorf("text output does not print the fallback reason:\n%s", text)
+	}
+}
+
+// TestFlagSurface pins the flag set: a new flag has to be added here too, so
+// the surface cannot regrow unnoticed.
+func TestFlagSurface(t *testing.T) {
+	bin, _ := build(t)
+	help, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 0 or 2 by Go version; the text is what matters
+	var got []string
+	for _, line := range strings.Split(string(help), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := []string{
+		"baseline", "bench", "cpuprofile", "json", "list", "list-benches", "list-schemes",
+		"memprofile", "metrics", "parallel", "ppu-mhz", "ppus", "sample", "sample-ff",
+		"sample-measure", "sample-warm", "scale", "scheme", "slices", "trace", "trace-in", "trace-out",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ppfsim -h lists %d flags, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+}
+
+// TestFailingRuns: a command line that cannot be honoured exits 2, a run
+// that fails exits 1, and either way the profiles asked for are complete
+// files (gzip streams that read to the end), not what os.Exit left behind.
+func TestFailingRuns(t *testing.T) {
+	bin, dir := build(t)
+	for _, c := range []struct {
+		name string
+		args []string
+		exit int
+		want string // on stderr
+	}{
+		{"baseline-json", []string{"-baseline", "-json"}, 2, "-baseline and -json"},
+		{"unknown-bench", []string{"-bench", "nosuch"}, 2, "nosuch"},
+		{"unknown-scheme", []string{"-scheme", "nosuch"}, 2, "unknown scheme"},
+		{"missing-trace", []string{"-scheme", "stride", "-trace-in", filepath.Join(dir, "absent.ppft")}, 1, "absent.ppft"},
+	} {
+		cpu, heap := filepath.Join(dir, c.name+".cpu"), filepath.Join(dir, c.name+".heap")
+		cmd := exec.Command(bin, append(c.args, "-scale", "0.02", "-cpuprofile", cpu, "-memprofile", heap)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.exit {
+			t.Errorf("%s: err = %v, want exit status %d\n%s", c.name, err, c.exit, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), c.want) || stdout.Len() != 0 {
+			t.Errorf("%s: stderr lacks %q or stdout is not empty:\nstderr: %s\nstdout: %s", c.name, c.want, stderr.Bytes(), stdout.Bytes())
+		}
+		for _, path := range []string{cpu, heap} {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				continue
+			}
+			zr, err := gzip.NewReader(f)
+			if err == nil {
+				_, err = io.Copy(io.Discard, zr)
+			}
+			f.Close()
+			if err != nil {
+				t.Errorf("%s: %s is not a complete profile: %v", c.name, filepath.Base(path), err)
+			}
+		}
 	}
 }

@@ -34,14 +34,9 @@ func main() {
 		schemeStr = flag.String("scheme", "no-pf", "scheme to simulate during capture: "+strings.Join(harness.SchemeNames(), " "))
 		scale     = flag.Float64("scale", 0.25, "input scale relative to the default reduced input")
 		out       = flag.String("o", "", "output trace path (required; a .gz suffix gzip-compresses)")
-		formatVer = flag.Bool("format-version", false, "print the native trace-format version and exit")
 	)
 	flag.Parse()
 
-	if *formatVer {
-		fmt.Println(tracein.FormatVersion)
-		return
-	}
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "ppftracegen: -o is required")
 		os.Exit(2)

@@ -36,10 +36,6 @@ import (
 	"eventpf/internal/trace"
 )
 
-// PolicyName names the decision policy for benchmark metadata: a sweep on
-// every detected phase change, epsilon-greedy exploitation in between.
-const PolicyName = "sweep-epsilon-greedy"
-
 // Config sizes the adaptive controller. It is comparable (plain scalars and
 // a string), so fork compatibility can reject controller changes with a
 // simple inequality, and it rides inside system.Config without making that
@@ -679,9 +675,6 @@ func (u *Unit) rnd() uint64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
-
-// ActiveArm returns the name of the currently active arm.
-func (u *Unit) ActiveArm() string { return u.arms[u.active].name }
 
 // Stats implements baseline.Unit: the hosted arms' issue counters, summed.
 func (u *Unit) Stats() baseline.IssuerStats {

@@ -135,29 +135,11 @@ func (s *Suite) MemoStats() (hits, misses int64) {
 	return s.memoHits.Load(), s.memoMisses.Load()
 }
 
-// FillMetrics exports the memo counters into a metrics registry under
-// "suite.memo.hits"/"suite.memo.misses" (set, not added, so repeated fills
-// of one registry stay idempotent). The serving layer's cache-hit-ratio
-// metrics build on these.
-func (s *Suite) FillMetrics(reg *trace.Registry) {
-	hits, misses := s.MemoStats()
-	reg.Counter("suite.memo.hits").N = hits
-	reg.Counter("suite.memo.misses").N = misses
-}
-
 // Run returns the memoised measurement for p, simulating it on the worker
 // pool if it is not cached yet. Callers that need several pairs should
 // Prefetch them first so the simulations overlap.
 func (s *Suite) Run(p Pair) (Result, error) {
 	return s.RunInstrumented(context.Background(), p, nil)
-}
-
-// RunCtx is Run with cancellation: a caller that stops waiting (queued job
-// cancelled, client disconnected) returns ctx.Err() without consuming a
-// worker. Once a simulation has started it always runs to completion — a
-// cancelled waiter never poisons the memo entry other callers share.
-func (s *Suite) RunCtx(ctx context.Context, p Pair) (Result, error) {
-	return s.RunInstrumented(ctx, p, nil)
 }
 
 // Instrument attaches per-run observers to a memoised measurement. The

@@ -47,6 +47,11 @@ var goldenPairs = []struct {
 	{"RandAcc", RPT},
 	{"RandAcc", GHBDelta},
 	{"RandAcc", TSKID},
+	// The Extra workloads no other test pins a result for: a gather, a
+	// skewed hash lookup and a tree descent.
+	{"SpMV", Manual},
+	{"HotCold", Manual},
+	{"BTree", Stride},
 }
 
 const goldenScale = 0.05

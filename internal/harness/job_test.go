@@ -6,13 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"eventpf/internal/trace"
 	"eventpf/internal/workloads"
 )
 
 // TestMemoCountersPinned is the satellite regression test: a repeated Suite
-// run has exactly one miss and one hit per repetition, and FillMetrics
-// exports those counts (idempotently) into a registry.
+// run has exactly one miss and one hit per repetition.
 func TestMemoCountersPinned(t *testing.T) {
 	s := NewSuite(Options{Scale: testScale, Parallel: 2})
 	p := Pair{Bench: workloads.HJ2, Scheme: NoPF}
@@ -40,16 +38,6 @@ func TestMemoCountersPinned(t *testing.T) {
 	if hits != 4 {
 		t.Errorf("memo hits = %d, want 4", hits)
 	}
-
-	reg := trace.NewRegistry()
-	s.FillMetrics(reg)
-	s.FillMetrics(reg) // set semantics: filling twice must not double
-	if got := reg.Counter("suite.memo.hits").N; got != hits {
-		t.Errorf("registry suite.memo.hits = %d, want %d", got, hits)
-	}
-	if got := reg.Counter("suite.memo.misses").N; got != misses {
-		t.Errorf("registry suite.memo.misses = %d, want %d", got, misses)
-	}
 }
 
 // TestRunCtxCancelledWaiter: a context cancelled before the suite can start
@@ -65,10 +53,10 @@ func TestRunCtxCancelledWaiter(t *testing.T) {
 	// before the call": the semaphore select sees ctx.Done() already closed
 	// — either arm may win, so accept success or context.Canceled, but a
 	// follow-up uncancelled run must always succeed.
-	if _, err := s.RunCtx(ctx, p); err != nil && err != context.Canceled {
-		t.Fatalf("RunCtx with cancelled ctx: %v", err)
+	if _, err := s.RunInstrumented(ctx, p, nil); err != nil && err != context.Canceled {
+		t.Fatalf("RunInstrumented with cancelled ctx: %v", err)
 	}
-	if _, err := s.RunCtx(context.Background(), p); err != nil {
+	if _, err := s.RunInstrumented(context.Background(), p, nil); err != nil {
 		t.Fatalf("run after cancelled attempt: %v", err)
 	}
 }

@@ -214,9 +214,6 @@ func (b *Builder) NewBlock(name string) BlockID {
 // SetBlock directs subsequent instructions into blk.
 func (b *Builder) SetBlock(blk BlockID) { b.cur = b.fn.Blocks[blk] }
 
-// Current returns the block under construction.
-func (b *Builder) Current() BlockID { return b.cur.ID }
-
 // MarkPragma annotates blk as a "#pragma prefetch" loop header.
 func (b *Builder) MarkPragma(blk BlockID) { b.fn.Blocks[blk].Pragma = true }
 

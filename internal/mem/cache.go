@@ -541,8 +541,5 @@ func (c *Cache) FinalizeStats() {
 // LookupLatency returns the cache's hit-lookup latency in ticks.
 func (c *Cache) LookupLatency() sim.Ticks { return c.clk.Cycles(c.cfg.HitCycles) }
 
-// PendingMisses reports demand misses waiting for a free MSHR (diagnostics).
-func (c *Cache) PendingMisses() int { return len(c.pendingMiss) }
-
 // InFlightMSHRs reports occupied miss registers (diagnostics).
 func (c *Cache) InFlightMSHRs() int { return c.mshrCount }

@@ -282,9 +282,3 @@ func (t *TLB) startWalk(ri int32) {
 	r.start = t.eng.Now()
 	t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.WalkCycles), t.walkDone, uint64(ri), 0)
 }
-
-// QueuedWalks reports translations waiting for a walker slot (diagnostics).
-func (t *TLB) QueuedWalks() int { return len(t.walkQueue) }
-
-// ActiveWalks reports walks in progress (diagnostics).
-func (t *TLB) ActiveWalks() int { return t.activeWalks }

@@ -351,9 +351,6 @@ func (p *Prefetcher) SetRange(slot int, rc RangeConfig) {
 // SetGlobal writes prefetcher global register idx.
 func (p *Prefetcher) SetGlobal(idx int, val uint64) { p.globals[idx] = val }
 
-// Global reads a prefetcher global register (tests and examples).
-func (p *Prefetcher) Global(idx int) uint64 { return p.globals[idx] }
-
 // Flush models a context switch (§5.3): all queued observations and
 // requests are discarded, running events abort and EWMA state resets; only
 // the filter table and global registers survive.

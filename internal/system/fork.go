@@ -192,8 +192,8 @@ func (g *portGlue) copyStateFrom(src *portGlue, remap *sim.Remap) error {
 
 // Digest returns a cheap deterministic fingerprint of the machine's
 // execution state (FNV-1a over the event-engine clocks and the major
-// component counters). Checkpoints store it so a resume can verify that
-// deterministic replay reached exactly the same point.
+// component counters): two machines that replayed the same run to the same
+// point share it.
 func (m *Machine) Digest() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

@@ -325,21 +325,6 @@ func (m *Machine) observer() string {
 	return ""
 }
 
-// TraceLayout describes the machine's traced resources for the Chrome
-// exporter: one track per PPU, DRAM bank, MSHR and TLB walker.
-func (m *Machine) TraceLayout() trace.Layout {
-	lay := trace.Layout{
-		DRAMBanks:  m.Cfg.DRAM.Banks,
-		L1MSHRs:    m.Cfg.L1.MSHRs,
-		L2MSHRs:    m.Cfg.L2.MSHRs,
-		TLBWalkers: m.Cfg.TLB.Walks,
-	}
-	if m.PF != nil {
-		lay.PPUs = m.Cfg.Prefetcher.NumPPUs
-	}
-	return lay
-}
-
 // RegisterKernel installs a PPU kernel (no-op on machines without the
 // programmable prefetcher, so benchmark setup code is scheme-agnostic).
 func (m *Machine) RegisterKernel(id int, prog []ppu.Instr) {
