@@ -10,18 +10,17 @@
 //
 // Structurally the controller is a baseline.Unit like any other hardware
 // prefetcher: the system package builds it from the scheme registry, so no
-// machine field or switch is adaptive-specific, and the fork/checkpoint
-// protocol works unchanged (the controller's pending decision tick is a
-// typed remappable handler, its policy state is plain value state).
+// machine field or switch is adaptive-specific, and a machine fork works
+// unchanged (the controller's pending decision tick is a typed handler its
+// engine owns, its policy state is plain value state).
 //
-// Gating works at the snoop level. Every candidate unit attaches to the L1
-// by chaining a closure onto l1.OnDemandAccess at construction; the
-// controller builds each arm with the hook temporarily cleared, captures
-// the closure the arm installed, and installs its own dispatcher as the
-// real hook. Only the active arm's snoop sees demand accesses, so inactive
-// arms neither train nor issue — but their issue queues keep draining
-// (in-flight prefetches complete, as they would in hardware) because the
-// OnMSHRFree pump chain is left intact.
+// Gating is the controller's Observe: the system package points the L1's
+// demand snoop at it, like at any unit's, and it counts the access for its
+// sensors and passes it to the active arm alone — the hosted unit's Observe,
+// or the programmable prefetcher's for the "pf" arm. Inactive arms neither
+// train nor issue — but their issue queues keep draining (in-flight
+// prefetches complete, as they would in hardware) because every issuer stays
+// subscribed to the L1's OnMSHRFree pump chain.
 package adaptive
 
 import (
@@ -153,12 +152,11 @@ func (c Config) Validate() error {
 // does not depend on the system package's Config.
 type Builder func(name string) baseline.Unit
 
-// arm is one hosted candidate: its unit (nil for "off" and "pf") and the L1
-// demand snoop it installed at construction (nil for "off").
+// arm is one hosted candidate: its menu name and its unit (nil for "off" and
+// for "pf", whose unit is the machine's programmable prefetcher).
 type arm struct {
-	name  string
-	unit  baseline.Unit
-	snoop func(addr uint64, pc int, hit bool)
+	name string
+	unit baseline.Unit
 }
 
 // ArmIntervals reports how many decision intervals one arm was active.
@@ -217,8 +215,7 @@ type Unit struct {
 	pf  *prefetch.Prefetcher
 	bus *trace.Bus
 
-	arms   []arm
-	active int
+	arms []arm
 	// pfArm is the menu index of the "pf" arm, -1 if absent.
 	pfArm int
 
@@ -229,9 +226,26 @@ type Unit struct {
 
 	tickH tickHandler
 
+	policy
+	// reward holds one ops-per-interval EWMA per arm; Reset on each sweep
+	// so stale phases cannot outvote fresh trials.
+	reward   []stats.EWMA
+	armIvals []int64
+	stats    Stats
+
+	mIntervals, mSwitches, mSweeps, mExplores, mPhases, mIdle *trace.Counter
+}
+
+// policy is the controller's scalar state — the active arm, the sensors and
+// the decision automaton — copied to a fork by one assignment (the per-arm
+// reward and interval slices, the run counters and the hosted units are
+// copied beside it).
+type policy struct {
+	active int
+
 	// Per-interval sensor accumulators (reset every tick). Demands and
-	// misses are counted by the dispatcher itself; the prefetch sensors
-	// are deltas of the L1/PF counters since the previous tick.
+	// misses are counted by Observe itself; the prefetch sensors are deltas
+	// of the L1/PF counters since the previous tick.
 	intDemands, intMisses int64
 	lastOps               int64
 	lastUsed, lastDead    int64
@@ -242,10 +256,6 @@ type Unit struct {
 	fast, slow stats.EWMA
 	// Sensor EWMAs exported for observability (accuracy, chain latency).
 	acc, lat stats.EWMA
-	// reward holds one ops-per-interval EWMA per arm; Reset on each sweep
-	// so stale phases cannot outvote fresh trials.
-	reward   []stats.EWMA
-	armIvals []int64
 
 	sweeping bool
 	trial    int
@@ -286,34 +296,27 @@ type Unit struct {
 	skip int
 	cool int
 	rng  uint64
-
-	stats Stats
-
-	mIntervals, mSwitches, mSweeps, mExplores, mPhases, mIdle *trace.Counter
 }
 
 // tickHandler fires the periodic decision tick. A typed pointer-shaped
-// handler (like the machine's context-switch flush) so the pending tick
-// survives a machine fork via remap translation.
+// handler (like the machine's context-switch flush) the engine owns, so the
+// pending tick survives a machine fork.
 type tickHandler struct{ u *Unit }
 
 // Handle implements sim.Handler.
 func (h tickHandler) Handle(at sim.Ticks, _, _ uint64) { h.u.tick(at) }
 
-// New builds the controller. It must run after the machine's programmable
-// prefetcher has installed its L1 hooks (the "pf" arm is the snoop found on
-// the cache at entry) and before anything else touches l1.OnDemandAccess.
-// Invalid configurations and unknown arm names panic: the menu is machine
-// configuration, validated by CLIs before construction.
+// New builds the controller and, through build, the units on its menu; the
+// caller feeds it the L1 demand stream through Observe. pf is the machine's
+// programmable prefetcher, which the "pf" arm needs. Invalid configurations
+// and unknown arm names panic: the menu is machine configuration, validated
+// by CLIs before construction.
 func New(eng *sim.Engine, cfg Config, l1 *mem.Cache, pf *prefetch.Prefetcher, build Builder) *Unit {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	u := &Unit{
-		eng:  eng,
-		cfg:  cfg,
-		l1:   l1,
-		pf:   pf,
+	u := &Unit{eng: eng, cfg: cfg, l1: l1, pf: pf, pfArm: -1}
+	u.policy = policy{
 		fast: stats.NewEWMA(2),
 		slow: stats.NewEWMA(8),
 		acc:  stats.NewEWMA(4),
@@ -324,31 +327,29 @@ func New(eng *sim.Engine, cfg Config, l1 *mem.Cache, pf *prefetch.Prefetcher, bu
 		// phase detector.
 		sweeping: true,
 		cool:     cfg.Cooldown,
+		skip:     -1,
 	}
 	u.tickH.u = u
-	u.pfArm = -1
-	u.skip = -1
+	eng.Own(u.tickH)
 
-	pfSnoop := l1.OnDemandAccess
 	for _, name := range cfg.ArmNames() {
 		switch name {
 		case "off":
 			u.arms = append(u.arms, arm{name: name})
 		case "pf":
-			if pf == nil || pfSnoop == nil {
+			if pf == nil {
 				panic("adaptive: \"pf\" arm requires the programmable prefetcher")
 			}
 			if u.pfArm < 0 {
 				u.pfArm = len(u.arms)
 			}
-			u.arms = append(u.arms, arm{name: name, snoop: pfSnoop})
+			u.arms = append(u.arms, arm{name: name})
 		default:
-			l1.OnDemandAccess = nil
 			unit := build(name)
 			if unit == nil {
 				panic(fmt.Sprintf("adaptive: unknown arm %q in menu %q", name, cfg.Arms))
 			}
-			u.arms = append(u.arms, arm{name: name, unit: unit, snoop: l1.OnDemandAccess})
+			u.arms = append(u.arms, arm{name: name, unit: unit})
 		}
 	}
 	u.reward = make([]stats.EWMA, len(u.arms))
@@ -356,7 +357,6 @@ func New(eng *sim.Engine, cfg Config, l1 *mem.Cache, pf *prefetch.Prefetcher, bu
 		u.reward[i] = stats.NewEWMA(2)
 	}
 	u.armIvals = make([]int64, len(u.arms))
-	l1.OnDemandAccess = u.onDemand
 	return u
 }
 
@@ -371,15 +371,17 @@ func (u *Unit) BindHost(ops func() int64, done func() bool) {
 	u.eng.ScheduleAfter(u.cfg.IntervalTicks, u.tickH, 0, 0)
 }
 
-// onDemand is the L1 demand-stream dispatcher: it counts the interval's
-// sensor inputs and forwards the access to the active arm only.
-func (u *Unit) onDemand(addr uint64, pc int, hit bool) {
+// Observe implements baseline.Unit: it counts the interval's sensor inputs
+// and forwards the access to the active arm only.
+func (u *Unit) Observe(addr uint64, pc int, hit bool) {
 	u.intDemands++
 	if !hit {
 		u.intMisses++
 	}
-	if s := u.arms[u.active].snoop; s != nil {
-		s(addr, pc, hit)
+	if a := &u.arms[u.active]; a.unit != nil {
+		a.unit.Observe(addr, pc, hit)
+	} else if a.name == "pf" {
+		u.pf.Observe(addr, pc, hit)
 	}
 }
 
@@ -504,7 +506,7 @@ func (u *Unit) tick(at sim.Ticks) {
 const idleMinDemands = 64
 
 // observeSensors folds the interval's sensor inputs into the EWMAs: the
-// dispatcher-counted miss rate (phase signal), and the L1/PF counter deltas
+// Observe-counted miss rate (phase signal), and the L1/PF counter deltas
 // for prefetch accuracy and chain latency. It returns the interval's demand
 // and prefetcher-fill counts for the idle detector.
 func (u *Unit) observeSensors() (demands, fills int64) {
@@ -680,14 +682,9 @@ func (u *Unit) rnd() uint64 {
 func (u *Unit) Stats() baseline.IssuerStats {
 	var t baseline.IssuerStats
 	for _, a := range u.arms {
-		if a.unit == nil {
-			continue
+		if a.unit != nil {
+			t.Add(a.unit.Stats())
 		}
-		s := a.unit.Stats()
-		t.Generated += s.Generated
-		t.Issued += s.Issued
-		t.TLBDrops += s.TLBDrops
-		t.QueueDrop += s.QueueDrop
 	}
 	return t
 }

@@ -4,43 +4,15 @@ import (
 	"fmt"
 
 	"eventpf/internal/baseline"
-	"eventpf/internal/sim"
 )
 
-// Fork support. The controller's dispatcher and the arms' snoop closures are
-// rebuilt identically by the fork's own constructor (same menu, same order),
-// so only value state is copied: the policy scalars, the sensor and reward
-// EWMAs, the RNG and the hosted arms' own state, pairwise. The pending
-// decision tick lives in the parent's event queue and re-targets the fork
-// through the registered tickH pair; the tick the fork's constructor armed
-// is discarded when the fork's event queue is overwritten by the parent's.
-
-// RegisterFork records the controller's handler pairs for a fork: its own
-// decision tick plus every hosted arm's handlers, pairwise.
-func (u *Unit) RegisterFork(src baseline.Unit, remap *sim.Remap) error {
-	su, ok := src.(*Unit)
-	if !ok {
-		return fmt.Errorf("adaptive: fork of %T into %T", src, u)
-	}
-	if len(u.arms) != len(su.arms) {
-		return fmt.Errorf("adaptive: fork across different menus (%d vs %d arms)", len(su.arms), len(u.arms))
-	}
-	remap.Register(su.tickH, u.tickH)
-	for i := range u.arms {
-		if (u.arms[i].unit == nil) != (su.arms[i].unit == nil) || u.arms[i].name != su.arms[i].name {
-			return fmt.Errorf("adaptive: fork arm %d mismatch (%q vs %q)", i, su.arms[i].name, u.arms[i].name)
-		}
-		if u.arms[i].unit == nil {
-			continue
-		}
-		if err := u.arms[i].unit.RegisterFork(su.arms[i].unit, remap); err != nil {
-			return fmt.Errorf("adaptive: arm %q: %w", u.arms[i].name, err)
-		}
-	}
-	return nil
-}
-
-// CopyStateFrom deep-copies the controller and every hosted arm.
+// CopyStateFrom implements baseline.Unit's fork half. The fork's own
+// constructor rebuilt the arms (same menu, same order), so only value state
+// is copied: the policy, the per-arm rewards and interval counts, the run
+// counters and the hosted arms' own state, pairwise. The pending decision
+// tick lives in the parent's event queue and re-targets the fork through the
+// engine's handler pairing; the tick the fork's constructor armed is
+// discarded when the fork's event queue is overwritten by the parent's.
 func (u *Unit) CopyStateFrom(src baseline.Unit) error {
 	su, ok := src.(*Unit)
 	if !ok {
@@ -49,22 +21,14 @@ func (u *Unit) CopyStateFrom(src baseline.Unit) error {
 	if len(u.arms) != len(su.arms) {
 		return fmt.Errorf("adaptive: fork across different menus (%d vs %d arms)", len(su.arms), len(u.arms))
 	}
-	u.active = su.active
-	u.intDemands, u.intMisses = su.intDemands, su.intMisses
-	u.lastOps = su.lastOps
-	u.lastUsed, u.lastDead = su.lastUsed, su.lastDead
-	u.lastFillSum, u.lastFillCount = su.lastFillSum, su.lastFillCount
-	u.fast, u.slow, u.acc, u.lat = su.fast, su.slow, su.acc, su.lat
+	u.policy = su.policy
 	u.reward = append(u.reward[:0], su.reward...)
 	u.armIvals = append(u.armIvals[:0], su.armIvals...)
-	u.sweeping, u.inTrial, u.trial, u.meas = su.sweeping, su.inTrial, su.trial, su.meas
-	u.trialMid, u.trialExt = su.trialMid, su.trialExt
-	u.cool, u.rng = su.cool, su.rng
-	u.settleLeft = su.settleLeft
-	u.idleIvals, u.skip = su.idleIvals, su.skip
-	u.lastSteady = su.lastSteady
-	u.stats = su.stats
+	u.stats = su.stats // ArmIntervals is filled only in ControllerStats' copy
 	for i := range u.arms {
+		if (u.arms[i].unit == nil) != (su.arms[i].unit == nil) || u.arms[i].name != su.arms[i].name {
+			return fmt.Errorf("adaptive: fork arm %d mismatch (%q vs %q)", i, su.arms[i].name, u.arms[i].name)
+		}
 		if u.arms[i].unit == nil {
 			continue
 		}

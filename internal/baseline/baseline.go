@@ -2,9 +2,9 @@
 // compares against (Table 1): a Chen–Baer reference-prediction-table stride
 // prefetcher with degree 8, and a Nesbit–Smith global-history-buffer Markov
 // prefetcher in "regular" (SRAM-sized) and "large" (1 GiB-state) variants.
-// Both observe the L1's demand stream and inject prefetch requests through
-// a shared TLB-translating issuer, so their traffic competes for the same
-// MSHRs and DRAM banks as everything else.
+// Both are fed the L1's demand stream through Unit.Observe and inject
+// prefetch requests through a shared TLB-translating issuer, so their traffic
+// competes for the same MSHRs and DRAM banks as everything else.
 package baseline
 
 import (
@@ -65,6 +65,7 @@ func (h issuerTransHandler) Handle(_ sim.Ticks, a, ok uint64) {
 func newIssuer(eng *sim.Engine, l1 *mem.Cache, tlb *mem.TLB, limit int) *issuer {
 	is := &issuer{eng: eng, l1: l1, tlb: tlb, limit: limit}
 	is.transH.is = is
+	eng.Own(is.transH)
 	prev := l1.OnMSHRFree
 	l1.OnMSHRFree = func() {
 		if prev != nil {
@@ -132,23 +133,16 @@ type Stride struct {
 	is    *issuer
 }
 
-// NewStride attaches a stride prefetcher to the L1's demand snoop.
+// NewStride builds a stride prefetcher issuing into l1.
 func NewStride(eng *sim.Engine, cfg StrideConfig, l1 *mem.Cache, tlb *mem.TLB) *Stride {
-	s := &Stride{cfg: cfg, table: make([]rptEntry, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
-	prev := l1.OnDemandAccess
-	l1.OnDemandAccess = func(addr uint64, pc int, hit bool) {
-		if prev != nil {
-			prev(addr, pc, hit)
-		}
-		s.observe(addr, pc)
-	}
-	return s
+	return &Stride{cfg: cfg, table: make([]rptEntry, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
 }
 
 // Stats returns issue counters.
 func (s *Stride) Stats() IssuerStats { return s.is.stats }
 
-func (s *Stride) observe(addr uint64, pc int) {
+// Observe trains on every demand access that carries a PC.
+func (s *Stride) Observe(addr uint64, pc int, _ bool) {
 	if pc < 0 {
 		return
 	}
@@ -232,41 +226,38 @@ type ghbEntry struct {
 // miss, the successors of prior occurrences of the same address are
 // predicted to recur and prefetched.
 type GHB struct {
-	cfg      GHBConfig
+	cfg GHBConfig
+	// ghb is the history ring: it grows by append up to size entries, then
+	// wraps. The buffer keeps at most GHBSize entries; the "large" variant's
+	// 2^26 is clamped to 2^22, which is still far beyond any working set our
+	// reduced inputs generate (i.e. effectively unbounded).
 	ghb      []ghbEntry
-	head     int // next write position
+	size     int
 	count    int
 	index    map[uint64]int32 // line -> most recent GHB position
 	indexAge []uint64         // insertion order, for deterministic eviction
 	is       *issuer
 }
 
-// NewGHB attaches a Markov GHB prefetcher to the L1's demand snoop. It
-// trains on demand misses only.
+// NewGHB builds a Markov GHB prefetcher issuing into l1.
 func NewGHB(eng *sim.Engine, cfg GHBConfig, l1 *mem.Cache, tlb *mem.TLB) *GHB {
-	g := &GHB{
-		cfg: cfg,
-		// The buffer keeps at most GHBSize entries; the "large" variant's
-		// 2^26 is clamped to 2^22, which is still far beyond any working
-		// set our reduced inputs generate (i.e. effectively unbounded).
-		ghb:   make([]ghbEntry, 0, min(cfg.GHBSize, 1<<22)),
+	return &GHB{
+		cfg:   cfg,
+		size:  min(cfg.GHBSize, 1<<22),
 		index: make(map[uint64]int32),
 		is:    newIssuer(eng, l1, tlb, cfg.Queue),
 	}
-	prev := l1.OnDemandAccess
-	l1.OnDemandAccess = func(addr uint64, pc int, hit bool) {
-		if prev != nil {
-			prev(addr, pc, hit)
-		}
-		if !hit {
-			g.observeMiss(mem.LineAddr(addr))
-		}
-	}
-	return g
 }
 
 // Stats returns issue counters.
 func (g *GHB) Stats() IssuerStats { return g.is.stats }
+
+// Observe trains on demand misses only.
+func (g *GHB) Observe(addr uint64, _ int, hit bool) {
+	if !hit {
+		g.observeMiss(mem.LineAddr(addr))
+	}
+}
 
 func (g *GHB) observeMiss(line uint64) {
 	// Predict successors of earlier occurrences of this line, then record
@@ -300,7 +291,7 @@ func (g *GHB) at(pos int) (ghbEntry, bool) {
 	if pos >= g.count || pos < g.count-len(g.ghb) || pos < 0 {
 		return ghbEntry{}, false
 	}
-	return g.ghb[pos%cap(g.ghb)], true
+	return g.ghb[pos%g.size], true
 }
 
 func (g *GHB) lookup(line uint64) (int32, bool) {
@@ -321,11 +312,10 @@ func (g *GHB) insert(line uint64) {
 		prev = p
 	}
 	pos := g.count
-	slot := pos % cap(g.ghb)
-	if len(g.ghb) < cap(g.ghb) {
+	if len(g.ghb) < g.size {
 		g.ghb = append(g.ghb, ghbEntry{})
 	}
-	g.ghb[slot] = ghbEntry{line: line, prev: prev}
+	g.ghb[pos%g.size] = ghbEntry{line: line, prev: prev}
 	g.count++
 	if _, ok := g.index[line]; !ok {
 		g.indexAge = append(g.indexAge, line)

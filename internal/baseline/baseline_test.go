@@ -60,6 +60,7 @@ func TestStrideDetectsSteadyStream(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x40000)
 	s := NewStride(f.eng, DefaultStrideConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 
 	for i := uint64(0); i < 16; i++ {
 		f.load(0x10000+i*64, 7)
@@ -77,6 +78,7 @@ func TestStrideIgnoresRandomStream(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x200000)
 	s := NewStride(f.eng, DefaultStrideConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 	seed := uint64(99)
 	for i := 0; i < 50; i++ {
 		seed = seed*6364136223846793005 + 1
@@ -91,6 +93,7 @@ func TestStrideTracksNegativeStride(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x40000)
 	s := NewStride(f.eng, DefaultStrideConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 	for i := 16; i >= 0; i-- {
 		f.load(0x20000+uint64(i)*64, 3)
 	}
@@ -103,6 +106,7 @@ func TestStrideSeparatePCs(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x100000)
 	s := NewStride(f.eng, DefaultStrideConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 	// Two interleaved streams from different PCs: both should train.
 	for i := uint64(0); i < 12; i++ {
 		f.load(0x10000+i*64, 1)
@@ -117,6 +121,7 @@ func TestGHBRepredictsRepeatedSequence(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x100000, 0x900000)
 	g := NewGHB(f.eng, RegularGHBConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 
 	// An irregular-but-repeating miss sequence. Addresses are far apart so
 	// every access misses (no spatial reuse); each full pass repeats the
@@ -141,6 +146,7 @@ func TestGHBSilentOnFirstPass(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x100000, 0x400000)
 	g := NewGHB(f.eng, RegularGHBConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 	for i := uint64(0); i < 40; i++ {
 		f.load(0x100000+i*8192+((i*i)%32)*64, 1) // no repeats
 	}
@@ -156,6 +162,7 @@ func TestGHBRegularForgetsBeyondCapacity(t *testing.T) {
 	cfg.IndexSize = 32
 	f.mapRange(0x100000, 0x2000000)
 	g := NewGHB(f.eng, cfg, f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 
 	seq := make([]uint64, 100) // far larger than the 32-entry history
 	for i := range seq {
@@ -176,6 +183,7 @@ func TestGHBRegularForgetsBeyondCapacity(t *testing.T) {
 	f2 := newFixture(t)
 	f2.mapRange(0x100000, 0x2000000)
 	g2 := NewGHB(f2.eng, LargeGHBConfig(), f2.l1, f2.tlb)
+	f2.l1.OnDemandAccess = g2.Observe
 	for pass := 0; pass < 2; pass++ {
 		for _, a := range seq {
 			f2.load(a, 1)
@@ -218,6 +226,7 @@ func TestStrideRequiresTraining(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x40000)
 	s := NewStride(f.eng, DefaultStrideConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 	f.load(0x10000, 4)
 	f.load(0x10040, 4)
 	if got := s.Stats().Generated; got != 0 {
@@ -231,6 +240,7 @@ func TestGHBDepthBound(t *testing.T) {
 	f.mapRange(0x100000, 0x4000000)
 	cfg := RegularGHBConfig()
 	g := NewGHB(f.eng, cfg, f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 	// Many repetitions of a long sequence maximise available history.
 	seq := make([]uint64, 40)
 	for i := range seq {
@@ -256,6 +266,7 @@ func TestStrideTagMismatchResets(t *testing.T) {
 	cfg := DefaultStrideConfig()
 	cfg.Entries = 4 // force aliasing: PCs 1 and 5 share a slot
 	s := NewStride(f.eng, cfg, f.l1, f.tlb)
+	f.l1.OnDemandAccess = s.Observe
 	for i := uint64(0); i < 6; i++ {
 		f.load(0x10000+i*64, 1)
 		f.load(0x100000+i*4096, 5)
@@ -264,5 +275,29 @@ func TestStrideTagMismatchResets(t *testing.T) {
 	// the steady state and nothing may be prefetched.
 	if got := s.Stats().Generated; got != 0 {
 		t.Errorf("aliasing PCs still generated %d prefetches", got)
+	}
+}
+
+// TestGHBRingGrowsOnDemand: the history ring is allocated as misses arrive,
+// up to its size — the large variant must not reserve its 2^22 entries
+// (64 MiB) before the first miss.
+func TestGHBRingGrowsOnDemand(t *testing.T) {
+	f := newFixture(t)
+	small := RegularGHBConfig()
+	small.GHBSize = 32
+	for _, tc := range []struct {
+		cfg  GHBConfig
+		want int // ring length after 100 distinct misses
+	}{{LargeGHBConfig(), 100}, {small, 32}} {
+		g := NewGHB(f.eng, tc.cfg, f.l1, f.tlb)
+		if cap(g.ghb) != 0 {
+			t.Errorf("GHBSize %d: ring holds %d entries before any miss", tc.cfg.GHBSize, cap(g.ghb))
+		}
+		for i := uint64(0); i < 100; i++ {
+			g.Observe(0x100000+i*64, 1, false)
+		}
+		if len(g.ghb) != tc.want {
+			t.Errorf("GHBSize %d: ring length %d after 100 misses, want %d", tc.cfg.GHBSize, len(g.ghb), tc.want)
+		}
 	}
 }

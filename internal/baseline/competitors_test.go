@@ -6,6 +6,7 @@ func TestRPTDetectsSteadyStream(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x40000)
 	r := NewRPT(f.eng, DefaultRPTConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = r.Observe
 
 	for i := uint64(0); i < 16; i++ {
 		f.load(0x10000+i*64, 7)
@@ -25,6 +26,7 @@ func TestRPTNoPredLockout(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x40000)
 	r := NewRPT(f.eng, DefaultRPTConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = r.Observe
 	for i := 0; i < 20; i++ {
 		f.load(0x10000, 3)
 		f.load(0x10000+64, 3)
@@ -42,6 +44,7 @@ func TestRPTSteadyGraceKeepsStride(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x80000)
 	r := NewRPT(f.eng, DefaultRPTConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = r.Observe
 	for i := uint64(0); i < 8; i++ {
 		f.load(0x10000+i*64, 9)
 	}
@@ -64,6 +67,7 @@ func TestDeltaRepredictsRepeatedDeltaPattern(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x100000, 0x4000000)
 	g := NewGHBDelta(f.eng, DefaultDeltaConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 
 	deltas := []uint64{0x1040, 0x2080, 0x30c0} // distinct lines, all misses
 	addr := uint64(0x100000)
@@ -80,6 +84,7 @@ func TestDeltaSilentWithoutRepetition(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x100000, 0x4000000)
 	g := NewGHBDelta(f.eng, DefaultDeltaConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = g.Observe
 	addr := uint64(0x100000)
 	for i := uint64(1); i < 40; i++ {
 		f.load(addr, 1)
@@ -96,6 +101,7 @@ func TestTSKIDLearnsTriggerTarget(t *testing.T) {
 	f := newFixture(t)
 	f.mapRange(0x10000, 0x2000000)
 	u := NewTSKID(f.eng, DefaultTSKIDConfig(), f.l1, f.tlb)
+	f.l1.OnDemandAccess = u.Observe
 
 	// PC 1 touches stream A; a fixed distance later PC 2 misses in stream B.
 	for i := uint64(0); i < 24; i++ {
@@ -114,6 +120,7 @@ func TestTSKIDDelaysIssue(t *testing.T) {
 	f.mapRange(0x10000, 0x2000000)
 	cfg := DefaultTSKIDConfig()
 	u := NewTSKID(f.eng, cfg, f.l1, f.tlb)
+	f.l1.OnDemandAccess = u.Observe
 
 	for i := uint64(0); i < 6; i++ {
 		f.load(0x10000+i*4096, 1)

@@ -53,29 +53,25 @@ type GHBDelta struct {
 	is       *issuer
 }
 
-// NewGHBDelta attaches a delta-correlating GHB prefetcher to the L1's
-// demand snoop. Like the Markov GHB it trains on demand misses only.
+// NewGHBDelta builds a delta-correlating GHB prefetcher issuing into l1.
 func NewGHBDelta(eng *sim.Engine, cfg DeltaConfig, l1 *mem.Cache, tlb *mem.TLB) *GHBDelta {
-	g := &GHBDelta{
+	return &GHBDelta{
 		cfg: cfg,
 		ghb: make([]deltaEntry, 0, cfg.GHBSize),
 		ait: make([]aitSlot, cfg.AITSize),
 		is:  newIssuer(eng, l1, tlb, cfg.Queue),
 	}
-	prev := l1.OnDemandAccess
-	l1.OnDemandAccess = func(addr uint64, pc int, hit bool) {
-		if prev != nil {
-			prev(addr, pc, hit)
-		}
-		if !hit {
-			g.observeMiss(mem.LineAddr(addr))
-		}
-	}
-	return g
 }
 
 // Stats returns issue counters.
 func (g *GHBDelta) Stats() IssuerStats { return g.is.stats }
+
+// Observe trains, like the Markov GHB, on demand misses only.
+func (g *GHBDelta) Observe(addr uint64, _ int, hit bool) {
+	if !hit {
+		g.observeMiss(mem.LineAddr(addr))
+	}
+}
 
 func (g *GHBDelta) observeMiss(line uint64) {
 	prev := int32(-1)

@@ -1,22 +1,14 @@
 package baseline
 
-import (
-	"fmt"
-
-	"eventpf/internal/sim"
-)
+import "fmt"
 
 // Fork support: the baseline prefetchers hold plain value state (tables,
-// queues, counters) plus handler adapters (the issuer's translation handler,
-// TSKID's delayed-issue handler); their L1 snoop closures are rebuilt
-// identically by the fork's own constructors, so only state is copied. Every
-// unit implements the Unit interface's fork half by type-asserting src: the
-// system fork always pairs units built from the same scheme spec, so a
-// mismatch is a wiring bug reported as an error.
-
-func (is *issuer) registerFork(src *issuer, remap *sim.Remap) {
-	remap.Register(src.transH, is.transH)
-}
+// queues, counters); their handler adapters (the issuer's translation
+// handler, TSKID's delayed-issue handler) are owned by the engine, which pairs
+// them itself, so only state is copied. Every unit implements the Unit
+// interface's fork half by type-asserting src: the system fork always pairs
+// units built from the same scheme, so a mismatch is a wiring bug reported as
+// an error.
 
 func (is *issuer) copyStateFrom(src *issuer) {
 	is.queue = append(is.queue[:0], src.queue...)
@@ -27,16 +19,6 @@ func (is *issuer) copyStateFrom(src *issuer) {
 // forkMismatch reports a unit forked into a different concrete type.
 func forkMismatch(dst, src Unit) error {
 	return fmt.Errorf("baseline: fork of %T into %T", src, dst)
-}
-
-// RegisterFork records the stride prefetcher's handler pair for a fork.
-func (s *Stride) RegisterFork(src Unit, remap *sim.Remap) error {
-	ss, ok := src.(*Stride)
-	if !ok {
-		return forkMismatch(s, src)
-	}
-	s.is.registerFork(ss.is, remap)
-	return nil
 }
 
 // CopyStateFrom copies src's prediction table and issuer state.
@@ -53,46 +35,23 @@ func (s *Stride) CopyStateFrom(src Unit) error {
 	return nil
 }
 
-// RegisterFork records the GHB prefetcher's handler pair for a fork.
-func (g *GHB) RegisterFork(src Unit, remap *sim.Remap) error {
-	sg, ok := src.(*GHB)
-	if !ok {
-		return forkMismatch(g, src)
-	}
-	g.is.registerFork(sg.is, remap)
-	return nil
-}
-
 // CopyStateFrom copies src's history buffer, index and issuer state.
 func (g *GHB) CopyStateFrom(src Unit) error {
 	sg, ok := src.(*GHB)
 	if !ok {
 		return forkMismatch(g, src)
 	}
-	if cap(g.ghb) != cap(sg.ghb) {
+	if g.size != sg.size {
 		return fmt.Errorf("baseline: fork of GHB prefetcher into different buffer size")
 	}
 	g.ghb = append(g.ghb[:0], sg.ghb...)
-	g.head = sg.head
 	g.count = sg.count
-	for line := range g.index {
-		delete(g.index, line)
-	}
+	clear(g.index)
 	for line, pos := range sg.index {
 		g.index[line] = pos
 	}
 	g.indexAge = append(g.indexAge[:0], sg.indexAge...)
 	g.is.copyStateFrom(sg.is)
-	return nil
-}
-
-// RegisterFork records the RPT prefetcher's handler pair for a fork.
-func (r *RPT) RegisterFork(src Unit, remap *sim.Remap) error {
-	sr, ok := src.(*RPT)
-	if !ok {
-		return forkMismatch(r, src)
-	}
-	r.is.registerFork(sr.is, remap)
 	return nil
 }
 
@@ -110,16 +69,6 @@ func (r *RPT) CopyStateFrom(src Unit) error {
 	return nil
 }
 
-// RegisterFork records the delta-GHB prefetcher's handler pair for a fork.
-func (g *GHBDelta) RegisterFork(src Unit, remap *sim.Remap) error {
-	sg, ok := src.(*GHBDelta)
-	if !ok {
-		return forkMismatch(g, src)
-	}
-	g.is.registerFork(sg.is, remap)
-	return nil
-}
-
 // CopyStateFrom copies src's history buffer, index table and issuer state.
 func (g *GHBDelta) CopyStateFrom(src Unit) error {
 	sg, ok := src.(*GHBDelta)
@@ -134,20 +83,6 @@ func (g *GHBDelta) CopyStateFrom(src Unit) error {
 	copy(g.ait, sg.ait)
 	g.lastLine, g.haveLast = sg.lastLine, sg.haveLast
 	g.is.copyStateFrom(sg.is)
-	return nil
-}
-
-// RegisterFork records the timing prefetcher's handler pairs for a fork:
-// the issuer's translation handler plus the delayed-issue handler, whose
-// pending events (scheduled prefetches not yet due) live in the parent's
-// event queue and must re-target the fork.
-func (t *TSKID) RegisterFork(src Unit, remap *sim.Remap) error {
-	st, ok := src.(*TSKID)
-	if !ok {
-		return forkMismatch(t, src)
-	}
-	t.is.registerFork(st.is, remap)
-	remap.Register(st.issueH, t.issueH)
 	return nil
 }
 

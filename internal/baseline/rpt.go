@@ -51,24 +51,16 @@ type RPT struct {
 	is    *issuer
 }
 
-// NewRPT attaches a reference-prediction-table prefetcher to the L1's
-// demand snoop.
+// NewRPT builds a reference-prediction-table prefetcher issuing into l1.
 func NewRPT(eng *sim.Engine, cfg RPTConfig, l1 *mem.Cache, tlb *mem.TLB) *RPT {
-	r := &RPT{cfg: cfg, table: make([]rptSlot, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
-	prev := l1.OnDemandAccess
-	l1.OnDemandAccess = func(addr uint64, pc int, hit bool) {
-		if prev != nil {
-			prev(addr, pc, hit)
-		}
-		r.observe(addr, pc)
-	}
-	return r
+	return &RPT{cfg: cfg, table: make([]rptSlot, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
 }
 
 // Stats returns issue counters.
 func (r *RPT) Stats() IssuerStats { return r.is.stats }
 
-func (r *RPT) observe(addr uint64, pc int) {
+// Observe trains on every demand access that carries a PC.
+func (r *RPT) Observe(addr uint64, pc int, _ bool) {
 	if pc < 0 {
 		return
 	}

@@ -67,14 +67,14 @@ type TSKID struct {
 }
 
 // tskidIssueHandler fires a delayed prefetch: a is the target address. A
-// typed handler (not a closure) so pending delayed issues survive a machine
-// fork via the remap table.
+// typed handler (not a closure) the engine owns, so pending delayed issues
+// survive a machine fork.
 type tskidIssueHandler struct{ u *TSKID }
 
 // Handle implements sim.Handler.
 func (h tskidIssueHandler) Handle(_ sim.Ticks, a, _ uint64) { h.u.is.push(a) }
 
-// NewTSKID attaches a timing prefetcher to the L1's demand snoop.
+// NewTSKID builds a timing prefetcher issuing into l1.
 func NewTSKID(eng *sim.Engine, cfg TSKIDConfig, l1 *mem.Cache, tlb *mem.TLB) *TSKID {
 	t := &TSKID{
 		cfg:      cfg,
@@ -85,20 +85,16 @@ func NewTSKID(eng *sim.Engine, cfg TSKIDConfig, l1 *mem.Cache, tlb *mem.TLB) *TS
 		is:       newIssuer(eng, l1, tlb, cfg.Queue),
 	}
 	t.issueH.u = t
-	prev := l1.OnDemandAccess
-	l1.OnDemandAccess = func(addr uint64, pc int, hit bool) {
-		if prev != nil {
-			prev(addr, pc, hit)
-		}
-		t.observe(addr, pc, hit)
-	}
+	eng.Own(t.issueH)
 	return t
 }
 
 // Stats returns issue counters.
 func (t *TSKID) Stats() IssuerStats { return t.is.stats }
 
-func (t *TSKID) observe(addr uint64, pc int, hit bool) {
+// Observe trains the trackers on every demand access that carries a PC, fires
+// learned triggers, and learns a new trigger→target pair on a miss.
+func (t *TSKID) Observe(addr uint64, pc int, hit bool) {
 	if pc < 0 {
 		return
 	}

@@ -125,14 +125,44 @@ type Core struct {
 	cfg   Config
 	ports Ports
 
-	stream     Stream
-	pendingOp  MicroOp // dispatch-rejected op, delivered before the stream
-	hasPending bool
-	nextID     int64
+	stream    Stream
+	pendingOp MicroOp // dispatch-rejected op, delivered before the stream
 	// rob is a fixed ring buffer of cfg.ROB entries: robHead indexes the
 	// oldest entry, robN counts occupancy. Retiring moves the head instead of
 	// re-slicing, so the window's backing array lives for the whole run.
-	rob        []robEntry
+	rob []robEntry
+	coreState
+
+	tickH     tickHandler
+	launchH   launchHandler
+	loadDoneH loadDoneHandler
+	storeH    storeHandler
+	swpfH     swpfHandler
+
+	onDone func()
+	bp     branchPredictor
+
+	// Bus, if set, receives CoreStall/CoreStallEnd events. Emission is
+	// transition-gated (stallActive) so a stall spanning many ticks costs
+	// two events, not one per tick, and a nil bus costs one branch.
+	Bus         *trace.Bus
+	stallActive [4]bool
+
+	// OpBus, if set, receives one CoreDispatch event per dispatched micro-op
+	// — the trace-capture feed (internal/tracein). It is separate from Bus so
+	// that attaching an ordinary tracer never pays for, or sees, the per-op
+	// stream; with no capture attached the cost is one branch per dispatch.
+	OpBus *trace.Bus
+}
+
+// coreState is the core's scalar execution state: everything a fork copies by
+// one assignment (the window, the parked op and the predictor table are
+// copied beside it). It must stay free of pointers, slices, maps, funcs and
+// interfaces — a reflection test checks — so a new field is forked without
+// being listed and can never alias the parent.
+type coreState struct {
+	hasPending bool // pendingOp is valid
+	nextID     int64
 	robHead    int
 	robN       int
 	completion [completionRing]sim.Ticks
@@ -167,32 +197,12 @@ type Core struct {
 	// so it can skip straight to scheduling its successor (see idleTick).
 	dirty bool
 
-	tickH     tickHandler
-	launchH   launchHandler
-	loadDoneH loadDoneHandler
-	storeH    storeHandler
-	swpfH     swpfHandler
-
 	stallUntil      sim.Ticks // branch redirect: no dispatch before this
 	redirectPending bool      // a mispredicted branch has not yet resolved
 	tickPending     bool
 	done            bool
-	onDone          func()
 
-	bp    branchPredictor
 	Stats Stats
-
-	// Bus, if set, receives CoreStall/CoreStallEnd events. Emission is
-	// transition-gated (stallActive) so a stall spanning many ticks costs
-	// two events, not one per tick, and a nil bus costs one branch.
-	Bus         *trace.Bus
-	stallActive [4]bool
-
-	// OpBus, if set, receives one CoreDispatch event per dispatched micro-op
-	// — the trace-capture feed (internal/tracein). It is separate from Bus so
-	// that attaching an ordinary tracer never pays for, or sees, the per-op
-	// stream; with no capture attached the cost is one branch per dispatch.
-	OpBus *trace.Bus
 }
 
 // depDistMax caps a recorded dependence distance at what fits a uint32 half
@@ -244,6 +254,7 @@ func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
 	c.loadDoneH.c = c
 	c.storeH.c = c
 	c.swpfH.c = c
+	eng.Own(c.tickH, c.launchH, c.loadDoneH, c.storeH, c.swpfH)
 	c.bp.init()
 	return c
 }

@@ -1,18 +1,5 @@
 package cpu
 
-import "eventpf/internal/sim"
-
-// RegisterFork records the core's five handler adapters as counterparts of
-// src's, so pending tick/launch/completion events and MSHR waiter lists
-// captured from the parent resolve to this core after a machine fork.
-func (c *Core) RegisterFork(src *Core, remap *sim.Remap) {
-	remap.Register(src.tickH, c.tickH)
-	remap.Register(src.launchH, c.launchH)
-	remap.Register(src.loadDoneH, c.loadDoneH)
-	remap.Register(src.storeH, c.storeH)
-	remap.Register(src.swpfH, c.swpfH)
-}
-
 // CopyStateFrom copies src's complete execution state — window, completion
 // rings, in-flight counts, stall/redirect state, branch predictor and stats.
 // The micro-op stream and completion callback cannot be copied (both are
@@ -20,31 +7,13 @@ func (c *Core) RegisterFork(src *Core, remap *sim.Remap) {
 // stream must be a clone of src's stream positioned at the same op, or nil
 // if src's stream was already exhausted.
 func (c *Core) CopyStateFrom(src *Core, stream Stream, onDone func()) {
+	c.coreState = src.coreState
 	c.pendingOp = src.pendingOp // only loads/stores park here; Do is always nil
-	c.hasPending = src.hasPending
-	c.nextID = src.nextID
 	copy(c.rob, src.rob)
-	c.robHead = src.robHead
-	c.robN = src.robN
-	c.completion = src.completion
-	c.known = src.known
-	c.ringAddr = src.ringAddr
-	c.ringPC = src.ringPC
-	c.waitHead = src.waitHead
-	c.ready = src.ready
-	c.inflightLd = src.inflightLd
-	c.inflightSt = src.inflightSt
-	c.unissuedN = src.unissuedN
-	c.dirty = src.dirty
-	c.stallUntil = src.stallUntil
-	c.redirectPending = src.redirectPending
-	c.tickPending = src.tickPending
-	c.done = src.done
-	c.stream = stream
-	c.onDone = onDone
 	c.bp.history = src.bp.history
 	copy(c.bp.table, src.bp.table)
-	c.Stats = src.Stats
+	c.stream = stream
+	c.onDone = onDone
 }
 
 // SwapStream replaces the core's micro-op stream. Only legal before the core

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"eventpf/internal/workloads"
@@ -36,60 +35,6 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	}
 	if first.Adaptive.Switches < 1 {
 		t.Errorf("adaptive run never switched arms (stats: %+v)", *first.Adaptive)
-	}
-}
-
-// TestAdaptiveForkMatchesStraightThrough extends the fork byte-identity gate
-// to the adaptive scheme: the controller carries more live state than any
-// static scheme (sensor EWMAs, per-arm rewards, sweep/trial progress, RNG),
-// and all of it must survive a fork mid-run.
-func TestAdaptiveForkMatchesStraightThrough(t *testing.T) {
-	b, err := workloads.ByName("HJ-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Scale: goldenScale}
-	straight, err := Run(b, Adaptive, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encode(t, straight)
-
-	w, err := Warm(b, Adaptive, opt, straight.Core.Ops/3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Done() {
-		t.Fatalf("program finished during warmup (%d ops): no fork point to test", straight.Core.Ops/3)
-	}
-	contA, err := w.Fork(w.Machine().Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contB, err := w.Fork(w.Machine().Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	results := make([]Result, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for i, f := range []func() (Result, error){contA.Finish, contB.Finish, w.Resume} {
-		wg.Add(1)
-		go func(i int, f func() (Result, error)) {
-			defer wg.Done()
-			results[i], errs[i] = f()
-		}(i, f)
-	}
-	wg.Wait()
-	for i, name := range []string{"fork A", "fork B", "resumed parent"} {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", name, errs[i])
-		}
-		if got := encode(t, results[i]); !bytes.Equal(got, want) {
-			t.Errorf("%s: result bytes differ from straight-through run\n(got %d cycles, want %d)",
-				name, results[i].Cycles, straight.Cycles)
-		}
 	}
 }
 

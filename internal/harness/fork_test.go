@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,13 +10,27 @@ import (
 	"eventpf/internal/workloads"
 )
 
+// forkPairs is every golden benchmark×scheme pair plus, for each registered
+// scheme the goldens do not reach, that scheme on HJ-2 (which supports them
+// all) — so a newly registered scheme is forked here without being listed.
+func forkPairs() []benchScheme {
+	pairs := slices.Clone(goldenPairs)
+	for _, s := range AllSchemes {
+		if !slices.ContainsFunc(goldenPairs, func(gp benchScheme) bool { return gp.scheme == s }) {
+			pairs = append(pairs, benchScheme{"HJ-2", s})
+		}
+	}
+	return pairs
+}
+
 // TestForkMatchesStraightThrough is the pause/fork correctness gate:
-// for each golden benchmark×scheme pair, warming a machine partway, forking
-// it (twice, completed concurrently, so the race detector can see any shared
-// state between siblings) and resuming the parent must all produce results
+// for each golden benchmark×scheme pair and every other registered scheme,
+// warming a machine partway, forking it mid-run with events pending (twice,
+// completed concurrently, so the race detector can see any shared state
+// between siblings) and resuming the parent must all produce results
 // byte-identical to an uninterrupted run.
 func TestForkMatchesStraightThrough(t *testing.T) {
-	for _, gp := range goldenPairs {
+	for _, gp := range forkPairs() {
 		gp := gp
 		t.Run(gp.bench+"/"+gp.scheme.String(), func(t *testing.T) {
 			t.Parallel()
@@ -36,6 +51,9 @@ func TestForkMatchesStraightThrough(t *testing.T) {
 			}
 			if w.Done() {
 				t.Fatalf("program finished during warmup (%d ops): no fork point to test", straight.Core.Ops/3)
+			}
+			if w.Machine().Eng.Pending() == 0 {
+				t.Fatal("no event pending at the fork point: the fork would not exercise handler pairing")
 			}
 			contA, err := w.Fork(w.Machine().Cfg)
 			if err != nil {

@@ -20,15 +20,17 @@ import (
 // scheduling, queue recycling) must NOT move a single byte of any result.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden result files")
 
+type benchScheme struct {
+	bench  string
+	scheme Scheme
+}
+
 // goldenPairs are the pinned benchmark×scheme measurements. They are chosen
 // to cover every allocation-sensitive path: manual exercises the full
 // event-triggered prefetcher (kernels, tagged chains, EWMA), manual-blocked
 // the Figure 11 suspended-VM path, stride the baseline issuer, and no-pf the
 // bare core+cache+DRAM+TLB stack.
-var goldenPairs = []struct {
-	bench  string
-	scheme Scheme
-}{
+var goldenPairs = []benchScheme{
 	{"HJ-2", NoPF},
 	{"HJ-2", Manual},
 	{"RandAcc", Stride},

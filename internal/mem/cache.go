@@ -93,13 +93,18 @@ type waiter struct {
 // construction and the waiters/tags backing slices are recycled across
 // misses ([:0] on allocate, capacity retained).
 type mshrEntry struct {
+	mshrState
+	waiters []waiter
+	tags    []tagged // prefetch-kernel tags to fire on fill (§4.7)
+}
+
+// mshrState is the part of a slot a fork copies by assignment.
+type mshrState struct {
 	line         uint64
 	active       bool
 	demand       bool // at least one demand access is waiting
 	dirty        bool // a store is among the merged accesses
 	initPrefetch bool // the miss was initiated by a prefetch
-	waiters      []waiter
-	tags         []tagged // prefetch-kernel tags to fire on fill (§4.7)
 }
 
 type tagged struct {
@@ -117,16 +122,15 @@ type Cache struct {
 	cfg  CacheConfig
 	next Level
 
-	sets     int
-	lines    [][]cacheLine
-	useClock int64
+	sets  int
+	lines [][]cacheLine
+	cacheState
 
 	// mshrSlots is the miss-register file: a fixed array scanned linearly.
 	// At ≤32 entries a scan-and-compare beats map hashing, allocates nothing,
 	// and the array index doubles as the stable slot id the trace bus labels
 	// MSHR tracks with (replacing the old lazily-allocated slotUsed table).
 	mshrSlots []mshrEntry
-	mshrCount int
 
 	// lookupQ holds requests whose lookup is in the cache pipeline. Every
 	// lookup takes the same HitCycles delay, so completions are FIFO and the
@@ -164,17 +168,20 @@ type Cache struct {
 	// can abandon the pending chain.
 	OnPrefetchDrop func(line uint64, tag int)
 
-	// OnPrefetchDead, if set, observes prefetched lines evicted without
-	// ever being used (diagnostics).
-	OnPrefetchDead func(line uint64)
-
 	// Bus, if set, receives CacheMiss/CacheFill/CacheMSHRFull/CachePFDrop
 	// events labelled with Level. The MSHR slot index on miss/fill events is
 	// the entry's position in the fixed slot array.
 	Bus   *trace.Bus
 	Level int32
+}
 
-	Stats CacheStats
+// cacheState is the cache's scalar timing state, copied to a fork by one
+// assignment (the line arrays, MSHR file and request queues are copied
+// beside it).
+type cacheState struct {
+	useClock  int64
+	mshrCount int
+	Stats     CacheStats
 }
 
 // lookupHandler pops the oldest in-pipeline lookup; FIFO order matches event
@@ -212,6 +219,7 @@ func NewCache(eng *sim.Engine, clk sim.Clock, cfg CacheConfig, next Level) *Cach
 	}
 	c.lookupH.c = c
 	c.fillH.c = c
+	eng.Own(c.lookupH, c.fillH)
 	for i := range c.lines {
 		c.lines[i] = make([]cacheLine, cfg.Ways)
 	}
@@ -503,9 +511,6 @@ func (c *Cache) evict(l *cacheLine) {
 			c.Stats.PrefetchUsed++
 		} else {
 			c.Stats.PrefetchDead++
-			if c.OnPrefetchDead != nil {
-				c.OnPrefetchDead(l.tag)
-			}
 		}
 	}
 	if l.dirty {

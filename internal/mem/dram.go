@@ -69,9 +69,7 @@ type DRAM struct {
 	cfg  DRAMConfig
 	clk  sim.Clock
 	bank []bankState
-
-	busFreeAt sim.Ticks
-	Stats     DRAMStats
+	dramState
 
 	// Pool, if set, receives serviced requests back: DRAM is the last level,
 	// so every request that reaches it dies here. The completion target is
@@ -82,6 +80,13 @@ type DRAM struct {
 	// Bus, if set, receives one DRAMAccess span per request, labelled with
 	// the bank and row state and covering the bank-busy window.
 	Bus *trace.Bus
+}
+
+// dramState is the controller's scalar state, copied to a fork by one
+// assignment beside the bank array.
+type dramState struct {
+	busFreeAt sim.Ticks
+	Stats     DRAMStats
 }
 
 type bankState struct {

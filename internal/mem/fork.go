@@ -7,13 +7,13 @@ import (
 )
 
 // This file implements the memory system's half of machine forking (see
-// system.Machine.Fork). Forking is two-phase: first every component of the
-// fork registers its (parent, fork) handler pairs in a sim.Remap, then every
-// component copies the parent's state with stored handlers translated through
-// the completed table. The split matters because state frequently captures
-// handlers owned by *other* components — an MSHR waiter list holds core
-// completion adapters, a TLB record holds the prefetch pump's handler — so no
-// state may be copied until every component has registered.
+// system.Machine.Fork): each component of the fork copies its parent's state.
+// Fork-copied scalars live in one embedded plain-value struct per component
+// (cacheState, mshrState, tlbState, dramState) assigned at once; slices are
+// copied beside it. State frequently captures handlers owned by *other*
+// components — an MSHR waiter list holds core completion adapters, a TLB
+// record holds the prefetch pump's handler — and each is translated into the
+// fork's handler at the same position by sim.Engine.Counterpart.
 //
 // Ownership rule for pooled requests: a fork never aliases its parent's
 // *Request objects. Requests parked in a parent's queues (cache lookup
@@ -52,49 +52,21 @@ func (a *Arena) CopyFrom(src *Arena) {
 	a.regions = append(a.regions[:0], src.regions...)
 }
 
-// cloneRequest copies src into a request drawn from pool — the fork's pool,
-// never the parent's — translating the completion target.
-func cloneRequest(pool *Pool, src *Request, remap *sim.Remap) (*Request, error) {
-	dst := pool.Get()
-	*dst = *src
-	if src.Comp != nil {
-		h, err := remap.Lookup(src.Comp)
-		if err != nil {
-			pool.Put(dst)
-			return nil, err
-		}
-		dst.Comp = h
-	}
-	return dst, nil
-}
-
-// RegisterFork records the cache's handler adapters as counterparts of src's,
-// so events and completions captured in the parent resolve to this cache.
-func (c *Cache) RegisterFork(src *Cache, remap *sim.Remap) {
-	remap.Register(src.lookupH, c.lookupH)
-	remap.Register(src.fillH, c.fillH)
-}
-
 // CopyStateFrom makes c's timing state an exact copy of src's: line arrays,
-// LRU clock, the MSHR file (waiter handlers translated through remap), and
-// the in-pipeline lookup and MSHR-stalled request queues (cloned into c's
-// pool). The two caches must have been built with the same geometry.
-func (c *Cache) CopyStateFrom(src *Cache, remap *sim.Remap) error {
+// LRU clock, the MSHR file (waiter handlers translated), and the in-pipeline
+// lookup and MSHR-stalled request queues (cloned into c's pool). The two
+// caches must have been built with the same geometry.
+func (c *Cache) CopyStateFrom(src *Cache) error {
 	if c.sets != src.sets || c.cfg.Ways != src.cfg.Ways || len(c.mshrSlots) != len(src.mshrSlots) {
 		return fmt.Errorf("mem: fork of cache %s into different geometry", src.cfg.Name)
 	}
 	for i := range src.lines {
 		copy(c.lines[i], src.lines[i])
 	}
-	c.useClock = src.useClock
-	c.mshrCount = src.mshrCount
+	c.cacheState = src.cacheState
 	for i := range src.mshrSlots {
 		se, de := &src.mshrSlots[i], &c.mshrSlots[i]
-		de.line = se.line
-		de.active = se.active
-		de.demand = se.demand
-		de.dirty = se.dirty
-		de.initPrefetch = se.initPrefetch
+		de.mshrState = se.mshrState
 		de.waiters = de.waiters[:0]
 		de.tags = de.tags[:0]
 		if !se.active {
@@ -103,7 +75,7 @@ func (c *Cache) CopyStateFrom(src *Cache, remap *sim.Remap) error {
 			continue
 		}
 		for _, w := range se.waiters {
-			h, err := remap.Lookup(w.h)
+			h, err := c.eng.Counterpart(src.eng, w.h)
 			if err != nil {
 				return fmt.Errorf("%s MSHR %d waiter: %w", src.cfg.Name, i, err)
 			}
@@ -112,41 +84,38 @@ func (c *Cache) CopyStateFrom(src *Cache, remap *sim.Remap) error {
 		de.tags = append(de.tags, se.tags...)
 	}
 	var err error
-	if c.lookupQ, err = cloneRequests(c.lookupQ, src.lookupQ, c.Pool, remap); err != nil {
+	if c.lookupQ, err = c.cloneRequests(c.lookupQ, src.lookupQ, src.eng); err != nil {
 		return fmt.Errorf("%s lookup pipeline: %w", src.cfg.Name, err)
 	}
-	if c.pendingMiss, err = cloneRequests(c.pendingMiss, src.pendingMiss, c.Pool, remap); err != nil {
+	if c.pendingMiss, err = c.cloneRequests(c.pendingMiss, src.pendingMiss, src.eng); err != nil {
 		return fmt.Errorf("%s pending misses: %w", src.cfg.Name, err)
 	}
-	c.Stats = src.Stats
 	return nil
 }
 
-func cloneRequests(dst, src []*Request, pool *Pool, remap *sim.Remap) ([]*Request, error) {
-	for i := range dst {
-		dst[i] = nil
-	}
+// cloneRequests replaces dst's contents with copies of the requests parked in
+// src (a queue of the cache built on srcEng), each drawn from c's pool — the
+// fork's, never the parent's — with its completion target translated.
+func (c *Cache) cloneRequests(dst, src []*Request, srcEng *sim.Engine) ([]*Request, error) {
+	clear(dst)
 	dst = dst[:0]
 	for _, r := range src {
-		cl, err := cloneRequest(pool, r, remap)
+		h, err := c.eng.Counterpart(srcEng, r.Comp)
 		if err != nil {
 			return dst, err
 		}
+		cl := c.Pool.Get()
+		*cl = *r
+		cl.Comp = h
 		dst = append(dst, cl)
 	}
 	return dst, nil
 }
 
-// RegisterFork records the TLB's handler adapters as counterparts of src's.
-func (t *TLB) RegisterFork(src *TLB, remap *sim.Remap) {
-	remap.Register(src.l2HitH, t.l2HitH)
-	remap.Register(src.walkDone, t.walkDone)
-}
-
 // CopyStateFrom copies src's translation state: both TLB levels, the
 // in-flight translation record table (completion handlers translated), the
 // walker queue and the LRU clock.
-func (t *TLB) CopyStateFrom(src *TLB, remap *sim.Remap) error {
+func (t *TLB) CopyStateFrom(src *TLB) error {
 	if len(t.l1) != len(src.l1) || len(t.l2) != len(src.l2) {
 		return fmt.Errorf("mem: fork of TLB into different geometry")
 	}
@@ -154,14 +123,14 @@ func (t *TLB) CopyStateFrom(src *TLB, remap *sim.Remap) error {
 	for i := range src.l2 {
 		copy(t.l2[i], src.l2[i])
 	}
-	t.activeWalks = src.activeWalks
+	t.tlbState = src.tlbState
 	t.walkQueue = append(t.walkQueue[:0], src.walkQueue...)
 	if cap(t.recs) < len(src.recs) {
 		t.recs = make([]transRec, len(src.recs))
 	}
 	t.recs = t.recs[:len(src.recs)]
 	for i, r := range src.recs {
-		h, err := remap.Lookup(r.h)
+		h, err := t.eng.Counterpart(src.eng, r.h)
 		if err != nil {
 			return fmt.Errorf("TLB record %d: %w", i, err)
 		}
@@ -169,20 +138,17 @@ func (t *TLB) CopyStateFrom(src *TLB, remap *sim.Remap) error {
 		t.recs[i] = r
 	}
 	t.recFree = append(t.recFree[:0], src.recFree...)
-	t.useClock = src.useClock
-	t.Stats = src.Stats
 	return nil
 }
 
 // CopyStateFrom copies src's bank timing, bus occupancy and counters. DRAM
 // resolves and schedules each request's completion at Access time, so it
-// holds no live requests and registers no handlers of its own.
+// holds no live requests and owns no handlers.
 func (d *DRAM) CopyStateFrom(src *DRAM) error {
 	if len(d.bank) != len(src.bank) {
 		return fmt.Errorf("mem: fork of DRAM into different bank count")
 	}
 	copy(d.bank, src.bank)
-	d.busFreeAt = src.busFreeAt
-	d.Stats = src.Stats
+	d.dramState = src.dramState
 	return nil
 }

@@ -65,8 +65,8 @@ type TLB struct {
 	l1 []tlbEntry // fully associative
 	l2 [][]tlbEntry
 
-	activeWalks int
-	walkQueue   []int32 // indices into recs, FIFO of walks awaiting a walker
+	tlbState
+	walkQueue []int32 // indices into recs, FIFO of walks awaiting a walker
 
 	// recs is the in-flight translation table: one record per translation
 	// that could not complete synchronously (L2 hit delay or page walk).
@@ -77,14 +77,6 @@ type TLB struct {
 
 	l2HitH   tlbL2HitHandler
 	walkDone tlbWalkDoneHandler
-
-	// useClock orders LRU touches. It is per-TLB (not package-level) so
-	// machines running on different goroutines never share mutable state;
-	// only the relative order within one TLB's sets matters, so moving the
-	// counter into the struct leaves every serial simulation bit-identical.
-	useClock int64
-
-	Stats TLBStats
 
 	// Bus, if set, receives one TLBWalk span per page-table walk, labelled
 	// with a stable walker slot. Slots are assigned only while tracing.
@@ -116,6 +108,17 @@ func (t *TLB) takeWalker() int32 {
 		}
 	}
 	return -1
+}
+
+// tlbState is the TLB's scalar state, copied to a fork by one assignment (the
+// entry arrays, record table and walk queue are copied beside it).
+type tlbState struct {
+	activeWalks int
+	// useClock orders LRU touches. It is per-TLB (not package-level) so
+	// machines running on different goroutines never share mutable state;
+	// only the relative order within one TLB's sets matters.
+	useClock int64
+	Stats    TLBStats
 }
 
 type tlbEntry struct {
@@ -206,6 +209,7 @@ func NewTLB(eng *sim.Engine, clk sim.Clock, cfg TLBConfig, bk *Backing) *TLB {
 	t := &TLB{eng: eng, clk: clk, cfg: cfg, bk: bk}
 	t.l2HitH.t = t
 	t.walkDone.t = t
+	eng.Own(t.l2HitH, t.walkDone)
 	t.l1 = make([]tlbEntry, cfg.L1Entries)
 	sets := cfg.L2Entries / cfg.L2Ways
 	t.l2 = make([][]tlbEntry, sets)

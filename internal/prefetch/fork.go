@@ -4,18 +4,7 @@ import (
 	"fmt"
 
 	"eventpf/internal/ppu"
-	"eventpf/internal/sim"
 )
-
-// RegisterFork records the prefetcher's handler adapters as counterparts of
-// src's, so pending enqueue/translation/inflight/unit-free events captured
-// from the parent resolve to this prefetcher after a machine fork.
-func (p *Prefetcher) RegisterFork(src *Prefetcher, remap *sim.Remap) {
-	remap.Register(src.enqueueH, p.enqueueH)
-	remap.Register(src.pumpH, p.pumpH)
-	remap.Register(src.inflH, p.inflH)
-	remap.Register(src.freeH, p.freeH)
-}
 
 // CopyStateFrom copies src's complete state: kernel registry (programs are
 // immutable and shared), filter table, globals, queues, unit occupancy
@@ -27,7 +16,7 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 	if len(p.units) != len(src.units) {
 		return fmt.Errorf("prefetch: fork with different PPU count (%d vs %d)", len(p.units), len(src.units))
 	}
-	p.Enabled = src.Enabled
+	p.pfState = src.pfState
 	for id, prog := range src.kernels {
 		p.kernels[id] = prog
 	}
@@ -35,7 +24,6 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 		p.warmed[id] = w
 	}
 	p.filter = append(p.filter[:0], src.filter...)
-	p.globals = src.globals
 	p.obsQueue = append(p.obsQueue[:0], src.obsQueue...)
 	p.reqQueue = append(p.reqQueue[:0], src.reqQueue...)
 	for i := range src.units {
@@ -65,12 +53,7 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 		*cp = *q
 		p.pending[id] = cp
 	}
-	p.nextObs = src.nextObs
 	p.pumpRecs = append(p.pumpRecs[:0], src.pumpRecs...)
 	p.pumpFree = append(p.pumpFree[:0], src.pumpFree...)
-	p.ewma = src.ewma
-	p.pumping = src.pumping
-	p.inFlight = src.inFlight
-	p.Stats = src.Stats
 	return nil
 }

@@ -155,7 +155,7 @@ type Prefetcher struct {
 	l1  *mem.Cache
 	tlb *mem.TLB
 
-	Enabled bool
+	pfState
 
 	// Bus, if set, receives the prefetcher's lifecycle events (observe,
 	// kernel, generate, issue, fill, drop, flush); nil (the default) costs
@@ -171,7 +171,6 @@ type Prefetcher struct {
 	kernels map[int][]ppu.Instr
 	warmed  map[int]bool // kernels already in the shared instruction cache
 	filter  []RangeConfig
-	globals [ppu.NumGlobals]uint64
 
 	obsQueue []observation
 	reqQueue []request
@@ -179,7 +178,6 @@ type Prefetcher struct {
 
 	pending  map[int]*pendingPF
 	pendFree []*pendingPF // recycled pendingPF structs
-	nextObs  int
 
 	// pumpRecs is the recycled table of requests whose TLB translation is in
 	// flight (the address must outlive the pending entry: a flush or drop can
@@ -205,13 +203,19 @@ type Prefetcher struct {
 	pumpH    pumpDoneHandler
 	inflH    inflightHandler
 	freeH    unitFreeHandler
+}
 
-	ewma [8]ewmaGroup
-
+// pfState is the prefetcher's scalar state, copied to a fork by one
+// assignment (registry, filter, queues, units and record tables are copied
+// beside it).
+type pfState struct {
+	Enabled  bool
+	globals  [ppu.NumGlobals]uint64
+	nextObs  int
+	ewma     [8]ewmaGroup
 	pumping  int // concurrent request translations (the L2 TLB is pipelined)
 	inFlight int // prefetch lookups issued to L1 whose MSHR is not yet held
-
-	Stats Stats
+	Stats    Stats
 }
 
 type pumpRec struct {
@@ -280,12 +284,12 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 		bk:      bk,
 		l1:      l1,
 		tlb:     tlb,
-		Enabled: true,
 		kernels: make(map[int][]ppu.Instr),
 		warmed:  make(map[int]bool),
 		units:   make([]unit, cfg.NumPPUs),
 		pending: make(map[int]*pendingPF),
 	}
+	p.Enabled = true
 	for i := range p.ewma {
 		p.ewma[i].init()
 	}
@@ -293,10 +297,11 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 	p.pumpH.p = p
 	p.inflH.p = p
 	p.freeH.p = p
+	eng.Own(p.enqueueH, p.pumpH, p.inflH, p.freeH)
 	p.env.Globals = &p.globals
 	p.env.Lookahead = p.lookahead
 	p.env.EmitPF = p.emitReused
-	l1.OnDemandAccess = p.onDemandLoad
+	l1.OnDemandAccess = p.Observe
 	l1.OnPrefetchFill = p.onPrefetchFill
 	l1.OnMSHRFree = p.pump
 	l1.OnPrefetchDrop = func(_ uint64, tag int) {
@@ -377,8 +382,10 @@ func (p *Prefetcher) Flush() {
 	}
 }
 
-// onDemandLoad is the L1 snoop: every demand access from the core.
-func (p *Prefetcher) onDemandLoad(addr uint64, pc int, hit bool) {
+// Observe is the L1 demand snoop: every demand access from the core. New
+// installs it as l1.OnDemandAccess; the adaptive controller calls it while
+// its "pf" arm is active.
+func (p *Prefetcher) Observe(addr uint64, pc int, hit bool) {
 	if !p.Enabled {
 		return
 	}

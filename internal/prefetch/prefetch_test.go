@@ -272,7 +272,7 @@ func TestEWMALookahead(t *testing.T) {
 	// Demand loads every 100 ticks feed the interval EWMA.
 	for i := 0; i < 32; i++ {
 		addr := arr.Base + uint64(i)*8
-		f.eng.Schedule(sim.Ticks(i)*100, fn(func() { f.pf.onDemandLoad(addr, -1, true) }), 0, 0)
+		f.eng.Schedule(sim.Ticks(i)*100, fn(func() { f.pf.Observe(addr, -1, true) }), 0, 0)
 	}
 	f.eng.Run()
 	// Inject chain completion times of 1000 ticks: lookahead → 10.

@@ -208,6 +208,10 @@ type Engine struct {
 	sum   uint64                 // bit w: occ[w] != 0
 
 	far eventQueue // overflow: events scheduled ≥ wheelSpan ticks ahead
+
+	// owned lists the handler adapters of the machine built on this engine,
+	// in construction order; a fork pairs them by position (see Own).
+	owned []Handler
 }
 
 // NewEngine returns an engine with the clock at tick zero.

@@ -66,8 +66,16 @@ type rig struct {
 	log    []fired // what the engine fired since the last check
 }
 
-// rigHandler is comparable, so pending events survive CopyFrom through a
-// Remap; a is the event id, b its child code.
+// newRig builds an engine that owns its rig's handler, as a component
+// constructor would, so pending events survive CopyFrom.
+func newRig() *rig {
+	r := &rig{eng: NewEngine()}
+	r.eng.Own(rigHandler{r})
+	return r
+}
+
+// rigHandler is comparable, so an engine can own it; a is the event id, b its
+// child code.
 type rigHandler struct{ r *rig }
 
 func (h rigHandler) Handle(at Ticks, a, b uint64) {
@@ -212,7 +220,7 @@ func (r *rig) drained(t *testing.T) {
 // runProgram decodes prog and runs it; see the op constants.
 func runProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	rigs := []*rig{{eng: NewEngine()}}
+	rigs := []*rig{newRig()}
 	bursts := 0
 	for pc := 0; pc+1 < len(prog); pc += 2 {
 		op, arg := prog[pc]%opCount, prog[pc+1]
@@ -224,12 +232,10 @@ func runProgram(t *testing.T, prog []byte) {
 		if op == opCopy {
 			src := rigs[0]
 			if len(rigs) == 1 {
-				rigs = append(rigs, &rig{eng: NewEngine()})
+				rigs = append(rigs, newRig())
 			}
 			dst := rigs[1]
-			remap := NewRemap()
-			remap.Register(rigHandler{src}, rigHandler{dst})
-			if err := dst.eng.CopyFrom(src.eng, remap); err != nil {
+			if err := dst.eng.CopyFrom(src.eng); err != nil {
 				t.Fatalf("op %d: CopyFrom: %v", pc/2, err)
 			}
 			dst.model = append(dst.model[:0], src.model...)

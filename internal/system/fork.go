@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"eventpf/internal/cpu"
-	"eventpf/internal/sim"
 )
 
 // Forking a machine builds a complete second machine with New (so every
 // component, handler adapter and callback chain is wired exactly as the
-// constructor wires it) and then copies the parent's state into it in two
-// phases: first every component registers its (parent, fork) handler pairs
-// into a sim.Remap, then state is copied with any captured handlers — in the
-// event queue, in MSHR waiter lists, in TLB translation records, in the
-// load-record table — translated through that table. The fork owns all of
-// its pooled objects: parked requests are cloned through the fork's own
-// pool, never aliased, so parent and fork can run concurrently.
+// constructor wires it) and then copies the parent's state into it,
+// component by component and the event queue last. New under a
+// fork-compatible configuration hands the fork's engine the same handler
+// adapters in the same order as the parent's, so the engine pairs them by
+// position and translates any captured handler — in the event queue, in MSHR
+// waiter lists, in TLB translation records, in the load-record table —
+// itself (sim.Engine.Counterpart). The fork owns all of its pooled objects:
+// parked requests are cloned through the fork's own pool, never aliased, so
+// parent and fork can run concurrently.
 
 // ForkableStream is a micro-op stream that can clone itself for a forked
 // machine. ForkStream must return a stream positioned at exactly the same
@@ -59,79 +60,62 @@ func (m *Machine) ForkWith(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	f := New(cfg, m.Scheme)
-
-	// Phase 1: register every handler pair before any state is copied, so
-	// cross-component references (e.g. MSHR waiters holding core handlers)
-	// always resolve.
-	remap := sim.NewRemap()
-	f.Core.RegisterFork(m.Core, remap)
-	f.L1.RegisterFork(m.L1, remap)
-	f.L2.RegisterFork(m.L2, remap)
-	f.TLB.RegisterFork(m.TLB, remap)
-	f.glue.registerFork(m.glue, remap)
-	remap.Register(m.ctxH, f.ctxH)
-	if m.PF != nil {
-		f.PF.RegisterFork(m.PF, remap)
+	if err := f.copyFrom(m); err != nil {
+		return nil, fmt.Errorf("system: fork: %w", err)
 	}
-	if m.Baseline != nil {
-		if err := f.Baseline.RegisterFork(m.Baseline, remap); err != nil {
-			return nil, fmt.Errorf("system: fork: %w", err)
-		}
-	}
+	return f, nil
+}
 
-	// Phase 2: copy state, functional memory first (stream cloning below
-	// needs the fork's backing store populated).
+// copyFrom copies m's state into f, a machine New just built for the same
+// scheme under a fork-compatible configuration: the components, then the
+// micro-op stream, then the event queue.
+func (f *Machine) copyFrom(m *Machine) error {
+	// Functional memory first: stream cloning below needs the fork's
+	// backing store populated.
 	f.Backing.CopyFrom(m.Backing)
 	f.Arena.CopyFrom(m.Arena)
 	if err := f.DRAM.CopyStateFrom(m.DRAM); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
+		return err
 	}
-	if err := f.L2.CopyStateFrom(m.L2, remap); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
+	if err := f.L2.CopyStateFrom(m.L2); err != nil {
+		return err
 	}
-	if err := f.L1.CopyStateFrom(m.L1, remap); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
+	if err := f.L1.CopyStateFrom(m.L1); err != nil {
+		return err
 	}
-	if err := f.TLB.CopyStateFrom(m.TLB, remap); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
+	if err := f.TLB.CopyStateFrom(m.TLB); err != nil {
+		return err
 	}
-	if err := f.glue.copyStateFrom(m.glue, remap); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
+	if err := f.glue.copyStateFrom(m.glue); err != nil {
+		return err
 	}
 	if m.PF != nil {
 		if err := f.PF.CopyStateFrom(m.PF); err != nil {
-			return nil, fmt.Errorf("system: fork: %w", err)
+			return err
 		}
 	}
 	if m.Baseline != nil {
 		if err := f.Baseline.CopyStateFrom(m.Baseline); err != nil {
-			return nil, fmt.Errorf("system: fork: %w", err)
+			return err
 		}
 	}
 	*f.Counter = *m.Counter
 	f.coreDone = m.coreDone
 	f.runDone = m.runDone
 
-	var cs cpu.Stream
 	if m.Core.StreamActive() {
 		fs, ok := m.stream.(ForkableStream)
 		if !ok {
-			return nil, fmt.Errorf("system: stream %T does not support forking", m.stream)
+			return fmt.Errorf("stream %T does not support forking", m.stream)
 		}
 		var err error
-		cs, err = fs.ForkStream(f)
-		if err != nil {
-			return nil, fmt.Errorf("system: fork: %w", err)
+		if f.stream, err = fs.ForkStream(f); err != nil {
+			return err
 		}
 	}
-	f.stream = cs
-	f.Core.CopyStateFrom(m.Core, cs, f.onCoreDone)
+	f.Core.CopyStateFrom(m.Core, f.stream, f.onCoreDone)
 
-	// The event queue goes last, once the remap table is complete.
-	if err := f.Eng.CopyFrom(m.Eng, remap); err != nil {
-		return nil, fmt.Errorf("system: fork: %w", err)
-	}
-	return f, nil
+	return f.Eng.CopyFrom(m.Eng)
 }
 
 // forkCompatible rejects configuration changes that would alter the shape of
@@ -166,20 +150,15 @@ func forkCompatible(old, new Config) error {
 	return nil
 }
 
-func (g *portGlue) registerFork(src *portGlue, remap *sim.Remap) {
-	remap.Register(src.loadH, g.loadH)
-	remap.Register(src.swpfH, g.swpfH)
-}
-
 // copyStateFrom copies the in-flight demand-load record table; each record's
-// completion handler (a core adapter) is translated through remap.
-func (g *portGlue) copyStateFrom(src *portGlue, remap *sim.Remap) error {
+// completion handler (a core adapter) is translated into the fork's.
+func (g *portGlue) copyStateFrom(src *portGlue) error {
 	if cap(g.recs) < len(src.recs) {
 		g.recs = make([]loadRec, len(src.recs))
 	}
 	g.recs = g.recs[:len(src.recs)]
 	for i, r := range src.recs {
-		h, err := remap.Lookup(r.h)
+		h, err := g.eng.Counterpart(src.eng, r.h)
 		if err != nil {
 			return fmt.Errorf("load record %d: %w", i, err)
 		}

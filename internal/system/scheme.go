@@ -34,8 +34,8 @@ type SchemeSpec struct {
 	// from cfg — never from package-level defaults — so explicit Config
 	// overrides always take effect. pf is the machine's programmable
 	// prefetcher if the scheme also set Programmable (the adaptive
-	// controller hosts it as an arm), nil otherwise; it is built first, so
-	// its L1 hooks are already installed when NewUnit runs.
+	// controller hosts it as an arm), nil otherwise. New points the L1's
+	// demand snoop at the unit's Observe; the unit must not touch it.
 	NewUnit func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, pf *prefetch.Prefetcher) baseline.Unit
 }
 
@@ -52,84 +52,84 @@ func RegisterScheme(spec SchemeSpec) Scheme {
 	return Scheme(len(schemeSpecs) - 1)
 }
 
+// unitCtor builds one hardware prefetch unit, taking every sizing knob from
+// the machine configuration.
+type unitCtor func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit
+
+// units is the one table of unit constructors. Its keys are the names the
+// adaptive menu offers; the single-unit schemes below name their unit by the
+// same key, so a unit is constructed in exactly one place however it is
+// hosted.
+var units = map[string]unitCtor{
+	"stride": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		return baseline.NewStride(eng, cfg.Stride, l1, tlb)
+	},
+	// stride-d2 is the stride unit with the degree knob turned down to 2.
+	"stride-d2": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		c := cfg.Stride
+		c.Degree = 2
+		return baseline.NewStride(eng, c, l1, tlb)
+	},
+	"ghb": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		return baseline.NewGHB(eng, cfg.GHB, l1, tlb)
+	},
+	"ghb-delta": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		return baseline.NewGHBDelta(eng, cfg.Delta, l1, tlb)
+	},
+	"rpt": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		return baseline.NewRPT(eng, cfg.RPT, l1, tlb)
+	},
+	"tskid": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
+		return baseline.NewTSKID(eng, cfg.TSKID, l1, tlb)
+	},
+}
+
+// unitScheme registers a scheme that carries the one unit the table holds
+// under key.
+func unitScheme(name, key string) Scheme {
+	ctor := units[key]
+	return RegisterScheme(SchemeSpec{
+		Name: name,
+		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
+			return ctor(eng, cfg, l1, tlb)
+		},
+	})
+}
+
 // Machine prefetching schemes. The first five keep the ids they had as enum
 // constants; the competitors added with the registry follow.
 var (
 	// NoPF carries no hardware prefetcher.
 	NoPF = RegisterScheme(SchemeSpec{Name: "nopf"})
 	// StridePF carries the Table 1 degree-8 stride prefetcher.
-	StridePF = RegisterScheme(SchemeSpec{
-		Name: "stride",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewStride(eng, cfg.Stride, l1, tlb)
-		},
-	})
+	StridePF = unitScheme("stride", "stride")
 	// GHBRegular carries the SRAM-sized Markov GHB prefetcher.
-	GHBRegular = RegisterScheme(SchemeSpec{
-		Name: "ghb-regular",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewGHB(eng, cfg.GHB, l1, tlb)
-		},
-	})
+	GHBRegular = unitScheme("ghb-regular", "ghb")
 	// GHBLarge is the 1 GiB-state Markov GHB study variant. It builds from
 	// cfg.GHB exactly like GHBRegular — the large sizing is a *default*
 	// (baseline.LargeGHBConfig, applied by harness.ConfigFor when no
 	// explicit Config is given), not a constructor override, so a caller's
 	// cfg.GHB is always honoured.
-	GHBLarge = RegisterScheme(SchemeSpec{
-		Name: "ghb-large",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewGHB(eng, cfg.GHB, l1, tlb)
-		},
-	})
+	GHBLarge = unitScheme("ghb-large", "ghb")
 	// Programmable carries the paper's event-triggered prefetcher.
 	Programmable = RegisterScheme(SchemeSpec{Name: "programmable", Programmable: true})
 	// RPT carries the Chen–Baer four-state reference prediction table.
-	RPT = RegisterScheme(SchemeSpec{
-		Name: "rpt",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewRPT(eng, cfg.RPT, l1, tlb)
-		},
-	})
+	RPT = unitScheme("rpt", "rpt")
 	// GHBDelta carries the delta-correlating (G/DC) history prefetcher.
-	GHBDelta = RegisterScheme(SchemeSpec{
-		Name: "ghb-delta",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewGHBDelta(eng, cfg.Delta, l1, tlb)
-		},
-	})
+	GHBDelta = unitScheme("ghb-delta", "ghb-delta")
 	// TSKID carries the trigger/target timing prefetcher.
-	TSKID = RegisterScheme(SchemeSpec{
-		Name: "tskid",
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return baseline.NewTSKID(eng, cfg.TSKID, l1, tlb)
-		},
-	})
+	TSKID = unitScheme("tskid", "tskid")
 	// Adaptive carries the online adaptive controller: the programmable
 	// prefetcher plus a menu of baseline units, with one active at a time
 	// (internal/adaptive). Programmable and NewUnit together make New build
-	// both halves; the controller's builder maps menu names to candidate
-	// constructors sized from cfg, including degree-knob variants.
+	// both halves; the controller builds its menu from the units table.
 	Adaptive = RegisterScheme(SchemeSpec{
 		Name:         "adaptive",
 		Programmable: true,
 		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, pf *prefetch.Prefetcher) baseline.Unit {
 			return adaptive.New(eng, cfg.Adaptive, l1, pf, func(name string) baseline.Unit {
-				switch name {
-				case "stride":
-					return baseline.NewStride(eng, cfg.Stride, l1, tlb)
-				case "stride-d2":
-					c := cfg.Stride
-					c.Degree = 2
-					return baseline.NewStride(eng, c, l1, tlb)
-				case "ghb":
-					return baseline.NewGHB(eng, cfg.GHB, l1, tlb)
-				case "ghb-delta":
-					return baseline.NewGHBDelta(eng, cfg.Delta, l1, tlb)
-				case "rpt":
-					return baseline.NewRPT(eng, cfg.RPT, l1, tlb)
-				case "tskid":
-					return baseline.NewTSKID(eng, cfg.TSKID, l1, tlb)
+				if ctor := units[name]; ctor != nil {
+					return ctor(eng, cfg, l1, tlb)
 				}
 				return nil
 			})

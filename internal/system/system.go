@@ -94,8 +94,8 @@ type Machine struct {
 }
 
 // ctxSwitchHandler fires the periodic context-switch flush (§5.3) and
-// re-arms itself. A typed handler rather than a recursive closure so the
-// pending flush event survives a machine fork.
+// re-arms itself. A typed handler the engine owns rather than a recursive
+// closure, so the pending flush event survives a machine fork.
 type ctxSwitchHandler struct{ m *Machine }
 
 // Handle implements sim.Handler.
@@ -133,15 +133,17 @@ func New(cfg Config, scheme Scheme) *Machine {
 	}
 
 	m.ctxH.m = m
+	eng.Own(m.ctxH)
 
 	spec, ok := scheme.Spec()
 	if !ok {
 		panic(fmt.Sprintf("system: New: unregistered scheme %d", int(scheme)))
 	}
 	// Programmable and NewUnit are not exclusive: the adaptive scheme sets
-	// both, hosting the programmable prefetcher as one arm of its menu. The
-	// prefetcher is built first so its L1 hooks are in place when the unit
-	// constructor captures them.
+	// both, hosting the programmable prefetcher as one arm of its menu. A
+	// unit is passive: this is where it is attached to the L1's demand
+	// stream, replacing the snoop prefetch.New installed (which a machine
+	// carrying only the programmable prefetcher keeps).
 	if spec.Programmable {
 		m.PF = prefetch.New(eng, cfg.Prefetcher, bk, l1, tlb)
 		if cfg.ContextSwitchTicks > 0 {
@@ -150,9 +152,10 @@ func New(cfg Config, scheme Scheme) *Machine {
 	}
 	if spec.NewUnit != nil {
 		m.Baseline = spec.NewUnit(eng, &cfg, l1, tlb, m.PF)
+		l1.OnDemandAccess = m.Baseline.Observe
 	}
 
-	g := newPortGlue(tlb, l1)
+	g := newPortGlue(eng, tlb, l1)
 	m.glue = g
 	l1.Pool, l2.Pool, dram.Pool = g.pool, g.pool, g.pool
 	ports := cpu.Ports{
@@ -196,6 +199,7 @@ type hostBound interface {
 // in-flight demand loads (the address, PC and completion target that must
 // survive the TLB latency); translation events carry table indices.
 type portGlue struct {
+	eng  *sim.Engine
 	tlb  *mem.TLB
 	l1   *mem.Cache
 	pool *mem.Pool
@@ -214,10 +218,11 @@ type loadRec struct {
 	a    uint64
 }
 
-func newPortGlue(tlb *mem.TLB, l1 *mem.Cache) *portGlue {
-	g := &portGlue{tlb: tlb, l1: l1, pool: mem.NewPool()}
+func newPortGlue(eng *sim.Engine, tlb *mem.TLB, l1 *mem.Cache) *portGlue {
+	g := &portGlue{eng: eng, tlb: tlb, l1: l1, pool: mem.NewPool()}
 	g.loadH.g = g
 	g.swpfH.g = g
+	eng.Own(g.loadH, g.swpfH)
 	return g
 }
 
