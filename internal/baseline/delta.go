@@ -119,12 +119,12 @@ func (g *GHBDelta) at(pos int) (deltaEntry, bool) {
 	if pos < 0 || pos >= g.count || pos < g.count-len(g.ghb) {
 		return deltaEntry{}, false
 	}
-	return g.ghb[pos%cap(g.ghb)], true
+	return g.ghb[pos%g.cfg.GHBSize], true
 }
 
 func (g *GHBDelta) insert(e deltaEntry) {
-	slot := g.count % cap(g.ghb)
-	if len(g.ghb) < cap(g.ghb) {
+	slot := g.count % g.cfg.GHBSize
+	if len(g.ghb) < g.cfg.GHBSize {
 		g.ghb = append(g.ghb, deltaEntry{})
 	}
 	g.ghb[slot] = e

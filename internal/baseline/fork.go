@@ -75,7 +75,7 @@ func (g *GHBDelta) CopyStateFrom(src Unit) error {
 	if !ok {
 		return forkMismatch(g, src)
 	}
-	if cap(g.ghb) != cap(sg.ghb) || len(g.ait) != len(sg.ait) {
+	if g.cfg.GHBSize != sg.cfg.GHBSize || len(g.ait) != len(sg.ait) {
 		return fmt.Errorf("baseline: fork of delta-GHB prefetcher into different sizing")
 	}
 	g.ghb = append(g.ghb[:0], sg.ghb...)

@@ -49,6 +49,34 @@ type Stream interface {
 	Next() (op MicroOp, ok bool)
 }
 
+// Filler is a Stream that writes its next micro-op in place. The core
+// dispatches from one slot and has the stream fill it, so on the per-op path
+// no MicroOp is returned or passed by value; every stream in this module is
+// one, and a plain Stream is adapted once (AsFiller), not per op.
+type Filler interface {
+	Stream
+	// Fill overwrites every field of *op with the next micro-op and returns
+	// true, or returns false at end of program, leaving *op unspecified. It
+	// yields exactly the sequence Next would.
+	Fill(op *MicroOp) bool
+}
+
+// AsFiller returns s itself if it fills in place (or is nil), and otherwise
+// the one adapter from Next to Fill.
+func AsFiller(s Stream) Filler {
+	if f, ok := s.(Filler); ok || s == nil {
+		return f
+	}
+	return nextFiller{s}
+}
+
+type nextFiller struct{ Stream }
+
+func (n nextFiller) Fill(op *MicroOp) (ok bool) {
+	*op, ok = n.Next()
+	return ok
+}
+
 // Config sizes the core (Table 1 defaults come from the harness package).
 type Config struct {
 	Clock             sim.Clock
@@ -125,8 +153,11 @@ type Core struct {
 	cfg   Config
 	ports Ports
 
-	stream    Stream
-	pendingOp MicroOp // dispatch-rejected op, delivered before the stream
+	stream Filler
+	// pendingOp is the slot dispatch works from: the stream fills it, and an
+	// op the load or store queue has no room for stays in it (hasPending)
+	// until a later tick. Its Do is nil whenever dispatch is not running.
+	pendingOp MicroOp
 	// rob is a fixed ring buffer of cfg.ROB entries: robHead indexes the
 	// oldest entry, robN counts occupancy. Retiring moves the head instead of
 	// re-slicing, so the window's backing array lives for the whole run.
@@ -277,13 +308,6 @@ func (c *Core) robTail() int {
 	return p
 }
 
-func (c *Core) robPush(e robEntry) {
-	c.rob[c.robTail()] = e
-	c.robN++
-	c.unissuedN++
-	c.dirty = true
-}
-
 func (c *Core) robPop() {
 	c.robHead++
 	if c.robHead == len(c.rob) {
@@ -323,7 +347,7 @@ func (h swpfHandler) Handle(_ sim.Ticks, a, _ uint64) { h.c.ports.SWPrefetch(a) 
 // Run begins executing the stream; onDone is called when the last op
 // retires. Run must be called before the engine runs.
 func (c *Core) Run(s Stream, onDone func()) {
-	c.stream = s
+	c.stream = AsFiller(s)
 	c.onDone = onDone
 	c.scheduleTick(c.eng.Now())
 }
@@ -597,8 +621,13 @@ func (c *Core) dispatch(now sim.Ticks) {
 		if c.robN >= c.cfg.ROB {
 			return
 		}
-		op, ok := c.nextOp()
-		if !ok {
+		// An op parked in the slot goes first; otherwise the stream writes
+		// its next one there.
+		op := &c.pendingOp
+		if c.hasPending {
+			c.hasPending = false
+		} else if !c.stream.Fill(op) {
+			op.Do = nil
 			c.stream = nil
 			return
 		}
@@ -607,7 +636,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 			if c.inflightLd >= c.cfg.LQ {
 				// No LQ entry: hold the op until one frees at retirement.
 				c.setStall(trace.StallLQ, true)
-				c.pendingOp, c.hasPending = op, true
+				c.hasPending = true
 				return
 			}
 			c.inflightLd++
@@ -615,7 +644,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 		case OpStore:
 			if c.inflightSt >= c.cfg.SQ {
 				c.setStall(trace.StallSQ, true)
-				c.pendingOp, c.hasPending = op, true
+				c.hasPending = true
 				return
 			}
 			c.inflightSt++
@@ -623,6 +652,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 		case OpConfig:
 			if op.Do != nil {
 				op.Do()
+				op.Do = nil
 			}
 		}
 		id := c.nextID
@@ -642,26 +672,34 @@ func (c *Core) dispatch(now sim.Ticks) {
 		c.known[slot] = false
 		c.ringAddr[slot] = op.Addr
 		c.ringPC[slot] = int32(op.PC)
-		e := robEntry{
-			id: id, kind: op.Kind, addr: op.Addr, pc: op.PC,
-			deps: op.Deps, readyAt: now, completeAt: -1,
-		}
-		link := uint16(1 + 2*c.robTail())
-		for i, d := range e.deps {
+		// The window entry is written where it lives, field by field (the
+		// dependences one word at a time, as the stream stored them: a
+		// 16-byte load of two fresh 8-byte stores stalls the host's pipeline).
+		tail := c.robTail()
+		e := &c.rob[tail]
+		e.id, e.kind, e.addr, e.pc = id, op.Kind, op.Addr, op.PC
+		e.issued, e.mispred, e.waitNext, e.completeAt = false, false, [2]uint16{}, -1
+		readyAt, unresolved := now, 0
+		for i := range e.deps {
+			d := op.Deps[i]
+			e.deps[i] = d
 			if at, ok := c.depCompletion(d); ok {
-				if at > e.readyAt {
-					e.readyAt = at
+				if at > readyAt {
+					readyAt = at
 				}
 			} else {
 				// The producer is still in the window: wait on its slot.
-				e.unresolved++
+				unresolved++
 				head := &c.waitHead[d%completionRing]
 				e.waitNext[i] = *head
-				*head = link + uint16(i)
+				*head = uint16(1 + 2*tail + i)
 			}
 		}
-		c.robPush(e)
-		if e.unresolved == 0 {
+		e.readyAt, e.unresolved = readyAt, unresolved
+		c.robN++
+		c.unissuedN++
+		c.dirty = true
+		if unresolved == 0 {
 			c.markReady(id)
 		}
 		if op.Kind == OpBranch {
@@ -670,21 +708,12 @@ func (c *Core) dispatch(now sim.Ticks) {
 				// Redirect: no further dispatch until the branch resolves
 				// plus the front-end refill penalty. The stall is installed
 				// when the branch issues (its resolve time is then known).
-				c.robAt(c.robN - 1).mispred = true
+				e.mispred = true
 				c.redirectPending = true
 				return
 			}
 		}
 	}
-}
-
-// nextOp pulls the next micro-op, honouring a previously rejected one.
-func (c *Core) nextOp() (MicroOp, bool) {
-	if c.hasPending {
-		c.hasPending = false
-		return c.pendingOp, true
-	}
-	return c.stream.Next()
 }
 
 func (c *Core) scheduleNext(now sim.Ticks) {

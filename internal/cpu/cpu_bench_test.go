@@ -17,12 +17,18 @@ import (
 // aluStream yields n independent 1-cycle ops: the core never stalls.
 type aluStream struct{ n int }
 
-func (s *aluStream) Next() (MicroOp, bool) {
+func (s *aluStream) Fill(op *MicroOp) bool {
 	if s.n == 0 {
-		return MicroOp{}, false
+		return false
 	}
 	s.n--
-	return MicroOp{Kind: OpInt, Deps: [2]int64{NoDep, NoDep}}, true
+	*op = MicroOp{Kind: OpInt, Deps: [2]int64{NoDep, NoDep}}
+	return true
+}
+
+func (s *aluStream) Next() (op MicroOp, ok bool) {
+	ok = s.Fill(&op)
+	return op, ok
 }
 
 // chainStream yields a hash-chain walk of n ops: a load of the next pointer
@@ -32,16 +38,21 @@ func (s *aluStream) Next() (MicroOp, bool) {
 // window is what fills.
 type chainStream struct{ id, n int64 }
 
-func (s *chainStream) Next() (MicroOp, bool) {
+func (s *chainStream) Fill(op *MicroOp) bool {
 	if s.id == s.n {
-		return MicroOp{}, false
+		return false
 	}
-	op := MicroOp{Kind: OpInt, Deps: [2]int64{s.id - 1, NoDep}}
+	*op = MicroOp{Kind: OpInt, Deps: [2]int64{s.id - 1, NoDep}}
 	if s.id%3 == 0 {
 		op.Kind, op.Addr = OpLoad, uint64(s.id)*64
 	}
 	s.id++
-	return op, true
+	return true
+}
+
+func (s *chainStream) Next() (op MicroOp, ok bool) {
+	ok = s.Fill(&op)
+	return op, ok
 }
 
 // stallMem completes every load after a fixed latency, scheduling the

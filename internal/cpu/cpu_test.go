@@ -279,6 +279,52 @@ func TestConfigOpSideEffect(t *testing.T) {
 	}
 }
 
+// dirtyEnd is an in-place stream of n configuration ops that, as the Fill
+// contract allows, leaves rubbish in the slot when it reports the end.
+type dirtyEnd struct{ n, ran int }
+
+func (s *dirtyEnd) Fill(op *MicroOp) bool {
+	*op = MicroOp{Kind: OpConfig, Deps: [2]int64{NoDep, NoDep}, Do: func() { s.ran++ }}
+	s.n--
+	return s.n >= 0
+}
+
+func (s *dirtyEnd) Next() (op MicroOp, ok bool) {
+	ok = s.Fill(&op)
+	return op, ok
+}
+
+// TestSlotHoldsNoFuncAfterDispatch: a configuration op's effect runs once, at
+// dispatch, and is then dropped from the slot — as is whatever a stream left
+// there on reporting its end — so a fork that copies the slot copies nothing
+// bound to this core. A stream that fills in place is used as it is; a plain
+// one goes through the adapter.
+func TestSlotHoldsNoFuncAfterDispatch(t *testing.T) {
+	s := &dirtyEnd{n: 5}
+	if AsFiller(s) != Filler(s) {
+		t.Error("AsFiller wrapped a stream that fills in place")
+	}
+	if AsFiller(nil) != nil {
+		t.Error("AsFiller(nil) is not nil")
+	}
+	core, _ := runStream(t, testConfig(), 0, s)
+	if s.ran != 5 || core.Stats.Ops != 5 {
+		t.Errorf("%d effects ran over %d ops, want 5 and 5", s.ran, core.Stats.Ops)
+	}
+	if op, parked := core.Slot(); op.Do != nil || parked {
+		t.Errorf("after the run the slot holds a func (%v) or a parked op (%v)", op.Do != nil, parked)
+	}
+	ops := []MicroOp{{Kind: OpConfig, Deps: [2]int64{NoDep, NoDep}, Do: func() {}}, intOp()}
+	plain := &sliceStream{ops: ops}
+	if _, wrapped := AsFiller(plain).(nextFiller); !wrapped {
+		t.Error("AsFiller did not adapt a plain stream")
+	}
+	core, _ = runStream(t, testConfig(), 0, plain)
+	if op, _ := core.Slot(); op.Do != nil || core.Stats.Ops != 2 {
+		t.Errorf("plain stream: slot holds a func (%v) after %d ops, want none after 2", op.Do != nil, core.Stats.Ops)
+	}
+}
+
 func TestSWPrefetchPort(t *testing.T) {
 	eng := sim.NewEngine()
 	var pfAddrs []uint64
@@ -444,7 +490,7 @@ func TestIdleHorizon(t *testing.T) {
 		c := New(eng, testConfig(), Ports{})
 		c.stallUntil = tc.stallUntil
 		if !tc.noStream {
-			c.stream = &sliceStream{}
+			c.stream = AsFiller(&sliceStream{})
 		}
 		at, ok := c.idleHorizon(now)
 		if !ok {

@@ -8,11 +8,11 @@ package cpu
 // if src's stream was already exhausted.
 func (c *Core) CopyStateFrom(src *Core, stream Stream, onDone func()) {
 	c.coreState = src.coreState
-	c.pendingOp = src.pendingOp // only loads/stores park here; Do is always nil
+	c.pendingOp = src.pendingOp // Do is nil outside dispatch: nothing of src's is shared
 	copy(c.rob, src.rob)
 	c.bp.history = src.bp.history
 	copy(c.bp.table, src.bp.table)
-	c.stream = stream
+	c.stream = AsFiller(stream)
 	c.onDone = onDone
 }
 
@@ -20,7 +20,12 @@ func (c *Core) CopyStateFrom(src *Core, stream Stream, onDone func()) {
 // has pulled any op (between Run and the first tick): the replacement must
 // deliver the same ops from position zero, possibly filtered — time-parallel
 // slicing wraps the stream in its slice window this way.
-func (c *Core) SwapStream(s Stream) { c.stream = s }
+func (c *Core) SwapStream(s Stream) { c.stream = AsFiller(s) }
+
+// Slot returns the contents of the dispatch slot; parked reports whether the
+// op in it still waits for a load- or store-queue entry (diagnostics and
+// tests: a fork copies the slot, so it must hold nothing bound to its core).
+func (c *Core) Slot() (op MicroOp, parked bool) { return c.pendingOp, c.hasPending }
 
 // StreamActive reports whether the core still holds a live micro-op stream
 // (false once the stream has been exhausted), so a fork knows whether it

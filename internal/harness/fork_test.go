@@ -63,6 +63,11 @@ func TestForkMatchesStraightThrough(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, m := range []*system.Machine{w.Machine(), contA.rs.m, contB.rs.m} {
+				if op, _ := m.Core.Slot(); op.Do != nil {
+					t.Error("a paused core's dispatch slot holds a func: the fork's copy would act on the parent")
+				}
+			}
 
 			// Complete both siblings and the parent concurrently: each
 			// machine is confined to its own goroutine, and any aliased
@@ -88,6 +93,51 @@ func TestForkMatchesStraightThrough(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForkWithParkedOp forks at a point where the core holds an op it could
+// not dispatch (the load queue was full): the op exists nowhere but in the
+// dispatch slot, so the fork runs it only if the slot was copied, and runs it
+// once only if the cloned stream stands just after it. No benchmark fills
+// Table 1's 16-entry load queue from a 40-entry window, so the queue is cut
+// to two entries.
+func TestForkWithParkedOp(t *testing.T) {
+	cfg := system.DefaultConfig()
+	cfg.LQ = 2
+	opt := Options{Scale: goldenScale, Config: &cfg}
+	straight, err := Run(workloads.RandAcc, NoPF, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Warm(workloads.RandAcc, NoPF, opt, straight.Core.Ops/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.Machine()
+	parked := func(m *system.Machine) bool { _, p := m.Core.Slot(); return p }
+	for !parked(m) {
+		if m.Done() || !m.Eng.Step() {
+			t.Fatal("the run ended with no op ever parked")
+		}
+	}
+	cont, err := w.Fork(m.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _ := m.Core.Slot()
+	if fop, fparked := cont.rs.m.Core.Slot(); !fparked || fop.Kind != op.Kind || fop.Addr != op.Addr || fop.Deps != op.Deps {
+		t.Fatalf("fork's slot = %+v parked %v, parent's %+v", fop, fparked, op)
+	}
+	want := encode(t, straight)
+	for name, finish := range map[string]func() (Result, error){"fork": cont.Finish, "resumed parent": w.Resume} {
+		res, err := finish()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(encode(t, res), want) {
+			t.Errorf("%s: result differs from the straight-through run (%d cycles, want %d)", name, res.Cycles, straight.Cycles)
+		}
 	}
 }
 

@@ -133,10 +133,8 @@ func countOps(b *workloads.Benchmark, scheme Scheme, opt Options) (int64, error)
 		return 0, err
 	}
 	var n int64
-	for {
-		if _, ok := rs.stream.Next(); !ok {
-			break
-		}
+	var op cpu.MicroOp
+	for rs.stream.Fill(&op) {
 		n++
 	}
 	if err := rs.stream.streamErr(); err != nil {
@@ -217,7 +215,7 @@ func prepare(b *workloads.Benchmark, scheme Scheme, opt Options) (*runSetup, err
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 		}
-		rs.stream = &seq{all: []cpu.Stream{st}}
+		rs.stream = &seq{m: m, runs: []seqRun{{st: st}}}
 		return rs, nil
 	}
 
@@ -245,16 +243,10 @@ func prepare(b *workloads.Benchmark, scheme Scheme, opt Options) (*runSetup, err
 		return nil, err
 	}
 
-	var streams []cpu.Stream
+	rs.stream = &seq{m: m}
 	for _, run := range inst.Runs {
-		it := m.NewInterp(fn, run.Args...)
-		if run.Before != nil {
-			streams = append(streams, &hookStream{before: run.Before, m: m, inner: it})
-		} else {
-			streams = append(streams, it)
-		}
+		rs.stream.runs = append(rs.stream.runs, seqRun{before: run.Before, st: m.NewInterp(fn, run.Args...)})
 	}
-	rs.stream = &seq{all: streams}
 	return rs, nil
 }
 
@@ -358,93 +350,89 @@ func LayoutFor(opt Options, scheme Scheme) (trace.Layout, error) {
 	return lay, nil
 }
 
-// hookStream runs a workload callback (e.g. Graph500's parent reset)
-// against its machine when its first micro-op is pulled, then delegates.
-// Keeping the callback and machine as separate fields (rather than a bound
-// closure) is what lets a fork re-target the hook at the cloned machine.
-type hookStream struct {
-	before func(*system.Machine)
-	m      *system.Machine
-	fired  bool
-	inner  cpu.Stream
-}
-
-func (h *hookStream) Next() (cpu.MicroOp, bool) {
-	if !h.fired {
-		h.fired = true
-		h.before(h.m)
-	}
-	return h.inner.Next()
-}
-
 // seq concatenates the per-invocation micro-op streams of one run (several
 // kernels sharing one dynamic-op counter) and implements
 // system.ForkableStream so a machine paused mid-run can be forked. It
 // advances by index, keeping every stream reachable for cloning and for the
 // post-run oracle check.
 type seq struct {
-	all []cpu.Stream
-	pos int
+	m    *system.Machine // what the Before callbacks run against
+	runs []seqRun
+	pos  int
+	// cur is runs[pos].st once that run has begun: set when its first
+	// micro-op is pulled, after its Before callback.
+	cur cpu.Filler
 }
 
-func (s *seq) Next() (cpu.MicroOp, bool) {
-	for s.pos < len(s.all) {
-		if op, ok := s.all[s.pos].Next(); ok {
-			return op, true
+// seqRun is one invocation: its stream, and the workload callback (e.g.
+// Graph500's parent reset) due when the stream's first micro-op is pulled.
+type seqRun struct {
+	before func(*system.Machine)
+	st     cpu.Stream
+}
+
+// Next implements cpu.Stream.
+func (s *seq) Next() (op cpu.MicroOp, ok bool) {
+	ok = s.Fill(&op)
+	return op, ok
+}
+
+// Fill implements cpu.Filler.
+func (s *seq) Fill(op *cpu.MicroOp) bool {
+	for {
+		if s.cur != nil {
+			if s.cur.Fill(op) {
+				return true
+			}
+			s.cur = nil
+			s.pos++
 		}
-		s.pos++
+		if s.pos == len(s.runs) {
+			return false
+		}
+		r := s.runs[s.pos]
+		if r.before != nil {
+			r.before(s.m)
+		}
+		s.cur = cpu.AsFiller(r.st)
 	}
-	return cpu.MicroOp{}, false
 }
 
 // ForkStream implements system.ForkableStream: every stream is cloned at its
 // exact position, re-bound to the fork's backing store, config sink and
-// micro-op counter.
+// micro-op counter, and the callbacks still due will run against the fork.
 func (s *seq) ForkStream(f *system.Machine) (cpu.Stream, error) {
-	c := &seq{all: make([]cpu.Stream, len(s.all)), pos: s.pos}
-	for i, st := range s.all {
-		cs, err := forkStream(st, f)
-		if err != nil {
-			return nil, err
+	c := &seq{m: f, runs: make([]seqRun, len(s.runs)), pos: s.pos}
+	for i, r := range s.runs {
+		c.runs[i].before = r.before
+		switch st := r.st.(type) {
+		case *ir.Interp:
+			c.runs[i].st = st.Clone(f.Backing, f, f.Counter)
+		case system.StreamCloner:
+			// Leaf streams that open a second cursor over their source — a
+			// trace replayer re-opening its file.
+			cs, err := st.CloneStream(f)
+			if err != nil {
+				return nil, err
+			}
+			c.runs[i].st = cs
+		default:
+			return nil, fmt.Errorf("harness: stream %T does not support forking", st)
 		}
-		c.all[i] = cs
+	}
+	if s.cur != nil {
+		c.cur = cpu.AsFiller(c.runs[c.pos].st)
 	}
 	return c, nil
-}
-
-func forkStream(st cpu.Stream, f *system.Machine) (cpu.Stream, error) {
-	switch st := st.(type) {
-	case *ir.Interp:
-		return st.Clone(f.Backing, f, f.Counter), nil
-	case *hookStream:
-		inner, err := forkStream(st.inner, f)
-		if err != nil {
-			return nil, err
-		}
-		return &hookStream{before: st.before, m: f, fired: st.fired, inner: inner}, nil
-	case system.StreamCloner:
-		// Leaf streams that open a second cursor over their source — a
-		// trace replayer re-opening its file.
-		return st.CloneStream(f)
-	}
-	return nil, fmt.Errorf("harness: stream %T does not support forking", st)
-}
-
-// unhook returns the stream a hookStream wraps, or st itself.
-func unhook(st cpu.Stream) cpu.Stream {
-	if h, ok := st.(*hookStream); ok {
-		return h.inner
-	}
-	return st
 }
 
 // lastInterp returns the final invocation's interpreter, whose return value
 // the oracle check consumes.
 func (s *seq) lastInterp() *ir.Interp {
-	if len(s.all) == 0 {
+	if len(s.runs) == 0 {
 		return nil
 	}
-	it, _ := unhook(s.all[len(s.all)-1]).(*ir.Interp)
+	it, _ := s.runs[len(s.runs)-1].st.(*ir.Interp)
 	return it
 }
 
@@ -454,8 +442,8 @@ type errStream interface{ Err() error }
 
 // streamErr returns the first latched error of any member stream.
 func (s *seq) streamErr() error {
-	for _, st := range s.all {
-		if es, ok := unhook(st).(errStream); ok {
+	for _, r := range s.runs {
+		if es, ok := r.st.(errStream); ok {
 			if err := es.Err(); err != nil {
 				return err
 			}
@@ -469,8 +457,8 @@ func (s *seq) streamErr() error {
 // resource — a trace replayer's file — are closed, the rest need nothing.
 func (s *seq) Close() error {
 	var first error
-	for _, st := range s.all {
-		if c, ok := unhook(st).(io.Closer); ok {
+	for _, r := range s.runs {
+		if c, ok := r.st.(io.Closer); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}

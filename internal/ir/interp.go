@@ -74,8 +74,16 @@ func NewInterp(fn *Fn, bk *mem.Backing, sink ConfigSink, counter *int64, args ..
 		counter:  counter,
 		maxSteps: 1 << 40,
 	}
-	for i := range it.envOp {
+	// A Const or Arg has one value for the whole execution and no producing
+	// op: set here once, so executing one is a no-op.
+	for i := range fn.Instrs {
 		it.envOp[i] = cpu.NoDep
+		switch in := &fn.Instrs[i]; in.Op {
+		case Const:
+			it.env[i] = uint64(in.Imm)
+		case Arg:
+			it.env[i] = args[in.Imm]
+		}
 	}
 	it.block = fn.Block(fn.Entry)
 	return it
@@ -126,14 +134,9 @@ func (it *Interp) Ops() int64 { return *it.counter }
 
 func (it *Interp) enterBlock(from BlockID, to BlockID) {
 	b := it.fn.Block(to)
-	// Evaluate phis in parallel: read all incomings before writing any.
-	vals, ops := it.phiVals[:0], it.phiOps[:0]
 	n := 0
-	for _, v := range b.Instrs {
-		in := it.fn.Instr(v)
-		if in.Op != Phi {
-			break
-		}
+	if len(b.Instrs) > 0 && it.fn.Instr(b.Instrs[0]).Op == Phi {
+		// The edge's pred slot is the same for every phi of the block.
 		pi := -1
 		for i, p := range b.Preds {
 			if p == from {
@@ -144,17 +147,25 @@ func (it *Interp) enterBlock(from BlockID, to BlockID) {
 		if pi == -1 {
 			panic(fmt.Sprintf("ir: %s: edge b%d→b%d has no pred slot", it.fn.Name, from, to))
 		}
-		a := in.Args[pi]
-		vals = append(vals, it.env[a])
-		ops = append(ops, it.envOp[a])
-		n++
+		// Evaluate phis in parallel: read all incomings before writing any.
+		vals, ops := it.phiVals[:0], it.phiOps[:0]
+		for _, v := range b.Instrs {
+			in := it.fn.Instr(v)
+			if in.Op != Phi {
+				break
+			}
+			a := in.Args[pi]
+			vals = append(vals, it.env[a])
+			ops = append(ops, it.envOp[a])
+		}
+		n = len(vals)
+		for i := 0; i < n; i++ {
+			v := b.Instrs[i]
+			it.env[v] = vals[i]
+			it.envOp[v] = ops[i]
+		}
+		it.phiVals, it.phiOps = vals, ops
 	}
-	for i := 0; i < n; i++ {
-		v := b.Instrs[i]
-		it.env[v] = vals[i]
-		it.envOp[v] = ops[i]
-	}
-	it.phiVals, it.phiOps = vals, ops
 	it.block = b
 	it.idx = n
 }
@@ -165,8 +176,25 @@ func (it *Interp) newOp() int64 {
 	return id
 }
 
+// emit overwrites *op with a micro-op that is not a taken branch and has no
+// dispatch-time effect; the two ops that differ set that one field after.
+func emit(op *cpu.MicroOp, kind cpu.OpKind, pc Value, addr uint64, dep0, dep1 int64) {
+	op.Kind, op.PC, op.Addr = kind, int(pc), addr
+	op.Deps[0], op.Deps[1] = dep0, dep1
+	op.Taken, op.Do = false, nil
+}
+
 // Next implements cpu.Stream.
-func (it *Interp) Next() (cpu.MicroOp, bool) {
+func (it *Interp) Next() (op cpu.MicroOp, ok bool) {
+	ok = it.Fill(&op)
+	return op, ok
+}
+
+// Fill implements cpu.Filler: it executes up to and including the next
+// instruction that is a micro-op and writes that op into *op. Execution is
+// functional at pull time — a store has reached the backing store when Fill
+// returns — so ops must be pulled one at a time, as the core dispatches them.
+func (it *Interp) Fill(op *cpu.MicroOp) bool {
 	for !it.done {
 		it.steps++
 		if it.steps > it.maxSteps {
@@ -176,17 +204,7 @@ func (it *Interp) Next() (cpu.MicroOp, bool) {
 		in := it.fn.Instr(v)
 
 		switch in.Op {
-		case Nop:
-			it.idx++
-
-		case Const:
-			it.env[v] = uint64(in.Imm)
-			it.envOp[v] = cpu.NoDep
-			it.idx++
-
-		case Arg:
-			it.env[v] = it.args[in.Imm]
-			it.envOp[v] = cpu.NoDep
+		case Nop, Const, Arg: // values set once by NewInterp
 			it.idx++
 
 		case Phi:
@@ -195,27 +213,25 @@ func (it *Interp) Next() (cpu.MicroOp, bool) {
 		case Load:
 			addr := it.env[in.A]
 			it.env[v] = it.bk.Read64(addr)
-			id := it.newOp()
-			it.envOp[v] = id
 			dep := it.envOp[in.A]
+			it.envOp[v] = it.newOp()
 			it.idx++
-			return cpu.MicroOp{Kind: cpu.OpLoad, PC: int(v), Addr: addr,
-				Deps: [2]int64{dep, cpu.NoDep}}, true
+			emit(op, cpu.OpLoad, v, addr, dep, cpu.NoDep)
+			return true
 
 		case Store:
 			addr := it.env[in.A]
 			it.bk.Write64(addr, it.env[in.B])
 			it.newOp()
 			it.idx++
-			return cpu.MicroOp{Kind: cpu.OpStore, PC: int(v), Addr: addr,
-				Deps: [2]int64{it.envOp[in.A], it.envOp[in.B]}}, true
+			emit(op, cpu.OpStore, v, addr, it.envOp[in.A], it.envOp[in.B])
+			return true
 
 		case SWPf:
-			addr := it.env[in.A]
 			it.newOp()
 			it.idx++
-			return cpu.MicroOp{Kind: cpu.OpSWPf, PC: int(v), Addr: addr,
-				Deps: [2]int64{it.envOp[in.A], cpu.NoDep}}, true
+			emit(op, cpu.OpSWPf, v, it.env[in.A], it.envOp[in.A], cpu.NoDep)
+			return true
 
 		case Cfg:
 			args := make([]uint64, len(in.Args))
@@ -230,26 +246,25 @@ func (it *Interp) Next() (cpu.MicroOp, bool) {
 			sink := it.sink
 			it.newOp()
 			it.idx++
-			return cpu.MicroOp{Kind: cpu.OpConfig, PC: int(v),
-				Deps: [2]int64{dep, cpu.NoDep},
-				Do:   func() { sink.Configure(info, args) }}, true
+			emit(op, cpu.OpConfig, v, 0, dep, cpu.NoDep)
+			op.Do = func() { sink.Configure(info, args) }
+			return true
 
 		case Br:
 			it.enterBlock(it.block.ID, in.Blocks[0])
 
 		case CondBr:
-			cond := it.env[in.A]
-			taken := cond != 0
+			taken := it.env[in.A] != 0
 			target := in.Blocks[1]
 			if taken {
 				target = in.Blocks[0]
 			}
 			dep := it.envOp[in.A]
-			from := it.block.ID
 			it.newOp()
-			it.enterBlock(from, target)
-			return cpu.MicroOp{Kind: cpu.OpBranch, PC: int(v), Taken: taken,
-				Deps: [2]int64{dep, cpu.NoDep}}, true
+			it.enterBlock(it.block.ID, target)
+			emit(op, cpu.OpBranch, v, 0, dep, cpu.NoDep)
+			op.Taken = taken
+			return true
 
 		case Ret:
 			if in.A != NoValue {
@@ -259,10 +274,9 @@ func (it *Interp) Next() (cpu.MicroOp, bool) {
 			it.done = true
 
 		default: // binary ops
-			a, b := it.env[in.A], it.env[in.B]
-			it.env[v] = evalBin(in.Op, a, b)
-			id := it.newOp()
-			it.envOp[v] = id
+			dep0, dep1 := it.envOp[in.A], it.envOp[in.B]
+			it.env[v] = evalBin(in.Op, it.env[in.A], it.env[in.B])
+			it.envOp[v] = it.newOp()
 			kind := cpu.OpInt
 			switch in.Op {
 			case Mul:
@@ -271,11 +285,11 @@ func (it *Interp) Next() (cpu.MicroOp, bool) {
 				kind = cpu.OpDiv
 			}
 			it.idx++
-			return cpu.MicroOp{Kind: kind, PC: int(v),
-				Deps: [2]int64{it.envOp[in.A], it.envOp[in.B]}}, true
+			emit(op, kind, v, 0, dep0, dep1)
+			return true
 		}
 	}
-	return cpu.MicroOp{}, false
+	return false
 }
 
 func evalBin(op Op, a, b uint64) uint64 {
@@ -327,20 +341,4 @@ func bool64(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// Seq concatenates micro-op streams: used to run several kernels (sharing
-// one dynamic-op counter) back to back on the core.
-func Seq(streams ...cpu.Stream) cpu.Stream { return &seqStream{rest: streams} }
-
-type seqStream struct{ rest []cpu.Stream }
-
-func (s *seqStream) Next() (cpu.MicroOp, bool) {
-	for len(s.rest) > 0 {
-		if op, ok := s.rest[0].Next(); ok {
-			return op, true
-		}
-		s.rest = s.rest[1:]
-	}
-	return cpu.MicroOp{}, false
 }

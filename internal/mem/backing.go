@@ -35,7 +35,16 @@ func PageAddr(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 // touches and writes none, so it pays for a map entry a page, not 4 KiB.
 type Backing struct {
 	pages map[uint64]*[wordsPerPage]uint64
+	// memo remembers the pages last looked up, direct-mapped by page number,
+	// so an access to a page touched recently costs no map hash. An entry is
+	// tagged with the last address of its page, which no zero entry matches.
+	memo [memoSlots]struct {
+		tag uint64
+		p   *[wordsPerPage]uint64
+	}
 }
+
+const memoSlots = 16
 
 // zeroPage stands for every all-zero page. It is only ever read: Write64 and
 // CopyFrom replace a Backing's pointer to it before storing through.
@@ -47,10 +56,7 @@ func NewBacking() *Backing {
 }
 
 // Mapped reports whether addr lies in an allocated page.
-func (b *Backing) Mapped(addr uint64) bool {
-	_, ok := b.pages[PageAddr(addr)]
-	return ok
-}
+func (b *Backing) Mapped(addr uint64) bool { return b.find(addr) != nil }
 
 // MapPage maps the page containing addr, reading as zeros, if not already
 // mapped.
@@ -61,9 +67,22 @@ func (b *Backing) MapPage(addr uint64) {
 	}
 }
 
+// find returns the page holding addr, or nil if it is not mapped.
+func (b *Backing) find(addr uint64) *[wordsPerPage]uint64 {
+	m := &b.memo[addr/PageSize%memoSlots]
+	if m.tag != addr|(PageSize-1) {
+		p, ok := b.pages[PageAddr(addr)]
+		if !ok {
+			return nil
+		}
+		m.tag, m.p = addr|(PageSize-1), p
+	}
+	return m.p
+}
+
 func (b *Backing) page(addr uint64) *[wordsPerPage]uint64 {
-	p, ok := b.pages[PageAddr(addr)]
-	if !ok {
+	p := b.find(addr)
+	if p == nil {
 		panic(fmt.Sprintf("mem: access to unmapped address %#x", addr))
 	}
 	return p
@@ -91,6 +110,7 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 		}
 		p = new([wordsPerPage]uint64)
 		b.pages[PageAddr(addr)] = p
+		b.memo[addr/PageSize%memoSlots].p = p // find just put the zero page there
 	}
 	p[(addr%PageSize)/8] = v
 }

@@ -250,3 +250,35 @@ func TestBackingsInParallel(t *testing.T) {
 		t.Fatal("the shared zero page was written")
 	}
 }
+
+// BenchmarkBackingRead64 measures a functional load at the two ends of page
+// locality: every word of one page in turn (an interpreter scanning an
+// array: the page memo answers), and a different page of a 64 MiB region
+// every time, in a scattered order (a hash-table probe: nearly every access
+// misses the memo and pays the map lookup as well). Neither may allocate.
+func BenchmarkBackingRead64(b *testing.B) {
+	const pages = 1 << 14
+	bk := NewBacking()
+	reg := NewArena(bk).Alloc("r", pages*PageSize)
+	for _, bc := range []struct {
+		name string
+		addr func(i int) uint64
+	}{
+		{"same-page", func(i int) uint64 { return reg.Base + uint64(i)%wordsPerPage*8 }},
+		{"random-page", func(i int) uint64 { return reg.Base + uint64(i)*2654435761%pages*PageSize }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += bk.Read64(bc.addr(i))
+			}
+			if sum != 0 {
+				b.Fatal("read a non-zero word from memory nobody wrote")
+			}
+			if a := testing.AllocsPerRun(100, func() { bk.Read64(bc.addr(b.N)) }); a != 0 {
+				b.Fatalf("%v allocations per read, want none", a)
+			}
+		})
+	}
+}

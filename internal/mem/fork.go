@@ -25,6 +25,7 @@ import (
 // has that src lacks are dropped. A page src never wrote stays the shared
 // zero page in b too.
 func (b *Backing) CopyFrom(src *Backing) {
+	clear(b.memo[:])
 	for pa := range b.pages {
 		if _, ok := src.pages[pa]; !ok {
 			delete(b.pages, pa)

@@ -176,7 +176,7 @@ func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
 
 	streams := make([]*phaseStream, len(lanes))
 	for i, mi := range machines {
-		streams[i] = &phaseStream{inner: mi.stream, lane: lanes[i], left: lanes[i].skip}
+		streams[i] = &phaseStream{inner: cpu.AsFiller(mi.stream), lane: lanes[i], left: lanes[i].skip}
 		streams[i].init(mi)
 		// Only the core sees the wrapper (legal: it has not pulled an op
 		// yet); Machine.Stream() stays the caller's own stream type.
@@ -331,8 +331,8 @@ func (w *warmFilter) init(m *Machine) {
 // deliver renumbers op's deps to core ids and records the mapping for the
 // inner-stream id srcID. Call exactly once per op passed through to the core.
 func (w *warmFilter) deliver(op *cpu.MicroOp, srcID int64) {
-	for i, d := range op.Deps {
-		op.Deps[i] = w.translateDep(d)
+	for i := range op.Deps {
+		op.Deps[i] = w.translateDep(op.Deps[i])
 	}
 	slot := srcID % depRing
 	w.depSrc[slot] = srcID
@@ -352,7 +352,7 @@ func (w *warmFilter) translateDep(d int64) int64 {
 }
 
 // warm executes a swallowed op functionally against the machine.
-func (w *warmFilter) warm(op cpu.MicroOp) {
+func (w *warmFilter) warm(op *cpu.MicroOp) {
 	m := w.m
 	switch op.Kind {
 	case cpu.OpLoad:
@@ -370,6 +370,7 @@ func (w *warmFilter) warm(op cpu.MicroOp) {
 	case cpu.OpConfig:
 		if op.Do != nil {
 			op.Do() // the prefetcher must see configuration regardless of phase
+			op.Do = nil
 		}
 	}
 	// Software prefetches in a fast-forward gap are dropped: they only
@@ -384,7 +385,7 @@ func (w *warmFilter) warm(op cpu.MicroOp) {
 // the lane's skip.
 type phaseStream struct {
 	warmFilter
-	inner cpu.Stream
+	inner cpu.Filler
 	lane  lane
 
 	detail  bool  // current phase passes ops through
@@ -393,11 +394,18 @@ type phaseStream struct {
 }
 
 // Next implements cpu.Stream.
-func (s *phaseStream) Next() (cpu.MicroOp, bool) {
+func (s *phaseStream) Next() (op cpu.MicroOp, ok bool) {
+	ok = s.Fill(&op)
+	return op, ok
+}
+
+// Fill implements cpu.Filler. A swallowed op is warmed where the inner stream
+// wrote it, in the caller's slot, and the next one overwrites it.
+func (s *phaseStream) Fill(op *cpu.MicroOp) bool {
 	for {
 		if s.left == 0 {
 			if s.detail && s.lane.gap == 0 {
-				return cpu.MicroOp{}, false
+				return false
 			}
 			s.detail = !s.detail
 			s.left = s.lane.gap
@@ -407,9 +415,8 @@ func (s *phaseStream) Next() (cpu.MicroOp, bool) {
 			}
 		}
 		srcID := s.pulled // id the inner stream assigns this op
-		op, ok := s.inner.Next()
-		if !ok {
-			return cpu.MicroOp{}, false
+		if !s.inner.Fill(op) {
+			return false
 		}
 		s.pulled++
 		s.left--
@@ -417,7 +424,7 @@ func (s *phaseStream) Next() (cpu.MicroOp, bool) {
 			s.warm(op)
 			continue
 		}
-		s.deliver(&op, srcID)
-		return op, true
+		s.deliver(op, srcID)
+		return true
 	}
 }

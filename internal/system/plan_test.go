@@ -2,8 +2,11 @@ package system
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"eventpf/internal/cpu"
 )
 
 // resultGauges names the numeric Result fields that Add does not sum: they
@@ -135,5 +138,51 @@ func TestRunPlanRejectsInvalidSampleConfig(t *testing.T) {
 		Plan{Sample: &SampleConfig{WarmupOps: 10, MeasureOps: 0, FFOps: 10}})
 	if err == nil || !strings.Contains(err.Error(), "invalid sample config") {
 		t.Errorf("err = %v, want an invalid-sample-config error", err)
+	}
+}
+
+// TestPhaseStreamNextAndFillAgree: a lane's window over a stream yields the
+// same micro-ops, with the same renumbered dependences, whether it is pulled
+// by value or filled in place — with a skip, with sampling gaps, and for the
+// final lane of a sliced run. The slot is poisoned before every Fill, and is
+// the one the swallowed ops were warmed in.
+func TestPhaseStreamNextAndFillAgree(t *testing.T) {
+	type key struct {
+		kind  cpu.OpKind
+		pc    int
+		addr  uint64
+		deps  [2]int64
+		taken bool
+		hasDo bool
+	}
+	for _, l := range []lane{{skip: 1000, detail: 700}, {detail: 300, gap: 500}, {skip: 2500, detail: -1}} {
+		drain := func(fill bool) (ops []key, warmed int64) {
+			m := New(DefaultConfig(), NoPF)
+			aB, bB, cB, _ := setupData(m)
+			s := &phaseStream{inner: m.NewInterp(buildIndirectSum(t, false), aB, bB, cB, testN), lane: l, left: l.skip}
+			s.init(m)
+			var op cpu.MicroOp
+			for {
+				ok := false
+				if fill {
+					op = cpu.MicroOp{Kind: cpu.OpBranch, PC: -7, Addr: ^uint64(0), Deps: [2]int64{1 << 40, 1 << 41}, Taken: true, Do: func() {}}
+					ok = s.Fill(&op)
+				} else {
+					op, ok = s.Next()
+				}
+				if !ok {
+					return ops, s.pulled - s.outOps
+				}
+				ops = append(ops, key{op.Kind, op.PC, op.Addr, op.Deps, op.Taken, op.Do != nil})
+			}
+		}
+		want, wantWarm := drain(false)
+		got, gotWarm := drain(true)
+		if len(want) == 0 || wantWarm == 0 {
+			t.Fatalf("lane %+v: %d ops delivered, %d warmed: the lane exercises nothing", l, len(want), wantWarm)
+		}
+		if !slices.Equal(got, want) || gotWarm != wantWarm {
+			t.Errorf("lane %+v: Fill delivered %d ops and warmed %d, Next %d and %d (or the ops differ)", l, len(got), gotWarm, len(want), wantWarm)
+		}
 	}
 }

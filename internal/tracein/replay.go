@@ -65,9 +65,15 @@ func NewReplayer(dec Decoder, backing *mem.Backing, closer io.Closer) *Replayer 
 }
 
 // Next implements cpu.Stream.
-func (r *Replayer) Next() (cpu.MicroOp, bool) {
+func (r *Replayer) Next() (op cpu.MicroOp, ok bool) {
+	ok = r.Fill(&op)
+	return op, ok
+}
+
+// Fill implements cpu.Filler.
+func (r *Replayer) Fill(op *cpu.MicroOp) bool {
 	if r.err != nil || r.dec == nil {
-		return cpu.MicroOp{}, false
+		return false
 	}
 	rec, err := r.dec.Next()
 	if err != nil {
@@ -75,11 +81,11 @@ func (r *Replayer) Next() (cpu.MicroOp, bool) {
 			r.err = err
 		}
 		r.close()
-		return cpu.MicroOp{}, false
+		return false
 	}
 	id := r.nextID
 	r.nextID++
-	op := cpu.MicroOp{Kind: rec.Kind, PC: rec.PC, Addr: rec.Addr, Taken: rec.Taken}
+	op.Kind, op.PC, op.Addr, op.Taken, op.Do = rec.Kind, rec.PC, rec.Addr, rec.Taken, nil
 	for i, rel := range rec.Rel {
 		op.Deps[i] = cpu.NoDep
 		if rel != 0 {
@@ -93,7 +99,7 @@ func (r *Replayer) Next() (cpu.MicroOp, bool) {
 		// traces without a region table fault pages in as they appear.
 		r.backing.MapPage(op.Addr)
 	}
-	return op, true
+	return true
 }
 
 func (r *Replayer) close() {
@@ -127,8 +133,9 @@ func (r *Replayer) CloneAt(backing *mem.Backing, op int64) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
+	var skipped cpu.MicroOp
 	for c.nextID < op {
-		if _, ok := c.Next(); !ok {
+		if !c.Fill(&skipped) {
 			err := c.Err()
 			if err == nil {
 				err = fmt.Errorf("tracein: %s: trace ends before op %d", r.path, op)
