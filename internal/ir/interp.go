@@ -31,7 +31,6 @@ type Interp struct {
 	fn    *Fn
 	bk    *mem.Backing
 	sink  ConfigSink
-	args  []uint64
 	env   []uint64
 	envOp []int64
 
@@ -68,7 +67,6 @@ func NewInterp(fn *Fn, bk *mem.Backing, sink ConfigSink, counter *int64, args ..
 		fn:       fn,
 		bk:       bk,
 		sink:     sink,
-		args:     args,
 		env:      make([]uint64, len(fn.Instrs)),
 		envOp:    make([]int64, len(fn.Instrs)),
 		counter:  counter,
@@ -102,7 +100,6 @@ func (it *Interp) Clone(bk *mem.Backing, sink ConfigSink, counter *int64) *Inter
 		fn:       it.fn,
 		bk:       bk,
 		sink:     sink,
-		args:     it.args,
 		env:      append([]uint64(nil), it.env...),
 		envOp:    append([]int64(nil), it.envOp...),
 		idx:      it.idx,
