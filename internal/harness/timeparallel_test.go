@@ -18,7 +18,7 @@ import (
 // timeParallelPairs are the golden pairs the sliced engine is held to: an
 // irregular manual-prefetch run (full event-triggered machinery), a
 // baseline-issuer run, and a multi-invocation benchmark with per-run hooks
-// (Graph500's parent reset), which exercises the hookStream re-fire path
+// (Graph500's parent reset), which exercises the run sequence's Before hooks firing again
 // inside every slice's functional prefix.
 var timeParallelPairs = []struct {
 	bench  string
