@@ -115,15 +115,22 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 	p[(addr%PageSize)/8] = v
 }
 
-// ReadLine returns the 8 words of the cache line containing addr. This is
-// what the prefetcher forwards to a PPU along with an observation.
-func (b *Backing) ReadLine(addr uint64) [wordsPerLine]uint64 {
-	var line [wordsPerLine]uint64
-	base := LineAddr(addr)
-	p := b.page(base)
-	off := (base % PageSize) / 8
-	copy(line[:], p[off:off+wordsPerLine])
-	return line
+// ReadLine copies the 8 words of the cache line containing addr into dst and
+// reports whether the line is mapped; an unmapped line reads as zeros. This
+// is what the prefetcher forwards to a PPU along with an observation, which
+// may name an address the program never allocated.
+func (b *Backing) ReadLine(addr uint64, dst *[wordsPerLine]uint64) bool {
+	p := b.find(addr)
+	if p == nil {
+		*dst = [wordsPerLine]uint64{}
+		return false
+	}
+	off := (LineAddr(addr) % PageSize) / 8
+	src := (*[wordsPerLine]uint64)(p[off : off+wordsPerLine])
+	for i := range src { // eight moves; an array assignment here calls memmove
+		dst[i] = src[i]
+	}
+	return true
 }
 
 // Arena allocates regions of the virtual address space, mapping their pages

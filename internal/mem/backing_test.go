@@ -45,11 +45,17 @@ func TestReadLine(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		b.Write64(0x1040+i*8, 100+i)
 	}
-	line := b.ReadLine(0x1050) // any address inside the line
+	var line [wordsPerLine]uint64
+	if !b.ReadLine(0x1050, &line) { // any address inside the line
+		t.Fatal("mapped line reported unmapped")
+	}
 	for i := uint64(0); i < 8; i++ {
 		if line[i] != 100+i {
 			t.Errorf("line[%d] = %d, want %d", i, line[i], 100+i)
 		}
+	}
+	if b.ReadLine(0x9000, &line) || line != [wordsPerLine]uint64{} {
+		t.Errorf("unmapped line = %v, want zeros and false", line)
 	}
 }
 
@@ -146,7 +152,8 @@ func TestMappedPageReadsZeroAndStaysShared(t *testing.T) {
 			t.Fatalf("fresh page reads %d at %#x", got, addr)
 		}
 	}
-	if line := b.ReadLine(0x1040); line != [wordsPerLine]uint64{} {
+	line := [wordsPerLine]uint64{1}
+	if !b.ReadLine(0x1040, &line) || line != [wordsPerLine]uint64{} {
 		t.Errorf("fresh page line = %v", line)
 	}
 	b.Write64(0x1008, 0)
@@ -239,7 +246,9 @@ func TestBackingsInParallel(t *testing.T) {
 				if pa%(2*PageSize) == 0 {
 					b.Write64(pa+8, g)
 				}
-				if got := b.ReadLine(pa)[1]; got != 0 && got != g {
+				var line [wordsPerLine]uint64
+				b.ReadLine(pa, &line)
+				if got := line[1]; got != 0 && got != g {
 					t.Errorf("goroutine %d: page %#x holds %d", g, pa, got)
 				}
 			}

@@ -163,6 +163,12 @@ type Cache struct {
 	// prefetch-request-queue drainer can try again.
 	OnMSHRFree func()
 
+	// OnTaggedLookup, if set, is called right after the lookup of a tagged
+	// prefetch has resolved — hit, merged, MSHR allocated or dropped, with
+	// that outcome's own callback already made — so whoever issued it can
+	// stop counting it against the free MSHRs.
+	OnTaggedLookup func()
+
 	// OnPrefetchDrop, if set, is told when a tagged prefetch is discarded
 	// inside the cache (MSHRs filled during the lookup), so the prefetcher
 	// can abandon the pending chain.
@@ -194,7 +200,11 @@ func (h lookupHandler) Handle(sim.Ticks, uint64, uint64) {
 	n := copy(c.lookupQ, c.lookupQ[1:])
 	c.lookupQ[n] = nil
 	c.lookupQ = c.lookupQ[:n]
+	tagged := req.Kind == Prefetch && req.Tag != NoTag // finishLookup recycles req
 	c.finishLookup(req)
+	if tagged && c.OnTaggedLookup != nil {
+		c.OnTaggedLookup()
+	}
 }
 
 // fillHandler receives the next level's completion for MSHR slot a.
@@ -542,9 +552,6 @@ func (c *Cache) FinalizeStats() {
 		}
 	}
 }
-
-// LookupLatency returns the cache's hit-lookup latency in ticks.
-func (c *Cache) LookupLatency() sim.Ticks { return c.clk.Cycles(c.cfg.HitCycles) }
 
 // InFlightMSHRs reports occupied miss registers (diagnostics).
 func (c *Cache) InFlightMSHRs() int { return c.mshrCount }

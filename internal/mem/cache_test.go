@@ -203,6 +203,66 @@ func TestCacheTaggedPrefetchFiresHook(t *testing.T) {
 	}
 }
 
+// The tagged-lookup hook fires once per tagged prefetch, right after its
+// lookup resolves and after that outcome's own callback, whatever the outcome
+// — and never for an untagged prefetch or a demand access.
+func TestCacheTaggedLookupHook(t *testing.T) {
+	eng := sim.NewEngine()
+	c, _ := newTestCache(eng, 2)
+	var log []string
+	c.OnTaggedLookup = func() { log = append(log, "lookup") }
+	c.OnPrefetchFill = func(_ uint64, _ int, _ sim.Ticks, filled bool) {
+		if filled {
+			log = append(log, "fill")
+		} else {
+			log = append(log, "resident")
+		}
+	}
+	c.OnPrefetchDrop = func(uint64, int) { log = append(log, "drop") }
+	prefetch := func(addr uint64, tag int) {
+		c.Access(&Request{Addr: addr, Kind: Prefetch, PC: -1, Tag: tag, TimedAt: -1})
+	}
+	const lookup = 32 // newTestCache: 2 hit cycles at 1 GHz
+	check := func(step string, want ...string) {
+		t.Helper()
+		if len(log) != len(want) {
+			t.Fatalf("%s: hooks fired %v, want %v", step, log, want)
+		}
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("%s: hooks fired %v, want %v", step, log, want)
+			}
+		}
+		log = log[:0]
+	}
+
+	prefetch(0x40, 1) // allocates an MSHR
+	prefetch(0x48, 2) // merges into it
+	eng.RunUntil(eng.Now() + lookup)
+	check("MSHR allocated, then merged", "lookup", "lookup")
+	eng.Run()
+	check("fill of both tags", "fill", "fill")
+
+	prefetch(0x40, 3) // resident now
+	eng.Run()
+	check("hit", "resident", "lookup")
+
+	loadAt(eng, c, 0x1000, nil)
+	loadAt(eng, c, 0x2000, nil) // both MSHRs held by demand misses
+	prefetch(0x3000, 4)
+	eng.RunUntil(eng.Now() + lookup)
+	check("dropped", "drop", "lookup")
+	eng.Run()
+
+	prefetch(0x4000, NoTag)
+	prefetch(0x40, NoTag)
+	loadAt(eng, c, 0x5000, nil)
+	loadAt(eng, c, 0x40, nil)
+	c.Access(&Request{Addr: 0x40, Kind: Store, PC: -1, Tag: NoTag, TimedAt: -1})
+	eng.Run()
+	check("untagged prefetches and demand accesses")
+}
+
 func TestCacheDemandSnoopHook(t *testing.T) {
 	eng := sim.NewEngine()
 	c, _ := newTestCache(eng, 4)

@@ -359,3 +359,47 @@ func TestBlockedModeSameEmissions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVMRun times one invocation of G500-CSR's hand-written kernel 4
+// (internal/workloads/g500.go: an edge line arrived, prefetch the parent word
+// of all eight targets): 59 instructions and 8 prefetches a run. It fails if
+// a run allocates.
+func BenchmarkVMRun(b *testing.B) {
+	prog := MustAssemble(`
+		movi   r2, 0
+		ldg    r3, g1
+	loop:
+		ldline r4, r2
+		shli   r5, r4, 3
+		add    r5, r5, r3
+		pf     r5
+		addi   r2, r2, 8
+		movi   r6, 64
+		blt    r2, r6, loop
+		halt
+	`)
+	var globals [NumGlobals]uint64
+	globals[1] = 1 << 30
+	emitted := 0
+	env := Env{VAddr: 1 << 20, Globals: &globals,
+		Lookahead: func(int) uint64 { return 4 },
+		EmitPF:    func(uint64, int, int64) bool { emitted++; return false }}
+	for i := range env.Line {
+		env.Line[i] = uint64(i) * 4099
+	}
+	var vm VM
+	run := func() {
+		vm.Reset(prog, &env)
+		vm.Run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 || vm.Faulted() || vm.Cycles() != 59 || emitted != 101*8 {
+		b.Fatalf("%.0f allocs a run, faulted=%v, %d cycles, %d prefetches in 101 runs; want 0, false, 59, 808",
+			allocs, vm.Faulted(), vm.Cycles(), emitted)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/59, "ns/instr")
+}

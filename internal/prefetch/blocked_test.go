@@ -36,14 +36,14 @@ func countKind(tr *trace.Ring, k trace.Kind) int {
 // never resumed it would leave it busy forever.
 func assertUnitIdle(t *testing.T, f *fixture, tr *trace.Ring) {
 	t.Helper()
-	if f.pf.units[0].busy {
+	if f.pf.isBusy(0) {
 		t.Error("PPU 0 still busy after the run: suspended unit never resumed")
 	}
 	if got := countKind(tr, trace.PFUnitFree); got != 1 {
 		t.Errorf("PPU freed %d times, want exactly 1", got)
 	}
-	if len(f.pf.pending) != 0 {
-		t.Errorf("%d pending prefetches survive the run", len(f.pf.pending))
+	if n := f.pf.pending.liveCount(); n != 0 {
+		t.Errorf("%d pending prefetches survive the run", n)
 	}
 }
 

@@ -6,29 +6,25 @@ import (
 	"eventpf/internal/ppu"
 )
 
-// CopyStateFrom copies src's complete state: kernel registry (programs are
-// immutable and shared), filter table, globals, queues, unit occupancy
-// (suspended blocked-mode VMs are cloned and their EmitPF callbacks rebuilt
-// against this prefetcher), the pending-prefetch table, pump records and
-// EWMA state. The fork's clock may differ from src's — that is the sweep
-// fan-out case — but the unit count must match.
+// CopyStateFrom copies src's complete state: kernel registry with its warm
+// bits (programs are immutable and shared), filter table, globals, queues,
+// unit occupancy (suspended blocked-mode VMs are cloned and their EmitPF
+// callbacks rebuilt against this prefetcher), the pending-prefetch table at
+// whatever size it has grown to, pump records and EWMA state. The fork's
+// clock may differ from src's — that is the sweep fan-out case — but the
+// unit count must match.
 func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 	if len(p.units) != len(src.units) {
 		return fmt.Errorf("prefetch: fork with different PPU count (%d vs %d)", len(p.units), len(src.units))
 	}
 	p.pfState = src.pfState
-	for id, prog := range src.kernels {
-		p.kernels[id] = prog
-	}
-	for id, w := range src.warmed {
-		p.warmed[id] = w
-	}
+	p.kernels = append(p.kernels[:0], src.kernels...)
 	p.filter = append(p.filter[:0], src.filter...)
-	p.obsQueue = append(p.obsQueue[:0], src.obsQueue...)
-	p.reqQueue = append(p.reqQueue[:0], src.reqQueue...)
+	p.obsQueue.copyFrom(&src.obsQueue)
+	p.reqQueue.copyFrom(&src.reqQueue)
+	copy(p.busy, src.busy)
 	for i := range src.units {
 		su, du := &src.units[i], &p.units[i]
-		du.busy = su.busy
 		du.busyStart = su.busyStart
 		du.busyTicks = su.busyTicks
 		du.stack = du.stack[:0]
@@ -45,14 +41,7 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 			du.stack = append(du.stack, suspended{vm: vm, kernel: e.kernel, start: e.start, timedAt: e.timedAt, ewma: e.ewma})
 		}
 	}
-	for id := range p.pending {
-		delete(p.pending, id)
-	}
-	for id, q := range src.pending {
-		cp := p.getPend()
-		*cp = *q
-		p.pending[id] = cp
-	}
+	p.pending.copyFrom(&src.pending)
 	p.pumpRecs = append(p.pumpRecs[:0], src.pumpRecs...)
 	p.pumpFree = append(p.pumpFree[:0], src.pumpFree...)
 	return nil

@@ -11,6 +11,9 @@
 package prefetch
 
 import (
+	"fmt"
+	"math/bits"
+
 	"eventpf/internal/mem"
 	"eventpf/internal/ppu"
 	"eventpf/internal/sim"
@@ -113,15 +116,6 @@ type observation struct {
 	ewma    int       // group whose chain this closes timing for, -1
 }
 
-type pendingPF struct {
-	addr       uint64
-	chain      int // kernel to run on fill (explicit tag), NoKernel if none
-	timedAt    sim.Ticks
-	ewma       int // EWMA group the timed chain reports to, -1 if none
-	blockedPPU int // blocked mode: PPU suspended on this request, else -1
-	createdAt  sim.Ticks
-}
-
 type request struct {
 	addr  uint64
 	obsID int
@@ -141,7 +135,6 @@ type suspended struct {
 }
 
 type unit struct {
-	busy      bool
 	busyStart sim.Ticks
 	busyTicks sim.Ticks
 	stack     []suspended // blocked mode: suspended kernels, innermost last
@@ -168,16 +161,18 @@ type Prefetcher struct {
 	mObsDepth *trace.Hist
 	mReqDepth *trace.Hist
 
-	kernels map[int][]ppu.Instr
-	warmed  map[int]bool // kernels already in the shared instruction cache
+	kernels []kernelEntry // the registry, indexed by kernel id
 	filter  []RangeConfig
 
-	obsQueue []observation
-	reqQueue []request
+	obsQueue fifo[observation]
+	reqQueue fifo[request]
 	units    []unit
+	// busy has bit id set while PPU id runs (or is suspended in) a kernel;
+	// the bits past the last unit are set for good, so the lowest clear bit
+	// is always a real unit.
+	busy []uint64
 
-	pending  map[int]*pendingPF
-	pendFree []*pendingPF // recycled pendingPF structs
+	pending pendTable
 
 	// pumpRecs is the recycled table of requests whose TLB translation is in
 	// flight (the address must outlive the pending entry: a flush or drop can
@@ -201,7 +196,6 @@ type Prefetcher struct {
 
 	enqueueH enqueueHandler
 	pumpH    pumpDoneHandler
-	inflH    inflightHandler
 	freeH    unitFreeHandler
 }
 
@@ -213,8 +207,9 @@ type pfState struct {
 	globals  [ppu.NumGlobals]uint64
 	nextObs  int
 	ewma     [8]ewmaGroup
-	pumping  int // concurrent request translations (the L2 TLB is pipelined)
-	inFlight int // prefetch lookups issued to L1 whose MSHR is not yet held
+	pumping  int    // concurrent request translations (the L2 TLB is pipelined)
+	inFlight int    // prefetch lookups issued to L1 whose MSHR is not yet held
+	epoch    uint64 // flushes so far; a unit-free event armed before one is stale
 	Stats    Stats
 }
 
@@ -231,38 +226,42 @@ func (h enqueueHandler) Handle(_ sim.Ticks, a, b uint64) {
 	h.p.enqueueReq(request{addr: a, obsID: int(b)})
 }
 
-// inflightHandler releases a prefetch lookup's MSHR-headroom claim once the
-// cache pipeline has resolved it, then restarts the drain.
-type inflightHandler struct{ p *Prefetcher }
-
-func (h inflightHandler) Handle(sim.Ticks, uint64, uint64) {
-	h.p.inFlight--
-	h.p.pump()
-}
-
-// unitFreeHandler frees PPU a at the event time and refills it.
+// unitFreeHandler frees PPU a at the event time and refills it; b is the
+// flush epoch the event was armed in. A flush has already freed the units of
+// every earlier epoch, and a unit it freed may be running a new kernel by now.
 type unitFreeHandler struct{ p *Prefetcher }
 
-func (h unitFreeHandler) Handle(at sim.Ticks, a, _ uint64) {
+func (h unitFreeHandler) Handle(at sim.Ticks, a, b uint64) {
 	p := h.p
+	if b != p.epoch {
+		return
+	}
 	u := &p.units[a]
-	u.busy = false
+	p.setBusy(int(a), false)
 	u.busyTicks += at - u.busyStart
 	p.emit(trace.Event{Kind: trace.PFUnitFree, A: -1, C: int32(a)})
 	p.schedule()
 }
 
-func (p *Prefetcher) getPend() *pendingPF {
-	if n := len(p.pendFree); n > 0 {
-		q := p.pendFree[n-1]
-		p.pendFree[n-1] = nil
-		p.pendFree = p.pendFree[:n-1]
-		return q
+func (p *Prefetcher) isBusy(id int) bool { return p.busy[id>>6]>>(id&63)&1 != 0 }
+
+func (p *Prefetcher) setBusy(id int, busy bool) {
+	if busy {
+		p.busy[id>>6] |= 1 << (id & 63)
+	} else {
+		p.busy[id>>6] &^= 1 << (id & 63)
 	}
-	return &pendingPF{}
 }
 
-func (p *Prefetcher) putPend(q *pendingPF) { p.pendFree = append(p.pendFree, q) }
+// freeUnit returns the lowest-numbered idle PPU (§7.2), or -1.
+func (p *Prefetcher) freeUnit() int {
+	for w, b := range p.busy {
+		if b != ^uint64(0) {
+			return w<<6 + bits.TrailingZeros64(^b)
+		}
+	}
+	return -1
+}
 
 func (p *Prefetcher) allocPumpRec(addr uint64, obsID int) int32 {
 	if n := len(p.pumpFree); n > 0 {
@@ -279,15 +278,21 @@ func (p *Prefetcher) allocPumpRec(addr uint64, obsID int) int32 {
 // drop and MSHR-free callbacks.
 func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.TLB) *Prefetcher {
 	p := &Prefetcher{
-		eng:     eng,
-		cfg:     cfg,
-		bk:      bk,
-		l1:      l1,
-		tlb:     tlb,
-		kernels: make(map[int][]ppu.Instr),
-		warmed:  make(map[int]bool),
-		units:   make([]unit, cfg.NumPPUs),
-		pending: make(map[int]*pendingPF),
+		eng:   eng,
+		cfg:   cfg,
+		bk:    bk,
+		l1:    l1,
+		tlb:   tlb,
+		units: make([]unit, cfg.NumPPUs),
+		busy:  make([]uint64, cfg.NumPPUs/64+1),
+		// What can be in flight at once without a request-queue drop: the
+		// queue, the MSHRs and the translations between them. Requests a
+		// kernel has emitted but not yet enqueued come on top; the table
+		// grows if they ever reach back to a live record.
+		pending: newPendTable(cfg.ReqQueue + l1.FreeMSHRs() + pumpWays),
+	}
+	for id := cfg.NumPPUs; id < 64*len(p.busy); id++ {
+		p.setBusy(id, true)
 	}
 	p.Enabled = true
 	for i := range p.ewma {
@@ -295,15 +300,15 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 	}
 	p.enqueueH.p = p
 	p.pumpH.p = p
-	p.inflH.p = p
 	p.freeH.p = p
-	eng.Own(p.enqueueH, p.pumpH, p.inflH, p.freeH)
+	eng.Own(p.enqueueH, p.pumpH, p.freeH)
 	p.env.Globals = &p.globals
 	p.env.Lookahead = p.lookahead
 	p.env.EmitPF = p.emitReused
 	l1.OnDemandAccess = p.Observe
 	l1.OnPrefetchFill = p.onPrefetchFill
 	l1.OnMSHRFree = p.pump
+	l1.OnTaggedLookup = p.lookupDone
 	l1.OnPrefetchDrop = func(_ uint64, tag int) {
 		p.Stats.MSHRDrops++
 		p.dropPending(tag, trace.DropMSHR)
@@ -330,9 +335,24 @@ func (p *Prefetcher) AttachMetrics(reg *trace.Registry) {
 }
 
 // RegisterKernel installs a PPU kernel under an id; configuration
-// instructions and tags refer to kernels by these ids.
+// instructions and tags refer to kernels by these ids. Ids are small
+// non-negative integers: the registry is a table indexed by id.
 func (p *Prefetcher) RegisterKernel(id int, prog []ppu.Instr) {
-	p.kernels[id] = prog
+	if id < 0 {
+		panic(fmt.Sprintf("prefetch: kernel id %d is negative", id))
+	}
+	for id >= len(p.kernels) {
+		p.kernels = append(p.kernels, kernelEntry{})
+	}
+	p.kernels[id].prog, p.kernels[id].set = prog, true
+}
+
+// kernel returns the registry entry of id, or nil if none is registered.
+func (p *Prefetcher) kernel(id int) *kernelEntry {
+	if id < 0 || id >= len(p.kernels) || !p.kernels[id].set {
+		return nil
+	}
+	return &p.kernels[id]
 }
 
 // KernelBytes reports the total encoded size of registered kernels, the
@@ -340,7 +360,7 @@ func (p *Prefetcher) RegisterKernel(id int, prog []ppu.Instr) {
 func (p *Prefetcher) KernelBytes() int {
 	n := 0
 	for _, k := range p.kernels {
-		n += ppu.EncodedSize(k)
+		n += ppu.EncodedSize(k.prog)
 	}
 	return n
 }
@@ -356,27 +376,29 @@ func (p *Prefetcher) SetRange(slot int, rc RangeConfig) {
 // SetGlobal writes prefetcher global register idx.
 func (p *Prefetcher) SetGlobal(idx int, val uint64) { p.globals[idx] = val }
 
-// Flush models a context switch (§5.3): all queued observations and
-// requests are discarded, running events abort and EWMA state resets; only
-// the filter table and global registers survive.
+// Flush models a context switch (§5.3): queued observations and requests are
+// discarded, every prefetch record is forgotten (so no fill continues a
+// chain), busy units are freed at once and EWMA state resets; only the kernel
+// registry, the filter table and the global registers survive. Requests a
+// kernel had already emitted but whose enqueue event is still armed, and
+// those already past the queue, still go out — untracked, as plain
+// prefetches.
 func (p *Prefetcher) Flush() {
 	p.Stats.Flushes++
 	p.emit(trace.Event{Kind: trace.PFFlush, A: -1, C: -1})
-	p.obsQueue = p.obsQueue[:0]
-	p.reqQueue = p.reqQueue[:0]
+	p.obsQueue.clear()
+	p.reqQueue.clear()
+	p.epoch++ // disarms the free events of the units freed below
 	now := p.eng.Now()
 	for i := range p.units {
 		u := &p.units[i]
-		if u.busy {
+		if p.isBusy(i) {
 			u.busyTicks += now - u.busyStart
-			u.busy = false
+			p.setBusy(i, false)
 		}
 		u.stack = u.stack[:0]
 	}
-	for id, pend := range p.pending {
-		delete(p.pending, id)
-		p.putPend(pend)
-	}
+	p.pending.clear()
 	for i := range p.ewma {
 		p.ewma[i].init()
 	}
@@ -416,13 +438,12 @@ func (p *Prefetcher) Observe(addr uint64, pc int, hit bool) {
 // resident). tag is the obsID of the pending request; filled distinguishes
 // a real memory fill from a resident hit.
 func (p *Prefetcher) onPrefetchFill(line uint64, tag int, _ sim.Ticks, filled bool) {
-	pendPtr, ok := p.pending[tag]
-	if !ok {
+	slot := p.pending.find(tag)
+	if slot == nil {
 		return
 	}
-	delete(p.pending, tag)
-	pend := *pendPtr // copy, then recycle: callees below may reuse the struct
-	p.putPend(pendPtr)
+	pend := *slot // copy, then release: callees below may reuse the slot
+	slot.live = false
 	now := p.eng.Now()
 	p.Stats.FillObservations++
 	filledBit := int32(0)
@@ -487,49 +508,41 @@ func (p *Prefetcher) onPrefetchFill(line uint64, tag int, _ sim.Ticks, filled bo
 
 func (p *Prefetcher) enqueueObs(o observation) {
 	p.emit(trace.Event{Kind: trace.PFObserve, Addr: o.addr, A: int32(o.kernel), C: -1})
-	if len(p.obsQueue) >= p.cfg.ObsQueue {
+	if p.obsQueue.len() >= p.cfg.ObsQueue {
 		// Prefetches are only hints: drop the oldest observation (§4.3).
 		p.Stats.ObsDropped++
-		p.emit(trace.Event{Kind: trace.PFObsDrop, Addr: p.obsQueue[0].addr,
-			A: int32(p.obsQueue[0].kernel), C: -1})
-		copy(p.obsQueue, p.obsQueue[1:])
-		p.obsQueue = p.obsQueue[:len(p.obsQueue)-1]
-		p.mObsDepth.Observe(len(p.obsQueue))
+		oldest := p.obsQueue.pop()
+		p.emit(trace.Event{Kind: trace.PFObsDrop, Addr: oldest.addr,
+			A: int32(oldest.kernel), C: -1})
+		p.mObsDepth.Observe(p.obsQueue.len())
 	}
-	p.obsQueue = append(p.obsQueue, o)
-	p.mObsDepth.Observe(len(p.obsQueue))
+	p.obsQueue.push(o)
+	p.mObsDepth.Observe(p.obsQueue.len())
 	p.schedule()
 }
 
 // schedule assigns queued observations to free PPUs, lowest id first (§7.2).
 func (p *Prefetcher) schedule() {
-	for len(p.obsQueue) > 0 {
-		id := -1
-		for i := range p.units {
-			if !p.units[i].busy {
-				id = i
-				break
-			}
-		}
+	for p.obsQueue.len() > 0 {
+		id := p.freeUnit()
 		if id < 0 {
 			return
 		}
-		o := p.obsQueue[0]
-		copy(p.obsQueue, p.obsQueue[1:])
-		p.obsQueue = p.obsQueue[:len(p.obsQueue)-1]
-		p.mObsDepth.Observe(len(p.obsQueue))
+		o := p.obsQueue.pop()
+		p.mObsDepth.Observe(p.obsQueue.len())
 		p.startKernel(id, o.kernel, o.addr, o.timedAt, o.ewma)
 	}
 }
 
 // startKernel begins executing kernel on unit id at the next PPU clock edge.
 func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ticks, ewma int) {
-	prog, ok := p.kernels[kernel]
-	if !ok {
+	k := p.kernel(kernel)
+	if k == nil {
 		return
 	}
+	prog := k.prog
 	u := &p.units[id]
-	u.busy = true
+	p.setBusy(id, true)
 	now := p.eng.Now()
 	start := p.cfg.PPUClock.NextEdge(now)
 	u.busyStart = now
@@ -537,8 +550,8 @@ func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ti
 	// First execution of a kernel fetches it into the shared instruction
 	// cache from memory (§4.4: ~1 KB total per application); model the
 	// cold start as a fixed fetch delay.
-	if !p.warmed[kernel] {
-		p.warmed[kernel] = true
+	if !k.warm {
+		k.warm = true
 		p.Stats.ICacheMisses++
 		start += p.cfg.PPUClock.Cycles(int64(ppu.EncodedSize(prog)/4) + 50)
 	}
@@ -548,7 +561,7 @@ func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ti
 		// single reused VM/Env pair (and the EmitPF closure built in New,
 		// reading the run* fields) serves every invocation without allocating.
 		p.env.VAddr = addr
-		p.env.Line = p.captureLine(addr)
+		p.bk.ReadLine(addr, &p.env.Line)
 		p.runID, p.runKernel = id, kernel
 		p.runStart, p.runTimedAt, p.runEwma = start, timedAt, ewma
 		p.vm.Reset(prog, &p.env)
@@ -562,12 +575,7 @@ func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ti
 		return
 	}
 
-	env := &ppu.Env{
-		VAddr:     addr,
-		Line:      p.captureLine(addr),
-		Globals:   &p.globals,
-		Lookahead: p.lookahead,
-	}
+	env := p.newEnv(addr)
 	vm := ppu.NewVM(prog, env)
 	env.EmitPF = p.emitFunc(id, kernel, start, timedAt, ewma)
 
@@ -600,8 +608,8 @@ func (p *Prefetcher) emitFunc(id, kernel int, start sim.Ticks, timedAt sim.Ticks
 	}
 }
 
-// emitPF registers one generated prefetch: a recycled pending entry plus a
-// timestamped enqueue event carrying (addr, obsID) as payload words.
+// emitPF registers one generated prefetch: its record in the pending table
+// plus a timestamped enqueue event carrying (addr, obsID) as payload words.
 func (p *Prefetcher) emitPF(id, kernel int, start, timedAt sim.Ticks, ewma int, addr uint64, tag int, cycle int64) bool {
 	p.Stats.PFGenerated++
 	at := start + p.cfg.PPUClock.Cycles(cycle)
@@ -616,28 +624,28 @@ func (p *Prefetcher) emitPF(id, kernel int, start, timedAt sim.Ticks, ewma int, 
 	p.nextObs++
 	p.emit(trace.Event{Kind: trace.PFGenerate, Addr: addr, ID: int64(obsID),
 		A: int32(kernel), B: int32(tag), C: int32(id)})
-	pend := p.getPend()
-	*pend = pendingPF{addr: addr, chain: chain, timedAt: timedAt, ewma: ewma, blockedPPU: -1, createdAt: p.eng.Now()}
 	block := p.cfg.Blocked && chain != NoKernel
+	blockedPPU := -1
 	if block {
-		pend.blockedPPU = id
+		blockedPPU = id
 	}
-	p.pending[obsID] = pend
+	*p.pending.insert(obsID) = pendingPF{id: obsID, live: true, addr: addr, chain: chain,
+		timedAt: timedAt, ewma: ewma, blockedPPU: blockedPPU, createdAt: p.eng.Now()}
 	p.eng.Schedule(at, p.enqueueH, addr, uint64(obsID))
 	return block
 }
 
 func (p *Prefetcher) enqueueReq(r request) {
-	if len(p.reqQueue) >= p.cfg.ReqQueue {
+	if p.reqQueue.len() >= p.cfg.ReqQueue {
 		p.Stats.ReqDropped++
 		p.dropPending(r.obsID, trace.DropQueue)
 		return
 	}
-	p.Stats.QueueDepthSum += int64(len(p.reqQueue))
-	p.reqQueue = append(p.reqQueue, r)
-	p.mReqDepth.Observe(len(p.reqQueue))
+	p.Stats.QueueDepthSum += int64(p.reqQueue.len())
+	p.reqQueue.push(r)
+	p.mReqDepth.Observe(p.reqQueue.len())
 	p.emit(trace.Event{Kind: trace.PFEnqueue, Addr: r.addr, ID: int64(r.obsID),
-		A: int32(len(p.reqQueue)), C: -1})
+		A: int32(p.reqQueue.len()), C: -1})
 	p.pump()
 }
 
@@ -659,7 +667,7 @@ const pumpWays = 4
 // free MSHRs so the headroom gate cannot be overrun by requests whose MSHR
 // claim has not landed yet.
 func (p *Prefetcher) pump() {
-	if len(p.reqQueue) == 0 {
+	if p.reqQueue.len() == 0 {
 		return
 	}
 	if p.pumping >= pumpWays {
@@ -671,10 +679,8 @@ func (p *Prefetcher) pump() {
 		return
 	}
 	p.pumping++
-	r := p.reqQueue[0]
-	copy(p.reqQueue, p.reqQueue[1:])
-	p.reqQueue = p.reqQueue[:len(p.reqQueue)-1]
-	p.mReqDepth.Observe(len(p.reqQueue))
+	r := p.reqQueue.pop()
+	p.mReqDepth.Observe(p.reqQueue.len())
 
 	ri := p.allocPumpRec(r.addr, r.obsID)
 	p.tlb.TranslateTo(r.addr, p.pumpH, uint64(ri))
@@ -700,9 +706,8 @@ func (h pumpDoneHandler) Handle(_ sim.Ticks, a, ok uint64) {
 	} else {
 		p.Stats.Issued++
 		p.emit(trace.Event{Kind: trace.PFIssue, Addr: r.addr, ID: int64(r.obsID), C: -1})
-		pend := p.pending[r.obsID]
 		var timed sim.Ticks = -1
-		if pend != nil {
+		if pend := p.pending.find(r.obsID); pend != nil {
 			timed = pend.timedAt
 			p.Stats.IssueLatencySum += p.eng.Now() - pend.createdAt
 			p.Stats.IssueCount++
@@ -711,24 +716,30 @@ func (h pumpDoneHandler) Handle(_ sim.Ticks, a, ok uint64) {
 		req := p.l1.Pool.Get()
 		req.Addr, req.Kind, req.PC = r.addr, mem.Prefetch, -1
 		req.Tag, req.TimedAt = r.obsID, timed
+		// The lookup holds its claim on the free MSHRs until the cache has
+		// resolved it (lookupDone).
 		p.l1.Access(req)
-		// The lookup holds its claim for the cache's hit latency;
-		// afterwards the MSHR (or a hit) has resolved it.
-		p.eng.ScheduleAfter(p.l1Lookup(), p.inflH, 0, 0)
 	}
+	p.pump()
+}
+
+// lookupDone is the L1's OnTaggedLookup hook: the cache pipeline has resolved
+// one of our lookups — it holds an MSHR now, or needs none — so its claim on
+// the headroom ends and the drain restarts.
+func (p *Prefetcher) lookupDone() {
+	p.inFlight--
 	p.pump()
 }
 
 // dropPending abandons a pending tagged request; in blocked mode the
 // suspended PPU must be resumed or it would wait forever.
 func (p *Prefetcher) dropPending(obsID int, reason int32) {
-	pendPtr, ok := p.pending[obsID]
-	if !ok {
+	slot := p.pending.find(obsID)
+	if slot == nil {
 		return
 	}
-	delete(p.pending, obsID)
-	pend := *pendPtr
-	p.putPend(pendPtr)
+	pend := *slot
+	slot.live = false
 	p.emit(trace.Event{Kind: trace.PFDrop, Addr: pend.addr, ID: int64(obsID),
 		A: reason, C: -1})
 	if pend.blockedPPU >= 0 {
@@ -745,14 +756,9 @@ func (p *Prefetcher) resumeBlocked(id int, kernel int, addr uint64, timedAt sim.
 	start := p.cfg.PPUClock.NextEdge(now)
 
 	if kernel != NoKernel {
-		if prog, ok := p.kernels[kernel]; ok {
-			env := &ppu.Env{
-				VAddr:     addr,
-				Line:      p.captureLine(addr),
-				Globals:   &p.globals,
-				Lookahead: p.lookahead,
-			}
-			vm := ppu.NewVM(prog, env)
+		if k := p.kernel(kernel); k != nil {
+			env := p.newEnv(addr)
+			vm := ppu.NewVM(k.prog, env)
 			kernelStart := start // EmitPF's reference time; a fork rebuilds from it
 			env.EmitPF = p.emitFunc(id, kernel, kernelStart, timedAt, ewma)
 			p.Stats.KernelRuns++
@@ -793,16 +799,16 @@ func (p *Prefetcher) finishUnit(id int, at sim.Ticks) {
 	if at < p.eng.Now() {
 		at = p.eng.Now()
 	}
-	p.eng.Schedule(at, p.freeH, uint64(id), 0)
+	p.eng.Schedule(at, p.freeH, uint64(id), p.epoch)
 }
 
-func (p *Prefetcher) l1Lookup() sim.Ticks { return p.l1.LookupLatency() }
-
-func (p *Prefetcher) captureLine(addr uint64) [mem.LineSize / 8]uint64 {
-	if p.bk.Mapped(addr) {
-		return p.bk.ReadLine(addr)
-	}
-	return [mem.LineSize / 8]uint64{}
+// newEnv builds the environment of a blocked-mode kernel invocation, which
+// must outlive the call that starts it; the caller sets EmitPF. The line
+// forwarded with the event reads as zeros where addr is unmapped.
+func (p *Prefetcher) newEnv(addr uint64) *ppu.Env {
+	env := &ppu.Env{VAddr: addr, Globals: &p.globals, Lookahead: p.lookahead}
+	p.bk.ReadLine(addr, &env.Line)
+	return env
 }
 
 func (p *Prefetcher) lookahead(group int) uint64 {
@@ -825,7 +831,7 @@ func (p *Prefetcher) ActivityFactors() []float64 {
 	}
 	for i := range p.units {
 		busy := p.units[i].busyTicks
-		if p.units[i].busy {
+		if p.isBusy(i) {
 			busy += total - p.units[i].busyStart
 		}
 		out[i] = float64(busy) / float64(total)
