@@ -15,12 +15,12 @@
 // engine owns, its policy state is plain value state).
 //
 // Gating is the controller's Observe: the system package points the L1's
-// demand snoop at it, like at any unit's, and it counts the access for its
-// sensors and passes it to the active arm alone — the hosted unit's Observe,
-// or the programmable prefetcher's for the "pf" arm. Inactive arms neither
-// train nor issue — but their issue queues keep draining (in-flight
-// prefetches complete, as they would in hardware) because every issuer stays
-// subscribed to the L1's OnMSHRFree pump chain.
+// demand snoop at it, like at any unit's, and it passes the access to the
+// active arm alone — the hosted unit's Observe, or the programmable
+// prefetcher's for the "pf" arm. Inactive arms neither train nor issue — but
+// their issue queues keep draining (in-flight prefetches complete, as they
+// would in hardware) because every issuer stays subscribed to the L1's
+// OnMSHRFree pump chain.
 package adaptive
 
 import (
@@ -243,11 +243,10 @@ type Unit struct {
 type policy struct {
 	active int
 
-	// Per-interval sensor accumulators (reset every tick). Demands and
-	// misses are counted by Observe itself; the prefetch sensors are deltas
-	// of the L1/PF counters since the previous tick.
-	intDemands, intMisses int64
+	// The sensors are deltas of the core, L1 and PF counters since the
+	// previous tick; these are the values read then.
 	lastOps               int64
+	lastDemands, lastHits int64
 	lastUsed, lastDead    int64
 	lastFillSum           sim.Ticks
 	lastFillCount         int64
@@ -371,13 +370,9 @@ func (u *Unit) BindHost(ops func() int64, done func() bool) {
 	u.eng.ScheduleAfter(u.cfg.IntervalTicks, u.tickH, 0, 0)
 }
 
-// Observe implements baseline.Unit: it counts the interval's sensor inputs
-// and forwards the access to the active arm only.
+// Observe implements baseline.Unit: it forwards the access to the active arm
+// only.
 func (u *Unit) Observe(addr uint64, pc int, hit bool) {
-	u.intDemands++
-	if !hit {
-		u.intMisses++
-	}
 	if a := &u.arms[u.active]; a.unit != nil {
 		a.unit.Observe(addr, pc, hit)
 	} else if a.name == "pf" {
@@ -505,23 +500,26 @@ func (u *Unit) tick(at sim.Ticks) {
 // any prefetcher.
 const idleMinDemands = 64
 
-// observeSensors folds the interval's sensor inputs into the EWMAs: the
-// Observe-counted miss rate (phase signal), and the L1/PF counter deltas
-// for prefetch accuracy and chain latency. It returns the interval's demand
-// and prefetcher-fill counts for the idle detector.
+// observeSensors folds the interval's L1/PF counter deltas into the EWMAs:
+// the demand miss rate (phase signal), prefetch accuracy and chain latency.
+// The L1 counts a demand lookup exactly where it calls the demand snoop, so
+// the miss rate is that of the accesses Observe saw. It returns the
+// interval's demand and prefetcher-fill counts for the idle detector.
 func (u *Unit) observeSensors() (demands, fills int64) {
-	demands = u.intDemands
+	l1 := &u.l1.Stats
+	total, hits := l1.DemandLoads+l1.DemandStores, l1.DemandHits+l1.StoreHits
+	demands = total - u.lastDemands
 	var mr int64
-	if u.intDemands > 0 {
-		mr = u.intMisses * 1000 / u.intDemands
+	if demands > 0 {
+		mr = (demands - (hits - u.lastHits)) * 1000 / demands
 	}
-	u.intDemands, u.intMisses = 0, 0
+	u.lastDemands, u.lastHits = total, hits
 	u.fast.Observe(mr)
 	u.slow.Observe(mr)
 
-	used := u.l1.Stats.PrefetchUsed - u.lastUsed
-	dead := u.l1.Stats.PrefetchDead - u.lastDead
-	u.lastUsed, u.lastDead = u.l1.Stats.PrefetchUsed, u.l1.Stats.PrefetchDead
+	used := l1.PrefetchUsed - u.lastUsed
+	dead := l1.PrefetchDead - u.lastDead
+	u.lastUsed, u.lastDead = l1.PrefetchUsed, l1.PrefetchDead
 	if used+dead > 0 {
 		u.acc.Observe(used * 1000 / (used + dead))
 	}

@@ -1,12 +1,17 @@
 package ppu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	prog := MustAssemble(`
+// testKernels are the kernels the encoding tests work on: one touching every
+// operand form, then a representative application's set (first-level load
+// kernel, indirection, CSR edge-range walk). FuzzDecodeRun starts from their
+// encodings.
+var testKernels = [][]Instr{
+	MustAssemble(`
 		vaddr  r1
 		addi   r1, r1, 128
 		movi   r2, 4096
@@ -18,19 +23,51 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		bge    r2, r4, loop
 		pf     r2
 		halt
-	`)
+	`),
+	MustAssemble("vaddr r1\naddi r1, r1, 512\npftag r1, 2\nhalt"),
+	MustAssemble(`
+		lddata r1
+		shli   r1, r1, 3
+		ldg    r2, g0
+		add    r1, r1, r2
+		pf     r1
+		halt
+	`),
+	MustAssemble(`
+		vaddr  r1
+		lddata r2
+		andi   r3, r1, 56
+		movi   r4, 56
+		beq    r3, r4, f
+		addi   r5, r3, 8
+		ldline r6, r5
+		jmp    c
+	f:
+		addi   r6, r2, 16
+	c:
+		ldg    r8, g0
+		mov    r9, r2
+	l:
+		bge    r9, r6, d
+		shli   r10, r9, 3
+		add    r10, r10, r8
+		pftag  r10, 4
+		addi   r9, r9, 8
+		jmp    l
+	d:
+		halt
+	`),
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	prog := testKernels[0]
 	b := Encode(prog)
 	back, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(prog) {
-		t.Fatalf("decoded %d instrs, want %d", len(back), len(prog))
-	}
-	for i := range prog {
-		if prog[i] != back[i] {
-			t.Errorf("instr %d: %v != %v", i, prog[i], back[i])
-		}
+	if !slices.Equal(back, prog) {
+		t.Errorf("decoded %v, want %v", back, prog)
 	}
 }
 
@@ -92,41 +129,7 @@ func TestBenchmarkKernelsFitTheInstructionCache(t *testing.T) {
 	// The paper: "a maximum of 1KB is fetched ... for the entirety of each
 	// application". Check a representative kernel set stays well under the
 	// 4 KiB shared instruction cache.
-	kernels := [][]Instr{
-		MustAssemble("vaddr r1\naddi r1, r1, 512\npftag r1, 2\nhalt"),
-		MustAssemble(`
-			lddata r1
-			shli   r1, r1, 3
-			ldg    r2, g0
-			add    r1, r1, r2
-			pf     r1
-			halt
-		`),
-		MustAssemble(`
-			vaddr  r1
-			lddata r2
-			andi   r3, r1, 56
-			movi   r4, 56
-			beq    r3, r4, f
-			addi   r5, r3, 8
-			ldline r6, r5
-			jmp    c
-		f:
-			addi   r6, r2, 16
-		c:
-			ldg    r8, g0
-			mov    r9, r2
-		l:
-			bge    r9, r6, d
-			shli   r10, r9, 3
-			add    r10, r10, r8
-			pftag  r10, 4
-			addi   r9, r9, 8
-			jmp    l
-		d:
-			halt
-		`),
-	}
+	kernels := testKernels[1:]
 	total := 0
 	for _, k := range kernels {
 		total += EncodedSize(k)
@@ -134,4 +137,36 @@ func TestBenchmarkKernelsFitTheInstructionCache(t *testing.T) {
 	if total > 1024 {
 		t.Errorf("representative kernels encode to %d bytes, expected ≤ 1 KiB", total)
 	}
+}
+
+// FuzzDecodeRun feeds arbitrary bytes to Decode — the one way a kernel reaches
+// the simulator without passing the assembler's operand checks — and runs what
+// decodes: the VM must end the event inside its budget whatever the program
+// does (§5.1), stalling and resuming on tagged prefetches on the way, and the
+// program must survive Encode and Decode unchanged. The corpus in
+// testdata/fuzz/FuzzDecodeRun adds what no assembled kernel holds: global
+// indices on both sides of the register file, branch targets outside the
+// program, the extended-immediate forms and their truncations.
+func FuzzDecodeRun(f *testing.F) {
+	for _, k := range testKernels {
+		f.Add(Encode(k))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		prog, err := Decode(b)
+		if err != nil {
+			return
+		}
+		if back, err := Decode(Encode(prog)); err != nil || !slices.Equal(back, prog) {
+			t.Fatalf("Decode(Encode(%v)) = %v, %v", prog, back, err)
+		}
+		env := &Env{VAddr: 0x1008, Globals: new([NumGlobals]uint64),
+			Lookahead: func(int) uint64 { return 4 },
+			EmitPF:    func(_ uint64, tag int, _ int64) bool { return tag != NoTag }}
+		vm := newVM(prog, env)
+		for vm.Run() == Blocked {
+		}
+		if vm.Cycles() > MaxKernelInstrs+7 { // a DIV may start on the last cycle
+			t.Fatalf("%d cycles, budget %d", vm.Cycles(), MaxKernelInstrs)
+		}
+	})
 }

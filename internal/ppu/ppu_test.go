@@ -13,6 +13,12 @@ type emitted struct {
 	cycle int64
 }
 
+func newVM(prog []Instr, env *Env) *VM {
+	vm := new(VM)
+	vm.Reset(prog, env)
+	return vm
+}
+
 func run(t *testing.T, src string, env *Env) (*VM, []emitted) {
 	t.Helper()
 	prog, err := Assemble(src)
@@ -32,7 +38,7 @@ func run(t *testing.T, src string, env *Env) (*VM, []emitted) {
 			return false
 		}
 	}
-	vm := NewVM(prog, env)
+	vm := newVM(prog, env)
 	if vm.Run() != Done {
 		t.Fatal("kernel did not run to completion")
 	}
@@ -124,6 +130,31 @@ func TestDivideByZeroTerminatesEvent(t *testing.T) {
 	}
 }
 
+// A global register that does not exist terminates the event like a divide
+// by zero; the assembler refuses one, but Decode and RegisterKernel take any
+// immediate.
+func TestGlobalIndexOutOfRangeTerminatesEvent(t *testing.T) {
+	for _, op := range []Opcode{LDG, STG} {
+		for _, tc := range []struct {
+			imm   int64
+			fault bool
+		}{{-1, true}, {0, false}, {NumGlobals - 1, false}, {NumGlobals, true}} {
+			emitted := 0
+			env := &Env{Globals: new([NumGlobals]uint64),
+				EmitPF: func(uint64, int, int64) bool { emitted++; return false }}
+			vm := newVM([]Instr{{Op: op, Rd: 1, Ra: 1, Imm: tc.imm}, {Op: PF, Ra: 1}, {Op: HALT}}, env)
+			wantEmitted := 1
+			if tc.fault {
+				wantEmitted = 0 // the event ended at the fault
+			}
+			if vm.Run() != Done || vm.Faulted() != tc.fault || emitted != wantEmitted {
+				t.Errorf("%s g%d: faulted=%v and %d prefetches after it, want %v and %d",
+					op, tc.imm, vm.Faulted(), emitted, tc.fault, wantEmitted)
+			}
+		}
+	}
+}
+
 func TestRunawayKernelTerminated(t *testing.T) {
 	vm, _ := run(t, "loop:\njmp loop", nil)
 	if !vm.Faulted() {
@@ -169,7 +200,7 @@ func TestBlockedModeSuspendsAndResumes(t *testing.T) {
 		out = append(out, emitted{addr, tag, cycle})
 		return tag != NoTag // block on tagged prefetches only
 	}
-	vm := NewVM(prog, env)
+	vm := newVM(prog, env)
 	if vm.Run() != Blocked {
 		t.Fatal("tagged prefetch did not block")
 	}
@@ -297,18 +328,15 @@ func TestVMAlwaysTerminates(t *testing.T) {
 				Rb:  uint8(next(NumRegs)),
 				Imm: int64(next(len(prog) + 8)), // branch targets may overshoot
 			}
-			// Keep global/ewma indices in range.
-			switch prog[i].Op {
-			case LDG, STG:
-				prog[i].Imm = int64(next(NumGlobals))
-			case LDEWMA:
+			// Keep ewma groups in range; a global index past the end faults.
+			if prog[i].Op == LDEWMA {
 				prog[i].Imm = int64(next(8))
 			}
 		}
 		env := &Env{Globals: new([NumGlobals]uint64), Lookahead: func(int) uint64 { return 4 }}
 		emitted := 0
 		env.EmitPF = func(uint64, int, int64) bool { emitted++; return false }
-		vm := NewVM(prog, env)
+		vm := newVM(prog, env)
 		if vm.Run() != Done {
 			return false
 		}
@@ -344,7 +372,7 @@ func TestBlockedModeSameEmissions(t *testing.T) {
 			out = append(out, addr)
 			return block && tag != NoTag
 		}
-		vm := NewVM(prog, env)
+		vm := newVM(prog, env)
 		for vm.Run() == Blocked {
 		}
 		return out

@@ -41,9 +41,9 @@ const (
 // event, standing in for the paper's trap-on-misbehaviour rule.
 const MaxKernelInstrs = 4096
 
-// VM executes one kernel invocation. A fresh VM is created per event (PPUs
-// keep no state between events, §5.1); it is resumable only to support
-// blocked mode.
+// VM executes one kernel invocation: Reset begins one (PPUs keep no state
+// between events, §5.1), Run carries it to its halt. It is resumable only to
+// support blocked mode. The zero VM is a halted kernel.
 type VM struct {
 	prog []Instr
 	env  *Env
@@ -54,32 +54,16 @@ type VM struct {
 	faulted bool
 }
 
-// NewVM prepares a kernel invocation.
-func NewVM(prog []Instr, env *Env) *VM {
-	return &VM{prog: prog, env: env}
-}
-
-// Reset reinitialises m for a fresh invocation of prog, so one VM value can
-// be reused across kernel runs that never suspend (the non-blocked mode).
+// Reset reinitialises m for a fresh invocation of prog, so one VM value
+// serves one kernel run after another.
 func (m *VM) Reset(prog []Instr, env *Env) {
 	*m = VM{prog: prog, env: env}
 }
 
-// Env returns the environment the VM is bound to, so a machine fork can read
-// the trigger address and captured line of a suspended (blocked-mode) VM when
-// rebuilding its environment against fork-owned state.
-func (m *VM) Env() *Env { return m.env }
-
-// Clone returns a copy of m suspended at the same instruction — registers,
-// pc, cycle count and fault flag copy by value; the kernel program is
-// immutable and shared. The clone is bound to env, which the caller builds
-// against its own state (a forked VM must not emit prefetches into, or read
-// globals from, the parent machine).
-func (m *VM) Clone(env *Env) *VM {
-	c := *m
-	c.env = env
-	return &c
-}
+// Bind points m at env and leaves the invocation where it is: a VM copied by
+// assignment (a machine fork copying a suspended kernel) still reads and emits
+// through the original's environment until it is bound to its own.
+func (m *VM) Bind(env *Env) { m.env = env }
 
 // Cycles returns how many PPU cycles the kernel has consumed so far. Every
 // instruction costs one cycle except DIV, which costs eight (the
@@ -87,7 +71,8 @@ func (m *VM) Clone(env *Env) *VM {
 func (m *VM) Cycles() int64 { return m.cycles }
 
 // Faulted reports whether the event was terminated by a fault (division by
-// zero or instruction-budget exhaustion).
+// zero, a global register that does not exist, or instruction-budget
+// exhaustion).
 func (m *VM) Faulted() bool { return m.faulted }
 
 // Run executes until the kernel halts, faults, or blocks.
@@ -151,8 +136,16 @@ func (m *VM) Run() Status {
 		case VADDR:
 			m.regs[in.Rd] = m.env.VAddr
 		case LDG:
+			if uint64(in.Imm) >= NumGlobals {
+				m.faulted = true // no such global register (§5.1)
+				return Done
+			}
 			m.regs[in.Rd] = m.env.Globals[in.Imm]
 		case STG:
+			if uint64(in.Imm) >= NumGlobals {
+				m.faulted = true
+				return Done
+			}
 			m.env.Globals[in.Imm] = m.regs[in.Ra]
 		case LDEWMA:
 			m.regs[in.Rd] = m.env.Lookahead(int(in.Imm))

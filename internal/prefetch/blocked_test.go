@@ -7,6 +7,7 @@ package prefetch
 // request queue, TLB, MSHR — must resume its suspended PPU exactly once.
 
 import (
+	"slices"
 	"testing"
 
 	"eventpf/internal/ppu"
@@ -327,6 +328,100 @@ func TestBlockedDropAtMSHRResumesOnce(t *testing.T) {
 		t.Error("no PFDrop event with reason DropMSHR")
 	}
 	assertUnitIdle(t, f, tr)
+}
+
+// nestedChainFixture installs a three-kernel chain on one blocked-mode PPU in
+// which kernels 1 and 2 both go on after their tagged prefetch returns: while
+// kernel 2 waits for kernel 3's line the unit's stack is two deep, and each
+// resumed kernel then emits a prefetch of its own and bumps global 0.
+func nestedChainFixture(t *testing.T) (*fixture, uint64, *trace.Ring) {
+	f := newFixture(t, blockedConfig())
+	tr := trace.NewRing(256)
+	f.pf.Bus = trace.NewBus(tr)
+	a := f.arena.AllocWords("A", 1<<14)
+	goOn := "\naddi r1, r1, 4096\npf r1\nldg r2, g0\naddi r2, r2, 1\nstg g0, r2\nhalt"
+	f.pf.RegisterKernel(1, ppu.MustAssemble("vaddr r1\naddi r1, r1, 128\npftag r1, 2"+goOn))
+	f.pf.RegisterKernel(2, ppu.MustAssemble("vaddr r1\naddi r1, r1, 256\npftag r1, 3"+goOn))
+	f.pf.RegisterKernel(3, ppu.MustAssemble("vaddr r1"+goOn))
+	f.pf.SetRange(0, RangeConfig{Lo: a.Base, Hi: a.Base + 64, LoadKernel: 1, PFKernel: NoKernel, EWMAGroup: -1})
+	return f, a.Base, tr
+}
+
+// stepToNestedStall advances f until its PPU is stalled two kernels deep.
+func stepToNestedStall(t *testing.T, f *fixture) {
+	t.Helper()
+	for len(f.pf.units[0].stack) < 2 {
+		if !f.eng.Step() {
+			t.Fatal("the unit never stalled two kernels deep")
+		}
+	}
+}
+
+// A fork taken while a unit holds two suspended kernels finishes exactly as
+// its parent and as a run that never forked; the copied invocations emit into
+// the fork, and the parent's into the parent.
+func TestForkWithNestedSuspendedKernels(t *testing.T) {
+	straight, base, straightTr := nestedChainFixture(t)
+	straight.demandLoad(base)
+	straight.eng.Run()
+
+	parent, _, parentTr := nestedChainFixture(t)
+	parent.demandLoad(base)
+	stepToNestedStall(t, parent)
+	atFork := len(parentTr.Events())
+	var forkTr *trace.Ring
+	fork := forkOf(t, parent, func() (f *fixture) { f, _, forkTr = nestedChainFixture(t); return f })
+
+	// The parent resumes both kernels, each emitting a prefetch: none of it
+	// may show in the fork.
+	idle := fork.pf.Stats
+	parent.eng.Run()
+	if fork.pf.Stats != idle || fork.pf.reqQueue.len() != 0 || fork.pf.globals[0] != 0 ||
+		fork.eng.Pending() == 0 || len(forkTr.Events()) != 0 {
+		t.Fatalf("the parent's run reached its fork: stats %+v (were %+v), %d requests queued, global 0 = %d, %d trace events",
+			fork.pf.Stats, idle, fork.pf.reqQueue.len(), fork.pf.globals[0], len(forkTr.Events()))
+	}
+	fork.eng.Run()
+
+	if s := straight.pf.Stats; s.KernelRuns != 3 || s.PFGenerated != 5 || s.Issued != 5 {
+		t.Errorf("the straight run made %+v, want 3 kernels and 5 prefetches", s)
+	}
+	if !slices.Equal(parentTr.Events(), straightTr.Events()) {
+		t.Errorf("parent trace differs from the straight run's:\n%v\n%v", parentTr.Events(), straightTr.Events())
+	}
+	if want := straightTr.Events()[atFork:]; !slices.Equal(forkTr.Events(), want) {
+		t.Errorf("fork trace differs from the straight run's after the fork point:\n%v\n%v", forkTr.Events(), want)
+	}
+	for name, f := range map[string]*fixture{"parent": parent, "fork": fork} {
+		if f.pf.Stats != straight.pf.Stats || f.l1.Stats != straight.l1.Stats || f.eng.Now() != straight.eng.Now() {
+			t.Errorf("%s ends at t=%d with %+v %+v\nstraight   t=%d with %+v %+v", name,
+				f.eng.Now(), f.pf.Stats, f.l1.Stats, straight.eng.Now(), straight.pf.Stats, straight.l1.Stats)
+		}
+		if u, su := f.pf.units[0], straight.pf.units[0]; f.pf.globals != straight.pf.globals ||
+			u.busyTicks != su.busyTicks || len(u.stack) != 0 || f.pf.isBusy(0) || len(f.pf.invFree) != 3 {
+			t.Errorf("%s: global 0 = %d (want 3), busy %d ticks (want %d), %d kernels still suspended, busy=%v, %d records pooled (want 3)",
+				name, f.pf.globals[0], u.busyTicks, su.busyTicks, len(u.stack), f.pf.isBusy(0), len(f.pf.invFree))
+		}
+	}
+}
+
+// A flush drops the suspended kernels of every unit; their records go back
+// to the pool, so no number of context switches grows it.
+func TestFlushReturnsSuspendedInvocationsToPool(t *testing.T) {
+	f, base, _ := nestedChainFixture(t)
+	for i := 0; i < 1000; i++ {
+		f.demandLoad(base)
+		stepToNestedStall(t, f)
+		f.pf.Flush()
+		if n := len(f.pf.units[0].stack); n != 0 || f.pf.isBusy(0) || len(f.pf.invFree) != 2 {
+			t.Fatalf("flush %d left %d kernels suspended, busy=%v, %d records pooled; want 0, false, 2",
+				i, n, f.pf.isBusy(0), len(f.pf.invFree))
+		}
+		f.eng.Run() // what was already past the flush drains, untracked
+	}
+	if f.pf.Stats.KernelRuns != 2000 || f.pf.globals[0] != 0 {
+		t.Errorf("%d kernels begun and %d run to their end, want 2000 and 0", f.pf.Stats.KernelRuns, f.pf.globals[0])
+	}
 }
 
 // A prefetch whose target is already resident closes through the resident

@@ -1,15 +1,11 @@
 package prefetch
 
-import (
-	"fmt"
-
-	"eventpf/internal/ppu"
-)
+import "fmt"
 
 // CopyStateFrom copies src's complete state: kernel registry with its warm
 // bits (programs are immutable and shared), filter table, globals, queues,
-// unit occupancy (suspended blocked-mode VMs are cloned and their EmitPF
-// callbacks rebuilt against this prefetcher), the pending-prefetch table at
+// unit occupancy (each suspended invocation is copied by assignment into a
+// record of this prefetcher and bound to it), the pending-prefetch table at
 // whatever size it has grown to, pump records and EWMA state. The fork's
 // clock may differ from src's — that is the sweep fan-out case — but the
 // unit count must match.
@@ -27,18 +23,12 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 		su, du := &src.units[i], &p.units[i]
 		du.busyStart = su.busyStart
 		du.busyTicks = su.busyTicks
-		du.stack = du.stack[:0]
-		for _, e := range su.stack {
-			srcEnv := e.vm.Env()
-			env := &ppu.Env{
-				VAddr:     srcEnv.VAddr,
-				Line:      srcEnv.Line,
-				Globals:   &p.globals,
-				Lookahead: p.lookahead,
-			}
-			vm := e.vm.Clone(env)
-			env.EmitPF = p.emitFunc(i, e.kernel, e.start, e.timedAt, e.ewma)
-			du.stack = append(du.stack, suspended{vm: vm, kernel: e.kernel, start: e.start, timedAt: e.timedAt, ewma: e.ewma})
+		p.releaseStack(du)
+		for _, s := range su.stack {
+			d := p.takeInvocation()
+			*d = *s
+			d.bind(p)
+			du.stack = append(du.stack, d)
 		}
 	}
 	p.pending.copyFrom(&src.pending)

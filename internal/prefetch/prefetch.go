@@ -121,23 +121,36 @@ type request struct {
 	obsID int
 }
 
-// suspended is one blocked-mode VM parked on a unit's stack, together with
-// the invocation context its EmitPF callback was built from. Keeping the
-// context explicit (rather than only inside the closure) is what makes a
-// suspended VM forkable: a machine fork clones the VM and rebuilds the
-// callback against its own prefetcher from these fields.
-type suspended struct {
-	vm      *ppu.VM
-	kernel  int
-	start   sim.Ticks
-	timedAt sim.Ticks
-	ewma    int
+// invocation is one kernel run on a PPU: the VM and its environment by value,
+// plus what emitPF needs to know about the event being handled. Records are
+// pooled; env.EmitPF is bound to the record once, when it is first made. An
+// invocation lives on its unit's stack from begin until its kernel halts — in
+// event mode that is one record at a time, inside one call of run; in blocked
+// mode (Figure 11) it waits there while the unit is stalled on a tagged
+// prefetch.
+type invocation struct {
+	p     *Prefetcher
+	vm    ppu.VM
+	env   ppu.Env
+	unit  int
+	obs   observation // the event: obs.addr is env.VAddr
+	start sim.Ticks   // tick of the kernel's cycle 0, the reference of its emit times
+}
+
+// bind points the record's environment at p; a fork calls it again on the
+// records it copied by assignment.
+func (inv *invocation) bind(p *Prefetcher) {
+	inv.p = p
+	inv.env.Globals = &p.globals
+	inv.env.Lookahead = p.lookahead
+	inv.env.EmitPF = inv.emitPF
+	inv.vm.Bind(&inv.env)
 }
 
 type unit struct {
 	busyStart sim.Ticks
 	busyTicks sim.Ticks
-	stack     []suspended // blocked mode: suspended kernels, innermost last
+	stack     []*invocation // kernels begun and not yet halted, innermost last
 }
 
 // Prefetcher wires the event machinery to an L1 cache and TLB.
@@ -181,18 +194,8 @@ type Prefetcher struct {
 	pumpRecs []pumpRec
 	pumpFree []int32
 
-	// vm/env and the run* fields are the reused kernel-execution state for
-	// the non-blocked mode, where kernels always run to completion inside
-	// startKernel: one VM, one Env and one EmitPF closure (built in New)
-	// serve every invocation. Blocked mode (Figure 11) allocates per run,
-	// because a suspended VM's state must survive on the unit's stack.
-	vm         ppu.VM
-	env        ppu.Env
-	runID      int
-	runKernel  int
-	runStart   sim.Ticks
-	runTimedAt sim.Ticks
-	runEwma    int
+	// invFree holds the invocation records not on any unit's stack.
+	invFree []*invocation
 
 	enqueueH enqueueHandler
 	pumpH    pumpDoneHandler
@@ -302,9 +305,6 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 	p.pumpH.p = p
 	p.freeH.p = p
 	eng.Own(p.enqueueH, p.pumpH, p.freeH)
-	p.env.Globals = &p.globals
-	p.env.Lookahead = p.lookahead
-	p.env.EmitPF = p.emitReused
 	l1.OnDemandAccess = p.Observe
 	l1.OnPrefetchFill = p.onPrefetchFill
 	l1.OnMSHRFree = p.pump
@@ -396,7 +396,7 @@ func (p *Prefetcher) Flush() {
 			u.busyTicks += now - u.busyStart
 			p.setBusy(i, false)
 		}
-		u.stack = u.stack[:0]
+		p.releaseStack(u)
 	}
 	p.pending.clear()
 	for i := range p.ewma {
@@ -494,16 +494,14 @@ func (p *Prefetcher) onPrefetchFill(line uint64, tag int, _ sim.Ticks, filled bo
 		return
 	}
 
+	o := observation{addr: pend.addr, kernel: kernel, timedAt: pend.timedAt, ewma: pend.ewma}
 	if pend.blockedPPU >= 0 {
-		// Blocked mode: the issuing PPU has been stalled on this fill; run
-		// the chained kernel (if any) on that same unit, then resume it.
-		p.resumeBlocked(pend.blockedPPU, kernel, pend.addr, pend.timedAt, pend.ewma)
-		return
+		// The issuing PPU has been stalled on this fill: the chained kernel
+		// (if any) runs on that same unit, which then resumes.
+		p.resumeBlocked(pend.blockedPPU, o)
+	} else if kernel != NoKernel {
+		p.enqueueObs(o)
 	}
-	if kernel == NoKernel {
-		return
-	}
-	p.enqueueObs(observation{addr: pend.addr, kernel: kernel, timedAt: pend.timedAt, ewma: pend.ewma})
 }
 
 func (p *Prefetcher) enqueueObs(o observation) {
@@ -530,17 +528,16 @@ func (p *Prefetcher) schedule() {
 		}
 		o := p.obsQueue.pop()
 		p.mObsDepth.Observe(p.obsQueue.len())
-		p.startKernel(id, o.kernel, o.addr, o.timedAt, o.ewma)
+		p.startKernel(id, o)
 	}
 }
 
-// startKernel begins executing kernel on unit id at the next PPU clock edge.
-func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ticks, ewma int) {
-	k := p.kernel(kernel)
+// startKernel puts free unit id to work on o at the next PPU clock edge.
+func (p *Prefetcher) startKernel(id int, o observation) {
+	k := p.kernel(o.kernel)
 	if k == nil {
 		return
 	}
-	prog := k.prog
 	u := &p.units[id]
 	p.setBusy(id, true)
 	now := p.eng.Now()
@@ -553,66 +550,89 @@ func (p *Prefetcher) startKernel(id int, kernel int, addr uint64, timedAt sim.Ti
 	if !k.warm {
 		k.warm = true
 		p.Stats.ICacheMisses++
-		start += p.cfg.PPUClock.Cycles(int64(ppu.EncodedSize(prog)/4) + 50)
+		start += p.cfg.PPUClock.Cycles(int64(ppu.EncodedSize(k.prog)/4) + 50)
 	}
+	p.begin(id, k.prog, o, start)
+	p.run(id, start)
+}
 
-	if !p.cfg.Blocked {
-		// Non-blocked kernels always run to completion right here, so the
-		// single reused VM/Env pair (and the EmitPF closure built in New,
-		// reading the run* fields) serves every invocation without allocating.
-		p.env.VAddr = addr
-		p.bk.ReadLine(addr, &p.env.Line)
-		p.runID, p.runKernel = id, kernel
-		p.runStart, p.runTimedAt, p.runEwma = start, timedAt, ewma
-		p.vm.Reset(prog, &p.env)
-		p.Stats.KernelRuns++
-		p.emit(trace.Event{Kind: trace.PFKernel, Addr: addr, A: int32(kernel), C: int32(id)})
-		p.vm.Run()
-		if p.vm.Faulted() {
+// resumeBlocked continues unit id, stalled on a tagged prefetch that has now
+// filled or been dropped: the kernel chained to the fill (if any) runs first,
+// on the same unit, then the kernels below it.
+func (p *Prefetcher) resumeBlocked(id int, chained observation) {
+	start := p.cfg.PPUClock.NextEdge(p.eng.Now())
+	if k := p.kernel(chained.kernel); k != nil {
+		p.begin(id, k.prog, chained, start)
+	}
+	p.run(id, start)
+}
+
+// begin makes an invocation of prog for event o the innermost kernel of unit
+// id, its cycle 0 at tick start. The line forwarded with the event reads as
+// zeros where o.addr is unmapped.
+func (p *Prefetcher) begin(id int, prog []ppu.Instr, o observation, start sim.Ticks) {
+	inv := p.takeInvocation()
+	inv.unit, inv.obs, inv.start = id, o, start
+	inv.env.VAddr = o.addr
+	p.bk.ReadLine(o.addr, &inv.env.Line)
+	inv.vm.Reset(prog, &inv.env)
+	p.Stats.KernelRuns++
+	p.emit(trace.Event{Kind: trace.PFKernel, Addr: o.addr, A: int32(o.kernel), C: int32(id)})
+	p.units[id].stack = append(p.units[id].stack, inv)
+}
+
+// run advances unit id from tick at. Its innermost kernel runs until it halts
+// — its record is released and the kernel below resumes — or until emitPF
+// stalls it on a tagged prefetch, which leaves the unit busy for that request's
+// fill or drop to continue (resumeBlocked). Every run of a VM is charged the
+// PPU cycles it added (Cycles is cumulative across resumes) and checked for a
+// fault. With no kernel left the unit is freed.
+func (p *Prefetcher) run(id int, at sim.Ticks) {
+	u := &p.units[id]
+	for len(u.stack) > 0 {
+		top := len(u.stack) - 1
+		inv := u.stack[top]
+		before := inv.vm.Cycles()
+		status := inv.vm.Run()
+		at += p.cfg.PPUClock.Cycles(inv.vm.Cycles() - before)
+		if inv.vm.Faulted() {
 			p.Stats.KernelFaults++
 		}
-		p.finishUnit(id, start+p.cfg.PPUClock.Cycles(p.vm.Cycles()))
-		return
+		if status == ppu.Blocked {
+			return
+		}
+		u.stack = u.stack[:top]
+		p.invFree = append(p.invFree, inv)
 	}
-
-	env := p.newEnv(addr)
-	vm := ppu.NewVM(prog, env)
-	env.EmitPF = p.emitFunc(id, kernel, start, timedAt, ewma)
-
-	p.Stats.KernelRuns++
-	p.emit(trace.Event{Kind: trace.PFKernel, Addr: addr, A: int32(kernel), C: int32(id)})
-	status := vm.Run()
-	if vm.Faulted() {
-		p.Stats.KernelFaults++
-	}
-	if status == ppu.Blocked {
-		// Unit stays busy; resumed by resumeBlocked on fill (or drop).
-		u.stack = append(u.stack, suspended{vm: vm, kernel: kernel, start: start, timedAt: timedAt, ewma: ewma})
-		return
-	}
-	p.finishUnit(id, start+p.cfg.PPUClock.Cycles(vm.Cycles()))
+	p.finishUnit(id, at)
 }
 
-// emitReused is the EmitPF callback for the reused non-blocked VM; the
-// invocation context lives in the run* fields, which are valid for the whole
-// synchronous vm.Run.
-func (p *Prefetcher) emitReused(addr uint64, tag int, cycle int64) bool {
-	return p.emitPF(p.runID, p.runKernel, p.runStart, p.runTimedAt, p.runEwma, addr, tag, cycle)
-}
-
-// emitFunc builds the EmitPF callback for an invocation of kernel started
-// at tick start on unit id.
-func (p *Prefetcher) emitFunc(id, kernel int, start sim.Ticks, timedAt sim.Ticks, ewma int) func(uint64, int, int64) bool {
-	return func(addr uint64, tag int, cycle int64) bool {
-		return p.emitPF(id, kernel, start, timedAt, ewma, addr, tag, cycle)
+// takeInvocation returns a record from the pool, bound to p.
+func (p *Prefetcher) takeInvocation() *invocation {
+	if n := len(p.invFree); n > 0 {
+		inv := p.invFree[n-1]
+		p.invFree = p.invFree[:n-1]
+		return inv
 	}
+	inv := new(invocation)
+	inv.bind(p)
+	return inv
 }
 
-// emitPF registers one generated prefetch: its record in the pending table
-// plus a timestamped enqueue event carrying (addr, obsID) as payload words.
-func (p *Prefetcher) emitPF(id, kernel int, start, timedAt sim.Ticks, ewma int, addr uint64, tag int, cycle int64) bool {
+// releaseStack returns every invocation of u to the pool.
+func (p *Prefetcher) releaseStack(u *unit) {
+	p.invFree = append(p.invFree, u.stack...)
+	u.stack = u.stack[:0]
+}
+
+// emitPF is the record's EmitPF: it registers one generated prefetch — its
+// record in the pending table plus a timestamped enqueue event carrying
+// (addr, obsID) as payload words — and, in blocked mode, stalls the kernel on
+// a tagged one.
+func (inv *invocation) emitPF(addr uint64, tag int, cycle int64) bool {
+	p := inv.p
 	p.Stats.PFGenerated++
-	at := start + p.cfg.PPUClock.Cycles(cycle)
+	at := inv.start + p.cfg.PPUClock.Cycles(cycle)
 	if at < p.eng.Now() {
 		at = p.eng.Now()
 	}
@@ -623,14 +643,14 @@ func (p *Prefetcher) emitPF(id, kernel int, start, timedAt sim.Ticks, ewma int, 
 	obsID := p.nextObs
 	p.nextObs++
 	p.emit(trace.Event{Kind: trace.PFGenerate, Addr: addr, ID: int64(obsID),
-		A: int32(kernel), B: int32(tag), C: int32(id)})
+		A: int32(inv.obs.kernel), B: int32(tag), C: int32(inv.unit)})
 	block := p.cfg.Blocked && chain != NoKernel
 	blockedPPU := -1
 	if block {
-		blockedPPU = id
+		blockedPPU = inv.unit
 	}
 	*p.pending.insert(obsID) = pendingPF{id: obsID, live: true, addr: addr, chain: chain,
-		timedAt: timedAt, ewma: ewma, blockedPPU: blockedPPU, createdAt: p.eng.Now()}
+		timedAt: inv.obs.timedAt, ewma: inv.obs.ewma, blockedPPU: blockedPPU, createdAt: p.eng.Now()}
 	p.eng.Schedule(at, p.enqueueH, addr, uint64(obsID))
 	return block
 }
@@ -743,55 +763,8 @@ func (p *Prefetcher) dropPending(obsID int, reason int32) {
 	p.emit(trace.Event{Kind: trace.PFDrop, Addr: pend.addr, ID: int64(obsID),
 		A: reason, C: -1})
 	if pend.blockedPPU >= 0 {
-		p.resumeBlocked(pend.blockedPPU, NoKernel, 0, -1, -1)
+		p.resumeBlocked(pend.blockedPPU, observation{kernel: NoKernel})
 	}
-}
-
-// resumeBlocked continues a suspended unit: first running the chained
-// kernel (if any) for the arrived fill, then resuming the suspended VMs
-// from innermost outwards until one blocks again or all finish.
-func (p *Prefetcher) resumeBlocked(id int, kernel int, addr uint64, timedAt sim.Ticks, ewma int) {
-	u := &p.units[id]
-	now := p.eng.Now()
-	start := p.cfg.PPUClock.NextEdge(now)
-
-	if kernel != NoKernel {
-		if k := p.kernel(kernel); k != nil {
-			env := p.newEnv(addr)
-			vm := ppu.NewVM(k.prog, env)
-			kernelStart := start // EmitPF's reference time; a fork rebuilds from it
-			env.EmitPF = p.emitFunc(id, kernel, kernelStart, timedAt, ewma)
-			p.Stats.KernelRuns++
-			p.emit(trace.Event{Kind: trace.PFKernel, Addr: addr, A: int32(kernel), C: int32(id)})
-			status := vm.Run()
-			start += p.cfg.PPUClock.Cycles(vm.Cycles())
-			if status == ppu.Blocked {
-				u.stack = append(u.stack, suspended{vm: vm, kernel: kernel, start: kernelStart, timedAt: timedAt, ewma: ewma})
-				return
-			}
-			if vm.Faulted() {
-				p.Stats.KernelFaults++
-			}
-		}
-	}
-	// Resumed VMs burn PPU cycles too: charge each one's delta (Cycles() is
-	// cumulative across resumes) into the unit's finish time, and a resumed
-	// kernel can fault just like a fresh one.
-	for len(u.stack) > 0 {
-		e := u.stack[len(u.stack)-1]
-		u.stack = u.stack[:len(u.stack)-1]
-		before := e.vm.Cycles()
-		status := e.vm.Run()
-		start += p.cfg.PPUClock.Cycles(e.vm.Cycles() - before)
-		if status == ppu.Blocked {
-			u.stack = append(u.stack, e)
-			return
-		}
-		if e.vm.Faulted() {
-			p.Stats.KernelFaults++
-		}
-	}
-	p.finishUnit(id, start)
 }
 
 // finishUnit frees unit id at time at and lets the scheduler refill it.
@@ -800,15 +773,6 @@ func (p *Prefetcher) finishUnit(id int, at sim.Ticks) {
 		at = p.eng.Now()
 	}
 	p.eng.Schedule(at, p.freeH, uint64(id), p.epoch)
-}
-
-// newEnv builds the environment of a blocked-mode kernel invocation, which
-// must outlive the call that starts it; the caller sets EmitPF. The line
-// forwarded with the event reads as zeros where addr is unmapped.
-func (p *Prefetcher) newEnv(addr uint64) *ppu.Env {
-	env := &ppu.Env{VAddr: addr, Globals: &p.globals, Lookahead: p.lookahead}
-	p.bk.ReadLine(addr, &env.Line)
-	return env
 }
 
 func (p *Prefetcher) lookahead(group int) uint64 {

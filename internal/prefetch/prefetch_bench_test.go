@@ -65,8 +65,19 @@ func BenchmarkPrefetcherStride(b *testing.B) {
 // prefetches A two lines ahead tagged to a kernel that reads the index there
 // and prefetches B[A[x]], tagged in turn to a kernel that prefetches
 // C[B[A[x]]]: three kernels and three fills an observation.
-func BenchmarkPrefetcherChain(b *testing.B) {
-	f := newFixture(b, DefaultConfig())
+func BenchmarkPrefetcherChain(b *testing.B) { benchChain(b, DefaultConfig()) }
+
+// BenchmarkPrefetcherBlockedChain: the same chain under Figure 11's other
+// policy — the unit stalls on each tagged prefetch, so an observation has
+// three invocations live at its deepest and takes them from the pool.
+func BenchmarkPrefetcherBlockedChain(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Blocked = true
+	benchChain(b, cfg)
+}
+
+func benchChain(b *testing.B, cfg Config) {
+	f := newFixture(b, cfg)
 	const words = 1 << 17
 	a := f.arena.AllocWords("A", words)
 	bb := f.arena.AllocWords("B", words)
@@ -84,5 +95,12 @@ func BenchmarkPrefetcherChain(b *testing.B) {
 	benchObserve(b, f, mem.Region{Base: a.Base, Size: a.Size - 128})
 	if want := 3 * (int64(b.N) + 4096); f.pf.Stats.KernelRuns != want {
 		b.Fatalf("%d kernel runs, want %d", f.pf.Stats.KernelRuns, want)
+	}
+	records := 1 // event mode runs every kernel to its halt in the one record
+	if cfg.Blocked {
+		records = 3
+	}
+	if len(f.pf.invFree) != records {
+		b.Fatalf("%d invocation records made, want %d", len(f.pf.invFree), records)
 	}
 }

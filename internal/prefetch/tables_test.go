@@ -275,6 +275,26 @@ func TestQueueDropsAndDepthSamplesPinned(t *testing.T) {
 	}
 }
 
+// forkOf builds a second fixture and copies parent's state into it component
+// by component, the way a machine fork does.
+func forkOf(t *testing.T, parent *fixture, build func() *fixture) *fixture {
+	t.Helper()
+	fork := build()
+	fork.bk.CopyFrom(parent.bk)
+	fork.next.reads = parent.next.reads
+	for _, err := range []error{
+		fork.l1.CopyStateFrom(parent.l1),
+		fork.tlb.CopyStateFrom(parent.tlb),
+		fork.pf.CopyStateFrom(parent.pf),
+		fork.eng.CopyFrom(parent.eng),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fork
+}
+
 // A fork taken with prefetches in every stage of the request path — emitted
 // but not yet enqueued, queued, translating, looking up and holding an MSHR —
 // finishes exactly as its parent does.
@@ -313,19 +333,7 @@ func TestCopyStateFromMidFlight(t *testing.T) {
 		}
 	}
 
-	fork, _ := build()
-	fork.bk.CopyFrom(parent.bk)
-	fork.next.reads = parent.next.reads
-	for _, err := range []error{
-		fork.l1.CopyStateFrom(parent.l1),
-		fork.tlb.CopyStateFrom(parent.tlb),
-		fork.pf.CopyStateFrom(parent.pf),
-		fork.eng.CopyFrom(parent.eng),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	fork := forkOf(t, parent, func() *fixture { f, _ := build(); return f })
 	parent.eng.Run()
 	fork.eng.Run()
 
