@@ -3,8 +3,8 @@
 // did with them: submit→done latency percentiles, cache/dedup hit rate,
 // and whether any duplicate was ever re-simulated — counted twice over:
 // from the replies (those neither cached nor deduplicated may not outnumber
-// the distinct configs sent) and from /metrics (nor may the suite memo-miss
-// delta).
+// the distinct configs sent) and from /metrics (nor may the server's own
+// count of simulations it started, ppfserve_memo_misses, grow by more).
 //
 // Usage:
 //
@@ -23,8 +23,8 @@
 //
 // which asserts that failover never re-simulated a duplicate. Across a kill
 // it is the count from the replies that says so: the coordinator's /metrics
-// sums the live workers only, so the memo-miss delta loses the dead worker's
-// share and can under-count (never over-count).
+// sums the live workers only, so the simulation count loses the dead
+// worker's share and can under-count (never over-count).
 package main
 
 import (

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -138,8 +137,7 @@ func run() (err error) {
 		return usageError{errors.New("-baseline and -json cannot be combined: the JSON record carries no speedup")}
 	}
 
-	opt := harness.Options{Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz, TraceLast: *traceN,
-		Parallel: *parallel, Slices: *slices}
+	opt := harness.Options{Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz, TraceLast: *traceN, Slices: *slices}
 	if *sample {
 		sc := system.DefaultSampleConfig()
 		if *sWarm > 0 {
@@ -154,6 +152,9 @@ func run() (err error) {
 		opt.Sample = &sc
 	}
 
+	// -baseline's no-pf run is the same run minus the observers: -trace-out
+	// and -metrics describe the measured run only.
+	baseOpt := opt
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollector()
@@ -166,30 +167,15 @@ func run() (err error) {
 	}
 
 	var res, base harness.Result
+	measure := func() (err error) { res, err = harness.Run(b, scheme, opt); return err }
 	runBaseline := *baseline && scheme != harness.NoPF
-	switch {
-	case runBaseline:
-		// A two-pair suite overlaps the measured run with its no-prefetch
-		// baseline; results are bit-identical to two serial harness.Run
-		// calls because each simulation is deterministic. Instrumentation
-		// attaches only to the measured run (RunInstrumented hooks fire on
-		// the goroutine that simulates that pair), and the sink is wrapped
-		// in trace.Locked so sharing it wider would also be safe — no more
-		// serial fallback when tracing is on.
-		instOpt := opt
-		instOpt.TraceSink, instOpt.Metrics = nil, nil
-		s := harness.NewSuite(instOpt)
-		measured := harness.Pair{Bench: b, Scheme: scheme}
-		inst := &harness.Instrument{Metrics: reg}
-		if collector != nil {
-			inst.Sink = trace.Locked(collector)
-		}
-		err = forBoth(
-			func() error { var e error; res, e = s.RunInstrumented(context.Background(), measured, inst); return e },
-			func() error { var e error; base, e = s.Run(harness.Pair{Bench: b, Scheme: harness.NoPF}); return e },
-		)
-	default:
-		res, err = harness.Run(b, scheme, opt)
+	if runBaseline {
+		// Two independent, deterministic simulations: running them
+		// concurrently or one after the other (-parallel 1) prints the same.
+		err = forBoth(*parallel == 1, measure,
+			func() (err error) { base, err = harness.Run(b, harness.NoPF, baseOpt); return err })
+	} else {
+		err = measure()
 	}
 	if err != nil {
 		return err
@@ -279,9 +265,16 @@ func writeChromeTrace(path string, events []trace.Event, lay trace.Layout) error
 	return f.Close()
 }
 
-// forBoth runs the two closures concurrently and returns the first error,
-// preferring a's (the measured run) so error messages stay deterministic.
-func forBoth(a, b func() error) error {
+// forBoth runs the two closures — concurrently unless serial — and returns the
+// first error, preferring a's (the measured run) so error messages stay
+// deterministic.
+func forBoth(serial bool, a, b func() error) error {
+	if serial {
+		if err := a(); err != nil {
+			return err
+		}
+		return b()
+	}
 	errA := make(chan error, 1)
 	go func() { errA <- a() }()
 	errB := b()

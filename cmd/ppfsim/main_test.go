@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -112,6 +113,60 @@ func TestEngineFlagPlumbing(t *testing.T) {
 	// The text form names the reason when part of the request was not honoured.
 	if text := cli("-sample", "-slices", "4"); !strings.Contains(string(text), "sampling is set") {
 		t.Errorf("text output does not print the fallback reason:\n%s", text)
+	}
+}
+
+// TestBaseline: -baseline is the measured run plus one bare no-pf run, two
+// harness.Run calls whose order cannot show. The printed baseline figures
+// equal the library's, -parallel 1 and the default print the same bytes, and
+// the observers see the measured run only: the exported trace is, byte for
+// byte, that of the same command without -baseline.
+func TestBaseline(t *testing.T) {
+	bin, dir := build(t)
+	cli := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-bench", "HJ-2", "-scheme", "manual", "-scale", "0.05"}, args...)...)
+		cmd.Dir = dir // -trace-out paths are relative, so stdout names the same file every time
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("ppfsim %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+
+	measured, err := harness.Run(workloads.HJ2, harness.Manual, harness.Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPF, err := harness.Run(workloads.HJ2, harness.NoPF, harness.Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	concurrent := cli("-baseline")
+	want := fmt.Sprintf("\nno-pf cycles   %12d\nspeedup        %12.2fx\n", noPF.Cycles, harness.Speedup(noPF, measured))
+	if plain := cli(); concurrent != plain+want {
+		t.Errorf("-baseline is not the plain report followed by the two library runs' figures %q:\n%s\nplain:\n%s", want, concurrent, plain)
+	}
+	if serial := cli("-baseline", "-parallel", "1"); serial != concurrent {
+		t.Errorf("-parallel 1 prints different bytes:\n%s\ndefault:\n%s", serial, concurrent)
+	}
+
+	readTrace := func() []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, "t.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	alone := cli("-trace-out", "t.json", "-metrics")
+	aloneTrace := readTrace()
+	both := cli("-trace-out", "t.json", "-metrics", "-baseline")
+	if both != alone+want {
+		t.Errorf("-baseline changed what the observers report (event count, registry):\n%s\nwithout:\n%s", both, alone)
+	}
+	if !strings.Contains(alone, "simulator events exported") || !bytes.Equal(readTrace(), aloneTrace) {
+		t.Error("-baseline -trace-out exported a different trace than the same run without -baseline")
 	}
 }
 

@@ -84,11 +84,15 @@ func Speedup(base, run Result) float64 { return harness.Speedup(base, run) }
 // Fig7…Fig11 methods, Prefetch and Run.
 type Suite = harness.Suite
 
-// Pair names one benchmark×scheme measurement (with optional PPU sizing)
-// for Suite.Prefetch and Suite.Run.
+// Pair names one benchmark×scheme measurement, with the optional PPU sizing
+// of the Figure 9 sweeps, for Suite.Prefetch and Suite.Run. Scale and engine
+// are the suite's: every pair runs at Options.Scale on the exact serial
+// engine.
 type Pair = harness.Pair
 
-// NewSuite prepares an experiment suite.
+// NewSuite prepares an experiment suite. A suite's runs are exact and
+// unobserved: it panics on Options that set TraceSink, Metrics, OpSink,
+// Sample or Slices > 1 — those belong to a single Run.
 func NewSuite(opt Options) *Suite { return harness.NewSuite(opt) }
 
 // Machine-level API, for building custom workloads against the simulator.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eventpf/internal/harness"
 	"eventpf/internal/serve"
-	"eventpf/internal/workloads"
 )
 
 // Config sizes the coordinator. The zero value is usable.
@@ -92,7 +89,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	c.mux.Handle("GET /jobs/{id}/result", jobs)
 	c.mux.Handle("GET /jobs/{id}/events", jobs)
 	c.mux.Handle("DELETE /jobs/{id}", jobs)
-	c.mux.HandleFunc("GET /benchmarks", c.handleBenchmarks)
+	c.mux.HandleFunc("GET /benchmarks", serve.HandleBenchmarks)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	go c.healthLoop()
@@ -130,15 +127,15 @@ type registerResponse struct {
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var info WorkerInfo
 	if code, err := serve.DecodeBody(w, r, &info); err != nil {
-		writeJSON(w, code, errorResponse{Error: "bad registration body: " + err.Error()})
+		serve.WriteJSON(w, code, serve.ErrorResponse{Error: "bad registration body: " + err.Error()})
 		return
 	}
 	if info.ID == "" || info.URL == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "registration needs {id, url}"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "registration needs {id, url}"})
 		return
 	}
 	c.reg.upsert(info, time.Now())
-	writeJSON(w, http.StatusOK, registerResponse{
+	serve.WriteJSON(w, http.StatusOK, registerResponse{
 		HeartbeatSeconds: c.cfg.HeartbeatEvery.Seconds(),
 		Workers:          len(c.reg.liveWorkers()),
 	})
@@ -150,18 +147,11 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.reg.liveWorkers()})
-}
-
-func (c *Coordinator) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{
-		"benchmarks": workloads.MenuNames(),
-		"schemes":    harness.SchemeNames(),
-	})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.reg.liveWorkers()})
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"workers": len(c.reg.liveWorkers()),
 	})
@@ -245,19 +235,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // merges across workers as a maximum rather than a sum.
 func isQuantile(name string) bool {
 	return strings.HasSuffix(name, "_p50") || strings.HasSuffix(name, "_p99") || strings.HasSuffix(name, "_max")
-}
-
-// errorResponse mirrors the workers' non-2xx JSON body shape.
-type errorResponse struct {
-	Error           string   `json:"error"`
-	ValidBenchmarks []string `json:"valid_benchmarks,omitempty"`
-	ValidSchemes    []string `json:"valid_schemes,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -37,7 +37,7 @@ type workerSubmitResponse struct {
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
 	if code, err := serve.DecodeBody(w, r, &spec); err != nil {
-		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, code, serve.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	c.m.routed.Add(1)
@@ -48,7 +48,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	resolved, err := spec.Resolve()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{
 			Error:           err.Error(),
 			ValidBenchmarks: workloads.MenuNames(),
 			ValidSchemes:    harness.SchemeNames(),
@@ -59,7 +59,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	order := c.rankLive(key)
 	if len(order) == 0 {
 		c.m.noWorkers.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no live workers registered"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "no live workers registered"})
 		return
 	}
 
@@ -104,7 +104,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(raw)
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, errorResponse{
+	serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{
 		Error: fmt.Sprintf("no worker could take the job: %v", lastErr),
 	})
 }
@@ -134,7 +134,7 @@ func (c *Coordinator) jobProxy() http.Handler {
 			if r.Context().Err() == nil { // a client hanging up says nothing about the worker
 				c.reg.remove(workerOf(r))
 			}
-			writeJSON(w, http.StatusBadGateway, errorResponse{Error: "worker gone — resubmit the spec"})
+			serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: "worker gone — resubmit the spec"})
 		},
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"eventpf/internal/system"
-	"eventpf/internal/trace"
 	"eventpf/internal/workloads"
 )
 
@@ -21,8 +19,9 @@ import (
 // fans independent simulations out over a bounded worker pool. Each
 // simulation's Machine lives on exactly one worker goroutine; the memo is a
 // singleflight, so concurrent figure generators requesting the same
-// benchmark×scheme pair share one run. Because every simulation is
-// deterministic, results are bit-identical however they are scheduled.
+// benchmark×scheme pair share one run. Because every simulation is exact and
+// unobserved (NewSuite refuses options that would make it otherwise),
+// results are bit-identical however they are scheduled.
 type Suite struct {
 	Opt Options
 
@@ -31,9 +30,7 @@ type Suite struct {
 	sem   chan struct{} // worker pool: one token per concurrent simulation
 
 	// memoHits/memoMisses count Key lookups that joined an existing entry
-	// (finished or in flight) versus ones that started a simulation. They
-	// are atomics so the serving layer's /metrics scrape can read them
-	// without taking the suite lock.
+	// (finished or in flight) versus ones that started a simulation.
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 }
@@ -46,8 +43,27 @@ type suiteCall struct {
 }
 
 // NewSuite prepares a suite; opt.Scale scales every benchmark input and
-// opt.Parallel sizes the worker pool (0 = GOMAXPROCS).
+// opt.Parallel sizes the worker pool (0 = GOMAXPROCS). It panics on options a
+// suite cannot honour: opt is copied into every run, so an observer would be
+// one unsynchronised sink under concurrent writers, and an approximate engine
+// would make a Figure 9 point depend on whether a run or an (always exact)
+// forked continuation filled its memo entry. Observe or approximate a single
+// Run instead.
 func NewSuite(opt Options) *Suite {
+	for _, refused := range []struct {
+		field string
+		set   bool
+	}{
+		{"TraceSink", opt.TraceSink != nil},
+		{"Metrics", opt.Metrics != nil},
+		{"OpSink", opt.OpSink != nil},
+		{"Slices", opt.Slices > 1},
+		{"Sample", opt.Sample != nil},
+	} {
+		if refused.set {
+			panic("harness: NewSuite: Options." + refused.field + " is per-run; a Suite's runs are exact and unobserved")
+		}
+	}
 	n := opt.Parallel
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -60,17 +76,12 @@ func NewSuite(opt Options) *Suite {
 }
 
 // Pair names one memoisable measurement: a benchmark×scheme pair, with the
-// optional PPU-sizing overrides the Figure 9 sweeps use and the per-job
-// scale override the serving layer uses (0 = suite default).
+// optional PPU-sizing overrides the Figure 9 sweeps use.
 type Pair struct {
 	Bench  *workloads.Benchmark
 	Scheme Scheme
 	PPUs   int
 	PPUMHz int
-	Scale  float64
-	// Slices overrides the suite's time-parallel slice count for this pair
-	// (0 = suite default, see Options.Slices).
-	Slices int
 }
 
 // Key folds the pair's overrides down to their effective values so that,
@@ -81,25 +92,11 @@ type Pair struct {
 // content-addressed cache hashes the same folded values (JobSpec.Key).
 func (s *Suite) Key(p Pair) string {
 	ppus, mhz := foldSizing(p.Scheme, p.PPUs, p.PPUMHz, s.Opt)
-	scale := p.Scale
-	if scale == 0 {
-		scale = s.Opt.Scale
-	}
+	scale := s.Opt.Scale
 	if scale == 0 {
 		scale = 1.0
 	}
-	key := fmt.Sprintf("%s/%s/p%d/f%d/s%g", p.Bench.Name, p.Scheme, ppus, mhz, scale)
-	slices := p.Slices
-	if slices == 0 {
-		slices = s.Opt.Slices
-	}
-	if slices > 1 {
-		// Sliced results are approximate, so they must never share an entry
-		// with exact serial ones; the suffix appears only when slicing so
-		// every pre-existing key is unchanged.
-		key += fmt.Sprintf("/k%d", slices)
-	}
-	return key
+	return fmt.Sprintf("%s/%s/p%d/f%d/s%g", p.Bench.Name, p.Scheme, ppus, mhz, scale)
 }
 
 // foldSizing resolves requested PPU sizing against the option defaults:
@@ -138,96 +135,36 @@ func (s *Suite) MemoStats() (hits, misses int64) {
 // Run returns the memoised measurement for p, simulating it on the worker
 // pool if it is not cached yet. Callers that need several pairs should
 // Prefetch them first so the simulations overlap.
-func (s *Suite) Run(p Pair) (Result, error) {
-	return s.RunInstrumented(context.Background(), p, nil)
-}
-
-// Instrument attaches per-run observers to a memoised measurement. The
-// hooks fire only when this call actually executes the simulation: a memo
-// hit returns the shared result untouched, so the sink and registry stay
-// confined to the one goroutine that simulates.
-type Instrument struct {
-	// Sink receives the run's machine-wide trace events (progress feeds).
-	Sink trace.Sink
-	// Metrics receives the run's counters and queue-occupancy histograms.
-	Metrics *trace.Registry
-	// Started, if non-nil, is called on the simulating goroutine just
-	// before the simulation begins (job state transitions).
-	Started func()
-}
-
-// RunInstrumented returns the memoised measurement for p, running it if
-// needed, with inst (which may be nil) attached if this call is the one that
-// simulates. This is how the serving layer streams progress from inside the
-// singleflight: the first request for a key simulates with its sink
-// attached, duplicates share the result without re-simulating or
-// double-instrumenting.
 //
 // The first caller for a key executes the simulation (holding a worker-pool
 // token); later callers block on the same entry without consuming a worker,
-// so a full fan-out can never deadlock the pool. A first caller cancelled
-// while still waiting for a worker token removes its entry so a later
-// request can retry; waiters that joined it inherit the cancellation error.
-func (s *Suite) RunInstrumented(ctx context.Context, p Pair, inst *Instrument) (Result, error) {
-	key := s.Key(p)
-	s.mu.Lock()
-	c, ok := s.cache[key]
-	if ok {
+// so a full fan-out can never deadlock the pool.
+func (s *Suite) Run(p Pair) (Result, error) {
+	c, mine := s.claim(p)
+	if !mine {
 		s.memoHits.Add(1)
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.res, c.err
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
+		<-c.done
+		return c.res, c.err
 	}
-	s.memoMisses.Add(1)
-	c = &suiteCall{done: make(chan struct{})}
-	s.cache[key] = c
-	s.mu.Unlock()
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.mu.Lock()
-		delete(s.cache, key)
-		s.mu.Unlock()
-		c.err = ctx.Err()
-		close(c.done)
-		return Result{}, ctx.Err()
-	}
-	opt := s.pairOptions(p)
-	if inst != nil {
-		if inst.Sink != nil {
-			opt.TraceSink = inst.Sink
-		}
-		if inst.Metrics != nil {
-			opt.Metrics = inst.Metrics
-		}
-		if inst.Started != nil {
-			inst.Started()
-		}
-	}
-	c.res, c.err = Run(p.Bench, p.Scheme, opt)
+	s.sem <- struct{}{}
+	res, err := Run(p.Bench, p.Scheme, s.pairOptions(p))
 	<-s.sem
-	close(c.done)
-	return c.res, c.err
+	fill(c, res, err)
+	return res, err
 }
 
-// claim reserves the memo entry for p if nobody holds it yet, returning the
-// entry to fill. A false return means the pair is already simulated or in
-// flight elsewhere — the caller must not simulate it. Claimed entries count
-// as memo misses (a simulation will happen for them), and MUST be completed
-// with fill or waiters block forever.
-func (s *Suite) claim(p Pair) (*suiteCall, bool) {
+// claim returns p's memo entry and whether this call created it. The creator
+// owns the simulation: it counts as the memo miss and MUST complete the entry
+// with fill, or waiters block forever. Everyone else must not simulate the
+// pair — it is already simulated or in flight elsewhere.
+func (s *Suite) claim(p Pair) (c *suiteCall, mine bool) {
 	key := s.Key(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.cache[key]; ok {
-		return nil, false
+	if c, ok := s.cache[key]; ok {
+		return c, false
 	}
-	c := &suiteCall{done: make(chan struct{})}
+	c = &suiteCall{done: make(chan struct{})}
 	s.cache[key] = c
 	s.memoMisses.Add(1)
 	return c, true
@@ -248,12 +185,6 @@ func (s *Suite) pairOptions(p Pair) Options {
 	if p.PPUMHz != 0 {
 		opt.PPUMHz = p.PPUMHz
 	}
-	if p.Scale != 0 {
-		opt.Scale = p.Scale
-	}
-	if p.Slices != 0 {
-		opt.Slices = p.Slices
-	}
 	return opt
 }
 
@@ -270,7 +201,7 @@ func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) erro
 	var opts []Options
 	for _, mhz := range clocks {
 		p := Pair{Bench: b, Scheme: Manual, PPUs: ppus, PPUMHz: mhz}
-		if c, ok := s.claim(p); ok {
+		if c, mine := s.claim(p); mine {
 			todo = append(todo, c)
 			opts = append(opts, s.pairOptions(p))
 		}
@@ -278,22 +209,14 @@ func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) erro
 	if len(todo) == 0 {
 		return nil
 	}
-	// Under time-parallel execution a pair's result must not depend on
-	// which path — a sliced Run or an exact forked continuation — claims
-	// its memo entry first, so there is no shared serial warmup (warmOps
-	// stays 0) and every point runs in full, slicing internally.
-	var warmOps int64
-	if s.Opt.Slices <= 1 {
-		base, err := s.Run(Pair{Bench: b, Scheme: NoPF}) // sizes the warmup from the op count
-		if err != nil {
-			for _, c := range todo {
-				fill(c, Result{}, err)
-			}
-			return err
+	base, err := s.Run(Pair{Bench: b, Scheme: NoPF}) // sizes the warmup from the op count
+	if err != nil {
+		for _, c := range todo {
+			fill(c, Result{}, err)
 		}
-		warmOps = base.Core.Ops * 2 / 3
+		return err
 	}
-	return s.forkSweep(b, Manual, s.pairOptions(Pair{PPUs: ppus}), warmOps, opts,
+	return s.forkSweep(b, Manual, s.pairOptions(Pair{PPUs: ppus}), base.Core.Ops*2/3, opts,
 		func(i int, res Result, err error) { fill(todo[i], res, err) })
 }
 
@@ -302,36 +225,33 @@ func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) erro
 // retired, forked into one continuation per entry — opts[i]'s configuration
 // may differ from warmOpt's only in what a machine fork may change — and the
 // continuations finish on the worker pool. When the program ends before the
-// fork point, or warmOps <= 0 (sweepForked under slicing), there is nothing
-// to share and every entry runs in full.
+// fork point there is nothing to share and every entry runs in full.
 // done(i, …) receives each entry's outcome exactly once, also when the
 // warm-up or a fork fails; the lowest-indexed error is returned.
 func (s *Suite) forkSweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64,
 	opts []Options, done func(i int, res Result, err error)) error {
+	s.sem <- struct{}{} // the warm-up is a simulation: hold a worker token
+	w, err := Warm(b, scheme, warmOpt, warmOps)
+	<-s.sem
 	var conts []*RunCont
-	if warmOps > 0 {
-		s.sem <- struct{}{} // the warm-up is a simulation: hold a worker token
-		w, err := Warm(b, scheme, warmOpt, warmOps)
-		<-s.sem
-		if err == nil && !w.Done() {
-			// Fork sequentially: forking reads the paused parent.
-			conts = make([]*RunCont, len(opts))
-			for i := range opts {
-				var cfg system.Config
-				if cfg, err = ConfigFor(opts[i], scheme); err != nil {
-					break
-				}
-				if conts[i], err = w.Fork(cfg); err != nil {
-					break
-				}
+	if err == nil && !w.Done() {
+		// Fork sequentially: forking reads the paused parent.
+		conts = make([]*RunCont, len(opts))
+		for i := range opts {
+			var cfg system.Config
+			if cfg, err = ConfigFor(opts[i], scheme); err != nil {
+				break
+			}
+			if conts[i], err = w.Fork(cfg); err != nil {
+				break
 			}
 		}
-		if err != nil {
-			for i := range opts {
-				done(i, Result{}, err)
-			}
-			return err
+	}
+	if err != nil {
+		for i := range opts {
+			done(i, Result{}, err)
 		}
+		return err
 	}
 	return s.fanOut(len(opts), func(i int) error {
 		var res Result

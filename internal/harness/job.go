@@ -96,10 +96,10 @@ func (j JobSpec) Resolve() (Job, error) {
 	return Job{Bench: b, Scheme: scheme, Scale: scale, PPUs: ppus, PPUMHz: mhz, Slices: slices}, nil
 }
 
-// Pair converts the job to the Suite's memo request. The pair carries the
-// job's scale, so one suite serves jobs at any mix of scales.
-func (j Job) Pair() Pair {
-	return Pair{Bench: j.Bench, Scheme: j.Scheme, Scale: j.Scale, PPUs: j.PPUs, PPUMHz: j.PPUMHz, Slices: j.Slices}
+// Options is the run the job describes, as Run takes it: a served job and a
+// ppfsim command line with the same fields are the same call.
+func (j Job) Options() Options {
+	return Options{Scale: j.Scale, PPUs: j.PPUs, PPUMHz: j.PPUMHz, Slices: j.Slices}
 }
 
 // Canonical renders the resolved config in the fixed textual form the

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -37,56 +36,6 @@ func TestMemoCountersPinned(t *testing.T) {
 	}
 	if hits != 4 {
 		t.Errorf("memo hits = %d, want 4", hits)
-	}
-}
-
-// TestRunCtxCancelledWaiter: a context cancelled before the suite can start
-// the simulation returns promptly with ctx.Err() and leaves the memo clean,
-// so a later request for the same pair still works.
-func TestRunCtxCancelledWaiter(t *testing.T) {
-	s := NewSuite(Options{Scale: testScale, Parallel: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := Pair{Bench: workloads.RandAcc, Scheme: NoPF}
-	// The pool has one worker and nothing running, so the only cancellation
-	// window that is guaranteed regardless of scheduling is "cancelled
-	// before the call": the semaphore select sees ctx.Done() already closed
-	// — either arm may win, so accept success or context.Canceled, but a
-	// follow-up uncancelled run must always succeed.
-	if _, err := s.RunInstrumented(ctx, p, nil); err != nil && err != context.Canceled {
-		t.Fatalf("RunInstrumented with cancelled ctx: %v", err)
-	}
-	if _, err := s.RunInstrumented(context.Background(), p, nil); err != nil {
-		t.Fatalf("run after cancelled attempt: %v", err)
-	}
-}
-
-// TestPairScaleExtendsMemoKey: the same bench×scheme at two scales must be
-// two memo entries (the serving layer relies on this), while scale 0 folds
-// onto the suite default.
-func TestPairScaleExtendsMemoKey(t *testing.T) {
-	s := NewSuite(Options{Scale: testScale, Parallel: 2})
-	base := Pair{Bench: workloads.HJ2, Scheme: NoPF}
-	dflt := base
-	dflt.Scale = testScale // explicit default scale: same key
-	other := base
-	other.Scale = testScale * 2
-	if s.Key(base) != s.Key(dflt) {
-		t.Errorf("explicit default scale changed the key: %q vs %q", s.Key(base), s.Key(dflt))
-	}
-	if s.Key(base) == s.Key(other) {
-		t.Errorf("different scales share key %q", s.Key(base))
-	}
-	r1, err := s.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Run(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cycles == r2.Cycles {
-		t.Error("runs at different scales returned identical cycle counts; memo likely collided")
 	}
 }
 
@@ -217,8 +166,8 @@ func TestJobSpecSlices(t *testing.T) {
 	if sliced.Key() == serial.Key() {
 		t.Error("sliced job shares the serial job's key")
 	}
-	if sliced.Pair().Slices != 4 {
-		t.Errorf("Pair().Slices = %d, want 4", sliced.Pair().Slices)
+	if sliced.Options().Slices != 4 {
+		t.Errorf("Options().Slices = %d, want 4", sliced.Options().Slices)
 	}
 	if _, err := (JobSpec{Bench: "HJ-2", Scheme: "stride", Slices: -1}).Resolve(); err == nil {
 		t.Error("negative slices accepted")

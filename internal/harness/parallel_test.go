@@ -2,11 +2,13 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"eventpf/internal/ir"
 	"eventpf/internal/system"
+	"eventpf/internal/trace"
 	"eventpf/internal/workloads"
 )
 
@@ -91,6 +93,33 @@ func TestPrefetchSharesBaseline(t *testing.T) {
 	if n != 2 {
 		t.Errorf("cache has %d entries, want 2 (shared baseline + shared manual)", n)
 	}
+}
+
+// TestNewSuiteRefusesPerRunOptions: a suite copies its options into every
+// concurrent run and fills Figure 9 entries from exact forks, so an observer
+// or an approximate engine in them is refused at construction, by field name.
+func TestNewSuiteRefusesPerRunOptions(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opt   Options
+	}{
+		{"TraceSink", Options{TraceSink: trace.NewCollector()}},
+		{"Metrics", Options{Metrics: trace.NewRegistry()}},
+		{"OpSink", Options{OpSink: trace.NewCollector()}},
+		{"Slices", Options{Slices: 2}},
+		{"Sample", Options{Sample: &system.SampleConfig{}}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Options."+c.field) {
+					t.Errorf("NewSuite with %s set: panic %q does not name the field", c.field, msg)
+				}
+			}()
+			NewSuite(c.opt)
+		}()
+	}
+	// What a suite does honour, spelled out in full.
+	NewSuite(Options{Scale: testScale, Parallel: 2, PPUs: 6, PPUMHz: 500, TraceLast: 8, Slices: 1})
 }
 
 // TestPrefetchIgnoresUnsupported mirrors the paper's missing Figure 7 bars:

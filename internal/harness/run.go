@@ -37,9 +37,9 @@ type Options struct {
 	TraceLast int
 	// TraceSink, if non-nil, is attached to the machine-wide trace bus and
 	// receives typed events from every component (core, caches, TLB, DRAM,
-	// prefetcher). The sink runs on the simulation goroutine: pass a
-	// per-run sink, or wrap a shared one in trace.Locked before letting a
-	// parallel Suite's runs write to it concurrently.
+	// prefetcher). The sink runs on the simulation goroutine and belongs to
+	// one run: a Suite, which copies its Options into every concurrent run,
+	// refuses one (NewSuite).
 	TraceSink trace.Sink
 	// Metrics, if non-nil, receives the machine's counters and
 	// queue-occupancy histograms. Same confinement rule as TraceSink.

@@ -1,12 +1,13 @@
 // Package serve is the simulation-as-a-service layer: a long-running HTTP
-// daemon that accepts benchmark×scheme×config jobs, runs them on a bounded
-// worker pool layered on harness.Suite, serves results from a
-// content-addressed cache, streams per-job progress over SSE, and exposes a
-// /metrics endpoint combining server counters with the simulator's merged
+// daemon that accepts benchmark×scheme×config jobs, runs each as one
+// harness.Run on a bounded worker pool, serves results from a
+// content-addressed LRU cache, streams per-job progress over SSE, and exposes
+// a /metrics endpoint combining server counters with the simulator's merged
 // trace registries. Design-space exploration around programmable
 // prefetchers is sweep-shaped; the service turns the one-shot CLI harness
-// into an always-warm result store where identical in-flight and past
-// requests never simulate twice.
+// into an always-warm result store: identical in-flight requests share one
+// simulation, and a past request is answered from the cache for as long as
+// the cache's bounds keep its result.
 package serve
 
 import (

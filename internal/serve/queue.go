@@ -39,6 +39,7 @@ func (s *Server) dispatch(jb *Job) {
 		return
 	}
 	s.m.inflight.Add(1)
+	s.m.simulations.Add(1)
 	start := time.Now()
 
 	result, err := s.runJob(jb)
@@ -77,26 +78,24 @@ func (s *Server) finishJob(jb *Job, st State, msg string) bool {
 	return true
 }
 
-// simulate is the production runJob: one suite measurement with the job's
-// own progress sink and metrics registry attached. The registry is confined
-// to the simulation goroutine until the run finishes, then merged into the
-// server-wide aggregate. A sliced job runs unobserved — observers would force
-// it serial (harness.Options.Slices) — so it publishes its state transitions
-// but no progress and no sim_ metrics.
+// simulate is the production runJob: harness.Run of the job's options — the
+// call ppfsim makes for the same config — with the job's own progress sink
+// and metrics registry attached. The registry is confined to this goroutine
+// until the run finishes, then merged into the server-wide aggregate. A sliced
+// job runs unobserved — observers would force it serial
+// (harness.Options.Slices) — so it publishes its state transitions but no
+// progress and no sim_ metrics.
 func (s *Server) simulate(jb *Job) ([]byte, error) {
-	reg := trace.NewRegistry()
-	inst := &harness.Instrument{
-		Started: func() { jb.Publish(ProgressEvent{State: StateRunning, Phase: "simulating"}) },
+	opt := jb.resolved.Options()
+	if opt.Slices <= 1 {
+		opt.TraceSink = &progressSink{job: jb, every: s.cfg.ProgressEvery}
+		opt.Metrics = trace.NewRegistry()
 	}
-	if jb.resolved.Slices <= 1 {
-		inst.Sink = &progressSink{job: jb, every: s.cfg.ProgressEvery}
-		inst.Metrics = reg
-	}
-	res, err := s.suite.RunInstrumented(context.Background(), jb.resolved.Pair(), inst)
+	res, err := harness.Run(jb.resolved.Bench, jb.resolved.Scheme, opt)
 	if err != nil {
 		return nil, err
 	}
-	s.sim.merge(reg)
+	s.sim.merge(opt.Metrics)
 	var buf bytes.Buffer
 	if err := harness.EncodeResult(&buf, res); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,6 +19,8 @@ import (
 	"time"
 
 	"eventpf/internal/harness"
+	"eventpf/internal/tracein"
+	"eventpf/internal/workloads"
 )
 
 const testScale = 0.02
@@ -168,6 +171,72 @@ func TestSlicedJobStaysSliced(t *testing.T) {
 	}
 	if res.TimeParallel == nil || res.TimeParallel.Slices != 4 || res.Fallback != "" {
 		t.Errorf("TimeParallel = %+v, Fallback = %q; want 4 slices and no fallback", res.TimeParallel, res.Fallback)
+	}
+}
+
+// TestTraceJobRetriesAfterFileAppears: a failed job is not a result. A trace
+// job posted before its file exists fails; once the file is written, the same
+// spec simulates.
+func TestTraceJobRetriesAfterFileAppears(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	path := filepath.Join(t.TempDir(), "randacc.ppft")
+	spec := harness.JobSpec{Trace: path, Scheme: "stride"}
+	resp, sr := postJob(t, hs.URL, spec, "?wait=1")
+	if resp.StatusCode != http.StatusUnprocessableEntity || sr.State != StateFailed {
+		t.Fatalf("job over a missing trace: status=%d state=%s, want 422 failed", resp.StatusCode, sr.State)
+	}
+
+	b, err := workloads.ByName("RandAcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sink := tracein.NewWriter(&buf, tracein.Meta{Bench: b.Name, Scale: testScale, Tool: "test"})
+	if _, err := harness.Run(b, harness.NoPF, harness.Options{Scale: testScale, OpSink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, sr = postJob(t, hs.URL, spec, "?wait=1")
+	if resp.StatusCode != http.StatusOK || sr.State != StateDone || sr.Cached {
+		t.Errorf("same spec with the trace written: status=%d state=%s cached=%v err=%q, want 200 done from a fresh run",
+			resp.StatusCode, sr.State, sr.Cached, sr.Error)
+	}
+}
+
+// TestEvictedResultIsResimulated: the LRU is the one result store, so its
+// bounds are the server's bounds. With room for one entry, A, B, A is three
+// simulations and one held result.
+func TestEvictedResultIsResimulated(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2, CacheEntries: 1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	a := harness.JobSpec{Bench: "RandAcc", Scheme: "no-pf", Scale: testScale}
+	b := harness.JobSpec{Bench: "RandAcc", Scheme: "stride", Scale: testScale}
+	var results [][]byte
+	for i, spec := range []harness.JobSpec{a, b, a} {
+		resp, sr := postJob(t, hs.URL, spec, "?wait=1")
+		if resp.StatusCode != http.StatusOK || sr.State != StateDone || sr.Cached {
+			t.Fatalf("submit %d: status=%d state=%s cached=%v err=%q", i, resp.StatusCode, sr.State, sr.Cached, sr.Error)
+		}
+		results = append(results, sr.Result)
+	}
+	if !bytes.Equal(results[0], results[2]) {
+		t.Error("re-simulating an evicted config changed its result bytes")
+	}
+	m := scrapeMetrics(t, hs.URL)
+	if m["ppfserve_memo_misses"] != 3 || m["ppfserve_cache_entries"] != 1 || m["ppfserve_cache_evictions"] != 2 {
+		t.Errorf("simulations=%d cache_entries=%d evictions=%d, want 3/1/2: the server holds no result its LRU evicted",
+			m["ppfserve_memo_misses"], m["ppfserve_cache_entries"], m["ppfserve_cache_evictions"])
 	}
 }
 

@@ -87,16 +87,15 @@ type cacheEntry struct {
 	jobID string
 }
 
-// Server is the simulation-as-a-service daemon. One Server owns one
-// harness.Suite, so the suite's singleflight memo is the second layer of
-// the cache: even if the serve-level cache evicted an entry, re-simulating
-// it hits the memo.
+// Server is the simulation-as-a-service daemon. A job is one harness.Run on
+// one of the Workers goroutines; byKey is the one in-flight table and the LRU
+// cache the one result store, so the cache bounds are the server's bounds: an
+// evicted (or failed) config simulates again when it is next asked for.
 type Server struct {
-	cfg   Config
-	suite *harness.Suite
-	mux   *http.ServeMux
-	m     metrics
-	sim   *simAggregate
+	cfg Config
+	mux *http.ServeMux
+	m   metrics
+	sim *simAggregate
 
 	// runJob performs one admitted simulation; tests and cluster stubs
 	// substitute it via SetRunner so queue/drain/status behaviour is checkable
@@ -124,7 +123,6 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		suite:    harness.NewSuite(harness.Options{Parallel: cfg.Workers}),
 		jobs:     map[string]*Job{},
 		byKey:    map[string]*Job{},
 		cache:    map[string]*list.Element{},
@@ -144,7 +142,7 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
 	s.mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /benchmarks", s.handleBenchmarks)
+	s.mux.HandleFunc("GET /benchmarks", HandleBenchmarks)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.startWorkers()
 	return s
@@ -170,9 +168,11 @@ type submitResponse struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// errorResponse is every non-2xx JSON body. The valid-value lists turn a
+// ErrorResponse is every non-2xx JSON body. The valid-value lists turn a
 // typo'd request into a menu (satellite: surface workloads.ByName's list).
-type errorResponse struct {
+// Exported, like DecodeBody, WriteJSON and HandleBenchmarks, for the cluster
+// coordinator: it answers the same clients in the same shape.
+type ErrorResponse struct {
 	Error           string   `json:"error"`
 	ValidBenchmarks []string `json:"valid_benchmarks,omitempty"`
 	ValidSchemes    []string `json:"valid_schemes,omitempty"`
@@ -181,8 +181,7 @@ type errorResponse struct {
 
 // DecodeBody decodes a JSON request body of at most maxBody bytes into v. On
 // failure it returns the status to answer with: 413 for an oversized body,
-// 400 for anything else. Exported for the cluster coordinator, which takes
-// the same bodies from the same clients.
+// 400 for anything else.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
 	var tooBig *http.MaxBytesError
@@ -196,7 +195,8 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as an indented JSON body under the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -211,7 +211,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
 	if code, err := DecodeBody(w, r, &spec); err != nil {
 		s.m.rejectedValidation.Add(1)
-		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
+		WriteJSON(w, code, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	s.m.submitted.Add(1)
@@ -221,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resolved, err := spec.Resolve()
 	if err != nil {
 		s.m.rejectedValidation.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error:           err.Error(),
 			ValidBenchmarks: workloads.MenuNames(),
 			ValidSchemes:    harness.SchemeNames(),
@@ -230,7 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if resolved.Scale > s.cfg.MaxScale {
 		s.m.rejectedValidation.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("scale %g exceeds this server's maximum %g", resolved.Scale, s.cfg.MaxScale),
 		})
 		return
@@ -241,7 +241,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.cacheGetLocked(key); ok {
 		s.m.cacheHits.Add(1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, submitResponse{
+		WriteJSON(w, http.StatusOK, submitResponse{
 			ID: e.jobID, Key: key, State: StateDone, Cached: true, Result: e.bytes,
 		})
 		return
@@ -255,7 +255,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.m.rejectedDraining.Add(1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is draining; not accepting jobs"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining; not accepting jobs"})
 		return
 	}
 	s.seq++
@@ -274,7 +274,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		retry := s.retryAfterLocked()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{
+		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:      "admission queue full",
 			RetryAfter: retry,
 		})
@@ -285,11 +285,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the job is terminal and answers like a cache hit would have.
 func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, jb *Job, resp submitResponse) {
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteJSON(w, http.StatusAccepted, resp)
 		return
 	}
 	if !jb.watch(r.Context(), func(ProgressEvent) {}) {
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteJSON(w, http.StatusAccepted, resp)
 		return
 	}
 	snap := jb.snapshot()
@@ -300,7 +300,7 @@ func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, jb *Jo
 	if snap.State != StateDone {
 		code = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) lookup(id string) (*Job, bool) {
@@ -313,14 +313,14 @@ func (s *Server) lookup(id string) (*Job, bool) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
 		return
 	}
 	type statusWithResult struct {
 		JobStatus
 		Result json.RawMessage `json:"result,omitempty"`
 	}
-	writeJSON(w, http.StatusOK, statusWithResult{JobStatus: jb.snapshot(), Result: jb.resultBytes()})
+	WriteJSON(w, http.StatusOK, statusWithResult{JobStatus: jb.snapshot(), Result: jb.resultBytes()})
 }
 
 // handleResult serves the stored canonical result bytes verbatim — the
@@ -328,12 +328,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
 		return
 	}
 	b := jb.resultBytes()
 	if b == nil {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, not done", jb.currentState())})
+		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: fmt.Sprintf("job is %s, not done", jb.currentState())})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -343,14 +343,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
 		return
 	}
 	if !s.finishJob(jb, StateRejected, "cancelled by client") {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "only queued jobs can be cancelled"})
+		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: "only queued jobs can be cancelled"})
 		return
 	}
-	writeJSON(w, http.StatusOK, jb.snapshot())
+	WriteJSON(w, http.StatusOK, jb.snapshot())
 }
 
 // handleCacheGet serves the raw cached bytes for a content key — the read
@@ -358,7 +358,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.CacheGet(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no cached result for that key"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no cached result for that key"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -371,12 +371,12 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if _, err := hex.DecodeString(key); err != nil || len(key) != 64 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "key must be a hex SHA-256 content address"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "key must be a hex SHA-256 content address"})
 		return
 	}
 	b, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil || !json.Valid(b) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "body must be a JSON result"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "body must be a JSON result"})
 		return
 	}
 	s.CachePut(key, b)
@@ -403,8 +403,9 @@ func (s *Server) CachePut(key string, b []byte) {
 	s.mu.Unlock()
 }
 
-func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{
+// HandleBenchmarks serves GET /benchmarks: the benchmark and scheme menus.
+func HandleBenchmarks(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string][]string{
 		"benchmarks": workloads.MenuNames(),
 		"schemes":    harness.SchemeNames(),
 	})
@@ -412,14 +413,14 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.m.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics renders every server counter plus the suite memo counters
-// and the merged per-run simulator registries as "name value" lines.
+// handleMetrics renders every server counter and the merged per-run
+// simulator registries as "name value" lines.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.mu.Lock()
@@ -427,7 +428,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	cacheEntries := s.cacheLRU.Len()
 	cacheBytes := s.cacheBytes
 	s.mu.Unlock()
-	memoHits, memoMisses := s.suite.MemoStats()
 	drain := int64(0)
 	if s.m.draining.Load() {
 		drain = 1
@@ -454,8 +454,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ppfserve_queue_capacity", int64(s.cfg.QueueDepth)},
 		{"ppfserve_workers", int64(s.cfg.Workers)},
 		{"ppfserve_draining", drain},
-		{"ppfserve_memo_hits", memoHits},
-		{"ppfserve_memo_misses", memoMisses},
+		// Simulations this server started. The name dates from a memo that
+		// sat under the server; benchmark/servemix.go, ppfload's
+		// no-re-simulation assertion and the coordinator's per-worker lines
+		// key on it, so it stays until ROADMAP 6(a) may edit benchmark/.
+		{"ppfserve_memo_misses", s.m.simulations.Load()},
 	} {
 		fmt.Fprintf(w, "%s %d\n", kv.name, kv.v)
 	}

@@ -11,8 +11,8 @@ import (
 // progressSink turns the machine-wide trace bus into job progress: it
 // counts every event the simulation emits and publishes the running totals
 // and the simulated clock each `every` events. It runs inline on the
-// simulation goroutine (harness.Instrument confines it), so the per-event
-// cost is one increment; publishing amortises to nothing.
+// simulation goroutine (it is that one run's Options.TraceSink), so the
+// per-event cost is one increment; publishing amortises to nothing.
 type progressSink struct {
 	job   *Job
 	every int64
@@ -40,12 +40,12 @@ func (p *progressSink) Event(e trace.Event) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -16,7 +16,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"eventpf/internal/sim"
 )
@@ -171,26 +170,6 @@ func (b *Bus) Emit(e Event) {
 	for _, s := range b.sinks {
 		s.Event(e)
 	}
-}
-
-// Locked wraps a sink with a mutex so several machines simulating in
-// parallel can share it. Sinks are otherwise single-goroutine (they run
-// inline on the simulation goroutine); wrap with Locked before putting one
-// sink in the Options of a parallel Suite, or before letting a serving-layer
-// reader observe a sink while a simulation is still writing to it. Events
-// from concurrent runs interleave in lock-acquisition order; within one run
-// they stay in simulation order.
-func Locked(s Sink) Sink { return &lockedSink{inner: s} }
-
-type lockedSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-func (l *lockedSink) Event(e Event) {
-	l.mu.Lock()
-	l.inner.Event(e)
-	l.mu.Unlock()
 }
 
 // Ring keeps the most recent N events — the usual way to look at "what was

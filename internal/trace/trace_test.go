@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -178,38 +177,6 @@ func TestKindStrings(t *testing.T) {
 		if k.String() == "unknown" || k.String() == "" {
 			t.Errorf("kind %d has no name", k)
 		}
-	}
-}
-
-// TestLockedSinkConcurrentWriters hammers one Locked collector from many
-// goroutines (the shape of a parallel Suite sharing one Options.TraceSink);
-// under -race this pins the concurrent-writer guarantee, and the count
-// check pins that no event is lost.
-func TestLockedSinkConcurrentWriters(t *testing.T) {
-	c := NewCollector()
-	s := Locked(c)
-	const writers, perWriter = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				s.Event(Event{At: int64(i), Kind: PFIssue, A: int32(w)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := len(c.Events()); got != writers*perWriter {
-		t.Errorf("locked collector kept %d events, want %d", got, writers*perWriter)
-	}
-	// Per-writer order must survive the interleaving.
-	last := make(map[int32]int64)
-	for _, e := range c.Events() {
-		if prev, ok := last[e.A]; ok && e.At <= prev {
-			t.Fatalf("writer %d events out of order: %d after %d", e.A, e.At, prev)
-		}
-		last[e.A] = e.At
 	}
 }
 
