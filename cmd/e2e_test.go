@@ -65,6 +65,18 @@ func TestCommands(t *testing.T) {
 	t.Run("cluster", e.cluster)
 }
 
+// TestBenchmarkModuleBuilds type-checks the layered benchmark: it is a module
+// of its own (its go.mod holds only the replace onto this one, so no network),
+// which ./... does not reach, and it compiles against internal packages — a
+// change that passes every test here can still break it.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	cmd := exec.Command("go", "vet", ".")
+	cmd.Dir = filepath.Join("..", "benchmark")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("(cd benchmark && go vet .): %v\n%s", err, out)
+	}
+}
+
 // env is the directory holding the built programs (and the subtests' files).
 type env struct{ dir string }
 

@@ -138,6 +138,9 @@ func run() (err error) {
 	}
 
 	opt := harness.Options{Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz, TraceLast: *traceN, Slices: *slices}
+	if _, err := harness.ConfigFor(opt, scheme); err != nil {
+		return usageError{err} // a -ppus / -ppu-mhz no machine can be built with
+	}
 	if *sample {
 		sc := system.DefaultSampleConfig()
 		if *sWarm > 0 {

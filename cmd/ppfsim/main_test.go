@@ -205,6 +205,7 @@ func TestFailingRuns(t *testing.T) {
 		{"baseline-json", []string{"-baseline", "-json"}, 2, "-baseline and -json"},
 		{"unknown-bench", []string{"-bench", "nosuch"}, 2, "nosuch"},
 		{"unknown-scheme", []string{"-scheme", "nosuch"}, 2, "unknown scheme"},
+		{"ppu-clock-not-a-divisor", []string{"-ppu-mhz", "333"}, 2, "333 MHz"},
 		{"missing-trace", []string{"-scheme", "stride", "-trace-in", filepath.Join(dir, "absent.ppft")}, 1, "absent.ppft"},
 	} {
 		cpu, heap := filepath.Join(dir, c.name+".cpu"), filepath.Join(dir, c.name+".heap")

@@ -34,10 +34,9 @@ import (
 // Scheme selects a prefetching scheme (one Figure 7 bar).
 type Scheme = harness.Scheme
 
-// The paper's comparison schemes plus the competitor prefetchers. These are
-// registry-assigned ids (vars, not consts): new schemes can be added with
-// harness.Register without renumbering.
-var (
+// The paper's comparison schemes plus the competitor prefetchers: the
+// constants of internal/harness, each with a row of its scheme table.
+const (
 	NoPF          = harness.NoPF
 	Stride        = harness.Stride
 	GHBRegular    = harness.GHBRegular
@@ -103,8 +102,8 @@ type MachineConfig = system.Config
 // MachineScheme selects the hardware prefetcher a machine carries.
 type MachineScheme = system.Scheme
 
-// Machine prefetching schemes (registry-assigned ids; see system.RegisterScheme).
-var (
+// Machine prefetching schemes: the constants of internal/system.
+const (
 	MachineNoPF         = system.NoPF
 	MachineStride       = system.StridePF
 	MachineGHBRegular   = system.GHBRegular

@@ -1,7 +1,7 @@
 package baseline
 
 // Unit is one hardware prefetcher fed the L1's demand stream. The system
-// package holds whichever unit the machine's scheme registered through this
+// package holds whichever unit the machine's scheme names through this
 // one interface and points the L1's demand snoop at Observe, so adding a
 // prefetcher never adds a per-scheme field or switch outside its own
 // constructor, and a unit never touches the cache's hooks itself.

@@ -33,7 +33,11 @@ const (
 const NoDep int64 = -1
 
 // MicroOp is one dynamic instruction. Deps name earlier ops (by dynamic ID,
-// assigned in stream order) whose results this op consumes.
+// assigned in stream order) whose results this op consumes. PC satisfies
+// 0 ≤ PC < 2³¹ on every stream this module builds: IR PCs are instruction
+// indices and the trace decoders (internal/tracein) deliver nothing else,
+// that being what a captured trace's 32-bit field holds; the prefetch units
+// read a negative PC as "untracked".
 type MicroOp struct {
 	Kind  OpKind
 	PC    int      // static instruction id (stride prefetcher, branch predictor)
@@ -203,7 +207,7 @@ type coreState struct {
 	// the op id as payload (the entry is still in the window at launch time,
 	// and completionRing > ROB keeps the slot from being reused under it).
 	ringAddr [completionRing]uint64
-	ringPC   [completionRing]int32
+	ringPC   [completionRing]int
 	// waitHead[slot] heads the list of window entries waiting for the op in
 	// that ring slot to complete. A link names one dependence of one waiter:
 	// 1 + 2×(the waiter's index in rob) + (which of its two deps), 0 ending
@@ -593,7 +597,7 @@ func (c *Core) issue(e *robEntry, now sim.Ticks) {
 // its address and PC are read back from the mirror rings.
 func (c *Core) launchLoad(id int64) {
 	slot := id % completionRing
-	c.ports.Load(c.ringAddr[slot], int(c.ringPC[slot]), c.loadDoneH, uint64(id))
+	c.ports.Load(c.ringAddr[slot], c.ringPC[slot], c.loadDoneH, uint64(id))
 }
 
 func (c *Core) loadComplete(id int64, at sim.Ticks) {
@@ -671,7 +675,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 		slot := id % completionRing
 		c.known[slot] = false
 		c.ringAddr[slot] = op.Addr
-		c.ringPC[slot] = int32(op.PC)
+		c.ringPC[slot] = op.PC
 		// The window entry is written where it lives, field by field (the
 		// dependences one word at a time, as the stream stored them: a
 		// 16-byte load of two fresh 8-byte stores stalls the host's pipeline).

@@ -539,3 +539,27 @@ func TestStalledChainEventBudget(t *testing.T) {
 		t.Errorf("%.2f engine events per op, want ≤ 3", perOp)
 	}
 }
+
+// TestLoadPCSameHoweverIssued: a load whose operands are ready launches from
+// its window entry, one that waits for an operand launches later from the
+// mirror rings. Both must carry the PC at full width: were the rings narrower
+// (int32), one static load with bit 31 set in its PC would train a prefetch
+// unit under two PCs, one of them negative and so ignored.
+func TestLoadPCSameHoweverIssued(t *testing.T) {
+	pc := int(uint32(0x80001000))
+	first, waits := loadOp(0x1000), loadOp(0x2000, 1)
+	first.PC, waits.PC = pc, pc
+	div := MicroOp{Kind: OpDiv, Deps: [2]int64{NoDep, NoDep}}
+
+	eng := sim.NewEngine()
+	var seen []int
+	core := New(eng, testConfig(), Ports{Load: func(_ uint64, pc int, h sim.Handler, a uint64) {
+		seen = append(seen, pc)
+		eng.ScheduleAfter(10, h, a, 0)
+	}})
+	core.Run(&sliceStream{ops: []MicroOp{first, div, waits}}, func() {})
+	eng.Run()
+	if len(seen) != 2 || seen[0] != pc || seen[1] != pc {
+		t.Errorf("the two loads of PC %#x reached the load port as %#x", pc, seen)
+	}
+}

@@ -19,14 +19,15 @@ type AblationRow struct {
 
 // Ablations measures sensitivity to the design parameters DESIGN.md calls
 // out: observation-queue depth, prefetch-request-queue depth, and the MSHR
-// count shared with demand traffic. The mutated-Config runs cannot use the
-// suite memo, so they go straight to the worker pool (forkSweep); rows come
-// back in the fixed cell order regardless of completion order.
+// count shared with demand traffic. Every cell is a mutation of Table 1's
+// machine, whatever s.Opt.Config is, and a memo entry like any other run: the
+// three cells that hold Table 1's own value are the HJ-8 × manual entry the
+// figures use.
 //
 // Queue-depth cells differ only in the prefetcher's queue limits, which a
-// machine fork may change, so they share one warmed parent instead of each
-// re-simulating the warmup; MSHR cells change cache geometry and run in
-// full, alongside that warm-up.
+// machine fork may change, so they share one parent warmed under Table 1 to
+// half the program instead of each re-simulating the warm-up (sweep); MSHR
+// cells change cache geometry and run in full, alongside that warm-up.
 func (s *Suite) Ablations() ([]AblationRow, error) {
 	b := workloads.HJ8
 	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
@@ -39,10 +40,8 @@ func (s *Suite) Ablations() ([]AblationRow, error) {
 	cell := func(param string, value int, mutate func(cfg *system.Config)) {
 		cfg := system.DefaultConfig()
 		mutate(&cfg)
-		opt := s.Opt
-		opt.Config = &cfg
 		rows = append(rows, AblationRow{Parameter: param, Value: value})
-		opts = append(opts, opt)
+		opts = append(opts, s.withConfig(cfg))
 	}
 	for _, q := range []int{5, 10, 40, 160} {
 		cell("obs-queue", q, func(cfg *system.Config) { cfg.Prefetcher.ObsQueue = q })
@@ -55,33 +54,33 @@ func (s *Suite) Ablations() ([]AblationRow, error) {
 		cell("l1-mshrs", m, func(cfg *system.Config) { cfg.L1.MSHRs = m })
 	}
 
-	warmOpt := s.Opt
-	dcfg := system.DefaultConfig()
-	warmOpt.Config = &dcfg
-	// The MSHR cells run in full while the forkable cells share a warm-up to
-	// half the program.
-	groups := []func() error{
-		func() error {
-			return s.forkSweep(b, Manual, warmOpt, base.Core.Ops/2, opts[:forked], func(i int, r Result, err error) {
-				if err == nil {
-					rows[i].Speedup = Speedup(base, r)
-				}
-			})
-		},
-		func() error {
-			return s.fanOut(len(rows)-forked, func(i int) error {
-				r, err := Run(b, Manual, opts[forked+i])
-				if err == nil {
-					rows[forked+i].Speedup = Speedup(base, r)
-				}
-				return err
-			})
-		},
-	}
-	if err := forEach(len(groups), func(g int) error { return groups[g]() }); err != nil {
+	// Job 0 is the queue cells' sweep; the MSHR cells are one job each.
+	err = forEach(1+len(opts)-forked, func(i int) error {
+		if i == 0 {
+			return s.sweep(b, Manual, s.withConfig(system.DefaultConfig()), base.Core.Ops/2, opts[:forked])
+		}
+		_, err := s.measure(b, Manual, opts[forked+i-1])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
+	for i := range rows {
+		r, err := s.measure(b, Manual, opts[i])
+		if err != nil {
+			return nil, err
+		}
+		rows[i].Speedup = Speedup(base, r)
+	}
 	return rows, nil
+}
+
+// withConfig returns the suite's options over cfg, in place of whatever
+// machine s.Opt.Config names: the options of one sensitivity cell.
+func (s *Suite) withConfig(cfg system.Config) Options {
+	opt := s.Opt
+	opt.Config = &cfg
+	return opt
 }
 
 // FormatAblations renders the sensitivity table.
@@ -101,7 +100,8 @@ type ContextSwitchRow struct {
 	Speedup        float64
 }
 
-// ContextSwitches measures prefetcher-flush sensitivity on IntSort.
+// ContextSwitches measures prefetcher-flush sensitivity on IntSort. The
+// "never" row is Table 1's machine: the IntSort × manual entry of the figures.
 func (s *Suite) ContextSwitches() ([]ContextSwitchRow, error) {
 	b := workloads.IntSort
 	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
@@ -110,12 +110,10 @@ func (s *Suite) ContextSwitches() ([]ContextSwitchRow, error) {
 	}
 	intervals := []int64{0, 1_000_000, 100_000, 10_000}
 	rows := make([]ContextSwitchRow, len(intervals))
-	err = s.fanOut(len(intervals), func(i int) error {
+	err = forEach(len(intervals), func(i int) error {
 		cfg := system.DefaultConfig()
 		cfg.ContextSwitchTicks = intervals[i] * 5 // core cycles → ticks
-		opt := s.Opt
-		opt.Config = &cfg
-		r, err := Run(b, Manual, opt)
+		r, err := s.measure(b, Manual, s.withConfig(cfg))
 		if err != nil {
 			return err
 		}

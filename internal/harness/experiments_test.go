@@ -14,8 +14,9 @@ import (
 // it and a simulator change shows up in TestGoldenResults first.
 //
 // All experiments run on one suite, as ppftables runs them, so the memo
-// sharing between figures is covered too. -short skips the two experiments
-// that need the whole static-scheme matrix.
+// sharing between figures is covered too: every simulation the suite starts
+// is a memo entry, and the 14 tables take 201 of them. -short skips the two
+// experiments that need the whole static-scheme matrix.
 func TestExperimentTablesGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/tables_scale0.02.txt")
 	if err != nil {
@@ -38,6 +39,9 @@ func TestExperimentTablesGolden(t *testing.T) {
 		if got+"\n" != want[i] {
 			t.Errorf("%s differs from golden\n got:\n%s\nwant:\n%s", e.ID, got, want[i])
 		}
+	}
+	if _, misses := s.MemoStats(); !testing.Short() && misses != 201 {
+		t.Errorf("the 14 tables simulated %d configurations, want 201", misses)
 	}
 }
 

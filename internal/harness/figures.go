@@ -84,50 +84,64 @@ type Pair struct {
 	PPUMHz int
 }
 
-// Key folds the pair's overrides down to their effective values so that,
-// e.g., the Figure 9(a) 1000 MHz point and the default Manual run share one
-// simulation, and schemes that never touch a PPU collapse onto one entry
-// regardless of requested sizing. Two pairs with equal keys are guaranteed
-// to simulate identically under this suite; the serving layer's
-// content-addressed cache hashes the same folded values (JobSpec.Key).
+// Key is the memo key of p under this suite's options. Two pairs with equal
+// keys are guaranteed to simulate identically under this suite; the serving
+// layer's content-addressed cache hashes the same folded values (Job.Key).
 func (s *Suite) Key(p Pair) string {
-	ppus, mhz := foldSizing(p.Scheme, p.PPUs, p.PPUMHz, s.Opt)
-	scale := s.Opt.Scale
+	return s.key(p.Bench, p.Scheme, s.pairOptions(p))
+}
+
+// key names the memo entry of b×scheme under opt. PPU sizing is folded to
+// its effective values so that, e.g., the Figure 9(a) 1000 MHz point and the
+// default Manual run share one simulation, and schemes that never touch a PPU
+// collapse onto one entry regardless of requested sizing. An Options.Config
+// adds a term — the whole machine — only when it builds a machine other than
+// the one the same options build without it (both resolved by ConfigFor, so a
+// scheme's own defaults count), so the key of a Table-1 run carries no
+// configuration term.
+func (s *Suite) key(b *workloads.Benchmark, scheme Scheme, opt Options) string {
+	ppus, mhz, err := foldSizing(scheme, opt.PPUs, opt.PPUMHz, opt.Config)
+	if err != nil {
+		// The run fails in ConfigFor with this error; it is memoised under the
+		// sizing as asked.
+		ppus, mhz = opt.PPUs, opt.PPUMHz
+	}
+	scale := opt.Scale
 	if scale == 0 {
 		scale = 1.0
 	}
-	return fmt.Sprintf("%s/%s/p%d/f%d/s%g", p.Bench.Name, p.Scheme, ppus, mhz, scale)
+	key := fmt.Sprintf("%s/%s/p%d/f%d/s%g", b.Name, scheme, ppus, mhz, scale)
+	if opt.Config != nil {
+		// A ConfigFor error leaves a zero Config, which keys the failing run
+		// apart from any that can be built.
+		cfg, _ := ConfigFor(opt, scheme)
+		opt.Config = nil
+		if def, _ := ConfigFor(opt, scheme); cfg != def {
+			key += fmt.Sprintf("/%+v", cfg)
+		}
+	}
+	return key
 }
 
-// foldSizing resolves requested PPU sizing against the option defaults:
-// explicit values win, then option-level overrides, then the machine
-// configuration; schemes without a programmable prefetcher fold to zero
-// because sizing cannot affect them. Which schemes are programmable comes
-// from the registry, not a scheme list.
-func foldSizing(scheme Scheme, ppus, mhz int, opt Options) (int, int) {
-	if ppus == 0 {
-		ppus = opt.PPUs
+// foldSizing reduces a run's PPU sizing (ppuSizing) to the values a memo key
+// or content hash covers: the effective count and clock in MHz for a scheme
+// that carries the programmable prefetcher, zeros for one that does not,
+// because sizing cannot affect it. Which schemes are programmable comes from
+// the scheme table, not a scheme list.
+func foldSizing(scheme Scheme, ppus, mhz int, cfg *system.Config) (int, int, error) {
+	ppus, clock, err := ppuSizing(ppus, mhz, cfg)
+	if err != nil {
+		return 0, 0, err
 	}
-	if mhz == 0 {
-		mhz = opt.PPUMHz
+	if info, ok := scheme.Info(); !ok || !info.Machine.IsProgrammable() {
+		return 0, 0, nil
 	}
-	if info, ok := scheme.Info(); ok && info.Machine.IsProgrammable() {
-		cfg := optConfig(opt)
-		if ppus == 0 {
-			ppus = cfg.Prefetcher.NumPPUs
-		}
-		if mhz == 0 {
-			mhz = int(16000 / cfg.Prefetcher.PPUClock.Period) // ticks → MHz
-		}
-	} else { // no programmable prefetcher: sizing cannot affect the run
-		ppus, mhz = 0, 0
-	}
-	return ppus, mhz
+	return ppus, int(tickRateMHz / clock.Period), nil
 }
 
-// MemoStats reports how many pair lookups joined an existing memo entry
-// (hits) versus started a new simulation (misses). Safe to call while the
-// suite is running.
+// MemoStats reports how many lookups joined an existing memo entry (hits)
+// versus started a new simulation (misses). Safe to call while the suite is
+// running.
 func (s *Suite) MemoStats() (hits, misses int64) {
 	return s.memoHits.Load(), s.memoMisses.Load()
 }
@@ -135,30 +149,36 @@ func (s *Suite) MemoStats() (hits, misses int64) {
 // Run returns the memoised measurement for p, simulating it on the worker
 // pool if it is not cached yet. Callers that need several pairs should
 // Prefetch them first so the simulations overlap.
+func (s *Suite) Run(p Pair) (Result, error) {
+	return s.measure(p.Bench, p.Scheme, s.pairOptions(p))
+}
+
+// measure is the one way a suite simulates: it returns the memo entry of
+// b×scheme under opt, running it first if nobody has. opt is the suite's
+// options with a Pair's sizing or a mutated Config applied.
 //
 // The first caller for a key executes the simulation (holding a worker-pool
 // token); later callers block on the same entry without consuming a worker,
 // so a full fan-out can never deadlock the pool.
-func (s *Suite) Run(p Pair) (Result, error) {
-	c, mine := s.claim(p)
+func (s *Suite) measure(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
+	c, mine := s.claim(s.key(b, scheme, opt))
 	if !mine {
 		s.memoHits.Add(1)
 		<-c.done
 		return c.res, c.err
 	}
 	s.sem <- struct{}{}
-	res, err := Run(p.Bench, p.Scheme, s.pairOptions(p))
+	res, err := Run(b, scheme, opt)
 	<-s.sem
 	fill(c, res, err)
 	return res, err
 }
 
-// claim returns p's memo entry and whether this call created it. The creator
-// owns the simulation: it counts as the memo miss and MUST complete the entry
-// with fill, or waiters block forever. Everyone else must not simulate the
-// pair — it is already simulated or in flight elsewhere.
-func (s *Suite) claim(p Pair) (c *suiteCall, mine bool) {
-	key := s.Key(p)
+// claim returns key's memo entry and whether this call created it. The
+// creator owns the simulation: it counts as the memo miss and MUST complete
+// the entry with fill, or waiters block forever. Everyone else must not
+// simulate it — it is already simulated or in flight elsewhere.
+func (s *Suite) claim(key string) (c *suiteCall, mine bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.cache[key]; ok {
@@ -188,58 +208,39 @@ func (s *Suite) pairOptions(p Pair) Options {
 	return opt
 }
 
-// sweepForked simulates one benchmark's Manual runs across several PPU
-// clocks by running the warmup phase once (forkSweep): the machine is warmed
-// at the suite's default clock to two thirds of the no-prefetch dynamic op
-// count and forked into one continuation per clock point still missing from
-// the memo. The default-clock point is byte-identical to a full run (forking
-// is exact); other clock points treat the shared warmup as functional
-// warming — the sweep measures steady-state behaviour, which is exactly what
-// Figure 9 plots.
-func (s *Suite) sweepForked(b *workloads.Benchmark, ppus int, clocks []int) error {
+// sweep fills the memo entries of b×scheme under each of opts that nobody
+// holds yet, sharing one warm-up between them: the run is warmed under
+// warmOpt until warmOps micro-ops have retired and forked into one
+// continuation per claimed entry — opts[i]'s configuration may differ from
+// warmOpt's only in what a machine fork may change — and the continuations
+// finish on the worker pool. A continuation under warmOpt's own configuration
+// is byte-identical to a full run (forking is exact); the others treat the
+// shared warm-up as functional warming. When the program ends before the fork
+// point there is nothing to share and every claimed entry runs in full.
+// Callers read the results back with measure; the lowest-indexed error is
+// returned, and a failed warm-up or fork fails every claimed entry.
+func (s *Suite) sweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64, opts []Options) error {
 	var todo []*suiteCall
-	var opts []Options
-	for _, mhz := range clocks {
-		p := Pair{Bench: b, Scheme: Manual, PPUs: ppus, PPUMHz: mhz}
-		if c, mine := s.claim(p); mine {
+	var mine []Options
+	for _, opt := range opts {
+		if c, ok := s.claim(s.key(b, scheme, opt)); ok {
 			todo = append(todo, c)
-			opts = append(opts, s.pairOptions(p))
+			mine = append(mine, opt)
 		}
 	}
 	if len(todo) == 0 {
 		return nil
 	}
-	base, err := s.Run(Pair{Bench: b, Scheme: NoPF}) // sizes the warmup from the op count
-	if err != nil {
-		for _, c := range todo {
-			fill(c, Result{}, err)
-		}
-		return err
-	}
-	return s.forkSweep(b, Manual, s.pairOptions(Pair{PPUs: ppus}), base.Core.Ops*2/3, opts,
-		func(i int, res Result, err error) { fill(todo[i], res, err) })
-}
-
-// forkSweep simulates b×scheme once per entry of opts, sharing one warm-up
-// between them: the run is warmed under warmOpt until warmOps micro-ops have
-// retired, forked into one continuation per entry — opts[i]'s configuration
-// may differ from warmOpt's only in what a machine fork may change — and the
-// continuations finish on the worker pool. When the program ends before the
-// fork point there is nothing to share and every entry runs in full.
-// done(i, …) receives each entry's outcome exactly once, also when the
-// warm-up or a fork fails; the lowest-indexed error is returned.
-func (s *Suite) forkSweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64,
-	opts []Options, done func(i int, res Result, err error)) error {
 	s.sem <- struct{}{} // the warm-up is a simulation: hold a worker token
 	w, err := Warm(b, scheme, warmOpt, warmOps)
 	<-s.sem
 	var conts []*RunCont
 	if err == nil && !w.Done() {
 		// Fork sequentially: forking reads the paused parent.
-		conts = make([]*RunCont, len(opts))
-		for i := range opts {
+		conts = make([]*RunCont, len(mine))
+		for i := range mine {
 			var cfg system.Config
-			if cfg, err = ConfigFor(opts[i], scheme); err != nil {
+			if cfg, err = ConfigFor(mine[i], scheme); err != nil {
 				break
 			}
 			if conts[i], err = w.Fork(cfg); err != nil {
@@ -248,20 +249,22 @@ func (s *Suite) forkSweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options
 		}
 	}
 	if err != nil {
-		for i := range opts {
-			done(i, Result{}, err)
+		for _, c := range todo {
+			fill(c, Result{}, err)
 		}
 		return err
 	}
-	return s.fanOut(len(opts), func(i int) error {
+	return forEach(len(todo), func(i int) error {
+		s.sem <- struct{}{}
 		var res Result
 		var err error
 		if conts != nil {
 			res, err = conts[i].Finish()
 		} else {
-			res, err = Run(b, scheme, opts[i])
+			res, err = Run(b, scheme, mine[i])
 		}
-		done(i, res, err)
+		<-s.sem
+		fill(todo[i], res, err)
 		return err
 	})
 }
@@ -277,18 +280,6 @@ func (s *Suite) Prefetch(pairs []Pair) error {
 			return nil
 		}
 		return err
-	})
-}
-
-// fanOut runs n independent jobs on the suite's worker pool and waits for
-// all of them; used for configurations the memo cannot key (custom Config
-// mutations in the ablations). fn must confine everything it builds to its
-// own call.
-func (s *Suite) fanOut(n int, fn func(i int) error) error {
-	return forEach(n, func(i int) error {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		return fn(i)
 	})
 }
 
@@ -479,21 +470,28 @@ type Fig9aRow struct {
 }
 
 // clockSweep returns b's Manual speedup over no prefetching at each PPU
-// clock, with ppus units (0 = default). The clock points share one warm-up:
-// the machine is warmed once at the default clock and forked per point
-// (sweepForked), so a sweep costs little more than one run instead of one
-// per point.
+// clock, with ppus units (0 = default). The clock points share one warm-up
+// (sweep): the machine is warmed once at the suite's default clock to two
+// thirds of the no-prefetch dynamic op count and forked per point the memo
+// still lacks, so a sweep costs little more than one run instead of one per
+// point. Away from the default clock the shared warm-up is functional
+// warming — the sweep measures steady-state behaviour, which is exactly what
+// Figure 9 plots.
 func (s *Suite) clockSweep(b *workloads.Benchmark, ppus int, clocks []int) (map[int]float64, error) {
-	base, err := s.Run(Pair{Bench: b, Scheme: NoPF})
+	base, err := s.Run(Pair{Bench: b, Scheme: NoPF}) // its op count sizes the warm-up
 	if err != nil {
 		return nil, err
 	}
-	if err := s.sweepForked(b, ppus, clocks); err != nil {
+	opts := make([]Options, len(clocks))
+	for i, mhz := range clocks {
+		opts[i] = s.pairOptions(Pair{PPUs: ppus, PPUMHz: mhz})
+	}
+	if err := s.sweep(b, Manual, s.pairOptions(Pair{PPUs: ppus}), base.Core.Ops*2/3, opts); err != nil {
 		return nil, err
 	}
 	speedup := make(map[int]float64, len(clocks))
-	for _, mhz := range clocks {
-		r, err := s.Run(Pair{Bench: b, Scheme: Manual, PPUs: ppus, PPUMHz: mhz})
+	for i, mhz := range clocks {
+		r, err := s.measure(b, Manual, opts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -753,7 +751,10 @@ func FormatExtraMem(rows []ExtraMemRow) string {
 
 // Table1 renders the simulated-machine configuration (the paper's Table 1).
 func Table1(opt Options) string {
-	cfg := *optConfig(opt)
+	cfg := table1
+	if opt.Config != nil {
+		cfg = *opt.Config
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Core      %d-wide OoO @%d MHz, ROB %d, LQ %d, SQ %d, mispredict %d cycles\n",
 		cfg.Width, cfg.CoreMHz, cfg.ROB, cfg.LQ, cfg.SQ, cfg.MispredictPenalty)
@@ -771,14 +772,6 @@ func Table1(opt Options) string {
 	fmt.Fprintf(&sb, "GHB       Markov depth %d width %d, index/GHB %d/%d (regular)\n",
 		cfg.GHB.Depth, cfg.GHB.Width, cfg.GHB.IndexSize, cfg.GHB.GHBSize)
 	return sb.String()
-}
-
-func optConfig(opt Options) *system.Config {
-	if opt.Config != nil {
-		return opt.Config
-	}
-	cfg := system.DefaultConfig()
-	return &cfg
 }
 
 // Table2 renders the benchmark summary (the paper's Table 2).

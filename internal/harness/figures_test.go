@@ -3,9 +3,11 @@ package harness
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"eventpf/internal/system"
 	"eventpf/internal/workloads"
 )
 
@@ -129,6 +131,83 @@ func TestAblationsReturnsEveryCell(t *testing.T) {
 	}
 }
 
+// TestSensitivityCellsAreMemoEntries: the ablation and context-switch cells
+// go through the memo like every other run. On a suite that already holds the
+// four Table-1 runs they are mutations of, the two experiments start exactly
+// the eleven simulations whose configuration differs from Table 1 (eight
+// ablation cells, three switch intervals), and the rows are those of a suite
+// that runs the two experiments cold.
+func TestSensitivityCellsAreMemoEntries(t *testing.T) {
+	type tables struct {
+		abl []AblationRow
+		ctx []ContextSwitchRow
+	}
+	render := func(s *Suite) (tb tables) {
+		t.Helper()
+		var err error
+		if tb.abl, err = s.Ablations(); err != nil {
+			t.Fatal(err)
+		}
+		if tb.ctx, err = s.ContextSwitches(); err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	warm := NewSuite(Options{Scale: figScale})
+	for _, b := range []*workloads.Benchmark{workloads.HJ8, workloads.IntSort} {
+		for _, sch := range []Scheme{NoPF, Manual} {
+			if _, err := warm.Run(Pair{Bench: b, Scheme: sch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, before := warm.MemoStats()
+	got := render(warm)
+	if _, after := warm.MemoStats(); after-before != 11 {
+		t.Errorf("Ablations + ContextSwitches started %d simulations on a warm suite, want 11", after-before)
+	}
+	want := render(NewSuite(Options{Scale: figScale}))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("warm-suite rows differ from cold-suite rows:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestMutatedConfigIsOneEntry pins the memo key of a run whose machine is not
+// Table 1's: measure and sweep name it alike, a different mutation is a
+// different entry, and a Config that builds Table 1's machine keys like none.
+func TestMutatedConfigIsOneEntry(t *testing.T) {
+	s := NewSuite(Options{Scale: testScale})
+	b := workloads.HJ2
+	cfg := system.DefaultConfig()
+	cfg.Prefetcher.ObsQueue = 10
+	opt := s.withConfig(cfg)
+	if _, err := s.measure(b, Manual, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.sweep(b, Manual, s.withConfig(system.DefaultConfig()), 1000, []Options{s.withConfig(cfg)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := s.MemoStats(); misses != 1 {
+		t.Errorf("one mutated Config through measure and sweep: %d entries, want 1", misses)
+	}
+	other := cfg
+	other.Prefetcher.ObsQueue = 20
+	if s.key(b, Manual, s.withConfig(other)) == s.key(b, Manual, opt) {
+		t.Error("two different mutations share a key")
+	}
+	for _, sch := range []Scheme{NoPF, Manual} {
+		p := Pair{Bench: b, Scheme: sch}
+		if got := s.key(b, sch, s.withConfig(system.DefaultConfig())); got != s.Key(p) {
+			t.Errorf("%s: Config = DefaultConfig() keys as %q, nil as %q", sch, got, s.Key(p))
+		}
+	}
+	// ghb-large's big sizing is a default an explicit Config switches off, so
+	// there the two are different machines.
+	if s.key(b, GHBLarge, s.withConfig(system.DefaultConfig())) == s.Key(Pair{Bench: b, Scheme: GHBLarge}) {
+		t.Error("ghb-large under an explicit default Config shares the key of its 1 GiB default")
+	}
+}
+
 // TestSweepForkedMatchesFullRuns pins the sweep helper's exactness claim:
 // the Figure 9(a) default-clock point, obtained as a continuation forked
 // from the shared warm-up, is byte-identical to an uninterrupted Run.
@@ -136,7 +215,7 @@ func TestSweepForkedMatchesFullRuns(t *testing.T) {
 	b := workloads.HJ2
 	opt := Options{Scale: goldenScale}
 	s := NewSuite(opt)
-	if err := s.sweepForked(b, 0, Fig9aClocks); err != nil {
+	if _, err := s.clockSweep(b, 0, Fig9aClocks); err != nil {
 		t.Fatal(err)
 	}
 	_, before := s.MemoStats()

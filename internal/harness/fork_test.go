@@ -163,7 +163,7 @@ func TestForkRejectsStructuralChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	okCfg := w.Machine().Cfg
-	okCfg.Prefetcher.PPUClock = mustClock(500)
+	okCfg.Prefetcher.PPUClock.Period *= 2 // 1000 → 500 MHz
 	if _, err := w.Machine().ForkWith(okCfg); err != nil {
 		t.Errorf("clock-only change should fork: %v", err)
 	}

@@ -56,7 +56,8 @@ type Job struct {
 // scale defaults to 1.0, and PPU sizing is folded exactly like the Suite
 // memo key — defaults filled in for programmable schemes, zeroed for
 // schemes a PPU cannot affect — so the content hash never distinguishes
-// requests the simulator cannot.
+// requests the simulator cannot. A sizing no machine can be built with
+// (ppuSizing) does not resolve, whatever the scheme.
 func (j JobSpec) Resolve() (Job, error) {
 	var b *workloads.Benchmark
 	switch {
@@ -82,9 +83,6 @@ func (j JobSpec) Resolve() (Job, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	if j.PPUs < 0 || j.PPUMHz < 0 {
-		return Job{}, fmt.Errorf("harness: PPU sizing %d×%dMHz must not be negative", j.PPUs, j.PPUMHz)
-	}
 	if j.Slices < 0 {
 		return Job{}, fmt.Errorf("harness: slices %d must not be negative", j.Slices)
 	}
@@ -92,7 +90,10 @@ func (j JobSpec) Resolve() (Job, error) {
 	if slices == 1 {
 		slices = 0 // one slice is the serial engine: fold to the default spelling
 	}
-	ppus, mhz := foldSizing(scheme, j.PPUs, j.PPUMHz, Options{})
+	ppus, mhz, err := foldSizing(scheme, j.PPUs, j.PPUMHz, nil)
+	if err != nil {
+		return Job{}, err
+	}
 	return Job{Bench: b, Scheme: scheme, Scale: scale, PPUs: ppus, PPUMHz: mhz, Slices: slices}, nil
 }
 

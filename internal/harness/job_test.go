@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -95,6 +96,16 @@ func TestJobSpecResolveAndKey(t *testing.T) {
 	if _, err := (JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: -1}).Resolve(); err == nil {
 		t.Error("negative scale resolved")
 	}
+	// A sizing no machine can be built with: resolved, the first panicked the
+	// worker that ran it and the second sized the prefetcher's unit table.
+	for _, sp := range []JobSpec{
+		{Bench: "HJ-2", Scheme: "manual", PPUMHz: 333},
+		{Bench: "HJ-2", Scheme: "manual", PPUs: 2_000_000_000},
+	} {
+		if _, err := sp.Resolve(); err == nil {
+			t.Errorf("%+v resolved", sp)
+		}
+	}
 }
 
 // TestSchemeRoundTrip pins ParseScheme/UnmarshalText against String.
@@ -172,4 +183,36 @@ func TestJobSpecSlices(t *testing.T) {
 	if _, err := (JobSpec{Bench: "HJ-2", Scheme: "stride", Slices: -1}).Resolve(); err == nil {
 		t.Error("negative slices accepted")
 	}
+}
+
+// FuzzJobSpec feeds arbitrary bytes down the path a POST /jobs body takes:
+// json.Unmarshal, then Resolve. Whatever resolves is a job a worker will run,
+// so it must render (Canonical, Key), become options a machine can be built
+// from (ConfigFor — the two crashers in the corpus resolved and then panicked
+// there), and be a fixed point of the fold: a spec written from the Job's own
+// fields resolves to the same Key. The corpus in testdata/fuzz/FuzzJobSpec
+// holds the bodies the serve and job tests and ppfload send.
+func FuzzJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		job, err := spec.Resolve()
+		if err != nil {
+			return
+		}
+		if _, err := ConfigFor(job.Options(), job.Scheme); err != nil {
+			t.Fatalf("%s resolved, but no machine can be built for it: %v", job.Canonical(), err)
+		}
+		again := JobSpec{Bench: spec.Bench, Trace: spec.Trace, Scheme: job.Scheme.String(),
+			Scale: job.Scale, PPUs: job.PPUs, PPUMHz: job.PPUMHz, Slices: job.Slices}
+		if spec.Trace == "" {
+			again.Bench = job.Bench.Name
+		}
+		back, err := again.Resolve()
+		if err != nil || back.Key() != job.Key() {
+			t.Fatalf("%s refolds to %s, %v", job.Canonical(), back.Canonical(), err)
+		}
+	})
 }

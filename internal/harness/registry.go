@@ -11,17 +11,17 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// Scheme is one bar of Figure 7 (plus the Figure 11 blocked variant and the
-// competitor prefetchers added alongside the registry).
+// Scheme is one bar of Figure 7 (plus the Figure 11 blocked variant, the
+// competitor prefetchers and the adaptive controller).
 //
-// A scheme is a registry entry, not an enum case: Register installs a
-// SchemeInfo describing everything the harness needs to run it — the
-// parseable name, the benchmark variant to build, the machine scheme to
-// assemble, the compiler pass or manual-kernel installation to apply, and
-// any configuration adjustment. Run/prepare, ConfigFor, LayoutFor, the
-// figure matrices and the JSON (un)marshalling all consult the same table,
-// so adding a scheme is one Register call with no switch to extend, and an
-// unregistered value is a typed error everywhere instead of a silent
+// A scheme is a constant below plus its row of schemeInfos: a SchemeInfo
+// describing everything the harness needs to run it — the parseable name,
+// the benchmark variant to build, the machine scheme to assemble, the
+// compiler pass or manual-kernel installation to apply, and any
+// configuration adjustment. Run/prepare, ConfigFor, LayoutFor, the figure
+// matrices and the JSON (un)marshalling all consult the same table, so adding
+// a scheme is one constant and one row with no switch to extend, and a value
+// outside the block is a typed error everywhere instead of a silent
 // fall-through.
 type Scheme int
 
@@ -52,135 +52,115 @@ type SchemeInfo struct {
 	Configure func(cfg *system.Config, explicit bool)
 }
 
-var schemeInfos []SchemeInfo
-
-// Register adds a comparison scheme to the registry and returns its id. Ids
-// are assigned in registration order; the built-in schemes register at
-// package init, keeping their historical values (NoPF=0 … ManualBlocked=8).
-func Register(info SchemeInfo) Scheme {
-	if info.Name == "" {
-		panic("harness: Register: scheme needs a name")
-	}
-	for _, prev := range schemeInfos {
-		if prev.Name == info.Name {
-			panic(fmt.Sprintf("harness: Register: duplicate scheme name %q", info.Name))
-		}
-	}
-	if !info.Machine.Valid() {
-		panic(fmt.Sprintf("harness: Register(%q): unregistered machine scheme %d",
-			info.Name, int(info.Machine)))
-	}
-	schemeInfos = append(schemeInfos, info)
-	return Scheme(len(schemeInfos) - 1)
-}
-
-// The paper's comparison schemes, plus the competitor prefetchers.
-var (
+// The paper's comparison schemes, plus the competitor prefetchers, in
+// presentation order.
+const (
 	// NoPF is the no-prefetching baseline every speedup is relative to.
-	NoPF = Register(SchemeInfo{Name: "no-pf", Machine: system.NoPF,
-		Description: "no prefetching; the baseline every speedup is relative to"})
+	NoPF Scheme = iota
 	// Stride is the Table 1 degree-8 stride prefetcher.
-	Stride = Register(SchemeInfo{Name: "stride", Machine: system.StridePF, Fig7: true,
-		Description: "reference-prediction-table stride prefetcher, degree 8 (Table 1)"})
+	Stride
 	// GHBRegular is the SRAM-sized Markov GHB prefetcher.
-	GHBRegular = Register(SchemeInfo{Name: "ghb-regular", Machine: system.GHBRegular, Fig7: true,
-		Description: "SRAM-sized Markov global-history-buffer prefetcher"})
-	// GHBLarge is the 1 GiB-state Markov GHB study variant: the same machine
-	// scheme as GHBRegular, with the large sizing applied as a *default* —
-	// an explicit Options.Config keeps its own cfg.GHB.
-	GHBLarge = Register(SchemeInfo{
-		Name: "ghb-large", Machine: system.GHBLarge, Fig7: true,
-		Description: "Markov GHB with effectively unbounded (1 GiB) state",
-		Configure: func(cfg *system.Config, explicit bool) {
-			if !explicit {
-				cfg.GHB = baseline.LargeGHBConfig()
-			}
-		},
-	})
+	GHBRegular
+	// GHBLarge is the 1 GiB-state Markov GHB study variant: the same unit as
+	// GHBRegular, with the large sizing applied as a *default* — an explicit
+	// Options.Config keeps its own cfg.GHB.
+	GHBLarge
 	// Software runs the software-prefetch build on a machine with no
 	// hardware prefetcher.
-	Software = Register(SchemeInfo{
-		Name: "software", Machine: system.NoPF, Variant: workloads.SWPf, Fig7: true,
-		Description: "software-prefetch build, no hardware prefetcher",
-	})
+	Software
 	// Pragma runs the plain build under kernels generated from programmer
 	// pragmas (§6.2).
-	Pragma = Register(SchemeInfo{
-		Name: "pragma", Machine: system.Programmable, Variant: workloads.Pragma, Fig7: true,
-		Pass: compiler.GeneratePragmaEvents, PassName: "pragma",
-		Description: "event kernels generated from programmer pragmas (§6.2)",
-	})
+	Pragma
 	// Converted runs the software-prefetch build with the prefetches
 	// converted into event kernels (§6.1).
-	Converted = Register(SchemeInfo{
-		Name: "converted", Machine: system.Programmable, Variant: workloads.SWPf, Fig7: true,
-		Pass: compiler.ConvertSoftwarePrefetches, PassName: "conversion",
-		Description: "software prefetches converted into event kernels (§6.1)",
-	})
+	Converted
 	// Manual runs the hand-written event kernels (§6.3).
-	Manual = Register(SchemeInfo{
-		Name: "manual", Machine: system.Programmable, Fig7: true, Manual: true,
-		Description: "hand-written event kernels on the programmable prefetcher (§6.3)",
-	})
+	Manual
 	// ManualBlocked is the Figure 11 variant: events replaced by blocking
 	// loads inside the PPUs.
-	ManualBlocked = Register(SchemeInfo{
-		Name: "manual-blocked", Machine: system.Programmable, Manual: true,
-		Description: "Figure 11 variant: events replaced by blocking loads in the PPUs",
-		Configure: func(cfg *system.Config, explicit bool) {
-			cfg.Prefetcher.Blocked = true
-		},
-	})
+	ManualBlocked
 	// RPT is the Chen–Baer reference-prediction-table competitor.
-	RPT = Register(SchemeInfo{Name: "rpt", Machine: system.RPT, Fig7: true,
-		Description: "Chen–Baer four-state reference prediction table"})
+	RPT
 	// GHBDelta is the delta-correlating (G/DC) GHB competitor.
-	GHBDelta = Register(SchemeInfo{Name: "ghb-delta", Machine: system.GHBDelta, Fig7: true,
-		Description: "GHB delta-correlation (G/DC) prefetcher"})
+	GHBDelta
 	// TSKID is the T-SKID-style timing-prefetch competitor.
-	TSKID = Register(SchemeInfo{Name: "tskid", Machine: system.TSKID, Fig7: true,
-		Description: "T-SKID-style trigger/target prefetcher with learned issue delay"})
+	TSKID
 	// Adaptive is the online adaptive controller (internal/adaptive): the
 	// programmable prefetcher plus a menu of baseline units hosted on one
 	// machine, phase-detected and switched at runtime. It runs the plain
 	// build with the manual kernels installed (the "pf" arm), and stays out
 	// of Figure 7 so the static matrices and goldens are unchanged; the
 	// Figure 12 experiment compares it against every static scheme.
-	Adaptive = Register(SchemeInfo{
-		Name: "adaptive", Machine: system.Adaptive, Manual: true,
-		Description: "online controller switching between candidate prefetchers per phase",
-	})
+	Adaptive
+
+	numSchemes
 )
 
-// Derived views of the registry, fixed after package init.
+// schemeInfos holds one row per constant above.
+var schemeInfos = [numSchemes]SchemeInfo{
+	NoPF: {Name: "no-pf", Machine: system.NoPF,
+		Description: "no prefetching; the baseline every speedup is relative to"},
+	Stride: {Name: "stride", Machine: system.StridePF, Fig7: true,
+		Description: "reference-prediction-table stride prefetcher, degree 8 (Table 1)"},
+	GHBRegular: {Name: "ghb-regular", Machine: system.GHBRegular, Fig7: true,
+		Description: "SRAM-sized Markov global-history-buffer prefetcher"},
+	GHBLarge: {Name: "ghb-large", Machine: system.GHBLarge, Fig7: true,
+		Description: "Markov GHB with effectively unbounded (1 GiB) state",
+		Configure: func(cfg *system.Config, explicit bool) {
+			if !explicit {
+				cfg.GHB = baseline.LargeGHBConfig()
+			}
+		}},
+	Software: {Name: "software", Machine: system.NoPF, Variant: workloads.SWPf, Fig7: true,
+		Description: "software-prefetch build, no hardware prefetcher"},
+	Pragma: {Name: "pragma", Machine: system.Programmable, Variant: workloads.Pragma, Fig7: true,
+		Pass: compiler.GeneratePragmaEvents, PassName: "pragma",
+		Description: "event kernels generated from programmer pragmas (§6.2)"},
+	Converted: {Name: "converted", Machine: system.Programmable, Variant: workloads.SWPf, Fig7: true,
+		Pass: compiler.ConvertSoftwarePrefetches, PassName: "conversion",
+		Description: "software prefetches converted into event kernels (§6.1)"},
+	Manual: {Name: "manual", Machine: system.Programmable, Fig7: true, Manual: true,
+		Description: "hand-written event kernels on the programmable prefetcher (§6.3)"},
+	ManualBlocked: {Name: "manual-blocked", Machine: system.Programmable, Manual: true,
+		Description: "Figure 11 variant: events replaced by blocking loads in the PPUs",
+		Configure: func(cfg *system.Config, explicit bool) {
+			cfg.Prefetcher.Blocked = true
+		}},
+	RPT: {Name: "rpt", Machine: system.RPT, Fig7: true,
+		Description: "Chen–Baer four-state reference prediction table"},
+	GHBDelta: {Name: "ghb-delta", Machine: system.GHBDelta, Fig7: true,
+		Description: "GHB delta-correlation (G/DC) prefetcher"},
+	TSKID: {Name: "tskid", Machine: system.TSKID, Fig7: true,
+		Description: "T-SKID-style trigger/target prefetcher with learned issue delay"},
+	Adaptive: {Name: "adaptive", Machine: system.Adaptive, Manual: true,
+		Description: "online controller switching between candidate prefetchers per phase"},
+}
+
+// Derived views of the table, fixed after package init.
 var (
-	// Schemes lists the Figure 7 bars in presentation (registration) order.
+	// Schemes lists the Figure 7 bars in presentation (constant) order.
 	Schemes []Scheme
-	// AllSchemes lists every registered scheme, including NoPF and the
-	// Figure 11 blocked variant that Schemes omits.
+	// AllSchemes lists every scheme, including NoPF and the Figure 11 blocked
+	// variant that Schemes omits.
 	AllSchemes []Scheme
 
 	schemeByName map[string]Scheme
 )
 
-// init builds the derived views after every Register call in the var block
-// above has run (package-level init() is guaranteed to follow variable
-// initialisation).
 func init() {
 	schemeByName = make(map[string]Scheme, len(schemeInfos))
-	for i, info := range schemeInfos {
-		s := Scheme(i)
-		schemeByName[info.Name] = s
+	for s := Scheme(0); s < numSchemes; s++ {
+		schemeByName[schemeInfos[s].Name] = s
 		AllSchemes = append(AllSchemes, s)
-		if info.Fig7 {
+		if schemeInfos[s].Fig7 {
 			Schemes = append(Schemes, s)
 		}
 	}
 }
 
-// Info returns the scheme's registry entry.
+// Info returns the scheme's table row.
 func (s Scheme) Info() (SchemeInfo, bool) {
-	if s < 0 || int(s) >= len(schemeInfos) {
+	if s < 0 || s >= numSchemes {
 		return SchemeInfo{}, false
 	}
 	return schemeInfos[s], true
@@ -214,18 +194,18 @@ func ParseScheme(s string) (Scheme, bool) {
 	return sch, ok
 }
 
-// SchemeNames returns every scheme's parseable name, registration order.
+// SchemeNames returns every scheme's parseable name, in constant order.
 func SchemeNames() []string {
 	names := make([]string, len(schemeInfos))
-	for i, info := range schemeInfos {
-		names[i] = info.Name
+	for i := range schemeInfos {
+		names[i] = schemeInfos[i].Name
 	}
 	return names
 }
 
-// UnknownSchemeError reports a scheme name that is not registered, or a
-// numeric Scheme value outside the registry (e.g. decoded from a stale job
-// record). It is a typed error so callers can distinguish "bad request"
+// UnknownSchemeError reports a scheme name the table does not hold, or a
+// numeric Scheme value outside the constant block (e.g. decoded from a stale
+// job record). It is a typed error so callers can distinguish "bad request"
 // from simulation failures; its message lists the valid menu.
 type UnknownSchemeError struct {
 	// Name is the unparseable name, if the scheme arrived as text.

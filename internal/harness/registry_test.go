@@ -11,20 +11,36 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// The registry is the single source of truth: every derived view must agree
-// with it, the JSON encoding must round-trip through it, and the competitor
-// schemes must appear in every menu.
+// The scheme table is the single source of truth: every derived view must
+// agree with it, the JSON encoding must round-trip through it, and the
+// competitor schemes must appear in every menu. The table is a literal that
+// nothing checks at start-up, so this does: one row per constant, every row
+// named, no name twice, every machine scheme a real one.
 func TestRegistryDerivedViews(t *testing.T) {
-	if len(AllSchemes) != len(SchemeNames()) {
-		t.Fatalf("AllSchemes (%d) and SchemeNames (%d) disagree", len(AllSchemes), len(SchemeNames()))
+	if len(schemeInfos) != int(Adaptive)+1 {
+		t.Fatalf("schemeInfos has %d rows for the %d constants NoPF..Adaptive", len(schemeInfos), int(Adaptive)+1)
 	}
+	if len(AllSchemes) != len(schemeInfos) || len(AllSchemes) != len(SchemeNames()) {
+		t.Fatalf("AllSchemes (%d), SchemeNames (%d) and the table (%d) disagree", len(AllSchemes), len(SchemeNames()), len(schemeInfos))
+	}
+	named := map[string]Scheme{}
 	for i, s := range AllSchemes {
 		if int(s) != i {
-			t.Errorf("AllSchemes[%d] = %d; registration ids must be dense", i, int(s))
+			t.Errorf("AllSchemes[%d] = %d; scheme values must be dense", i, int(s))
 		}
 		info, ok := s.Info()
 		if !ok {
-			t.Fatalf("scheme %d has no registry entry", int(s))
+			t.Fatalf("scheme %d has no table row", int(s))
+		}
+		if info.Name == "" {
+			t.Errorf("scheme %d has no name", int(s))
+		}
+		if prev, dup := named[info.Name]; dup {
+			t.Errorf("schemes %d and %d share the name %q", int(prev), int(s), info.Name)
+		}
+		named[info.Name] = s
+		if !info.Machine.Valid() {
+			t.Errorf("%s: machine scheme %d is not a system.Scheme constant", info.Name, int(info.Machine))
 		}
 		if SchemeNames()[i] != info.Name {
 			t.Errorf("SchemeNames()[%d] = %q, want %q", i, SchemeNames()[i], info.Name)

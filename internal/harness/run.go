@@ -261,7 +261,7 @@ func applyManual(m *system.Machine, info SchemeInfo, inst *workloads.Instance) e
 		return nil
 	}
 	if inst.Manual == nil {
-		if spec, ok := info.Machine.Spec(); ok && spec.Programmable && spec.NewUnit == nil {
+		if info.Machine == system.Programmable {
 			return ErrUnsupported
 		}
 		return nil
@@ -300,27 +300,68 @@ func (rs *runSetup) collect(sys system.Result) (Result, error) {
 	return res, nil
 }
 
+// MaxPPUs bounds the PPU count a run may ask for. The paper sweeps 3 to 12
+// (Figure 9b); the bound exists so that a count arriving from outside the
+// program — a JobSpec, a command line — cannot size the prefetcher's unit
+// table without limit.
+const MaxPPUs = 256
+
+// tickRateMHz is the engine's tick rate (sim.ClockFromMHz): 16 ticks a
+// nanosecond.
+const tickRateMHz = 16000
+
+// table1 is the default machine, read (never written) wherever a run's
+// configuration is compared with or completed from Table 1.
+var table1 = system.DefaultConfig()
+
+// ppuSizing is the one statement of which PPU count and clock a run gets: the
+// override when set (Options.PPUs / PPUMHz; a Pair's lands there first,
+// pairOptions), then cfg (Options.Config), then Table 1. ConfigFor applies
+// the answer and foldSizing keys on it. Every entry point passes through
+// here, so this is also where a sizing no machine can be built with is
+// refused: a clock that is not a positive divisor of the 16 GHz tick rate, a
+// PPU count outside 1..MaxPPUs. A clock no override touches is returned as
+// the configuration holds it.
+func ppuSizing(ppus, mhz int, cfg *system.Config) (int, sim.Clock, error) {
+	if cfg == nil {
+		cfg = &table1
+	}
+	if ppus == 0 {
+		ppus = cfg.Prefetcher.NumPPUs
+	}
+	if ppus < 1 || ppus > MaxPPUs {
+		return 0, sim.Clock{}, fmt.Errorf("harness: PPU count %d is outside 1..%d", ppus, MaxPPUs)
+	}
+	if mhz == 0 {
+		return ppus, cfg.Prefetcher.PPUClock, nil
+	}
+	if mhz < 0 || tickRateMHz%mhz != 0 {
+		return 0, sim.Clock{}, fmt.Errorf("harness: PPU clock %d MHz is not a positive divisor of %d MHz (one tick is 1/16 ns)", mhz, tickRateMHz)
+	}
+	return ppus, sim.ClockFromMHz(mhz), nil
+}
+
 // ConfigFor resolves the machine configuration a Run with these options and
 // scheme would use (exported so CLIs can derive the trace Layout that
 // matches the run). Scheme defaults (ghb-large's big sizing, the blocked
-// mode) come from the registry entry's Configure hook; an unregistered
-// scheme is an *UnknownSchemeError.
+// mode) come from the scheme's Configure hook; a value outside the scheme
+// constants is an *UnknownSchemeError, and a PPU sizing no machine can be
+// built with (ppuSizing) is an error too.
 func ConfigFor(opt Options, scheme Scheme) (system.Config, error) {
 	info, ok := scheme.Info()
 	if !ok {
 		return system.Config{}, &UnknownSchemeError{Scheme: scheme}
 	}
-	cfg := system.DefaultConfig()
+	ppus, clock, err := ppuSizing(opt.PPUs, opt.PPUMHz, opt.Config)
+	if err != nil {
+		return system.Config{}, err
+	}
+	cfg := table1
 	explicit := opt.Config != nil
 	if explicit {
 		cfg = *opt.Config
 	}
-	if opt.PPUs > 0 {
-		cfg.Prefetcher.NumPPUs = opt.PPUs
-	}
-	if opt.PPUMHz > 0 {
-		cfg.Prefetcher.PPUClock = mustClock(opt.PPUMHz)
-	}
+	cfg.Prefetcher.NumPPUs, cfg.Prefetcher.PPUClock = ppus, clock
 	if info.Configure != nil {
 		info.Configure(&cfg, explicit)
 	}
@@ -471,5 +512,3 @@ func (s *seq) Close() error {
 func Speedup(base, run Result) float64 {
 	return float64(base.Cycles) / float64(run.Cycles)
 }
-
-func mustClock(mhz int) sim.Clock { return sim.ClockFromMHz(mhz) }

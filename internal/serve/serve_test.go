@@ -256,6 +256,11 @@ func TestValidationErrorsListMenus(t *testing.T) {
 		{harness.JobSpec{Bench: "nope", Scheme: "manual"}, "spmv"},
 		{harness.JobSpec{Bench: "HJ-2", Scheme: "nope"}, "manual-blocked"},
 		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: 99}, "exceeds"},
+		// A sizing no machine can be built with is refused at the door: queued,
+		// the first panicked a worker in sim.ClockFromMHz and took the daemon
+		// down, the second sized the prefetcher's unit table.
+		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: testScale, PPUMHz: 333}, "333 MHz"},
+		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: testScale, PPUs: 2_000_000_000}, "PPU count"},
 	} {
 		body, _ := json.Marshal(tc.spec)
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -273,8 +278,16 @@ func TestValidationErrorsListMenus(t *testing.T) {
 		}
 	}
 	m := scrapeMetrics(t, hs.URL)
-	if m["ppfserve_jobs_rejected_validation"] != 5 {
-		t.Errorf("rejected_validation = %d, want 5", m["ppfserve_jobs_rejected_validation"])
+	if m["ppfserve_jobs_rejected_validation"] != 7 {
+		t.Errorf("rejected_validation = %d, want 7", m["ppfserve_jobs_rejected_validation"])
+	}
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the rejected jobs: status %d", resp.StatusCode)
 	}
 }
 

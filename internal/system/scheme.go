@@ -3,10 +3,8 @@ package system
 import (
 	"fmt"
 
-	"eventpf/internal/adaptive"
 	"eventpf/internal/baseline"
 	"eventpf/internal/mem"
-	"eventpf/internal/prefetch"
 	"eventpf/internal/sim"
 )
 
@@ -14,52 +12,71 @@ import (
 // Software prefetching is not a machine property: it is a property of the
 // benchmark variant being run (extra SWPf instructions in the IR).
 //
-// Schemes are registry entries, not switch cases: RegisterScheme installs a
-// SchemeSpec describing how the scheme is named, whether it carries the
-// programmable prefetcher, and how its baseline unit is constructed. New
-// assembles whatever the spec says; fork, stats collection and the trace
-// layout are generic over the baseline.Unit interface, so adding a scheme
-// touches exactly one registration.
+// A scheme is a constant below plus its row of the schemes table; New
+// assembles what the row says, and fork, stats collection and the trace
+// layout are generic over the baseline.Unit interface.
 type Scheme int
 
-// SchemeSpec describes one machine prefetching scheme.
-type SchemeSpec struct {
-	// Name is the scheme's diagnostic name.
-	Name string
-	// Programmable schemes carry the paper's programmable prefetcher
-	// (PPUs, filter table, observation queue) instead of a baseline unit.
-	Programmable bool
-	// NewUnit, if non-nil, constructs the scheme's hardware prefetch unit
-	// from the machine configuration. The unit must take every sizing knob
-	// from cfg — never from package-level defaults — so explicit Config
-	// overrides always take effect. pf is the machine's programmable
-	// prefetcher if the scheme also set Programmable (the adaptive
-	// controller hosts it as an arm), nil otherwise. New points the L1's
-	// demand snoop at the unit's Observe; the unit must not touch it.
-	NewUnit func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, pf *prefetch.Prefetcher) baseline.Unit
+// Machine prefetching schemes.
+const (
+	// NoPF carries no hardware prefetcher.
+	NoPF Scheme = iota
+	// StridePF carries the Table 1 degree-8 stride prefetcher.
+	StridePF
+	// GHBRegular carries the SRAM-sized Markov GHB prefetcher.
+	GHBRegular
+	// GHBLarge is the 1 GiB-state Markov GHB study variant. It builds from
+	// cfg.GHB exactly like GHBRegular — the large sizing is a *default*
+	// (baseline.LargeGHBConfig, applied by harness.ConfigFor when no
+	// explicit Config is given), not a constructor override, so a caller's
+	// cfg.GHB is always honoured.
+	GHBLarge
+	// Programmable carries the paper's event-triggered prefetcher.
+	Programmable
+	// RPT carries the Chen–Baer four-state reference prediction table.
+	RPT
+	// GHBDelta carries the delta-correlating (G/DC) history prefetcher.
+	GHBDelta
+	// TSKID carries the trigger/target timing prefetcher.
+	TSKID
+	// Adaptive carries the online adaptive controller (internal/adaptive):
+	// the programmable prefetcher plus a menu of baseline units drawn from
+	// the units table, one active at a time. It is the one scheme whose unit
+	// is not a units entry; New builds the controller itself.
+	Adaptive
+
+	numSchemes
+)
+
+// schemes holds one row per constant above: the diagnostic name, whether the
+// machine carries the paper's programmable prefetcher (PPUs, filter table,
+// observation queue), and the units key of the baseline unit it carries
+// ("" for none).
+var schemes = [numSchemes]struct {
+	name         string
+	programmable bool
+	unit         string
+}{
+	NoPF:         {name: "nopf"},
+	StridePF:     {name: "stride", unit: "stride"},
+	GHBRegular:   {name: "ghb-regular", unit: "ghb"},
+	GHBLarge:     {name: "ghb-large", unit: "ghb"},
+	Programmable: {name: "programmable", programmable: true},
+	RPT:          {name: "rpt", unit: "rpt"},
+	GHBDelta:     {name: "ghb-delta", unit: "ghb-delta"},
+	TSKID:        {name: "tskid", unit: "tskid"},
+	Adaptive:     {name: "adaptive", programmable: true},
 }
 
-var schemeSpecs []SchemeSpec
-
-// RegisterScheme adds a machine scheme to the registry and returns its id.
-// Ids are assigned in registration order; the built-in schemes register at
-// package init, keeping their historical values (NoPF=0 … Programmable=4).
-func RegisterScheme(spec SchemeSpec) Scheme {
-	if spec.Name == "" {
-		panic("system: RegisterScheme: scheme needs a name")
-	}
-	schemeSpecs = append(schemeSpecs, spec)
-	return Scheme(len(schemeSpecs) - 1)
-}
-
-// unitCtor builds one hardware prefetch unit, taking every sizing knob from
-// the machine configuration.
+// unitCtor builds one hardware prefetch unit. It must take every sizing knob
+// from the machine configuration — never from package-level defaults — so
+// explicit Config overrides always take effect, and must not touch the L1's
+// demand snoop: a unit is passive, New attaches it.
 type unitCtor func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit
 
 // units is the one table of unit constructors. Its keys are the names the
-// adaptive menu offers; the single-unit schemes below name their unit by the
-// same key, so a unit is constructed in exactly one place however it is
-// hosted.
+// adaptive menu offers; the schemes rows name their unit by the same key, so
+// a unit is constructed in exactly one place however it is hosted.
 var units = map[string]unitCtor{
 	"stride": func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB) baseline.Unit {
 		return baseline.NewStride(eng, cfg.Stride, l1, tlb)
@@ -84,80 +101,16 @@ var units = map[string]unitCtor{
 	},
 }
 
-// unitScheme registers a scheme that carries the one unit the table holds
-// under key.
-func unitScheme(name, key string) Scheme {
-	ctor := units[key]
-	return RegisterScheme(SchemeSpec{
-		Name: name,
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, _ *prefetch.Prefetcher) baseline.Unit {
-			return ctor(eng, cfg, l1, tlb)
-		},
-	})
-}
-
-// Machine prefetching schemes. The first five keep the ids they had as enum
-// constants; the competitors added with the registry follow.
-var (
-	// NoPF carries no hardware prefetcher.
-	NoPF = RegisterScheme(SchemeSpec{Name: "nopf"})
-	// StridePF carries the Table 1 degree-8 stride prefetcher.
-	StridePF = unitScheme("stride", "stride")
-	// GHBRegular carries the SRAM-sized Markov GHB prefetcher.
-	GHBRegular = unitScheme("ghb-regular", "ghb")
-	// GHBLarge is the 1 GiB-state Markov GHB study variant. It builds from
-	// cfg.GHB exactly like GHBRegular — the large sizing is a *default*
-	// (baseline.LargeGHBConfig, applied by harness.ConfigFor when no
-	// explicit Config is given), not a constructor override, so a caller's
-	// cfg.GHB is always honoured.
-	GHBLarge = unitScheme("ghb-large", "ghb")
-	// Programmable carries the paper's event-triggered prefetcher.
-	Programmable = RegisterScheme(SchemeSpec{Name: "programmable", Programmable: true})
-	// RPT carries the Chen–Baer four-state reference prediction table.
-	RPT = unitScheme("rpt", "rpt")
-	// GHBDelta carries the delta-correlating (G/DC) history prefetcher.
-	GHBDelta = unitScheme("ghb-delta", "ghb-delta")
-	// TSKID carries the trigger/target timing prefetcher.
-	TSKID = unitScheme("tskid", "tskid")
-	// Adaptive carries the online adaptive controller: the programmable
-	// prefetcher plus a menu of baseline units, with one active at a time
-	// (internal/adaptive). Programmable and NewUnit together make New build
-	// both halves; the controller builds its menu from the units table.
-	Adaptive = RegisterScheme(SchemeSpec{
-		Name:         "adaptive",
-		Programmable: true,
-		NewUnit: func(eng *sim.Engine, cfg *Config, l1 *mem.Cache, tlb *mem.TLB, pf *prefetch.Prefetcher) baseline.Unit {
-			return adaptive.New(eng, cfg.Adaptive, l1, pf, func(name string) baseline.Unit {
-				if ctor := units[name]; ctor != nil {
-					return ctor(eng, cfg, l1, tlb)
-				}
-				return nil
-			})
-		},
-	})
-)
-
-// Valid reports whether s names a registered scheme.
-func (s Scheme) Valid() bool { return s >= 0 && int(s) < len(schemeSpecs) }
-
-// Spec returns the scheme's registry entry.
-func (s Scheme) Spec() (SchemeSpec, bool) {
-	if !s.Valid() {
-		return SchemeSpec{}, false
-	}
-	return schemeSpecs[s], true
-}
+// Valid reports whether s is one of the scheme constants.
+func (s Scheme) Valid() bool { return s >= 0 && s < numSchemes }
 
 // IsProgrammable reports whether the scheme carries the programmable
 // prefetcher (so PPU sizing can affect it).
-func (s Scheme) IsProgrammable() bool {
-	spec, ok := s.Spec()
-	return ok && spec.Programmable
-}
+func (s Scheme) IsProgrammable() bool { return s.Valid() && schemes[s].programmable }
 
 func (s Scheme) String() string {
-	if spec, ok := s.Spec(); ok {
-		return spec.Name
+	if s.Valid() {
+		return schemes[s].name
 	}
 	return fmt.Sprintf("unknown(%d)", int(s))
 }

@@ -77,8 +77,8 @@ type Machine struct {
 	TLB     *mem.TLB
 	Core    *cpu.Core
 	PF      *prefetch.Prefetcher // nil unless the scheme is programmable
-	// Baseline is the scheme's hardware prefetch unit, built by the scheme
-	// spec's NewUnit hook (nil for no-pf and programmable schemes).
+	// Baseline is the scheme's hardware prefetch unit (nil for no-pf and the
+	// programmable scheme).
 	Baseline baseline.Unit
 
 	// Counter is the shared dynamic micro-op counter for interpreters
@@ -135,23 +135,33 @@ func New(cfg Config, scheme Scheme) *Machine {
 	m.ctxH.m = m
 	eng.Own(m.ctxH)
 
-	spec, ok := scheme.Spec()
-	if !ok {
-		panic(fmt.Sprintf("system: New: unregistered scheme %d", int(scheme)))
+	if !scheme.Valid() {
+		panic(fmt.Sprintf("system: New: unknown scheme %d", int(scheme)))
 	}
-	// Programmable and NewUnit are not exclusive: the adaptive scheme sets
-	// both, hosting the programmable prefetcher as one arm of its menu. A
-	// unit is passive: this is where it is attached to the L1's demand
-	// stream, replacing the snoop prefetch.New installed (which a machine
-	// carrying only the programmable prefetcher keeps).
-	if spec.Programmable {
+	// The two halves are not exclusive: the adaptive controller hosts the
+	// programmable prefetcher as one arm of its menu. A unit is passive: this
+	// is where it is attached to the L1's demand stream, replacing the snoop
+	// prefetch.New installed (which a machine carrying only the programmable
+	// prefetcher keeps).
+	row := schemes[scheme]
+	if row.programmable {
 		m.PF = prefetch.New(eng, cfg.Prefetcher, bk, l1, tlb)
 		if cfg.ContextSwitchTicks > 0 {
 			eng.ScheduleAfter(cfg.ContextSwitchTicks, m.ctxH, 0, 0)
 		}
 	}
-	if spec.NewUnit != nil {
-		m.Baseline = spec.NewUnit(eng, &cfg, l1, tlb, m.PF)
+	switch {
+	case scheme == Adaptive:
+		m.Baseline = adaptive.New(eng, cfg.Adaptive, l1, m.PF, func(name string) baseline.Unit {
+			if ctor := units[name]; ctor != nil {
+				return ctor(eng, &cfg, l1, tlb)
+			}
+			return nil
+		})
+	case row.unit != "":
+		m.Baseline = units[row.unit](eng, &cfg, l1, tlb)
+	}
+	if m.Baseline != nil {
 		l1.OnDemandAccess = m.Baseline.Observe
 	}
 

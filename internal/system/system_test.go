@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"eventpf/internal/ir"
@@ -228,5 +229,34 @@ func TestContextSwitchFlush(t *testing.T) {
 	}
 	if res.PF.KernelRuns == 0 {
 		t.Error("prefetcher dead after flushes; configuration must survive")
+	}
+}
+
+// TestSchemeTableMatchesConstants: schemes is a literal indexed by the Scheme
+// constants that nothing checks at start-up, so this does — one named row per
+// constant, no name twice, and every unit key an entry of the units table.
+func TestSchemeTableMatchesConstants(t *testing.T) {
+	if len(schemes) != int(Adaptive)+1 {
+		t.Fatalf("schemes has %d rows for the %d constants NoPF..Adaptive", len(schemes), int(Adaptive)+1)
+	}
+	named := map[string]Scheme{}
+	for s := Scheme(0); s.Valid(); s++ {
+		row := schemes[s]
+		if row.name == "" || s.String() != row.name {
+			t.Errorf("scheme %d: name %q, String() %q", int(s), row.name, s)
+		}
+		if prev, dup := named[row.name]; dup {
+			t.Errorf("schemes %d and %d share the name %q", int(prev), int(s), row.name)
+		}
+		named[row.name] = s
+		if row.unit != "" && units[row.unit] == nil {
+			t.Errorf("%s: unit %q is not in the units table", s, row.unit)
+		}
+		if s.IsProgrammable() != row.programmable {
+			t.Errorf("%s: IsProgrammable() = %v, row says %v", s, s.IsProgrammable(), row.programmable)
+		}
+	}
+	if bad := Scheme(len(schemes)); bad.Valid() || bad.IsProgrammable() || bad.String() != fmt.Sprintf("unknown(%d)", len(schemes)) {
+		t.Errorf("a value past the table is Valid=%v IsProgrammable=%v String=%q", bad.Valid(), bad.IsProgrammable(), bad)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"math"
 
 	"eventpf/internal/cpu"
 )
@@ -105,7 +106,7 @@ func (d *champsimDecoder) fill() error {
 	copy(dstRegs[:], rec[10:12])
 	var srcRegs [champsimSources]uint8
 	copy(srcRegs[:], rec[12:16])
-	pc := int(uint32(ip)) // folded to the width the predictor and PC tables use
+	pc := int(ip & math.MaxInt32) // folded into cpu.MicroOp.PC's range: the low 31 bits
 
 	d.queue = d.queue[:0]
 	d.qpos = 0

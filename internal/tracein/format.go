@@ -20,8 +20,8 @@
 // Each record starts with a tag byte: bits 0–2 the cpu.OpKind, bit 3 the
 // branch direction, bit 4 "has address", bits 5/6 "has dependence 1/2", and
 // bit 7 zero — a set bit 7 marks the trailer instead. The tag is followed by
-// the PC as a zig-zag varint delta from the previous record's PC, then (if
-// present) the address as a zig-zag varint delta from the previous address,
+// the PC (0 ≤ PC < 2³¹, anything else is a *FormatError) as a zig-zag varint
+// delta from the previous record's PC, then (if present) the address as a zig-zag varint delta from the previous address,
 // then each present dependence distance (dispatch id minus producer id,
 // always ≥ 1) as a plain uvarint. Delta coding keeps loop-heavy streams
 // around 3–6 bytes per op before gzip.

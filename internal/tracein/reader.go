@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"eventpf/internal/cpu"
 )
@@ -129,6 +130,11 @@ func (d *nativeDecoder) Next() (Op, error) {
 		return Op{}, d.corrupt(start, "pc", err)
 	}
 	d.prevPC += dpc
+	if d.prevPC < 0 || d.prevPC > math.MaxInt32 {
+		// The capture side writes a 32-bit field (trace.Event.B) that holds
+		// an IR instruction index; cpu.MicroOp.PC states the range.
+		return Op{}, &FormatError{Offset: start, Reason: fmt.Sprintf("pc %d outside 0..2³¹-1", d.prevPC)}
+	}
 	op.PC = int(d.prevPC)
 	if tag&tagHasAddr != 0 {
 		if !kindHasAddr(op.Kind) {

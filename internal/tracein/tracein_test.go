@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -257,6 +258,36 @@ func TestUnknownTagByteIsFormatError(t *testing.T) {
 	}
 }
 
+// TestPCOutsideRangeIsFormatError: a native record's PC is what capture wrote
+// from a 32-bit field, so a delta that carries it below zero or past 2³¹-1 is
+// corruption, not a PC to hand to the core (cpu.MicroOp.PC).
+func TestPCOutsideRangeIsFormatError(t *testing.T) {
+	// A header, then one hand-built record, then a trailer counting one.
+	empty, one := encode(t, Meta{}, nil), encode(t, Meta{}, sampleOps[:1])
+	header, trailer := empty[:len(empty)-2:len(empty)-2], one[len(one)-2:]
+	for _, delta := range []int64{-1, 1 << 31, math.MinInt64} {
+		rec := binary.AppendVarint([]byte{byte(cpu.OpInt)}, delta)
+		dec, err := Open(bytes.NewReader(append(append(header, rec...), trailer...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = decodeAll(dec)
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("pc delta %d: error = %v, want *FormatError", delta, err)
+		}
+	}
+	// The largest PC decodes.
+	rec := binary.AppendVarint([]byte{byte(cpu.OpInt)}, math.MaxInt32)
+	dec, err := Open(bytes.NewReader(append(append(header, rec...), trailer...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops, err := decodeAll(dec); err != nil || len(ops) != 1 || ops[0].PC != math.MaxInt32 {
+		t.Errorf("pc 2³¹-1: decoded %+v, %v", ops, err)
+	}
+}
+
 // champsimRecord builds one 64-byte ChampSim input_instr.
 func champsimRecord(ip uint64, isBranch, taken bool, dst, src []uint8, dstMem, srcMem []uint64) []byte {
 	rec := make([]byte, champsimRecordLen)
@@ -314,6 +345,27 @@ func TestChampSimDecode(t *testing.T) {
 	for i := range want {
 		if ops[i] != want[i] {
 			t.Errorf("op %d = %+v, want %+v", i, ops[i], want[i])
+		}
+	}
+}
+
+// TestChampSimPCFoldsIntoRange: ChampSim instruction pointers are 64-bit
+// addresses; whatever their upper bits, the decoded PC is one the core and
+// the prefetch units accept (0 ≤ PC < 2³¹), the same for every record of one
+// instruction.
+func TestChampSimPCFoldsIntoRange(t *testing.T) {
+	rec := champsimRecord(0xffffffff80001000, false, false, []uint8{5}, nil, nil, []uint64{0x2000})
+	dec, err := Open(bytes.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := decodeAll(dec)
+	if err != nil || len(ops) != 2 {
+		t.Fatalf("decoded %+v, %v", ops, err)
+	}
+	for _, op := range ops {
+		if op.PC != 0x1000 {
+			t.Errorf("op of kind %d has PC %#x, want the low 31 bits 0x1000", op.Kind, op.PC)
 		}
 	}
 }
