@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"eventpf/internal/cpu"
+	"eventpf/internal/sim"
+	"eventpf/internal/trace"
 	"eventpf/internal/tracein"
 	"eventpf/internal/workloads"
 )
@@ -117,6 +120,30 @@ func TestReplayRejectsCorruptTrace(t *testing.T) {
 	var fe *tracein.FormatError
 	if !errors.As(err, &fe) {
 		t.Errorf("truncated replay error = %v, want *tracein.FormatError", err)
+	}
+}
+
+// TestReplayDependenceBeforeOpZero: a record whose dependence distance
+// reaches before the first op names a producer that never ran. Replay must
+// treat it as retired, as it does one older than the window, rather than
+// hand the core a negative producer id (which crashed ppfsim -trace-in and,
+// through a POST /jobs trace, a ppfserve worker and the daemon with it).
+func TestReplayDependenceBeforeOpZero(t *testing.T) {
+	var buf bytes.Buffer
+	w := tracein.NewWriter(&buf, tracein.Meta{Tool: "test"})
+	for pc, dist := range []uint64{0, 5, 1} {
+		w.Event(trace.Event{Kind: trace.CoreDispatch, A: int32(cpu.OpInt), B: int32(pc), Dur: sim.Ticks(dist)})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "before-zero.ppft")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(tracein.Bench(path), NoPF, Options{})
+	if err != nil || res.Core.Ops != 3 {
+		t.Fatalf("replay: %d ops, %v; want 3 ops and no error", res.Core.Ops, err)
 	}
 }
 

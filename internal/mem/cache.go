@@ -73,13 +73,29 @@ func (s CacheStats) PrefetchUtilisation() float64 {
 	return float64(s.PrefetchUsed) / float64(total)
 }
 
+// cacheLine is one way of a set: 16 bytes, the line address with the line's
+// flags in its low bits (a line address is LineSize-aligned).
 type cacheLine struct {
-	tag        uint64 // line address
-	valid      bool
-	dirty      bool
-	prefetched bool // brought in by a prefetch
-	used       bool // prefetched line later touched by demand
-	lastUse    int64
+	tag     uint64 // line address | line* flags
+	lastUse int64
+}
+
+// Flags in the low bits of cacheLine.tag.
+const (
+	lineValid = 1 << iota
+	lineDirty
+	linePrefetched // brought in by a prefetch
+	lineUsed       // prefetched line later touched by demand
+)
+
+func (l *cacheLine) has(flag uint64) bool { return l.tag&flag != 0 }
+
+// addr returns the line address without its flags.
+func (l *cacheLine) addr() uint64 { return l.tag &^ (LineSize - 1) }
+
+// holds reports whether l is a valid copy of line, whatever its other flags.
+func (l *cacheLine) holds(line uint64) bool {
+	return (l.tag^(line|lineValid))&^(lineDirty|linePrefetched|lineUsed) == 0
 }
 
 // waiter is one completion target merged into an in-flight miss.
@@ -123,7 +139,7 @@ type Cache struct {
 	next Level
 
 	sets  int
-	lines [][]cacheLine
+	lines []cacheLine // sets × Ways, one set after another
 	cacheState
 
 	// mshrSlots is the miss-register file: a fixed array scanned linearly.
@@ -224,33 +240,48 @@ func NewCache(eng *sim.Engine, clk sim.Clock, cfg CacheConfig, next Level) *Cach
 		cfg:       cfg,
 		next:      next,
 		sets:      sets,
-		lines:     make([][]cacheLine, sets),
+		lines:     make([]cacheLine, sets*cfg.Ways),
 		mshrSlots: make([]mshrEntry, cfg.MSHRs),
 	}
 	c.lookupH.c = c
 	c.fillH.c = c
 	eng.Own(c.lookupH, c.fillH)
-	for i := range c.lines {
-		c.lines[i] = make([]cacheLine, cfg.Ways)
-	}
 	return c
 }
 
 // Name returns the configured cache name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-func (c *Cache) setIndex(line uint64) int {
-	return int((line / LineSize) % uint64(c.sets))
+// set returns the ways line maps to.
+func (c *Cache) set(line uint64) []cacheLine {
+	i := int((line/LineSize)%uint64(c.sets)) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
 }
 
 func (c *Cache) lookup(line uint64) *cacheLine {
-	set := c.lines[c.setIndex(line)]
+	set := c.set(line)
 	for i := range set {
-		if set[i].valid && set[i].tag == line {
+		if set[i].holds(line) {
 			return &set[i]
 		}
 	}
 	return nil
+}
+
+// victim returns the way of set a fill replaces: the first invalid one,
+// else the least recently used.
+func victim(set []cacheLine) *cacheLine {
+	v := &set[0]
+	for i := range set {
+		l := &set[i]
+		if !l.has(lineValid) {
+			return l
+		}
+		if l.lastUse < v.lastUse {
+			v = l
+		}
+	}
+	return v
 }
 
 // findMSHR returns the active slot tracking line, or -1.
@@ -282,7 +313,7 @@ func (c *Cache) Access(req *Request) {
 		// line is absent, mark dirty if present).
 		c.Stats.Writebacks++
 		if l := c.lookup(req.Line); l != nil {
-			l.dirty = true
+			l.tag |= lineDirty
 			c.Pool.Put(req)
 			return
 		}
@@ -341,10 +372,10 @@ func (c *Cache) touch(line *cacheLine, req *Request) {
 	c.useClock++
 	line.lastUse = c.useClock
 	if req.Kind == Store {
-		line.dirty = true
+		line.tag |= lineDirty
 	}
-	if req.Kind != Prefetch && line.prefetched && !line.used {
-		line.used = true
+	if req.Kind != Prefetch && line.has(linePrefetched) {
+		line.tag |= lineUsed
 	}
 }
 
@@ -482,73 +513,63 @@ func (c *Cache) fill(s int32) {
 }
 
 func (c *Cache) insert(e *mshrEntry) {
-	set := c.lines[c.setIndex(e.line)]
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lastUse < victim.lastUse {
-			victim = l
-		}
-	}
-	c.evict(victim)
+	v := victim(c.set(e.line))
+	c.evict(v)
 
 	c.useClock++
-	*victim = cacheLine{
-		tag:        e.line,
-		valid:      true,
-		dirty:      e.dirty,
-		prefetched: e.initPrefetch,
-		// A demand access merged into a prefetch-initiated miss means the
-		// prefetched data was (late but) used.
-		used:    e.initPrefetch && e.demand,
-		lastUse: c.useClock,
+	tag := e.line | lineValid
+	if e.dirty {
+		tag |= lineDirty
 	}
 	if e.initPrefetch {
+		tag |= linePrefetched
+		if e.demand {
+			// A demand access merged into a prefetch-initiated miss means the
+			// prefetched data was (late but) used.
+			tag |= lineUsed
+		}
 		c.Stats.PrefetchFills++
+	}
+	*v = cacheLine{tag: tag, lastUse: c.useClock}
+}
+
+// retire counts a prefetched line leaving the cache (or, at FinalizeStats,
+// the run) as used or dead.
+func (c *Cache) retire(l *cacheLine) {
+	if !l.has(linePrefetched) {
+		return
+	}
+	if l.has(lineUsed) {
+		c.Stats.PrefetchUsed++
+	} else {
+		c.Stats.PrefetchDead++
 	}
 }
 
 func (c *Cache) evict(l *cacheLine) {
-	if !l.valid {
+	if !l.has(lineValid) {
 		return
 	}
-	if l.prefetched {
-		if l.used {
-			c.Stats.PrefetchUsed++
-		} else {
-			c.Stats.PrefetchDead++
-		}
-	}
-	if l.dirty {
+	c.retire(l)
+	if l.has(lineDirty) {
 		wb := c.Pool.Get()
-		wb.Addr, wb.Line = l.tag, l.tag
+		wb.Addr, wb.Line = l.addr(), l.addr()
 		wb.Kind = Writeback
 		wb.PC = -1
 		wb.Tag, wb.TimedAt = NoTag, -1
 		c.next.Access(wb)
 		c.Stats.Writebacks++
 	}
-	l.valid = false
+	l.tag &^= lineValid
 }
 
 // FinalizeStats folds lines still resident at end of run into the
 // prefetch-utilisation counters. Call once, after simulation completes.
 func (c *Cache) FinalizeStats() {
-	for _, set := range c.lines {
-		for i := range set {
-			l := &set[i]
-			if l.valid && l.prefetched {
-				if l.used {
-					c.Stats.PrefetchUsed++
-				} else {
-					c.Stats.PrefetchDead++
-				}
-				l.prefetched = false
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.has(lineValid) {
+			c.retire(l)
+			l.tag &^= linePrefetched
 		}
 	}
 }

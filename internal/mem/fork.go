@@ -61,9 +61,7 @@ func (c *Cache) CopyStateFrom(src *Cache) error {
 	if c.sets != src.sets || c.cfg.Ways != src.cfg.Ways || len(c.mshrSlots) != len(src.mshrSlots) {
 		return fmt.Errorf("mem: fork of cache %s into different geometry", src.cfg.Name)
 	}
-	for i := range src.lines {
-		copy(c.lines[i], src.lines[i])
-	}
+	copy(c.lines, src.lines)
 	c.cacheState = src.cacheState
 	for i := range src.mshrSlots {
 		se, de := &src.mshrSlots[i], &c.mshrSlots[i]
@@ -117,13 +115,11 @@ func (c *Cache) cloneRequests(dst, src []*Request, srcEng *sim.Engine) ([]*Reque
 // in-flight translation record table (completion handlers translated), the
 // walker queue and the LRU clock.
 func (t *TLB) CopyStateFrom(src *TLB) error {
-	if len(t.l1) != len(src.l1) || len(t.l2) != len(src.l2) {
+	if len(t.l1.ents) != len(src.l1.ents) || len(t.l2) != len(src.l2) || t.cfg.L2Ways != src.cfg.L2Ways {
 		return fmt.Errorf("mem: fork of TLB into different geometry")
 	}
-	copy(t.l1, src.l1)
-	for i := range src.l2 {
-		copy(t.l2[i], src.l2[i])
-	}
+	t.l1.copyFrom(&src.l1)
+	copy(t.l2, src.l2)
 	t.tlbState = src.tlbState
 	t.walkQueue = append(t.walkQueue[:0], src.walkQueue...)
 	if cap(t.recs) < len(src.recs) {

@@ -32,14 +32,12 @@ func TestCacheNoDuplicateLines(t *testing.T) {
 		eng.Run()
 		seen := map[uint64]int{}
 		valid := 0
-		for _, set := range c.lines {
-			for _, l := range set {
-				if l.valid {
-					valid++
-					seen[l.tag]++
-					if seen[l.tag] > 1 {
-						return false
-					}
+		for _, l := range c.lines {
+			if l.has(lineValid) {
+				valid++
+				seen[l.addr()]++
+				if seen[l.addr()] > 1 {
+					return false
 				}
 			}
 		}

@@ -62,8 +62,8 @@ type TLB struct {
 	cfg TLBConfig
 	bk  *Backing
 
-	l1 []tlbEntry // fully associative
-	l2 [][]tlbEntry
+	l1 l1TLB      // fully associative
+	l2 []tlbEntry // set-associative: sets × L2Ways, one set after another
 
 	tlbState
 	walkQueue []int32 // indices into recs, FIFO of walks awaiting a walker
@@ -114,18 +114,21 @@ func (t *TLB) takeWalker() int32 {
 // entry arrays, record table and walk queue are copied beside it).
 type tlbState struct {
 	activeWalks int
-	// useClock orders LRU touches. It is per-TLB (not package-level) so
-	// machines running on different goroutines never share mutable state;
-	// only the relative order within one TLB's sets matters.
+	// useClock orders LRU touches in the L2. It is per-TLB (not
+	// package-level) so machines running on different goroutines never share
+	// mutable state; only the relative order within one set matters.
 	useClock int64
 	Stats    TLBStats
 }
 
+// tlbEntry is one L2 way: 16 bytes, the page address with tlbValid in its
+// low bit (a page address is PageSize-aligned).
 type tlbEntry struct {
-	page    uint64
-	valid   bool
+	page    uint64 // page address | tlbValid
 	lastUse int64
 }
+
+const tlbValid = 1
 
 // transRec holds one in-flight translation: the page being resolved, the
 // completion target, and (for walks) the trace slot and start time.
@@ -161,7 +164,7 @@ func (hh tlbL2HitHandler) Handle(at sim.Ticks, a, _ uint64) {
 	t := hh.t
 	r := t.recs[a]
 	t.freeRec(int32(a))
-	t.insertLRU(t.l1, r.page)
+	t.l1.insert(r.page)
 	r.h.Handle(at, r.a, 1)
 }
 
@@ -184,9 +187,8 @@ func (hh tlbWalkDoneHandler) Handle(at sim.Ticks, a, _ uint64) {
 		t.walkerBusy[r.slot] = false
 	}
 	if ok {
-		t.insertLRU(t.l1, r.page)
-		set := t.l2[(r.page/PageSize)%uint64(len(t.l2))]
-		t.insertLRU(set, r.page)
+		t.l1.insert(r.page)
+		t.insertL2(t.l2Set(r.page), r.page)
 	} else {
 		t.Stats.Faults++
 	}
@@ -210,18 +212,21 @@ func NewTLB(eng *sim.Engine, clk sim.Clock, cfg TLBConfig, bk *Backing) *TLB {
 	t.l2HitH.t = t
 	t.walkDone.t = t
 	eng.Own(t.l2HitH, t.walkDone)
-	t.l1 = make([]tlbEntry, cfg.L1Entries)
-	sets := cfg.L2Entries / cfg.L2Ways
-	t.l2 = make([][]tlbEntry, sets)
-	for i := range t.l2 {
-		t.l2[i] = make([]tlbEntry, cfg.L2Ways)
-	}
+	t.l1 = newL1TLB(cfg.L1Entries)
+	t.l2 = make([]tlbEntry, cfg.L2Entries/cfg.L2Ways*cfg.L2Ways)
 	return t
 }
 
-func (t *TLB) findAndTouch(set []tlbEntry, page uint64) bool {
+// l2Set returns the ways of the L2 set page maps to.
+func (t *TLB) l2Set(page uint64) []tlbEntry {
+	w := t.cfg.L2Ways
+	i := int((page/PageSize)%uint64(len(t.l2)/w)) * w
+	return t.l2[i : i+w]
+}
+
+func (t *TLB) touchL2(set []tlbEntry, page uint64) bool {
 	for i := range set {
-		if set[i].valid && set[i].page == page {
+		if set[i].page == page|tlbValid {
 			t.useClock++
 			set[i].lastUse = t.useClock
 			return true
@@ -230,10 +235,11 @@ func (t *TLB) findAndTouch(set []tlbEntry, page uint64) bool {
 	return false
 }
 
-func (t *TLB) insertLRU(set []tlbEntry, page uint64) {
+// insertL2 fills the first invalid way of set, else its least recently used.
+func (t *TLB) insertL2(set []tlbEntry, page uint64) {
 	victim := &set[0]
 	for i := range set {
-		if !set[i].valid {
+		if set[i].page&tlbValid == 0 {
 			victim = &set[i]
 			break
 		}
@@ -242,7 +248,7 @@ func (t *TLB) insertLRU(set []tlbEntry, page uint64) {
 		}
 	}
 	t.useClock++
-	*victim = tlbEntry{page: page, valid: true, lastUse: t.useClock}
+	*victim = tlbEntry{page: page | tlbValid, lastUse: t.useClock}
 }
 
 // TranslateTo resolves the page containing addr, then fires h.Handle(at, a,
@@ -254,14 +260,13 @@ func (t *TLB) TranslateTo(addr uint64, h sim.Handler, a uint64) {
 	t.Stats.Accesses++
 	page := PageAddr(addr)
 
-	if t.findAndTouch(t.l1, page) {
+	if t.l1.touch(page) {
 		t.Stats.L1Hits++
 		h.Handle(t.eng.Now(), a, 1)
 		return
 	}
 
-	set := t.l2[(page/PageSize)%uint64(len(t.l2))]
-	if t.findAndTouch(set, page) {
+	if t.touchL2(t.l2Set(page), page) {
 		t.Stats.L2Hits++
 		ri := t.allocRec(page, h, a)
 		t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.L2HitCycles), t.l2HitH, uint64(ri), 0)
@@ -285,4 +290,170 @@ func (t *TLB) startWalk(ri int32) {
 	r.slot = t.takeWalker()
 	r.start = t.eng.Now()
 	t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.WalkCycles), t.walkDone, uint64(ri), 0)
+}
+
+// l1TLB is the fully-associative L1 TLB. It gives the answers a scan of
+// every entry would, in O(1): an open-addressed index finds a page's
+// lowest-indexed copy (the one a scan touches first), and an LRU list
+// threaded through the entries names the least recently used. Slots fill in
+// index order, so the first never-filled slot is slot filled. Inserting
+// never looks for an existing copy: two in-flight L2 hits for one page each
+// insert, and both copies stay resident, chained by slot index through dup.
+// TestL1TLBMatchesLinearScan holds it to the scan.
+type l1TLB struct {
+	ents []l1Entry
+	// index holds slot+1 of the lowest-indexed copy of each resident page,
+	// 0 for an empty cell; linear probing from home(page), at most half full.
+	index []int32
+	shift uint // 64 - log2(len(index))
+	l1State
+}
+
+// l1State is the L1 TLB's scalar state, copied to a fork with the arrays.
+type l1State struct {
+	filled   int32 // slots [0, filled) hold pages; the rest were never filled
+	mru, lru int32 // ends of the LRU list, -1 while empty
+}
+
+type l1Entry struct {
+	page       uint64
+	prev, next int32 // LRU neighbours toward the MRU and LRU ends, -1 at either
+	dup        int32 // next higher slot holding the same page, -1 if none
+}
+
+func newL1TLB(entries int) l1TLB {
+	size, shift := 2, uint(63)
+	for size < 2*entries {
+		size, shift = size*2, shift-1
+	}
+	return l1TLB{ents: make([]l1Entry, entries), index: make([]int32, size), shift: shift,
+		l1State: l1State{mru: -1, lru: -1}}
+}
+
+// home is page's first index cell (Fibonacci hashing of the page number).
+func (l *l1TLB) home(page uint64) int {
+	return int((page / PageSize * 0x9E3779B97F4A7C15) >> l.shift)
+}
+
+// find returns the index cell for page and the slot of its lowest-indexed
+// copy, or the empty cell that ends its probe and -1.
+func (l *l1TLB) find(page uint64) (cell int, slot int32) {
+	mask := len(l.index) - 1
+	for cell = l.home(page); ; cell = (cell + 1) & mask {
+		slot = l.index[cell] - 1
+		if slot < 0 || l.ents[slot].page == page {
+			return cell, slot
+		}
+	}
+}
+
+// touch reports whether page is resident and, if so, makes its
+// lowest-indexed copy the most recently used.
+func (l *l1TLB) touch(page uint64) bool {
+	_, s := l.find(page)
+	if s < 0 {
+		return false
+	}
+	if s != l.mru {
+		l.unlink(s)
+		l.pushMRU(s)
+	}
+	return true
+}
+
+// insert puts page in the first never-filled slot, else over the least
+// recently used entry, as the most recently used.
+func (l *l1TLB) insert(page uint64) {
+	s := l.filled
+	if int(s) < len(l.ents) {
+		l.filled++
+	} else {
+		s = l.lru
+		l.unindex(s)
+		l.unlink(s)
+	}
+	l.ents[s].page = page
+	l.reindex(s)
+	l.pushMRU(s)
+}
+
+// reindex adds slot s to its page's copies, kept in slot order.
+func (l *l1TLB) reindex(s int32) {
+	e := &l.ents[s]
+	cell, h := l.find(e.page)
+	switch {
+	case h < 0:
+		l.index[cell], e.dup = s+1, -1
+	case s < h:
+		l.index[cell], e.dup = s+1, h
+	default:
+		for l.ents[h].dup >= 0 && l.ents[h].dup < s {
+			h = l.ents[h].dup
+		}
+		e.dup, l.ents[h].dup = l.ents[h].dup, s
+	}
+}
+
+// unindex removes slot s from its page's copies.
+func (l *l1TLB) unindex(s int32) {
+	e := &l.ents[s]
+	cell, h := l.find(e.page)
+	switch {
+	case h != s:
+		for l.ents[h].dup != s {
+			h = l.ents[h].dup
+		}
+		l.ents[h].dup = e.dup
+	case e.dup >= 0:
+		l.index[cell] = e.dup + 1
+	default:
+		l.deleteCell(cell)
+	}
+}
+
+// deleteCell empties an index cell, shifting back every later entry of the
+// probe run that may fill it so that no lookup's probe crosses a hole.
+func (l *l1TLB) deleteCell(hole int) {
+	mask := len(l.index) - 1
+	for c := (hole + 1) & mask; l.index[c] != 0; c = (c + 1) & mask {
+		// The entry at c may move back to the hole unless its home lies
+		// cyclically in (hole, c].
+		if (c-l.home(l.ents[l.index[c]-1].page))&mask >= (c-hole)&mask {
+			l.index[hole] = l.index[c]
+			hole = c
+		}
+	}
+	l.index[hole] = 0
+}
+
+func (l *l1TLB) unlink(s int32) {
+	e := &l.ents[s]
+	if e.prev >= 0 {
+		l.ents[e.prev].next = e.next
+	} else {
+		l.mru = e.next
+	}
+	if e.next >= 0 {
+		l.ents[e.next].prev = e.prev
+	} else {
+		l.lru = e.prev
+	}
+}
+
+func (l *l1TLB) pushMRU(s int32) {
+	e := &l.ents[s]
+	e.prev, e.next = -1, l.mru
+	if l.mru >= 0 {
+		l.ents[l.mru].prev = s
+	} else {
+		l.lru = s
+	}
+	l.mru = s
+}
+
+// copyFrom makes l an exact copy of src, which has the same entry count.
+func (l *l1TLB) copyFrom(src *l1TLB) {
+	copy(l.ents, src.ents)
+	copy(l.index, src.index)
+	l.l1State = src.l1State
 }

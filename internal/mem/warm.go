@@ -19,36 +19,25 @@ func (c *Cache) WarmAccess(addr uint64, store bool) (hit bool) {
 		c.useClock++
 		l.lastUse = c.useClock
 		if store {
-			l.dirty = true
+			l.tag |= lineDirty
 		}
-		if l.prefetched && !l.used {
-			l.used = true
+		if l.has(linePrefetched) {
+			l.tag |= lineUsed
 		}
 		return true
 	}
-	set := c.lines[c.setIndex(line)]
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lastUse < victim.lastUse {
-			victim = l
-		}
-	}
+	v := victim(c.set(line))
 	// Keep the prefetch-utilisation classification honest for lines a warm
 	// eviction displaces; everything else stays out of the stats.
-	if victim.valid && victim.prefetched {
-		if victim.used {
-			c.Stats.PrefetchUsed++
-		} else {
-			c.Stats.PrefetchDead++
-		}
+	if v.has(lineValid) {
+		c.retire(v)
 	}
 	c.useClock++
-	*victim = cacheLine{tag: line, valid: true, dirty: store, lastUse: c.useClock}
+	tag := line | lineValid
+	if store {
+		tag |= lineDirty
+	}
+	*v = cacheLine{tag: tag, lastUse: c.useClock}
 	return false
 }
 
@@ -56,16 +45,16 @@ func (c *Cache) WarmAccess(addr uint64, store bool) (hit bool) {
 // timing, walker occupancy or stats.
 func (t *TLB) WarmAccess(addr uint64) {
 	page := PageAddr(addr)
-	if t.findAndTouch(t.l1, page) {
+	if t.l1.touch(page) {
 		return
 	}
-	set := t.l2[(page/PageSize)%uint64(len(t.l2))]
-	if t.findAndTouch(set, page) {
-		t.insertLRU(t.l1, page)
+	set := t.l2Set(page)
+	if t.touchL2(set, page) {
+		t.l1.insert(page)
 		return
 	}
 	if t.bk.Mapped(page) {
-		t.insertLRU(t.l1, page)
-		t.insertLRU(set, page)
+		t.l1.insert(page)
+		t.insertL2(set, page)
 	}
 }

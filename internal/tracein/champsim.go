@@ -51,9 +51,14 @@ type champsimDecoder struct {
 	regWriter [256]int64
 	nextID    int64
 
+	// rec and loadIDs are fill's scratch: the record being expanded and the
+	// ids of its loads. The decoder owns them so a record allocates nothing.
+	rec     [champsimRecordLen]byte
+	loadIDs [champsimSrcMem]int64
+
 	// queue holds the micro-ops of the record being drained.
-	queue []Op
-	qpos  int
+	queue      [champsimSrcMem + 1 + champsimDestMem]Op
+	qlen, qpos int
 }
 
 func newChampSimDecoder(br *bufio.Reader) *champsimDecoder {
@@ -67,7 +72,7 @@ func newChampSimDecoder(br *bufio.Reader) *champsimDecoder {
 func (d *champsimDecoder) Meta() Meta { return d.meta }
 
 func (d *champsimDecoder) Next() (Op, error) {
-	for d.qpos >= len(d.queue) {
+	for d.qpos >= d.qlen {
 		if err := d.fill(); err != nil {
 			return Op{}, err
 		}
@@ -88,7 +93,7 @@ func rel(id, producer int64) uint64 {
 
 // fill decodes one 64-byte instruction into the queue.
 func (d *champsimDecoder) fill() error {
-	var rec [champsimRecordLen]byte
+	rec := &d.rec
 	n, err := io.ReadFull(d.br, rec[:])
 	if err == io.EOF {
 		return io.EOF
@@ -108,8 +113,7 @@ func (d *champsimDecoder) fill() error {
 	copy(srcRegs[:], rec[12:16])
 	pc := int(ip & math.MaxInt32) // folded into cpu.MicroOp.PC's range: the low 31 bits
 
-	d.queue = d.queue[:0]
-	d.qpos = 0
+	d.qlen, d.qpos = 0, 0
 
 	// Source-register producers, in slot order, for deps below.
 	var srcDep [champsimSources]int64
@@ -120,7 +124,7 @@ func (d *champsimDecoder) fill() error {
 		}
 	}
 
-	var loadIDs []int64
+	loads := 0
 	for i := 0; i < champsimSrcMem; i++ {
 		addr := binary.LittleEndian.Uint64(rec[32+8*i:])
 		if addr == 0 {
@@ -128,24 +132,24 @@ func (d *champsimDecoder) fill() error {
 		}
 		id := d.nextID
 		d.nextID++
-		d.queue = append(d.queue, Op{
+		d.push(Op{
 			Kind: cpu.OpLoad, PC: pc, Addr: addr,
 			Rel: [2]uint64{rel(id, srcDep[0]), rel(id, srcDep[1])},
 		})
-		loadIDs = append(loadIDs, id)
+		d.loadIDs[loads] = id
+		loads++
 	}
 
 	// Body op: the instruction's own execution.
 	bodyID := d.nextID
 	d.nextID++
 	var bodyDeps [2]int64
-	bodyDeps[0], bodyDeps[1] = -1, -1
 	switch {
-	case len(loadIDs) >= 2:
-		bodyDeps[0] = loadIDs[len(loadIDs)-2]
-		bodyDeps[1] = loadIDs[len(loadIDs)-1]
-	case len(loadIDs) == 1:
-		bodyDeps[0] = loadIDs[0]
+	case loads >= 2:
+		bodyDeps[0] = d.loadIDs[loads-2]
+		bodyDeps[1] = d.loadIDs[loads-1]
+	case loads == 1:
+		bodyDeps[0] = d.loadIDs[0]
 		bodyDeps[1] = srcDep[0]
 	default:
 		bodyDeps[0] = srcDep[0]
@@ -157,7 +161,7 @@ func (d *champsimDecoder) fill() error {
 		body.Kind = cpu.OpBranch
 		body.Taken = taken
 	}
-	d.queue = append(d.queue, body)
+	d.push(body)
 	for _, r := range dstRegs {
 		if r != 0 {
 			d.regWriter[r] = bodyID
@@ -171,10 +175,15 @@ func (d *champsimDecoder) fill() error {
 		}
 		id := d.nextID
 		d.nextID++
-		d.queue = append(d.queue, Op{
+		d.push(Op{
 			Kind: cpu.OpStore, PC: pc, Addr: addr,
 			Rel: [2]uint64{rel(id, bodyID), 0},
 		})
 	}
 	return nil
+}
+
+func (d *champsimDecoder) push(op Op) {
+	d.queue[d.qlen] = op
+	d.qlen++
 }

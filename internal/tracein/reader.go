@@ -56,22 +56,27 @@ func Open(r io.Reader) (Decoder, error) {
 	return newChampSimDecoder(br), nil
 }
 
-// countingReader is a byte reader that tracks its offset for FormatError.
-type countingReader struct {
-	br  *bufio.Reader
-	off int64
-}
+// maxRecordLen is the longest native record: a tag byte and four varints
+// (PC, address, two dependence distances).
+const maxRecordLen = 1 + 4*binary.MaxVarintLen64
 
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.off++
-	}
-	return b, err
-}
+// errOverflow is what binary.ReadUvarint reports for a varint past 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
+// nativeDecoder decodes PPFT records in place, out of a view of the
+// bufio.Reader's buffer: no call per byte, and nothing copied.
 type nativeDecoder struct {
-	r        countingReader
+	br *bufio.Reader
+	// view is br's buffered data from base on; pos is the decode position in
+	// it. Unless viewErr is set, at least maxRecordLen bytes follow every
+	// record start, so a record never runs off the end of the view; once it
+	// is set, the view ends where the stream does, and reading past the end
+	// yields viewErr, as reading past it byte by byte would have.
+	view    []byte
+	pos     int
+	base    int64 // record-stream offset of view[0]
+	viewErr error
+
 	meta     Meta
 	prevPC   int64
 	prevAddr uint64
@@ -98,7 +103,7 @@ func newNativeDecoder(br *bufio.Reader) (*nativeDecoder, error) {
 	if _, err := io.ReadFull(br, metaJSON); err != nil {
 		return nil, &HeaderError{Reason: fmt.Sprintf("truncated metadata: %v", err)}
 	}
-	d := &nativeDecoder{r: countingReader{br: br}}
+	d := &nativeDecoder{br: br}
 	if err := json.Unmarshal(metaJSON, &d.meta); err != nil {
 		return nil, &HeaderError{Reason: fmt.Sprintf("metadata: %v", err)}
 	}
@@ -108,57 +113,127 @@ func newNativeDecoder(br *bufio.Reader) (*nativeDecoder, error) {
 func (d *nativeDecoder) Meta() Meta { return d.meta }
 
 func (d *nativeDecoder) Next() (Op, error) {
-	if d.done {
-		return Op{}, io.EOF
-	}
-	start := d.r.off
-	tag, err := d.r.ReadByte()
-	if err == io.EOF {
-		return Op{}, &FormatError{Offset: start, Reason: "stream ends without a trailer (truncated trace)"}
-	}
-	if err != nil {
-		return Op{}, err
-	}
-	if tag&trailerTag != 0 {
-		return Op{}, d.finish(tag, start)
-	}
 	var op Op
-	op.Kind = cpu.OpKind(tag & tagKindMask)
-	op.Taken = tag&tagTaken != 0
-	dpc, err := binary.ReadVarint(&d.r)
+	err := d.next(&op)
+	return op, err
+}
+
+// refill restarts the view at the decode position, holding at least
+// maxRecordLen bytes or everything up to the reader's error.
+func (d *nativeDecoder) refill() {
+	d.br.Discard(d.pos) // buffered bytes: cannot fail
+	d.base += int64(d.pos)
+	d.pos = 0
+	d.view, d.viewErr = d.br.Peek(maxRecordLen)
+	if d.viewErr == nil {
+		d.view, _ = d.br.Peek(d.br.Buffered())
+	}
+}
+
+// next decodes one record into op. Replayer.Fill calls it directly; Next is
+// it behind the Decoder interface.
+func (d *nativeDecoder) next(op *Op) error {
+	if d.done {
+		return io.EOF
+	}
+	if d.viewErr == nil && len(d.view)-d.pos < maxRecordLen {
+		d.refill()
+	}
+	start := d.base + int64(d.pos)
+	if d.pos == len(d.view) {
+		if d.viewErr == io.EOF {
+			return &FormatError{Offset: start, Reason: "stream ends without a trailer (truncated trace)"}
+		}
+		return d.viewErr
+	}
+	tag := d.view[d.pos]
+	d.pos++
+	if tag&trailerTag != 0 {
+		return d.finish(tag, start)
+	}
+	kind := cpu.OpKind(tag & tagKindMask)
+	dpc, err := d.varint()
 	if err != nil {
-		return Op{}, d.corrupt(start, "pc", err)
+		return d.corrupt(start, "pc", err)
 	}
 	d.prevPC += dpc
 	if d.prevPC < 0 || d.prevPC > math.MaxInt32 {
 		// The capture side writes a 32-bit field (trace.Event.B) that holds
 		// an IR instruction index; cpu.MicroOp.PC states the range.
-		return Op{}, &FormatError{Offset: start, Reason: fmt.Sprintf("pc %d outside 0..2³¹-1", d.prevPC)}
+		return &FormatError{Offset: start, Reason: fmt.Sprintf("pc %d outside 0..2³¹-1", d.prevPC)}
 	}
-	op.PC = int(d.prevPC)
+	*op = Op{Kind: kind, PC: int(d.prevPC), Taken: tag&tagTaken != 0}
 	if tag&tagHasAddr != 0 {
-		if !kindHasAddr(op.Kind) {
-			return Op{}, &FormatError{Offset: start, Reason: fmt.Sprintf("address on op kind %d", int(op.Kind))}
+		if !kindHasAddr(kind) {
+			return &FormatError{Offset: start, Reason: fmt.Sprintf("address on op kind %d", int(kind))}
 		}
-		daddr, err := binary.ReadVarint(&d.r)
+		daddr, err := d.varint()
 		if err != nil {
-			return Op{}, d.corrupt(start, "address", err)
+			return d.corrupt(start, "address", err)
 		}
 		d.prevAddr += uint64(daddr)
 		op.Addr = d.prevAddr
 	}
 	if tag&tagHasDep1 != 0 {
-		if op.Rel[0], err = binary.ReadUvarint(&d.r); err != nil {
-			return Op{}, d.corrupt(start, "dependence 1", err)
+		if op.Rel[0], err = d.uvarint(); err != nil {
+			return d.corrupt(start, "dependence 1", err)
 		}
 	}
 	if tag&tagHasDep2 != 0 {
-		if op.Rel[1], err = binary.ReadUvarint(&d.r); err != nil {
-			return Op{}, d.corrupt(start, "dependence 2", err)
+		if op.Rel[1], err = d.uvarint(); err != nil {
+			return d.corrupt(start, "dependence 2", err)
 		}
 	}
 	d.count++
-	return op, nil
+	return nil
+}
+
+// uvarint decodes the uvarint at the decode position with
+// binary.ReadUvarint's results, the end of the view standing for viewErr.
+// A one-byte varint, the common case, is decoded inline.
+func (d *nativeDecoder) uvarint() (uint64, error) {
+	if d.pos < len(d.view) && d.view[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.view[d.pos-1]), nil
+	}
+	return d.uvarintLong()
+}
+
+func (d *nativeDecoder) uvarintLong() (uint64, error) {
+	buf := d.view[d.pos:]
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if i == len(buf) {
+			d.pos += i
+			if i > 0 && d.viewErr == io.EOF {
+				return x, io.ErrUnexpectedEOF
+			}
+			return x, d.viewErr
+		}
+		b := buf[i]
+		if b < 0x80 {
+			d.pos += i + 1
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, errOverflow
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	d.pos += binary.MaxVarintLen64
+	return x, errOverflow
+}
+
+// varint decodes a zig-zag varint as binary.ReadVarint does.
+func (d *nativeDecoder) varint() (int64, error) {
+	ux, err := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
 }
 
 // finish validates the trailer and the bytes after it, then reports a clean
@@ -167,7 +242,7 @@ func (d *nativeDecoder) finish(tag byte, start int64) error {
 	if tag != trailerTag {
 		return &FormatError{Offset: start, Reason: fmt.Sprintf("unknown tag byte %#02x", tag)}
 	}
-	want, err := binary.ReadUvarint(&d.r)
+	want, err := d.uvarint()
 	if err != nil {
 		return d.corrupt(start, "trailer count", err)
 	}
@@ -175,8 +250,11 @@ func (d *nativeDecoder) finish(tag byte, start int64) error {
 		return &FormatError{Offset: start,
 			Reason: fmt.Sprintf("trailer records %d ops, decoded %d (truncated or spliced trace)", want, d.count)}
 	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return &FormatError{Offset: d.r.off, Reason: "data after the trailer"}
+	if d.pos == len(d.view) && d.viewErr == nil {
+		d.refill()
+	}
+	if d.pos < len(d.view) || d.viewErr != io.EOF {
+		return &FormatError{Offset: d.base + int64(d.pos), Reason: "data after the trailer"}
 	}
 	d.done = true
 	return io.EOF

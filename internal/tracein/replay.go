@@ -18,6 +18,7 @@ import (
 // Err, which the replay instance's oracle check consults after the run.
 type Replayer struct {
 	dec     Decoder
+	native  *nativeDecoder // dec, when it is one: Fill decodes through it directly
 	backing *mem.Backing
 	closer  io.Closer
 	path    string // set by OpenReplayer; enables CloneAt
@@ -61,7 +62,8 @@ func NewReplayer(dec Decoder, backing *mem.Backing, closer io.Closer) *Replayer 
 			backing.MapPage(r.Base + i*mem.PageSize)
 		}
 	}
-	return &Replayer{dec: dec, backing: backing, closer: closer}
+	native, _ := dec.(*nativeDecoder)
+	return &Replayer{dec: dec, native: native, backing: backing, closer: closer}
 }
 
 // Next implements cpu.Stream.
@@ -75,7 +77,13 @@ func (r *Replayer) Fill(op *cpu.MicroOp) bool {
 	if r.err != nil || r.dec == nil {
 		return false
 	}
-	rec, err := r.dec.Next()
+	var rec Op
+	var err error
+	if r.native != nil {
+		err = r.native.next(&rec)
+	} else {
+		rec, err = r.dec.Next()
+	}
 	if err != nil {
 		if err != io.EOF {
 			r.err = err
@@ -86,15 +94,8 @@ func (r *Replayer) Fill(op *cpu.MicroOp) bool {
 	id := r.nextID
 	r.nextID++
 	op.Kind, op.PC, op.Addr, op.Taken, op.Do = rec.Kind, rec.PC, rec.Addr, rec.Taken, nil
-	for i, rel := range rec.Rel {
-		op.Deps[i] = cpu.NoDep
-		if rel != 0 {
-			// A distance reaching past the start of the trace still resolves:
-			// the core treats producers older than the window as retired.
-			op.Deps[i] = id - int64(rel)
-		}
-	}
-	if op.Kind == cpu.OpLoad {
+	op.Deps = [2]int64{producer(id, rec.Rel[0]), producer(id, rec.Rel[1])}
+	if op.Kind == cpu.OpLoad && !r.backing.Mapped(op.Addr) {
 		// A demand load to an unmapped page panics in the machine glue;
 		// traces without a region table fault pages in as they appear.
 		r.backing.MapPage(op.Addr)
@@ -102,8 +103,18 @@ func (r *Replayer) Fill(op *cpu.MicroOp) bool {
 	return true
 }
 
+// producer resolves op id's dependence distance rel to a producer id. A
+// distance of 0 is no dependence; one reaching before op 0 names a producer
+// that never ran, which counts as retired, like one older than the window.
+func producer(id int64, rel uint64) int64 {
+	if rel == 0 || rel > uint64(id) {
+		return cpu.NoDep
+	}
+	return id - int64(rel)
+}
+
 func (r *Replayer) close() {
-	r.dec = nil
+	r.dec, r.native = nil, nil
 	if r.closer != nil {
 		if cerr := r.closer.Close(); cerr != nil && r.err == nil {
 			r.err = cerr

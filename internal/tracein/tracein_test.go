@@ -370,6 +370,32 @@ func TestChampSimPCFoldsIntoRange(t *testing.T) {
 	}
 }
 
+// TestChampSimDecodeAllocatesNothing: once Open has built the decoder,
+// expanding a record into its micro-ops allocates nothing (DESIGN §15) — the
+// record, its load ids and its ops live in buffers the decoder owns.
+func TestChampSimDecodeAllocatesNothing(t *testing.T) {
+	const records = 4096
+	// Two loads, the body and a store: four ops a record.
+	rec := champsimRecord(0x1000, false, false, []uint8{5}, []uint8{5, 6}, []uint64{0x3000}, []uint64{0x2000, 0x2008})
+	dec, err := Open(bytes.NewReader(bytes.Repeat(rec, records)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(records-1, func() { // one more run warms up
+		for i := 0; i < 4; i++ {
+			if _, err := dec.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per ChampSim record, want none", allocs)
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Errorf("after %d records: %v, want io.EOF", records, err)
+	}
+}
+
 func TestChampSimTruncatedRecord(t *testing.T) {
 	rec := champsimRecord(0x1000, false, false, nil, nil, nil, []uint64{0x2000})
 	dec, err := Open(bytes.NewReader(append(rec, rec[:10]...)))
