@@ -94,9 +94,7 @@ type Result struct {
 
 // Run executes one benchmark under one scheme and validates the result
 // against the benchmark's oracle. Options.Sample and Options.Slices become a
-// system.Plan, executed by the one run driver. Slice boundaries need the
-// program's dynamic op count up front, so the plan carries countOps for the
-// driver to call if it gets as far as slicing. The driver returns the
+// system.Plan, executed by the one run driver. The driver returns the
 // machine of the final lane — the one that reached end of program and
 // carries the state the oracle check needs — so the setup is retargeted at
 // it and its stream (after a serial run these are the setup's own).
@@ -105,11 +103,7 @@ func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sys, fm, err := rs.m.RunPlan(rs.stream, system.Plan{
-		Sample:   opt.Sample,
-		Slices:   opt.Slices,
-		CountOps: func() (int64, error) { return countOps(b, scheme, opt) },
-	})
+	sys, fm, err := rs.m.RunPlan(rs.stream, system.Plan{Sample: opt.Sample, Slices: opt.Slices})
 	if err != nil {
 		return Result{}, err
 	}
@@ -119,28 +113,6 @@ func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 	}
 	rs.m, rs.stream = fm, fs
 	return rs.collect(sys)
-}
-
-// countOps measures the benchmark's dynamic op count by draining a second,
-// throwaway copy of the stream functionally — no events, no timing, its own
-// machine (interpreters execute at Next time; the count costs a functional
-// pass, a small fraction of one detailed slice). opt carries no observers
-// that could double-fire: the driver slices, and so counts, only a run that
-// has none attached.
-func countOps(b *workloads.Benchmark, scheme Scheme, opt Options) (int64, error) {
-	rs, err := prepare(b, scheme, opt)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	var op cpu.MicroOp
-	for rs.stream.Fill(&op) {
-		n++
-	}
-	if err := rs.stream.streamErr(); err != nil {
-		return 0, fmt.Errorf("harness: %s: counting pass: %w", b.Name, err)
-	}
-	return n, nil
 }
 
 // runSetup is a prepared but not yet completed run: the assembled machine,

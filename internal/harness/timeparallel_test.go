@@ -115,6 +115,28 @@ func TestTimeParallelSerialOptionByteStable(t *testing.T) {
 	}
 }
 
+// TestSlicedRunBuildsOnce: the slice boundaries come from a fork of the
+// prepared machine, drained functionally, so a sliced run builds its
+// benchmark once, as a serial run does.
+func TestSlicedRunBuildsOnce(t *testing.T) {
+	builds := 0
+	b := *workloads.HJ2
+	b.Build = func(m *system.Machine, scale float64) *workloads.Instance {
+		builds++
+		return workloads.HJ2.Build(m, scale)
+	}
+	res, err := Run(&b, Manual, Options{Scale: goldenScale, Slices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TimeParallel == nil {
+		t.Fatalf("run did not slice: %q", res.Fallback)
+	}
+	if builds != 1 {
+		t.Errorf("a Slices=2 run built the benchmark %d times, want 1", builds)
+	}
+}
+
 // tinyBench is a one-instruction program: far too short to slice.
 func tinyBench(t *testing.T) *workloads.Benchmark {
 	t.Helper()

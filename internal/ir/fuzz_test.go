@@ -1,0 +1,44 @@
+package ir_test
+
+import (
+	"slices"
+	"testing"
+
+	"eventpf/internal/ir"
+	"eventpf/internal/system"
+	"eventpf/internal/workloads"
+)
+
+// FuzzParseIR feeds text to ir.Parse, the parser behind eventpf.ParseIR: it
+// must answer an error rather than panic, printing what it accepts and
+// parsing that again must give the same text (the first parse renumbers
+// values into block order, so the second changes nothing), and every
+// function it accepts — Parse has run Verify on it — must decode for the
+// interpreter. The seeds are the printed form of every workload build, as
+// TestKernelTextRoundTrip builds them; testdata/fuzz/FuzzParseIR holds
+// inputs that once panicked.
+func FuzzParseIR(f *testing.F) {
+	for _, b := range slices.Concat(workloads.All, workloads.Extra) {
+		inst := b.Build(system.New(system.DefaultConfig(), system.NoPF), 0.01)
+		for _, v := range []workloads.Variant{workloads.Plain, workloads.SWPf, workloads.Pragma} {
+			if fn := inst.BuildFn(v); fn != nil {
+				f.Add(fn.String())
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fn, err := ir.Parse(src)
+		if err != nil {
+			return
+		}
+		ir.Decode(fn)
+		once := fn.String()
+		again, err := ir.Parse(once)
+		if err != nil {
+			t.Fatalf("printed form does not parse: %v\n%s", err, once)
+		}
+		if twice := again.String(); twice != once {
+			t.Fatalf("print∘parse not idempotent:\n--- once\n%s\n--- twice\n%s", once, twice)
+		}
+	})
+}

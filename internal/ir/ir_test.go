@@ -369,11 +369,11 @@ func sameOp(a, b cpu.MicroOp) bool {
 	return a.Kind == b.Kind && a.PC == b.PC && a.Addr == b.Addr && a.Deps == b.Deps && a.Taken == b.Taken
 }
 
-// TestCloneDoesNotSharePhiScratch: block entry reads a block's phis into
-// scratch the interpreter keeps between entries. Forks run their clones on
-// other goroutines, so a clone taken mid-loop must have scratch of its own:
-// run beside the original, both must produce the rest of the straight run's
-// stream (and the race detector must stay quiet).
+// TestCloneDoesNotSharePhiScratch: a clone shares the decoded program but
+// not the environment its phi moves write (staging slots included). Forks
+// run their clones on other goroutines, so a clone taken mid-loop must write
+// only its own: run beside the original, both must produce the rest of the
+// straight run's stream (and the race detector must stay quiet).
 func TestCloneDoesNotSharePhiScratch(t *testing.T) {
 	straight, _ := sumLoopInterp(t)
 	want := drain(t, straight)
@@ -410,8 +410,8 @@ func TestCloneDoesNotSharePhiScratch(t *testing.T) {
 	}
 }
 
-// TestInterpLoopDoesNotAllocate: once the first entry to a block with phis
-// has sized the scratch, going round the loop allocates nothing.
+// TestInterpLoopDoesNotAllocate: going round a loop, phi moves included,
+// allocates nothing.
 func TestInterpLoopDoesNotAllocate(t *testing.T) {
 	it, _ := sumLoopInterp(t)
 	for i := 0; i < 50; i++ {

@@ -57,16 +57,20 @@ func (p *parser) run(src string) error {
 	if !ok || !strings.HasPrefix(head, "func ") {
 		return fmt.Errorf("ir: expected function header, got %q", head)
 	}
-	name := head[len("func "):strings.Index(head, "(")]
+	paren := strings.Index(head, "(")
+	if paren < 0 {
+		return fmt.Errorf("ir: bad header %q: no argument count", head)
+	}
 	var nargs int
-	if _, err := fmt.Sscanf(head[strings.Index(head, "("):], "(%d args) {", &nargs); err != nil {
+	if _, err := fmt.Sscanf(head[paren:], "(%d args) {", &nargs); err != nil {
 		return fmt.Errorf("ir: bad header %q: %v", head, err)
 	}
-	p.fn = &Fn{Name: name, NArgs: nargs}
+	p.fn = &Fn{Name: head[len("func "):paren], NArgs: nargs}
 	p.valueMap = map[int]Value{}
 
-	// First pass requires block declarations before use; pre-scan labels.
-	for _, raw := range lines[li-0:] {
+	// First pass requires block declarations before use; pre-scan labels. A
+	// block takes at least a line, so no block number reaches the line count.
+	for _, raw := range lines[li:] {
 		l := strings.TrimSpace(raw)
 		if strings.HasPrefix(l, "b") && strings.Contains(l, ":") && !strings.Contains(l, "=") &&
 			!strings.HasPrefix(l, "br ") {
@@ -75,6 +79,9 @@ func (p *parser) run(src string) error {
 				idStr = idStr[:i]
 			}
 			if n, err := strconv.Atoi(idStr); err == nil {
+				if n >= len(lines) {
+					return fmt.Errorf("ir: block b%d in a %d-line function", n, len(lines))
+				}
 				for len(p.fn.Blocks) <= n {
 					p.fn.Blocks = append(p.fn.Blocks, &Block{ID: BlockID(len(p.fn.Blocks))})
 				}
@@ -151,12 +158,16 @@ func (p *parser) blockHeader(line string) error {
 	nameStart := strings.Index(body, "<")
 	blkName := ""
 	if nameStart >= 0 {
-		blkName = body[nameStart+1 : strings.Index(body, ">")]
+		nameEnd := strings.Index(body, ">")
+		if nameEnd < nameStart {
+			return fmt.Errorf("ir: bad block header %q: unclosed name", line)
+		}
+		blkName = body[nameStart+1 : nameEnd]
 		body = body[:nameStart]
 	}
-	body = strings.TrimSuffix(strings.TrimSpace(body), ":")
+	body = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(body), ":"))
 	id, err := strconv.Atoi(strings.TrimPrefix(body, "b"))
-	if err != nil {
+	if err != nil || id < 0 || id >= len(p.fn.Blocks) {
 		return fmt.Errorf("ir: bad block header %q", line)
 	}
 	blk := p.fn.Blocks[id]
@@ -220,6 +231,13 @@ var parseOps = map[string]Op{
 	"cmpge": CmpGE, "cmpgeu": CmpGEU,
 }
 
+// operands is how many operand tokens each mnemonic other than a binary op
+// (two) takes; a phi's incoming values are bracketed instead.
+var operands = map[string]int{
+	"nop": 0, "const": 1, "arg": 1, "load": 1,
+	"store": 2, "swpf": 1, "br": 1, "condbr": 3, "ret": 1,
+}
+
 func (p *parser) instr(line string) error {
 	sym := ""
 	if i := strings.Index(line, ";"); i >= 0 {
@@ -227,57 +245,74 @@ func (p *parser) instr(line string) error {
 		line = strings.TrimSpace(line[:i])
 	}
 	f := strings.Fields(strings.ReplaceAll(line, ",", " "))
+	if len(f) == 0 {
+		return fmt.Errorf("no instruction")
+	}
 
 	// Value-producing instructions: "vN = op ...".
-	if len(f) >= 3 && f[1] == "=" {
+	mnem, args := f[0], f[1:]
+	value := len(f) >= 3 && f[1] == "="
+	if value {
+		mnem, args = f[2], f[3:]
+	}
+	want := operands[mnem]
+	if _, ok := parseOps[mnem]; ok {
+		want = 2
+	}
+	if len(args) < want {
+		return fmt.Errorf("%s takes %d operands, got %d", mnem, want, len(args))
+	}
+	if value {
 		srcNum, err := strconv.Atoi(strings.TrimPrefix(f[0], "v"))
 		if err != nil {
 			return fmt.Errorf("bad result %q", f[0])
 		}
-		op := f[2]
-		switch op {
+		switch mnem {
 		case "nop":
 			p.emit(srcNum, Instr{Op: Nop, A: NoValue, B: NoValue})
 		case "const":
-			imm, err := strconv.ParseInt(f[3], 10, 64)
+			imm, err := strconv.ParseInt(args[0], 10, 64)
 			if err != nil {
 				return err
 			}
 			p.emit(srcNum, Instr{Op: Const, A: NoValue, B: NoValue, Imm: imm})
 		case "arg":
-			imm, err := strconv.ParseInt(f[3], 10, 64)
+			imm, err := strconv.ParseInt(args[0], 10, 64)
 			if err != nil {
 				return err
 			}
 			p.emit(srcNum, Instr{Op: Arg, A: NoValue, B: NoValue, Imm: imm})
 		case "phi":
 			// "vN = phi [v1, v2]"
-			inner := line[strings.Index(line, "[")+1 : strings.Index(line, "]")]
-			var args []Value
-			for _, tok := range strings.Fields(strings.ReplaceAll(inner, ",", " ")) {
+			lb, rb := strings.Index(line, "["), strings.Index(line, "]")
+			if lb < 0 || rb < lb {
+				return fmt.Errorf("phi without [incoming values]")
+			}
+			var in []Value
+			for _, tok := range strings.Fields(strings.ReplaceAll(line[lb+1:rb], ",", " ")) {
 				v, err := p.val(tok)
 				if err != nil {
 					return err
 				}
-				args = append(args, v)
+				in = append(in, v)
 			}
-			p.emit(srcNum, Instr{Op: Phi, A: NoValue, B: NoValue, Args: args})
+			p.emit(srcNum, Instr{Op: Phi, A: NoValue, B: NoValue, Args: in})
 		case "load":
-			a, err := p.val(f[3])
+			a, err := p.val(args[0])
 			if err != nil {
 				return err
 			}
 			p.emit(srcNum, Instr{Op: Load, A: a, B: NoValue, Sym: sym})
 		default:
-			o, ok := parseOps[op]
+			o, ok := parseOps[mnem]
 			if !ok {
-				return fmt.Errorf("unknown op %q", op)
+				return fmt.Errorf("unknown op %q", mnem)
 			}
-			a, err := p.val(f[3])
+			a, err := p.val(args[0])
 			if err != nil {
 				return err
 			}
-			b, err := p.val(f[4])
+			b, err := p.val(args[1])
 			if err != nil {
 				return err
 			}
@@ -287,45 +322,45 @@ func (p *parser) instr(line string) error {
 	}
 
 	// Void instructions.
-	switch f[0] {
+	switch mnem {
 	case "store":
-		a, err := p.val(f[1])
+		a, err := p.val(args[0])
 		if err != nil {
 			return err
 		}
-		b, err := p.val(f[2])
+		b, err := p.val(args[1])
 		if err != nil {
 			return err
 		}
 		p.emit(-1, Instr{Op: Store, A: a, B: b, Sym: sym})
 	case "swpf":
-		a, err := p.val(f[1])
+		a, err := p.val(args[0])
 		if err != nil {
 			return err
 		}
 		p.emit(-1, Instr{Op: SWPf, A: a, B: NoValue, Sym: sym})
 	case "br":
-		t, err := p.block(f[1])
+		t, err := p.block(args[0])
 		if err != nil {
 			return err
 		}
 		p.emit(-1, Instr{Op: Br, A: NoValue, B: NoValue, Blocks: [2]BlockID{t, -1}})
 	case "condbr":
-		c, err := p.val(f[1])
+		c, err := p.val(args[0])
 		if err != nil {
 			return err
 		}
-		t1, err := p.block(f[2])
+		t1, err := p.block(args[1])
 		if err != nil {
 			return err
 		}
-		t2, err := p.block(f[3])
+		t2, err := p.block(args[2])
 		if err != nil {
 			return err
 		}
 		p.emit(-1, Instr{Op: CondBr, A: c, B: NoValue, Blocks: [2]BlockID{t1, t2}})
 	case "ret":
-		a, err := p.val(f[1])
+		a, err := p.val(args[0])
 		if err != nil {
 			return err
 		}
@@ -333,7 +368,7 @@ func (p *parser) instr(line string) error {
 	case "cfg":
 		return fmt.Errorf("cfg instructions have no textual form")
 	default:
-		return fmt.Errorf("unknown instruction %q", f[0])
+		return fmt.Errorf("unknown instruction %q", mnem)
 	}
 	return nil
 }

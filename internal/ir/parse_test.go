@@ -117,6 +117,21 @@ func TestParseRejectsBadInput(t *testing.T) {
 		"func x(0 args) {\nb0:\n  v0 = const 1\n}",            // no terminator
 		"func x(0 args) {\nb0:\n  br b7\n}",                   // bad block ref
 		"func x(0 args) {\nb0:\n  cfg {} args=[]\n  ret _\n}", // cfg untextual
+		"func x(0 args) {\nb0:\n  v0 = arg 3\n  ret v0\n}",    // argument out of range
+		// Truncated or malformed lines: errors, not panics.
+		"func x",
+		"func x(0 args) {\nb0:\n  v1 = const\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  v0 = const 1\n  v1 = add v0\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  v1 = phi\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  v0 = const 1\n  store v0\n  ret _\n}",
+		"func x(0 args) {\nb0 <e:\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  ; note\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  br b0\nb5#pragma prefetch:\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  br b0\nb-1:\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  br b1\nb1:  ; preds: b9\n  ret _\n}",
+		// A block number past the line count. A parser without the bound
+		// allocates that many blocks, so it goes last.
+		"func x(0 args) {\nb1000000000:\n  ret _\n}",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -128,7 +143,7 @@ func TestParseRejectsBadInput(t *testing.T) {
 func TestParsePreservesPragmaAndNames(t *testing.T) {
 	b := NewBuilder("p", 1)
 	e := b.NewBlock("entry")
-	l := b.NewBlock("loop")
+	l := b.NewBlock("") // an unnamed pragma header must reparse too
 	x := b.NewBlock("exit")
 	b.SetBlock(e)
 	n := b.Arg(0)

@@ -3,21 +3,50 @@ package ir
 import "fmt"
 
 // Verify checks structural well-formedness: every block ends in exactly one
-// terminator, phi argument counts match predecessor counts, operand indices
-// are in range, and every use is dominated by its definition.
+// terminator, phi argument counts match predecessor counts, operand,
+// argument and block indices are in range, and every use is dominated by its
+// definition.
 func (f *Fn) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("function %s has no blocks", f.Name)
 	}
+	if f.NArgs < 0 {
+		return fmt.Errorf("function %s takes %d args", f.Name, f.NArgs)
+	}
+	inRange := func(id BlockID) bool { return id >= 0 && int(id) < len(f.Blocks) }
+	if !inRange(f.Entry) {
+		return fmt.Errorf("entry block b%d does not exist", f.Entry)
+	}
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block b%d is empty", b.ID)
+		}
+		for _, p := range b.Preds {
+			if !inRange(p) {
+				return fmt.Errorf("block b%d: predecessor b%d does not exist", b.ID, p)
+			}
 		}
 		for i, v := range b.Instrs {
 			in := f.Instr(v)
 			isLast := i == len(b.Instrs)-1
 			if in.Op.IsTerminator() != isLast {
 				return fmt.Errorf("block b%d: terminator placement wrong at v%d (%s)", b.ID, v, in.Op)
+			}
+			switch in.Op {
+			case Arg:
+				if in.Imm < 0 || in.Imm >= int64(f.NArgs) {
+					return fmt.Errorf("v%d reads argument %d of %d", v, in.Imm, f.NArgs)
+				}
+			case Br, CondBr:
+				targets := in.Blocks[:]
+				if in.Op == Br {
+					targets = targets[:1]
+				}
+				for _, t := range targets {
+					if !inRange(t) {
+						return fmt.Errorf("v%d branches to b%d, which does not exist", v, t)
+					}
+				}
 			}
 			if in.Op == Phi {
 				if i > 0 && f.Instr(b.Instrs[i-1]).Op != Phi {

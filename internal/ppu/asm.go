@@ -45,11 +45,14 @@ func Assemble(src string) ([]Instr, error) {
 			continue
 		}
 
-		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
-		mnem, args := fields[0], fields[1:]
 		errf := func(format string, a ...interface{}) error {
 			return fmt.Errorf("line %d (%q): %s", lineNo+1, strings.TrimSpace(raw), fmt.Sprintf(format, a...))
 		}
+		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 {
+			return nil, errf("no mnemonic")
+		}
+		mnem, args := fields[0], fields[1:]
 
 		reg := func(s string) (uint8, error) {
 			if !strings.HasPrefix(s, "r") {

@@ -254,11 +254,15 @@ func TestAssembleErrors(t *testing.T) {
 		"ldg r1, g200",
 		"addi r1, r2",
 		"dup:\ndup:\nhalt",
+		",", // a line holding only commas
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
+	}
+	if _, err := Assemble("halt\n , ,\nhalt"); err == nil || !strings.HasPrefix(err.Error(), "line 2 ") {
+		t.Errorf("Assemble of a comma line = %v, want an error naming line 2", err)
 	}
 }
 

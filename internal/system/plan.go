@@ -89,21 +89,18 @@ type TimeParallelStats struct {
 type Plan struct {
 	// Sample, if non-nil, asks for interval sampling; it wins over Slices.
 	Sample *SampleConfig
-	// Slices, if above 1, asks for that many time-parallel slices.
+	// Slices, if above 1, asks for that many time-parallel slices. Slice
+	// boundaries need the program's dynamic op count up front, which RunPlan
+	// takes from a fork drained functionally at op zero.
 	Slices int
-	// CountOps returns the program's dynamic op count, which slice
-	// boundaries need up front and only a functional execution can provide.
-	// It is called only when slicing is attempted. A slightly-off count
-	// only skews the final slice's length (it runs to the true end of the
-	// stream), never drops or duplicates ops.
-	CountOps func() (int64, error)
 }
 
 var serialLanes = []lane{{detail: -1}}
 
 // lanes resolves the request for a machine with the named per-run observer
 // attached ("" for none). why is non-empty when something requested was not
-// honoured; it ends up in Result.Fallback.
+// honoured; it ends up in Result.Fallback. Nil lanes and no error mean the
+// run is to be sliced, once sliceLanes has the op count.
 func (p Plan) lanes(observer string) (lanes []lane, why string, err error) {
 	if c := p.Sample; c != nil {
 		if c.MeasureOps <= 0 || c.FFOps <= 0 || c.WarmupOps < 0 {
@@ -122,13 +119,17 @@ func (p Plan) lanes(observer string) (lanes []lane, why string, err error) {
 		// starts with none, so every lane but the first would run unseen.
 		return serialLanes, fmt.Sprintf("serial: slices=%d ignored: the %s would see only the first slice", p.Slices, observer), nil
 	}
-	total, err := p.CountOps()
-	if err != nil {
-		return nil, "", err
-	}
+	return nil, "", nil
+}
+
+// sliceLanes cuts a program of total dynamic ops into the requested number of
+// slices, clamped so each holds at least MinSliceOps. A slightly-off count
+// only skews the final slice's length (it runs to the true end of the
+// stream), never drops or duplicates ops.
+func (p Plan) sliceLanes(total int64) (lanes []lane, why string) {
 	k := min(int64(p.Slices), total/MinSliceOps)
 	if k < 2 {
-		return serialLanes, fmt.Sprintf("serial: program has %d ops, slicing needs at least %d", total, 2*MinSliceOps), nil
+		return serialLanes, fmt.Sprintf("serial: program has %d ops, slicing needs at least %d", total, 2*MinSliceOps)
 	}
 	lanes = make([]lane, k)
 	for i := range lanes {
@@ -136,7 +137,29 @@ func (p Plan) lanes(observer string) (lanes []lane, why string, err error) {
 		lanes[i] = lane{skip: start, detail: total*int64(i+1)/k - start}
 	}
 	lanes[k-1].detail = -1
-	return lanes, "", nil
+	return lanes, ""
+}
+
+// forkOpCount returns the dynamic op count of the stream m has started, by
+// forking m and draining the fork's clone of the stream functionally: no
+// events, no timing, and the fork is dropped after. Streams execute at pull
+// time, so the count is exact, and the machine was built once.
+func (m *Machine) forkOpCount() (int64, error) {
+	f, err := m.Fork()
+	if err != nil {
+		return 0, err
+	}
+	if f.stream == nil {
+		return 0, nil
+	}
+	defer closeStream(f.stream)
+	src := cpu.AsFiller(f.stream)
+	var n int64
+	var op cpu.MicroOp
+	for src.Fill(&op) {
+		n++
+	}
+	return n, nil
 }
 
 // RunPlan executes the stream under p and returns the stitched Result plus
@@ -153,8 +176,17 @@ func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
 	}
 	// Fork at op zero: Start has installed the stream but no event has run,
 	// so every fork is a byte-exact copy of the initial machine with its
-	// own stream clone positioned at op zero.
+	// own stream clone positioned at op zero. A sliced run forks once more
+	// first, to count the ops its slice boundaries are cut from.
 	m.Start(stream)
+	if lanes == nil {
+		total, err := m.forkOpCount()
+		if err != nil {
+			lanes, why = serialLanes, "serial: "+err.Error()
+		} else {
+			lanes, why = p.sliceLanes(total)
+		}
+	}
 	machines := append(make([]*Machine, 0, len(lanes)), m)
 	for len(machines) < len(lanes) {
 		f, err := m.Fork()

@@ -118,7 +118,7 @@ func TestRunPlanUnforkableStreamRunsSerially(t *testing.T) {
 	if plain.Fallback != "" {
 		t.Errorf("serial plan recorded a fallback: %q", plain.Fallback)
 	}
-	res, m, fm := run(Plan{Slices: 2, CountOps: func() (int64, error) { return plain.Core.Ops, nil }})
+	res, m, fm := run(Plan{Slices: 2})
 	if fm != m {
 		t.Error("fallback did not run on the original machine")
 	}

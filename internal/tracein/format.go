@@ -66,7 +66,9 @@ type Meta struct {
 	// Regions are the arena allocations of the captured machine. Replay maps
 	// every region page before the first op, reproducing the capture
 	// machine's exact page map — prefetches to mapped-but-untouched pages
-	// must survive translation on replay just as they did live.
+	// must survive translation on replay just as they did live. Open
+	// refuses a table with a region past the top of the address space or
+	// more than MaxRegionPages pages in all.
 	Regions []RegionMeta `json:"regions,omitempty"`
 	// Tool records what wrote the trace.
 	Tool string `json:"tool,omitempty"`
@@ -92,7 +94,8 @@ func (e *HeaderError) Error() string {
 }
 
 // FormatError reports a corrupt or truncated record stream at a byte offset
-// (counted over the decompressed stream, records only).
+// (counted over the decompressed stream, records only). A region table
+// replay cannot map is reported at offset 0, where the records begin.
 type FormatError struct {
 	Offset int64
 	Reason string

@@ -24,13 +24,16 @@ import (
 // replayed dependence names an earlier op or none. The corpus in
 // testdata/fuzz/FuzzTraceDecode holds the sampleOps encoding, a trace whose
 // record 1 reaches five ops back, the truncated, trailer-mismatch and
-// data-after-trailer cases, one gzipped trace and the ChampSim test records.
+// data-after-trailer cases, one gzipped trace, a header declaring a
+// petabyte region and the ChampSim test records.
 func FuzzTraceDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ref, err := refOpen(bytes.NewReader(raw))
 		if err != nil {
+			// A header error, or a region table replay could not map.
 			var he *HeaderError
-			if !errors.As(err, &he) {
+			var fe *FormatError
+			if !errors.As(err, &he) && !errors.As(err, &fe) {
 				t.Fatalf("Open: untyped error %v", err)
 			}
 			return
@@ -62,7 +65,8 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 
 		// Mapping a header region costs a map entry a page, as the capture
-		// machine's arena did; a fuzzed header can declare petabytes.
+		// machine's arena did; Open allows MaxRegionPages, more than one
+		// fuzz input should spend.
 		pages := uint64(0)
 		for _, r := range dec.Meta().Regions {
 			if pages += r.Size/mem.PageSize + 1; pages > 1<<12 {

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"eventpf/internal/cpu"
+	"eventpf/internal/mem"
 )
 
 // Op is one decoded trace record in machine-neutral form.
@@ -107,7 +108,42 @@ func newNativeDecoder(br *bufio.Reader) (*nativeDecoder, error) {
 	if err := json.Unmarshal(metaJSON, &d.meta); err != nil {
 		return nil, &HeaderError{Reason: fmt.Sprintf("metadata: %v", err)}
 	}
+	if err := checkRegions(d.meta.Regions); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// MaxRegionPages bounds the pages a native trace's region table may declare
+// in all. Replay maps every one of them before the first op (NewReplayer),
+// so without a bound a few header bytes could ask for any number. It is 2²⁰
+// pages, 4 GiB of address space; the largest capture this module makes,
+// HJ-8 at scale 1, declares 8449.
+const MaxRegionPages = 1 << 20
+
+// checkRegions refuses a region table replay cannot map: a region whose end
+// lies past the top of the address space, or more than MaxRegionPages pages
+// in all. The error is a *FormatError at offset 0, where the records the
+// table precedes begin.
+func checkRegions(regions []RegionMeta) error {
+	var total uint64
+	for _, r := range regions {
+		size := r.Size
+		if size == 0 {
+			size = 8 // as NewReplayer maps it
+		}
+		if r.Base > math.MaxUint64-(size-1) {
+			return &FormatError{Reason: fmt.Sprintf("region %q at %#x of %d bytes ends past the address space", r.Name, r.Base, r.Size)}
+		}
+		total += size / mem.PageSize
+		if size%mem.PageSize != 0 {
+			total++
+		}
+		if total > MaxRegionPages {
+			return &FormatError{Reason: fmt.Sprintf("regions declare more than %d pages", MaxRegionPages)}
+		}
+	}
+	return nil
 }
 
 func (d *nativeDecoder) Meta() Meta { return d.meta }

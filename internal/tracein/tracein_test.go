@@ -209,6 +209,34 @@ func TestHeaderErrors(t *testing.T) {
 	}
 }
 
+// TestRegionTableBounded: replay maps every page a header region declares,
+// so Open refuses a table it cannot map — a region past the top of the
+// address space, or more than MaxRegionPages pages in all — with a few
+// header bytes, before anything is mapped. A table at the bound opens.
+func TestRegionTableBounded(t *testing.T) {
+	const page = mem.PageSize
+	for name, regions := range map[string][]RegionMeta{
+		"petabyte":     {{Base: page, Size: 1 << 50}},
+		"wraps":        {{Base: math.MaxUint64 - page + 1, Size: 2 * page}},
+		"whole-space":  {{Base: 0, Size: math.MaxUint64}},
+		"sum-too-many": {{Base: page, Size: MaxRegionPages / 2 * page}, {Base: 1 << 40, Size: (MaxRegionPages/2 + 1) * page}},
+	} {
+		raw := encode(t, Meta{Regions: regions}, nil)
+		_, err := Open(bytes.NewReader(raw))
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s (%d-byte trace): Open error = %v, want *FormatError", name, len(raw), err)
+		}
+	}
+	atBound := []RegionMeta{{Base: page, Size: MaxRegionPages/2*page - 1}, {Base: 1 << 40, Size: MaxRegionPages / 2 * page}, {Base: 1 << 50}}
+	if _, err := Open(bytes.NewReader(encode(t, Meta{Regions: atBound[:2]}, nil))); err != nil {
+		t.Errorf("a table of exactly %d pages: %v", MaxRegionPages, err)
+	}
+	if _, err := Open(bytes.NewReader(encode(t, Meta{Regions: atBound}, nil))); err == nil {
+		t.Errorf("a zero-size region past %d pages was accepted", MaxRegionPages)
+	}
+}
+
 func TestTrailerCountMismatch(t *testing.T) {
 	raw := encode(t, Meta{}, sampleOps)
 	// The trailer of a small trace is its last two bytes: 0x80 then the count

@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"sort"
+	"slices"
 
 	"eventpf/internal/ir"
 	"eventpf/internal/mem"
@@ -105,41 +105,59 @@ func bfsOracle(rowptr, adj []uint64, root uint64) (visited uint64, parent []uint
 	return visited, parent
 }
 
-func buildG500(m *system.Machine, scale float64, list bool) *Instance {
-	scaleLg := uint(0)
+// g500ScaleLg is the log2 vertex count of a Graph500 input at scale: the
+// scaled vertex count rounded up to a power of two.
+func g500ScaleLg(scale float64, list bool) uint {
 	base := g500CSRScaleLg
 	if list {
 		base = g500ListScaleLg
 	}
 	nv := uint64(scaled(1<<base, scale))
+	scaleLg := uint(0)
 	for (uint64(1) << scaleLg) < nv {
 		scaleLg++
 	}
-	nv = uint64(1) << scaleLg
+	return scaleLg
+}
 
-	rng := splitmix64(0x65)
-	edges := rmat(&rng, scaleLg, g500EdgeFactor)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
+// kroneckerCSR generates the R-MAT graph of 2^scaleLg vertices and returns
+// it in compressed-sparse-row form, each row's targets in ascending order —
+// the edge list sorted by (source, target). A counting sort places the edges
+// by source and each row is then sorted on its own: the order is a total
+// order on values, so this is the comparison sort's result word for word.
+func kroneckerCSR(rng *splitmix64, scaleLg uint) (rowptr, adj []uint64) {
+	edges := rmat(rng, scaleLg, g500EdgeFactor)
+	nv := uint64(1) << scaleLg
+	rowptr = make([]uint64, nv+1)
+	for _, e := range edges {
+		rowptr[e[0]+1]++
+	}
+	for v := uint64(1); v <= nv; v++ {
+		rowptr[v] += rowptr[v-1]
+	}
+	// Scatter with rowptr[v] as row v's cursor, which leaves it at row v's
+	// end — row v+1's start — so shift the array back by one after.
+	adj = make([]uint64, len(edges))
+	for _, e := range edges {
+		adj[rowptr[e[0]]] = e[1]
+		rowptr[e[0]]++
+	}
+	copy(rowptr[1:], rowptr[:nv])
+	rowptr[0] = 0
+	for v := uint64(0); v < nv; v++ {
+		slices.Sort(adj[rowptr[v]:rowptr[v+1]])
+	}
+	return rowptr, adj
+}
+
+func buildG500(m *system.Machine, scale float64, list bool) *Instance {
+	scaleLg := g500ScaleLg(scale, list)
+	nv := uint64(1) << scaleLg
 
 	// CSR arrays (built for both variants: the oracle and the list build
 	// use them).
-	rowptrH := make([]uint64, nv+1)
-	adjH := make([]uint64, len(edges))
-	{
-		idx := 0
-		for v := uint64(0); v <= nv; v++ {
-			rowptrH[v] = uint64(idx)
-			for idx < len(edges) && edges[idx][0] == v {
-				adjH[idx] = edges[idx][1]
-				idx++
-			}
-		}
-	}
+	rng := splitmix64(0x65)
+	rowptrH, adjH := kroneckerCSR(&rng, scaleLg)
 
 	// Root: a vertex with a decent degree so the search covers the graph.
 	root := uint64(0)
@@ -167,8 +185,8 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		// Nodes are 2 words [target, next] padded to a full line, placed
 		// in shuffled order: list walks have no locality. Each node is
 		// line-aligned so a PPU kernel can read both words from the fill.
-		nodesR = m.Arena.AllocWords("nodes", uint64(len(edges))*nodeStride)
-		perm := rng.perm(uint64(len(edges)))
+		nodesR = m.Arena.AllocWords("nodes", uint64(len(adjH))*nodeStride)
+		perm := rng.perm(uint64(len(adjH)))
 		slot := func(i uint64) uint64 { return nodesR.Base + perm[i]*nodeStride*8 }
 		// Build per-vertex lists preserving adjacency order: inserting at
 		// the head in reverse keeps forward walk order equal to CSR order,
