@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -62,7 +64,8 @@ func TestCommands(t *testing.T) {
 	t.Run("adaptive-switches", e.adaptiveSwitches)
 	t.Run("trace-replay", e.traceReplay)
 	t.Run("serve", e.serve)
-	t.Run("cluster", e.cluster)
+	t.Run("daemon-flags", e.daemonFlags)
+	t.Run("load-usage", e.loadUsage)
 }
 
 // TestBenchmarkModuleBuilds type-checks the layered benchmark: it is a module
@@ -241,7 +244,7 @@ func (e env) start(t *testing.T, args ...string) *daemon {
 			d.cmd.Wait()
 		}
 	})
-	d.waitFor(t, "/metrics", func(string) bool { return true })
+	d.waitReady(t)
 	return d
 }
 
@@ -257,17 +260,17 @@ func (d *daemon) fetch(path string) (int, string, error) {
 	return resp.StatusCode, body.String(), err
 }
 
-// waitFor polls path until it answers 200 with a body ok accepts.
-func (d *daemon) waitFor(t *testing.T, path string, ok func(body string) bool) {
+// waitReady polls /metrics until it answers 200.
+func (d *daemon) waitReady(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if code, body, err := d.fetch(path); err == nil && code == http.StatusOK && ok(body) {
+		if code, _, err := d.fetch("/metrics"); err == nil && code == http.StatusOK {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("%s%s not ready after 30s\n%s", d.url, path, d.log())
+	t.Fatalf("%s/metrics not ready after 30s\n%s", d.url, d.log())
 }
 
 // terminate sends SIGTERM and requires a graceful drain: exit status 0.
@@ -292,7 +295,6 @@ func (d *daemon) get(t *testing.T, path string) string {
 
 // submitted is the part of a POST /jobs answer the smoke checks read.
 type submitted struct {
-	ID     string          `json:"id"`
 	Key    string          `json:"key"`
 	Cached bool            `json:"cached"`
 	Result json.RawMessage `json:"result"`
@@ -314,26 +316,25 @@ func (d *daemon) post(t *testing.T, path, spec string) submitted {
 
 // duplicate submits one config under two spellings and requires the second
 // answer to be a cache hit on the same key carrying the same result bytes.
-func (d *daemon) duplicate(t *testing.T) (first, second submitted) {
+func (d *daemon) duplicate(t *testing.T) {
 	t.Helper()
-	first = d.post(t, "/jobs?wait=1", `{"bench":"HJ-2","scheme":"stride","scale":0.02}`)
-	second = d.post(t, "/jobs", `{"bench":"hj2","scheme":"stride","scale":0.02}`)
+	first := d.post(t, "/jobs?wait=1", `{"bench":"HJ-2","scheme":"stride","scale":0.02}`)
+	second := d.post(t, "/jobs", `{"bench":"hj2","scheme":"stride","scale":0.02}`)
 	if !second.Cached || second.Key != first.Key {
 		t.Errorf("respelled duplicate: cached=%v key=%s, want a hit on %s", second.Cached, second.Key, first.Key)
 	}
 	if len(first.Result) == 0 || !bytes.Equal(first.Result, second.Result) {
 		t.Error("the duplicate was served different result bytes")
 	}
-	return first, second
 }
 
 // load drives a duplicate-heavy ppfload mix; -assert makes it exit nonzero
 // when a request fails, the hit rate is under one half or a duplicate was
 // simulated again.
-func (e env) load(t *testing.T, d *daemon, n int, chaos ...string) {
+func (e env) load(t *testing.T, d *daemon, n int) {
 	t.Helper()
-	e.run(t, "ppfload", append([]string{"-addr", d.url, "-n", fmt.Sprint(n), "-c", "4", "-dup", "0.5",
-		"-bench", "HJ-2,RandAcc", "-scheme", "stride,ghb-regular", "-scale", "0.02", "-assert", "0.5"}, chaos...)...)
+	e.run(t, "ppfload", "-addr", d.url, "-n", fmt.Sprint(n), "-c", "4", "-dup", "0.5",
+		"-bench", "HJ-2,RandAcc", "-scheme", "stride,ghb-regular", "-scale", "0.02", "-assert", "0.5")
 }
 
 func hasLine(text, prefix string) bool {
@@ -357,46 +358,37 @@ func (e env) serve(t *testing.T) {
 	d.terminate(t)
 }
 
-// cluster: a coordinator and two workers route a duplicate to the worker
-// that ran the original, merge fleet metrics, keep serving after one worker
-// drains, and lose no request and re-simulate nothing when another is
-// SIGKILLed under load.
-func (e env) cluster(t *testing.T) {
+// daemonFlags pins the two daemons' flag sets, as TestFlagSurface pins
+// ppfsim's: a new flag must be added here.
+func (e env) daemonFlags(t *testing.T) {
 	t.Parallel()
-	coord := e.start(t, "-cluster")
-	w1 := e.start(t, "-coordinator", coord.url, "-workers", "2")
-	e.start(t, "-coordinator", coord.url, "-workers", "2")
-	ring := func(workers int) {
-		t.Helper()
-		coord.waitFor(t, "/workers", func(body string) bool {
-			var reply struct {
-				Workers []json.RawMessage `json:"workers"`
+	for prog, want := range map[string][]string{
+		"ppfserve": {"addr", "cache", "cache-mb", "default-scale", "max-scale", "queue", "workers"},
+		"ppfload":  {"addr", "assert", "bench", "c", "dup", "n", "rps", "scale", "scheme", "seed"},
+	} {
+		help, _ := exec.Command(filepath.Join(e.dir, prog), "-h").CombinedOutput() // -h exits 0 or 2 by Go version
+		var got []string
+		for _, line := range strings.Split(string(help), "\n") {
+			if name, ok := strings.CutPrefix(line, "  -"); ok {
+				got = append(got, strings.Fields(name)[0])
 			}
-			return json.Unmarshal([]byte(body), &reply) == nil && len(reply.Workers) == workers
-		})
-	}
-	ring(2)
-	first, second := coord.duplicate(t)
-	if a, b := strings.Split(first.ID, "-")[0], strings.Split(second.ID, "-")[0]; a != b {
-		t.Errorf("duplicate routed to worker %s, the original ran on %s", b, a)
-	}
-	e.load(t, coord, 20)
-	metrics := coord.get(t, "/metrics")
-	for _, prefix := range []string{"cluster_workers_live 2", "cluster_jobs_routed", "ppfserve_cache_hits"} {
-		if !hasLine(metrics, prefix) {
-			t.Errorf("coordinator /metrics has no %q line:\n%s", prefix, metrics)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s -h lists %d flags, want %d:\n got %v\nwant %v", prog, len(got), len(want), got, want)
 		}
 	}
-	w1.terminate(t)
-	e.load(t, coord, 10)
+}
 
-	// Chaos: a third worker joins and takes over the keys it outranks the
-	// survivor for; it is killed well after the mix's four configs have all
-	// been sent once. ppfload exits 0 only if every request was answered and
-	// no more replies were fresh simulations than configs were sent.
-	w3 := e.start(t, "-coordinator", coord.url, "-workers", "2")
-	ring(2)
-	e.load(t, coord, 60, "-kill-pid", fmt.Sprint(w3.cmd.Process.Pid), "-kill-after", "30")
-	w3.cmd.Wait() // reap it; the SIGKILL is its exit status
-	ring(1)
+// loadUsage: ppfload -c 0 would start no sender and block on its first
+// request forever; it is a usage error, refused before any network call.
+func (e env) loadUsage(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(e.dir, "ppfload"), "-addr", "http://127.0.0.1:1",
+		"-n", "2", "-c", "0", "-bench", "HJ-2")
+	out, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 2 || ctx.Err() != nil {
+		t.Errorf("ppfload -c 0: exit %d (%v, deadline: %v), want 2\n%s", code, err, ctx.Err(), out)
+	}
 }

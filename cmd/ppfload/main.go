@@ -12,19 +12,6 @@
 //
 // With -assert set, the exit code is nonzero when the observed hit rate
 // falls below the threshold or when the server simulated a duplicate.
-//
-// -addr takes a comma-separated list of targets (requests round-robin
-// across them; /metrics and /benchmarks come from the first — point it at
-// the cluster coordinator, whose /metrics merges the whole fleet). The
-// chaos flags kill a worker process mid-run:
-//
-//	ppfload -addr http://localhost:8090 -n 200 -dup 0.5 -assert 0.5 \
-//	        -kill-pid $WORKER_PID -kill-after 50
-//
-// which asserts that failover never re-simulated a duplicate. Across a kill
-// it is the count from the replies that says so: the coordinator's /metrics
-// sums the live workers only, so the simulation count loses the dead
-// worker's share and can under-count (never over-count).
 package main
 
 import (
@@ -40,8 +27,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -71,7 +56,7 @@ type outcome struct {
 
 func main() {
 	var (
-		addr    = flag.String("addr", "http://localhost:8091", "comma-separated ppfserve/coordinator base URLs (round-robin; metrics from the first)")
+		addr    = flag.String("addr", "http://localhost:8091", "ppfserve base URL")
 		n       = flag.Int("n", 100, "total requests to send")
 		conc    = flag.Int("c", 8, "concurrent in-flight requests")
 		rps     = flag.Float64("rps", 0, "target request rate (0 = as fast as -c allows)")
@@ -81,17 +66,14 @@ func main() {
 		scale   = flag.Float64("scale", 0.02, "input scale for every request")
 		seed    = flag.Int64("seed", 1, "RNG seed for the request mix")
 		assert  = flag.Float64("assert", -1, "fail unless hit rate >= this and no duplicate re-simulated (-1 = report only)")
-
-		killPid   = flag.Int("kill-pid", 0, "chaos: SIGKILL this pid mid-run (with -kill-after)")
-		killAfter = flag.Int("kill-after", 0, "chaos: kill after this many completed requests")
 	)
 	flag.Parse()
 
-	targets := splitList(*addr)
-	if len(targets) == 0 {
-		fatalf("need at least one -addr target")
+	if *conc < 1 {
+		fmt.Fprintf(os.Stderr, "ppfload: -c %d: need at least one concurrent request\n", *conc)
+		os.Exit(2)
 	}
-	benchList, err := resolveBenches(targets[0], *benches)
+	benchList, err := resolveBenches(*addr, *benches)
 	if err != nil {
 		fatalf("resolving benchmark list: %v", err)
 	}
@@ -100,18 +82,18 @@ func main() {
 		fatalf("need at least one benchmark and one scheme")
 	}
 
-	before, err := scrapeMetrics(targets[0])
+	before, err := scrapeMetrics(*addr)
 	if err != nil {
 		fatalf("scraping /metrics before run: %v", err)
 	}
 
 	specs, distinctPlanned := buildMix(benchList, schemeList, *scale, *n, *dup, *seed)
 	fmt.Printf("ppfload: %d requests (%d distinct configs, dup ratio %.0f%%) against %s\n",
-		len(specs), distinctPlanned, *dup*100, strings.Join(targets, ", "))
+		len(specs), distinctPlanned, *dup*100, *addr)
 
-	outcomes := fire(targets, specs, *conc, *rps, &chaosKill{pid: *killPid, after: *killAfter})
+	outcomes := fire(*addr, specs, *conc, *rps)
 
-	after, err := scrapeMetrics(targets[0])
+	after, err := scrapeMetrics(*addr)
 	if err != nil {
 		fatalf("scraping /metrics after run: %v", err)
 	}
@@ -179,35 +161,11 @@ func buildMix(benches, schemes []string, scale float64, n int, dup float64, seed
 	return seq, used
 }
 
-// chaosKill configures the mid-run worker kill: after `after` requests
-// complete, `pid` gets SIGKILL — the hard-death half of the failover story
-// (SIGTERM drain is a different, graceful path).
-type chaosKill struct {
-	pid, after int
-	done       int64
-	once       sync.Once
-}
-
-func (c *chaosKill) completed() {
-	if c.pid <= 0 {
-		return
-	}
-	if atomic.AddInt64(&c.done, 1) >= int64(c.after) {
-		c.once.Do(func() {
-			fmt.Printf("  chaos: SIGKILL pid %d after %d completed requests\n", c.pid, c.after)
-			if err := syscall.Kill(c.pid, syscall.SIGKILL); err != nil {
-				fmt.Fprintf(os.Stderr, "ppfload: chaos kill failed: %v\n", err)
-			}
-		})
-	}
-}
-
-// fire sends every spec through a bounded worker pool, round-robining
-// requests across the targets and pacing admissions to the target rate when
-// one is set. Each request uses ?wait=1 so the measured latency spans
-// submit → terminal state; 429s are retried after the server's Retry-After
-// hint (capped so a wedged server cannot hang the run).
-func fire(targets []string, specs []spec, conc int, rps float64, chaos *chaosKill) []outcome {
+// fire sends every spec through a bounded worker pool, pacing admissions to
+// the target rate when one is set. Each request uses ?wait=1 so the measured
+// latency spans submit → terminal state; 429s are retried after the server's
+// Retry-After hint (capped so a wedged server cannot hang the run).
+func fire(addr string, specs []spec, conc int, rps float64) []outcome {
 	jobs := make(chan int)
 	outcomes := make([]outcome, len(specs))
 	var wg sync.WaitGroup
@@ -217,8 +175,7 @@ func fire(targets []string, specs []spec, conc int, rps float64, chaos *chaosKil
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				outcomes[i] = post(client, targets[i%len(targets)], specs[i])
-				chaos.completed()
+				outcomes[i] = post(client, addr, specs[i])
 			}
 		}()
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,58 +74,81 @@ func TestCacheByteBound(t *testing.T) {
 	}
 }
 
-// TestCacheEndpoints: the GET/PUT /cache/{key} pair the cluster's
-// replication rides on. A filled key turns the next submit of the matching
-// spec into a cache hit — no simulation runs.
-func TestCacheEndpoints(t *testing.T) {
-	srv := NewServer(Config{Workers: 1, QueueDepth: 2})
-	ran := false
-	srv.SetRunner(func(jb *Job) ([]byte, error) {
-		ran = true
-		return []byte("{\"stub\":true}\n"), nil
-	})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
+// hj2Key is the content key of HJ-2 × no-pf at scale 0.01, the spec the two
+// tests below put into the cache.
+func hj2Key(t *testing.T) (harness.JobSpec, string) {
+	t.Helper()
 	spec := harness.JobSpec{Bench: "HJ-2", Scheme: "no-pf", Scale: 0.01}
 	resolved, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := resolved.Key()
-	canonical := []byte("{\"peer\":\"filled\"}\n")
+	return spec, resolved.Key()
+}
 
-	// Missing key → 404 (malformed PUTs: TestRejectsBadOutsideInput).
-	if resp, _ := http.Get(hs.URL + "/cache/" + key); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET of unfilled key: status %d, want 404", resp.StatusCode)
+// TestOutsideBytesCannotEnterCache: the result cache holds only what this
+// server simulated (or what its own process put there). A PUT of forged bytes
+// under a real content key is refused, and the next submit of that spec
+// simulates and returns the runner's bytes, not the forged ones.
+func TestOutsideBytesCannotEnterCache(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2})
+	runs := 0
+	srv.runJob = func(*Job) ([]byte, error) {
+		runs++
+		return []byte("{\"stub\":true}\n"), nil
 	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	spec, key := hj2Key(t)
+	forged := []byte(`{"Cycles":1,"forged":true}`)
 
-	put, _ := http.NewRequest(http.MethodPut, hs.URL+"/cache/"+key, bytes.NewReader(canonical))
+	put, _ := http.NewRequest(http.MethodPut, hs.URL+"/cache/"+key, bytes.NewReader(forged))
 	resp, err := http.DefaultClient.Do(put)
-	if err != nil || resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT /cache: %v status %d", err, resp.StatusCode)
-	}
-
-	got, err := http.Get(hs.URL + "/cache/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := io.ReadAll(got.Body)
-	got.Body.Close()
-	if !bytes.Equal(b, canonical) {
-		t.Errorf("GET /cache returned %q, want the PUT bytes", b)
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Errorf("PUT /cache/{key}: status %d, want it refused", resp.StatusCode)
 	}
 
-	resp2, sr := postJob(t, hs.URL, spec, "")
-	if resp2.StatusCode != http.StatusOK || !sr.Cached {
-		t.Errorf("submit after the fill: status %d cached=%v, want a cache hit", resp2.StatusCode, sr.Cached)
+	resp, sr := postJob(t, hs.URL, spec, "?wait=1")
+	if resp.StatusCode != http.StatusOK || sr.State != StateDone || sr.Cached || runs != 1 {
+		t.Errorf("submit after the PUT: status %d state %s cached=%v runs=%d, want a fresh simulation",
+			resp.StatusCode, sr.State, sr.Cached, runs)
+	}
+	if bytes.Contains(sr.Result, []byte("forged")) || !bytes.Contains(sr.Result, []byte("stub")) {
+		t.Errorf("the submit was answered with %s, want the runner's result", sr.Result)
+	}
+	if resp, err = http.Get(hs.URL + "/cache/" + key); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Errorf("GET /cache/{key}: status %d, want no such route", resp.StatusCode)
+	}
+}
+
+// TestCachePutIsAHit: the in-process half, which the benchmark's serve probe
+// relies on. Bytes put with CachePut answer the next submit of the matching
+// spec as a cache hit, and the runner is not called.
+func TestCachePutIsAHit(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2})
+	ran := false
+	srv.runJob = func(*Job) ([]byte, error) {
+		ran = true
+		return []byte("{\"stub\":true}\n"), nil
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	spec, key := hj2Key(t)
+	srv.CachePut(key, []byte("{\"put\":\"in-process\"}\n"))
+	resp, sr := postJob(t, hs.URL, spec, "")
+	if resp.StatusCode != http.StatusOK || !sr.Cached || !bytes.Contains(sr.Result, []byte("in-process")) {
+		t.Errorf("submit after CachePut: status %d cached=%v result %q, want a hit on the put bytes",
+			resp.StatusCode, sr.Cached, sr.Result)
 	}
 	if ran {
-		t.Error("simulation ran despite the filled cache entry")
-	}
-
-	m := scrapeMetrics(t, hs.URL)
-	if m["ppfserve_cache_fills"] != 1 {
-		t.Errorf("cache_fills = %d, want 1", m["ppfserve_cache_fills"])
+		t.Error("simulation ran despite the cached entry")
 	}
 }

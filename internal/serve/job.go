@@ -20,7 +20,7 @@ import (
 )
 
 // State is a job's position in its lifecycle. Transitions only move
-// forward (Job.Publish enforces it): Queued → Running → Done or Failed, or
+// forward (Job.publish enforces it): Queued → Running → Done or Failed, or
 // Queued directly to Rejected when a drain or a cancel takes the job out of
 // the queue.
 type State string
@@ -67,7 +67,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	status   ProgressEvent // the latest publish, nothing older is kept
-	changed  chan struct{} // closed and replaced by every applied Publish
+	changed  chan struct{} // closed and replaced by every applied publish
 	result   []byte        // canonical harness.EncodeResult bytes, set when done
 	started  time.Time
 	finished time.Time
@@ -81,17 +81,16 @@ func newJob(id string, spec harness.JobSpec, resolved harness.Job) *Job {
 		resolved: resolved,
 		changed:  make(chan struct{}),
 	}
-	j.Publish(ProgressEvent{State: StateQueued})
+	j.publish(ProgressEvent{State: StateQueued})
 	return j
 }
 
-// Publish makes ev the job's status and wakes every watcher. It is the one
+// publish makes ev the job's status and wakes every watcher. It is the one
 // gate that keeps states moving forward: nothing applies after a terminal
 // state, and only a queued job can be rejected, so of a racing cancel and
 // dispatch exactly one wins. It reports whether ev applied. Callers must NOT
-// hold j.mu. Exported so cluster tests and custom runners (SetRunner) can
-// emit progress.
-func (j *Job) Publish(ev ProgressEvent) bool {
+// hold j.mu.
+func (j *Job) publish(ev ProgressEvent) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	cur := j.status
@@ -188,4 +187,4 @@ func (j *Job) resultBytes() []byte {
 	return j.result
 }
 
-func jobID(prefix string, n uint64) string { return prefix + strconv.FormatUint(n, 10) }
+func jobID(n uint64) string { return "j" + strconv.FormatUint(n, 10) }

@@ -24,7 +24,6 @@ type metrics struct {
 	cacheHits            atomic.Int64 // served straight from the result cache
 	cacheMisses          atomic.Int64 // admitted for simulation
 	cacheEvictions       atomic.Int64 // entries pushed out by the LRU bound
-	cacheFills           atomic.Int64 // entries inserted via PUT /cache (peer fill / replication)
 	inflight             atomic.Int64 // jobs currently simulating
 	simulations          atomic.Int64 // jobs a worker started running (ppfserve_memo_misses)
 	draining             atomic.Bool

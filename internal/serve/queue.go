@@ -35,7 +35,7 @@ func (s *Server) dispatch(jb *Job) {
 		s.finishJob(jb, StateRejected, "server draining: queued job rejected")
 		return
 	}
-	if !jb.Publish(ProgressEvent{State: StateRunning, Phase: "starting"}) {
+	if !jb.publish(ProgressEvent{State: StateRunning, Phase: "starting"}) {
 		return
 	}
 	s.m.inflight.Add(1)
@@ -57,14 +57,14 @@ func (s *Server) dispatch(jb *Job) {
 		jb.setResult(result)
 		s.storeResult(jb, result)
 		s.m.completed.Add(1)
-		jb.Publish(ProgressEvent{State: StateDone, Phase: "oracle-checked"})
+		jb.publish(ProgressEvent{State: StateDone, Phase: "oracle-checked"})
 	}
 }
 
 // finishJob moves a job to a terminal failure/rejection state and, if the
-// job took it (see Job.Publish), clears its in-flight registration.
+// job took it (see Job.publish), clears its in-flight registration.
 func (s *Server) finishJob(jb *Job, st State, msg string) bool {
-	if !jb.Publish(ProgressEvent{State: st, Error: msg}) {
+	if !jb.publish(ProgressEvent{State: st, Error: msg}) {
 		return false
 	}
 	s.mu.Lock()

@@ -485,7 +485,7 @@ func TestSSEStatusStream(t *testing.T) {
 	srv.runJob = func(jb *Job) ([]byte, error) {
 		<-gate // hold until the subscriber attached
 		for i := 1; i <= 5; i++ {
-			jb.Publish(ProgressEvent{State: StateRunning, Phase: "simulating", Events: int64(i * 100), SimTicks: int64(i)})
+			jb.publish(ProgressEvent{State: StateRunning, Phase: "simulating", Events: int64(i * 100), SimTicks: int64(i)})
 		}
 		return []byte("{\"stub\":true}\n"), nil
 	}
@@ -627,7 +627,7 @@ func TestUnsupportedPairFails(t *testing.T) {
 }
 
 // TestCancelDispatchRace: a cancel and the worker's dispatch race for a
-// queued job; Job.Publish lets exactly one win. Never a non-terminal status
+// queued job; Job.publish lets exactly one win. Never a non-terminal status
 // after a terminal one, never a stored result for a job reported rejected.
 func TestCancelDispatchRace(t *testing.T) {
 	srv := NewServer(Config{Workers: 1})
@@ -692,26 +692,19 @@ func TestCancelDispatchRace(t *testing.T) {
 	t.Logf("cancel won %d of 200 rounds", cancelled)
 }
 
-// TestRejectsBadOutsideInput: request bodies are bounded and a cache PUT
-// must carry a real content key and a JSON document.
+// TestRejectsBadOutsideInput: request bodies are bounded and must be JSON.
 func TestRejectsBadOutsideInput(t *testing.T) {
 	srv := NewServer(Config{Workers: 1})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	key := strings.Repeat("ab", 32)
 	for _, tc := range []struct {
-		name, method, path, body string
-		want                     int
+		name, body string
+		want       int
 	}{
-		{"job body over 1 MiB", http.MethodPost, "/jobs", `{"bench":"` + strings.Repeat("x", maxBody) + `"}`, http.StatusRequestEntityTooLarge},
-		{"job body not JSON", http.MethodPost, "/jobs", "bench=HJ-2", http.StatusBadRequest},
-		{"cache key too short", http.MethodPut, "/cache/abcd", "{}", http.StatusBadRequest},
-		{"cache key not hex", http.MethodPut, "/cache/" + strings.Repeat("zz", 32), "{}", http.StatusBadRequest},
-		{"cache body not JSON", http.MethodPut, "/cache/" + key, "{\"truncated\":", http.StatusBadRequest},
-		{"cache body empty", http.MethodPut, "/cache/" + key, "", http.StatusBadRequest},
+		{"job body over 1 MiB", `{"bench":"` + strings.Repeat("x", maxBody) + `"}`, http.StatusRequestEntityTooLarge},
+		{"job body not JSON", "bench=HJ-2", http.StatusBadRequest},
 	} {
-		req, _ := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(tc.body))
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -719,8 +712,5 @@ func TestRejectsBadOutsideInput(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
-	}
-	if _, ok := srv.CacheGet(key); ok {
-		t.Error("a rejected PUT reached the cache")
 	}
 }

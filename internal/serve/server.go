@@ -2,11 +2,9 @@ package serve
 
 import (
 	"container/list"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -40,15 +38,12 @@ type Config struct {
 	// ProgressEvery publishes one SSE progress event per this many machine
 	// trace events (default 65536).
 	ProgressEvery int64
-	// IDPrefix prefixes every job ID (default "j"). Cluster workers use
-	// their worker name so IDs stay unique across the fleet.
-	IDPrefix string
 }
 
 // jobHistory caps how many terminal jobs stay queryable by ID.
 const jobHistory = 1024
 
-// maxBody bounds a JSON request body (a JobSpec, a worker registration).
+// maxBody bounds a JSON request body (a JobSpec).
 const maxBody = 1 << 20
 
 func (c Config) withDefaults() Config {
@@ -73,14 +68,11 @@ func (c Config) withDefaults() Config {
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 1 << 16
 	}
-	if c.IDPrefix == "" {
-		c.IDPrefix = "j"
-	}
 	return c
 }
 
 // cacheEntry is one content-addressed result: the canonical bytes plus the
-// job that produced them (empty for entries PUT by the cluster).
+// job that produced them (empty for entries inserted with CachePut).
 type cacheEntry struct {
 	key   string
 	bytes []byte
@@ -97,9 +89,8 @@ type Server struct {
 	m   metrics
 	sim *simAggregate
 
-	// runJob performs one admitted simulation; tests and cluster stubs
-	// substitute it via SetRunner so queue/drain/status behaviour is checkable
-	// without real simulations.
+	// runJob performs one admitted simulation; tests substitute it so
+	// queue/drain/status behaviour is checkable without real simulations.
 	runJob func(*Job) ([]byte, error)
 
 	mu         sync.Mutex
@@ -139,10 +130,8 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /benchmarks", HandleBenchmarks)
+	s.mux.HandleFunc("GET /benchmarks", handleBenchmarks)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.startWorkers()
 	return s
@@ -150,12 +139,6 @@ func NewServer(cfg Config) *Server {
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// SetRunner replaces the function that executes admitted jobs. Production
-// keeps the built-in simulator; cluster and queue tests substitute stubs
-// (which may call Job.Publish to emit progress). Call before serving
-// traffic.
-func (s *Server) SetRunner(run func(*Job) ([]byte, error)) { s.runJob = run }
 
 // submitResponse is the POST /jobs response body.
 type submitResponse struct {
@@ -168,21 +151,19 @@ type submitResponse struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// ErrorResponse is every non-2xx JSON body. The valid-value lists turn a
-// typo'd request into a menu (satellite: surface workloads.ByName's list).
-// Exported, like DecodeBody, WriteJSON and HandleBenchmarks, for the cluster
-// coordinator: it answers the same clients in the same shape.
-type ErrorResponse struct {
+// errorResponse is every non-2xx JSON body. The valid-value lists turn a
+// typo'd request into a menu (workloads.MenuNames, harness.SchemeNames).
+type errorResponse struct {
 	Error           string   `json:"error"`
 	ValidBenchmarks []string `json:"valid_benchmarks,omitempty"`
 	ValidSchemes    []string `json:"valid_schemes,omitempty"`
 	RetryAfter      int      `json:"retry_after_seconds,omitempty"`
 }
 
-// DecodeBody decodes a JSON request body of at most maxBody bytes into v. On
+// decodeBody decodes a JSON request body of at most maxBody bytes into v. On
 // failure it returns the status to answer with: 413 for an oversized body,
 // 400 for anything else.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
@@ -195,8 +176,8 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	}
 }
 
-// WriteJSON answers with v as an indented JSON body under the given status.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with v as an indented JSON body under the given status.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -209,9 +190,9 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // 503; otherwise enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec harness.JobSpec
-	if code, err := DecodeBody(w, r, &spec); err != nil {
+	if code, err := decodeBody(w, r, &spec); err != nil {
 		s.m.rejectedValidation.Add(1)
-		WriteJSON(w, code, ErrorResponse{Error: "bad request body: " + err.Error()})
+		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	s.m.submitted.Add(1)
@@ -221,7 +202,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resolved, err := spec.Resolve()
 	if err != nil {
 		s.m.rejectedValidation.Add(1)
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
+		writeJSON(w, http.StatusBadRequest, errorResponse{
 			Error:           err.Error(),
 			ValidBenchmarks: workloads.MenuNames(),
 			ValidSchemes:    harness.SchemeNames(),
@@ -230,7 +211,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if resolved.Scale > s.cfg.MaxScale {
 		s.m.rejectedValidation.Add(1)
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
+		writeJSON(w, http.StatusBadRequest, errorResponse{
 			Error: fmt.Sprintf("scale %g exceeds this server's maximum %g", resolved.Scale, s.cfg.MaxScale),
 		})
 		return
@@ -241,7 +222,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.cacheGetLocked(key); ok {
 		s.m.cacheHits.Add(1)
 		s.mu.Unlock()
-		WriteJSON(w, http.StatusOK, submitResponse{
+		writeJSON(w, http.StatusOK, submitResponse{
 			ID: e.jobID, Key: key, State: StateDone, Cached: true, Result: e.bytes,
 		})
 		return
@@ -255,11 +236,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.m.rejectedDraining.Add(1)
 		s.mu.Unlock()
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining; not accepting jobs"})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is draining; not accepting jobs"})
 		return
 	}
 	s.seq++
-	jb := newJob(jobID(s.cfg.IDPrefix, s.seq), spec, resolved)
+	jb := newJob(jobID(s.seq), spec, resolved)
 	select {
 	case s.queue <- jb:
 		s.m.cacheMisses.Add(1)
@@ -274,7 +255,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		retry := s.retryAfterLocked()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{
 			Error:      "admission queue full",
 			RetryAfter: retry,
 		})
@@ -285,11 +266,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the job is terminal and answers like a cache hit would have.
 func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, jb *Job, resp submitResponse) {
 	if r.URL.Query().Get("wait") == "" {
-		WriteJSON(w, http.StatusAccepted, resp)
+		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
 	if !jb.watch(r.Context(), func(ProgressEvent) {}) {
-		WriteJSON(w, http.StatusAccepted, resp)
+		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
 	snap := jb.snapshot()
@@ -300,7 +281,7 @@ func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, jb *Jo
 	if snap.State != StateDone {
 		code = http.StatusUnprocessableEntity
 	}
-	WriteJSON(w, code, resp)
+	writeJSON(w, code, resp)
 }
 
 func (s *Server) lookup(id string) (*Job, bool) {
@@ -313,14 +294,14 @@ func (s *Server) lookup(id string) (*Job, bool) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
 	type statusWithResult struct {
 		JobStatus
 		Result json.RawMessage `json:"result,omitempty"`
 	}
-	WriteJSON(w, http.StatusOK, statusWithResult{JobStatus: jb.snapshot(), Result: jb.resultBytes()})
+	writeJSON(w, http.StatusOK, statusWithResult{JobStatus: jb.snapshot(), Result: jb.resultBytes()})
 }
 
 // handleResult serves the stored canonical result bytes verbatim — the
@@ -328,12 +309,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
 	b := jb.resultBytes()
 	if b == nil {
-		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: fmt.Sprintf("job is %s, not done", jb.currentState())})
+		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, not done", jb.currentState())})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -343,45 +324,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
 	if !s.finishJob(jb, StateRejected, "cancelled by client") {
-		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: "only queued jobs can be cancelled"})
+		writeJSON(w, http.StatusConflict, errorResponse{Error: "only queued jobs can be cancelled"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, jb.snapshot())
-}
-
-// handleCacheGet serves the raw cached bytes for a content key — the read
-// half of the cluster's replication. A hit refreshes LRU recency.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.CacheGet(r.PathValue("key"))
-	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no cached result for that key"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
-}
-
-// handleCachePut inserts externally produced canonical bytes under a
-// content key. The cluster coordinator uses it to replicate a result to the
-// key's runner-up workers, so losing the owner loses no results.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if _, err := hex.DecodeString(key); err != nil || len(key) != 64 {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "key must be a hex SHA-256 content address"})
-		return
-	}
-	b, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil || !json.Valid(b) {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "body must be a JSON result"})
-		return
-	}
-	s.CachePut(key, b)
-	s.m.cacheFills.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	writeJSON(w, http.StatusOK, jb.snapshot())
 }
 
 // CacheGet returns the cached canonical bytes for a content key, if
@@ -403,9 +353,9 @@ func (s *Server) CachePut(key string, b []byte) {
 	s.mu.Unlock()
 }
 
-// HandleBenchmarks serves GET /benchmarks: the benchmark and scheme menus.
-func HandleBenchmarks(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string][]string{
+// handleBenchmarks serves GET /benchmarks: the benchmark and scheme menus.
+func handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string][]string{
 		"benchmarks": workloads.MenuNames(),
 		"schemes":    harness.SchemeNames(),
 	})
@@ -413,10 +363,10 @@ func HandleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.m.draining.Load() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics renders every server counter and the merged per-run
@@ -447,7 +397,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ppfserve_cache_hits", s.m.cacheHits.Load()},
 		{"ppfserve_cache_misses", s.m.cacheMisses.Load()},
 		{"ppfserve_cache_evictions", s.m.cacheEvictions.Load()},
-		{"ppfserve_cache_fills", s.m.cacheFills.Load()},
 		{"ppfserve_cache_entries", int64(cacheEntries)},
 		{"ppfserve_cache_bytes", cacheBytes},
 		{"ppfserve_queue_depth", int64(queueDepth)},
@@ -455,9 +404,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ppfserve_workers", int64(s.cfg.Workers)},
 		{"ppfserve_draining", drain},
 		// Simulations this server started. The name dates from a memo that
-		// sat under the server; benchmark/servemix.go, ppfload's
-		// no-re-simulation assertion and the coordinator's per-worker lines
-		// key on it, so it stays until ROADMAP 6(a) may edit benchmark/.
+		// sat under the server; benchmark/servemix.go and ppfload's
+		// no-re-simulation assertion key on it, so it stays until ROADMAP
+		// 6(a) may edit benchmark/.
 		{"ppfserve_memo_misses", s.m.simulations.Load()},
 	} {
 		fmt.Fprintf(w, "%s %d\n", kv.name, kv.v)

@@ -22,7 +22,7 @@ type progressSink struct {
 func (p *progressSink) Event(e trace.Event) {
 	p.n++
 	if p.n%p.every == 0 {
-		p.job.Publish(ProgressEvent{
+		p.job.publish(ProgressEvent{
 			State:    StateRunning,
 			Phase:    "simulating",
 			Events:   p.n,
@@ -40,12 +40,12 @@ func (p *progressSink) Event(e trace.Event) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no such job"})
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job"})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "streaming unsupported"})
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
