@@ -54,8 +54,11 @@ func (s *Server) dispatch(jb *Job) {
 	case err != nil:
 		s.finishJob(jb, StateFailed, err.Error())
 	default:
+		if err := s.storeResult(jb, result); err != nil {
+			s.finishJob(jb, StateFailed, "result is not JSON: "+err.Error())
+			return
+		}
 		jb.setResult(result)
-		s.storeResult(jb, result)
 		s.m.completed.Add(1)
 		jb.publish(ProgressEvent{State: StateDone, Phase: "oracle-checked"})
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"errors"
@@ -31,9 +32,9 @@ type Config struct {
 	// CacheEntries caps the content-addressed result cache entry count
 	// (default 4096; eviction is LRU).
 	CacheEntries int
-	// CacheBytes caps the cache's total stored bytes (default 256 MiB;
-	// eviction is LRU, but a single entry larger than the cap is retained
-	// rather than thrashed).
+	// CacheBytes caps the cache's total stored bytes, each entry's result
+	// plus its rendered hit reply (default 256 MiB; eviction is LRU, but a
+	// single entry larger than the cap is retained rather than thrashed).
 	CacheBytes int64
 	// ProgressEvery publishes one SSE progress event per this many machine
 	// trace events (default 65536).
@@ -71,13 +72,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cacheEntry is one content-addressed result: the canonical bytes plus the
-// job that produced them (empty for entries inserted with CachePut).
+// cacheEntry is one content-addressed result: the canonical bytes and the
+// 200 reply a hit answers with, rendered once at insert. An entry never
+// changes after insert, so a hit may write reply after releasing s.mu.
 type cacheEntry struct {
 	key   string
 	bytes []byte
-	jobID string
+	reply []byte
 }
+
+// newCacheEntry renders the hit reply for b, naming the job that produced it
+// (empty for entries inserted with CachePut). It fails when b is not JSON, so
+// bytes no hit could answer with never enter the cache.
+func newCacheEntry(key string, b []byte, jobID string) (*cacheEntry, error) {
+	reply, err := renderJSON(submitResponse{ID: jobID, Key: key, State: StateDone, Cached: true, Result: b})
+	if err != nil {
+		return nil, err
+	}
+	return &cacheEntry{key: key, bytes: b, reply: reply}, nil
+}
+
+// size is what an entry counts against Config.CacheBytes: result plus reply.
+func (e *cacheEntry) size() int64 { return int64(len(e.bytes) + len(e.reply)) }
 
 // Server is the simulation-as-a-service daemon. A job is one harness.Run on
 // one of the Workers goroutines; byKey is the one in-flight table and the LRU
@@ -176,13 +192,31 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	}
 }
 
-// writeJSON answers with v as an indented JSON body under the given status.
+// renderJSON is the one encoding of a JSON reply body: indented, newline
+// terminated. writeJSON uses it per reply; a cache entry's hit reply is
+// rendered with it once, at insert, so a hit answers with the same bytes.
+func renderJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeJSON answers with v rendered under the given status. The body is
+// rendered before the status is sent, so a value that does not render
+// answers 500 with a JSON error, never the status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := renderJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = renderJSON(errorResponse{Error: "rendering the reply: " + err.Error()}) // strings always render
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
 }
 
 // handleSubmit admits one job: cache hit → immediate result; duplicate of
@@ -222,9 +256,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.cacheGetLocked(key); ok {
 		s.m.cacheHits.Add(1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, submitResponse{
-			ID: e.jobID, Key: key, State: StateDone, Cached: true, Result: e.bytes,
-		})
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(e.reply)
 		return
 	}
 	if jb, ok := s.byKey[key]; ok {
@@ -347,10 +380,16 @@ func (s *Server) CacheGet(key string) ([]byte, bool) {
 }
 
 // CachePut inserts canonical bytes under a content key (first write wins).
-func (s *Server) CachePut(key string, b []byte) {
+// Bytes that are not JSON are refused with an error and nothing is stored.
+func (s *Server) CachePut(key string, b []byte) error {
+	e, err := newCacheEntry(key, b, "")
+	if err != nil {
+		return fmt.Errorf("cache put: %w", err)
+	}
 	s.mu.Lock()
-	s.cachePutLocked(key, b, "")
+	s.cachePutLocked(e)
 	s.mu.Unlock()
+	return nil
 }
 
 // handleBenchmarks serves GET /benchmarks: the benchmark and scheme menus.
@@ -447,31 +486,38 @@ func (s *Server) cacheGetLocked(key string) (*cacheEntry, bool) {
 
 // cachePutLocked inserts an entry (first write wins) and evicts LRU-last
 // past the entry and byte caps. A single entry above the byte cap stays
-// resident rather than thrashing. Callers hold s.mu.
-func (s *Server) cachePutLocked(key string, b []byte, jobID string) {
-	if el, ok := s.cache[key]; ok {
+// resident rather than thrashing. Callers hold s.mu; they render the entry
+// (newCacheEntry) before taking it.
+func (s *Server) cachePutLocked(e *cacheEntry) {
+	if el, ok := s.cache[e.key]; ok {
 		s.cacheLRU.MoveToFront(el)
 		return
 	}
-	el := s.cacheLRU.PushFront(&cacheEntry{key: key, bytes: b, jobID: jobID})
-	s.cache[key] = el
-	s.cacheBytes += int64(len(b))
+	s.cache[e.key] = s.cacheLRU.PushFront(e)
+	s.cacheBytes += e.size()
 	for s.cacheLRU.Len() > 1 &&
 		(s.cacheLRU.Len() > s.cfg.CacheEntries || s.cacheBytes > s.cfg.CacheBytes) {
 		back := s.cacheLRU.Back()
-		e := back.Value.(*cacheEntry)
+		old := back.Value.(*cacheEntry)
 		s.cacheLRU.Remove(back)
-		delete(s.cache, e.key)
-		s.cacheBytes -= int64(len(e.bytes))
+		delete(s.cache, old.key)
+		s.cacheBytes -= old.size()
 		s.m.cacheEvictions.Add(1)
 	}
 }
 
 // storeResult publishes a completed job's canonical bytes into the
-// content-addressed cache.
-func (s *Server) storeResult(jb *Job, b []byte) {
+// content-addressed cache and retires its in-flight entry in the same
+// critical section. Bytes that are not JSON are refused with an error, and
+// the job stays in byKey for the caller to fail.
+func (s *Server) storeResult(jb *Job, b []byte) error {
+	e, err := newCacheEntry(jb.Key, b, jb.ID)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	s.cachePutLocked(jb.Key, b, jb.ID)
+	s.cachePutLocked(e)
 	delete(s.byKey, jb.Key)
 	s.mu.Unlock()
+	return nil
 }
