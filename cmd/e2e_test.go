@@ -377,6 +377,17 @@ func (e env) daemonFlags(t *testing.T) {
 			t.Errorf("%s -h lists %d flags, want %d:\n got %v\nwant %v", prog, len(got), len(want), got, want)
 		}
 	}
+	// A scale flag that is not 0 or finite and positive is a usage error:
+	// -max-scale NaN once turned the cap off.
+	for _, args := range [][]string{{"-max-scale", "NaN"}, {"-max-scale", "-1"}, {"-default-scale", "Inf"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		cmd := exec.CommandContext(ctx, filepath.Join(e.dir, "ppfserve"), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(out), args[0]) {
+			t.Errorf("ppfserve %v: exit %d (deadline: %v), want 2 naming the flag\n%s", args, code, ctx.Err(), out)
+		}
+		cancel()
+	}
 }
 
 // loadUsage: ppfload -c 0 would start no sender and block on its first

@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"eventpf/internal/harness"
 	"eventpf/internal/serve"
 )
 
@@ -42,6 +43,15 @@ func main() {
 		cacheMB  = flag.Int("cache-mb", 256, "result cache byte cap in MiB (LRU eviction)")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"default-scale", *scale}, {"max-scale", *maxScale}} {
+		if err := harness.CheckScale(f.v); err != nil {
+			fmt.Fprintf(os.Stderr, "ppfserve: -%s: %v\n", f.name, err)
+			os.Exit(2)
+		}
+	}
 
 	srv := serve.NewServer(serve.Config{
 		Workers:      *workers,

@@ -139,7 +139,7 @@ func run() (err error) {
 
 	opt := harness.Options{Scale: *scale, PPUs: *ppus, PPUMHz: *ppuMHz, TraceLast: *traceN, Slices: *slices}
 	if _, err := harness.ConfigFor(opt, scheme); err != nil {
-		return usageError{err} // a -ppus / -ppu-mhz no machine can be built with
+		return usageError{err} // a -scale, -ppus or -ppu-mhz no machine can be built with
 	}
 	if *sample {
 		sc := system.DefaultSampleConfig()

@@ -207,9 +207,13 @@ func TestFailingRuns(t *testing.T) {
 		{"unknown-scheme", []string{"-scheme", "nosuch"}, 2, "unknown scheme"},
 		{"ppu-clock-not-a-divisor", []string{"-ppu-mhz", "333"}, 2, "333 MHz"},
 		{"missing-trace", []string{"-scheme", "stride", "-trace-in", filepath.Join(dir, "absent.ppft")}, 1, "absent.ppft"},
+		// Each once simulated the smallest input and exited 0.
+		{"scale-nan", []string{"-bench", "HJ-2", "-scheme", "no-pf", "-scale", "NaN"}, 2, "scale NaN"},
+		{"scale-negative", []string{"-bench", "HJ-2", "-scheme", "no-pf", "-scale", "-1"}, 2, "scale -1"},
 	} {
 		cpu, heap := filepath.Join(dir, c.name+".cpu"), filepath.Join(dir, c.name+".heap")
-		cmd := exec.Command(bin, append(c.args, "-scale", "0.02", "-cpuprofile", cpu, "-memprofile", heap)...)
+		// The row's own flags come last, so a row's -scale wins over this one.
+		cmd := exec.Command(bin, append([]string{"-scale", "0.02", "-cpuprofile", cpu, "-memprofile", heap}, c.args...)...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"eventpf/internal/workloads"
@@ -9,14 +10,19 @@ import (
 // TestMachineRunAllocBudget extends the engine-only zero-alloc test from the
 // sim package to a complete machine: one full (small) HJ-2 run under the
 // programmable prefetcher must stay within a fixed allocation budget. The
-// run costs ~2 500 allocations, all of them one-time construction — machine
-// assembly, arena pages, IR stream set-up — and the bound leaves 2× headroom
-// for runtime/map noise. What it cannot absorb is any per-event, per-request
-// or per-loop-iteration allocation creeping back into the steady-state loop:
-// this run simulates hundreds of thousands of events and enters 65 000 loop
-// blocks, so even one closure per event, one Request per access or one slice
-// per block entry (the interpreter's phi scratch, which this budget once hid
-// at 200 000) blows it immediately.
+// run costs ~560 allocations, all of them one-time construction — machine
+// assembly, arena pages, IR stream set-up — and the bound leaves ample
+// headroom for runtime/map noise. What it cannot absorb is any per-event,
+// per-request or per-loop-iteration allocation creeping back into the
+// steady-state loop: this run simulates hundreds of thousands of events and
+// enters 65 000 loop blocks, so even one closure per event, one Request per
+// access or one slice per block entry (the interpreter's phi scratch, which
+// this budget once hid at 200 000) blows it immediately.
+//
+// The bytes budget holds the run lifecycle to its recycling: a run takes its
+// functional pages, cache line arrays and L2-TLB array from the ones earlier
+// runs released (system.Machine.Release), so a run in a sequence allocates
+// ~1.41 MB, where allocating them afresh cost 2.34 MB (runBytesBudget).
 func TestMachineRunAllocBudget(t *testing.T) {
 	const budget = 5_000
 
@@ -29,12 +35,63 @@ func TestMachineRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm any lazy process-wide state before counting
+	run() // warm any lazy process-wide state, and the pools, before counting
 	allocs := testing.AllocsPerRun(3, run)
 	t.Logf("full machine run allocated %.0f objects", allocs)
 	if allocs > budget {
 		t.Errorf("full machine run allocated %.0f objects, budget %d — "+
 			"a steady-state path has started allocating (closure scheduling, "+
 			"unpooled requests, or queue churn)", allocs, budget)
+	}
+	if raceEnabled {
+		// The race detector's sync.Pool drops a quarter of what is put back.
+		t.Log("bytes budget not checked under -race")
+		return
+	}
+	perRun := bytesPerRun(5, run)
+	t.Logf("full machine run allocated %d bytes", perRun)
+	if perRun > runBytesBudget {
+		t.Errorf("full machine run allocated %d bytes, budget %d — a run has stopped "+
+			"taking the memory earlier runs released (Machine.Release), or allocates more", perRun, runBytesBudget)
+	}
+}
+
+// runBytesBudget bounds the bytes one HJ-2 × manual run at scale 0.02
+// allocates after an earlier run has filled the pools: ~1.41 MB measured,
+// plus 25 %, and under the 2.34 MB a run allocating its memory afresh costs.
+const runBytesBudget = 1_770_000
+
+// bytesPerRun returns the mean bytes allocated by n calls of run.
+func bytesPerRun(n int, run func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// BenchmarkRunLifecycle is one whole run through Run — the machine and the
+// workload's data built, the program simulated, the oracle checked, the
+// machine released — for HJ-2 under the programmable prefetcher at scale
+// 0.02: what every point of a sweep of short simulations pays. It fails
+// itself above runBytesBudget.
+func BenchmarkRunLifecycle(b *testing.B) {
+	bench, err := workloads.ByName("HJ-2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, err := Run(bench, Manual, Options{Scale: 0.02}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // the first run of a process finds the pools empty
+	b.ReportAllocs()
+	b.ResetTimer()
+	perRun := bytesPerRun(b.N, run)
+	if perRun > runBytesBudget && !raceEnabled {
+		b.Errorf("a run allocated %d bytes, budget %d", perRun, runBytesBudget)
 	}
 }

@@ -219,6 +219,13 @@ func (s *Suite) pairOptions(p Pair) Options {
 // point there is nothing to share and every claimed entry runs in full.
 // Callers read the results back with measure; the lowest-indexed error is
 // returned, and a failed warm-up or fork fails every claimed entry.
+//
+// The warmed parent is not released (system.Machine.Release) once its forks
+// exist but left to the GC: a sweep's forks wait for worker tokens, and the
+// parents of the sweeps a figure runs side by side would sit in the pools
+// beside them, where the collector counts them live. On figure-suite (2
+// vCPUs), releasing them saves 10 MB of allocation a pass and costs 5 MB of
+// peak RSS.
 func (s *Suite) sweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64, opts []Options) error {
 	var todo []*suiteCall
 	var mine []Options

@@ -65,8 +65,11 @@ func (w *WarmRun) Resume() (Result, error) {
 type RunCont struct{ rs *runSetup }
 
 // Finish drains the simulation to completion, validates the benchmark's
-// oracle against this machine's memory, and assembles the Result.
+// oracle against this machine's memory, assembles the Result and releases the
+// machine (system.Machine.Release): its engine and statistics stay readable.
 func (c *RunCont) Finish() (Result, error) {
 	c.rs.m.Drain()
-	return c.rs.collect(c.rs.m.Finish())
+	res, err := c.rs.collect(c.rs.m.Finish())
+	c.rs.m.Release()
+	return res, err
 }

@@ -57,7 +57,8 @@ type Job struct {
 // memo key — defaults filled in for programmable schemes, zeroed for
 // schemes a PPU cannot affect — so the content hash never distinguishes
 // requests the simulator cannot. A sizing no machine can be built with
-// (ppuSizing) does not resolve, whatever the scheme.
+// (ppuSizing) or a scale CheckScale refuses does not resolve, whatever the
+// scheme.
 func (j JobSpec) Resolve() (Job, error) {
 	var b *workloads.Benchmark
 	switch {
@@ -76,8 +77,8 @@ func (j JobSpec) Resolve() (Job, error) {
 	if !ok {
 		return Job{}, &UnknownSchemeError{Name: j.Scheme}
 	}
-	if j.Scale < 0 {
-		return Job{}, fmt.Errorf("harness: scale %g must be positive", j.Scale)
+	if err := CheckScale(j.Scale); err != nil {
+		return Job{}, err
 	}
 	scale := j.Scale
 	if scale == 0 {

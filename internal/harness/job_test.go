@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,8 +94,12 @@ func TestJobSpecResolveAndKey(t *testing.T) {
 		!strings.Contains(err.Error(), "manual-blocked") {
 		t.Errorf("unknown scheme error %v does not list valid schemes", err)
 	}
-	if _, err := (JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: -1}).Resolve(); err == nil {
-		t.Error("negative scale resolved")
+	// A scale that is not 0 or finite and positive: each once reached the
+	// workloads' size clamp and simulated the smallest input.
+	for _, sc := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: sc}).Resolve(); err == nil {
+			t.Errorf("scale %g resolved", sc)
+		}
 	}
 	// A sizing no machine can be built with: resolved, the first panicked the
 	// worker that ran it and the second sized the prefetcher's unit table.

@@ -6,6 +6,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"eventpf/internal/compiler"
 	"eventpf/internal/cpu"
@@ -72,6 +73,16 @@ type Options struct {
 	Slices int
 }
 
+// CheckScale accepts an input scale a run can be built with: 0, meaning 1.0,
+// or a finite number above zero. Anything else would reach the workloads'
+// smallest-input clamp and quietly simulate a program nobody asked for.
+func CheckScale(scale float64) error {
+	if scale == 0 || scale > 0 && !math.IsInf(scale, 1) {
+		return nil
+	}
+	return fmt.Errorf("harness: scale %g must be 0 (meaning 1.0) or a finite number above zero", scale)
+}
+
 // CaptureSink is an optional extension of trace.Sink for op-trace capture:
 // a sink that also wants the machine's memory-region table (to reproduce the
 // page map on replay) receives it once per run, after the benchmark builds
@@ -97,7 +108,8 @@ type Result struct {
 // system.Plan, executed by the one run driver. The driver returns the
 // machine of the final lane — the one that reached end of program and
 // carries the state the oracle check needs — so the setup is retargeted at
-// it and its stream (after a serial run these are the setup's own).
+// it and its stream (after a serial run these are the setup's own), and
+// released once the check has read its memory.
 func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 	rs, err := prepare(b, scheme, opt)
 	if err != nil {
@@ -112,7 +124,9 @@ func Run(b *workloads.Benchmark, scheme Scheme, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("harness: %s: final lane's stream is %T, not a run sequence", b.Name, fm.Stream())
 	}
 	rs.m, rs.stream = fm, fs
-	return rs.collect(sys)
+	res, err := rs.collect(sys)
+	fm.Release()
+	return res, err
 }
 
 // runSetup is a prepared but not yet completed run: the assembled machine,
@@ -318,11 +332,14 @@ func ppuSizing(ppus, mhz int, cfg *system.Config) (int, sim.Clock, error) {
 // matches the run). Scheme defaults (ghb-large's big sizing, the blocked
 // mode) come from the scheme's Configure hook; a value outside the scheme
 // constants is an *UnknownSchemeError, and a PPU sizing no machine can be
-// built with (ppuSizing) is an error too.
+// built with (ppuSizing) or a scale CheckScale refuses is an error too.
 func ConfigFor(opt Options, scheme Scheme) (system.Config, error) {
 	info, ok := scheme.Info()
 	if !ok {
 		return system.Config{}, &UnknownSchemeError{Scheme: scheme}
+	}
+	if err := CheckScale(opt.Scale); err != nil {
+		return system.Config{}, err
 	}
 	ppus, clock, err := ppuSizing(opt.PPUs, opt.PPUMHz, opt.Config)
 	if err != nil {

@@ -108,11 +108,24 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 		if v == 0 {
 			return
 		}
-		p = new([wordsPerPage]uint64)
+		p = takePage()
 		b.pages[PageAddr(addr)] = p
 		b.memo[addr/PageSize%memoSlots].p = p // find just put the zero page there
 	}
 	p[(addr%PageSize)/8] = v
+}
+
+// Release hands b's pages to the pool for another Backing to take and leaves
+// b with none, so any later access panics as one to an unmapped address.
+// Call it once nothing will read b again.
+func (b *Backing) Release() {
+	for _, p := range b.pages {
+		if p != &zeroPage {
+			pagePool.Put(p)
+		}
+	}
+	b.pages = nil
+	clear(b.memo[:])
 }
 
 // ReadLine copies the 8 words of the cache line containing addr into dst and

@@ -224,8 +224,11 @@ func TestWritesStayInTheirBacking(t *testing.T) {
 }
 
 // TestBackingsInParallel: machines run on their own goroutines and share
-// nothing but the zero page, which none may write. Under the race detector
-// this fails if a write ever goes through it.
+// nothing but the zero page, which none may write, and the page pool, which
+// hands each page to one of them at a time: every round a goroutine takes
+// pages either of them released the round before. Under the race detector
+// this fails if a write ever goes through the zero page or a released page
+// is still written by its last owner.
 func TestBackingsInParallel(t *testing.T) {
 	parent := NewBacking()
 	for pa := uint64(0); pa < 64*PageSize; pa += PageSize {
@@ -236,21 +239,24 @@ func TestBackingsInParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := NewBacking()
-			b.CopyFrom(parent)
-			for pa := uint64(0); pa < 64*PageSize; pa += PageSize {
-				if b.Read64(pa+8) != 0 {
-					t.Errorf("goroutine %d: page %#x not zero", g, pa)
+			for round := 0; round < 4; round++ {
+				b := NewBacking()
+				b.CopyFrom(parent)
+				for pa := uint64(0); pa < 64*PageSize; pa += PageSize {
+					if b.Read64(pa+8) != 0 {
+						t.Errorf("goroutine %d round %d: page %#x not zero", g, round, pa)
+					}
+					b.Write64(pa, 0)
+					if pa%(2*PageSize) == 0 {
+						b.Write64(pa+8, g)
+					}
+					var line [wordsPerLine]uint64
+					b.ReadLine(pa, &line)
+					if got := line[1]; got != 0 && got != g {
+						t.Errorf("goroutine %d round %d: page %#x holds %d", g, round, pa, got)
+					}
 				}
-				b.Write64(pa, 0)
-				if pa%(2*PageSize) == 0 {
-					b.Write64(pa+8, g)
-				}
-				var line [wordsPerLine]uint64
-				b.ReadLine(pa, &line)
-				if got := line[1]; got != 0 && got != g {
-					t.Errorf("goroutine %d: page %#x holds %d", g, pa, got)
-				}
+				b.Release()
 			}
 		}()
 	}

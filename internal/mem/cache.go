@@ -240,13 +240,21 @@ func NewCache(eng *sim.Engine, clk sim.Clock, cfg CacheConfig, next Level) *Cach
 		cfg:       cfg,
 		next:      next,
 		sets:      sets,
-		lines:     make([]cacheLine, sets*cfg.Ways),
+		lines:     linePool.get(sets * cfg.Ways),
 		mshrSlots: make([]mshrEntry, cfg.MSHRs),
 	}
 	c.lookupH.c = c
 	c.fillH.c = c
 	eng.Own(c.lookupH, c.fillH)
 	return c
+}
+
+// Release hands c's line array to the pool for another cache of the same
+// geometry and drops c's engine, so a later Access panics instead of touching
+// a finished run; Stats stay readable. Call it once c will not run again.
+func (c *Cache) Release() {
+	linePool.put(c.lines)
+	c.lines, c.eng = nil, nil
 }
 
 // Name returns the configured cache name.

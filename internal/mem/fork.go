@@ -38,7 +38,7 @@ func (b *Backing) CopyFrom(src *Backing) {
 		}
 		np := b.pages[pa]
 		if np == nil || np == &zeroPage {
-			np = new([wordsPerPage]uint64)
+			np = takePage()
 			b.pages[pa] = np
 		}
 		*np = *pg

@@ -213,8 +213,15 @@ func NewTLB(eng *sim.Engine, clk sim.Clock, cfg TLBConfig, bk *Backing) *TLB {
 	t.walkDone.t = t
 	eng.Own(t.l2HitH, t.walkDone)
 	t.l1 = newL1TLB(cfg.L1Entries)
-	t.l2 = make([]tlbEntry, cfg.L2Entries/cfg.L2Ways*cfg.L2Ways)
+	t.l2 = tlbPool.get(cfg.L2Entries / cfg.L2Ways * cfg.L2Ways)
 	return t
+}
+
+// Release hands t's L2 array to the pool for another TLB of the same geometry;
+// Stats stay readable. Call it once t will not translate again.
+func (t *TLB) Release() {
+	tlbPool.put(t.l2)
+	t.l2 = nil
 }
 
 // l2Set returns the ways of the L2 set page maps to.

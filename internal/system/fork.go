@@ -56,11 +56,15 @@ func (m *Machine) Stream() cpu.Stream { return m.stream }
 // With cfg identical to m.Cfg, running the fork produces byte-identical
 // results to running the parent.
 func (m *Machine) ForkWith(cfg Config) (*Machine, error) {
+	if m.released {
+		return nil, fmt.Errorf("system: fork of a released machine")
+	}
 	if err := forkCompatible(m.Cfg, cfg); err != nil {
 		return nil, err
 	}
 	f := New(cfg, m.Scheme)
 	if err := f.copyFrom(m); err != nil {
+		f.Release()
 		return nil, fmt.Errorf("system: fork: %w", err)
 	}
 	return f, nil

@@ -142,13 +142,14 @@ func (p Plan) sliceLanes(total int64) (lanes []lane, why string) {
 
 // forkOpCount returns the dynamic op count of the stream m has started, by
 // forking m and draining the fork's clone of the stream functionally: no
-// events, no timing, and the fork is dropped after. Streams execute at pull
+// events, no timing, and the fork is released after. Streams execute at pull
 // time, so the count is exact, and the machine was built once.
 func (m *Machine) forkOpCount() (int64, error) {
 	f, err := m.Fork()
 	if err != nil {
 		return 0, err
 	}
+	defer f.Release()
 	if f.stream == nil {
 		return 0, nil
 	}
@@ -168,7 +169,9 @@ func (m *Machine) forkOpCount() (int64, error) {
 // need for end-of-run oracle checks; its Stream() is m's stream or the clone
 // a fork made of it. When p's request cannot be honoured the run is serial
 // on m, byte-identical to m.Run(stream) except that Result.Fallback says
-// why.
+// why. Every machine RunPlan used but does not return — m itself included,
+// when it ran a non-final lane — is released before it returns; the caller
+// releases the returned one after its last read.
 func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
 	lanes, why, err := p.lanes(m.observer())
 	if err != nil {
@@ -193,6 +196,7 @@ func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
 		if err != nil {
 			for _, fm := range machines[1:] {
 				closeStream(fm.stream)
+				fm.Release()
 			}
 			machines, lanes, why = machines[:1], serialLanes, "serial: "+err.Error()
 			break
@@ -235,6 +239,7 @@ func (m *Machine) RunPlan(stream cpu.Stream, p Plan) (Result, *Machine, error) {
 			// Every lane but the last stops short of its stream's end
 			// and may hold open trace files.
 			closeStream(mi.stream)
+			mi.Release()
 		}
 	}
 

@@ -91,6 +91,7 @@ type Machine struct {
 	stream   cpu.Stream
 	coreDone bool
 	runDone  bool
+	released bool
 }
 
 // ctxSwitchHandler fires the periodic context-switch flush (§5.3) and
@@ -454,6 +455,22 @@ func (m *Machine) RunUntilOps(n int64) {
 
 // Done reports whether the started run has completed.
 func (m *Machine) Done() bool { return m.runDone }
+
+// Release hands the machine's functional memory pages, cache line arrays and
+// L2-TLB array to internal/mem's pools, for the next machine built in the
+// process to take. Whoever builds a machine calls it after the machine's last
+// read of memory: harness.Run after its oracle check, RunPlan on the machines
+// it does not return. Afterwards a functional access (Backing.Read64 or
+// Write64, an L1 or L2 Access) panics and the machine cannot be forked, while
+// the engine, the statistics and the counters stay readable, and so do Finish
+// and Digest. Release is idempotent.
+func (m *Machine) Release() {
+	m.released = true
+	m.Backing.Release()
+	m.L1.Release()
+	m.L2.Release()
+	m.TLB.Release()
+}
 
 // Finish finalises statistics and builds the Result for a drained run.
 func (m *Machine) Finish() Result {
