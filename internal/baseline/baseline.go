@@ -35,7 +35,7 @@ type issuer struct {
 	eng     *sim.Engine
 	l1      *mem.Cache
 	tlb     *mem.TLB
-	queue   []uint64
+	queue   sim.Queue[uint64]
 	limit   int
 	pumping bool
 	transH  issuerTransHandler
@@ -78,22 +78,20 @@ func newIssuer(eng *sim.Engine, l1 *mem.Cache, tlb *mem.TLB, limit int) *issuer 
 
 func (is *issuer) push(addr uint64) {
 	is.stats.Generated++
-	if len(is.queue) >= is.limit {
+	if is.queue.Len() >= is.limit {
 		is.stats.QueueDrop++
 		return
 	}
-	is.queue = append(is.queue, addr)
+	is.queue.Push(addr)
 	is.pump()
 }
 
 func (is *issuer) pump() {
-	if is.pumping || len(is.queue) == 0 || is.l1.FreeMSHRs() == 0 {
+	if is.pumping || is.queue.Len() == 0 || is.l1.FreeMSHRs() == 0 {
 		return
 	}
 	is.pumping = true
-	addr := is.queue[0]
-	n := copy(is.queue, is.queue[1:])
-	is.queue = is.queue[:n]
+	addr := is.queue.Pop()
 	is.tlb.TranslateTo(addr, is.transH, addr)
 }
 
@@ -234,8 +232,8 @@ type GHB struct {
 	ghb      []ghbEntry
 	size     int
 	count    int
-	index    map[uint64]int32 // line -> most recent GHB position
-	indexAge []uint64         // insertion order, for deterministic eviction
+	index    map[uint64]int32  // line -> most recent GHB position
+	indexAge sim.Queue[uint64] // insertion order, for deterministic eviction
 	is       *issuer
 }
 
@@ -318,16 +316,12 @@ func (g *GHB) insert(line uint64) {
 	g.ghb[pos%g.size] = ghbEntry{line: line, prev: prev}
 	g.count++
 	if _, ok := g.index[line]; !ok {
-		g.indexAge = append(g.indexAge, line)
+		g.indexAge.Push(line)
 	}
 	g.index[line] = int32(pos)
 	// Bound the index for the regular configuration: evict the oldest
 	// entries (deterministically) once past capacity.
-	for len(g.index) > g.cfg.IndexSize && len(g.indexAge) > 0 {
-		victim := g.indexAge[0]
-		g.indexAge = g.indexAge[1:]
-		if _, ok := g.index[victim]; ok {
-			delete(g.index, victim)
-		}
+	for len(g.index) > g.cfg.IndexSize && g.indexAge.Len() > 0 {
+		delete(g.index, g.indexAge.Pop())
 	}
 }

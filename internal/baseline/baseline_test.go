@@ -21,8 +21,8 @@ func (s *stubLevel) Access(req *mem.Request) {
 	if req.Kind == mem.Writeback {
 		return
 	}
-	if h := req.Completer(); h != nil {
-		s.eng.ScheduleAfter(s.latency, h, req.CompA, 0)
+	if req.Comp != nil {
+		s.eng.ScheduleAfter(s.latency, req.Comp, req.CompA, 0)
 	}
 }
 
@@ -207,6 +207,9 @@ func TestIssuerDropsOnQueueLimit(t *testing.T) {
 	}
 	if is.stats.Issued == 0 {
 		t.Error("nothing issued")
+	}
+	if is.queue.Len() != 0 || is.pumping {
+		t.Errorf("drained issuer holds %d queued prefetches (pumping %v)", is.queue.Len(), is.pumping)
 	}
 }
 

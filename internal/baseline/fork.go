@@ -11,7 +11,7 @@ import "fmt"
 // an error.
 
 func (is *issuer) copyStateFrom(src *issuer) {
-	is.queue = append(is.queue[:0], src.queue...)
+	is.queue.CopyFrom(&src.queue, nil)
 	is.pumping = src.pumping
 	is.stats = src.stats
 }
@@ -50,7 +50,7 @@ func (g *GHB) CopyStateFrom(src Unit) error {
 	for line, pos := range sg.index {
 		g.index[line] = pos
 	}
-	g.indexAge = append(g.indexAge[:0], sg.indexAge...)
+	g.indexAge.CopyFrom(&sg.indexAge, nil)
 	g.is.copyStateFrom(sg.is)
 	return nil
 }

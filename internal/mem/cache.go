@@ -151,9 +151,11 @@ type Cache struct {
 	// lookupQ holds requests whose lookup is in the cache pipeline. Every
 	// lookup takes the same HitCycles delay, so completions are FIFO and the
 	// scheduled event needs no payload: it pops the head.
-	lookupQ []*Request
+	lookupQ sim.Queue[*Request]
 
-	pendingMiss []*Request
+	// pendingMiss holds the misses that found every MSHR taken, in arrival
+	// order; a freed register admits the oldest.
+	pendingMiss sim.Queue[*Request]
 
 	// Pool, if set, is the machine-wide request free list this cache releases
 	// serviced requests into (and draws writeback requests from). Nil (unit
@@ -212,10 +214,7 @@ type lookupHandler struct{ c *Cache }
 
 func (h lookupHandler) Handle(sim.Ticks, uint64, uint64) {
 	c := h.c
-	req := c.lookupQ[0]
-	n := copy(c.lookupQ, c.lookupQ[1:])
-	c.lookupQ[n] = nil
-	c.lookupQ = c.lookupQ[:n]
+	req := c.lookupQ.Pop()
 	tagged := req.Kind == Prefetch && req.Tag != NoTag // finishLookup recycles req
 	c.finishLookup(req)
 	if tagged && c.OnTaggedLookup != nil {
@@ -332,7 +331,7 @@ func (c *Cache) Access(req *Request) {
 		c.next.Access(req)
 		return
 	}
-	c.lookupQ = append(c.lookupQ, req)
+	c.lookupQ.Push(req)
 	c.eng.ScheduleAfter(c.clk.Cycles(c.cfg.HitCycles), c.lookupH, 0, 0)
 }
 
@@ -405,8 +404,8 @@ func (c *Cache) miss(req *Request) {
 		} else if req.Tag != NoTag {
 			e.tags = append(e.tags, tagged{req.Tag, req.TimedAt})
 		}
-		if h := req.Completer(); h != nil {
-			e.waiters = append(e.waiters, waiter{h, req.CompA})
+		if req.Comp != nil {
+			e.waiters = append(e.waiters, waiter{req.Comp, req.CompA})
 		}
 		c.Pool.Put(req)
 		return
@@ -416,7 +415,7 @@ func (c *Cache) miss(req *Request) {
 		// carries a completer is the fill request of an MSHR in the level
 		// above: that slot, and every demand load merged into it, would wait
 		// forever, so it queues like a demand miss.
-		if req.Kind == Prefetch && !req.HasDone() {
+		if req.Kind == Prefetch && req.Comp == nil {
 			c.Stats.PrefetchDrop++
 			c.Bus.Emit(trace.Event{At: c.eng.Now(), Kind: trace.CachePFDrop,
 				Addr: req.Line, A: c.Level, ID: int64(req.Tag)})
@@ -429,7 +428,7 @@ func (c *Cache) miss(req *Request) {
 		c.Stats.MSHRStalls++
 		c.Bus.Emit(trace.Event{At: c.eng.Now(), Kind: trace.CacheMSHRFull,
 			Addr: req.Line, A: c.Level})
-		c.pendingMiss = append(c.pendingMiss, req)
+		c.pendingMiss.Push(req)
 		return
 	}
 	c.allocateMSHR(req)
@@ -463,8 +462,8 @@ func (c *Cache) allocateMSHR(req *Request) {
 			e.tags = append(e.tags, tagged{req.Tag, req.TimedAt})
 		}
 	}
-	if h := req.Completer(); h != nil {
-		e.waiters = append(e.waiters, waiter{h, req.CompA})
+	if req.Comp != nil {
+		e.waiters = append(e.waiters, waiter{req.Comp, req.CompA})
 	}
 
 	down := c.Pool.Get()
@@ -508,12 +507,8 @@ func (c *Cache) fill(s int32) {
 
 	// A register just freed: admit a queued demand miss first, then let the
 	// prefetch drainer know.
-	if len(c.pendingMiss) > 0 && c.mshrCount < c.cfg.MSHRs {
-		next := c.pendingMiss[0]
-		n := copy(c.pendingMiss, c.pendingMiss[1:])
-		c.pendingMiss[n] = nil
-		c.pendingMiss = c.pendingMiss[:n]
-		c.miss(next)
+	if c.pendingMiss.Len() > 0 && c.mshrCount < c.cfg.MSHRs {
+		c.miss(c.pendingMiss.Pop())
 	}
 	if c.OnMSHRFree != nil && c.mshrCount < c.cfg.MSHRs {
 		c.OnMSHRFree()

@@ -8,18 +8,21 @@ import (
 	"eventpf/internal/sim"
 )
 
-// fixedLevel is a next-level stub with constant latency.
+// fixedLevel is a next-level stub with constant latency. With a pool it
+// releases each request into it, as DRAM does.
 type fixedLevel struct {
 	eng     *sim.Engine
 	latency sim.Ticks
 	count   int64
+	pool    *Pool
 }
 
 func (f *fixedLevel) Access(req *Request) {
 	f.count++
-	if h := req.Completer(); h != nil {
-		f.eng.ScheduleAfter(f.latency, h, req.CompA, 0)
+	if req.Comp != nil {
+		f.eng.ScheduleAfter(f.latency, req.Comp, req.CompA, 0)
 	}
+	f.pool.Put(req)
 }
 
 func newTestCache(eng *sim.Engine, mshrs int) (*Cache, *fixedLevel) {
@@ -108,6 +111,9 @@ func TestCacheMSHRLimitQueuesDemand(t *testing.T) {
 	}
 	if c.Stats.MSHRStalls != 2 {
 		t.Errorf("MSHRStalls = %d, want 2", c.Stats.MSHRStalls)
+	}
+	if n, q, p := c.mshrCount, c.lookupQ.Len(), c.pendingMiss.Len(); n+q+p != 0 {
+		t.Errorf("drained cache holds %d MSHRs, %d lookups, %d pending misses", n, q, p)
 	}
 }
 
@@ -364,5 +370,69 @@ func TestCacheHitAfterFillProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkCacheAccess measures one demand load through a cache of Table 1's
+// L1 geometry (32 KB, 2 ways, 2-cycle hit, 12 MSHRs), from Access through
+// finishLookup to its completion, over a next level that completes and
+// releases each request as DRAM does: a hit (256 lines cycled, one per set),
+// a miss (4096 lines cycled: each has left the cache by its next turn) and
+// mshr-full (misses issued 24 at a time before the engine runs, so half of
+// them wait in pendingMiss for a register). None may allocate.
+func BenchmarkCacheAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		lines int
+		batch int // loads issued before the engine runs
+	}{{"hit", 256, 1}, {"miss", 4096, 1}, {"mshr-full", 4096, 24}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			pool := NewPool()
+			c := NewCache(eng, sim.ClockFromMHz(3200), CacheConfig{
+				Name: "L1D", SizeBytes: 32 << 10, Ways: 2, HitCycles: 2, MSHRs: 12,
+			}, &fixedLevel{eng: eng, latency: 1000, pool: pool})
+			c.Pool = pool
+			i := 0
+			load := func() {
+				req := pool.Get()
+				req.Addr, req.Kind, req.PC = 0x100000+uint64(i%bc.lines)*LineSize, Load, -1
+				req.Tag, req.TimedAt = NoTag, -1
+				req.Comp = nopHandler{}
+				c.Access(req)
+				if i++; i%bc.batch == 0 {
+					eng.Run()
+				}
+			}
+			for i < 2*bc.lines { // bring every line in
+				load()
+			}
+			eng.Run()
+			before := c.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				load()
+			}
+			eng.Run()
+			b.StopTimer()
+			loads, hits := c.Stats.DemandLoads-before.DemandLoads, c.Stats.DemandHits-before.DemandHits
+			misses, stalls := c.Stats.Misses-before.Misses, c.Stats.MSHRStalls-before.MSHRStalls
+			switch {
+			case loads != int64(b.N):
+				b.Fatalf("%d loads looked up, want %d", loads, b.N)
+			case bc.name == "hit" && hits != loads, bc.name != "hit" && misses != loads:
+				b.Fatalf("%d hits and %d misses in %d %ss", hits, misses, loads, bc.name)
+			case bc.batch == 1 && stalls != 0, bc.batch > 1 && b.N >= 2*bc.batch && stalls < loads/3:
+				b.Fatalf("%d misses waited for an MSHR in %d %ss", stalls, loads, bc.name)
+			}
+			if a := testing.AllocsPerRun(100, load); a != 0 {
+				b.Fatalf("%v allocations per load, want none", a)
+			}
+			eng.Run()
+			if c.lookupQ.Len()+c.pendingMiss.Len()+c.mshrCount != 0 {
+				b.Fatalf("drained cache still holds requests")
+			}
+		})
 	}
 }

@@ -162,8 +162,8 @@ func (d *DRAM) Access(req *Request) {
 		d.Stats.Reads++
 		d.Stats.LatencySum += doneAt - now
 	}
-	if h := req.Completer(); h != nil {
-		d.eng.Schedule(doneAt, h, req.CompA, 0)
+	if req.Comp != nil {
+		d.eng.Schedule(doneAt, req.Comp, req.CompA, 0)
 	}
 	d.Pool.Put(req)
 }

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"eventpf/internal/sim"
-)
+import "fmt"
 
 // This file implements the memory system's half of machine forking (see
 // system.Machine.Fork): each component of the fork copies its parent's state.
@@ -82,33 +78,23 @@ func (c *Cache) CopyStateFrom(src *Cache) error {
 		}
 		de.tags = append(de.tags, se.tags...)
 	}
-	var err error
-	if c.lookupQ, err = c.cloneRequests(c.lookupQ, src.lookupQ, src.eng); err != nil {
-		return fmt.Errorf("%s lookup pipeline: %w", src.cfg.Name, err)
-	}
-	if c.pendingMiss, err = c.cloneRequests(c.pendingMiss, src.pendingMiss, src.eng); err != nil {
-		return fmt.Errorf("%s pending misses: %w", src.cfg.Name, err)
-	}
-	return nil
-}
-
-// cloneRequests replaces dst's contents with copies of the requests parked in
-// src (a queue of the cache built on srcEng), each drawn from c's pool — the
-// fork's, never the parent's — with its completion target translated.
-func (c *Cache) cloneRequests(dst, src []*Request, srcEng *sim.Engine) ([]*Request, error) {
-	clear(dst)
-	dst = dst[:0]
-	for _, r := range src {
-		h, err := c.eng.Counterpart(srcEng, r.Comp)
+	clone := func(r *Request) (*Request, error) {
+		h, err := c.eng.Counterpart(src.eng, r.Comp)
 		if err != nil {
-			return dst, err
+			return nil, err
 		}
 		cl := c.Pool.Get()
 		*cl = *r
 		cl.Comp = h
-		dst = append(dst, cl)
+		return cl, nil
 	}
-	return dst, nil
+	if err := c.lookupQ.CopyFrom(&src.lookupQ, clone); err != nil {
+		return fmt.Errorf("%s lookup pipeline: %w", src.cfg.Name, err)
+	}
+	if err := c.pendingMiss.CopyFrom(&src.pendingMiss, clone); err != nil {
+		return fmt.Errorf("%s pending misses: %w", src.cfg.Name, err)
+	}
+	return nil
 }
 
 // CopyStateFrom copies src's translation state: both TLB levels, the
@@ -121,20 +107,16 @@ func (t *TLB) CopyStateFrom(src *TLB) error {
 	t.l1.copyFrom(&src.l1)
 	copy(t.l2, src.l2)
 	t.tlbState = src.tlbState
-	t.walkQueue = append(t.walkQueue[:0], src.walkQueue...)
-	if cap(t.recs) < len(src.recs) {
-		t.recs = make([]transRec, len(src.recs))
+	t.walkQueue.CopyFrom(&src.walkQueue, nil)
+	err := t.recs.CopyFrom(&src.recs, func(r transRec) (transRec, error) {
+		var err error
+		r.h, err = t.eng.Counterpart(src.eng, r.h)
+		return r, err
+	})
+	if err != nil {
+		// The records before the failing one were copied, so Live names it.
+		return fmt.Errorf("TLB record %d: %w", t.recs.Live(), err)
 	}
-	t.recs = t.recs[:len(src.recs)]
-	for i, r := range src.recs {
-		h, err := t.eng.Counterpart(src.eng, r.h)
-		if err != nil {
-			return fmt.Errorf("TLB record %d: %w", i, err)
-		}
-		r.h = h
-		t.recs[i] = r
-	}
-	t.recFree = append(t.recFree[:0], src.recFree...)
 	return nil
 }
 

@@ -67,7 +67,7 @@ func TestCacheAllDemandsComplete(t *testing.T) {
 				Comp: doneFn(func(sim.Ticks) { got++ })})
 		}
 		eng.Run()
-		return got == want
+		return got == want && c.mshrCount == 0 && c.lookupQ.Len() == 0 && c.pendingMiss.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -58,13 +58,6 @@ type Request struct {
 	CompA uint64
 }
 
-// HasDone reports whether a completion target is attached.
-func (r *Request) HasDone() bool { return r.Comp != nil }
-
-// Completer returns the request's completion target, or nil when the request
-// is posted.
-func (r *Request) Completer() sim.Handler { return r.Comp }
-
 // Complete fires the completion target, if any, with the completion time.
 func (r *Request) Complete(at sim.Ticks) {
 	if r.Comp != nil {

@@ -66,14 +66,12 @@ type TLB struct {
 	l2 []tlbEntry // set-associative: sets × L2Ways, one set after another
 
 	tlbState
-	walkQueue []int32 // indices into recs, FIFO of walks awaiting a walker
+	walkQueue sim.Queue[int32] // slots in recs of the walks awaiting a walker
 
 	// recs is the in-flight translation table: one record per translation
 	// that could not complete synchronously (L2 hit delay or page walk).
-	// Records are recycled through recFree, so steady-state translation
-	// allocates nothing; events and the walk queue carry record indices.
-	recs    []transRec
-	recFree []int32
+	// Events and the walk queue carry its slots.
+	recs sim.Slab[transRec]
 
 	l2HitH   tlbL2HitHandler
 	walkDone tlbWalkDoneHandler
@@ -140,30 +138,13 @@ type transRec struct {
 	start sim.Ticks
 }
 
-func (t *TLB) allocRec(page uint64, h sim.Handler, a uint64) int32 {
-	if n := len(t.recFree); n > 0 {
-		ri := t.recFree[n-1]
-		t.recFree = t.recFree[:n-1]
-		t.recs[ri] = transRec{page: page, h: h, a: a}
-		return ri
-	}
-	t.recs = append(t.recs, transRec{page: page, h: h, a: a})
-	return int32(len(t.recs) - 1)
-}
-
-func (t *TLB) freeRec(ri int32) {
-	t.recs[ri] = transRec{} // drop the handler reference eagerly
-	t.recFree = append(t.recFree, ri)
-}
-
 // tlbL2HitHandler completes an L2 TLB hit after the L2 latency; a is the
 // translation-record index.
 type tlbL2HitHandler struct{ t *TLB }
 
 func (hh tlbL2HitHandler) Handle(at sim.Ticks, a, _ uint64) {
 	t := hh.t
-	r := t.recs[a]
-	t.freeRec(int32(a))
+	r := t.recs.Take(int32(a))
 	t.l1.insert(r.page)
 	r.h.Handle(at, r.a, 1)
 }
@@ -173,8 +154,7 @@ type tlbWalkDoneHandler struct{ t *TLB }
 
 func (hh tlbWalkDoneHandler) Handle(at sim.Ticks, a, _ uint64) {
 	t := hh.t
-	r := t.recs[a]
-	t.freeRec(int32(a)) // locals copied; the completion below may reuse the slot
+	r := t.recs.Take(int32(a)) // copied out: the completion below may reuse the slot
 	t.activeWalks--
 	ok := t.bk.Mapped(r.page)
 	okBit := int32(0)
@@ -196,11 +176,9 @@ func (hh tlbWalkDoneHandler) Handle(at sim.Ticks, a, _ uint64) {
 	// completion: the completion may synchronously request another
 	// translation (the prefetch pump does), and letting it take the slot
 	// first starves queued demand walks indefinitely.
-	if len(t.walkQueue) > 0 && t.activeWalks < t.cfg.Walks {
-		next := t.walkQueue[0]
-		n := copy(t.walkQueue, t.walkQueue[1:])
-		t.walkQueue = t.walkQueue[:n]
-		t.mWalkDepth.Observe(len(t.walkQueue))
+	if t.walkQueue.Len() > 0 && t.activeWalks < t.cfg.Walks {
+		next := t.walkQueue.Pop()
+		t.mWalkDepth.Observe(t.walkQueue.Len())
 		t.startWalk(next)
 	}
 	r.h.Handle(at, r.a, uint64(okBit))
@@ -275,16 +253,16 @@ func (t *TLB) TranslateTo(addr uint64, h sim.Handler, a uint64) {
 
 	if t.touchL2(t.l2Set(page), page) {
 		t.Stats.L2Hits++
-		ri := t.allocRec(page, h, a)
+		ri := t.recs.Put(transRec{page: page, h: h, a: a})
 		t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.L2HitCycles), t.l2HitH, uint64(ri), 0)
 		return
 	}
 
-	ri := t.allocRec(page, h, a)
+	ri := t.recs.Put(transRec{page: page, h: h, a: a})
 	if t.activeWalks >= t.cfg.Walks {
 		t.Stats.WalkQueue++
-		t.walkQueue = append(t.walkQueue, ri)
-		t.mWalkDepth.Observe(len(t.walkQueue))
+		t.walkQueue.Push(ri)
+		t.mWalkDepth.Observe(t.walkQueue.Len())
 		return
 	}
 	t.startWalk(ri)
@@ -293,7 +271,7 @@ func (t *TLB) TranslateTo(addr uint64, h sim.Handler, a uint64) {
 func (t *TLB) startWalk(ri int32) {
 	t.activeWalks++
 	t.Stats.Walks++
-	r := &t.recs[ri]
+	r := t.recs.At(ri)
 	r.slot = t.takeWalker()
 	r.start = t.eng.Now()
 	t.eng.ScheduleAfter(t.clk.Cycles(t.cfg.WalkCycles), t.walkDone, uint64(ri), 0)

@@ -95,6 +95,9 @@ func TestTLBWalkConcurrencyLimit(t *testing.T) {
 	if doneTimes[3] <= doneTimes[0] {
 		t.Error("queued walks completed as fast as concurrent ones")
 	}
+	if w, q, r := tlb.activeWalks, tlb.walkQueue.Len(), tlb.recs.Live(); w+q+r != 0 {
+		t.Errorf("drained TLB holds %d walks, %d queued, %d records", w, q, r)
+	}
 }
 
 // refL1 is the L1 TLB as a linear scan over its entries, as it was before

@@ -376,10 +376,10 @@ func TestForkWithNestedSuspendedKernels(t *testing.T) {
 	// may show in the fork.
 	idle := fork.pf.Stats
 	parent.eng.Run()
-	if fork.pf.Stats != idle || fork.pf.reqQueue.len() != 0 || fork.pf.globals[0] != 0 ||
+	if fork.pf.Stats != idle || fork.pf.reqQueue.Len() != 0 || fork.pf.globals[0] != 0 ||
 		fork.eng.Pending() == 0 || len(forkTr.Events()) != 0 {
 		t.Fatalf("the parent's run reached its fork: stats %+v (were %+v), %d requests queued, global 0 = %d, %d trace events",
-			fork.pf.Stats, idle, fork.pf.reqQueue.len(), fork.pf.globals[0], len(forkTr.Events()))
+			fork.pf.Stats, idle, fork.pf.reqQueue.Len(), fork.pf.globals[0], len(forkTr.Events()))
 	}
 	fork.eng.Run()
 

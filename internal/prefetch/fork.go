@@ -16,8 +16,8 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 	p.pfState = src.pfState
 	p.kernels = append(p.kernels[:0], src.kernels...)
 	p.filter = append(p.filter[:0], src.filter...)
-	p.obsQueue.copyFrom(&src.obsQueue)
-	p.reqQueue.copyFrom(&src.reqQueue)
+	p.obsQueue.CopyFrom(&src.obsQueue, nil)
+	p.reqQueue.CopyFrom(&src.reqQueue, nil)
 	copy(p.busy, src.busy)
 	for i := range src.units {
 		su, du := &src.units[i], &p.units[i]
@@ -32,7 +32,6 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 		}
 	}
 	p.pending.copyFrom(&src.pending)
-	p.pumpRecs = append(p.pumpRecs[:0], src.pumpRecs...)
-	p.pumpFree = append(p.pumpFree[:0], src.pumpFree...)
+	p.pumpRecs.CopyFrom(&src.pumpRecs, nil)
 	return nil
 }

@@ -177,8 +177,8 @@ type Prefetcher struct {
 	kernels []kernelEntry // the registry, indexed by kernel id
 	filter  []RangeConfig
 
-	obsQueue fifo[observation]
-	reqQueue fifo[request]
+	obsQueue sim.Queue[observation]
+	reqQueue sim.Queue[request]
 	units    []unit
 	// busy has bit id set while PPU id runs (or is suspended in) a kernel;
 	// the bits past the last unit are set for good, so the lowest clear bit
@@ -187,12 +187,11 @@ type Prefetcher struct {
 
 	pending pendTable
 
-	// pumpRecs is the recycled table of requests whose TLB translation is in
-	// flight (the address must outlive the pending entry: a flush or drop can
-	// remove the pending mid-translation and the issue still needs the
-	// address). Translation events carry table indices.
-	pumpRecs []pumpRec
-	pumpFree []int32
+	// pumpRecs holds the requests whose TLB translation is in flight (the
+	// address must outlive the pending entry: a flush or drop can remove the
+	// pending mid-translation and the issue still needs the address).
+	// Translation events carry slot numbers.
+	pumpRecs sim.Slab[request]
 
 	// invFree holds the invocation records not on any unit's stack.
 	invFree []*invocation
@@ -214,11 +213,6 @@ type pfState struct {
 	inFlight int    // prefetch lookups issued to L1 whose MSHR is not yet held
 	epoch    uint64 // flushes so far; a unit-free event armed before one is stale
 	Stats    Stats
-}
-
-type pumpRec struct {
-	addr  uint64
-	obsID int
 }
 
 // enqueueHandler moves a generated prefetch into the request queue at its
@@ -264,17 +258,6 @@ func (p *Prefetcher) freeUnit() int {
 		}
 	}
 	return -1
-}
-
-func (p *Prefetcher) allocPumpRec(addr uint64, obsID int) int32 {
-	if n := len(p.pumpFree); n > 0 {
-		ri := p.pumpFree[n-1]
-		p.pumpFree = p.pumpFree[:n-1]
-		p.pumpRecs[ri] = pumpRec{addr: addr, obsID: obsID}
-		return ri
-	}
-	p.pumpRecs = append(p.pumpRecs, pumpRec{addr: addr, obsID: obsID})
-	return int32(len(p.pumpRecs) - 1)
 }
 
 // New builds a prefetcher and hooks it into the L1 cache's snoop, fill,
@@ -386,8 +369,8 @@ func (p *Prefetcher) SetGlobal(idx int, val uint64) { p.globals[idx] = val }
 func (p *Prefetcher) Flush() {
 	p.Stats.Flushes++
 	p.emit(trace.Event{Kind: trace.PFFlush, A: -1, C: -1})
-	p.obsQueue.clear()
-	p.reqQueue.clear()
+	p.obsQueue.Clear()
+	p.reqQueue.Clear()
 	p.epoch++ // disarms the free events of the units freed below
 	now := p.eng.Now()
 	for i := range p.units {
@@ -506,28 +489,28 @@ func (p *Prefetcher) onPrefetchFill(line uint64, tag int, _ sim.Ticks, filled bo
 
 func (p *Prefetcher) enqueueObs(o observation) {
 	p.emit(trace.Event{Kind: trace.PFObserve, Addr: o.addr, A: int32(o.kernel), C: -1})
-	if p.obsQueue.len() >= p.cfg.ObsQueue {
+	if p.obsQueue.Len() >= p.cfg.ObsQueue {
 		// Prefetches are only hints: drop the oldest observation (§4.3).
 		p.Stats.ObsDropped++
-		oldest := p.obsQueue.pop()
+		oldest := p.obsQueue.Pop()
 		p.emit(trace.Event{Kind: trace.PFObsDrop, Addr: oldest.addr,
 			A: int32(oldest.kernel), C: -1})
-		p.mObsDepth.Observe(p.obsQueue.len())
+		p.mObsDepth.Observe(p.obsQueue.Len())
 	}
-	p.obsQueue.push(o)
-	p.mObsDepth.Observe(p.obsQueue.len())
+	p.obsQueue.Push(o)
+	p.mObsDepth.Observe(p.obsQueue.Len())
 	p.schedule()
 }
 
 // schedule assigns queued observations to free PPUs, lowest id first (§7.2).
 func (p *Prefetcher) schedule() {
-	for p.obsQueue.len() > 0 {
+	for p.obsQueue.Len() > 0 {
 		id := p.freeUnit()
 		if id < 0 {
 			return
 		}
-		o := p.obsQueue.pop()
-		p.mObsDepth.Observe(p.obsQueue.len())
+		o := p.obsQueue.Pop()
+		p.mObsDepth.Observe(p.obsQueue.Len())
 		p.startKernel(id, o)
 	}
 }
@@ -656,16 +639,16 @@ func (inv *invocation) emitPF(addr uint64, tag int, cycle int64) bool {
 }
 
 func (p *Prefetcher) enqueueReq(r request) {
-	if p.reqQueue.len() >= p.cfg.ReqQueue {
+	if p.reqQueue.Len() >= p.cfg.ReqQueue {
 		p.Stats.ReqDropped++
 		p.dropPending(r.obsID, trace.DropQueue)
 		return
 	}
-	p.Stats.QueueDepthSum += int64(p.reqQueue.len())
-	p.reqQueue.push(r)
-	p.mReqDepth.Observe(p.reqQueue.len())
+	p.Stats.QueueDepthSum += int64(p.reqQueue.Len())
+	p.reqQueue.Push(r)
+	p.mReqDepth.Observe(p.reqQueue.Len())
 	p.emit(trace.Event{Kind: trace.PFEnqueue, Addr: r.addr, ID: int64(r.obsID),
-		A: int32(p.reqQueue.len()), C: -1})
+		A: int32(p.reqQueue.Len()), C: -1})
 	p.pump()
 }
 
@@ -687,7 +670,7 @@ const pumpWays = 4
 // free MSHRs so the headroom gate cannot be overrun by requests whose MSHR
 // claim has not landed yet.
 func (p *Prefetcher) pump() {
-	if p.reqQueue.len() == 0 {
+	if p.reqQueue.Len() == 0 {
 		return
 	}
 	if p.pumping >= pumpWays {
@@ -699,11 +682,10 @@ func (p *Prefetcher) pump() {
 		return
 	}
 	p.pumping++
-	r := p.reqQueue.pop()
-	p.mReqDepth.Observe(p.reqQueue.len())
+	r := p.reqQueue.Pop()
+	p.mReqDepth.Observe(p.reqQueue.Len())
 
-	ri := p.allocPumpRec(r.addr, r.obsID)
-	p.tlb.TranslateTo(r.addr, p.pumpH, uint64(ri))
+	p.tlb.TranslateTo(r.addr, p.pumpH, uint64(p.pumpRecs.Put(r)))
 }
 
 // pumpDoneHandler receives a prefetch request's translation; a is the pump
@@ -712,9 +694,7 @@ type pumpDoneHandler struct{ p *Prefetcher }
 
 func (h pumpDoneHandler) Handle(_ sim.Ticks, a, ok uint64) {
 	p := h.p
-	r := p.pumpRecs[a]
-	p.pumpRecs[a] = pumpRec{}
-	p.pumpFree = append(p.pumpFree, int32(a))
+	r := p.pumpRecs.Take(int32(a))
 	p.pumping--
 	if ok == 0 {
 		// Page-table miss: discard rather than fault (§5.3).

@@ -24,8 +24,8 @@ type stubLevel struct {
 func (s *stubLevel) Access(req *mem.Request) {
 	if req.Kind != mem.Writeback {
 		s.reads++
-		if h := req.Completer(); h != nil {
-			s.eng.ScheduleAfter(s.latency, h, req.CompA, 0)
+		if req.Comp != nil {
+			s.eng.ScheduleAfter(s.latency, req.Comp, req.CompA, 0)
 		}
 	}
 	s.pool.Put(req)
@@ -565,6 +565,11 @@ func TestPumpOverlapsTranslations(t *testing.T) {
 	}
 	if f.pf.Stats.PumpBusy == 0 {
 		t.Log("pump never saturated; acceptable but unexpected with 8 distinct pages")
+	}
+	p := f.pf
+	if o, q, r, n := p.obsQueue.Len(), p.reqQueue.Len(), p.pumpRecs.Live(), p.pending.liveCount(); o+q+r+n+p.pumping+p.inFlight != 0 {
+		t.Errorf("drained prefetcher holds %d observations, %d requests, %d pump records, %d pending, %d pumping, %d in flight",
+			o, q, r, n, p.pumping, p.inFlight)
 	}
 }
 

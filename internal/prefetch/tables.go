@@ -5,46 +5,6 @@ import (
 	"eventpf/internal/sim"
 )
 
-// fifo is a first-in first-out queue over a power-of-two ring that doubles
-// when full: push and pop are O(1) and nothing moves. The hardware queues it
-// stands for (§4.3, §4.6) are bounded; the prefetcher checks the bound before
-// it pushes, so the ring stops growing at the first power of two that holds
-// the configured depth.
-type fifo[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (q *fifo[T]) len() int { return q.n }
-
-func (q *fifo[T]) push(v T) {
-	if q.n == len(q.buf) {
-		grown := make([]T, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
-	q.n++
-}
-
-// pop removes and returns the oldest element; the queue must not be empty.
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v
-}
-
-func (q *fifo[T]) clear() { q.head, q.n = 0, 0 }
-
-func (q *fifo[T]) copyFrom(src *fifo[T]) {
-	q.buf = append(q.buf[:0], src.buf...)
-	q.head, q.n = src.head, src.n
-}
-
 // pendingPF is the record of one generated prefetch, from the kernel that
 // emitted it to the fill (or drop) that ends it. id is the observation id the
 // request carries as its cache tag (§4.7) and every trace event prints.

@@ -157,19 +157,15 @@ func forkCompatible(old, new Config) error {
 // copyStateFrom copies the in-flight demand-load record table; each record's
 // completion handler (a core adapter) is translated into the fork's.
 func (g *portGlue) copyStateFrom(src *portGlue) error {
-	if cap(g.recs) < len(src.recs) {
-		g.recs = make([]loadRec, len(src.recs))
+	err := g.recs.CopyFrom(&src.recs, func(r loadRec) (loadRec, error) {
+		var err error
+		r.h, err = g.eng.Counterpart(src.eng, r.h)
+		return r, err
+	})
+	if err != nil {
+		// The records before the failing one were copied, so Live names it.
+		return fmt.Errorf("load record %d: %w", g.recs.Live(), err)
 	}
-	g.recs = g.recs[:len(src.recs)]
-	for i, r := range src.recs {
-		h, err := g.eng.Counterpart(src.eng, r.h)
-		if err != nil {
-			return fmt.Errorf("load record %d: %w", i, err)
-		}
-		r.h = h
-		g.recs[i] = r
-	}
-	g.free = append(g.free[:0], src.free...)
 	return nil
 }
 

@@ -171,7 +171,7 @@ func New(cfg Config, scheme Scheme) *Machine {
 	l1.Pool, l2.Pool, dram.Pool = g.pool, g.pool, g.pool
 	ports := cpu.Ports{
 		Load: func(addr uint64, pc int, h sim.Handler, a uint64) {
-			ri := g.alloc(addr, pc, h, a)
+			ri := g.recs.Put(loadRec{addr: addr, pc: pc, h: h, a: a})
 			tlb.TranslateTo(addr, g.loadH, uint64(ri))
 		},
 		Store: func(addr uint64, pc int) {
@@ -206,17 +206,16 @@ type hostBound interface {
 }
 
 // portGlue is the allocation-free bridge between the core's memory ports and
-// the TLB/L1. It owns the machine-wide request pool and a recycled table of
-// in-flight demand loads (the address, PC and completion target that must
-// survive the TLB latency); translation events carry table indices.
+// the TLB/L1. It owns the machine-wide request pool and a table of in-flight
+// demand loads (the address, PC and completion target that must survive the
+// TLB latency); translation events carry table slots.
 type portGlue struct {
 	eng  *sim.Engine
 	tlb  *mem.TLB
 	l1   *mem.Cache
 	pool *mem.Pool
 
-	recs []loadRec
-	free []int32
+	recs sim.Slab[loadRec]
 
 	loadH loadTransHandler
 	swpfH swpfTransHandler
@@ -237,30 +236,13 @@ func newPortGlue(eng *sim.Engine, tlb *mem.TLB, l1 *mem.Cache) *portGlue {
 	return g
 }
 
-func (g *portGlue) alloc(addr uint64, pc int, h sim.Handler, a uint64) int32 {
-	if n := len(g.free); n > 0 {
-		ri := g.free[n-1]
-		g.free = g.free[:n-1]
-		g.recs[ri] = loadRec{addr: addr, pc: pc, h: h, a: a}
-		return ri
-	}
-	g.recs = append(g.recs, loadRec{addr: addr, pc: pc, h: h, a: a})
-	return int32(len(g.recs) - 1)
-}
-
-func (g *portGlue) freeRec(ri int32) {
-	g.recs[ri] = loadRec{} // drop the handler reference eagerly
-	g.free = append(g.free, ri)
-}
-
 // loadTransHandler receives a demand load's translation (a = record index)
 // and forwards the load into L1.
 type loadTransHandler struct{ g *portGlue }
 
 func (h loadTransHandler) Handle(_ sim.Ticks, a, ok uint64) {
 	g := h.g
-	r := g.recs[a]
-	g.freeRec(int32(a))
+	r := g.recs.Take(int32(a))
 	if ok == 0 {
 		panic(fmt.Sprintf("system: demand load to unmapped address %#x", r.addr))
 	}
