@@ -147,8 +147,8 @@ func tableBody(out []byte) string {
 	return strings.Join(body, "\n")
 }
 
-// fig12Determinism: the adaptive controller is a seeded policy, so two
-// processes print the same Figure 12, PhaseMix and geomean rows included.
+// fig12Determinism: the adaptive controller's policy has no randomness, so
+// two processes print the same Figure 12, PhaseMix and geomean rows included.
 func (e env) fig12Determinism(t *testing.T) {
 	t.Parallel()
 	a := tableBody(e.run(t, "ppftables", "-exp", "fig12", "-scale", "0.01"))

@@ -15,22 +15,22 @@ func (f fn) Handle(sim.Ticks, uint64, uint64) { f() }
 type stubLevel struct {
 	eng     *sim.Engine
 	latency sim.Ticks
+	pool    *mem.Pool // where serviced requests go; nil leaves them to the collector
 }
 
 func (s *stubLevel) Access(req *mem.Request) {
-	if req.Kind == mem.Writeback {
-		return
-	}
-	if req.Comp != nil {
+	if req.Kind != mem.Writeback && req.Comp != nil {
 		s.eng.ScheduleAfter(s.latency, req.Comp, req.CompA, 0)
 	}
+	s.pool.Put(req)
 }
 
 type fixture struct {
-	eng *sim.Engine
-	bk  *mem.Backing
-	l1  *mem.Cache
-	tlb *mem.TLB
+	eng  *sim.Engine
+	bk   *mem.Backing
+	l1   *mem.Cache
+	tlb  *mem.TLB
+	next *stubLevel
 }
 
 func newFixture(t testing.TB) *fixture {
@@ -38,11 +38,12 @@ func newFixture(t testing.TB) *fixture {
 	eng := sim.NewEngine()
 	bk := mem.NewBacking()
 	clk := sim.ClockFromMHz(3200)
+	next := &stubLevel{eng: eng, latency: 2000}
 	l1 := mem.NewCache(eng, clk, mem.CacheConfig{
 		Name: "L1", SizeBytes: 32 << 10, Ways: 2, HitCycles: 2, MSHRs: 12,
-	}, &stubLevel{eng: eng, latency: 2000})
+	}, next)
 	tlb := mem.NewTLB(eng, clk, mem.DefaultTLBConfig(), bk)
-	return &fixture{eng: eng, bk: bk, l1: l1, tlb: tlb}
+	return &fixture{eng: eng, bk: bk, l1: l1, tlb: tlb, next: next}
 }
 
 func (f *fixture) mapRange(lo, hi uint64) {

@@ -37,30 +37,3 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		t.Errorf("adaptive run never switched arms (stats: %+v)", *first.Adaptive)
 	}
 }
-
-// TestAdaptiveForkRejectsPolicyChange: the controller's copied state (arm
-// menu, reward table, RNG stream) is shaped by its config, so a fork that
-// changes any adaptive knob must be refused like a cache-geometry change.
-func TestAdaptiveForkRejectsPolicyChange(t *testing.T) {
-	b, err := workloads.ByName("HJ-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Warm(b, Adaptive, Options{Scale: 0.02}, 5_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Machine().ForkWith(w.Machine().Cfg); err != nil {
-		t.Errorf("unchanged config should fork: %v", err)
-	}
-	bad := w.Machine().Cfg
-	bad.Adaptive.IntervalTicks *= 2
-	if _, err := w.Machine().ForkWith(bad); err == nil {
-		t.Error("interval change must not fork")
-	}
-	bad = w.Machine().Cfg
-	bad.Adaptive.Seed++
-	if _, err := w.Machine().ForkWith(bad); err == nil {
-		t.Error("seed change must not fork")
-	}
-}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"eventpf/internal/workloads"
 )
 
 // TestExperimentTablesGolden pins every table byte for byte. The golden file
@@ -39,9 +41,41 @@ func TestExperimentTablesGolden(t *testing.T) {
 		if got+"\n" != want[i] {
 			t.Errorf("%s differs from golden\n got:\n%s\nwant:\n%s", e.ID, got, want[i])
 		}
+		if e.ID == "fig12" {
+			checkFig12Claims(t, s) // memo hits only: the table just ran every pair
+		}
 	}
 	if _, misses := s.MemoStats(); !testing.Short() && misses != 201 {
 		t.Errorf("the 14 tables simulated %d configurations, want 201", misses)
+	}
+}
+
+// checkFig12Claims checks the two quality claims DESIGN §18.6 makes for the
+// adaptive controller: on PhaseMix, the phase alternator built for it, it
+// reaches at least 95% of the best static in hindsight; and over Figure 12
+// its geomean is above every fixed-function static's.
+func checkFig12Claims(t *testing.T, s *Suite) {
+	t.Helper()
+	rows, err := s.Fig12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adaptive []float64
+	statics := map[Scheme][]float64{}
+	for _, r := range rows {
+		adaptive = append(adaptive, r.Adaptive)
+		for sch, v := range r.Static {
+			statics[sch] = append(statics[sch], v)
+		}
+		if r.Benchmark == workloads.PhaseMix.Name && r.Adaptive < 0.95*r.Oracle {
+			t.Errorf("PhaseMix: adaptive %.3fx is below 95%% of the oracle's %.3fx (%s)", r.Adaptive, r.Oracle, r.OracleScheme)
+		}
+	}
+	ad := geomean(adaptive)
+	for _, sch := range []Scheme{Stride, GHBRegular, GHBLarge, RPT, GHBDelta, TSKID} {
+		if g := geomean(statics[sch]); !(ad > g) {
+			t.Errorf("fig12: adaptive geomean %.3fx is not above %s's %.3fx", ad, sch, g)
+		}
 	}
 }
 

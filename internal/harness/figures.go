@@ -844,9 +844,8 @@ func (s *Suite) Fig12() ([]Fig12Row, error) {
 }
 
 // FormatFig12 renders the adaptive-control study. The closing geomean row
-// is the acceptance check for the adaptive controller: its geomean should
-// sit within a few percent of the hindsight oracle's, and above every
-// static's.
+// holds the claim TestExperimentTablesGolden pins: the adaptive geomean is
+// above every fixed-function static's (DESIGN §18.6).
 func FormatFig12(rows []Fig12Row) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %9s %9s %-10s", "bench", "adaptive", "oracle", "(scheme)")

@@ -87,7 +87,7 @@ const (
 	TSKID
 	// Adaptive is the online adaptive controller (internal/adaptive): the
 	// programmable prefetcher plus a menu of baseline units hosted on one
-	// machine, phase-detected and switched at runtime. It runs the plain
+	// machine, one active at a time, switched at runtime. It runs the plain
 	// build with the manual kernels installed (the "pf" arm), and stays out
 	// of Figure 7 so the static matrices and goldens are unchanged; the
 	// Figure 12 experiment compares it against every static scheme.

@@ -12,10 +12,9 @@ package stats
 //
 // The first observation sets the value directly (warm-up), so the average
 // is never dragged from an arbitrary zero start; before any observation
-// Value is 0 and Warm reports false, and callers that can see an unwarmed
-// estimator must decide what a missing estimate means (ppfserve clamps its
-// Retry-After to a floor, the adaptive policy treats unwarmed rewards as
-// "never tried").
+// Value is 0, and callers that can see an empty estimator must decide what
+// a missing estimate means (ppfserve clamps its Retry-After to a floor; the
+// adaptive policy measures every arm before it compares them).
 //
 // The zero value with Div 0 is not usable; construct with NewEWMA.
 type EWMA struct {
@@ -48,16 +47,3 @@ func (e *EWMA) Observe(x int64) {
 
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() int64 { return e.v }
-
-// Warm reports whether at least one sample has been observed.
-func (e *EWMA) Warm() bool { return e.n > 0 }
-
-// Samples returns how many observations have been folded in.
-func (e *EWMA) Samples() int64 { return e.n }
-
-// Reset forgets all state; the next observation warms up afresh. The
-// smoothing factor is kept.
-func (e *EWMA) Reset() {
-	e.v = 0
-	e.n = 0
-}

@@ -6,16 +6,10 @@ import "testing"
 // value directly instead of averaging against the zero start.
 func TestEWMAWarmup(t *testing.T) {
 	e := NewEWMA(4)
-	if e.Warm() {
-		t.Fatal("estimator warm before any observation")
-	}
 	if got := e.Value(); got != 0 {
 		t.Fatalf("zero-sample Value() = %d, want 0", got)
 	}
 	e.Observe(1000)
-	if !e.Warm() {
-		t.Fatal("estimator not warm after an observation")
-	}
 	if got := e.Value(); got != 1000 {
 		t.Fatalf("first observation: Value() = %d, want 1000 (set directly)", got)
 	}
@@ -57,23 +51,17 @@ func TestEWMAConverges(t *testing.T) {
 	}
 }
 
-// TestEWMAZeroSample covers the behaviours a caller can see before any
-// sample arrives and after a Reset.
+// TestEWMAZeroSample covers what a caller sees before any sample arrives:
+// Value is 0, and a zero first sample is a sample like any other.
 func TestEWMAZeroSample(t *testing.T) {
 	e := NewEWMA(2)
-	if e.Samples() != 0 || e.Value() != 0 || e.Warm() {
-		t.Fatalf("fresh estimator: n=%d v=%d warm=%v, want 0/0/false", e.Samples(), e.Value(), e.Warm())
+	if got := e.Value(); got != 0 {
+		t.Fatalf("fresh estimator: Value() = %d, want 0", got)
 	}
-	e.Observe(500)
-	e.Observe(700)
-	e.Reset()
-	if e.Samples() != 0 || e.Value() != 0 || e.Warm() {
-		t.Fatalf("after Reset: n=%d v=%d warm=%v, want 0/0/false", e.Samples(), e.Value(), e.Warm())
-	}
-	// Reset keeps the smoothing factor and warms up afresh.
+	e.Observe(0)
 	e.Observe(300)
-	if got := e.Value(); got != 300 {
-		t.Fatalf("first observation after Reset: Value() = %d, want 300", got)
+	if got := e.Value(); got != 150 {
+		t.Fatalf("after samples 0 and 300: Value() = %d, want 150", got)
 	}
 }
 

@@ -138,10 +138,6 @@ func forkCompatible(old, new Config) error {
 	case new.Stride != old.Stride, new.GHB != old.GHB, new.RPT != old.RPT,
 		new.Delta != old.Delta, new.TSKID != old.TSKID:
 		return fmt.Errorf("system: fork cannot change baseline prefetcher sizing")
-	case new.Adaptive != old.Adaptive:
-		// The controller's pending tick was armed under the parent's
-		// interval, and its policy state is shaped by the parent's menu.
-		return fmt.Errorf("system: fork cannot change the adaptive controller configuration")
 	case new.Prefetcher.NumPPUs != old.Prefetcher.NumPPUs:
 		return fmt.Errorf("system: fork cannot change the PPU count")
 	case new.Prefetcher.Blocked != old.Prefetcher.Blocked:

@@ -43,7 +43,7 @@ func TestForkStateIsPlainValue(t *testing.T) {
 		{reflect.TypeOf(m.TLB).Elem(), "tlbState"},
 		{reflect.TypeOf(m.DRAM).Elem(), "dramState"},
 		{reflect.TypeOf(m.PF).Elem(), "pfState"},
-		{reflect.TypeOf(m.Baseline).Elem(), "policy"},
+		{reflect.TypeOf(m.Baseline).Elem(), "state"},
 	} {
 		f, ok := c.owner.FieldByName(c.state)
 		if !ok || !f.Anonymous {

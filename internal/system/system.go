@@ -37,7 +37,6 @@ type Config struct {
 	RPT        baseline.RPTConfig
 	Delta      baseline.DeltaConfig
 	TSKID      baseline.TSKIDConfig
-	Adaptive   adaptive.Config
 
 	// ContextSwitchTicks, if positive, flushes the programmable prefetcher
 	// on this period, modelling context switches (§5.3).
@@ -59,7 +58,6 @@ func DefaultConfig() Config {
 		RPT:               baseline.DefaultRPTConfig(),
 		Delta:             baseline.DefaultDeltaConfig(),
 		TSKID:             baseline.DefaultTSKIDConfig(),
-		Adaptive:          adaptive.DefaultConfig(),
 	}
 }
 
@@ -153,7 +151,7 @@ func New(cfg Config, scheme Scheme) *Machine {
 	}
 	switch {
 	case scheme == Adaptive:
-		m.Baseline = adaptive.New(eng, cfg.Adaptive, l1, m.PF, func(name string) baseline.Unit {
+		m.Baseline = adaptive.New(eng, l1, m.PF, func(name string) baseline.Unit {
 			if ctor := units[name]; ctor != nil {
 				return ctor(eng, &cfg, l1, tlb)
 			}

@@ -199,18 +199,14 @@ func WriteChrome(w io.Writer, events []Event, lay Layout) error {
 				stall[e.A] = openSlice{at: e.At, name: name}
 			}
 		case AdaptiveSwitch:
-			reasons := [...]string{SwitchSweep: "sweep", SwitchExploit: "exploit", SwitchExplore: "explore"}
+			reasons := [...]string{SwitchSweep: "sweep", SwitchExploit: "exploit"}
 			name := "switch"
 			if int(e.C) >= 0 && int(e.C) < len(reasons) {
 				name = "switch: " + reasons[e.C]
 			}
 			add(instant(tidAdaptive, name, e.At, map[string]any{"from": e.A, "to": e.B}))
-		case AdaptivePhase:
-			name := "phase: rising"
-			if e.C > 0 {
-				name = "phase: pf-idle"
-			}
-			add(instant(tidAdaptive, name, e.At, map[string]any{"fast": e.A, "slow": e.B}))
+		case AdaptiveIdleDemote:
+			add(instant(tidAdaptive, "idle demotion", e.At, map[string]any{"arm": e.A, "demands": e.B}))
 		case CoreStallEnd:
 			if s, ok := stall[e.A]; ok {
 				closeSlice(tidCoreBase+int(e.A), s, e.At)

@@ -47,8 +47,8 @@ const (
 	CoreStall     // dispatch/retire stall began; A=stall reason (Stall*)
 	CoreStallEnd  // the stall reason cleared; A=stall reason
 
-	AdaptiveSwitch // adaptive controller changed the active arm; A=from arm, B=to arm, C=reason (Switch*)
-	AdaptivePhase  // adaptive phase detector fired; A=fast miss-rate EWMA (per-mille), B=slow
+	AdaptiveSwitch     // adaptive controller changed the active arm; A=from arm, B=to arm, C=reason (Switch*)
+	AdaptiveIdleDemote // adaptive controller demoted its blind pf arm; A=that arm, B=the interval's demand accesses
 
 	// CoreDispatch is one micro-op entering the core's window, the feed the
 	// trace-capture sink (internal/tracein) records: ID=dynamic op id,
@@ -61,9 +61,8 @@ const (
 
 // AdaptiveSwitch reasons (Event.C).
 const (
-	SwitchSweep   int32 = iota // trialling arms after a phase change / at start
-	SwitchExploit              // settled on the best-reward arm
-	SwitchExplore              // epsilon-greedy exploration interval
+	SwitchSweep   int32 = iota // trialling arms, at start or after an idle demotion
+	SwitchExploit              // the best-reward arm takes over
 )
 
 // PFDrop reasons (Event.A).
@@ -96,7 +95,7 @@ var kindNames = [...]string{
 	CacheMSHRFull: "mshr-full", CachePFDrop: "cache-pf-drop",
 	DRAMAccess: "dram", TLBWalk: "tlb-walk",
 	CoreStall: "core-stall", CoreStallEnd: "core-stall-end",
-	AdaptiveSwitch: "adapt-switch", AdaptivePhase: "adapt-phase",
+	AdaptiveSwitch: "adapt-switch", AdaptiveIdleDemote: "adapt-idle-demote",
 	CoreDispatch: "dispatch",
 }
 

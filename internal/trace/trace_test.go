@@ -108,7 +108,7 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 		{At: 510, Kind: CoreStall, A: StallLQ},
 		{At: 600, Kind: CoreStallEnd, A: StallLQ},
 		{At: 620, Kind: AdaptiveSwitch, A: 0, B: 4, C: SwitchSweep},
-		{At: 640, Kind: AdaptivePhase, A: 300, B: 100, C: -1},
+		{At: 640, Kind: AdaptiveIdleDemote, A: 4, B: 300},
 	}
 	lay := Layout{PPUs: 2, DRAMBanks: 8, L1MSHRs: 12, L2MSHRs: 16, TLBWalkers: 3}
 	var buf bytes.Buffer
@@ -137,7 +137,7 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 			kernelSlices++
 		case e.Name == "fill":
 			fills++
-		case strings.HasPrefix(e.Name, "switch:") || strings.HasPrefix(e.Name, "phase:"):
+		case strings.HasPrefix(e.Name, "switch:") || e.Name == "idle demotion":
 			adapts++
 		}
 	}
@@ -173,7 +173,7 @@ func TestWriteChromeClosesOpenSlices(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := PFObserve; k <= AdaptivePhase; k++ {
+	for k := PFObserve; k <= AdaptiveIdleDemote; k++ {
 		if k.String() == "unknown" || k.String() == "" {
 			t.Errorf("kind %d has no name", k)
 		}

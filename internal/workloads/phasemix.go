@@ -13,7 +13,7 @@ import (
 // PPU kernels) with long linked-list chases (ideal for the PPU chase
 // kernel, opaque to a stride unit). No single static scheme is right for
 // both halves, so it isolates exactly the behaviour the adaptive controller
-// exists for: detecting the phase change and swapping the active scheme at
+// exists for: noticing the phase change and swapping the active scheme at
 // run time. It is not part of the paper's Table 2, so it lives in Extra,
 // not All — ByName resolves it, figure sweeps over All do not.
 var PhaseMix = &Benchmark{
