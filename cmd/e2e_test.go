@@ -377,9 +377,9 @@ func (e env) daemonFlags(t *testing.T) {
 			t.Errorf("%s -h lists %d flags, want %d:\n got %v\nwant %v", prog, len(got), len(want), got, want)
 		}
 	}
-	// A scale flag that is not 0 or finite and positive is a usage error:
-	// -max-scale NaN once turned the cap off.
-	for _, args := range [][]string{{"-max-scale", "NaN"}, {"-max-scale", "-1"}, {"-default-scale", "Inf"}} {
+	// A scale flag harness.CheckScale refuses is a usage error: -max-scale
+	// NaN once turned the cap off.
+	for _, args := range [][]string{{"-max-scale", "NaN"}, {"-max-scale", "-1"}, {"-default-scale", "Inf"}, {"-max-scale", "1e300"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		cmd := exec.CommandContext(ctx, filepath.Join(e.dir, "ppfserve"), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 		out, _ := cmd.CombinedOutput()
@@ -387,6 +387,12 @@ func (e env) daemonFlags(t *testing.T) {
 			t.Errorf("ppfserve %v: exit %d (deadline: %v), want 2 naming the flag\n%s", args, code, ctx.Err(), out)
 		}
 		cancel()
+	}
+	// ppftables refuses the same scales before it builds anything: 1e300
+	// once wrapped to a negative int and ran the smallest inputs.
+	cmd := exec.Command(filepath.Join(e.dir, "ppftables"), "-exp", "fig7", "-scale", "1e300")
+	if out, _ := cmd.CombinedOutput(); cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(out), "scale 1e+300") {
+		t.Errorf("ppftables -scale 1e300: exit %d, want 2 naming the scale\n%s", cmd.ProcessState.ExitCode(), out)
 	}
 }
 

@@ -210,6 +210,8 @@ func TestFailingRuns(t *testing.T) {
 		// Each once simulated the smallest input and exited 0.
 		{"scale-nan", []string{"-bench", "HJ-2", "-scheme", "no-pf", "-scale", "NaN"}, 2, "scale NaN"},
 		{"scale-negative", []string{"-bench", "HJ-2", "-scheme", "no-pf", "-scale", "-1"}, 2, "scale -1"},
+		// Once wrapped to a negative int and ran the smallest input.
+		{"scale-huge", []string{"-bench", "HJ-2", "-scheme", "no-pf", "-scale", "1e300"}, 2, "scale 1e+300"},
 	} {
 		cpu, heap := filepath.Join(dir, c.name+".cpu"), filepath.Join(dir, c.name+".heap")
 		// The row's own flags come last, so a row's -scale wins over this one.

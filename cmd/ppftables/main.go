@@ -46,6 +46,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := harness.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "ppftables: %v\n", err)
+		os.Exit(2)
+	}
 	suite := harness.NewSuite(harness.Options{Scale: *scale, Parallel: *parallel})
 	for _, e := range todo {
 		start := time.Now()

@@ -44,7 +44,12 @@ type MicroOp struct {
 	Addr  uint64   // memory ops and software prefetches
 	Deps  [2]int64 // producing op IDs, NoDep if unused
 	Taken bool     // branches: resolved direction
-	Do    func()   // OpConfig: side effect applied at dispatch
+	// Do is an OpConfig's side effect, applied at dispatch. It is valid only
+	// until the stream's next Fill or Next: a stream may bind one func per
+	// stream and keep the op's operands in a slot the next op overwrites.
+	// The core's dispatch and the functional warm filter call it before
+	// pulling the next op.
+	Do func()
 }
 
 // Stream supplies micro-ops in program order.

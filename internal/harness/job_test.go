@@ -94,9 +94,10 @@ func TestJobSpecResolveAndKey(t *testing.T) {
 		!strings.Contains(err.Error(), "manual-blocked") {
 		t.Errorf("unknown scheme error %v does not list valid schemes", err)
 	}
-	// A scale that is not 0 or finite and positive: each once reached the
-	// workloads' size clamp and simulated the smallest input.
-	for _, sc := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// A scale that is not 0 or positive and at most MaxScale: each but the
+	// last once reached the workloads' size clamp and simulated the smallest
+	// input; the last asks for an input no host can hold.
+	for _, sc := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, math.MaxInt64, MaxScale * 2} {
 		if _, err := (JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: sc}).Resolve(); err == nil {
 			t.Errorf("scale %g resolved", sc)
 		}
@@ -206,6 +207,9 @@ func FuzzJobSpec(f *testing.F) {
 		job, err := spec.Resolve()
 		if err != nil {
 			return
+		}
+		if job.Scale > MaxScale {
+			t.Fatalf("%s resolved with scale %g, above MaxScale", job.Canonical(), job.Scale)
 		}
 		if _, err := ConfigFor(job.Options(), job.Scheme); err != nil {
 			t.Fatalf("%s resolved, but no machine can be built for it: %v", job.Canonical(), err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eventpf/internal/cpu"
+	"eventpf/internal/ir"
 	"eventpf/internal/system"
 	"eventpf/internal/workloads"
 )
@@ -44,7 +45,32 @@ func benchInterpFill(b *testing.B, bench *workloads.Benchmark) {
 	}
 }
 
+// benchCfgFill measures a loop whose every iteration dispatches a Cfg op,
+// applied as the core applies it (Do before the next Fill), into the
+// machine's prefetcher filter table. A Cfg op carries no closure, so this
+// allocates nothing either.
+func benchCfgFill(b *testing.B) {
+	m := system.New(system.DefaultConfig(), system.Programmable)
+	it := m.NewInterp(ir.CfgLoop(), uint64(b.N))
+	var op cpu.MicroOp
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for it.Fill(&op) {
+		if op.Do != nil {
+			op.Do()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 16+uint64(b.N)/1000 {
+		b.Fatalf("%d allocations over %d iterations, want none per Cfg op", mallocs, b.N)
+	}
+}
+
 func BenchmarkInterpFill(b *testing.B) {
 	b.Run("HJ-2", func(b *testing.B) { benchInterpFill(b, workloads.HJ2) })
 	b.Run("G500-CSR", func(b *testing.B) { benchInterpFill(b, workloads.G500CSR) })
+	b.Run("Cfg", benchCfgFill)
 }

@@ -10,7 +10,8 @@ import (
 
 // ConfigSink receives the effects of Cfg instructions when they dispatch on
 // the simulated core; the system package implements it over the
-// programmable prefetcher.
+// programmable prefetcher. args belongs to the interpreter and is valid only
+// for the call.
 type ConfigSink interface {
 	Configure(info CfgInfo, args []uint64)
 }
@@ -45,6 +46,14 @@ type Interp struct {
 	done     bool
 	ret      uint64
 	hasRet   bool
+
+	// cfgInfo and cfgArgs are the last Cfg op's configuration, and doCfg,
+	// bound to this interpreter once, hands them to sink: it is every Cfg
+	// op's Do. One slot is enough because Do runs before the next Fill
+	// (cpu.MicroOp.Do).
+	cfgInfo CfgInfo
+	cfgArgs []uint64
+	doCfg   func()
 }
 
 // slot is one SSA value at run time: the value, and the id of the micro-op
@@ -282,6 +291,7 @@ func NewInterp(fn *Fn, bk *mem.Backing, sink ConfigSink, counter *int64, args ..
 		counter:  counter,
 		maxSteps: 1 << 40,
 	}
+	it.doCfg = it.configure
 	// A Const or Arg has one value for the whole execution and no producing
 	// op: set here once, so the program need not hold it.
 	for i := range it.env {
@@ -310,8 +320,12 @@ func (it *Interp) Clone(bk *mem.Backing, sink ConfigSink, counter *int64) *Inter
 	c := *it
 	c.bk, c.sink, c.counter = bk, sink, counter
 	c.env = slices.Clone(it.env)
+	c.cfgArgs, c.doCfg = nil, c.configure
 	return &c
 }
+
+// configure applies the last Cfg op; it is that op's Do.
+func (it *Interp) configure() { it.sink.Configure(it.cfgInfo, it.cfgArgs) }
 
 // SetMaxSteps bounds how many decoded ops — micro-ops and unconditional
 // jumps — the interpreter executes (a runaway-loop guard for tests);
@@ -439,19 +453,18 @@ func (it *Interp) Fill(op *cpu.MicroOp) bool {
 
 		case Cfg:
 			in := &it.prog.fn.Instrs[d.v]
-			args := make([]uint64, len(in.Args))
+			it.cfgArgs = it.cfgArgs[:0]
 			var dep int64 = cpu.NoDep
-			for i, a := range in.Args {
-				args[i] = env[a].val
+			for _, a := range in.Args {
+				it.cfgArgs = append(it.cfgArgs, env[a].val)
 				if env[a].op != cpu.NoDep {
 					dep = env[a].op
 				}
 			}
-			info := *in.Info
-			sink := it.sink
+			it.cfgInfo = *in.Info
 			it.newOp()
 			emit(op, d.kind, d.v, 0, dep, cpu.NoDep)
-			op.Do = func() { sink.Configure(info, args) }
+			op.Do = it.doCfg
 			return true
 
 		case Br:

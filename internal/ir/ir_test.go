@@ -259,6 +259,65 @@ func TestCfgInstructionReachesSink(t *testing.T) {
 	}
 }
 
+// TestCfgDoRunsBeforeNextFill pins cpu.MicroOp.Do's contract as the
+// interpreter keeps it: Do, called before the next Fill as the core's
+// dispatch and the warm filter call it, configures with its own op's
+// operands — although every Cfg op carries the same func and the operands
+// live in one slot — and a clone taken between two Cfg ops configures its
+// own sink with its own operands. Pulling and applying a Cfg op allocates
+// nothing.
+func TestCfgDoRunsBeforeNextFill(t *testing.T) {
+	type call struct{ lo, hi uint64 }
+	var got []call
+	record := sinkFunc(func(info CfgInfo, args []uint64) {
+		if info.Slot != 1 || info.LoadKernel != 2 || len(args) != 2 {
+			t.Fatalf("sink saw %+v %v", info, args)
+		}
+		got = append(got, call{args[0], args[1]})
+	})
+	const n = 6
+	it := NewInterp(CfgLoop(), mem.NewBacking(), record, new(int64), n)
+	var op cpu.MicroOp
+	var cloneCalls []call
+	for it.Fill(&op) {
+		if op.Kind != cpu.OpConfig {
+			continue
+		}
+		op.Do()
+		if len(got) == n/2 {
+			clone := it.Clone(nil, sinkFunc(func(_ CfgInfo, args []uint64) {
+				cloneCalls = append(cloneCalls, call{args[0], args[1]})
+			}), new(int64))
+			var cop cpu.MicroOp
+			for clone.Fill(&cop) && cop.Kind != cpu.OpConfig {
+			}
+			cop.Do()
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("%d configurations, want %d", len(got), n)
+	}
+	for i, c := range got {
+		if c != (call{uint64(i), uint64(i) + 64}) {
+			t.Errorf("configuration %d = %v, want [%d %d]", i, c, i, i+64)
+		}
+	}
+	if want := (call{n / 2, n/2 + 64}); len(cloneCalls) != 1 || cloneCalls[0] != want {
+		t.Errorf("clone configured %v, want [%v]", cloneCalls, want)
+	}
+
+	it = NewInterp(CfgLoop(), mem.NewBacking(), NopSink{}, new(int64), 1<<20)
+	step := func() {
+		for it.Fill(&op) && op.Kind != cpu.OpConfig {
+		}
+		op.Do()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("pulling and applying a Cfg op allocates %v objects, want 0", allocs)
+	}
+}
+
 type sinkFunc func(CfgInfo, []uint64)
 
 func (f sinkFunc) Configure(info CfgInfo, args []uint64) { f(info, args) }

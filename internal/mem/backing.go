@@ -119,11 +119,15 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 // b with none, so any later access panics as one to an unmapped address.
 // Call it once nothing will read b again.
 func (b *Backing) Release() {
+	if b.pages == nil {
+		return
+	}
 	for _, p := range b.pages {
 		if p != &zeroPage {
 			pagePool.Put(p)
 		}
 	}
+	pagePool.Lapse()
 	b.pages = nil
 	clear(b.memo[:])
 }

@@ -114,3 +114,66 @@ func TestDRAMSequentialFasterThanRandom(t *testing.T) {
 		t.Errorf("sequential (%d ticks) not faster than row-thrashing (%d ticks)", seq, rnd)
 	}
 }
+
+// BenchmarkDRAMAccess measures one line read through the controller at
+// Table 1's timing, completion event included: a row hit (lines of one open
+// row), a row miss (two rows of one bank, alternating, the engine run after
+// each read) and a bank conflict (the same two rows, eight reads issued
+// before the engine runs, so each waits for the bank the one before holds).
+// None may allocate.
+func BenchmarkDRAMAccess(b *testing.B) {
+	cfg := DefaultDRAMConfig()
+	sameBank := cfg.RowBytes * uint64(cfg.Banks) // the next row of bank 0
+	for _, bc := range []struct {
+		name  string
+		line  func(i int) uint64
+		batch int // reads issued before the engine runs
+	}{
+		{"row-hit", func(i int) uint64 { return uint64(i%int(cfg.RowBytes/LineSize)) * LineSize }, 1},
+		{"row-miss", func(i int) uint64 { return uint64(i%2) * sameBank }, 1},
+		{"bank-conflict", func(i int) uint64 { return uint64(i%2) * sameBank }, 8},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			pool := NewPool()
+			d := NewDRAM(eng, cfg)
+			d.Pool = pool
+			i := 0
+			read := func() {
+				req := pool.Get()
+				req.Line, req.Addr, req.Kind, req.PC = bc.line(i), bc.line(i), Load, -1
+				req.Tag, req.TimedAt = NoTag, -1
+				req.Comp = nopHandler{}
+				d.Access(req)
+				if i++; i%bc.batch == 0 {
+					eng.Run()
+				}
+			}
+			for i < 2*bc.batch { // open the rows, fill the pools
+				read()
+			}
+			before := d.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				read()
+			}
+			eng.Run()
+			b.StopTimer()
+			s := d.Stats
+			reads, hits, misses := s.Reads-before.Reads, s.RowHits-before.RowHits, s.RowMisses-before.RowMisses
+			waited := s.BankWaitSum - before.BankWaitSum
+			switch {
+			case reads != int64(b.N):
+				b.Fatalf("%d reads serviced, want %d", reads, b.N)
+			case bc.name == "row-hit" && hits != reads, bc.name != "row-hit" && misses != reads:
+				b.Fatalf("%d row hits and %d row misses in %d %ss", hits, misses, reads, bc.name)
+			case bc.batch == 1 && waited != 0, bc.batch > 1 && b.N >= bc.batch && waited == 0:
+				b.Fatalf("reads waited %d ticks for a busy bank in %s", waited, bc.name)
+			}
+			if a := testing.AllocsPerRun(100, read); a != 0 {
+				b.Fatalf("%v allocations per read, want none", a)
+			}
+		})
+	}
+}

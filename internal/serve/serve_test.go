@@ -255,7 +255,10 @@ func TestValidationErrorsListMenus(t *testing.T) {
 		{harness.JobSpec{Bench: "nope", Scheme: "manual"}, "phasemix"},
 		{harness.JobSpec{Bench: "nope", Scheme: "manual"}, "spmv"},
 		{harness.JobSpec{Bench: "HJ-2", Scheme: "nope"}, "manual-blocked"},
-		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: 99}, "exceeds"},
+		// Above this server's -max-scale (1.0), and above the largest scale
+		// any run is built with (harness.MaxScale).
+		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: 2}, "exceeds"},
+		{harness.JobSpec{Bench: "HJ-2", Scheme: "manual", Scale: 1e300}, "at most 64"},
 		// A sizing no machine can be built with is refused at the door: queued,
 		// the first panicked a worker in sim.ClockFromMHz and took the daemon
 		// down, the second sized the prefetcher's unit table.
@@ -278,8 +281,8 @@ func TestValidationErrorsListMenus(t *testing.T) {
 		}
 	}
 	m := scrapeMetrics(t, hs.URL)
-	if m["ppfserve_jobs_rejected_validation"] != 7 {
-		t.Errorf("rejected_validation = %d, want 7", m["ppfserve_jobs_rejected_validation"])
+	if m["ppfserve_jobs_rejected_validation"] != 8 {
+		t.Errorf("rejected_validation = %d, want 8", m["ppfserve_jobs_rejected_validation"])
 	}
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {

@@ -40,8 +40,7 @@ func buildBTree(m *system.Machine, scale float64) *Instance {
 	// span = 8^(btreeDepth-d). A node is 16 words: words 0–7 the minimum key
 	// of each child's subtree (for leaves: the keys themselves), words 8–15
 	// the child node addresses (for leaves: the values).
-	levelNodes := make([]uint64, btreeDepth)
-	levelOff := make([]uint64, btreeDepth)
+	var levelNodes, levelOff [btreeDepth]uint64
 	var totalNodes uint64
 	for d := 0; d < btreeDepth; d++ {
 		levelOff[d] = totalNodes

@@ -48,30 +48,29 @@ func buildConjGrad(m *system.Machine, scale float64) *Instance {
 		m.Backing.Write64(vecA.Base+i*8, rng.next()&0xFFFF)
 	}
 
-	// Oracle: cgReps products, ping-ponging between the two vectors.
-	oracle := func() uint64 {
-		src := make([]uint64, rows)
-		dst := make([]uint64, rows)
-		for i := range src {
-			src[i] = m.Backing.Read64(vecA.Base + uint64(i)*8)
-		}
-		var acc uint64
-		for rep := 0; rep < cgReps; rep++ {
-			for r := uint64(0); r < rows; r++ {
-				var sum uint64
-				for j := r * cgPerRow; j < (r+1)*cgPerRow; j++ {
-					c := m.Backing.Read64(cols.Base + j*8)
-					v := m.Backing.Read64(vals.Base + j*8)
-					sum += v * src[c]
-				}
-				dst[r] = sum
-				acc += sum
-			}
-			src, dst = dst, src
-		}
-		return acc
+	// Oracle: cgReps products over scratch copies of the two vectors,
+	// ping-ponging as the kernel does; Check keeps their digests.
+	sc := borrowScratch()
+	defer sc.release()
+	vecs := [2][]uint64{sc.words(rows), sc.words(rows)} // vecA's, vecB's
+	for i := range vecs[0] {
+		vecs[0][i] = m.Backing.Read64(vecA.Base + uint64(i)*8)
 	}
-	want := oracle()
+	var want uint64
+	for rep := 0; rep < cgReps; rep++ {
+		src, dst := vecs[rep%2], vecs[(rep+1)%2]
+		for r := uint64(0); r < rows; r++ {
+			var sum uint64
+			for j := r * cgPerRow; j < (r+1)*cgPerRow; j++ {
+				c := m.Backing.Read64(cols.Base + j*8)
+				v := m.Backing.Read64(vals.Base + j*8)
+				sum += v * src[c]
+			}
+			dst[r] = sum
+			want += sum
+		}
+	}
+	wantA, wantB := digestWords(vecs[0]), digestWords(vecs[1])
 
 	fn := func(v Variant) *ir.Fn {
 		b := ir.NewBuilder("conjgrad", 7)
@@ -176,7 +175,13 @@ func buildConjGrad(m *system.Machine, scale float64) *Instance {
 	}
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
-		return checkEq("conjgrad checksum", ret, want)
+		if err := checkEq("conjgrad checksum", ret, want); err != nil {
+			return err
+		}
+		if err := checkRegion("vecA", mc.Backing, vecA.Base, rows, wantA); err != nil {
+			return err
+		}
+		return checkRegion("vecB", mc.Backing, vecB.Base, rows, wantB)
 	}
 
 	return &Instance{

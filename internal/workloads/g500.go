@@ -49,12 +49,14 @@ const (
 	g500ListRoots = 2
 )
 
-// rmat generates an R-MAT edge list (A=0.57 B=0.19 C=0.19, Graph500
-// parameters), symmetrised.
-func rmat(rng *splitmix64, scaleLg uint, ef int) [][2]uint64 {
+// rmat appends an R-MAT edge list (A=0.57 B=0.19 C=0.19, Graph500
+// parameters) to edges[:0], two words an edge, one endpoint then the other;
+// the graph is undirected, so each edge stands for both directions. Room for
+// 2·2^scaleLg·ef words means no append grows the slice.
+func rmat(rng *splitmix64, scaleLg uint, ef int, edges []uint64) []uint64 {
 	nv := uint64(1) << scaleLg
 	ne := nv * uint64(ef)
-	edges := make([][2]uint64, 0, 2*ne)
+	edges = edges[:0]
 	for i := uint64(0); i < ne; i++ {
 		var u, v uint64
 		for b := uint(0); b < scaleLg; b++ {
@@ -73,36 +75,34 @@ func rmat(rng *splitmix64, scaleLg uint, ef int) [][2]uint64 {
 		if u == v {
 			continue
 		}
-		edges = append(edges, [2]uint64{u, v}, [2]uint64{v, u})
+		edges = append(edges, u, v)
 	}
 	return edges
 }
 
-// bfsOracle replicates the kernel's exact traversal order.
-func bfsOracle(rowptr, adj []uint64, root uint64) (visited uint64, parent []uint64) {
-	nv := uint64(len(rowptr) - 1)
-	parent = make([]uint64, nv)
+// bfsOracle replicates the kernel's exact traversal order, filling parent
+// (one word a vertex) and using queue (as long) as the frontier FIFO: a
+// level's vertices in order, each appending what it discovers, is the
+// kernel's cur/next ping-pong read end to end.
+func bfsOracle(rowptr, adj []uint64, root uint64, parent, queue []uint64) (visited uint64) {
 	for i := range parent {
 		parent[i] = g500Empty
 	}
 	parent[root] = root
-	cur := []uint64{root}
-	visited = 1
-	for len(cur) > 0 {
-		var next []uint64
-		for _, v := range cur {
-			for e := rowptr[v]; e < rowptr[v+1]; e++ {
-				w := adj[e]
-				if parent[w] == g500Empty {
-					parent[w] = v
-					next = append(next, w)
-					visited++
-				}
+	queue[0] = root
+	tail := 1
+	for head := 0; head < tail; head++ {
+		v := queue[head]
+		for e := rowptr[v]; e < rowptr[v+1]; e++ {
+			w := adj[e]
+			if parent[w] == g500Empty {
+				parent[w] = v
+				queue[tail] = w
+				tail++
 			}
 		}
-		cur = next
 	}
-	return visited, parent
+	return uint64(tail)
 }
 
 // g500ScaleLg is the log2 vertex count of a Graph500 input at scale: the
@@ -125,22 +125,27 @@ func g500ScaleLg(scale float64, list bool) uint {
 // the edge list sorted by (source, target). A counting sort places the edges
 // by source and each row is then sorted on its own: the order is a total
 // order on values, so this is the comparison sort's result word for word.
-func kroneckerCSR(rng *splitmix64, scaleLg uint) (rowptr, adj []uint64) {
-	edges := rmat(rng, scaleLg, g500EdgeFactor)
+// The edge list and both arrays are in sc.
+func kroneckerCSR(rng *splitmix64, scaleLg uint, sc *scratch) (rowptr, adj []uint64) {
 	nv := uint64(1) << scaleLg
-	rowptr = make([]uint64, nv+1)
-	for _, e := range edges {
-		rowptr[e[0]+1]++
+	edges := rmat(rng, scaleLg, g500EdgeFactor, sc.words(2*nv*g500EdgeFactor))
+	rowptr = sc.words(nv + 1)
+	for _, u := range edges {
+		rowptr[u+1]++
 	}
 	for v := uint64(1); v <= nv; v++ {
 		rowptr[v] += rowptr[v-1]
 	}
-	// Scatter with rowptr[v] as row v's cursor, which leaves it at row v's
-	// end — row v+1's start — so shift the array back by one after.
-	adj = make([]uint64, len(edges))
-	for _, e := range edges {
-		adj[rowptr[e[0]]] = e[1]
-		rowptr[e[0]]++
+	// Scatter each edge into both endpoints' rows with rowptr[v] as row v's
+	// cursor, which leaves it at row v's end — row v+1's start — so shift the
+	// array back by one after.
+	adj = sc.words(uint64(len(edges)))
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		adj[rowptr[u]] = v
+		rowptr[u]++
+		adj[rowptr[v]] = u
+		rowptr[v]++
 	}
 	copy(rowptr[1:], rowptr[:nv])
 	rowptr[0] = 0
@@ -154,10 +159,12 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 	scaleLg := g500ScaleLg(scale, list)
 	nv := uint64(1) << scaleLg
 
-	// CSR arrays (built for both variants: the oracle and the list build
-	// use them).
+	// The CSR arrays are scratch for both variants: the oracle reads them,
+	// and they are the CSR variant's input and the list variant's layout.
+	sc := borrowScratch()
+	defer sc.release()
 	rng := splitmix64(0x65)
-	rowptrH, adjH := kroneckerCSR(&rng, scaleLg)
+	rowptrH, adjH := kroneckerCSR(&rng, scaleLg, sc)
 
 	// Root: a vertex with a decent degree so the search covers the graph.
 	root := uint64(0)
@@ -167,7 +174,9 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 			break
 		}
 	}
-	wantVisited, wantParent := bfsOracle(rowptrH, adjH, root)
+	oracleParent := sc.words(nv)
+	wantVisited := bfsOracle(rowptrH, adjH, root, oracleParent, sc.words(nv))
+	wantParent := digestWords(oracleParent)
 
 	parent := m.Arena.AllocWords("parent", nv)
 	q1 := m.Arena.AllocWords("q1", nv+8) // +swpf distance padding
@@ -186,7 +195,7 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		// in shuffled order: list walks have no locality. Each node is
 		// line-aligned so a PPU kernel can read both words from the fill.
 		nodesR = m.Arena.AllocWords("nodes", uint64(len(adjH))*nodeStride)
-		perm := rng.perm(uint64(len(adjH)))
+		perm := rng.perm(sc.words(uint64(len(adjH))))
 		slot := func(i uint64) uint64 { return nodesR.Base + perm[i]*nodeStride*8 }
 		// Build per-vertex lists preserving adjacency order: inserting at
 		// the head in reverse keeps forward walk order equal to CSR order,
@@ -245,12 +254,7 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		if err := checkEq("bfs visited count", ret, wantVisited); err != nil {
 			return err
 		}
-		for v := uint64(0); v < nv; v++ {
-			if got := mc.Backing.Read64(parent.Base + v*8); got != wantParent[v] {
-				return checkEq("parent entry", got, wantParent[v])
-			}
-		}
-		return nil
+		return checkRegion("parent array", mc.Backing, parent.Base, nv, wantParent)
 	}
 
 	return &Instance{BuildFn: fn, Runs: runs, Manual: manual, Check: check}

@@ -10,7 +10,11 @@ import (
 // the edge list sorted by (source, target) with sort.Slice, then cut into
 // rows.
 func sortedCSR(rng *splitmix64, scaleLg uint) (rowptr, adj []uint64) {
-	edges := rmat(rng, scaleLg, g500EdgeFactor)
+	flat := rmat(rng, scaleLg, g500EdgeFactor, nil)
+	var edges [][2]uint64
+	for i := 0; i < len(flat); i += 2 {
+		edges = append(edges, [2]uint64{flat[i], flat[i+1]}, [2]uint64{flat[i+1], flat[i]})
+	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i][0] != edges[j][0] {
 			return edges[i][0] < edges[j][0]
@@ -48,7 +52,7 @@ func TestKroneckerCSRMatchesComparisonSort(t *testing.T) {
 				t.Fatalf("list=%v scale %g: %d-bit graph, want the 11-bit one past the jump", list, scale, lg)
 			}
 			rng, refRNG := splitmix64(0x65), splitmix64(0x65)
-			rowptr, adj := kroneckerCSR(&rng, lg)
+			rowptr, adj := kroneckerCSR(&rng, lg, new(scratch))
 			wantRowptr, wantAdj := sortedCSR(&refRNG, lg)
 			if !slices.Equal(rowptr, wantRowptr) || !slices.Equal(adj, wantAdj) {
 				t.Errorf("list=%v scale %g (%d-bit): CSR differs from the sorted edge list", list, scale, lg)

@@ -71,24 +71,30 @@ func buildHashJoin(m *system.Machine, scale float64, chained bool) *Instance {
 	}
 	skey := m.Arena.AllocWords("skey", nprobe+16) // +swpf distance padding
 
+	// Draw n distinct keys; the probe keys go straight to skey. A probe key
+	// is the key itself for HJ-2 and a shuffled 1-in-8 pick for HJ-8.
+	sc := borrowScratch()
+	defer sc.release()
 	rng := splitmix64(0x47)
-	keys := make([]uint64, n)
-	seen := map[uint64]bool{}
+	keys := sc.words(n)
+	seen := newWordSet(sc, n)
 	for i := range keys {
-		k := rng.next() | 1
-		for seen[k] {
-			k = rng.next() | 1
+		for {
+			k := rng.next() | 1
+			if _, dup := seen.insert(k); !dup {
+				keys[i] = k
+				break
+			}
 		}
-		seen[k] = true
-		keys[i] = k
 	}
-	probeKeys := keys
+	var perm []uint64
+	probeKey := func(i uint64) uint64 { return keys[i] }
 	if chained {
-		perm := rng.perm(n)
-		probeKeys = make([]uint64, nprobe)
-		for i := range probeKeys {
-			probeKeys[i] = keys[perm[i]]
-		}
+		perm = rng.perm(sc.words(n))
+		probeKey = func(i uint64) uint64 { return keys[perm[i]] }
+	}
+	for i := uint64(0); i < nprobe; i++ {
+		m.Backing.Write64(skey.Base+i*8, probeKey(i))
 	}
 
 	hash := func(k uint64) uint64 { return (k * hashMul) >> shift }
@@ -98,9 +104,13 @@ func buildHashJoin(m *system.Machine, scale float64, chained bool) *Instance {
 	if chained {
 		htab = m.Arena.AllocWords("htab", nb)
 		nodes = m.Arena.AllocWords("nodes", n*nodeStride)
-		// Insert every key; nodes are placed in shuffled order so list
-		// walks have no spatial locality.
-		perm := rng.perm(n)
+		// Every probe finds its tuple. Insert every key; nodes are placed
+		// in shuffled order, a second permutation drawn into the first
+		// one's buffer, so list walks have no spatial locality.
+		for i := uint64(0); i < nprobe; i++ {
+			want += probeKey(i) & 0xFFFF
+		}
+		rng.perm(perm)
 		for i, k := range keys {
 			slot := nodes.Base + perm[i]*nodeStride*8
 			h := hash(k)
@@ -110,29 +120,23 @@ func buildHashJoin(m *system.Machine, scale float64, chained bool) *Instance {
 			m.Backing.Write64(slot+nodeNext, m.Backing.Read64(head))
 			m.Backing.Write64(head, slot)
 		}
-		for _, k := range probeKeys {
-			want += k & 0xFFFF // every probe finds its tuple
-		}
 	} else {
+		// A key that lands on an occupied bucket is dropped: its probe
+		// finds nothing. Keys are distinct, so a probe matches exactly when
+		// its bucket holds its key.
 		htab = m.Arena.AllocWords("htab", nb*2)
-		inserted := map[uint64]bool{}
 		for _, k := range keys {
-			h := hash(k)
-			slot := htab.Base + h*16
+			slot := htab.Base + hash(k)*16
 			if m.Backing.Read64(slot) == 0 {
 				m.Backing.Write64(slot, k)
 				m.Backing.Write64(slot+8, k&0xFFFF)
-				inserted[k] = true
 			}
 		}
-		for _, k := range probeKeys {
-			if inserted[k] {
+		for _, k := range keys {
+			if m.Backing.Read64(htab.Base+hash(k)*16) == k {
 				want += k & 0xFFFF
 			}
 		}
-	}
-	for i, k := range probeKeys {
-		m.Backing.Write64(skey.Base+uint64(i)*8, k)
 	}
 
 	fn := func(v Variant) *ir.Fn {

@@ -43,12 +43,10 @@ func buildHotCold(m *system.Machine, scale float64) *Instance {
 	queries := m.Arena.AllocWords("queries", queriesN+hotcoldLookahead)
 
 	gen := splitmix64(0xC01D)
-	tableH := make([]uint64, tableWords)
-	for i := range tableH {
-		tableH[i] = gen.next()
-		m.Backing.Write64(table.Base+uint64(i)*8, tableH[i])
+	for i := uint64(0); i < tableWords; i++ {
+		m.Backing.Write64(table.Base+i*8, gen.next())
 	}
-	hot := make([]uint64, hotcoldHotKeys)
+	var hot [hotcoldHotKeys]uint64
 	for i := range hot {
 		hot[i] = gen.next() | 1
 	}
@@ -62,7 +60,7 @@ func buildHotCold(m *system.Machine, scale float64) *Instance {
 			k = gen.next() | 1 // cold: uniform over the whole key space
 		}
 		m.Backing.Write64(queries.Base+q*8, k)
-		wantAcc += (tableH[hash(k)] ^ k) & 0xFF
+		wantAcc += (m.Backing.Read64(table.Base+hash(k)*8) ^ k) & 0xFF
 	}
 
 	fn := func(v Variant) *ir.Fn {

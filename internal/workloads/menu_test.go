@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"eventpf/internal/cpu"
 	"eventpf/internal/ir"
 )
 
@@ -90,6 +91,69 @@ func TestExtraPlainRunsMatchOracle(t *testing.T) {
 		ret, hasRet := last.Result()
 		if err := inst.Check(m, ret, hasRet); err != nil {
 			t.Errorf("%s: %v", b.Name, err)
+		}
+	}
+}
+
+// workingStorage names regions a kernel writes that are not its output: the
+// BFS frontier queues, whose final contents no answer depends on.
+var workingStorage = map[string]bool{"q1": true, "q2": true}
+
+// TestOracleRefusesPerturbedRuns shows every menu benchmark's Check is
+// strong enough to notice a wrong answer, not merely a missing one: after a
+// plain functional run Check passes, and it fails with the return value off
+// by one and, for each output region the program wrote, with the last word
+// the program stored there flipped. HJ-2, HJ-8, HotCold, BTree and PhaseMix
+// store nothing; their answer is the return value alone.
+func TestOracleRefusesPerturbedRuns(t *testing.T) {
+	for _, b := range Menu() {
+		m, inst := buildAll(t, b)
+		fn := inst.BuildFn(Plain)
+		var last *ir.Interp
+		lastStore := map[string]uint64{} // region → address of its last store
+		var op cpu.MicroOp
+		for _, run := range inst.Runs {
+			if run.Before != nil {
+				run.Before(m)
+			}
+			last = m.NewInterp(fn, run.Args...)
+			for last.Fill(&op) {
+				if op.Kind != cpu.OpStore {
+					continue
+				}
+				for _, r := range m.Arena.Regions() {
+					if r.Contains(op.Addr) {
+						lastStore[r.Name] = op.Addr
+					}
+				}
+			}
+		}
+		ret, hasRet := last.Result()
+		if err := inst.Check(m, ret, hasRet); err != nil {
+			t.Errorf("%s: unperturbed run fails its check: %v", b.Name, err)
+			continue
+		}
+		if inst.Check(m, ret+1, hasRet) == nil {
+			t.Errorf("%s: Check accepts return value %d, one off the run's", b.Name, ret+1)
+		}
+		flipped := 0
+		for name, addr := range lastStore {
+			if workingStorage[name] {
+				continue
+			}
+			w := m.Backing.Read64(addr)
+			m.Backing.Write64(addr, ^w)
+			if inst.Check(m, ret, hasRet) == nil {
+				t.Errorf("%s: Check accepts region %s with its last stored word (%#x) flipped", b.Name, name, addr)
+			}
+			m.Backing.Write64(addr, w)
+			flipped++
+		}
+		if len(lastStore) > 0 && flipped == 0 {
+			t.Errorf("%s: the program stored only to working storage %v", b.Name, lastStore)
+		}
+		if err := inst.Check(m, ret, hasRet); err != nil {
+			t.Errorf("%s: restored run fails its check: %v", b.Name, err)
 		}
 	}
 }

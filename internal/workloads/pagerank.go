@@ -52,25 +52,25 @@ func buildPageRank(m *system.Machine, scale float64) *Instance {
 		m.Backing.Write64(rankOld.Base+v*8, rng.next()&0xFFFF)
 	}
 
-	oracle := func() uint64 {
-		old := make([]uint64, nv)
-		niu := make([]uint64, nv)
-		for i := range old {
-			old[i] = m.Backing.Read64(rankOld.Base + uint64(i)*8)
-		}
-		var acc uint64
-		for it := 0; it < prIters; it++ {
-			for e := uint64(0); e < ne; e++ {
-				s := m.Backing.Read64(src.Base + e*8)
-				d := m.Backing.Read64(dst.Base + e*8)
-				niu[d] += old[s]
-				acc += old[s]
-			}
-			old, niu = niu, old
-		}
-		return acc
+	// Oracle: the kernel's sweeps over scratch copies of the two rank
+	// vectors, which swap roles each iteration; Check keeps their digests.
+	sc := borrowScratch()
+	defer sc.release()
+	ranks := [2][]uint64{sc.words(nv), sc.words(nv)} // rankOld's, rankNew's
+	for i := range ranks[0] {
+		ranks[0][i] = m.Backing.Read64(rankOld.Base + uint64(i)*8)
 	}
-	want := oracle()
+	var want uint64
+	for it := 0; it < prIters; it++ {
+		old, niu := ranks[it%2], ranks[(it+1)%2]
+		for e := uint64(0); e < ne; e++ {
+			s := m.Backing.Read64(src.Base + e*8)
+			d := m.Backing.Read64(dst.Base + e*8)
+			niu[d] += old[s]
+			want += old[s]
+		}
+	}
+	wantOld, wantNew := digestWords(ranks[0]), digestWords(ranks[1])
 
 	fn := func(v Variant) *ir.Fn {
 		if v == SWPf {
@@ -151,7 +151,13 @@ func buildPageRank(m *system.Machine, scale float64) *Instance {
 	}
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
-		return checkEq("pagerank checksum", ret, want)
+		if err := checkEq("pagerank checksum", ret, want); err != nil {
+			return err
+		}
+		if err := checkRegion("rankOld", mc.Backing, rankOld.Base, nv, wantOld); err != nil {
+			return err
+		}
+		return checkRegion("rankNew", mc.Backing, rankNew.Base, nv, wantNew)
 	}
 
 	return &Instance{

@@ -60,7 +60,9 @@ func buildPhaseMix(m *system.Machine, scale float64) *Instance {
 	// Chain phasemixNodes nodes through a random subset of the line slots,
 	// null-terminated. Each node is the first word of its line and holds the
 	// byte address of the next node.
-	order := rng.perm(slots)[:chaseNodes]
+	sc := borrowScratch()
+	defer sc.release()
+	order := rng.perm(sc.words(slots))[:chaseNodes]
 	addrOf := func(slot uint64) uint64 { return nodes.Base + slot*64 }
 	for i, slot := range order {
 		next := uint64(0)

@@ -35,6 +35,34 @@ func lcgStep(s uint64) uint64 {
 	return (s << 1) ^ t
 }
 
+// randaccSeeds returns the streams' initial states.
+func randaccSeeds() (states [randaccStreams]uint64) {
+	rng := splitmix64(0x6A)
+	for j := range states {
+		states[j] = rng.next() | 1
+	}
+	return states
+}
+
+// randaccModel replays the kernel on a model of the table's touched slots,
+// keyed by slot index + 1 (the table starts all zero): it returns the
+// kernel's accumulator and the model, and leaves each stream's last state in
+// states.
+func randaccModel(sc *scratch, states *[randaccStreams]uint64, rounds, mask uint64) (acc uint64, model wordTable) {
+	model = newWordMap(sc, rounds*randaccStreams)
+	for r := uint64(0); r < rounds; r++ {
+		for j := range states {
+			s2 := lcgStep(states[j])
+			states[j] = s2
+			i, _ := model.insert(s2&mask + 1)
+			old := model.vals[i]
+			model.vals[i] = old ^ s2
+			acc += old & 0xFF
+		}
+	}
+	return acc, model
+}
+
 func buildRandAcc(m *system.Machine, scale float64) *Instance {
 	rounds := uint64(scaled(randaccRounds, scale))
 	tableWords := uint64(1) << randaccTableLg
@@ -43,27 +71,13 @@ func buildRandAcc(m *system.Machine, scale float64) *Instance {
 	table := m.Arena.AllocWords("table", tableWords)
 	ran := m.Arena.AllocWords("ran", randaccStreams)
 
-	rng := splitmix64(0x6A)
-	states := make([]uint64, randaccStreams)
-	for j := range states {
-		states[j] = rng.next() | 1
-		m.Backing.Write64(ran.Base+uint64(j)*8, states[j])
+	states := randaccSeeds()
+	for j, st := range states {
+		m.Backing.Write64(ran.Base+uint64(j)*8, st)
 	}
-
-	// Oracle over a model table (sparse: only touched slots).
-	model := map[uint64]uint64{}
-	var wantAcc uint64
-	oracleStates := append([]uint64(nil), states...)
-	for r := uint64(0); r < rounds; r++ {
-		for j := 0; j < randaccStreams; j++ {
-			s2 := lcgStep(oracleStates[j])
-			oracleStates[j] = s2
-			idx := s2 & mask
-			old := model[idx]
-			model[idx] = old ^ s2
-			wantAcc += old & 0xFF
-		}
-	}
+	sc := borrowScratch()
+	wantAcc, _ := randaccModel(sc, &states, rounds, mask)
+	sc.release()
 
 	fn := func(v Variant) *ir.Fn {
 		b := ir.NewBuilder("randacc", 4)
@@ -156,9 +170,22 @@ func buildRandAcc(m *system.Machine, scale float64) *Instance {
 		if err := checkEq("randacc accumulator", ret, wantAcc); err != nil {
 			return err
 		}
-		for idx, v := range model {
-			if got := mc.Backing.Read64(table.Base + idx*8); got != v {
-				return checkEq("table slot", got, v)
+		// Replay the kernel again, from the seeds, and compare every word
+		// it wrote: each stream's last state and each touched table slot.
+		sc := borrowScratch()
+		defer sc.release()
+		states := randaccSeeds()
+		_, model := randaccModel(sc, &states, rounds, mask)
+		for j, st := range states {
+			if got := mc.Backing.Read64(ran.Base + uint64(j)*8); got != st {
+				return checkEq("stream state", got, st)
+			}
+		}
+		for i, k := range model.keys {
+			if k != 0 {
+				if got := mc.Backing.Read64(table.Base + (k-1)*8); got != model.vals[i] {
+					return checkEq("table slot", got, model.vals[i])
+				}
 			}
 		}
 		return nil

@@ -13,6 +13,7 @@ import (
 
 	"eventpf/internal/cpu"
 	"eventpf/internal/ir"
+	"eventpf/internal/mem"
 	"eventpf/internal/system"
 )
 
@@ -200,6 +201,15 @@ func checkEq(what string, got, want uint64) error {
 	return nil
 }
 
+// checkRegion compares the digest of n words of simulated memory from base
+// with the oracle's.
+func checkRegion(what string, bk *mem.Backing, base, n uint64, want digest) error {
+	if got := digestOf(bk, base, n); got != want {
+		return fmt.Errorf("%s digest = %#x, want the oracle's %#x", what, uint64(got), uint64(want))
+	}
+	return nil
+}
+
 // splitmix64 is the deterministic RNG used by all generators.
 type splitmix64 uint64
 
@@ -215,14 +225,14 @@ func (s *splitmix64) next() uint64 {
 // kernels, their PPU kernels and the oracles.
 const hashMul = 0x9E3779B97F4A7C15
 
-// perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
-func (s *splitmix64) perm(n uint64) []uint64 {
-	p := make([]uint64, n)
+// perm fills p with a pseudo-random permutation of [0, len(p))
+// (Fisher–Yates) and returns it.
+func (s *splitmix64) perm(p []uint64) []uint64 {
 	for i := range p {
 		p[i] = uint64(i)
 	}
-	for i := n - 1; i > 0; i-- {
-		j := s.next() % (i + 1)
+	for i := len(p) - 1; i > 0; i-- {
+		j := s.next() % uint64(i+1)
 		p[i], p[j] = p[j], p[i]
 	}
 	return p

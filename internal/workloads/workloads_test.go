@@ -105,16 +105,17 @@ func TestPlainRunMatchesOracle(t *testing.T) {
 
 func TestRMATGeneratorProperties(t *testing.T) {
 	rng := splitmix64(1)
-	edges := rmat(&rng, 8, 10)
-	if len(edges) == 0 {
+	flat := rmat(&rng, 8, 10, nil)
+	if len(flat) == 0 {
 		t.Fatal("no edges")
 	}
-	if len(edges)%2 != 0 {
-		t.Error("edges not symmetrised in pairs")
+	if len(flat)%2 != 0 {
+		t.Error("an edge lacks its second endpoint")
 	}
 	nv := uint64(1) << 8
 	deg := map[uint64]int{}
-	for _, e := range edges {
+	for i := 0; i < len(flat); i += 2 {
+		e := [2]uint64{flat[i], flat[i+1]}
 		if e[0] >= nv || e[1] >= nv {
 			t.Fatalf("edge %v out of range", e)
 		}
@@ -122,6 +123,7 @@ func TestRMATGeneratorProperties(t *testing.T) {
 			t.Error("self loop survived")
 		}
 		deg[e[0]]++
+		deg[e[1]]++
 	}
 	// R-MAT skew: the maximum degree is far above the average.
 	maxDeg := 0
@@ -130,7 +132,7 @@ func TestRMATGeneratorProperties(t *testing.T) {
 			maxDeg = d
 		}
 	}
-	avg := len(edges) / len(deg)
+	avg := len(flat) / len(deg)
 	if maxDeg < 3*avg {
 		t.Errorf("degree distribution not skewed: max %d avg %d", maxDeg, avg)
 	}
@@ -140,7 +142,8 @@ func TestBFSOracleOnKnownGraph(t *testing.T) {
 	// 0-1, 0-2, 2-3; vertex 4 isolated.
 	rowptr := []uint64{0, 2, 3, 5, 6, 6}
 	adj := []uint64{1, 2, 0, 0, 3, 2}
-	visited, parent := bfsOracle(rowptr, adj, 0)
+	parent := make([]uint64, 5)
+	visited := bfsOracle(rowptr, adj, 0, parent, make([]uint64, 5))
 	if visited != 4 {
 		t.Errorf("visited = %d, want 4", visited)
 	}
@@ -154,7 +157,7 @@ func TestBFSOracleOnKnownGraph(t *testing.T) {
 
 func TestSplitmixPermIsPermutation(t *testing.T) {
 	rng := splitmix64(7)
-	p := rng.perm(1000)
+	p := rng.perm(make([]uint64, 1000))
 	seen := make([]bool, 1000)
 	for _, v := range p {
 		if v >= 1000 || seen[v] {
@@ -261,6 +264,48 @@ func TestKernelTextRoundTrip(t *testing.T) {
 			if once.String() != twice.String() {
 				t.Errorf("%s/%s: print∘parse not idempotent", b.Name, v)
 			}
+		}
+	}
+}
+
+// TestScratchComesBackZeroed: a buffer borrowed again after release reads
+// all zero, however its last borrower left it, and a wordTable finds every
+// key it holds when probes wrap past the end of its slots.
+func TestScratchComesBackZeroed(t *testing.T) {
+	sc := new(scratch)
+	w := sc.words(100)
+	for i := range w {
+		w[i] = ^uint64(i)
+	}
+	sc.off, sc.need = 0, 0 // what release leaves for the next borrower
+	again := sc.words(100)
+	if &again[0] != &w[0] {
+		t.Fatal("the buffer was not reused")
+	}
+	for i, v := range again {
+		if v != 0 {
+			t.Fatalf("word %d of a re-borrowed buffer = %#x", i, v)
+		}
+	}
+
+	tbl := newWordMap(sc, 8) // 16 slots
+	// Keys whose hash is the last slot: each probe wraps to the start.
+	var keys []uint64
+	for k := uint64(1); len(keys) < 8; k++ {
+		if (k*hashMul)>>tbl.shift == 15 {
+			keys = append(keys, k)
+		}
+	}
+	for i, k := range keys {
+		slot, found := tbl.insert(k)
+		if found {
+			t.Fatalf("key %d found before it was inserted", k)
+		}
+		tbl.vals[slot] = uint64(i)
+	}
+	for i, k := range keys {
+		if slot, found := tbl.insert(k); !found || tbl.vals[slot] != uint64(i) {
+			t.Errorf("key %d: found %v, value %d, want %d", k, found, tbl.vals[slot], i)
 		}
 	}
 }
