@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 var (
@@ -78,6 +79,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s: %s names the path %q, which does not exist", doc, span, p)
 				}
 			}
+		}
+	}
+}
+
+// TestChangesLinesShort holds CHANGES.md to the rule its header states: one
+// line per change (or finding), at most 600 characters. The detail belongs in
+// the commit message.
+func TestChangesLinesShort(t *testing.T) {
+	const limit = 600
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		if n := utf8.RuneCountInString(line); n > limit {
+			t.Errorf("CHANGES.md:%d holds %d characters, more than %d", i+1, n, limit)
 		}
 	}
 }

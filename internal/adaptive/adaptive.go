@@ -409,6 +409,16 @@ func (u *Unit) Stats() baseline.IssuerStats {
 	return t
 }
 
+// Release implements baseline.Unit: it releases every hosted arm. The
+// programmable prefetcher is the machine's, released with it.
+func (u *Unit) Release() {
+	for _, unit := range u.units {
+		if unit != nil {
+			unit.Release()
+		}
+	}
+}
+
 // ControllerStats snapshots the controller's run summary for the Result.
 func (u *Unit) ControllerStats() Stats {
 	s := Stats{

@@ -64,6 +64,7 @@ func (h issuerTransHandler) Handle(_ sim.Ticks, a, ok uint64) {
 
 func newIssuer(eng *sim.Engine, l1 *mem.Cache, tlb *mem.TLB, limit int) *issuer {
 	is := &issuer{eng: eng, l1: l1, tlb: tlb, limit: limit}
+	is.queue.Reuse(&addrRings)
 	is.transH.is = is
 	eng.Own(is.transH)
 	prev := l1.OnMSHRFree
@@ -133,7 +134,14 @@ type Stride struct {
 
 // NewStride builds a stride prefetcher issuing into l1.
 func NewStride(eng *sim.Engine, cfg StrideConfig, l1 *mem.Cache, tlb *mem.TLB) *Stride {
-	return &Stride{cfg: cfg, table: make([]rptEntry, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
+	return &Stride{cfg: cfg, table: strideTables.Get(cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
+}
+
+// Release implements Unit.
+func (s *Stride) Release() {
+	strideTables.Put(s.table)
+	s.table = nil
+	s.is.queue.Release()
 }
 
 // Stats returns issue counters.
@@ -239,12 +247,41 @@ type GHB struct {
 
 // NewGHB builds a Markov GHB prefetcher issuing into l1.
 func NewGHB(eng *sim.Engine, cfg GHBConfig, l1 *mem.Cache, tlb *mem.TLB) *GHB {
-	return &GHB{
-		cfg:   cfg,
-		size:  min(cfg.GHBSize, 1<<22),
-		index: make(map[uint64]int32),
-		is:    newIssuer(eng, l1, tlb, cfg.Queue),
+	g := &GHB{
+		cfg:  cfg,
+		size: min(cfg.GHBSize, 1<<22),
+		is:   newIssuer(eng, l1, tlb, cfg.Queue),
 	}
+	g.indexAge.Reuse(&addrRings)
+	if g.pooled() {
+		g.index, _ = ghbIndexes.Take()
+	}
+	if g.index == nil {
+		g.index = make(map[uint64]int32)
+	}
+	return g
+}
+
+// pooled reports whether g's history and index are sized to be recycled:
+// the regular configuration's are (the ring still grows as misses arrive,
+// into the capacity of one a released unit left in ghbRings), the large
+// one's grow with the run and are left to the GC.
+func (g *GHB) pooled() bool {
+	return g.size <= maxPooledHistory && g.cfg.IndexSize <= maxPooledHistory
+}
+
+// Release implements Unit.
+func (g *GHB) Release() {
+	if g.pooled() && g.index != nil {
+		if cap(g.ghb) > 0 {
+			ghbRings.Put(g.ghb[:0])
+		}
+		clear(g.index)
+		ghbIndexes.Put(g.index)
+	}
+	g.ghb, g.index = nil, nil
+	g.indexAge.Release()
+	g.is.queue.Release()
 }
 
 // Stats returns issue counters.
@@ -311,6 +348,9 @@ func (g *GHB) insert(line uint64) {
 	}
 	pos := g.count
 	if len(g.ghb) < g.size {
+		if cap(g.ghb) == 0 && g.pooled() {
+			g.ghb, _ = ghbRings.Take()
+		}
 		g.ghb = append(g.ghb, ghbEntry{})
 	}
 	g.ghb[pos%g.size] = ghbEntry{line: line, prev: prev}

@@ -57,10 +57,18 @@ type GHBDelta struct {
 func NewGHBDelta(eng *sim.Engine, cfg DeltaConfig, l1 *mem.Cache, tlb *mem.TLB) *GHBDelta {
 	return &GHBDelta{
 		cfg: cfg,
-		ghb: make([]deltaEntry, 0, cfg.GHBSize),
-		ait: make([]aitSlot, cfg.AITSize),
+		ghb: deltaArrays.Get(cfg.GHBSize)[:0],
+		ait: aitArrays.Get(cfg.AITSize),
 		is:  newIssuer(eng, l1, tlb, cfg.Queue),
 	}
+}
+
+// Release implements Unit.
+func (g *GHBDelta) Release() {
+	deltaArrays.Put(g.ghb[:cap(g.ghb)])
+	aitArrays.Put(g.ait)
+	g.ghb, g.ait = nil, nil
+	g.is.queue.Release()
 }
 
 // Stats returns issue counters.

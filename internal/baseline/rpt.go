@@ -53,7 +53,14 @@ type RPT struct {
 
 // NewRPT builds a reference-prediction-table prefetcher issuing into l1.
 func NewRPT(eng *sim.Engine, cfg RPTConfig, l1 *mem.Cache, tlb *mem.TLB) *RPT {
-	return &RPT{cfg: cfg, table: make([]rptSlot, cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
+	return &RPT{cfg: cfg, table: rptTables.Get(cfg.Entries), is: newIssuer(eng, l1, tlb, cfg.Queue)}
+}
+
+// Release implements Unit.
+func (r *RPT) Release() {
+	rptTables.Put(r.table)
+	r.table = nil
+	r.is.queue.Release()
 }
 
 // Stats returns issue counters.

@@ -79,9 +79,9 @@ func NewTSKID(eng *sim.Engine, cfg TSKIDConfig, l1 *mem.Cache, tlb *mem.TLB) *TS
 	t := &TSKID{
 		cfg:      cfg,
 		eng:      eng,
-		trackers: make([]tskidTracker, cfg.Trackers),
-		targets:  make([]tskidTarget, cfg.Targets),
-		recent:   make([]tskidRecent, cfg.RecentPCs),
+		trackers: trackerArrays.Get(cfg.Trackers),
+		targets:  targetArrays.Get(cfg.Targets),
+		recent:   recentArrays.Get(cfg.RecentPCs),
 		is:       newIssuer(eng, l1, tlb, cfg.Queue),
 	}
 	t.issueH.u = t
@@ -91,6 +91,15 @@ func NewTSKID(eng *sim.Engine, cfg TSKIDConfig, l1 *mem.Cache, tlb *mem.TLB) *TS
 
 // Stats returns issue counters.
 func (t *TSKID) Stats() IssuerStats { return t.is.stats }
+
+// Release implements Unit.
+func (t *TSKID) Release() {
+	trackerArrays.Put(t.trackers)
+	targetArrays.Put(t.targets)
+	recentArrays.Put(t.recent)
+	t.trackers, t.targets, t.recent = nil, nil, nil
+	t.is.queue.Release()
+}
 
 // Observe trains the trackers on every demand access that carries a PC, fires
 // learned triggers, and learns a new trigger→target pair on a miss.

@@ -17,4 +17,8 @@ type Unit interface {
 	// concrete type built under an identical configuration; implementations
 	// type-assert and report a mismatch as an error rather than panicking.
 	CopyStateFrom(src Unit) error
+	// Release hands the unit's tables back for the next unit of its kind
+	// to take (recycle.go); Stats stay readable. system.Machine.Release
+	// calls it once the unit will not observe again.
+	Release()
 }

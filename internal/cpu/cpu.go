@@ -288,7 +288,7 @@ func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
 		panic("cpu: invalid core configuration")
 	}
 	c := &Core{eng: eng, cfg: cfg, ports: ports}
-	c.rob = make([]robEntry, cfg.ROB)
+	c.rob = robArrays.Get(cfg.ROB)
 	c.tickH.c = c
 	c.launchH.c = c
 	c.loadDoneH.c = c
@@ -297,6 +297,22 @@ func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
 	eng.Own(c.tickH, c.launchH, c.loadDoneH, c.storeH, c.swpfH)
 	c.bp.init()
 	return c
+}
+
+// The core's tables, recycled from a released core to the next one built:
+// the window and the predictor's counters. One each per machine that runs
+// at once, with room for a forked sweep's parent beside its lanes.
+var (
+	robArrays = sim.ArrayPool[robEntry]{Max: 8}
+	bpTables  = sim.ArrayPool[uint8]{Max: 8}
+)
+
+// Release hands the core's window and predictor table back for the next core
+// to take; Stats stay readable. Call it once the core will not run again.
+func (c *Core) Release() {
+	robArrays.Put(c.rob)
+	bpTables.Put(c.bp.table)
+	c.rob, c.bp.table = nil, nil
 }
 
 // robAt returns the i-th oldest window entry (i < robN).
@@ -793,7 +809,7 @@ const (
 )
 
 func (b *branchPredictor) init() {
-	b.table = make([]uint8, bpEntries)
+	b.table = bpTables.Get(bpEntries)
 	for i := range b.table {
 		b.table[i] = 1 // weakly not-taken
 	}

@@ -10,22 +10,24 @@ import (
 // TestMachineRunAllocBudget extends the engine-only zero-alloc test from the
 // sim package to a complete machine: one full (small) HJ-2 run under the
 // programmable prefetcher must stay within a fixed allocation budget. The
-// run costs ~380 allocations, all of them one-time construction — machine
-// assembly, arena page map, IR stream set-up — and the bound is that plus
-// 25 %. What it cannot absorb is any per-event,
+// run costs 217 allocations, all of them one-time construction — the
+// machine's own structs, the IR, the compiled and assembled kernels, the
+// stream set-up — and the bound is that plus 25 %. What it cannot absorb is any per-event,
 // per-request or per-loop-iteration allocation creeping back into the
 // steady-state loop: this run simulates hundreds of thousands of events and
 // enters 65 000 loop blocks, so even one closure per event, one Request per
 // access or one slice per block entry (the interpreter's phi scratch, which
 // this budget once hid at 200 000) blows it immediately.
 //
-// The bytes budget holds the run lifecycle to its recycling: a run takes its
-// functional pages, cache line arrays and L2-TLB array from the ones earlier
-// runs released (system.Machine.Release), and the workload's Build borrows
-// its generation scratch, so a run in a sequence allocates ~125 KB
+// The bytes budget holds the run lifecycle to its recycling: a run takes
+// every table its machine sizes or grows — pages and page map, line arrays,
+// MSHR files, TLB arrays, the timing wheel, the core's window, the
+// prefetcher's pending table, every ring and record slab — from the ones
+// earlier runs released (system.Machine.Release), and the workload's Build
+// borrows its generation scratch, so a run in a sequence allocates ~30 KB
 // (runBytesBudget), under the race detector too.
 func TestMachineRunAllocBudget(t *testing.T) {
-	const budget = 480
+	const budget = 272
 
 	b, err := workloads.ByName("HJ-2")
 	if err != nil {
@@ -53,14 +55,18 @@ func TestMachineRunAllocBudget(t *testing.T) {
 }
 
 // runBytesBudget bounds the bytes one HJ-2 × manual run at scale 0.02
-// allocates after an earlier run has filled the pools: 125–130 KB measured,
-// plus 25 %. When Build kept its keys, dedupe maps and permutations a run
-// allocated 1.41 MB, and 2.34 MB before runs recycled their memory.
-const runBytesBudget = 160_000
+// allocates after an earlier run has filled the pools: 29.0 KB measured
+// (30.6 KB under -race), plus 25 %. What is left is the program — the IR,
+// the kernels assembled for it, the interpreter — and the machine's own
+// structs, of which the core's 8 KB (its completion rings, held inline) is
+// the largest. When a machine took back only its pages, line arrays and
+// L2-TLB array a run allocated ~125 KB; when Build kept its keys, dedupe maps
+// and permutations, 1.41 MB; before runs recycled their memory, 2.34 MB.
+const runBytesBudget = 38_300
 
 // bytesPerRun returns the mean bytes allocated by n calls of run after one
 // more that fills the pools. The collector and the scheduler run as they
-// will: the pools (mem.Recycler) keep what was put back across collections
+// will: the pools (sim.Recycler) keep what was put back across collections
 // and hand it to any goroutine, so a warm run's bytes do not depend on
 // either.
 func bytesPerRun(n int, run func()) uint64 {

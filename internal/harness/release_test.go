@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"testing"
 
@@ -44,6 +46,54 @@ func TestReleasedMemoryCrossesBenchmarks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecycledMachineRunsLikeFresh runs the golden pairs, and two adaptive
+// runs no golden pins, in one order and then in reverse, one after another on
+// one goroutine, so each run builds its machine from the tables the run before
+// it released (system.Machine.Release): RandAcc's 4 097-page map, the adaptive
+// unit's arms, a manual-blocked prefetcher's grown pending table and its
+// suspended invocations, every cache's MSHR file and rings. A recycled table
+// must behave exactly as a fresh one: every encoded Result matches the other
+// order's byte for byte, and its golden where it has one.
+func TestRecycledMachineRunsLikeFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every golden pair twice")
+	}
+	pairs := append([]benchScheme{{"PhaseMix", Adaptive}}, goldenPairs...)
+	pairs = append(pairs, benchScheme{"HJ-8", Adaptive})
+	run := func(gp benchScheme) []byte {
+		b, err := workloads.ByName(gp.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(b, gp.scheme, Options{Scale: goldenScale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, res)
+	}
+	forward := make([][]byte, len(pairs))
+	for i, gp := range pairs {
+		forward[i] = run(gp)
+	}
+	for i := len(pairs) - 1; i >= 0; i-- {
+		gp := pairs[i]
+		got := run(gp)
+		if !bytes.Equal(got, forward[i]) {
+			t.Errorf("%s under %s differs after running behind %v instead of %v",
+				gp.bench, gp.scheme, pairs[min(i+1, len(pairs)-1)], pairs[max(i-1, 0)])
+		}
+		want, err := os.ReadFile(goldenPath(gp.bench, gp.scheme))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s under %s: result bytes differ from the golden", gp.bench, gp.scheme)
+		}
 	}
 }
 

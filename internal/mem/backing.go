@@ -50,9 +50,14 @@ const memoSlots = 16
 // CopyFrom replace a Backing's pointer to it before storing through.
 var zeroPage [wordsPerPage]uint64
 
-// NewBacking returns an empty backing store.
+// NewBacking returns an empty backing store, its page map a released one's
+// when one is pooled.
 func NewBacking() *Backing {
-	return &Backing{pages: make(map[uint64]*[wordsPerPage]uint64)}
+	pages, ok := pageMaps.Take()
+	if !ok {
+		pages = make(map[uint64]*[wordsPerPage]uint64)
+	}
+	return &Backing{pages: pages}
 }
 
 // Mapped reports whether addr lies in an allocated page.
@@ -115,9 +120,9 @@ func (b *Backing) Write64(addr uint64, v uint64) {
 	p[(addr%PageSize)/8] = v
 }
 
-// Release hands b's pages to the pool for another Backing to take and leaves
-// b with none, so any later access panics as one to an unmapped address.
-// Call it once nothing will read b again.
+// Release hands b's pages and its cleared page map to the pools for another
+// Backing to take and leaves b with none, so any later access panics as one
+// to an unmapped address. Call it once nothing will read b again.
 func (b *Backing) Release() {
 	if b.pages == nil {
 		return
@@ -128,6 +133,8 @@ func (b *Backing) Release() {
 		}
 	}
 	pagePool.Lapse()
+	clear(b.pages)
+	pageMaps.Put(b.pages)
 	b.pages = nil
 	clear(b.memo[:])
 }

@@ -239,21 +239,43 @@ func NewCache(eng *sim.Engine, clk sim.Clock, cfg CacheConfig, next Level) *Cach
 		cfg:       cfg,
 		next:      next,
 		sets:      sets,
-		lines:     linePool.get(sets * cfg.Ways),
-		mshrSlots: make([]mshrEntry, cfg.MSHRs),
+		lines:     linePool.Get(sets * cfg.Ways),
+		mshrSlots: takeMSHRFile(cfg.MSHRs),
 	}
+	c.lookupQ.Reuse(&requestRings)
+	c.pendingMiss.Reuse(&requestRings)
 	c.lookupH.c = c
 	c.fillH.c = c
 	eng.Own(c.lookupH, c.fillH)
 	return c
 }
 
-// Release hands c's line array to the pool for another cache of the same
-// geometry and drops c's engine, so a later Access panics instead of touching
-// a finished run; Stats stay readable. Call it once c will not run again.
+// takeMSHRFile returns n idle miss registers, a released cache's when one is
+// pooled: each keeps the capacity its waiter and tag lists grew to.
+func takeMSHRFile(n int) []mshrEntry {
+	f, ok := mshrFiles.Take(n)
+	if !ok {
+		return make([]mshrEntry, n)
+	}
+	for i := range f {
+		f[i] = mshrEntry{waiters: f[i].waiters[:0], tags: f[i].tags[:0]}
+	}
+	return f
+}
+
+// Release hands c's line array, MSHR file and queue rings to the pools for
+// another cache of the same geometry and drops c's engine, so a later Access
+// panics instead of touching a finished run; Stats stay readable. Call it
+// once c will not run again.
 func (c *Cache) Release() {
-	linePool.put(c.lines)
-	c.lines, c.eng = nil, nil
+	linePool.Put(c.lines)
+	for i := range c.mshrSlots {
+		clear(c.mshrSlots[i].waiters[:cap(c.mshrSlots[i].waiters)]) // handlers of this run
+	}
+	mshrFiles.Put(c.mshrSlots)
+	c.lookupQ.Release()
+	c.pendingMiss.Release()
+	c.lines, c.mshrSlots, c.eng = nil, nil, nil
 }
 
 // Name returns the configured cache name.

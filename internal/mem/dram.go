@@ -101,8 +101,15 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 		eng:  eng,
 		cfg:  cfg,
 		clk:  sim.ClockFromMHz(cfg.BusMHz),
-		bank: make([]bankState, cfg.Banks),
+		bank: bankArrays.Get(cfg.Banks),
 	}
+}
+
+// Release hands d's bank array to the pool for another DRAM; Stats stay
+// readable. Call it once d will not run again.
+func (d *DRAM) Release() {
+	bankArrays.Put(d.bank)
+	d.bank = nil
 }
 
 func (d *DRAM) bankAndRow(line uint64) (int, uint64) {

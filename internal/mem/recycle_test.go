@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"runtime"
 	"testing"
 
 	"eventpf/internal/sim"
@@ -79,59 +78,4 @@ func panics(f func()) (yes bool) {
 	defer func() { yes = recover() != nil }()
 	f()
 	return false
-}
-
-// TestRecyclerKeepsWhatWasPut: a Recycler hands back the latest item first,
-// keeps at most Max, and — unlike a sync.Pool, which a collection empties
-// and which hands a P back only what that P put — still holds an item after
-// two collections, for a goroutine other than the one that put it.
-func TestRecyclerKeepsWhatWasPut(t *testing.T) {
-	items := [3]int{1, 2, 3}
-	r := Recycler[*int]{Max: 2}
-	for i := range items {
-		r.Put(&items[i])
-	}
-	for _, want := range []*int{&items[1], &items[0]} {
-		if got, ok := r.Take(); !ok || got != want {
-			t.Fatalf("Take = %v, %v; want item %d", got, ok, *want)
-		}
-	}
-	if got, ok := r.Take(); ok {
-		t.Fatalf("Take on an empty Recycler = %d, true; the Put beyond Max was kept", *got)
-	}
-
-	put := make(chan struct{})
-	go func() {
-		r.Put(&items[2])
-		close(put)
-	}()
-	<-put
-	runtime.GC()
-	runtime.GC()
-	got := make(chan *int)
-	go func() {
-		p, _ := r.Take()
-		got <- p
-	}()
-	if p := <-got; p != &items[2] {
-		t.Fatalf("after two collections another goroutine took %v, want the item put", p)
-	}
-
-	// IdleLimit: two lives in a row with no Take empty it; a Take between
-	// lapses restarts the count.
-	r = Recycler[*int]{Max: 2, IdleLimit: 2}
-	r.Put(&items[0])
-	r.Lapse()
-	r.Take()
-	r.Put(&items[0])
-	r.Lapse()
-	if _, ok := r.Take(); !ok {
-		t.Fatal("a Take between lapses did not restart the idle count")
-	}
-	r.Put(&items[0])
-	r.Lapse()
-	r.Lapse()
-	if _, ok := r.Take(); ok {
-		t.Fatal("two idle lapses in a row left the item in the Recycler")
-	}
 }

@@ -77,8 +77,19 @@ type Pool struct {
 	free []*Request
 }
 
-// NewPool returns an empty request pool.
-func NewPool() *Pool { return &Pool{} }
+// NewPool returns a request pool: a released machine's, with the requests it
+// freed, when one is pooled.
+func NewPool() *Pool {
+	if p, ok := requestPools.Take(); ok {
+		return p
+	}
+	return &Pool{}
+}
+
+// Release hands p, with every request on its free list, to the next NewPool.
+// Requests still out (parked in a released machine's queues) stay with
+// whoever holds them. Call it once nothing will Get from or Put to p again.
+func (p *Pool) Release() { requestPools.Put(p) }
 
 // Get returns a zeroed Request. Callers must set every field they need —
 // including Kind, PC, Tag and TimedAt — exactly as if they had written a

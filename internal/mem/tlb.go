@@ -191,15 +191,22 @@ func NewTLB(eng *sim.Engine, clk sim.Clock, cfg TLBConfig, bk *Backing) *TLB {
 	t.walkDone.t = t
 	eng.Own(t.l2HitH, t.walkDone)
 	t.l1 = newL1TLB(cfg.L1Entries)
-	t.l2 = tlbPool.get(cfg.L2Entries / cfg.L2Ways * cfg.L2Ways)
+	t.l2 = tlbPool.Get(cfg.L2Entries / cfg.L2Ways * cfg.L2Ways)
+	t.walkQueue.Reuse(&walkRings)
+	t.recs.Reuse(&transRecs)
 	return t
 }
 
-// Release hands t's L2 array to the pool for another TLB of the same geometry;
-// Stats stay readable. Call it once t will not translate again.
+// Release hands t's L1 and L2 arrays, walk queue ring and translation table
+// to the pools for another TLB of the same geometry; Stats stay readable.
+// Call it once t will not translate again.
 func (t *TLB) Release() {
-	tlbPool.put(t.l2)
-	t.l2 = nil
+	tlbPool.Put(t.l2)
+	l1TLBEnts.Put(t.l1.ents)
+	l1TLBIdx.Put(t.l1.index)
+	t.walkQueue.Release()
+	t.recs.Release()
+	t.l2, t.l1.ents, t.l1.index = nil, nil, nil
 }
 
 // l2Set returns the ways of the L2 set page maps to.
@@ -311,7 +318,7 @@ func newL1TLB(entries int) l1TLB {
 	for size < 2*entries {
 		size, shift = size*2, shift-1
 	}
-	return l1TLB{ents: make([]l1Entry, entries), index: make([]int32, size), shift: shift,
+	return l1TLB{ents: l1TLBEnts.Get(entries), index: l1TLBIdx.Get(size), shift: shift,
 		l1State: l1State{mru: -1, lru: -1}}
 }
 

@@ -26,8 +26,7 @@ func (p *Prefetcher) CopyStateFrom(src *Prefetcher) error {
 		p.releaseStack(du)
 		for _, s := range su.stack {
 			d := p.takeInvocation()
-			*d = *s
-			d.bind(p)
+			d.copyFrom(s, p)
 			du.stack = append(du.stack, d)
 		}
 	}

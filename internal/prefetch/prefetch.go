@@ -137,15 +137,25 @@ type invocation struct {
 	start sim.Ticks   // tick of the kernel's cycle 0, the reference of its emit times
 }
 
-// bind points the record's environment at p; a fork calls it again on the
-// records it copied by assignment.
+// bind points the record's environment at p. Its two callbacks are bound to
+// the record itself, once, when takeInvocation makes it, so a record recycled
+// from a released prefetcher (or overwritten by a fork's copy, copyFrom) is
+// re-pointed without allocating.
 func (inv *invocation) bind(p *Prefetcher) {
 	inv.p = p
 	inv.env.Globals = &p.globals
-	inv.env.Lookahead = p.lookahead
-	inv.env.EmitPF = inv.emitPF
 	inv.vm.Bind(&inv.env)
 }
+
+// copyFrom makes inv a copy of s, a record of another prefetcher, bound to p.
+func (inv *invocation) copyFrom(s *invocation, p *Prefetcher) {
+	look, emit := inv.env.Lookahead, inv.env.EmitPF
+	*inv = *s
+	inv.env.Lookahead, inv.env.EmitPF = look, emit
+	inv.bind(p)
+}
+
+func (inv *invocation) lookahead(group int) uint64 { return inv.p.lookahead(group) }
 
 type unit struct {
 	busyStart sim.Ticks
@@ -277,6 +287,17 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 		// grows if they ever reach back to a live record.
 		pending: newPendTable(cfg.ReqQueue + l1.FreeMSHRs() + pumpWays),
 	}
+	if invs, ok := invocationLists.Take(); ok {
+		for _, inv := range invs {
+			inv.bind(p)
+		}
+		p.invFree = invs
+	}
+	p.kernels, _ = kernelArrays.Take()
+	p.filter, _ = filterArrays.Take()
+	p.obsQueue.Reuse(&obsRings)
+	p.reqQueue.Reuse(&reqRings)
+	p.pumpRecs.Reuse(&pumpRecArrays)
 	for id := cfg.NumPPUs; id < 64*len(p.busy); id++ {
 		p.setBusy(id, true)
 	}
@@ -298,6 +319,62 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 	}
 	return p
 }
+
+// The prefetcher's tables, recycled from a released prefetcher to the next
+// one built: the pending table at each length it has had, the queue rings
+// and pump records, the registry and filter arrays (their capacity: a new
+// prefetcher appends into them as a fresh one would), and the list of
+// invocation records. One each for every machine that runs at once, with
+// room for a forked sweep's parent beside its lanes.
+var (
+	pendArrays      = sim.ArrayPool[pendingPF]{Max: 8}
+	obsRings        = sim.Recycler[[]observation]{Max: 8}
+	reqRings        = sim.Recycler[[]request]{Max: 8}
+	pumpRecArrays   = sim.Recycler[[]request]{Max: 8}
+	kernelArrays    = sim.Recycler[[]kernelEntry]{Max: 8}
+	filterArrays    = sim.Recycler[[]RangeConfig]{Max: 8}
+	invocationLists = sim.Recycler[[]*invocation]{Max: 8}
+)
+
+// Release hands the prefetcher's tables and invocation records back for the
+// next prefetcher to take. Stats, Lookahead and ActivityFactors stay
+// readable. Call it once p will not run again.
+func (p *Prefetcher) Release() {
+	p.pending.release()
+	p.obsQueue.Release()
+	p.reqQueue.Release()
+	p.pumpRecs.Release()
+	if cap(p.kernels) > 0 {
+		clear(p.kernels)
+		kernelArrays.Put(p.kernels[:0])
+	}
+	if cap(p.filter) > 0 {
+		filterArrays.Put(p.filter[:0])
+	}
+	p.kernels, p.filter = nil, nil
+	for i := range p.units {
+		p.releaseStack(&p.units[i])
+	}
+	if n := len(p.invFree); n > maxPooledInvocations {
+		clear(p.invFree[maxPooledInvocations:])
+		p.invFree = p.invFree[:maxPooledInvocations]
+	}
+	for _, inv := range p.invFree {
+		inv.vm.Reset(nil, &inv.env) // drops the kernel program
+		inv.p, inv.env.Globals = nil, nil
+	}
+	if len(p.invFree) > 0 {
+		invocationLists.Put(p.invFree)
+	}
+	p.invFree = nil
+}
+
+// maxPooledInvocations bounds the records a released prefetcher hands on:
+// one per unit in event mode for up to 64 units, or shallow blocked stacks.
+// A blocked run that suspends deeper (a chase at serve-mix scale held ~2 700
+// at once) makes the rest afresh rather than pinning them for every later
+// machine.
+const maxPooledInvocations = 64
 
 // emit stamps e with the current time and delivers it to the bus; free when
 // none is attached.
@@ -598,6 +675,7 @@ func (p *Prefetcher) takeInvocation() *invocation {
 		return inv
 	}
 	inv := new(invocation)
+	inv.env.Lookahead, inv.env.EmitPF = inv.lookahead, inv.emitPF
 	inv.bind(p)
 	return inv
 }
@@ -783,9 +861,10 @@ func (p *Prefetcher) ActivityFactors() []float64 {
 	return out
 }
 
-// ewmaGroup implements the §4.5 moving-average calculators with weight 1/8.
-// The exposed look-ahead distance is quantised to powers of two with
-// hysteresis: a raw ratio that wobbles between adjacent values would leave
+// ewmaGroup implements the §4.5 moving-average calculators: the first sample
+// seeds an average, and each later sample d moves it by (d − avg)/16, a
+// weight of 1/16 (TestEWMAWeight pins it). The exposed look-ahead distance
+// is quantised to powers of two with hysteresis: a raw ratio that wobbles between adjacent values would leave
 // a gap of unprefetched iterations at every upward step, and those gaps
 // become fully serialised misses.
 type ewmaGroup struct {

@@ -662,3 +662,25 @@ func TestKernelColdStartCostsOnce(t *testing.T) {
 		t.Errorf("KernelRuns = %d, want 5", f.pf.Stats.KernelRuns)
 	}
 }
+
+// TestEWMAWeight: after a first sample d0 seeds an average, one more sample
+// d moves it by exactly (d − avg)/16 — a weight of 1/16, for both the access
+// interval and the chain load time.
+func TestEWMAWeight(t *testing.T) {
+	for _, tc := range []struct{ d0, d sim.Ticks }{
+		{100, 100}, {100, 260}, {1600, 0}, {48, 1024}, {5000, 3400},
+	} {
+		var g ewmaGroup
+		g.init()
+		g.observeInterval(0)
+		g.observeInterval(tc.d0)
+		g.observeInterval(tc.d0 + tc.d)
+		g.observeLoadTime(tc.d0)
+		g.observeLoadTime(tc.d)
+		want := float64(tc.d0) + (float64(tc.d)-float64(tc.d0))/16
+		if g.interval != want || g.loadTime != want {
+			t.Errorf("d0 %d then %d: interval %v, load time %v; want %v",
+				tc.d0, tc.d, g.interval, g.loadTime, want)
+		}
+	}
+}

@@ -33,7 +33,7 @@ func newPendTable(atLeast int) pendTable {
 	for size < atLeast {
 		size <<= 1
 	}
-	return pendTable{slots: make([]pendingPF, size)}
+	return pendTable{slots: pendArrays.Get(size)}
 }
 
 // find returns the live record of id, or nil if it was never tracked or has
@@ -57,19 +57,31 @@ func (t *pendTable) insert(id int) *pendingPF {
 		// Live ids are distinct modulo the old size, so they stay distinct
 		// modulo twice that: re-placing cannot collide.
 		old := t.slots
-		t.slots = make([]pendingPF, 2*len(old))
+		t.slots = pendArrays.Get(2 * len(old))
 		for i := range old {
 			if old[i].live {
 				t.slots[old[i].id&(len(t.slots)-1)] = old[i]
 			}
 		}
+		pendArrays.Put(old)
 	}
 }
 
 func (t *pendTable) clear() { clear(t.slots) }
 
+// copyFrom makes t a copy of src at src's length.
 func (t *pendTable) copyFrom(src *pendTable) {
-	t.slots = append(t.slots[:0], src.slots...)
+	if len(t.slots) != len(src.slots) {
+		pendArrays.Put(t.slots)
+		t.slots = pendArrays.Get(len(src.slots))
+	}
+	copy(t.slots, src.slots)
+}
+
+// release hands the table back; it holds nothing afterwards.
+func (t *pendTable) release() {
+	pendArrays.Put(t.slots)
+	t.slots = nil
 }
 
 // kernelEntry is one slot of the kernel registry, indexed by kernel id.

@@ -88,7 +88,7 @@ func (e *Engine) CopyFrom(src *Engine) error {
 	e.nodes = append(e.nodes[:0], src.nodes...)
 	e.free = src.free
 	e.near = src.near
-	e.slots = src.slots
+	*e.slots = *src.slots
 	e.occ = src.occ
 	e.sum = src.sum
 	e.far.ev = append(e.far.ev[:0], src.far.ev...)

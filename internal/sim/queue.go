@@ -12,6 +12,30 @@ type Queue[T any] struct {
 	buf  []T
 	head int
 	n    int
+	pool *Recycler[[]T] // set by Reuse
+}
+
+// Reuse makes r the queue's pool: a new queue takes the ring a released
+// queue left in r, if there is one, and Release hands the ring back. The ring
+// may be longer than the queue would have grown to by now; that changes
+// nothing Push and Pop do, and once r holds rings as long as a run needs,
+// the queue never grows. Push keeps its own growth, so it stays small enough
+// to inline on every hot path that queues.
+func (q *Queue[T]) Reuse(r *Recycler[[]T]) {
+	q.pool = r
+	if q.buf == nil {
+		q.buf, _ = r.Take()
+	}
+}
+
+// Release empties the queue and hands its ring to the pool Reuse named; the
+// queue stays usable and grows afresh.
+func (q *Queue[T]) Release() {
+	q.Clear()
+	if q.pool != nil && len(q.buf) > 0 {
+		q.pool.Put(q.buf)
+	}
+	q.buf, q.head = nil, 0
 }
 
 // Len returns the number of queued elements.
@@ -80,6 +104,38 @@ func (q *Queue[T]) CopyFrom(src *Queue[T], conv func(T) (T, error)) error {
 type Slab[T any] struct {
 	recs []T
 	free []int32
+	pool *Recycler[[]T] // set by Reuse
+}
+
+// freeLists holds the free lists of released slabs.
+var freeLists = Recycler[[]int32]{Max: 64}
+
+// Reuse makes r the table's pool: a new table takes the record array a
+// released table left in r, and a free list, if there are any, and Release
+// hands both back. Only their capacity carries over (both go back emptied):
+// the table still hands out slots from 0, and once r holds arrays as large
+// as a run needs, Put never grows them.
+func (s *Slab[T]) Reuse(r *Recycler[[]T]) {
+	s.pool = r
+	if s.recs == nil {
+		s.recs, _ = r.Take()
+		s.free, _ = freeLists.Take()
+	}
+}
+
+// Release empties the table and hands its arrays to the pool Reuse named;
+// the table stays usable and hands out slots from 0 again.
+func (s *Slab[T]) Release() {
+	clear(s.recs) // recs never shrinks: its length is every slot ever used
+	if s.pool != nil {
+		if cap(s.recs) > 0 {
+			s.pool.Put(s.recs[:0])
+		}
+		if cap(s.free) > 0 {
+			freeLists.Put(s.free[:0])
+		}
+	}
+	s.recs, s.free = nil, nil
 }
 
 // Put stores v in a free slot and returns the slot.

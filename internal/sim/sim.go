@@ -159,7 +159,8 @@ func (q *eventQueue) pop() event {
 //	≥ 8192       244 calls, all the adaptive unit's interval timer
 //
 // so at 4096 the overflow heap sees a few events a run, for 32 KiB of slot
-// heads per engine. The queue was 8–127 deep at 89 % of those calls.
+// heads per engine (taken from slotArrays, and handed back by Release). The
+// queue was 8–127 deep at 89 % of those calls.
 const (
 	wheelSpan = 4096
 	wheelMask = wheelSpan - 1
@@ -203,7 +204,7 @@ type Engine struct {
 	nodes []wheelNode // slab; indices are stable, so links survive growth
 	free  int32       // head of the free list through nodes[].next, -1 if none
 	near  int         // events on the wheel
-	slots [wheelSpan]wheelSlot
+	slots *[wheelSpan]wheelSlot
 	occ   [wheelSpan / 64]uint64 // bit s: slot s is non-empty
 	sum   uint64                 // bit w: occ[w] != 0
 
@@ -214,8 +215,49 @@ type Engine struct {
 	owned []Handler
 }
 
+// The engine's tables, recycled from one engine to the next (Release): the
+// wheel's slot heads, the node slab and the owned-handler list. Each keeps
+// one per engine that runs at once, with room for a forked sweep's parent
+// beside its lanes. The slab and the list keep the capacity they grew to, so
+// Schedule and Own grow them by plain append and, once a run has grown them
+// as far as the runs after it need, never again.
+var (
+	slotArrays   = ArrayPool[wheelSlot]{Max: 8}
+	nodeSlabs    = Recycler[[]wheelNode]{Max: 8}
+	handlerLists = Recycler[[]Handler]{Max: 8}
+)
+
 // NewEngine returns an engine with the clock at tick zero.
-func NewEngine() *Engine { return &Engine{free: -1} }
+func NewEngine() *Engine {
+	e := &Engine{free: -1, slots: (*[wheelSpan]wheelSlot)(slotArrays.Get(wheelSpan))}
+	if nodes, ok := nodeSlabs.Take(); ok {
+		e.nodes = nodes
+	}
+	if owned, ok := handlerLists.Take(); ok {
+		e.owned = owned
+	}
+	return e
+}
+
+// Release hands the engine's wheel, node slab and handler list back for the
+// next engine to take. The clock, Seq and Pending stay readable; scheduling
+// or stepping a released engine with events pending panics. Release is
+// idempotent.
+func (e *Engine) Release() {
+	if e.slots == nil {
+		return
+	}
+	slotArrays.Put(e.slots[:])
+	if cap(e.nodes) > 0 {
+		clear(e.nodes) // the slab never shrinks: its length is every node ever used
+		nodeSlabs.Put(e.nodes[:0])
+	}
+	if cap(e.owned) > 0 {
+		clear(e.owned)
+		handlerLists.Put(e.owned[:0])
+	}
+	e.slots, e.nodes, e.owned = nil, nil, nil
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Ticks { return e.now }

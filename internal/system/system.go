@@ -226,8 +226,12 @@ type loadRec struct {
 	a    uint64
 }
 
+// loadRecArrays recycles the load-record tables of released machines.
+var loadRecArrays = sim.Recycler[[]loadRec]{Max: 8}
+
 func newPortGlue(eng *sim.Engine, tlb *mem.TLB, l1 *mem.Cache) *portGlue {
 	g := &portGlue{eng: eng, tlb: tlb, l1: l1, pool: mem.NewPool()}
+	g.recs.Reuse(&loadRecArrays)
 	g.loadH.g = g
 	g.swpfH.g = g
 	eng.Own(g.loadH, g.swpfH)
@@ -436,20 +440,53 @@ func (m *Machine) RunUntilOps(n int64) {
 // Done reports whether the started run has completed.
 func (m *Machine) Done() bool { return m.runDone }
 
-// Release hands the machine's functional memory pages, cache line arrays and
-// L2-TLB array to internal/mem's pools, for the next machine built in the
-// process to take. Whoever builds a machine calls it after the machine's last
-// read of memory: harness.Run after its oracle check, RunPlan on the machines
-// it does not return. Afterwards a functional access (Backing.Read64 or
-// Write64, an L1 or L2 Access) panics and the machine cannot be forked, while
-// the engine, the statistics and the counters stay readable, and so do Finish
-// and Digest. Release is idempotent.
+// Release hands every table the machine sized in New or grew while it ran
+// to the pools (sim.Recycler, sim.ArrayPool), for the next machine built in
+// the process to take:
+//
+//   - mem: the functional pages and the page map, both caches' line arrays,
+//     MSHR files and request rings, the TLB's L1 and L2 arrays, walk ring and
+//     translation table, the DRAM bank array, and the request free list with
+//     its requests;
+//   - sim: the timing wheel's slot heads, its node slab and the owned-handler
+//     list;
+//   - cpu: the reorder window and the branch predictor's table;
+//   - prefetch: the pending table, queue rings, pump records, kernel registry
+//     and filter arrays, and the invocation records;
+//   - baseline (the adaptive controller's arms too): prediction tables,
+//     history buffers, the Markov index and the issuer rings;
+//   - this package: the load-record table.
+//
+// Each pool keeps at most a fixed number of items (per length, for the
+// length-keyed ones; mem's page pool: 64 MiB), so what a process pins is
+// bounded. Whoever builds a machine
+// calls Release after the machine's last read of memory: harness.Run after
+// its oracle check, RunPlan on the machines it does not return. Afterwards a
+// functional access (Backing.Read64 or Write64, an L1 or L2 Access) panics
+// and the machine cannot be forked, while the engine's clock, Seq and
+// Pending, every Stats field and the counters stay readable, and so do
+// Finish and Digest. Release is idempotent.
 func (m *Machine) Release() {
+	if m.released {
+		return
+	}
 	m.released = true
 	m.Backing.Release()
 	m.L1.Release()
 	m.L2.Release()
+	m.DRAM.Release()
 	m.TLB.Release()
+	m.Core.Release()
+	if m.PF != nil {
+		m.PF.Release()
+	}
+	if m.Baseline != nil {
+		m.Baseline.Release()
+	}
+	m.glue.recs.Release()
+	m.glue.pool.Release()
+	m.glue.pool, m.L1.Pool, m.L2.Pool, m.DRAM.Pool = nil, nil, nil, nil
+	m.Eng.Release()
 }
 
 // Finish finalises statistics and builds the Result for a drained run.

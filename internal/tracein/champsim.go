@@ -71,6 +71,12 @@ func newChampSimDecoder(br *bufio.Reader) *champsimDecoder {
 
 func (d *champsimDecoder) Meta() Meta { return d.meta }
 
+// release hands the decode buffer back; the decoder reads nothing after.
+func (d *champsimDecoder) release() {
+	putReader(d.br)
+	d.br = nil
+}
+
 func (d *champsimDecoder) Next() (Op, error) {
 	for d.qpos >= d.qlen {
 		if err := d.fill(); err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"eventpf/internal/cpu"
 	"eventpf/internal/mem"
+	"eventpf/internal/sim"
 )
 
 // Op is one decoded trace record in machine-neutral form.
@@ -39,13 +40,13 @@ type Decoder interface {
 // ever loaded whole: both decoders read record by record through a small
 // buffer.
 func Open(r io.Reader) (Decoder, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := takeReader(r)
 	if head, err := br.Peek(2); err == nil && head[0] == 0x1f && head[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, &HeaderError{Reason: fmt.Sprintf("gzip: %v", err)}
 		}
-		br = bufio.NewReaderSize(zr, 1<<16)
+		br = takeReader(zr)
 	}
 	head, err := br.Peek(len(magic))
 	if err != nil {
@@ -55,6 +56,29 @@ func Open(r io.Reader) (Decoder, error) {
 		return newNativeDecoder(br)
 	}
 	return newChampSimDecoder(br), nil
+}
+
+// readerSize is the decode buffer: 64 KiB of trace read at a time.
+const readerSize = 1 << 16
+
+// readers holds the decode buffers of streams a Replayer has finished (or
+// closed), for the next Open: one per replay that runs at once. A gzip
+// stream's outer buffer is left to the GC with the gzip reader.
+var readers = sim.Recycler[*bufio.Reader]{Max: 8}
+
+// takeReader returns a readerSize buffer reading r.
+func takeReader(r io.Reader) *bufio.Reader {
+	if br, ok := readers.Take(); ok {
+		br.Reset(r)
+		return br
+	}
+	return bufio.NewReaderSize(r, readerSize)
+}
+
+// putReader hands br back once nothing will read through it again.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil) // drops the source
+	readers.Put(br)
 }
 
 // maxRecordLen is the longest native record: a tag byte and four varints
@@ -147,6 +171,12 @@ func checkRegions(regions []RegionMeta) error {
 }
 
 func (d *nativeDecoder) Meta() Meta { return d.meta }
+
+// release hands the decode buffer back; the decoder reads nothing after.
+func (d *nativeDecoder) release() {
+	putReader(d.br)
+	d.br, d.view = nil, nil
+}
 
 func (d *nativeDecoder) Next() (Op, error) {
 	var op Op

@@ -114,6 +114,9 @@ func producer(id int64, rel uint64) int64 {
 }
 
 func (r *Replayer) close() {
+	if rel, ok := r.dec.(interface{ release() }); ok {
+		rel.release()
+	}
 	r.dec, r.native = nil, nil
 	if r.closer != nil {
 		if cerr := r.closer.Close(); cerr != nil && r.err == nil {

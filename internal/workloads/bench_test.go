@@ -11,25 +11,34 @@ import (
 // and ppf-detail's neighbourhood.
 const buildBenchScale = 0.022
 
-// buildBytesBudget bounds what one Build at buildBenchScale allocates once
-// the pools are warm: the measured bytes plus 25 %. Most of it is not the
-// workload's at all but the machine's page map growing as Build's regions
-// are mapped, about 70 bytes a page — RandAcc's 16 MiB table is 4 097
-// pages. The eight Table-2 rows measured 355 KB together; when Build kept
-// host copies, maps and permutations they allocated 4.77 MB.
-var buildBytesBudget = map[string]uint64{
-	"G500-CSR":  7_000,
-	"G500-List": 7_100,
-	"HJ-2":      12_400,
-	"HJ-8":      12_500,
-	"PageRank":  6_600,
-	"RandAcc":   371_000,
-	"IntSort":   24_200,
-	"ConjGrad":  3_900,
-	"PhaseMix":  47_200,
-	"SpMV":      2_300,
-	"BTree":     93_300,
-	"HotCold":   47_300,
+// buildBytes is what one Build at buildBenchScale allocates once the pools
+// are warm, measured (amd64, 10 runs a row): what its Instance keeps — the
+// oracle's sum or digest, the run arguments — and the Arena's region list.
+// The machine's page map no longer grows as Build maps its regions: Release
+// hands the cleared map, buckets and all, to the next machine, which is what
+// RandAcc's 371 KB budget (4 097 pages) and the eight Table-2 rows' 355 KB
+// together used to pay for. A row fails itself above buildBytesBudget.
+var buildBytes = map[string]uint64{
+	"G500-CSR":  960,
+	"G500-List": 1_072,
+	"HJ-2":      376,
+	"HJ-8":      504,
+	"PageRank":  624,
+	"RandAcc":   416,
+	"IntSort":   360,
+	"ConjGrad":  864,
+	"PhaseMix":  288,
+	"SpMV":      768,
+	"BTree":     240,
+	"HotCold":   336,
+}
+
+// buildBytesBudget is a row's measurement plus 25 %, and at least 1 KB: the
+// process allocates a few hundred bytes a build now and then that are not
+// the build's (one HJ-2 run in 130 rows read 638 B against 376 B).
+func buildBytesBudget(bench string) (uint64, bool) {
+	b, ok := buildBytes[bench]
+	return max(1_000, b*5/4), ok
 }
 
 // BenchmarkBuild is one benchmark's Build at scale 0.022 on a fresh machine —
@@ -64,7 +73,7 @@ func BenchmarkBuild(b *testing.B) {
 			}
 			perBuild := total / uint64(b.N)
 			b.ReportMetric(float64(perBuild), "B/build")
-			if budget, ok := buildBytesBudget[bench.Name]; !ok || perBuild > budget {
+			if budget, ok := buildBytesBudget(bench.Name); !ok || perBuild > budget {
 				b.Errorf("a %s build allocated %d bytes, budget %d", bench.Name, perBuild, budget)
 			}
 		})

@@ -1,6 +1,9 @@
 package workloads
 
-import "eventpf/internal/mem"
+import (
+	"eventpf/internal/mem"
+	"eventpf/internal/sim"
+)
 
 // A Build writes its input straight into simulated memory and keeps no host
 // copy of it. What generation needs only while it runs — the R-MAT edge
@@ -24,10 +27,10 @@ type scratch struct {
 
 // scratchPool holds *scratch: a warm run borrows what the previous one
 // returned, from whichever goroutine, whenever the collector last ran (a
-// mem.Recycler, as the machine's pages are). It keeps one scratch per build
+// sim.Recycler, as the machine's tables are). It keeps one scratch per build
 // that runs at once, and release leaves a buffer above maxPooledScratch words
 // to the GC, so what it pins is bounded.
-var scratchPool = mem.Recycler[*scratch]{Max: 8}
+var scratchPool = sim.Recycler[*scratch]{Max: 8}
 
 // maxPooledScratch is the largest buffer kept between builds: 4 Mi words
 // (32 MiB), far above what any Table-2 input needs at the figures' scales.
