@@ -152,7 +152,7 @@ type robEntry struct {
 	unresolved int       // count of deps whose completion is still unknown
 	issued     bool
 	mispred    bool      // mispredicted branch: install redirect stall at issue
-	waitNext   [2]uint16 // per dep: next link in the producer's wait list (see Core.waitHead)
+	waitNext   [2]uint16 // per dep: next link in the producer's wait list (see ringSlot.waitHead)
 	completeAt sim.Ticks // -1 until known
 }
 
@@ -171,6 +171,10 @@ type Core struct {
 	// oldest entry, robN counts occupancy. Retiring moves the head instead of
 	// re-slicing, so the window's backing array lives for the whole run.
 	rob []robEntry
+	// ring is the completion ring: one slot per recent op id modulo
+	// completionRing. Like rob it is taken from a released core and copied
+	// beside coreState by a fork.
+	ring *[completionRing]ringSlot
 	coreState
 
 	tickH     tickHandler
@@ -195,31 +199,30 @@ type Core struct {
 	OpBus *trace.Bus
 }
 
+// ringSlot is what the core remembers of the op whose id falls in its slot of
+// the completion ring.
+type ringSlot struct {
+	completion sim.Ticks
+	// waitHead heads the list of window entries waiting for the op to
+	// complete. A link names one dependence of one waiter: 1 + 2×(the
+	// waiter's index in rob) + (which of its two deps), 0 ending the list;
+	// the chain runs through robEntry.waitNext. recordCompletion walks the
+	// list once and empties it, so every list is empty again by the time its
+	// producer retires.
+	waitHead uint16
+	known    bool // completion is valid
+}
+
 // coreState is the core's scalar execution state: everything a fork copies by
-// one assignment (the window, the parked op and the predictor table are
-// copied beside it). It must stay free of pointers, slices, maps, funcs and
-// interfaces — a reflection test checks — so a new field is forked without
-// being listed and can never alias the parent.
+// one assignment (the window, the completion ring, the parked op and the
+// predictor table are copied beside it). It must stay free of pointers,
+// slices, maps, funcs and interfaces — a reflection test checks — so a new
+// field is forked without being listed and can never alias the parent.
 type coreState struct {
 	hasPending bool // pendingOp is valid
 	nextID     int64
 	robHead    int
 	robN       int
-	completion [completionRing]sim.Ticks
-	known      [completionRing]bool
-	// ringAddr/ringPC mirror each op's address and PC, indexed like the
-	// completion ring, so a delayed load launch can be scheduled with just
-	// the op id as payload (the entry is still in the window at launch time,
-	// and completionRing > ROB keeps the slot from being reused under it).
-	ringAddr [completionRing]uint64
-	ringPC   [completionRing]int
-	// waitHead[slot] heads the list of window entries waiting for the op in
-	// that ring slot to complete. A link names one dependence of one waiter:
-	// 1 + 2×(the waiter's index in rob) + (which of its two deps), 0 ending
-	// the list; the chain runs through robEntry.waitNext. recordCompletion
-	// walks the list once and empties it, so every list is empty again by
-	// the time its producer retires.
-	waitHead [completionRing]uint16
 	// ready has one bit per ring slot, set for an unissued window entry all
 	// of whose dependences are recorded: exactly the ops the next full tick
 	// issues. resolveAndIssue leaves it zero.
@@ -289,6 +292,12 @@ func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
 	}
 	c := &Core{eng: eng, cfg: cfg, ports: ports}
 	c.rob = robArrays.Get(cfg.ROB)
+	if t, ok := ringTables.Take(); ok {
+		*t = [completionRing]ringSlot{}
+		c.ring = t
+	} else {
+		c.ring = new([completionRing]ringSlot)
+	}
 	c.tickH.c = c
 	c.launchH.c = c
 	c.loadDoneH.c = c
@@ -300,19 +309,25 @@ func New(eng *sim.Engine, cfg Config, ports Ports) *Core {
 }
 
 // The core's tables, recycled from a released core to the next one built:
-// the window and the predictor's counters. One each per machine that runs
-// at once, with room for a forked sweep's parent beside its lanes.
+// the window, the completion ring and the predictor's counters. One each per
+// machine that runs at once.
 var (
-	robArrays = sim.ArrayPool[robEntry]{Max: 8}
-	bpTables  = sim.ArrayPool[uint8]{Max: 8}
+	robArrays  = sim.ArrayPool[robEntry]{Max: 8}
+	ringTables = sim.Recycler[*[completionRing]ringSlot]{Max: 8}
+	bpTables   = sim.ArrayPool[uint8]{Max: 8}
 )
 
-// Release hands the core's window and predictor table back for the next core
-// to take; Stats stay readable. Call it once the core will not run again.
+// Release hands the core's window, completion ring and predictor table back
+// for the next core to take; Stats stay readable. Call it once the core will
+// not run again.
 func (c *Core) Release() {
+	if c.ring == nil {
+		return
+	}
 	robArrays.Put(c.rob)
+	ringTables.Put(c.ring)
 	bpTables.Put(c.bp.table)
-	c.rob, c.bp.table = nil, nil
+	c.rob, c.ring, c.bp.table = nil, nil, nil
 }
 
 // robAt returns the i-th oldest window entry (i < robN).
@@ -348,7 +363,7 @@ type tickHandler struct{ c *Core }
 func (h tickHandler) Handle(sim.Ticks, uint64, uint64) { h.c.tick() }
 
 // launchHandler issues a load whose operands resolved in the future; a is
-// the op id, resolved to address/PC through the mirror rings.
+// the op id, resolved to address/PC through its window entry.
 type launchHandler struct{ c *Core }
 
 func (h launchHandler) Handle(_ sim.Ticks, a, _ uint64) { h.c.launchLoad(int64(a)) }
@@ -395,9 +410,8 @@ func (c *Core) depCompletion(id int64) (sim.Ticks, bool) {
 	if id < c.nextID-int64(c.cfg.ROB)-retiredSlack {
 		return 0, true
 	}
-	slot := id % completionRing
-	if c.known[slot] {
-		return c.completion[slot], true
+	if r := &c.ring[id%completionRing]; r.known {
+		return r.completion, true
 	}
 	return 0, false
 }
@@ -406,11 +420,10 @@ func (c *Core) depCompletion(id int64) (sim.Ticks, bool) {
 // waiting on it: each has its readyAt raised, and one whose last outstanding
 // dependence this was becomes ready to issue.
 func (c *Core) recordCompletion(id int64, at sim.Ticks) {
-	slot := id % completionRing
-	c.completion[slot] = at
-	c.known[slot] = true
+	r := &c.ring[id%completionRing]
+	r.completion, r.known = at, true
 	c.dirty = true
-	for l := c.waitHead[slot]; l != 0; {
+	for l := r.waitHead; l != 0; {
 		e := &c.rob[(l-1)>>1]
 		l = e.waitNext[(l-1)&1]
 		if at > e.readyAt {
@@ -420,7 +433,7 @@ func (c *Core) recordCompletion(id int64, at sim.Ticks) {
 			c.markReady(e.id)
 		}
 	}
-	c.waitHead[slot] = 0
+	r.waitHead = 0
 }
 
 func (c *Core) markReady(id int64) {
@@ -614,11 +627,11 @@ func (c *Core) issue(e *robEntry, now sim.Ticks) {
 	}
 }
 
-// launchLoad fires a delayed load issue: the op is still in the window, so
-// its address and PC are read back from the mirror rings.
+// launchLoad fires a delayed load issue: the op cannot retire before its
+// load completes, so its address and PC are read back from its window entry.
 func (c *Core) launchLoad(id int64) {
-	slot := id % completionRing
-	c.ports.Load(c.ringAddr[slot], c.ringPC[slot], c.loadDoneH, uint64(id))
+	e := c.robAt(int(id - c.rob[c.robHead].id))
+	c.ports.Load(e.addr, e.pc, c.loadDoneH, uint64(id))
 }
 
 func (c *Core) loadComplete(id int64, at sim.Ticks) {
@@ -693,10 +706,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 				Dur: sim.Ticks(packDeps(id, op.Deps)),
 			})
 		}
-		slot := id % completionRing
-		c.known[slot] = false
-		c.ringAddr[slot] = op.Addr
-		c.ringPC[slot] = op.PC
+		c.ring[id%completionRing].known = false
 		// The window entry is written where it lives, field by field (the
 		// dependences one word at a time, as the stream stored them: a
 		// 16-byte load of two fresh 8-byte stores stalls the host's pipeline).
@@ -715,7 +725,7 @@ func (c *Core) dispatch(now sim.Ticks) {
 			} else {
 				// The producer is still in the window: wait on its slot.
 				unresolved++
-				head := &c.waitHead[d%completionRing]
+				head := &c.ring[d%completionRing].waitHead
 				e.waitNext[i] = *head
 				*head = uint16(1 + 2*tail + i)
 			}

@@ -540,9 +540,9 @@ func TestStalledChainEventBudget(t *testing.T) {
 	}
 }
 
-// TestLoadPCSameHoweverIssued: a load whose operands are ready launches from
-// its window entry, one that waits for an operand launches later from the
-// mirror rings. Both must carry the PC at full width: were the rings narrower
+// TestLoadPCSameHoweverIssued: a load whose operands are ready launches at
+// issue, one that waits for an operand launches later, by its op id alone.
+// Both must carry the PC at full width: were the delayed path's copy narrower
 // (int32), one static load with bit 31 set in its PC would train a prefetch
 // unit under two PCs, one of them negative and so ignored.
 func TestLoadPCSameHoweverIssued(t *testing.T) {

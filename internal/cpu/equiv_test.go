@@ -278,7 +278,11 @@ func (c *Core) referenceCopy(scratch *sim.Engine, loads *[]int64) *Core {
 	ref.eng = scratch
 	ref.ports = Ports{Load: func(_ uint64, _ int, _ sim.Handler, a uint64) { *loads = append(*loads, int64(a)) }}
 	ref.Bus, ref.OpBus = nil, nil
-	ref.waitHead = [completionRing]uint16{}
+	ring := *c.ring
+	ref.ring = &ring
+	for i := range ref.ring {
+		ref.ring[i].waitHead = 0
+	}
 	ref.ready = [completionRing / 64]uint64{}
 	for i := 0; i < ref.robN; i++ {
 		if e := ref.robAt(i); !e.issued {
@@ -368,10 +372,10 @@ func checkIssueByWakeup(t *testing.T, name string, cfg Config, ops []MicroOp, me
 				!g.issued && g.unresolved != w.unresolved {
 				t.Fatalf("%s t=%d op %d:\n wake-list %+v\n rescan    %+v", name, now, w.id, *g, *w)
 			}
-			slot := w.id % completionRing
-			if core.known[slot] != ref.known[slot] || core.completion[slot] != ref.completion[slot] {
+			g2, w2 := core.ring[w.id%completionRing], ref.ring[w.id%completionRing]
+			if g2.known != w2.known || g2.completion != w2.completion {
 				t.Fatalf("%s t=%d op %d: completion ring (%v, %d), rescan leaves (%v, %d)", name, now, w.id,
-					core.known[slot], core.completion[slot], ref.known[slot], ref.completion[slot])
+					g2.known, g2.completion, w2.known, w2.completion)
 			}
 		}
 	}
@@ -381,8 +385,13 @@ func checkIssueByWakeup(t *testing.T, name string, cfg Config, ops []MicroOp, me
 	if fullTicks == 0 {
 		t.Fatalf("%s: no full tick was recognised", name)
 	}
-	if core.unissuedN != 0 || core.ready != [completionRing / 64]uint64{} || core.waitHead != [completionRing]uint16{} {
-		t.Fatalf("%s: drained core keeps unissuedN=%d ready=%x waitHead=%v", name, core.unissuedN, core.ready, core.waitHead)
+	if core.unissuedN != 0 || core.ready != [completionRing / 64]uint64{} {
+		t.Fatalf("%s: drained core keeps unissuedN=%d ready=%x", name, core.unissuedN, core.ready)
+	}
+	for slot, r := range core.ring {
+		if r.waitHead != 0 {
+			t.Fatalf("%s: drained core keeps a wait list in ring slot %d", name, slot)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ func (c *Core) CopyStateFrom(src *Core, stream Stream, onDone func()) {
 	c.coreState = src.coreState
 	c.pendingOp = src.pendingOp // Do is nil outside dispatch: nothing of src's is shared
 	copy(c.rob, src.rob)
+	*c.ring = *src.ring
 	c.bp.history = src.bp.history
 	copy(c.bp.table, src.bp.table)
 	c.stream = AsFiller(stream)

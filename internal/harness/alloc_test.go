@@ -10,7 +10,7 @@ import (
 // TestMachineRunAllocBudget extends the engine-only zero-alloc test from the
 // sim package to a complete machine: one full (small) HJ-2 run under the
 // programmable prefetcher must stay within a fixed allocation budget. The
-// run costs 217 allocations, all of them one-time construction — the
+// run costs 216 allocations, all of them one-time construction — the
 // machine's own structs, the IR, the compiled and assembled kernels, the
 // stream set-up — and the bound is that plus 25 %. What it cannot absorb is any per-event,
 // per-request or per-loop-iteration allocation creeping back into the
@@ -24,7 +24,7 @@ import (
 // MSHR files, TLB arrays, the timing wheel, the core's window, the
 // prefetcher's pending table, every ring and record slab — from the ones
 // earlier runs released (system.Machine.Release), and the workload's Build
-// borrows its generation scratch, so a run in a sequence allocates ~30 KB
+// borrows its generation scratch, so a run in a sequence allocates ~21 KB
 // (runBytesBudget), under the race detector too.
 func TestMachineRunAllocBudget(t *testing.T) {
 	const budget = 272
@@ -55,14 +55,14 @@ func TestMachineRunAllocBudget(t *testing.T) {
 }
 
 // runBytesBudget bounds the bytes one HJ-2 × manual run at scale 0.02
-// allocates after an earlier run has filled the pools: 29.0 KB measured
-// (30.6 KB under -race), plus 25 %. What is left is the program — the IR,
+// allocates after an earlier run has filled the pools: 21.3 KB measured
+// (21.8 KB under -race), plus 25 %. What is left is the program — the IR,
 // the kernels assembled for it, the interpreter — and the machine's own
-// structs, of which the core's 8 KB (its completion rings, held inline) is
-// the largest. When a machine took back only its pages, line arrays and
-// L2-TLB array a run allocated ~125 KB; when Build kept its keys, dedupe maps
-// and permutations, 1.41 MB; before runs recycled their memory, 2.34 MB.
-const runBytesBudget = 38_300
+// structs. While the core held its completion rings inline (8 KB) a run
+// allocated 29.0 KB; when a machine took back only its pages, line arrays
+// and L2-TLB array, ~125 KB; when Build kept its keys, dedupe maps and
+// permutations, 1.41 MB; before runs recycled their memory, 2.34 MB.
+const runBytesBudget = 26_700
 
 // bytesPerRun returns the mean bytes allocated by n calls of run after one
 // more that fills the pools. The collector and the scheduler run as they

@@ -33,6 +33,11 @@ type Suite struct {
 	// (finished or in flight) versus ones that started a simulation.
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
+
+	// onSweep, when a test sets it before the suite runs, sees every
+	// warm-up, fork, finish, resume and release a sweep makes, from the
+	// goroutine that makes it.
+	onSweep func(sweepEvent)
 }
 
 // suiteCall is one memoised (possibly in-flight) measurement.
@@ -210,22 +215,22 @@ func (s *Suite) pairOptions(p Pair) Options {
 
 // sweep fills the memo entries of b×scheme under each of opts that nobody
 // holds yet, sharing one warm-up between them: the run is warmed under
-// warmOpt until warmOps micro-ops have retired and forked into one
-// continuation per claimed entry — opts[i]'s configuration may differ from
-// warmOpt's only in what a machine fork may change — and the continuations
-// finish on the worker pool. A continuation under warmOpt's own configuration
-// is byte-identical to a full run (forking is exact); the others treat the
-// shared warm-up as functional warming. When the program ends before the fork
-// point there is nothing to share and every claimed entry runs in full.
-// Callers read the results back with measure; the lowest-indexed error is
-// returned, and a failed warm-up or fork fails every claimed entry.
-//
-// The warmed parent is not released (system.Machine.Release) once its forks
-// exist but left to the GC: a sweep's forks wait for worker tokens, and the
-// parents of the sweeps a figure runs side by side would sit in the pools
-// beside them, where the collector counts them live. On figure-suite (2
-// vCPUs), releasing them saves 10 MB of allocation a pass and costs 5 MB of
-// peak RSS.
+// warmOpt until warmOps micro-ops have retired, and the claimed points are a
+// queue that the warm-up's worker token, and any token freed meanwhile,
+// drains. A worker pops a point, forks the paused parent for it — opts[i]'s
+// configuration may differ from warmOpt's only in what a machine fork may
+// change — and finishes the fork. A warmed parent thus keeps a token until
+// its last fork, and a suite never holds more parents, nor more forks, than
+// the pool has tokens. A point under the warm-up's own
+// configuration is queued last and resumes the parent itself, byte-identical
+// to a full run; without one, the parent is released
+// (system.Machine.Release) right after the last fork, and the forks still to
+// come build from its memory. The other points treat the shared warm-up as
+// functional warming. When the program ends before the fork point there is
+// nothing to share: the parent serves its own point and every other point
+// runs in full. Callers read the results back with measure. Every claimed
+// entry is filled exactly once — a failed warm-up fails them all, a failed
+// fork only its own point — and the lowest-indexed error is returned.
 func (s *Suite) sweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, warmOps int64, opts []Options) error {
 	var todo []*suiteCall
 	var mine []Options
@@ -240,40 +245,122 @@ func (s *Suite) sweep(b *workloads.Benchmark, scheme Scheme, warmOpt Options, wa
 	}
 	s.sem <- struct{}{} // the warm-up is a simulation: hold a worker token
 	w, err := Warm(b, scheme, warmOpt, warmOps)
-	<-s.sem
-	var conts []*RunCont
-	if err == nil && !w.Done() {
-		// Fork sequentially: forking reads the paused parent.
-		conts = make([]*RunCont, len(mine))
-		for i := range mine {
-			var cfg system.Config
-			if cfg, err = ConfigFor(mine[i], scheme); err != nil {
-				break
-			}
-			if conts[i], err = w.Fork(cfg); err != nil {
-				break
-			}
-		}
-	}
 	if err != nil {
+		<-s.sem
 		for _, c := range todo {
 			fill(c, Result{}, err)
 		}
 		return err
 	}
-	return forEach(len(todo), func(i int) error {
-		s.sem <- struct{}{}
-		var res Result
-		var err error
-		if conts != nil {
-			res, err = conts[i].Finish()
+	s.noteSweep(parentWarmed)
+
+	queue := make([]int, 0, len(todo))
+	own := -1 // the point the parent serves
+	for i := range mine {
+		if cfg, err := ConfigFor(mine[i], scheme); err == nil && own < 0 && cfg == w.Machine().Cfg {
+			own = i
 		} else {
-			res, err = Run(b, scheme, mine[i])
+			queue = append(queue, i)
 		}
-		<-s.sem
-		fill(todo[i], res, err)
-		return err
-	})
+	}
+	forks := len(queue) // points still to fork from the parent
+	if w.Done() {
+		forks = 0
+	}
+	if own >= 0 {
+		queue = append(queue, own)
+	} else if forks == 0 {
+		s.releaseParent(w)
+	}
+
+	var mu sync.Mutex // orders the pops and every read of the parent
+	errs := make([]error, len(todo))
+	// drain finishes queued points on its caller's token until none is left.
+	drain := func() {
+		for {
+			mu.Lock()
+			if len(queue) == 0 {
+				mu.Unlock()
+				return
+			}
+			i := queue[0]
+			queue = queue[1:]
+			var cont *RunCont
+			var err error
+			if i != own && forks > 0 {
+				var cfg system.Config
+				if cfg, err = ConfigFor(mine[i], scheme); err == nil {
+					cont, err = w.Fork(cfg)
+				}
+				if err == nil {
+					s.noteSweep(forkMade)
+				}
+				if forks--; forks == 0 && own < 0 {
+					s.releaseParent(w)
+				}
+			}
+			mu.Unlock()
+			var res Result
+			switch {
+			case err != nil:
+			case i == own:
+				res, err = w.Resume()
+				s.noteSweep(parentResumed)
+			case cont != nil:
+				res, err = cont.Finish()
+				s.noteSweep(forkFinished)
+			default:
+				res, err = Run(b, scheme, mine[i])
+			}
+			fill(todo[i], res, err)
+			errs[i] = err
+		}
+	}
+	// The warm-up's token drains the queue; helpers join on tokens freed
+	// meanwhile.
+	var wg sync.WaitGroup
+	for range len(queue) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.sem <- struct{}{}
+			drain()
+			<-s.sem
+		}()
+	}
+	drain()
+	<-s.sem
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepEvent is one thing a sweep does with a machine it warmed or forked.
+type sweepEvent int
+
+const (
+	parentWarmed  sweepEvent = iota
+	parentResumed            // and finished
+	parentReleased
+	forkMade
+	forkFinished
+)
+
+// noteSweep hands ev to the suite's onSweep hook, if a test set one.
+func (s *Suite) noteSweep(ev sweepEvent) {
+	if s.onSweep != nil {
+		s.onSweep(ev)
+	}
+}
+
+// releaseParent releases a sweep's warmed parent once nothing will fork it.
+func (s *Suite) releaseParent(w *WarmRun) {
+	w.Machine().Release()
+	s.noteSweep(parentReleased)
 }
 
 // Prefetch runs every pair concurrently on the worker pool, warming the

@@ -11,9 +11,11 @@ import (
 // executed exactly once, ready to be forked into many sweep continuations
 // (Figure 9's clock points, ablation cells) or resumed to completion.
 //
-// A WarmRun is confined to one goroutine. Fork the continuations you need
-// first — forking reads the paused parent — then Finish each RunCont on any
-// goroutine you like; forked machines share nothing mutable.
+// Calls on a WarmRun must not overlap: forking reads the paused parent and
+// Resume advances it, so a caller forking from several goroutines serialises
+// its forks (Suite.sweep holds a lock), and resumes the parent, or releases
+// its Machine, after the last one. A RunCont finishes on any goroutine, even
+// while the parent is forked again: forked machines share nothing mutable.
 type WarmRun struct{ rs *runSetup }
 
 // Warm prepares b×scheme under opt and advances the simulation until the

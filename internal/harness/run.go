@@ -51,8 +51,9 @@ type Options struct {
 	// the benchmark's data is built and before the first op. Same confinement
 	// rule as TraceSink.
 	OpSink trace.Sink
-	// Parallel bounds how many simulations a Suite runs concurrently;
-	// 0 means GOMAXPROCS. Run itself is always a single simulation on the
+	// Parallel bounds how many simulations a Suite runs concurrently, and
+	// so how many warmed sweep parents and unfinished forks it holds; 0
+	// means GOMAXPROCS. Run itself is always a single simulation on the
 	// calling goroutine — each Machine stays confined to one goroutine.
 	Parallel int
 	// Sample, if non-nil, runs under SMARTS-style interval sampling: only

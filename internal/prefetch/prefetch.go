@@ -324,8 +324,7 @@ func New(eng *sim.Engine, cfg Config, bk *mem.Backing, l1 *mem.Cache, tlb *mem.T
 // one built: the pending table at each length it has had, the queue rings
 // and pump records, the registry and filter arrays (their capacity: a new
 // prefetcher appends into them as a fresh one would), and the list of
-// invocation records. One each for every machine that runs at once, with
-// room for a forked sweep's parent beside its lanes.
+// invocation records. One each for every machine that runs at once.
 var (
 	pendArrays      = sim.ArrayPool[pendingPF]{Max: 8}
 	obsRings        = sim.Recycler[[]observation]{Max: 8}

@@ -7,21 +7,21 @@ import (
 
 // lifecycleBudget bounds what one New + Release of a Table 1 machine
 // allocates once an earlier machine has filled the pools, in objects and
-// bytes a machine: the measurement (amd64: 15 objects and 12.1 KB for no-pf,
-// 23 and 14.1 KB manual and manual-blocked, 19 and 12.4 KB ghb-regular, 37
-// and 15.4 KB adaptive) plus 25 %. What is left is the machine's own structs
-// — the Machine, its engine, caches, TLB, DRAM, core (8 KB of it, the
-// completion rings it holds inline) and prefetchers, and the closures New
-// binds — and none of the tables they size or grow, which Release hands to
-// the next machine. When Release returned only pages, line arrays and the
-// L2-TLB array, a no-pf machine allocated 64 KB, a manual one 83 KB and an
-// adaptive one 138 KB.
+// bytes a machine: the measurement (amd64: 15 objects and 4.4 KB for no-pf,
+// 23 and 6.3 KB manual and manual-blocked, 19 and 4.7 KB ghb-regular, 37 and
+// 7.7 KB adaptive) plus 25 %. What is left is the machine's own structs — the
+// Machine, its engine, caches, TLB, DRAM, core and prefetchers, and the
+// closures New binds — and none of the tables they size or grow, which
+// Release hands to the next machine. While the core held its completion
+// rings inline each machine allocated 7.7 KB more; when Release returned
+// only pages, line arrays and the L2-TLB array, a no-pf machine allocated
+// 64 KB, a manual one 83 KB and an adaptive one 138 KB.
 var lifecycleBudget = map[string]struct{ allocs, bytes float64 }{
-	"no-pf":          {19, 15_100},
-	"manual":         {29, 17_600},
-	"manual-blocked": {29, 17_600},
-	"ghb-regular":    {24, 15_500},
-	"adaptive":       {47, 19_200},
+	"no-pf":          {19, 5_500},
+	"manual":         {29, 7_900},
+	"manual-blocked": {29, 7_900},
+	"ghb-regular":    {24, 5_900},
+	"adaptive":       {47, 9_600},
 }
 
 // BenchmarkMachineLifecycle is one machine built at Table 1 sizes and
