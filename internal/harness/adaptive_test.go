@@ -3,8 +3,6 @@ package harness
 import (
 	"bytes"
 	"testing"
-
-	"eventpf/internal/workloads"
 )
 
 // TestAdaptiveDeterministic pins the adaptive controller's reproducibility
@@ -13,27 +11,11 @@ import (
 // actually exercised its machinery (the initial sweep alone guarantees arm
 // switches on any run longer than a handful of intervals).
 func TestAdaptiveDeterministic(t *testing.T) {
-	b, err := workloads.ByName("HJ-2")
-	if err != nil {
-		t.Fatal(err)
+	k := runKey{"HJ-2", Adaptive, 0.02, plain}
+	if !bytes.Equal(again(t, k), mustAt(t, k).enc) {
+		t.Error("two adaptive runs of the same job differ")
 	}
-	opt := Options{Scale: 0.02}
-	first, err := Run(b, Adaptive, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(b, Adaptive, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, first), encode(t, second)) {
-		t.Errorf("two adaptive runs of the same job differ (%d vs %d cycles)",
-			first.Cycles, second.Cycles)
-	}
-	if first.Adaptive == nil {
-		t.Fatal("adaptive run reported no controller stats")
-	}
-	if first.Adaptive.Switches < 1 {
-		t.Errorf("adaptive run never switched arms (stats: %+v)", *first.Adaptive)
+	if st := mustAt(t, k).res.Adaptive; st == nil || st.Switches < 1 {
+		t.Errorf("adaptive run never switched arms (stats: %+v)", st)
 	}
 }

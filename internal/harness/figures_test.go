@@ -213,8 +213,7 @@ func TestMutatedConfigIsOneEntry(t *testing.T) {
 // from the shared warm-up, is byte-identical to an uninterrupted Run.
 func TestSweepForkedMatchesFullRuns(t *testing.T) {
 	b := workloads.HJ2
-	opt := Options{Scale: goldenScale}
-	s := NewSuite(opt)
+	s := NewSuite(Options{Scale: goldenScale})
 	if _, err := s.clockSweep(b, 0, Fig9aClocks); err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +225,8 @@ func TestSweepForkedMatchesFullRuns(t *testing.T) {
 	if _, after := s.MemoStats(); after != before {
 		t.Fatal("default-clock point was not filled by the sweep")
 	}
-	straight, err := Run(b, Manual, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, swept), encode(t, straight)) {
-		t.Errorf("forked default-clock point differs from a full run: %d vs %d cycles", swept.Cycles, straight.Cycles)
+	if straight := mustAt(t, runKey{b.Name, Manual, goldenScale, plain}); !bytes.Equal(encode(t, swept), straight.enc) {
+		t.Errorf("forked default-clock point differs from a full run: %d vs %d cycles", swept.Cycles, straight.res.Cycles)
 	}
 }
 

@@ -2,99 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"slices"
-	"sync"
 	"testing"
 
 	"eventpf/internal/system"
 	"eventpf/internal/workloads"
 )
-
-// forkPairs is every golden benchmark×scheme pair plus, for each registered
-// scheme the goldens do not reach, that scheme on HJ-2 (which supports them
-// all) — so a newly registered scheme is forked here without being listed.
-func forkPairs() []benchScheme {
-	pairs := slices.Clone(goldenPairs)
-	for _, s := range AllSchemes {
-		if !slices.ContainsFunc(goldenPairs, func(gp benchScheme) bool { return gp.scheme == s }) {
-			pairs = append(pairs, benchScheme{"HJ-2", s})
-		}
-	}
-	return pairs
-}
-
-// TestForkMatchesStraightThrough is the pause/fork correctness gate:
-// for each golden benchmark×scheme pair and every other registered scheme,
-// warming a machine partway, forking it mid-run with events pending (twice,
-// completed concurrently, so the race detector can see any shared state
-// between siblings) and resuming the parent must all produce results
-// byte-identical to an uninterrupted run.
-func TestForkMatchesStraightThrough(t *testing.T) {
-	for _, gp := range forkPairs() {
-		gp := gp
-		t.Run(gp.bench+"/"+gp.scheme.String(), func(t *testing.T) {
-			t.Parallel()
-			b, err := workloads.ByName(gp.bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := Options{Scale: goldenScale}
-			straight, err := Run(b, gp.scheme, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := encode(t, straight)
-
-			w, err := Warm(b, gp.scheme, opt, straight.Core.Ops/3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.Done() {
-				t.Fatalf("program finished during warmup (%d ops): no fork point to test", straight.Core.Ops/3)
-			}
-			if w.Machine().Eng.Pending() == 0 {
-				t.Fatal("no event pending at the fork point: the fork would not exercise handler pairing")
-			}
-			contA, err := w.Fork(w.Machine().Cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			contB, err := w.Fork(w.Machine().Cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range []*system.Machine{w.Machine(), contA.rs.m, contB.rs.m} {
-				if op, _ := m.Core.Slot(); op.Do != nil {
-					t.Error("a paused core's dispatch slot holds a func: the fork's copy would act on the parent")
-				}
-			}
-
-			// Complete both siblings and the parent concurrently: each
-			// machine is confined to its own goroutine, and any aliased
-			// state between them shows up as a data race or a byte diff.
-			results := make([]Result, 3)
-			errs := make([]error, 3)
-			var wg sync.WaitGroup
-			for i, f := range []func() (Result, error){contA.Finish, contB.Finish, w.Resume} {
-				wg.Add(1)
-				go func(i int, f func() (Result, error)) {
-					defer wg.Done()
-					results[i], errs[i] = f()
-				}(i, f)
-			}
-			wg.Wait()
-			for i, name := range []string{"fork A", "fork B", "resumed parent"} {
-				if errs[i] != nil {
-					t.Fatalf("%s: %v", name, errs[i])
-				}
-				if got := encode(t, results[i]); !bytes.Equal(got, want) {
-					t.Errorf("%s: result bytes differ from straight-through run\n(got %d cycles, want %d)",
-						name, results[i].Cycles, straight.Cycles)
-				}
-			}
-		})
-	}
-}
 
 // TestForkWithParkedOp forks at a point where the core holds an op it could
 // not dispatch (the load queue was full): the op exists nowhere but in the
@@ -176,45 +88,6 @@ func TestForkRejectsStructuralChanges(t *testing.T) {
 	bad.Prefetcher.NumPPUs = 3
 	if _, err := w.Machine().ForkWith(bad); err == nil {
 		t.Error("PPU-count change must not fork")
-	}
-}
-
-// TestSampledRunCPIError bounds the SMARTS sampling error at small scale:
-// the estimated whole-program cycle count must stay within a loose band of
-// the full run's, while simulating only a fraction of ops in detail. The
-// functional side (oracle check) must hold exactly.
-func TestSampledRunCPIError(t *testing.T) {
-	b, err := workloads.ByName("HJ-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(b, Manual, Options{Scale: goldenScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := system.SampleConfig{WarmupOps: 1_000, MeasureOps: 4_000, FFOps: 15_000}
-	sampled, err := Run(b, Manual, Options{Scale: goldenScale, Sample: &sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sampled.Sampled
-	if st == nil {
-		t.Fatal("sampled run did not report sampling stats")
-	}
-	if st.TotalOps != full.Core.Ops {
-		t.Errorf("sampled run consumed %d ops, full run %d — functional execution diverged", st.TotalOps, full.Core.Ops)
-	}
-	if st.DetailedOps >= st.TotalOps*3/4 {
-		t.Errorf("sampling detailed %d of %d ops — not actually fast-forwarding", st.DetailedOps, st.TotalOps)
-	}
-	relErr := float64(st.EstimatedCycles-full.Cycles) / float64(full.Cycles)
-	if relErr < 0 {
-		relErr = -relErr
-	}
-	t.Logf("full %d cycles, estimated %d (%.1f%% error, %d/%d ops detailed)",
-		full.Cycles, st.EstimatedCycles, 100*relErr, st.DetailedOps, st.TotalOps)
-	if relErr > 0.35 {
-		t.Errorf("sampled CPI estimate off by %.1f%% (full %d, estimated %d)", 100*relErr, full.Cycles, st.EstimatedCycles)
 	}
 }
 

@@ -12,65 +12,6 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// TestParallelSuiteMatchesSerial is the central determinism guarantee of
-// the worker-pool suite: the same benchmark×scheme run twice serially and
-// once through a wide parallel suite must agree on every architectural
-// count. Run with -race, this also proves each Machine stays confined to
-// its goroutine.
-func TestParallelSuiteMatchesSerial(t *testing.T) {
-	benches := []*workloads.Benchmark{workloads.HJ2, workloads.RandAcc, workloads.G500CSR}
-	schemes := []Scheme{NoPF, Stride, Manual}
-
-	type key struct {
-		b string
-		s Scheme
-	}
-	serial := map[key]Result{}
-	for _, b := range benches {
-		for _, sch := range schemes {
-			r1, err := Run(b, sch, Options{Scale: testScale})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", b.Name, sch, err)
-			}
-			r2, err := Run(b, sch, Options{Scale: testScale})
-			if err != nil {
-				t.Fatalf("%s/%s rerun: %v", b.Name, sch, err)
-			}
-			if r1.Cycles != r2.Cycles {
-				t.Fatalf("%s/%s: serial reruns disagree: %d vs %d cycles", b.Name, sch, r1.Cycles, r2.Cycles)
-			}
-			serial[key{b.Name, sch}] = r1
-		}
-	}
-
-	s := NewSuite(Options{Scale: testScale, Parallel: 8})
-	var pairs []Pair
-	for _, b := range benches {
-		for _, sch := range schemes {
-			pairs = append(pairs, Pair{Bench: b, Scheme: sch})
-		}
-	}
-	if err := s.Prefetch(pairs); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pairs {
-		got, err := s.Run(p)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", p.Bench.Name, p.Scheme, err)
-		}
-		want := serial[key{p.Bench.Name, p.Scheme}]
-		if got.Cycles != want.Cycles {
-			t.Errorf("%s/%s: parallel %d cycles, serial %d", p.Bench.Name, p.Scheme, got.Cycles, want.Cycles)
-		}
-		if got.Core.Ops != want.Core.Ops || got.DRAM.Reads != want.DRAM.Reads ||
-			got.L1 != want.L1 || got.L2 != want.L2 ||
-			got.PF.KernelRuns != want.PF.KernelRuns || got.PF.Issued != want.PF.Issued {
-			t.Errorf("%s/%s: parallel stats diverge from serial: %+v vs %+v",
-				p.Bench.Name, p.Scheme, got.Result, want.Result)
-		}
-	}
-}
-
 // TestPrefetchSharesBaseline checks the singleflight memo: requesting the
 // same pair many times concurrently must leave exactly one cache entry per
 // distinct configuration.

@@ -23,12 +23,7 @@ func TestConversionCoverage(t *testing.T) {
 		if b.Name == "PageRank" {
 			continue
 		}
-		r, err := Run(b, Converted, Options{Scale: 0.02})
-		if err != nil {
-			t.Errorf("%s: %v", b.Name, err)
-			continue
-		}
-		if r.Pass.Converted != want[b.Name] {
+		if r := mustAt(t, runKey{b.Name, Converted, 0.02, plain}).res; r.Pass.Converted != want[b.Name] {
 			t.Errorf("%s: %d chains converted (failed %d: %v), want %d",
 				b.Name, r.Pass.Converted, r.Pass.Failed, r.Pass.Errors, want[b.Name])
 		}
@@ -49,11 +44,7 @@ func TestPragmaCoverage(t *testing.T) {
 		"ConjGrad":  1, // cols→vector
 	}
 	for _, b := range workloads.All {
-		r, err := Run(b, Pragma, Options{Scale: 0.02})
-		if err != nil {
-			t.Errorf("%s: %v", b.Name, err)
-			continue
-		}
+		r := mustAt(t, runKey{b.Name, Pragma, 0.02, plain}).res
 		if r.Pass.Converted < 1 {
 			t.Errorf("%s: pragma found no chains (errors: %v)", b.Name, r.Pass.Errors)
 		}

@@ -9,35 +9,6 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// testScale keeps unit-test runs small; the directional assertions use a
-// slightly larger scale where needed.
-const testScale = 0.04
-
-// TestEveryBenchmarkEverySchemeComputesCorrectly is the central integration
-// test: all 8 benchmarks under all schemes (plus the blocked mode), each
-// validated against its pure-Go oracle. Prefetching must never change
-// answers.
-func TestEveryBenchmarkEverySchemeComputesCorrectly(t *testing.T) {
-	all := append([]Scheme{NoPF}, Schemes...)
-	all = append(all, ManualBlocked)
-	for _, b := range workloads.All {
-		for _, s := range all {
-			t.Run(b.Name+"/"+s.String(), func(t *testing.T) {
-				_, err := Run(b, s, Options{Scale: testScale})
-				if errors.Is(err, ErrUnsupported) {
-					if b.Name == "PageRank" && (s == Software || s == Converted) {
-						return // the paper's missing bars
-					}
-					t.Fatalf("unexpectedly unsupported")
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
 func TestPageRankHasNoSoftwareVariant(t *testing.T) {
 	_, err := Run(workloads.PageRank, Software, Options{Scale: testScale})
 	if !errors.Is(err, ErrUnsupported) {
@@ -45,41 +16,12 @@ func TestPageRankHasNoSoftwareVariant(t *testing.T) {
 	}
 }
 
-func TestManualBeatsNoPFEverywhere(t *testing.T) {
-	if testing.Short() {
-		t.Skip("directional assertions need a non-trivial scale")
-	}
-	for _, b := range workloads.All {
-		base, err := Run(b, NoPF, Options{Scale: 0.12})
-		if err != nil {
-			t.Fatalf("%s/nopf: %v", b.Name, err)
-		}
-		man, err := Run(b, Manual, Options{Scale: 0.12})
-		if err != nil {
-			t.Fatalf("%s/manual: %v", b.Name, err)
-		}
-		sp := Speedup(base, man)
-		if sp < 1.1 {
-			t.Errorf("%s: manual speedup %.2fx, want ≥ 1.1x (base %d, manual %d cycles)",
-				b.Name, sp, base.Cycles, man.Cycles)
-		} else {
-			t.Logf("%s: manual speedup %.2fx", b.Name, sp)
-		}
-	}
-}
-
 func TestBlockedSlowerThanEventsOnChainedWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("directional assertion")
 	}
-	ev, err := Run(workloads.HJ8, Manual, Options{Scale: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := Run(workloads.HJ8, ManualBlocked, Options{Scale: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := mustAt(t, runKey{"HJ-8", Manual, speedupScale, plain}).res
+	bl := mustAt(t, runKey{"HJ-8", ManualBlocked, speedupScale, plain}).res
 	if bl.Cycles <= ev.Cycles {
 		t.Errorf("HJ-8 blocked (%d cycles) not slower than event-triggered (%d)",
 			bl.Cycles, ev.Cycles)
@@ -88,32 +30,22 @@ func TestBlockedSlowerThanEventsOnChainedWorkload(t *testing.T) {
 
 func TestCompilerPassesConvertWhereExpected(t *testing.T) {
 	cases := []struct {
-		b          *workloads.Benchmark
+		bench      string
 		scheme     Scheme
 		minKernels int
 	}{
-		{workloads.IntSort, Converted, 2},
-		{workloads.HJ2, Converted, 2},
-		{workloads.HJ8, Converted, 3},
-		{workloads.ConjGrad, Converted, 2},
-		{workloads.RandAcc, Converted, 2},
-		{workloads.IntSort, Pragma, 2},
-		{workloads.PageRank, Pragma, 2},
-		{workloads.ConjGrad, Pragma, 2},
+		{"IntSort", Converted, 2},
+		{"HJ-2", Converted, 2},
+		{"HJ-8", Converted, 3},
+		{"ConjGrad", Converted, 2},
+		{"RandAcc", Converted, 2},
+		{"IntSort", Pragma, 2},
+		{"PageRank", Pragma, 2},
+		{"ConjGrad", Pragma, 2},
 	}
 	for _, tc := range cases {
-		res, err := Run(tc.b, tc.scheme, Options{Scale: testScale})
-		if err != nil {
-			t.Errorf("%s/%s: %v", tc.b.Name, tc.scheme, err)
-			continue
-		}
-		if res.Pass == nil || len(res.Pass.Kernels) < tc.minKernels {
-			got := 0
-			if res.Pass != nil {
-				got = len(res.Pass.Kernels)
-			}
-			t.Errorf("%s/%s: %d kernels generated, want ≥ %d",
-				tc.b.Name, tc.scheme, got, tc.minKernels)
+		if pass := mustAt(t, runKey{tc.bench, tc.scheme, testScale, plain}).res.Pass; len(pass.Kernels) < tc.minKernels {
+			t.Errorf("%s/%s: %d kernels generated, want ≥ %d", tc.bench, tc.scheme, len(pass.Kernels), tc.minKernels)
 		}
 	}
 }
@@ -121,30 +53,8 @@ func TestCompilerPassesConvertWhereExpected(t *testing.T) {
 func TestG500ListConversionLimited(t *testing.T) {
 	// The list walk cannot be expressed as events by either pass; only the
 	// queue→head chain converts.
-	res, err := Run(workloads.G500List, Converted, Options{Scale: testScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pass.Converted == 0 {
+	if mustAt(t, runKey{"G500-List", Converted, testScale, plain}).res.Pass.Converted == 0 {
 		t.Error("queue→head chain should convert")
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	for _, s := range []Scheme{Manual, GHBRegular, GHBLarge, Stride, Converted} {
-		a, err := Run(workloads.HJ2, s, Options{Scale: testScale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(workloads.HJ2, s, Options{Scale: testScale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Cycles != b.Cycles || a.PF.KernelRuns != b.PF.KernelRuns ||
-			a.DRAM.Reads != b.DRAM.Reads {
-			t.Errorf("%s: two identical runs differ: %d/%d cycles, %d/%d dram reads",
-				s, a.Cycles, b.Cycles, a.DRAM.Reads, b.DRAM.Reads)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -16,88 +15,19 @@ import (
 	"eventpf/internal/workloads"
 )
 
-// captureTrace runs b at the given scale under no-pf with a capture sink
-// attached and returns the path of the written trace.
-func captureTrace(t *testing.T, b *workloads.Benchmark, scale float64) string {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := tracein.NewWriter(&buf, tracein.Meta{Bench: b.Name, Scale: scale, Tool: "test"})
-	if _, err := Run(b, NoPF, Options{Scale: scale, OpSink: sink}); err != nil {
-		t.Fatalf("capture run: %v", err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("close capture: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "capture.ppft")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCaptureReplayByteIdentity pins the tentpole contract: a no-pf capture
-// of a plain-variant run replays through the timed pipeline with results
-// bit-identical to simulating the benchmark directly, for every
-// non-programmable scheme. Two bench × scheme pairs keep the run time down
-// while covering a stride-friendly and an irregular stream.
-func TestCaptureReplayByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		bench  *workloads.Benchmark
-		scheme Scheme
-		scale  float64
-	}{
-		{workloads.RandAcc, Stride, 0.02},
-		{workloads.HJ2, RPT, 0.02},
-	} {
-		path := captureTrace(t, tc.bench, tc.scale)
-		direct, err := Run(tc.bench, tc.scheme, Options{Scale: tc.scale})
-		if err != nil {
-			t.Fatalf("%s/%s direct: %v", tc.bench.Name, tc.scheme, err)
-		}
-		replay, err := Run(tracein.Bench(path), tc.scheme, Options{})
-		if err != nil {
-			t.Fatalf("%s/%s replay: %v", tc.bench.Name, tc.scheme, err)
-		}
-		if !reflect.DeepEqual(direct.Result, replay.Result) {
-			t.Errorf("%s/%s: replayed result differs from direct run:\ndirect %+v\nreplay %+v",
-				tc.bench.Name, tc.scheme, direct.Result, replay.Result)
-		}
-	}
-}
-
-// TestReplayDeterminism replays one trace twice and demands identical
-// results — the property the CI trace-smoke job checks end to end.
-func TestReplayDeterminism(t *testing.T) {
-	path := captureTrace(t, workloads.RandAcc, 0.02)
-	b := tracein.Bench(path)
-	a, err := Run(b, GHBRegular, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Run(tracein.Bench(path), GHBRegular, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Result, c.Result) {
-		t.Errorf("two replays differ:\n%+v\n%+v", a.Result, c.Result)
-	}
-}
-
 // TestTraceSchemeApplicability pins which schemes can consume a replayed
 // trace: everything that neither rewrites IR nor depends on hand-written
 // kernels runs; variant, pass and manual-only schemes report ErrUnsupported
 // (skipped, not failed). Adaptive must run — its programmable arm simply
 // stays unconfigured.
 func TestTraceSchemeApplicability(t *testing.T) {
-	path := captureTrace(t, workloads.RandAcc, 0.02)
-	mustRun := []Scheme{NoPF, Stride, GHBRegular, RPT, GHBDelta, TSKID, Adaptive}
-	for _, s := range mustRun {
-		if _, err := Run(tracein.Bench(path), s, Options{}); err != nil {
+	for _, s := range []Scheme{NoPF, Stride, GHBRegular, RPT, GHBDelta, TSKID, Adaptive} {
+		if err := at(runKey{"RandAcc-replay", s, traceHashScale, plain}).err; err != nil {
 			t.Errorf("replay under %s: %v", s, err)
 		}
 	}
 	for _, s := range []Scheme{Software, Pragma, Converted, Manual, ManualBlocked} {
-		if _, err := Run(tracein.Bench(path), s, Options{}); !errors.Is(err, ErrUnsupported) {
+		if err := at(runKey{"RandAcc-replay", s, traceHashScale, plain}).err; !errors.Is(err, ErrUnsupported) {
 			t.Errorf("replay under %s: err = %v, want ErrUnsupported", s, err)
 		}
 	}
