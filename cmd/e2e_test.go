@@ -66,6 +66,7 @@ func TestCommands(t *testing.T) {
 	t.Run("serve", e.serve)
 	t.Run("daemon-flags", e.daemonFlags)
 	t.Run("load-usage", e.loadUsage)
+	t.Run("asm-kernel", e.asmKernel)
 }
 
 // TestBenchmarkModuleBuilds type-checks the layered benchmark: it is a module
@@ -407,5 +408,15 @@ func (e env) loadUsage(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 2 || ctx.Err() != nil {
 		t.Errorf("ppfload -c 0: exit %d (%v, deadline: %v), want 2\n%s", code, err, ctx.Err(), out)
+	}
+}
+
+// asmKernel: ppfasm assembles a benchmark's shipped kernel file, the bytes
+// RandAcc's manual run registers as its kernel 2.
+func (e env) asmKernel(t *testing.T) {
+	t.Parallel()
+	out := e.run(t, "ppfasm", filepath.Join("..", "internal", "workloads", "kernels", "randacc.2.ppu"))
+	if first, _, _ := strings.Cut(string(out), "\n"); !strings.HasPrefix(first, "12 instructions,") {
+		t.Errorf("ppfasm randacc.2.ppu: %q, want 12 instructions", first)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // TestMachineRunAllocBudget extends the engine-only zero-alloc test from the
 // sim package to a complete machine: one full (small) HJ-2 run under the
 // programmable prefetcher must stay within a fixed allocation budget. The
-// run costs 216 allocations, all of them one-time construction — the
-// machine's own structs, the IR, the compiled and assembled kernels, the
-// stream set-up — and the bound is that plus 25 %. What it cannot absorb is any per-event,
+// run costs 68 allocations, all of them one-time construction — the
+// machine's own structs, the copy of the parsed IR, the stream set-up —
+// and the bound is that plus 25 %. What it cannot absorb is any per-event,
 // per-request or per-loop-iteration allocation creeping back into the
 // steady-state loop: this run simulates hundreds of thousands of events and
 // enters 65 000 loop blocks, so even one closure per event, one Request per
@@ -24,10 +24,10 @@ import (
 // MSHR files, TLB arrays, the timing wheel, the core's window, the
 // prefetcher's pending table, every ring and record slab — from the ones
 // earlier runs released (system.Machine.Release), and the workload's Build
-// borrows its generation scratch, so a run in a sequence allocates ~21 KB
+// borrows its generation scratch, so a run in a sequence allocates ~14 KB
 // (runBytesBudget), under the race detector too.
 func TestMachineRunAllocBudget(t *testing.T) {
-	const budget = 272
+	const budget = 85
 
 	b, err := workloads.ByName("HJ-2")
 	if err != nil {
@@ -55,14 +55,15 @@ func TestMachineRunAllocBudget(t *testing.T) {
 }
 
 // runBytesBudget bounds the bytes one HJ-2 × manual run at scale 0.02
-// allocates after an earlier run has filled the pools: 21.3 KB measured
-// (21.8 KB under -race), plus 25 %. What is left is the program — the IR,
-// the kernels assembled for it, the interpreter — and the machine's own
-// structs. While the core held its completion rings inline (8 KB) a run
-// allocated 29.0 KB; when a machine took back only its pages, line arrays
-// and L2-TLB array, ~125 KB; when Build kept its keys, dedupe maps and
-// permutations, 1.41 MB; before runs recycled their memory, 2.34 MB.
-const runBytesBudget = 26_700
+// allocates after an earlier run has filled the pools: 13.6 KB measured
+// (14.7 KB under -race), plus 25 %. What is left is the program — a copy of
+// the parsed IR, the interpreter — and the machine's own structs. While each
+// run built its IR and assembled its kernels it allocated 21.3 KB; while the
+// core held its completion rings inline (8 KB), 29.0 KB; when a machine
+// took back only its pages, line arrays and L2-TLB array, ~125 KB; when
+// Build kept its keys, dedupe maps and permutations, 1.41 MB; before runs
+// recycled their memory, 2.34 MB.
+const runBytesBudget = 17_000
 
 // bytesPerRun returns the mean bytes allocated by n calls of run after one
 // more that fills the pools. The collector and the scheduler run as they

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"eventpf/internal/system"
@@ -15,9 +16,14 @@ import (
 // larger scale by the directional tests and EXPERIMENTS.md runs.
 const figScale = 0.02
 
+// figSuite is one suite at figScale, built on first use and shared by the
+// tests that only read figures from it, so a run two figures need is
+// simulated once. A test that counts memo hits or compares a cold suite
+// with a warm one makes its own.
+var figSuite = sync.OnceValue(func() *Suite { return NewSuite(Options{Scale: figScale}) })
+
 func TestFig7StructureAndFormatting(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.Fig7()
+	rows, err := figSuite().Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +60,7 @@ func TestFig7StructureAndFormatting(t *testing.T) {
 }
 
 func TestFig8ValuesInRange(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.Fig8()
+	rows, err := figSuite().Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +81,7 @@ func TestFig8ValuesInRange(t *testing.T) {
 }
 
 func TestFig10QuartilesOrdered(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.Fig10()
+	rows, err := figSuite().Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +102,7 @@ func TestFig10QuartilesOrdered(t *testing.T) {
 }
 
 func TestFig11AllRowsPresent(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.Fig11()
+	rows, err := figSuite().Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +234,7 @@ func TestSweepForkedMatchesFullRuns(t *testing.T) {
 }
 
 func TestInstrOverheadPositive(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.InstrOverhead()
+	rows, err := figSuite().InstrOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +250,7 @@ func TestInstrOverheadPositive(t *testing.T) {
 }
 
 func TestExtraMemReported(t *testing.T) {
-	s := NewSuite(Options{Scale: figScale})
-	rows, err := s.ExtraMem()
+	rows, err := figSuite().ExtraMem()
 	if err != nil {
 		t.Fatal(err)
 	}

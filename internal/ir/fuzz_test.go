@@ -15,9 +15,12 @@ import (
 // values into block order, so the second changes nothing), and every
 // function it accepts — Parse has run Verify on it — must decode for the
 // interpreter. The seeds are the printed form of every workload build, as
-// TestKernelTextRoundTrip builds them; testdata/fuzz/FuzzParseIR holds
-// inputs that once panicked.
+// TestKernelTextRoundTrip builds them, ConjGrad's cfg line and a ';'
+// comment line; testdata/fuzz/FuzzParseIR holds inputs that once panicked.
 func FuzzParseIR(f *testing.F) {
+	f.Add("func cg(1 args) {\nb0 <entry>:\n  v0 = arg 0\n  cfg {Kind:1 Slot:0 LoadKernel:0 PFKernel:0 EWMAGroup:0 " +
+		"Interval:false TimedStart:false TimedEnd:false GReg:2} args=[0]\n  ret _\n}\n")
+	f.Add("; a comment line\nfunc c(0 args) {\nb0:\n  ; another\n  ret _\n}\n")
 	for _, b := range slices.Concat(workloads.All, workloads.Extra) {
 		inst := b.Build(system.New(system.DefaultConfig(), system.NoPF), 0.01)
 		for _, v := range []workloads.Variant{workloads.Plain, workloads.SWPf, workloads.Pragma} {

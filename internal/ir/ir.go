@@ -173,6 +173,61 @@ func (f *Fn) Succs(b *Block) []BlockID {
 	return nil
 }
 
+// Clone returns a deep copy of f that shares no memory with it, so a
+// compiler pass may rewrite the copy while other goroutines read f. The
+// copy's slices are carved from a few arrays, each capped at its length, so
+// an append to one reallocates instead of writing over its neighbour.
+func (f *Fn) Clone() *Fn {
+	c := &Fn{Name: f.Name, NArgs: f.NArgs, Entry: f.Entry, Instrs: append([]Instr(nil), f.Instrs...)}
+	nargs, ncfg := 0, 0
+	for i := range f.Instrs {
+		nargs += len(f.Instrs[i].Args)
+		if f.Instrs[i].Info != nil {
+			ncfg++
+		}
+	}
+	args := make([]Value, 0, nargs)
+	infos := make([]CfgInfo, 0, ncfg)
+	for i := range c.Instrs {
+		in := &c.Instrs[i]
+		if in.Args != nil {
+			args, in.Args = carve(args, in.Args)
+		}
+		if in.Info != nil {
+			infos = append(infos, *in.Info)
+			in.Info = &infos[len(infos)-1]
+		}
+	}
+	nvals, npreds := 0, 0
+	for _, b := range f.Blocks {
+		nvals += len(b.Instrs)
+		npreds += len(b.Preds)
+	}
+	vals := make([]Value, 0, nvals)
+	preds := make([]BlockID, 0, npreds)
+	blocks := make([]Block, len(f.Blocks))
+	c.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		blocks[i] = *b
+		if b.Instrs != nil {
+			vals, blocks[i].Instrs = carve(vals, b.Instrs)
+		}
+		if b.Preds != nil {
+			preds, blocks[i].Preds = carve(preds, b.Preds)
+		}
+		c.Blocks[i] = &blocks[i]
+	}
+	return c
+}
+
+// carve appends src to the array dst and returns the grown array and the
+// appended part, capped at its length.
+func carve[T any](dst, src []T) ([]T, []T) {
+	n := len(dst)
+	dst = append(dst, src...)
+	return dst, dst[n:len(dst):len(dst)]
+}
+
 // defBlock returns the block containing each instruction.
 func (f *Fn) defBlocks() []BlockID {
 	db := make([]BlockID, len(f.Instrs))

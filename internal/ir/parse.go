@@ -8,8 +8,9 @@ import (
 
 // Parse reads the textual form produced by (*Fn).String back into a
 // function, enabling golden-file tests and hand-written textual kernels.
-// Cfg instructions are not representable in the textual form and are
-// rejected.
+// Values are numbered by their position in the text, so text listing the
+// blocks in another order than the printer's renumbers them. A line whose
+// first non-blank character is ';' is a comment.
 func Parse(src string) (*Fn, error) {
 	p := &parser{}
 	if err := p.run(src); err != nil {
@@ -46,7 +47,7 @@ func (p *parser) run(src string) error {
 		for li < len(lines) {
 			l := strings.TrimSpace(lines[li])
 			li++
-			if l != "" {
+			if l != "" && l[0] != ';' {
 				return l, true
 			}
 		}
@@ -366,9 +367,57 @@ func (p *parser) instr(line string) error {
 		}
 		p.emit(-1, Instr{Op: Ret, A: a, B: NoValue, Blocks: [2]BlockID{-1, -1}})
 	case "cfg":
-		return fmt.Errorf("cfg instructions have no textual form")
+		return p.cfg(line)
 	default:
 		return fmt.Errorf("unknown instruction %q", mnem)
 	}
+	return nil
+}
+
+// cfg parses the printer's "cfg {Kind:1 Slot:0 … GReg:2} args=[12 13]": the
+// CfgInfo fields by name, then the raw source numbers of the arguments.
+func (p *parser) cfg(line string) error {
+	lb, rb := strings.Index(line, "{"), strings.Index(line, "}")
+	if lb < 0 || rb < lb {
+		return fmt.Errorf("cfg without {fields}")
+	}
+	info := &CfgInfo{}
+	ints := map[string]*int{"Slot": &info.Slot, "LoadKernel": &info.LoadKernel, "PFKernel": &info.PFKernel,
+		"EWMAGroup": &info.EWMAGroup, "GReg": &info.GReg}
+	bools := map[string]*bool{"Interval": &info.Interval, "TimedStart": &info.TimedStart, "TimedEnd": &info.TimedEnd}
+	for _, f := range strings.Fields(line[lb+1 : rb]) {
+		name, val, ok := strings.Cut(f, ":")
+		var err error
+		switch {
+		case !ok:
+			err = fmt.Errorf("bad cfg field %q", f)
+		case name == "Kind":
+			var k int
+			k, err = strconv.Atoi(val)
+			info.Kind = CfgKind(k)
+		case ints[name] != nil:
+			*ints[name], err = strconv.Atoi(val)
+		case bools[name] != nil:
+			*bools[name], err = strconv.ParseBool(val)
+		default:
+			err = fmt.Errorf("unknown cfg field %q", name)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	rest := strings.TrimSpace(line[rb+1:])
+	if !strings.HasPrefix(rest, "args=[") || !strings.HasSuffix(rest, "]") {
+		return fmt.Errorf("cfg without args=[values]")
+	}
+	var args []Value
+	for _, tok := range strings.Fields(rest[len("args=[") : len(rest)-1]) {
+		n, err := strconv.Atoi(tok)
+		if err != nil || n < 0 {
+			return fmt.Errorf("bad cfg argument %q", tok)
+		}
+		args = append(args, Value(n))
+	}
+	p.emit(-1, Instr{Op: Cfg, A: NoValue, B: NoValue, Info: info, Args: args})
 	return nil
 }

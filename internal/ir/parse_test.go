@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,11 +114,16 @@ func TestParseRejectsBadInput(t *testing.T) {
 		"",
 		"func x(1 args) {\n}",                  // no blocks
 		"func x(0 args) {\nb0:\n  bogus v1\n}", // unknown instr
-		"func x(0 args) {\nb0:\n  v0 = wat v1, v2\n}",         // unknown op
-		"func x(0 args) {\nb0:\n  v0 = const 1\n}",            // no terminator
-		"func x(0 args) {\nb0:\n  br b7\n}",                   // bad block ref
-		"func x(0 args) {\nb0:\n  cfg {} args=[]\n  ret _\n}", // cfg untextual
-		"func x(0 args) {\nb0:\n  v0 = arg 3\n  ret v0\n}",    // argument out of range
+		"func x(0 args) {\nb0:\n  v0 = wat v1, v2\n}",                 // unknown op
+		"func x(0 args) {\nb0:\n  v0 = const 1\n}",                    // no terminator
+		"func x(0 args) {\nb0:\n  br b7\n}",                           // bad block ref
+		"func x(0 args) {\nb0:\n  cfg {Kind:x} args=[]\n  ret _\n}",   // bad cfg field value
+		"func x(0 args) {\nb0:\n  cfg {Bogus:1} args=[]\n  ret _\n}",  // unknown cfg field
+		"func x(0 args) {\nb0:\n  cfg {GReg:2} args=[-1]\n  ret _\n}", // negative cfg argument
+		"func x(0 args) {\nb0:\n  cfg {GReg:2} args=[5]\n  ret _\n}",  // cfg argument out of range
+		"func x(0 args) {\nb0:\n  cfg {GReg:2 args=[]\n  ret _\n}",    // unclosed fields
+		"func x(0 args) {\nb0:\n  cfg {GReg:2}\n  ret _\n}",           // no args
+		"func x(0 args) {\nb0:\n  v0 = arg 3\n  ret v0\n}",            // argument out of range
 		// Truncated or malformed lines: errors, not panics.
 		"func x",
 		"func x(0 args) {\nb0:\n  v1 = const\n  ret _\n}",
@@ -125,7 +131,7 @@ func TestParseRejectsBadInput(t *testing.T) {
 		"func x(0 args) {\nb0:\n  v1 = phi\n  ret _\n}",
 		"func x(0 args) {\nb0:\n  v0 = const 1\n  store v0\n  ret _\n}",
 		"func x(0 args) {\nb0 <e:\n  ret _\n}",
-		"func x(0 args) {\nb0:\n  ; note\n  ret _\n}",
+		"func x(0 args) {\nb0:\n  v0 = const 1 ; note\n}", // a trailing comment ends no block
 		"func x(0 args) {\nb0:\n  br b0\nb5#pragma prefetch:\n  ret _\n}",
 		"func x(0 args) {\nb0:\n  br b0\nb-1:\n  ret _\n}",
 		"func x(0 args) {\nb0:\n  br b1\nb1:  ; preds: b9\n  ret _\n}",
@@ -170,5 +176,31 @@ func TestParsePreservesPragmaAndNames(t *testing.T) {
 	}
 	if back.Block(0).Name != "entry" || back.Block(2).Name != "exit" {
 		t.Error("block names lost in round trip")
+	}
+}
+
+// TestParseReadsCfgAndComments: a Cfg instruction reads back from the
+// printer's line, full-line ';' comments are skipped, and text listing the
+// blocks in the order they were built gives the Builder's function exactly,
+// value numbers included.
+func TestParseReadsCfgAndComments(t *testing.T) {
+	b := NewBuilder("cfg", 1)
+	entry, exit := b.NewBlock("entry"), b.NewBlock("exit")
+	b.SetBlock(entry)
+	x := b.Arg(0)
+	b.Cfg(CfgInfo{Kind: CfgBounds, Slot: 3, LoadKernel: 1, PFKernel: NoKernelID, EWMAGroup: -1, TimedEnd: true}, x, x)
+	b.Br(exit)
+	b.SetBlock(exit)
+	b.Cfg(CfgInfo{Kind: CfgGlobal, GReg: 2}, x)
+	b.Ret(NoValue)
+	want := b.MustFinish()
+
+	src := "; a comment before the header\n" + strings.Replace(want.String(), "b1 <exit>", "  ; an indented comment\nb1 <exit>", 1)
+	got, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse: %v\n%s", err, src)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parsed\n%s\nwant\n%s", got, want)
 	}
 }

@@ -1,54 +1,30 @@
 package ppu
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 )
 
-// workloadKernels returns the source text of every kernel the benchmarks in
-// internal/workloads assemble with MustAssemble, read out of their Go files
-// (the package imports this one, so its tests cannot import it back).
+// workloadKernels returns the source text of every manual kernel the
+// benchmarks in internal/workloads register, read from their kernels/*.ppu
+// files (the package imports this one, so its tests cannot import it back).
 func workloadKernels(tb testing.TB) []string {
-	files, err := filepath.Glob(filepath.Join("..", "workloads", "*.go"))
+	files, err := filepath.Glob(filepath.Join("..", "workloads", "kernels", "*.ppu"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fset := token.NewFileSet()
 	var srcs []string
 	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, name, nil, 0)
+		src, err := os.ReadFile(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "MustAssemble" {
-				return true
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				src, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				srcs = append(srcs, src)
-			}
-			return true
-		})
+		srcs = append(srcs, string(src))
 	}
 	if len(srcs) == 0 {
-		tb.Fatal("found no MustAssemble kernels in internal/workloads")
+		tb.Fatal("found no kernels in internal/workloads/kernels")
 	}
 	return srcs
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/system"
 )
 
@@ -25,6 +24,8 @@ var BTree = &Benchmark{
 	Input:   "262 k keys, depth-6 fanout-8 tree",
 	Build:   buildBTree,
 }
+
+var btreeProgram = loadProgram("btree")
 
 const (
 	btreeFanout     = 8
@@ -81,48 +82,12 @@ func buildBTree(m *system.Machine, scale float64) *Instance {
 		wantAcc += value(ki) & 0xFFFF
 	}
 
-	fn := func(v Variant) *ir.Fn {
-		if v != Plain {
-			// No software-prefetch or pragma form: the next node address only
-			// exists after seven comparisons over loaded keys, so there is no
-			// address expression for the compiler passes to hoist.
-			return nil
-		}
-		b := ir.NewBuilder("btree", 4)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		probesB, probesNV, rootV, depthV := b.Arg(0), b.Arg(1), b.Arg(2), b.Arg(3)
-		zero := b.Const(0)
-
-		outer := newLoop(b, "probes", probesNV, []ir.Value{zero}, false)
-		accO := outer.Carried[0]
-		p := b.Load(wordAddr(b, probesB, outer.IV), "probes")
-
-		// Branchless descent: idx = Σ (node.key[s] <= probe) over s=1..7,
-		// then follow child idx. After the last (leaf) level the "child" is
-		// the value.
-		desc := newLoop(b, "descend", depthV, []ir.Value{rootV}, false)
-		node := desc.Carried[0]
-		idx := zero
-		for s := int64(1); s < btreeFanout; s++ {
-			ks := b.Load(b.Add(node, b.Const(s*8)), "tree")
-			idx = b.Add(idx, b.Bin(ir.CmpGEU, p, ks))
-		}
-		next := b.Load(wordAddr(b, b.Add(node, b.Const(64)), idx), "tree")
-		desc.end(next)
-
-		val := desc.Carried[0]
-		outer.end(b.Add(accO, b.And(val, b.Const(0xFFFF))))
-		b.Ret(accO)
-		return b.MustFinish()
-	}
-
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		return checkEq("btree probe checksum", ret, wantAcc)
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: btreeProgram.build,
 		Runs:    []Run{{Args: []uint64{probes.Base, probesN, nodeAddr(0, 0), btreeDepth}}},
 		Check:   check,
 	}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"slices"
 
-	"eventpf/internal/ir"
 	"eventpf/internal/mem"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
@@ -37,6 +36,22 @@ var G500List = &Benchmark{
 		return buildG500(m, scale, true)
 	},
 }
+
+// The manual kernels chain queue look-ahead → vertex metadata → edge
+// discovery → parent prefetch, the edge stage looping inside the kernel
+// (CSR) or self-chaining down the node list (List). The frontier-queue
+// kernel (g500.1.ppu) is the same for both searches.
+var (
+	g500CSRProgram  = loadProgram("g500-csr")
+	g500ListProgram = loadProgram("g500-list")
+	g500Queue       = ppuKernel("g500.1.ppu")
+	g500CSRKernels  = [][]ppu.Instr{
+		g500Queue, ppuKernel("g500-csr.2.ppu"), ppuKernel("g500-csr.3.ppu"), ppuKernel("g500-csr.4.ppu"),
+	}
+	g500ListKernels = [][]ppu.Instr{
+		g500Queue, ppuKernel("g500-list.2.ppu"), ppuKernel("g500-list.3.ppu"), ppuKernel("g500-list.4.ppu"),
+	}
+)
 
 const (
 	g500CSRScaleLg  = 16 // 64 k vertices at scale 1.0
@@ -221,13 +236,6 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		}
 	}
 
-	fn := func(v Variant) *ir.Fn {
-		if list {
-			return buildBFSListFn(v)
-		}
-		return buildBFSCSRFn(v)
-	}
-
 	var runs []Run
 	nRoots := 1
 	if list {
@@ -243,12 +251,29 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		runs = append(runs, Run{Args: args, Before: resetParent})
 	}
 
-	manual := func(mc *system.Machine) {
-		setupG500Manual(mc, list, g500ManualState{
-			rowptr: rowptrR, adj: adjR, head: headR,
-			parent: parent, q1: q1, q2: q2,
-		})
+	prog, kernels := g500CSRProgram, g500CSRKernels
+	if list {
+		prog, kernels = g500ListProgram, g500ListKernels
 	}
+	manual := withKernels(kernels, func(mc *system.Machine) {
+		mc.PF.SetGlobal(1, parent.Base)
+		if list {
+			mc.PF.SetGlobal(2, headR.Base)
+		} else {
+			mc.PF.SetGlobal(0, adjR.Base)
+			mc.PF.SetGlobal(2, rowptrR.Base)
+		}
+		mc.PF.SetRange(0, prefetch.RangeConfig{
+			Lo: q1.Base, Hi: q1.End(),
+			LoadKernel: 1, PFKernel: prefetch.NoKernel,
+			EWMAGroup: 0, Interval: true, TimedStart: true,
+		})
+		mc.PF.SetRange(1, prefetch.RangeConfig{
+			Lo: q2.Base, Hi: q2.End(),
+			LoadKernel: 1, PFKernel: prefetch.NoKernel,
+			EWMAGroup: 0, Interval: true, TimedStart: true,
+		})
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		if err := checkEq("bfs visited count", ret, wantVisited); err != nil {
@@ -257,354 +282,5 @@ func buildG500(m *system.Machine, scale float64, list bool) *Instance {
 		return checkRegion("parent array", mc.Backing, parent.Base, nv, wantParent)
 	}
 
-	return &Instance{BuildFn: fn, Runs: runs, Manual: manual, Check: check}
-}
-
-// buildBFSCSRFn builds the level-synchronised BFS over CSR arrays.
-// Args: 0=rowptr 1=adj 2=parent 3=q1 4=q2 5=root.
-func buildBFSCSRFn(variant Variant) *ir.Fn {
-	b := ir.NewBuilder("bfs-csr", 6)
-	entry := b.NewBlock("entry")
-	outerHead := b.NewBlock("level.head")
-	innerPre := b.NewBlock("frontier.pre")
-	innerHead := b.NewBlock("frontier.head")
-	innerBody := b.NewBlock("frontier.body")
-	eHead := b.NewBlock("edges.head")
-	eBody := b.NewBlock("edges.body")
-	visit := b.NewBlock("visit")
-	eLatch := b.NewBlock("edges.latch")
-	innerLatch := b.NewBlock("frontier.latch")
-	outerLatch := b.NewBlock("level.latch")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	rowptrB, adjB, parentB := b.Arg(0), b.Arg(1), b.Arg(2)
-	q1B, q2B, root := b.Arg(3), b.Arg(4), b.Arg(5)
-	zero := b.Const(0)
-	one := b.Const(1)
-	b.Store(wordAddr(b, parentB, root), root, "parent")
-	b.Store(q1B, root, "queue")
-	b.Br(outerHead)
-
-	b.SetBlock(outerHead)
-	cur := b.Phi()
-	nxt := b.Phi()
-	curlen := b.Phi()
-	visited := b.Phi()
-	alive := b.Bin(ir.CmpNE, curlen, zero)
-	b.CondBr(alive, innerPre, exit)
-
-	b.SetBlock(innerPre)
-	b.Br(innerHead)
-
-	b.SetBlock(innerHead)
-	i := b.Phi()
-	qtail := b.Phi()
-	vis := b.Phi()
-	ic := b.Bin(ir.CmpLTU, i, curlen)
-	b.CondBr(ic, innerBody, outerLatch)
-	if variant == Pragma {
-		b.MarkPragma(innerHead)
-	}
-
-	b.SetBlock(innerBody)
-	if variant == SWPf {
-		// swpf(&rowptr[cur[i+dist]]): the only level software prefetching
-		// can reach — edge ranges and parents are loads-of-loads.
-		dist := b.Const(8)
-		vd := b.Load(wordAddr(b, cur, b.Add(i, dist)), "queue")
-		b.SWPf(wordAddr(b, rowptrB, vd), "rowptr")
-	}
-	v := b.Load(wordAddr(b, cur, i), "queue")
-	rs := b.Load(wordAddr(b, rowptrB, v), "rowptr")
-	re := b.Load(wordAddr(b, rowptrB, b.Add(v, one)), "rowptr")
-	b.Br(eHead)
-
-	b.SetBlock(eHead)
-	e := b.Phi()
-	qt := b.Phi()
-	vs := b.Phi()
-	ec := b.Bin(ir.CmpLTU, e, re)
-	b.CondBr(ec, eBody, innerLatch)
-
-	b.SetBlock(eBody)
-	w := b.Load(wordAddr(b, adjB, e), "adj")
-	pw := b.Load(wordAddr(b, parentB, w), "parent")
-	empty := b.Const(-1)
-	isEmpty := b.Bin(ir.CmpEQ, pw, empty)
-	b.CondBr(isEmpty, visit, eLatch)
-
-	b.SetBlock(visit)
-	b.Store(wordAddr(b, parentB, w), v, "parent")
-	b.Store(wordAddr(b, nxt, qt), w, "queue")
-	qtv := b.Add(qt, one)
-	vsv := b.Add(vs, one)
-	b.Br(eLatch)
-
-	b.SetBlock(eLatch)
-	qt2 := b.Phi()
-	vs2 := b.Phi()
-	b.SetPhiArgs(qt2, qt, qtv)
-	b.SetPhiArgs(vs2, vs, vsv)
-	e2 := b.Add(e, one)
-	b.Br(eHead)
-	b.SetPhiArgs(e, rs, e2)
-	b.SetPhiArgs(qt, qtail, qt2)
-	b.SetPhiArgs(vs, vis, vs2)
-
-	b.SetBlock(innerLatch)
-	i2 := b.Add(i, one)
-	b.Br(innerHead)
-	b.SetPhiArgs(i, zero, i2)
-	b.SetPhiArgs(qtail, zero, qt)
-	b.SetPhiArgs(vis, visited, vs)
-
-	b.SetBlock(outerLatch)
-	b.Br(outerHead)
-	b.SetPhiArgs(cur, q1B, nxt)
-	b.SetPhiArgs(nxt, q2B, cur)
-	b.SetPhiArgs(curlen, one, qtail)
-	b.SetPhiArgs(visited, one, vis)
-
-	b.SetBlock(exit)
-	b.Ret(visited)
-	return b.MustFinish()
-}
-
-// buildBFSListFn builds the list-based BFS.
-// Args: 0=head 1=parent 2=q1 3=q2 4=root.
-func buildBFSListFn(variant Variant) *ir.Fn {
-	b := ir.NewBuilder("bfs-list", 5)
-	entry := b.NewBlock("entry")
-	outerHead := b.NewBlock("level.head")
-	innerPre := b.NewBlock("frontier.pre")
-	innerHead := b.NewBlock("frontier.head")
-	innerBody := b.NewBlock("frontier.body")
-	wHead := b.NewBlock("walk.head")
-	wBody := b.NewBlock("walk.body")
-	visit := b.NewBlock("visit")
-	wLatch := b.NewBlock("walk.latch")
-	innerLatch := b.NewBlock("frontier.latch")
-	outerLatch := b.NewBlock("level.latch")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	headB, parentB := b.Arg(0), b.Arg(1)
-	q1B, q2B, root := b.Arg(2), b.Arg(3), b.Arg(4)
-	zero := b.Const(0)
-	one := b.Const(1)
-	b.Store(wordAddr(b, parentB, root), root, "parent")
-	b.Store(q1B, root, "queue")
-	b.Br(outerHead)
-
-	b.SetBlock(outerHead)
-	cur := b.Phi()
-	nxt := b.Phi()
-	curlen := b.Phi()
-	visited := b.Phi()
-	alive := b.Bin(ir.CmpNE, curlen, zero)
-	b.CondBr(alive, innerPre, exit)
-
-	b.SetBlock(innerPre)
-	b.Br(innerHead)
-
-	b.SetBlock(innerHead)
-	i := b.Phi()
-	qtail := b.Phi()
-	vis := b.Phi()
-	ic := b.Bin(ir.CmpLTU, i, curlen)
-	b.CondBr(ic, innerBody, outerLatch)
-	if variant == Pragma {
-		b.MarkPragma(innerHead)
-	}
-
-	b.SetBlock(innerBody)
-	if variant == SWPf {
-		dist := b.Const(8)
-		vd := b.Load(wordAddr(b, cur, b.Add(i, dist)), "queue")
-		b.SWPf(wordAddr(b, headB, vd), "head")
-	}
-	v := b.Load(wordAddr(b, cur, i), "queue")
-	p0 := b.Load(wordAddr(b, headB, v), "head")
-	b.Br(wHead)
-
-	b.SetBlock(wHead)
-	p := b.Phi()
-	qt := b.Phi()
-	vs := b.Phi()
-	aliveW := b.Bin(ir.CmpNE, p, zero)
-	b.CondBr(aliveW, wBody, innerLatch)
-
-	b.SetBlock(wBody)
-	w := b.Load(p, "nodes")
-	pw := b.Load(wordAddr(b, parentB, w), "parent")
-	empty := b.Const(-1)
-	isEmpty := b.Bin(ir.CmpEQ, pw, empty)
-	b.CondBr(isEmpty, visit, wLatch)
-
-	b.SetBlock(visit)
-	b.Store(wordAddr(b, parentB, w), v, "parent")
-	b.Store(wordAddr(b, nxt, qt), w, "queue")
-	qtv := b.Add(qt, one)
-	vsv := b.Add(vs, one)
-	b.Br(wLatch)
-
-	b.SetBlock(wLatch)
-	qt2 := b.Phi()
-	vs2 := b.Phi()
-	b.SetPhiArgs(qt2, qt, qtv)
-	b.SetPhiArgs(vs2, vs, vsv)
-	pn := b.Load(b.Add(p, b.Const(8)), "nodes")
-	b.Br(wHead)
-	b.SetPhiArgs(p, p0, pn)
-	b.SetPhiArgs(qt, qtail, qt2)
-	b.SetPhiArgs(vs, vis, vs2)
-
-	b.SetBlock(innerLatch)
-	i2 := b.Add(i, one)
-	b.Br(innerHead)
-	b.SetPhiArgs(i, zero, i2)
-	b.SetPhiArgs(qtail, zero, qt)
-	b.SetPhiArgs(vis, visited, vs)
-
-	b.SetBlock(outerLatch)
-	b.Br(outerHead)
-	b.SetPhiArgs(cur, q1B, nxt)
-	b.SetPhiArgs(nxt, q2B, cur)
-	b.SetPhiArgs(curlen, one, qtail)
-	b.SetPhiArgs(visited, one, vis)
-
-	b.SetBlock(exit)
-	b.Ret(visited)
-	return b.MustFinish()
-}
-
-type g500ManualState struct {
-	rowptr, adj, head, parent, q1, q2 mem.Region
-}
-
-// setupG500Manual installs the hand-written BFS event kernels: queue
-// look-ahead → vertex metadata → edge discovery → parent prefetch, with
-// the edge stage looping inside the kernel (CSR) or self-chaining down the
-// node list (List).
-func setupG500Manual(mc *system.Machine, list bool, st g500ManualState) {
-	// Kernel 1, on frontier-queue loads: prefetch the queue entry the EWMA
-	// distance ahead; its fill carries the vertex id to kernel 2.
-	mc.RegisterKernel(1, ppu.MustAssemble(`
-		vaddr  r1
-		addi   r1, r1, 64  ; fixed 8-vertex look-ahead: each queue entry
-		pftag  r1, 2       ; fans out to ~20 edges plus their parents, so a
-		halt               ; deep window would thrash the 32 KB L1
-	`))
-	if !list {
-		// Kernel 2: vertex id arrived; fetch its rowptr cell (start and
-		// end are usually in the same line — the trick the paper notes
-		// compiler passes cannot exploit, §7.1).
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1
-			shli   r1, r1, 3
-			ldg    r2, g2      ; rowptr base
-			add    r1, r1, r2
-			pftag  r1, 3
-			halt
-		`))
-		// Kernel 3: rowptr line arrived. Read rowstart; read rowend if it
-		// sits in the same line, else assume a two-line span. Prefetch up
-		// to 4 edge lines, each tagged to kernel 4.
-		mc.RegisterKernel(3, ppu.MustAssemble(`
-			vaddr  r1
-			lddata r2          ; rs = rowptr[v]
-			andi   r3, r1, 56  ; word offset of v within the line
-			movi   r4, 56
-			beq    r3, r4, fallback
-			addi   r5, r3, 8
-			ldline r6, r5      ; re = rowptr[v+1]
-			jmp    clamp
-		fallback:
-			addi   r6, r2, 16  ; end unknown: assume a modest degree
-		clamp:
-			addi   r7, r2, 32  ; cap at 4 lines of edges (first-N approach)
-			blt    r7, r6, capped
-			jmp    havecap
-		capped:
-			mov    r6, r7
-		havecap:
-			ldg    r8, g0      ; adj base
-			mov    r9, r2
-		loop:
-			bge    r9, r6, done
-			shli   r10, r9, 3
-			add    r10, r10, r8
-			pftag  r10, 4
-			addi   r9, r9, 8   ; next line of 8 edges
-			jmp    loop
-		done:
-			halt
-		`))
-		// Kernel 4: an edge line arrived; prefetch the parent word of all
-		// eight targets.
-		mc.RegisterKernel(4, ppu.MustAssemble(`
-			movi   r2, 0
-			ldg    r3, g1      ; parent base
-		loop:
-			ldline r4, r2
-			shli   r5, r4, 3
-			add    r5, r5, r3
-			pf     r5
-			addi   r2, r2, 8
-			movi   r6, 64
-			blt    r2, r6, loop
-			halt
-		`))
-		mc.PF.SetGlobal(0, st.adj.Base)
-		mc.PF.SetGlobal(1, st.parent.Base)
-		mc.PF.SetGlobal(2, st.rowptr.Base)
-	} else {
-		// Kernel 2: vertex id arrived; fetch its list-head pointer cell.
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1
-			shli   r1, r1, 3
-			ldg    r2, g2      ; head base
-			add    r1, r1, r2
-			pftag  r1, 3
-			halt
-		`))
-		// Kernel 3: head pointer arrived; chase the first node.
-		mc.RegisterKernel(3, ppu.MustAssemble(`
-			lddata r1
-			movi   r2, 0
-			beq    r1, r2, done
-			pftag  r1, 4
-		done:
-			halt
-		`))
-		// Kernel 4: a node arrived; prefetch its target's parent word and
-		// self-chain to the next node. The chain is inherently serial —
-		// the reason this benchmark caps at a modest speedup (§7.1).
-		mc.RegisterKernel(4, ppu.MustAssemble(`
-			lddata r1          ; node.target
-			shli   r2, r1, 3
-			ldg    r3, g1      ; parent base
-			add    r2, r2, r3
-			pf     r2
-			ldlinei r4, 8      ; node.next
-			movi   r5, 0
-			beq    r4, r5, done
-			pftag  r4, 4
-		done:
-			halt
-		`))
-		mc.PF.SetGlobal(1, st.parent.Base)
-		mc.PF.SetGlobal(2, st.head.Base)
-	}
-	mc.PF.SetRange(0, prefetch.RangeConfig{
-		Lo: st.q1.Base, Hi: st.q1.End(),
-		LoadKernel: 1, PFKernel: prefetch.NoKernel,
-		EWMAGroup: 0, Interval: true, TimedStart: true,
-	})
-	mc.PF.SetRange(1, prefetch.RangeConfig{
-		Lo: st.q2.Base, Hi: st.q2.End(),
-		LoadKernel: 1, PFKernel: prefetch.NoKernel,
-		EWMAGroup: 0, Interval: true, TimedStart: true,
-	})
+	return &Instance{BuildFn: prog.build, Runs: runs, Manual: manual, Check: check}
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
@@ -24,8 +23,13 @@ var HotCold = &Benchmark{
 	Build:   buildHotCold,
 }
 
+var (
+	hotcoldProgram = loadProgram("hotcold")
+	hotcoldKernels = [][]ppu.Instr{ppuKernel("hotcold.1.ppu"), ppuKernel("hotcold.2.ppu")}
+)
+
 const (
-	hotcoldTableLg     = 18 // 256 k words = 2 MiB, twice L2
+	hotcoldTableLg     = 18 // 256 k words = 2 MiB, twice L2; hotcold.2.ppu shifts by 64 minus this
 	hotcoldHotKeys     = 64
 	hotcoldBaseQueries = 60000
 	// hotcoldLookahead is the manual-kernel prefetch distance in queries;
@@ -63,50 +67,7 @@ func buildHotCold(m *system.Machine, scale float64) *Instance {
 		wantAcc += (m.Backing.Read64(table.Base+hash(k)*8) ^ k) & 0xFF
 	}
 
-	fn := func(v Variant) *ir.Fn {
-		if v != Plain {
-			// Like PhaseMix and SpMV: plain build only.
-			return nil
-		}
-		b := ir.NewBuilder("hotcold", 5)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		queriesB, tableB, nV := b.Arg(0), b.Arg(1), b.Arg(2)
-		mulV, shiftV := b.Arg(3), b.Arg(4)
-		zero := b.Const(0)
-
-		l := newLoop(b, "queries", nV, []ir.Value{zero}, false)
-		acc := l.Carried[0]
-		q := b.Load(wordAddr(b, queriesB, l.IV), "queries")
-		slot := b.Shr(b.Mul(q, mulV), shiftV)
-		val := b.Load(wordAddr(b, tableB, slot), "table")
-		l.end(b.Add(acc, b.And(b.Xor(val, q), b.Const(0xFF))))
-		b.Ret(l.Carried[0])
-		return b.MustFinish()
-	}
-
-	manual := func(mc *system.Machine) {
-		// Event 1 on loads of the query stream: fetch the query a fixed
-		// distance ahead (padded array, no wrap needed); event 2 hashes the
-		// fetched key exactly as the main program will and prefetches its
-		// table line — the hash-join kernel idiom on a skewed stream.
-		mc.RegisterKernel(1, ppu.MustAssemble(`
-			vaddr  r1
-			addi   r1, r1, 256  ; 32 queries ahead
-			pftag  r1, 2
-			halt
-		`))
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1           ; query key
-			ldg    r2, g0       ; hash multiplier
-			mul    r1, r1, r2
-			shri   r1, r1, 46   ; 64 - hotcoldTableLg
-			shli   r1, r1, 3
-			ldg    r2, g1       ; table base
-			add    r1, r1, r2
-			pf     r1
-			halt
-		`))
+	manual := withKernels(hotcoldKernels, func(mc *system.Machine) {
 		mc.PF.SetGlobal(0, hashMul)
 		mc.PF.SetGlobal(1, table.Base)
 		mc.PF.SetRange(0, prefetch.RangeConfig{
@@ -114,14 +75,14 @@ func buildHotCold(m *system.Machine, scale float64) *Instance {
 			LoadKernel: 1, PFKernel: prefetch.NoKernel,
 			EWMAGroup: 0, Interval: true, TimedStart: true,
 		})
-	}
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		return checkEq("hotcold checksum", ret, wantAcc)
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: hotcoldProgram.build,
 		Runs:    []Run{{Args: []uint64{queries.Base, table.Base, queriesN, hashMul, shift}}},
 		Manual:  manual,
 		Check:   check,

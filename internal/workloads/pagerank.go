@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
@@ -21,6 +20,14 @@ var PageRank = &Benchmark{
 	Input:   "web-Google",
 	Build:   buildPageRank,
 }
+
+var (
+	pagerankProgram = loadProgram("pagerank")
+	pagerankKernels = [][]ppu.Instr{
+		ppuKernel("pagerank.1.ppu"), ppuKernel("pagerank.2.ppu"),
+		ppuKernel("pagerank.3.ppu"), ppuKernel("pagerank.4.ppu"),
+	}
+)
 
 const (
 	prVertices = 1 << 18
@@ -72,70 +79,7 @@ func buildPageRank(m *system.Machine, scale float64) *Instance {
 	}
 	wantOld, wantNew := digestWords(ranks[0]), digestWords(ranks[1])
 
-	fn := func(v Variant) *ir.Fn {
-		if v == SWPf {
-			return nil // no direct memory address access (§7.1)
-		}
-		b := ir.NewBuilder("pagerank", 6)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		srcB, dstB := b.Arg(0), b.Arg(1)
-		oldB, newB := b.Arg(2), b.Arg(3)
-		neV, itersV := b.Arg(4), b.Arg(5)
-		zero := b.Const(0)
-
-		outer := newLoop(b, "iters", itersV, []ir.Value{zero, oldB, newB}, false)
-		accO, oldV, newV := outer.Carried[0], outer.Carried[1], outer.Carried[2]
-
-		inner := newLoop(b, "edges", neV, []ir.Value{accO}, v == Pragma)
-		acc := inner.Carried[0]
-		e := inner.IV
-		s := b.Load(wordAddr(b, srcB, e), "src")
-		d := b.Load(wordAddr(b, dstB, e), "dst")
-		rs := b.Load(wordAddr(b, oldV, s), "rank")
-		naddr := wordAddr(b, newV, d)
-		rn := b.Load(naddr, "rank")
-		b.Store(naddr, b.Add(rn, rs), "rank")
-		acc2 := b.Add(acc, rs)
-		inner.end(acc2)
-
-		outer.end(inner.Carried[0], newV, oldV)
-		b.Ret(accO)
-		return b.MustFinish()
-	}
-
-	manual := func(mc *system.Machine) {
-		mc.RegisterKernel(1, ppu.MustAssemble(`
-			vaddr  r1
-			addi   r1, r1, 256  ; hand-tuned look-ahead distance
-			pftag  r1, 2
-			halt
-		`))
-		// Source vertex arrived: fetch its rank.
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1
-			shli   r1, r1, 3
-			ldg    r2, g0
-			add    r3, r1, r2
-			pf     r3
-			halt
-		`))
-		// Events 3/4: the same chain for the destination array and the
-		// output rank vector.
-		mc.RegisterKernel(3, ppu.MustAssemble(`
-			vaddr  r1
-			addi   r1, r1, 256
-			pftag  r1, 4
-			halt
-		`))
-		mc.RegisterKernel(4, ppu.MustAssemble(`
-			lddata r1
-			shli   r1, r1, 3
-			ldg    r2, g1
-			add    r3, r1, r2
-			pf     r3
-			halt
-		`))
+	manual := withKernels(pagerankKernels, func(mc *system.Machine) {
 		mc.PF.SetGlobal(0, rankOld.Base)
 		mc.PF.SetGlobal(1, rankNew.Base)
 		mc.PF.SetRange(0, prefetch.RangeConfig{
@@ -148,7 +92,7 @@ func buildPageRank(m *system.Machine, scale float64) *Instance {
 			LoadKernel: 3, PFKernel: prefetch.NoKernel,
 			EWMAGroup: -1,
 		})
-	}
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		if err := checkEq("pagerank checksum", ret, want); err != nil {
@@ -161,7 +105,7 @@ func buildPageRank(m *system.Machine, scale float64) *Instance {
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: pagerankProgram.build,
 		Runs:    []Run{{Args: []uint64{src.Base, dst.Base, rankOld.Base, rankNew.Base, ne, prIters}}},
 		Manual:  manual,
 		Check:   check,

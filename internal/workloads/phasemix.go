@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
@@ -23,6 +22,11 @@ var PhaseMix = &Benchmark{
 	Input:   "1 MiB array + 3.5 k-node list per phase pair",
 	Build:   buildPhaseMix,
 }
+
+var (
+	phasemixProgram = loadProgram("phasemix")
+	phasemixKernels = [][]ppu.Instr{ppuKernel("phasemix.1.ppu")}
+)
 
 const (
 	phasemixArrWords  = 131072 // 1 MiB: the scan streams through all of L2
@@ -86,79 +90,20 @@ func buildPhaseMix(m *system.Machine, scale float64) *Instance {
 		}
 	}
 
-	fn := func(v Variant) *ir.Fn {
-		if v != Plain {
-			// Like PageRank's missing Figure 7 bars: no software-prefetch or
-			// pragma form. The chase loop has no induction variable for the
-			// compiler passes to work from, and a scan-only variant would
-			// misrepresent the benchmark.
-			return nil
-		}
-		b := ir.NewBuilder("phasemix", 4)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		arrB, arrN, headV, pairsV := b.Arg(0), b.Arg(1), b.Arg(2), b.Arg(3)
-		zero := b.Const(0)
-
-		outer := newLoop(b, "pairs", pairsV, []ir.Value{zero}, false)
-		accO := outer.Carried[0]
-
-		scan := newLoop(b, "scan", arrN, []ir.Value{accO}, false)
-		val := b.Load(wordAddr(b, arrB, scan.IV), "scan")
-		scan.end(b.Add(scan.Carried[0], val))
-
-		// while (p != 0) { next = *p; acc += (next>>6) & 0xFFFF; p = next }
-		chaseHead := b.NewBlock("chase.head")
-		chaseBody := b.NewBlock("chase.body")
-		chaseExit := b.NewBlock("chase.exit")
-		b.Br(chaseHead)
-
-		b.SetBlock(chaseHead)
-		p := b.Phi()
-		accC := b.Phi()
-		alive := b.Bin(ir.CmpNE, p, zero)
-		b.CondBr(alive, chaseBody, chaseExit)
-
-		b.SetBlock(chaseBody)
-		next := b.Load(p, "nodes")
-		acc2 := b.Add(accC, b.And(b.Shr(next, b.Const(6)), b.Const(0xFFFF)))
-		b.Br(chaseHead)
-		b.SetPhiArgs(p, headV, next)
-		b.SetPhiArgs(accC, scan.Carried[0], acc2)
-
-		b.SetBlock(chaseExit)
-		outer.end(accC)
-		b.Ret(accO)
-		return b.MustFinish()
-	}
-
-	manual := func(mc *system.Machine) {
-		// One kernel, covering the node region only: chase ahead of the
-		// core down the list, self-chaining on each prefetched node's fill
-		// (the G500-List idiom). The scan region is deliberately uncovered —
-		// the hand-written kernels know nothing about the scan phase, which
-		// is what gives the static "manual" scheme its blind spot here.
-		mc.RegisterKernel(1, ppu.MustAssemble(`
-			lddata r1          ; node.next (byte address)
-			movi   r2, 0
-			beq    r1, r2, done
-			pftag  r1, 1
-		done:
-			halt
-		`))
+	manual := withKernels(phasemixKernels, func(mc *system.Machine) {
 		mc.PF.SetRange(0, prefetch.RangeConfig{
 			Lo: nodes.Base, Hi: nodes.End(),
 			LoadKernel: 1, PFKernel: prefetch.NoKernel,
 			EWMAGroup: 0, Interval: true, TimedStart: true,
 		})
-	}
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		return checkEq("phasemix accumulator", ret, wantAcc)
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: phasemixProgram.build,
 		Runs:    []Run{{Args: []uint64{arr.Base, arrWords, head, pairs}}},
 		Manual:  manual,
 		Check:   check,

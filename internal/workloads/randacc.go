@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
@@ -21,6 +20,12 @@ var RandAcc = &Benchmark{
 	Build:   buildRandAcc,
 }
 
+var (
+	randaccProgram = loadProgram("randacc")
+	randaccKernels = [][]ppu.Instr{ppuKernel("randacc.1.ppu"), ppuKernel("randacc.2.ppu")}
+)
+
+// randacc.ir and randacc.2.ppu hard-code the table mask and the polynomial.
 const (
 	randaccTableLg = 21 // 2 M words = 16 MiB
 	randaccRounds  = 2048
@@ -79,83 +84,7 @@ func buildRandAcc(m *system.Machine, scale float64) *Instance {
 	wantAcc, _ := randaccModel(sc, &states, rounds, mask)
 	sc.release()
 
-	fn := func(v Variant) *ir.Fn {
-		b := ir.NewBuilder("randacc", 4)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		tableB, ranB, roundsV := b.Arg(0), b.Arg(1), b.Arg(2)
-		streamsV := b.Arg(3)
-		zero := b.Const(0)
-
-		outer := newLoop(b, "rounds", roundsV, []ir.Value{zero}, false)
-		accO := outer.Carried[0]
-
-		inner := newLoop(b, "streams", streamsV, []ir.Value{accO}, v == Pragma)
-		acc := inner.Carried[0]
-		j := inner.IV
-
-		ranAddr := wordAddr(b, ranB, j)
-		s := b.Load(ranAddr, "ran")
-		// s2 = (s<<1) ^ ((s>>63)*POLY)
-		one := b.Const(1)
-		top := b.Shr(s, b.Const(63))
-		poly := b.Const(randaccPoly)
-		s2 := b.Xor(b.Shl(s, one), b.Mul(top, poly))
-		b.Store(ranAddr, s2, "ran")
-
-		maskC := b.Const(int64(mask))
-		idx := b.And(s2, maskC)
-		taddr := wordAddr(b, tableB, idx)
-		if v == SWPf {
-			// Prefetch this stream's next-round target: one more LCG step.
-			top2 := b.Shr(s2, b.Const(63))
-			s3 := b.Xor(b.Shl(s2, one), b.Mul(top2, poly))
-			b.SWPf(wordAddr(b, tableB, b.And(s3, maskC)), "table")
-		}
-		old := b.Load(taddr, "table")
-		b.Store(taddr, b.Xor(old, s2), "table")
-		acc2 := b.Add(acc, b.And(old, b.Const(0xFF)))
-		inner.end(acc2)
-
-		outer.end(inner.Carried[0])
-		b.Ret(accO)
-		return b.MustFinish()
-	}
-
-	manual := func(mc *system.Machine) {
-		// Event 1 on loads of the stream-state array: prefetch the state
-		// EWMA-many streams ahead; its (usually resident) fill triggers
-		// event 2 with the state value.
-		// The look-ahead wraps around the 128-entry state array — the
-		// manual-only trick the paper notes for RandAcc (§7.1): compiler
-		// passes cannot discover the wrap, so they leave the array's start
-		// unprefetched each round.
-		mc.RegisterKernel(1, ppu.MustAssemble(`
-			vaddr  r1
-			ldg    r3, g2       ; state-array base
-			sub    r1, r1, r3
-			addi   r1, r1, 256  ; hand-tuned look-ahead distance
-			andi   r1, r1, 1023 ; wrap within the 128-entry array
-			add    r1, r1, r3
-			pftag  r1, 2
-			halt
-		`))
-		// Event 2: recompute the stream's next update address — the same
-		// LCG step the main program will take — and fetch the table line.
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1           ; s
-			shri   r2, r1, 63
-			muli   r2, r2, 7
-			shli   r1, r1, 1
-			xor    r1, r1, r2   ; s2
-			ldg    r3, g0       ; mask
-			and    r1, r1, r3
-			shli   r1, r1, 3
-			ldg    r4, g1       ; table base
-			add    r1, r1, r4
-			pf     r1
-			halt
-		`))
+	manual := withKernels(randaccKernels, func(mc *system.Machine) {
 		mc.PF.SetGlobal(0, mask)
 		mc.PF.SetGlobal(1, table.Base)
 		mc.PF.SetGlobal(2, ran.Base)
@@ -164,7 +93,7 @@ func buildRandAcc(m *system.Machine, scale float64) *Instance {
 			LoadKernel: 1, PFKernel: prefetch.NoKernel,
 			EWMAGroup: 0, Interval: true, TimedStart: true,
 		})
-	}
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		if err := checkEq("randacc accumulator", ret, wantAcc); err != nil {
@@ -192,7 +121,7 @@ func buildRandAcc(m *system.Machine, scale float64) *Instance {
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: randaccProgram.build,
 		Runs:    []Run{{Args: []uint64{table.Base, ran.Base, rounds, randaccStreams}}},
 		Manual:  manual,
 		Check:   check,

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 	"eventpf/internal/prefetch"
 	"eventpf/internal/system"
@@ -21,6 +20,11 @@ var SpMV = &Benchmark{
 	Input:   "20 k × 20 k, ~8 nnz/row",
 	Build:   buildSpMV,
 }
+
+var (
+	spmvProgram = loadProgram("spmv")
+	spmvKernels = [][]ppu.Instr{ppuKernel("spmv.1.ppu"), ppuKernel("spmv.2.ppu")}
+)
 
 const (
 	spmvBaseRows  = 20000
@@ -85,69 +89,14 @@ func buildSpMV(m *system.Machine, scale float64) *Instance {
 		wantAcc += sum & 0xFFFF
 	}
 
-	fn := func(v Variant) *ir.Fn {
-		if v != Plain {
-			// Like PhaseMix: no software-prefetch or pragma form. The trace
-			// front end and the adaptive study only consume the plain build,
-			// and a hand-tuned SWPf variant would be a separate study.
-			return nil
-		}
-		b := ir.NewBuilder("spmv", 6)
-		entry := b.NewBlock("entry")
-		b.SetBlock(entry)
-		rowptrB, colidxB, valsB := b.Arg(0), b.Arg(1), b.Arg(2)
-		xB, yB, rowsV := b.Arg(3), b.Arg(4), b.Arg(5)
-		zero := b.Const(0)
-		one := b.Const(1)
-
-		outer := newLoop(b, "rows", rowsV, []ir.Value{zero}, false)
-		accO := outer.Carried[0]
-		r := outer.IV
-
-		lo := b.Load(wordAddr(b, rowptrB, r), "rowptr")
-		hi := b.Load(wordAddr(b, rowptrB, b.Add(r, one)), "rowptr")
-		cnt := b.Sub(hi, lo)
-
-		inner := newLoop(b, "nnz", cnt, []ir.Value{zero}, false)
-		k := b.Add(lo, inner.IV)
-		c := b.Load(wordAddr(b, colidxB, k), "colidx")
-		val := b.Load(wordAddr(b, valsB, k), "vals")
-		xv := b.Load(wordAddr(b, xB, c), "x")
-		inner.end(b.Add(inner.Carried[0], b.Mul(val, xv)))
-
-		sum := inner.Carried[0]
-		b.Store(wordAddr(b, yB, r), sum, "y")
-		outer.end(b.Add(accO, b.And(sum, b.Const(0xFFFF))))
-		b.Ret(accO)
-		return b.MustFinish()
-	}
-
-	manual := func(mc *system.Machine) {
-		// Event 1 on loads of colidx: fetch the column index a fixed distance
-		// ahead (the array is padded, so the look-ahead never faults); its
-		// fill triggers event 2 with the index value, which gathers the x
-		// element — the paper's two-stage array-indirection idiom.
-		mc.RegisterKernel(1, ppu.MustAssemble(`
-			vaddr  r1
-			addi   r1, r1, 256  ; 32 elements ahead
-			pftag  r1, 2
-			halt
-		`))
-		mc.RegisterKernel(2, ppu.MustAssemble(`
-			lddata r1           ; colidx[k+32]
-			shli   r1, r1, 3
-			ldg    r2, g0       ; x base
-			add    r1, r1, r2
-			pf     r1
-			halt
-		`))
+	manual := withKernels(spmvKernels, func(mc *system.Machine) {
 		mc.PF.SetGlobal(0, x.Base)
 		mc.PF.SetRange(0, prefetch.RangeConfig{
 			Lo: colidx.Base, Hi: colidx.End(),
 			LoadKernel: 1, PFKernel: prefetch.NoKernel,
 			EWMAGroup: 0, Interval: true, TimedStart: true,
 		})
-	}
+	})
 
 	check := func(mc *system.Machine, ret uint64, hasRet bool) error {
 		if err := checkEq("spmv checksum", ret, wantAcc); err != nil {
@@ -157,7 +106,7 @@ func buildSpMV(m *system.Machine, scale float64) *Instance {
 	}
 
 	return &Instance{
-		BuildFn: fn,
+		BuildFn: spmvProgram.build,
 		Runs:    []Run{{Args: []uint64{rowptr.Base, colidx.Base, vals.Base, x.Base, y.Base, rows}}},
 		Manual:  manual,
 		Check:   check,

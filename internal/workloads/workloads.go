@@ -1,10 +1,11 @@
 // Package workloads implements the eight memory-bound benchmarks of the
 // paper's Table 2 at reduced, flag-adjustable scale. Each benchmark builds
-// its data in a machine's functional memory, provides its timed kernel in
-// IR (plus a software-prefetch variant and a pragma-annotated variant for
-// the two compiler passes), supplies hand-written PPU event kernels for the
-// "manual" scheme, and validates the simulated run against a pure-Go
-// oracle: prefetching must never change answers.
+// its data in a machine's functional memory, runs its timed kernel (IR text
+// in kernels/, plus a software-prefetch variant and a pragma-annotated
+// variant for the two compiler passes), supplies hand-written PPU event
+// kernels for the "manual" scheme (assembler text in kernels/), and
+// validates the simulated run against a pure-Go oracle: prefetching must
+// never change answers.
 package workloads
 
 import (
@@ -52,7 +53,7 @@ type Run struct {
 }
 
 // Instance is one prepared benchmark: data resides in the machine's backing
-// store and the kernel closures build fresh IR on demand (the compiler
+// store and BuildFn copies the kernel's parsed IR on demand (the compiler
 // passes mutate IR, so every consumer gets its own copy).
 type Instance struct {
 	// BuildFn returns a fresh copy of the kernel in the given variant, or
@@ -236,67 +237,4 @@ func (s *splitmix64) perm(p []uint64) []uint64 {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// loop is a helper for building the canonical counted loop
-//
-//	for (iv = 0; iv < n; iv++) { body }
-//
-// with any number of extra loop-carried values. Blocks are created and the
-// builder is left positioned in the body; call end from the latch block.
-type loop struct {
-	b                *ir.Builder
-	Head, Body, Exit ir.BlockID
-	IV               ir.Value
-	Carried          []ir.Value
-	inits            []ir.Value
-}
-
-// newLoop emits the preheader branch from the builder's current block. The
-// carried values' initial values must already be defined.
-func newLoop(b *ir.Builder, name string, n ir.Value, carriedInit []ir.Value, pragma bool) *loop {
-	l := &loop{b: b, inits: append([]ir.Value(nil), carriedInit...)}
-	l.Head = b.NewBlock(name + ".head")
-	l.Body = b.NewBlock(name + ".body")
-	l.Exit = b.NewBlock(name + ".exit")
-	zero := b.Const(0)
-	b.Br(l.Head)
-
-	b.SetBlock(l.Head)
-	l.IV = b.Phi()
-	for range carriedInit {
-		l.Carried = append(l.Carried, b.Phi())
-	}
-	cond := b.Bin(ir.CmpLTU, l.IV, n)
-	b.CondBr(cond, l.Body, l.Exit)
-	if pragma {
-		b.MarkPragma(l.Head)
-	}
-
-	l.inits = append([]ir.Value{zero}, l.inits...)
-	b.SetBlock(l.Body)
-	return l
-}
-
-// end closes the loop from the current (latch) block, wiring the phis: the
-// induction variable advances by one and each carried value takes the
-// supplied next value. The builder is left in the exit block.
-func (l *loop) end(carriedNext ...ir.Value) {
-	if len(carriedNext) != len(l.Carried) {
-		panic("workloads: carried value count mismatch")
-	}
-	one := l.b.Const(1)
-	iv2 := l.b.Add(l.IV, one)
-	l.b.Br(l.Head)
-
-	l.b.SetPhiArgs(l.IV, l.inits[0], iv2)
-	for i, c := range l.Carried {
-		l.b.SetPhiArgs(c, l.inits[i+1], carriedNext[i])
-	}
-	l.b.SetBlock(l.Exit)
-}
-
-// wordAddr emits base + idx*8.
-func wordAddr(b *ir.Builder, base, idx ir.Value) ir.Value {
-	return b.Add(base, b.Shl(idx, b.Const(3)))
 }

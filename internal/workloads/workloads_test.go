@@ -177,29 +177,6 @@ func TestLCGStepMatchesHPCCDefinition(t *testing.T) {
 	}
 }
 
-func TestLoopHelperBuildsValidLoop(t *testing.T) {
-	b := ir.NewBuilder("l", 1)
-	entry := b.NewBlock("entry")
-	b.SetBlock(entry)
-	n := b.Arg(0)
-	zero := b.Const(0)
-	l := newLoop(b, "x", n, []ir.Value{zero}, true)
-	acc2 := b.Add(l.Carried[0], b.Const(2))
-	l.end(acc2)
-	b.Ret(l.Carried[0])
-	fn, err := b.Finish()
-	if err != nil {
-		t.Fatalf("loop helper produced invalid IR: %v", err)
-	}
-	loops := fn.Loops()
-	if len(loops) != 1 || loops[0].Induction == nil {
-		t.Fatal("loop not recognised by analysis")
-	}
-	if !fn.Block(l.Head).Pragma {
-		t.Error("pragma mark lost")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, b := range All {
 		got, err := ByName(b.Name)
@@ -230,25 +207,13 @@ func TestScaledFloor(t *testing.T) {
 }
 
 // TestKernelTextRoundTrip checks that every benchmark kernel (in every
-// variant) survives a print→parse→print round trip, except where Cfg
-// instructions (which have no textual form) are present.
+// variant) survives a print→parse→print round trip.
 func TestKernelTextRoundTrip(t *testing.T) {
 	for _, b := range All {
 		_, inst := buildAll(t, b)
 		for _, v := range []Variant{Plain, SWPf, Pragma} {
 			fn := inst.BuildFn(v)
 			if fn == nil {
-				continue
-			}
-			hasCfg := false
-			for _, blk := range fn.Blocks {
-				for _, val := range blk.Instrs {
-					if fn.Instr(val).Op == ir.Cfg {
-						hasCfg = true
-					}
-				}
-			}
-			if hasCfg {
 				continue
 			}
 			once, err := ir.Parse(fn.String())
