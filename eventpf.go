@@ -15,9 +15,10 @@
 //	man, _ := eventpf.Run(bench, eventpf.Manual, eventpf.Options{Scale: 0.25})
 //	fmt.Printf("speedup %.2fx\n", eventpf.Speedup(base, man))
 //
-// For custom workloads, build a machine directly, write the timed kernel in
-// the IR (eventpf.NewIRBuilder), write PPU event kernels in the assembly
-// dialect (eventpf.Assemble), and run; see examples/ for complete programs.
+// For custom workloads, build a machine directly, write the timed kernel as
+// IR text (eventpf.ParseIR; the form is in docs/ir.md), write PPU event
+// kernels in the assembly dialect (eventpf.Assemble), and run; the package
+// examples are complete programs.
 package eventpf
 
 import (
@@ -129,19 +130,14 @@ type RangeConfig = prefetch.RangeConfig
 // NoKernel marks an unset kernel slot in a RangeConfig.
 const NoKernel = prefetch.NoKernel
 
-// IR construction, for writing custom timed kernels.
+// IR kernels, for writing custom timed kernels as text.
 
-// IRBuilder constructs kernel functions in the SSA IR.
-type IRBuilder = ir.Builder
-
-// IRFn is a built kernel function.
+// IRFn is a kernel function in the SSA IR.
 type IRFn = ir.Fn
 
-// IROp is an IR instruction opcode.
-type IROp = ir.Op
-
-// NewIRBuilder starts a kernel function with the given argument count.
-func NewIRBuilder(name string, nargs int) *IRBuilder { return ir.NewBuilder(name, nargs) }
+// ParseIR reads a kernel in the IR's textual form, the form (*IRFn).String
+// prints, and verifies it.
+func ParseIR(src string) (*IRFn, error) { return ir.Parse(src) }
 
 // PPU kernel authoring.
 
@@ -178,35 +174,6 @@ func GeneratePragmaEvents(fn *IRFn, a *CompilerAlloc) (*CompilerResult, error) {
 
 // Disassemble renders a PPU kernel with instruction indices.
 func Disassemble(prog []PPUInstr) string { return ppu.Disassemble(prog) }
-
-// IR opcodes usable with IRBuilder.Bin.
-const (
-	IRAdd    = ir.Add
-	IRSub    = ir.Sub
-	IRMul    = ir.Mul
-	IRDiv    = ir.Div
-	IRAnd    = ir.And
-	IROr     = ir.Or
-	IRXor    = ir.Xor
-	IRShl    = ir.Shl
-	IRShr    = ir.Shr
-	IRCmpEQ  = ir.CmpEQ
-	IRCmpNE  = ir.CmpNE
-	IRCmpLT  = ir.CmpLT
-	IRCmpLTU = ir.CmpLTU
-	IRCmpGE  = ir.CmpGE
-	IRCmpGEU = ir.CmpGEU
-)
-
-// IRValue identifies an SSA value within a function under construction.
-type IRValue = ir.Value
-
-// IRNoValue marks an unused operand (e.g. a void return).
-const IRNoValue = ir.NoValue
-
-// ParseIR reads the textual IR form produced by (*IRFn).String back into a
-// function.
-func ParseIR(src string) (*IRFn, error) { return ir.Parse(src) }
 
 // InsertSoftwarePrefetches runs the automatic software-prefetch-insertion
 // pass (the paper's reference [2], CGO 2017) on fn in place, returning how

@@ -37,12 +37,7 @@ func TestFacadeRunAndSpeedup(t *testing.T) {
 }
 
 func TestFacadeIRAndAssembler(t *testing.T) {
-	b := eventpf.NewIRBuilder("f", 1)
-	e := b.NewBlock("entry")
-	b.SetBlock(e)
-	v := b.Add(b.Arg(0), b.Const(1))
-	b.Ret(v)
-	fn, err := b.Finish()
+	fn, err := eventpf.ParseIR("func f(1 args) {\nb0 <entry>:\n  v0 = arg 0\n  v1 = const 1\n  v2 = add v0, v1\n  ret v2\n}\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,31 +63,35 @@ func TestFacadeIRAndAssembler(t *testing.T) {
 
 func TestFacadeCompilerPipeline(t *testing.T) {
 	// plain indirect loop → auto swpf → conversion, via the facade only.
-	b := eventpf.NewIRBuilder("pipe", 3)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-	b.SetBlock(entry)
-	aB, bB, n := b.Arg(0), b.Arg(1), b.Arg(2)
-	zero := b.Const(0)
-	b.Br(head)
-	b.SetBlock(head)
-	x := b.Phi()
-	acc := b.Phi()
-	b.CondBr(b.Bin(eventpf.IRCmpLTU, x, n), body, exit)
-	b.SetBlock(body)
-	three := b.Const(3)
-	av := b.Load(b.Add(aB, b.Shl(x, three)), "A")
-	bv := b.Load(b.Add(bB, b.Shl(av, three)), "B")
-	acc2 := b.Add(acc, bv)
-	x2 := b.Add(x, b.Const(1))
-	b.Br(head)
-	b.SetBlock(exit)
-	b.Ret(acc)
-	b.SetPhiArgs(x, zero, x2)
-	b.SetPhiArgs(acc, zero, acc2)
-	fn, err := b.Finish()
+	fn, err := eventpf.ParseIR(`
+func pipe(3 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v5 = phi [v3, v18]
+  v6 = phi [v3, v16]
+  v7 = cmpltu v5, v2
+  condbr v7, b2, b3
+b2 <body>:  ; preds: b1
+  v9 = const 3
+  v10 = shl v5, v9
+  v11 = add v0, v10
+  v12 = load v11 ; A
+  v13 = shl v12, v9
+  v14 = add v1, v13
+  v15 = load v14 ; B
+  v16 = add v6, v15
+  v17 = const 1
+  v18 = add v5, v17
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v6
+}
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +115,7 @@ func TestFacadeCustomMachine(t *testing.T) {
 	m.PF.SetRange(0, eventpf.RangeConfig{Lo: arr.Base, Hi: arr.End(),
 		LoadKernel: 1, PFKernel: eventpf.NoKernel, EWMAGroup: -1})
 
-	b := eventpf.NewIRBuilder("t", 1)
-	e := b.NewBlock("entry")
-	b.SetBlock(e)
-	v := b.Load(b.Arg(0), "a")
-	b.Ret(v)
-	fn, err := b.Finish()
+	fn, err := eventpf.ParseIR("func t(1 args) {\nb0 <entry>:\n  v0 = arg 0\n  v1 = load v0 ; a\n  ret v1\n}\n")
 	if err != nil {
 		t.Fatal(err)
 	}

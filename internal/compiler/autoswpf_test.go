@@ -9,7 +9,7 @@ import (
 )
 
 func TestAutoSWPfInstrumentsIndirectLoop(t *testing.T) {
-	fn := buildFigure5(t, false, false) // plain acc += C[B[A[x]]]
+	fn := mustParse(t, fig5Plain) // plain acc += C[B[A[x]]]
 	n := InsertSoftwarePrefetches(fn, 16)
 	if n != 1 {
 		t.Fatalf("instrumented %d loads, want 1 (the C access)", n)
@@ -27,8 +27,8 @@ func TestAutoSWPfInstrumentsIndirectLoop(t *testing.T) {
 }
 
 func TestAutoSWPfPreservesSemantics(t *testing.T) {
-	plain := buildFigure5(t, false, false)
-	auto := buildFigure5(t, false, false)
+	plain := mustParse(t, fig5Plain)
+	auto := mustParse(t, fig5Plain)
 	if InsertSoftwarePrefetches(auto, 8) != 1 {
 		t.Fatal("instrumentation failed")
 	}
@@ -65,7 +65,7 @@ func TestAutoSWPfPreservesSemantics(t *testing.T) {
 func TestAutoSWPfThenConversionPipeline(t *testing.T) {
 	// The §6.4 pipeline: plain loop → auto software prefetches →
 	// Algorithm 1 → event kernels, no hand-written annotations at all.
-	fn := buildFigure5(t, false, false)
+	fn := mustParse(t, fig5Plain)
 	if InsertSoftwarePrefetches(fn, 16) != 1 {
 		t.Fatal("instrumentation failed")
 	}
@@ -90,29 +90,31 @@ func TestAutoSWPfThenConversionPipeline(t *testing.T) {
 
 func TestAutoSWPfSkipsPlainStrideLoop(t *testing.T) {
 	// A loop with only a strided load has no indirection to instrument.
-	b := ir.NewBuilder("stride", 2)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-	b.SetBlock(entry)
-	base, n := b.Arg(0), b.Arg(1)
-	zero := b.Const(0)
-	b.Br(head)
-	b.SetBlock(head)
-	i := b.Phi()
-	acc := b.Phi()
-	b.CondBr(b.Bin(ir.CmpLTU, i, n), body, exit)
-	b.SetBlock(body)
-	v := b.Load(b.Add(base, b.Shl(i, b.Const(3))), "arr")
-	acc2 := b.Add(acc, v)
-	i2 := b.Add(i, b.Const(1))
-	b.Br(head)
-	b.SetBlock(exit)
-	b.Ret(acc)
-	b.SetPhiArgs(i, zero, i2)
-	b.SetPhiArgs(acc, zero, acc2)
-	fn := b.MustFinish()
+	fn := mustParse(t, `
+func stride(2 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v4 = phi [v2, v14]
+  v5 = phi [v2, v12]
+  v6 = cmpltu v4, v1
+  condbr v6, b2, b3
+b2 <body>:  ; preds: b1
+  v8 = const 3
+  v9 = shl v4, v8
+  v10 = add v0, v9
+  v11 = load v10 ; arr
+  v12 = add v5, v11
+  v13 = const 1
+  v14 = add v4, v13
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v5
+}
+`)
 
 	if n := InsertSoftwarePrefetches(fn, 16); n != 0 {
 		t.Errorf("instrumented %d loads in a stride-only loop", n)
@@ -121,7 +123,7 @@ func TestAutoSWPfSkipsPlainStrideLoop(t *testing.T) {
 
 func TestAutoSWPfEmitsMicroOps(t *testing.T) {
 	// The inserted prefetches must reach the core as OpSWPf micro-ops.
-	fn := buildFigure5(t, false, false)
+	fn := mustParse(t, fig5Plain)
 	InsertSoftwarePrefetches(fn, 4)
 	bk := mem.NewBacking()
 	arena := mem.NewArena(bk)

@@ -1,61 +1,111 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"eventpf/internal/ir"
 	"eventpf/internal/ppu"
 )
 
-// buildFigure5 builds the paper's figure 5(a):
+// fig5Plain is the paper's figure 5 loop without prefetching:
 //
-//	for (x = 0; x < N; x++) { swpf(&C[B[A[x+n]]]); acc += C[B[A[x]]]; }
+//	for (x = 0; x < N; x++) acc += C[B[A[x]]];
 //
-// Args: 0=A, 1=B, 2=C, 3=N. withSWPf=false gives figure 5(b) (pragma form).
-func buildFigure5(t testing.TB, withSWPf, withPragma bool) *ir.Fn {
+// Args: 0=A, 1=B, 2=C, 3=N.
+const fig5Plain = `
+func fig5(4 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = arg 3
+  v4 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v6 = phi [v4, v22]
+  v7 = phi [v4, v20]
+  v8 = cmpltu v6, v3
+  condbr v8, b2, b3
+b2 <body>:  ; preds: b1
+  v10 = const 8
+  v11 = mul v6, v10
+  v12 = add v0, v11
+  v13 = load v12 ; A
+  v14 = mul v13, v10
+  v15 = add v1, v14
+  v16 = load v15 ; B
+  v17 = mul v16, v10
+  v18 = add v2, v17
+  v19 = load v18 ; C
+  v20 = add v7, v19
+  v21 = const 1
+  v22 = add v6, v21
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v7
+}
+`
+
+// fig5Pragma is figure 5(b): fig5Plain with its loop marked for the pragma
+// pass.
+var fig5Pragma = strings.Replace(fig5Plain, "b1 <head>:", "b1 <head> #pragma prefetch:", 1)
+
+// fig5SWPf is figure 5(a): fig5Plain with swpf(&C[B[A[x+16]]]) ahead of the
+// loads.
+const fig5SWPf = `
+func fig5(4 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = arg 3
+  v4 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v6 = phi [v4, v33]
+  v7 = phi [v4, v31]
+  v8 = cmpltu v6, v3
+  condbr v8, b2, b3
+b2 <body>:  ; preds: b1
+  v10 = const 8
+  v11 = const 16
+  v12 = add v6, v11
+  v13 = mul v12, v10
+  v14 = add v0, v13
+  v15 = load v14 ; A
+  v16 = mul v15, v10
+  v17 = add v1, v16
+  v18 = load v17 ; B
+  v19 = mul v18, v10
+  v20 = add v2, v19
+  swpf v20 ; C
+  v22 = mul v6, v10
+  v23 = add v0, v22
+  v24 = load v23 ; A
+  v25 = mul v24, v10
+  v26 = add v1, v25
+  v27 = load v26 ; B
+  v28 = mul v27, v10
+  v29 = add v2, v28
+  v30 = load v29 ; C
+  v31 = add v7, v30
+  v32 = const 1
+  v33 = add v6, v32
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v7
+}
+`
+
+// mustParse parses src, failing the test on an error.
+func mustParse(t testing.TB, src string) *ir.Fn {
 	t.Helper()
-	b := ir.NewBuilder("fig5", 4)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	aB, bB, cB, n := b.Arg(0), b.Arg(1), b.Arg(2), b.Arg(3)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	x := b.Phi()
-	acc := b.Phi()
-	cond := b.Bin(ir.CmpLTU, x, n)
-	b.CondBr(cond, body, exit)
-	if withPragma {
-		b.MarkPragma(head)
+	fn, err := ir.Parse(src)
+	if err != nil {
+		t.Fatalf("Parse: %v\n%s", err, src)
 	}
-
-	b.SetBlock(body)
-	eight := b.Const(8)
-	if withSWPf {
-		dist := b.Const(16)
-		xd := b.Add(x, dist)
-		av := b.Load(b.Add(aB, b.Mul(xd, eight)), "A")
-		bv := b.Load(b.Add(bB, b.Mul(av, eight)), "B")
-		b.SWPf(b.Add(cB, b.Mul(bv, eight)), "C")
-	}
-	av := b.Load(b.Add(aB, b.Mul(x, eight)), "A")
-	bv := b.Load(b.Add(bB, b.Mul(av, eight)), "B")
-	cv := b.Load(b.Add(cB, b.Mul(bv, eight)), "C")
-	acc2 := b.Add(acc, cv)
-	x2 := b.Add(x, b.Const(1))
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(acc)
-
-	b.SetPhiArgs(x, zero, x2)
-	b.SetPhiArgs(acc, zero, acc2)
-	return b.MustFinish()
+	return fn
 }
 
 func countOps(fn *ir.Fn, op ir.Op) int {
@@ -71,7 +121,7 @@ func countOps(fn *ir.Fn, op ir.Op) int {
 }
 
 func TestConvertFigure5(t *testing.T) {
-	fn := buildFigure5(t, true, false)
+	fn := mustParse(t, fig5SWPf)
 	loadsBefore := countOps(fn, ir.Load)
 
 	res, err := ConvertSoftwarePrefetches(fn, NewAlloc())
@@ -104,7 +154,7 @@ func TestConvertFigure5(t *testing.T) {
 }
 
 func TestConvertedKernelsChainCorrectly(t *testing.T) {
-	fn := buildFigure5(t, true, false)
+	fn := mustParse(t, fig5SWPf)
 	res, err := ConvertSoftwarePrefetches(fn, NewAlloc())
 	if err != nil {
 		t.Fatal(err)
@@ -147,35 +197,29 @@ func TestConvertFailsOnListWalk(t *testing.T) {
 	// while (p) { swpf(p->next); p = p->next; } — the address comes from a
 	// non-induction phi, which Algorithm 1 rejects (the paper's G500-List
 	// case).
-	b := ir.NewBuilder("list", 1)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	p0 := b.Arg(0)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	p := b.Phi()
-	i := b.Phi() // induction variable exists, but the swpf doesn't use it
-	cond := b.Bin(ir.CmpNE, p, zero)
-	b.CondBr(cond, body, exit)
-
-	b.SetBlock(body)
-	b.SWPf(p, "node")
-	next := b.Load(p, "node")
-	one := b.Const(1)
-	i2 := b.Add(i, one)
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(ir.NoValue)
-	b.SetPhiArgs(p, p0, next)
-	b.SetPhiArgs(i, zero, i2)
-	fn := b.MustFinish()
+	// The loop's induction variable (v4) exists, but the swpf does not use
+	// it.
+	fn := mustParse(t, `
+func list(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v3 = phi [v0, v8]
+  v4 = phi [v1, v10]
+  v5 = cmpne v3, v1
+  condbr v5, b2, b3
+b2 <body>:  ; preds: b1
+  swpf v3 ; node
+  v8 = load v3 ; node
+  v9 = const 1
+  v10 = add v4, v9
+  br b1
+b3 <exit>:  ; preds: b1
+  ret _
+}
+`)
 
 	res, err := ConvertSoftwarePrefetches(fn, NewAlloc())
 	if err != nil {
@@ -190,7 +234,7 @@ func TestConvertFailsOnListWalk(t *testing.T) {
 }
 
 func TestPragmaFigure5(t *testing.T) {
-	fn := buildFigure5(t, false, true)
+	fn := mustParse(t, fig5Pragma)
 	res, err := GeneratePragmaEvents(fn, NewAlloc())
 	if err != nil {
 		t.Fatalf("pragma: %v", err)
@@ -224,43 +268,40 @@ func TestPragmaFigure5(t *testing.T) {
 func TestPragmaSkipsControlFlowLoads(t *testing.T) {
 	// A loop whose indirect load sits behind a data-dependent branch: the
 	// pragma pass must skip it (complicated control flow, §6.4).
-	b := ir.NewBuilder("cf", 3)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	then := b.NewBlock("then")
-	latch := b.NewBlock("latch")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	aB, bB, n := b.Arg(0), b.Arg(1), b.Arg(2)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	x := b.Phi()
-	cond := b.Bin(ir.CmpLTU, x, n)
-	b.CondBr(cond, body, exit)
-	b.MarkPragma(head)
-
-	b.SetBlock(body)
-	eight := b.Const(8)
-	av := b.Load(b.Add(aB, b.Mul(x, eight)), "A")
-	isOdd := b.And(av, b.Const(1))
-	b.CondBr(isOdd, then, latch)
-
-	b.SetBlock(then)
-	b.Load(b.Add(bB, b.Mul(av, eight)), "B") // indirect, but conditional
-	b.Br(latch)
-
-	b.SetBlock(latch)
-	x2 := b.Add(x, b.Const(1))
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(ir.NoValue)
-	b.SetPhiArgs(x, zero, x2)
-	fn := b.MustFinish()
+	// B[A[x]] (v17) is indirect, but conditional.
+	fn := mustParse(t, `
+func cf(3 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = const 0
+  br b1
+b1 <head> #pragma prefetch:  ; preds: b0 b4
+  v5 = phi [v3, v20]
+  v6 = cmpltu v5, v2
+  condbr v6, b2, b5
+b2 <body>:  ; preds: b1
+  v8 = const 8
+  v9 = mul v5, v8
+  v10 = add v0, v9
+  v11 = load v10 ; A
+  v12 = const 1
+  v13 = and v11, v12
+  condbr v13, b3, b4
+b3 <then>:  ; preds: b2
+  v15 = mul v11, v8
+  v16 = add v1, v15
+  v17 = load v16 ; B
+  br b4
+b4 <latch>:  ; preds: b2 b3
+  v19 = const 1
+  v20 = add v5, v19
+  br b1
+b5 <exit>:  ; preds: b1
+  ret _
+}
+`)
 
 	res, err := GeneratePragmaEvents(fn, NewAlloc())
 	if err != nil {
@@ -272,7 +313,7 @@ func TestPragmaSkipsControlFlowLoads(t *testing.T) {
 }
 
 func TestAffineAnalysis(t *testing.T) {
-	fn := buildFigure5(t, false, false)
+	fn := mustParse(t, fig5Plain)
 	loops := fn.Loops()
 	if len(loops) != 1 {
 		t.Fatal("expected one loop")
@@ -294,7 +335,7 @@ func TestAffineAnalysis(t *testing.T) {
 }
 
 func TestLoopBoundRecognised(t *testing.T) {
-	fn := buildFigure5(t, false, false)
+	fn := mustParse(t, fig5Plain)
 	l := fn.Loops()[0]
 	bound, ok := fn.LoopBound(l)
 	if !ok {
@@ -306,16 +347,20 @@ func TestLoopBoundRecognised(t *testing.T) {
 }
 
 func TestDeadCodeElimKeepsSideEffects(t *testing.T) {
-	b := ir.NewBuilder("dce", 1)
-	e := b.NewBlock("entry")
-	b.SetBlock(e)
-	base := b.Arg(0)
-	dead := b.Add(base, b.Const(8)) // unused
-	live := b.Add(base, b.Const(16))
-	b.Store(live, base, "out")
-	b.Ret(ir.NoValue)
-	fn := b.MustFinish()
-	_ = dead
+	// v2 is unused; v4 addresses the store.
+	fn := mustParse(t, `
+func dce(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = const 8
+  v2 = add v0, v1
+  v3 = const 16
+  v4 = add v0, v3
+  store v4, v0 ; out
+  ret _
+}
+`)
+	const live = 4
 	removed := fn.DeadCodeElim()
 	if removed == 0 {
 		t.Error("nothing removed")

@@ -112,21 +112,20 @@ func TestParallelFigureGeneratorsShareOneSuite(t *testing.T) {
 // TestRunRejectsEmptyInstance pins the guard for benchmark instances with
 // no kernel invocations: a clear error, not a nil-interpreter panic.
 func TestRunRejectsEmptyInstance(t *testing.T) {
+	fn, err := ir.Parse("func noop(0 args) {\nb0 <entry>:\n  v0 = const 0\n  ret v0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	empty := &workloads.Benchmark{
 		Name: "empty",
 		Build: func(m *system.Machine, scale float64) *workloads.Instance {
 			return &workloads.Instance{
-				BuildFn: func(v workloads.Variant) *ir.Fn {
-					b := ir.NewBuilder("noop", 0)
-					b.SetBlock(b.NewBlock("entry"))
-					b.Ret(b.Const(0))
-					return b.MustFinish()
-				},
-				Check: func(m *system.Machine, ret uint64, hasRet bool) error { return nil },
+				BuildFn: func(v workloads.Variant) *ir.Fn { return fn.Clone() },
+				Check:   func(m *system.Machine, ret uint64, hasRet bool) error { return nil },
 			}
 		},
 	}
-	_, err := Run(empty, NoPF, Options{Scale: testScale})
+	_, err = Run(empty, NoPF, Options{Scale: testScale})
 	if err == nil {
 		t.Fatal("Run on an instance with no runs succeeded, want error")
 	}

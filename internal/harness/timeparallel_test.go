@@ -40,18 +40,17 @@ func TestSlicedRunBuildsOnce(t *testing.T) {
 // tinyBench is a one-instruction program: far too short to slice.
 func tinyBench(t *testing.T) *workloads.Benchmark {
 	t.Helper()
+	fn, err := ir.Parse("func tiny(0 args) {\nb0 <entry>:\n  v0 = const 0\n  ret v0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &workloads.Benchmark{
 		Name: "tiny",
 		Build: func(*system.Machine, float64) *workloads.Instance {
 			return &workloads.Instance{
-				BuildFn: func(workloads.Variant) *ir.Fn {
-					b := ir.NewBuilder("tiny", 0)
-					b.SetBlock(b.NewBlock("entry"))
-					b.Ret(b.Const(0))
-					return b.MustFinish()
-				},
-				Runs:  []workloads.Run{{}},
-				Check: func(*system.Machine, uint64, bool) error { return nil },
+				BuildFn: func(workloads.Variant) *ir.Fn { return fn.Clone() },
+				Runs:    []workloads.Run{{}},
+				Check:   func(*system.Machine, uint64, bool) error { return nil },
 			}
 		},
 	}

@@ -4,31 +4,32 @@ package ir
 // a function Verify accepts must decode without a panic.
 func Decode(fn *Fn) { decode(fn) }
 
-// CfgLoop builds: for (i = 0; i < n; i++) cfg bounds(slot 1, [i, i+64]).
+// CfgLoop is: for (i = 0; i < n; i++) cfg bounds(slot 1, [i, i+64]).
 // Arg 0 = n. Every iteration dispatches one Cfg op with operands of its own.
 func CfgLoop() *Fn {
-	b := NewBuilder("cfgloop", 1)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	n := b.Arg(0)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	i := b.Phi()
-	b.CondBr(b.Bin(CmpLTU, i, n), body, exit)
-
-	b.SetBlock(body)
-	b.Cfg(CfgInfo{Kind: CfgBounds, Slot: 1, LoadKernel: 2, PFKernel: -1, EWMAGroup: -1}, i, b.Add(i, b.Const(64)))
-	i2 := b.Add(i, b.Const(1))
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(NoValue)
-	b.SetPhiArgs(i, zero, i2)
-	return b.MustFinish()
+	fn, err := Parse(`
+func cfgloop(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v3 = phi [v1, v10]
+  v4 = cmpltu v3, v0
+  condbr v4, b2, b3
+b2 <body>:  ; preds: b1
+  v6 = const 64
+  v7 = add v3, v6
+  cfg {Kind:0 Slot:1 LoadKernel:2 PFKernel:-1 EWMAGroup:-1 Interval:false TimedStart:false TimedEnd:false GReg:0} args=[3 7]
+  v9 = const 1
+  v10 = add v3, v9
+  br b1
+b3 <exit>:  ; preds: b1
+  ret _
+}
+`)
+	if err != nil {
+		panic(err)
+	}
+	return fn
 }

@@ -14,9 +14,10 @@ import (
 // parsing that again must give the same text (the first parse renumbers
 // values into block order, so the second changes nothing), and every
 // function it accepts — Parse has run Verify on it — must decode for the
-// interpreter. The seeds are the printed form of every workload build, as
-// TestKernelTextRoundTrip builds them, ConjGrad's cfg line and a ';'
-// comment line; testdata/fuzz/FuzzParseIR holds inputs that once panicked.
+// interpreter. The seeds, which plain go test runs, are the printed form of
+// every variant of every workload in All and Extra, ConjGrad's cfg line and
+// a ';' comment line; testdata/fuzz/FuzzParseIR holds inputs that once
+// panicked.
 func FuzzParseIR(f *testing.F) {
 	f.Add("func cg(1 args) {\nb0 <entry>:\n  v0 = arg 0\n  cfg {Kind:1 Slot:0 LoadKernel:0 PFKernel:0 EWMAGroup:0 " +
 		"Interval:false TimedStart:false TimedEnd:false GReg:2} args=[0]\n  ret _\n}\n")

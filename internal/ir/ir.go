@@ -7,8 +7,6 @@
 // pass (§6.4).
 package ir
 
-import "fmt"
-
 // Op is an IR instruction opcode.
 type Op int
 
@@ -158,7 +156,8 @@ func (f *Fn) Instr(v Value) *Instr { return &f.Instrs[v] }
 // Block returns the block with the given id.
 func (f *Fn) Block(id BlockID) *Block { return f.Blocks[id] }
 
-// Succs returns the successor block ids of b.
+// Succs returns the successor block ids of b: a view of its terminator's
+// targets, which the caller must not modify.
 func (f *Fn) Succs(b *Block) []BlockID {
 	if len(b.Instrs) == 0 {
 		return nil
@@ -166,9 +165,9 @@ func (f *Fn) Succs(b *Block) []BlockID {
 	last := f.Instr(b.Instrs[len(b.Instrs)-1])
 	switch last.Op {
 	case Br:
-		return []BlockID{last.Blocks[0]}
+		return last.Blocks[:1]
 	case CondBr:
-		return []BlockID{last.Blocks[0], last.Blocks[1]}
+		return last.Blocks[:]
 	}
 	return nil
 }
@@ -240,153 +239,4 @@ func (f *Fn) defBlocks() []BlockID {
 		}
 	}
 	return db
-}
-
-// Builder constructs a Fn incrementally. Typical use:
-//
-//	b := ir.NewBuilder("kernel", 2)
-//	entry, loop, exit := b.NewBlock("entry"), b.NewBlock("loop"), b.NewBlock("exit")
-//	b.SetBlock(entry)
-//	...
-//	fn := b.Finish()
-type Builder struct {
-	fn  *Fn
-	cur *Block
-}
-
-// NewBuilder starts a function with the given name and argument count.
-func NewBuilder(name string, nargs int) *Builder {
-	return &Builder{fn: &Fn{Name: name, NArgs: nargs}}
-}
-
-// NewBlock adds an empty block.
-func (b *Builder) NewBlock(name string) BlockID {
-	blk := &Block{ID: BlockID(len(b.fn.Blocks)), Name: name}
-	b.fn.Blocks = append(b.fn.Blocks, blk)
-	return blk.ID
-}
-
-// SetBlock directs subsequent instructions into blk.
-func (b *Builder) SetBlock(blk BlockID) { b.cur = b.fn.Blocks[blk] }
-
-// MarkPragma annotates blk as a "#pragma prefetch" loop header.
-func (b *Builder) MarkPragma(blk BlockID) { b.fn.Blocks[blk].Pragma = true }
-
-func (b *Builder) emit(in Instr) Value {
-	if b.cur == nil {
-		panic("ir: no current block")
-	}
-	v := Value(len(b.fn.Instrs))
-	b.fn.Instrs = append(b.fn.Instrs, in)
-	b.cur.Instrs = append(b.cur.Instrs, v)
-	return v
-}
-
-// Const materialises a constant.
-func (b *Builder) Const(imm int64) Value {
-	return b.emit(Instr{Op: Const, A: NoValue, B: NoValue, Imm: imm})
-}
-
-// Arg reads function argument i.
-func (b *Builder) Arg(i int) Value {
-	if i < 0 || i >= b.fn.NArgs {
-		panic("ir: argument index out of range")
-	}
-	return b.emit(Instr{Op: Arg, A: NoValue, B: NoValue, Imm: int64(i)})
-}
-
-// Bin emits a binary operation.
-func (b *Builder) Bin(op Op, x, y Value) Value {
-	if !op.IsBinary() {
-		panic("ir: Bin with non-binary op " + op.String())
-	}
-	return b.emit(Instr{Op: op, A: x, B: y})
-}
-
-// Convenience wrappers for the common binary ops.
-func (b *Builder) Add(x, y Value) Value { return b.Bin(Add, x, y) }
-func (b *Builder) Sub(x, y Value) Value { return b.Bin(Sub, x, y) }
-func (b *Builder) Mul(x, y Value) Value { return b.Bin(Mul, x, y) }
-func (b *Builder) And(x, y Value) Value { return b.Bin(And, x, y) }
-func (b *Builder) Xor(x, y Value) Value { return b.Bin(Xor, x, y) }
-func (b *Builder) Shl(x, y Value) Value { return b.Bin(Shl, x, y) }
-func (b *Builder) Shr(x, y Value) Value { return b.Bin(Shr, x, y) }
-
-// Phi emits a phi node; complete it with SetPhiArgs once the incoming values
-// exist (loop-carried values are not known when the header is built).
-func (b *Builder) Phi() Value {
-	return b.emit(Instr{Op: Phi, A: NoValue, B: NoValue})
-}
-
-// SetPhiArgs sets the incoming values of phi, one per predecessor of its
-// block, in predecessor order.
-func (b *Builder) SetPhiArgs(phi Value, args ...Value) {
-	in := b.fn.Instr(phi)
-	if in.Op != Phi {
-		panic("ir: SetPhiArgs on non-phi")
-	}
-	in.Args = append([]Value(nil), args...)
-}
-
-// Load emits *addr; sym optionally names the region for readability and for
-// the compiler's bounds inference.
-func (b *Builder) Load(addr Value, sym string) Value {
-	return b.emit(Instr{Op: Load, A: addr, B: NoValue, Sym: sym})
-}
-
-// Store emits *addr = val.
-func (b *Builder) Store(addr, val Value, sym string) Value {
-	return b.emit(Instr{Op: Store, A: addr, B: val, Sym: sym})
-}
-
-// SWPf emits a software prefetch of addr.
-func (b *Builder) SWPf(addr Value, sym string) Value {
-	return b.emit(Instr{Op: SWPf, A: addr, B: NoValue, Sym: sym})
-}
-
-// Cfg emits a prefetcher-configuration instruction.
-func (b *Builder) Cfg(info CfgInfo, args ...Value) Value {
-	ci := info
-	return b.emit(Instr{Op: Cfg, A: NoValue, B: NoValue, Info: &ci, Args: append([]Value(nil), args...)})
-}
-
-// Br ends the current block with a jump, recording the predecessor edge.
-func (b *Builder) Br(target BlockID) {
-	b.emit(Instr{Op: Br, A: NoValue, B: NoValue, Blocks: [2]BlockID{target, -1}})
-	b.addPred(target)
-}
-
-// CondBr ends the current block with a conditional branch.
-func (b *Builder) CondBr(cond Value, then, els BlockID) {
-	b.emit(Instr{Op: CondBr, A: cond, B: NoValue, Blocks: [2]BlockID{then, els}})
-	b.addPred(then)
-	b.addPred(els)
-}
-
-// Ret ends the current block returning v (NoValue for void).
-func (b *Builder) Ret(v Value) {
-	b.emit(Instr{Op: Ret, A: v, B: NoValue, Blocks: [2]BlockID{-1, -1}})
-}
-
-func (b *Builder) addPred(target BlockID) {
-	t := b.fn.Blocks[target]
-	t.Preds = append(t.Preds, b.cur.ID)
-}
-
-// Finish verifies and returns the function.
-func (b *Builder) Finish() (*Fn, error) {
-	if err := b.fn.Verify(); err != nil {
-		return nil, err
-	}
-	return b.fn, nil
-}
-
-// MustFinish is Finish, panicking on verification failure; for use in
-// benchmark definitions where the IR is fixed at build time.
-func (b *Builder) MustFinish() *Fn {
-	fn, err := b.Finish()
-	if err != nil {
-		panic(fmt.Sprintf("ir: %s: %v", b.fn.Name, err))
-	}
-	return fn
 }

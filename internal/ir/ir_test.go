@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -11,47 +12,40 @@ import (
 	"eventpf/internal/mem"
 )
 
-// buildSumLoop builds: for (i = 0; i < n; i++) acc += arr[i]; return acc.
+// sumLoopSrc is: for (i = 0; i < n; i++) acc += arr[i]; return acc.
 // Args: 0 = arr base, 1 = n.
-func buildSumLoop(t testing.TB) *Fn {
+const sumLoopSrc = `
+func sum(2 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v4 = phi [v2, v14]
+  v5 = phi [v2, v12]
+  v6 = cmpltu v4, v1
+  condbr v6, b2, b3
+b2 <body>:  ; preds: b1
+  v8 = const 8
+  v9 = mul v4, v8
+  v10 = add v0, v9
+  v11 = load v10 ; arr
+  v12 = add v5, v11
+  v13 = const 1
+  v14 = add v4, v13
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v5
+}
+`
+
+// mustParse parses src, failing the test on an error.
+func mustParse(t testing.TB, src string) *Fn {
 	t.Helper()
-	b := NewBuilder("sum", 2)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	base := b.Arg(0)
-	n := b.Arg(1)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	i := b.Phi()
-	acc := b.Phi()
-	cond := b.Bin(CmpLTU, i, n)
-	b.CondBr(cond, body, exit)
-
-	b.SetBlock(body)
-	eight := b.Const(8)
-	off := b.Mul(i, eight)
-	addr := b.Add(base, off)
-	v := b.Load(addr, "arr")
-	acc2 := b.Add(acc, v)
-	one := b.Const(1)
-	i2 := b.Add(i, one)
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(acc)
-
-	b.SetPhiArgs(i, zero, i2)
-	b.SetPhiArgs(acc, zero, acc2)
-
-	fn, err := b.Finish()
+	fn, err := Parse(src)
 	if err != nil {
-		t.Fatalf("Finish: %v", err)
+		t.Fatalf("Parse: %v\n%s", err, src)
 	}
 	return fn
 }
@@ -70,7 +64,7 @@ func drain(t testing.TB, it *Interp) []cpu.MicroOp {
 }
 
 func TestSumLoopFunctional(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	bk := mem.NewBacking()
 	arena := mem.NewArena(bk)
 	arr := arena.AllocWords("arr", 100)
@@ -97,7 +91,7 @@ func TestSumLoopFunctional(t *testing.T) {
 }
 
 func TestLoadDependenceThreadsThroughAddress(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	bk := mem.NewBacking()
 	arena := mem.NewArena(bk)
 	arr := arena.AllocWords("arr", 4)
@@ -112,52 +106,8 @@ func TestLoadDependenceThreadsThroughAddress(t *testing.T) {
 	}
 }
 
-func TestVerifierCatchesMissingTerminator(t *testing.T) {
-	b := NewBuilder("bad", 0)
-	blk := b.NewBlock("entry")
-	b.SetBlock(blk)
-	b.Const(1)
-	if _, err := b.Finish(); err == nil {
-		t.Error("missing terminator not caught")
-	}
-}
-
-func TestVerifierCatchesPhiArity(t *testing.T) {
-	b := NewBuilder("bad", 0)
-	e := b.NewBlock("entry")
-	l := b.NewBlock("loop")
-	b.SetBlock(e)
-	c := b.Const(1)
-	b.Br(l)
-	b.SetBlock(l)
-	p := b.Phi()
-	b.SetPhiArgs(p, c, c, c) // loop has preds {entry, loop} = 2, not 3
-	b.Br(l)
-	if _, err := b.Finish(); err == nil {
-		t.Error("phi arity mismatch not caught")
-	}
-}
-
-func TestVerifierCatchesUseBeforeDef(t *testing.T) {
-	b := NewBuilder("bad", 0)
-	e := b.NewBlock("entry")
-	o := b.NewBlock("other")
-	b.SetBlock(e)
-	b.Br(o)
-	b.SetBlock(o)
-	// Manually force a use of a value defined later in the same block.
-	x := b.Const(5)
-	y := b.Add(x, x)
-	b.fn.Block(o).Instrs[0], b.fn.Block(o).Instrs[1] = b.fn.Block(o).Instrs[1], b.fn.Block(o).Instrs[0]
-	_ = y
-	b.Ret(NoValue)
-	if _, err := b.Finish(); err == nil {
-		t.Error("use-before-def not caught")
-	}
-}
-
 func TestDominators(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	idom := fn.Dominators()
 	// entry=0 head=1 body=2 exit=3
 	if idom[1] != 0 || idom[2] != 1 || idom[3] != 1 {
@@ -169,7 +119,7 @@ func TestDominators(t *testing.T) {
 }
 
 func TestLoopAnalysisFindsInduction(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	loops := fn.Loops()
 	if len(loops) != 1 {
 		t.Fatalf("found %d loops, want 1", len(loops))
@@ -190,7 +140,7 @@ func TestLoopAnalysisFindsInduction(t *testing.T) {
 }
 
 func TestLoopInvariant(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	l := fn.Loops()[0]
 	db := fn.defBlocks()
 	base := Value(0) // arg 0 in entry
@@ -208,7 +158,7 @@ func TestLoopInvariant(t *testing.T) {
 }
 
 func TestBranchMicroOpsCarryDirection(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	bk := mem.NewBacking()
 	arena := mem.NewArena(bk)
 	arr := arena.AllocWords("arr", 3)
@@ -229,14 +179,16 @@ func TestBranchMicroOpsCarryDirection(t *testing.T) {
 }
 
 func TestCfgInstructionReachesSink(t *testing.T) {
-	b := NewBuilder("cfg", 1)
-	e := b.NewBlock("entry")
-	b.SetBlock(e)
-	lo := b.Arg(0)
-	hi := b.Add(lo, b.Const(800))
-	b.Cfg(CfgInfo{Kind: CfgBounds, Slot: 2, LoadKernel: 5, PFKernel: -1, EWMAGroup: -1}, lo, hi)
-	b.Ret(NoValue)
-	fn := b.MustFinish()
+	fn := mustParse(t, `
+func cfg(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = const 800
+  v2 = add v0, v1
+  cfg {Kind:0 Slot:2 LoadKernel:5 PFKernel:-1 EWMAGroup:-1 Interval:false TimedStart:false TimedEnd:false GReg:0} args=[0 2]
+  ret _
+}
+`)
 
 	var got *CfgInfo
 	var gotArgs []uint64
@@ -323,15 +275,15 @@ type sinkFunc func(CfgInfo, []uint64)
 func (f sinkFunc) Configure(info CfgInfo, args []uint64) { f(info, args) }
 
 func TestMaxStepsGuard(t *testing.T) {
-	b := NewBuilder("inf", 0)
-	e := b.NewBlock("entry")
-	l := b.NewBlock("loop")
-	b.SetBlock(e)
-	b.Br(l)
-	b.SetBlock(l)
-	c := b.Const(1)
-	b.CondBr(c, l, l)
-	fn := b.MustFinish()
+	fn := mustParse(t, `
+func inf(0 args) {
+b0 <entry>:
+  br b1
+b1 <loop>:  ; preds: b0 b1 b1
+  v1 = const 1
+  condbr v1, b1, b1
+}
+`)
 	it := NewInterp(fn, mem.NewBacking(), nil, new(int64))
 	it.SetMaxSteps(1000)
 	defer func() {
@@ -343,7 +295,7 @@ func TestMaxStepsGuard(t *testing.T) {
 }
 
 func TestPrinterMentionsStructure(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	s := fn.String()
 	for _, want := range []string{"func sum", "phi", "load", "condbr", "ret"} {
 		if !strings.Contains(s, want) {
@@ -358,27 +310,23 @@ func TestInterpMatchesDirectEval(t *testing.T) {
 	binOps := []Op{Add, Sub, Mul, And, Or, Xor, Shl, Shr, CmpEQ, CmpLTU}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder("expr", 0)
-		e := b.NewBlock("entry")
-		b.SetBlock(e)
-
-		var vals []Value
+		var src strings.Builder
+		src.WriteString("func expr(0 args) {\nb0 <entry>:\n")
 		var model []uint64
 		for i := 0; i < 4; i++ {
 			c := int64(rng.Uint32())
-			vals = append(vals, b.Const(c))
+			fmt.Fprintf(&src, "  v%d = const %d\n", len(model), c)
 			model = append(model, uint64(c))
 		}
 		for i := 0; i < 30; i++ {
 			op := binOps[rng.Intn(len(binOps))]
-			x := rng.Intn(len(vals))
-			y := rng.Intn(len(vals))
-			vals = append(vals, b.Bin(op, vals[x], vals[y]))
+			x := rng.Intn(len(model))
+			y := rng.Intn(len(model))
+			fmt.Fprintf(&src, "  v%d = %s v%d, v%d\n", len(model), op, x, y)
 			model = append(model, evalBin(op, model[x], model[y]))
 		}
-		last := vals[len(vals)-1]
-		b.Ret(last)
-		fn := b.MustFinish()
+		fmt.Fprintf(&src, "  ret v%d\n}\n", len(model)-1)
+		fn := mustParse(t, src.String())
 		it := NewInterp(fn, mem.NewBacking(), nil, new(int64))
 		drain(t, it)
 		got, ok := it.Result()
@@ -392,7 +340,7 @@ func TestInterpMatchesDirectEval(t *testing.T) {
 // Property: op IDs in the emitted stream are dense and deps always refer to
 // earlier ops.
 func TestStreamDepOrdering(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	bk := mem.NewBacking()
 	arena := mem.NewArena(bk)
 	arr := arena.AllocWords("arr", 50)
@@ -414,7 +362,7 @@ func TestStreamDepOrdering(t *testing.T) {
 
 // sumLoopInterp returns an interpreter over the 100-element sum loop.
 func sumLoopInterp(t testing.TB) (*Interp, *mem.Backing) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	bk := mem.NewBacking()
 	arr := mem.NewArena(bk).AllocWords("arr", 100)
 	for i := uint64(0); i < 100; i++ {

@@ -11,7 +11,7 @@ import (
 func TestParseRoundTripSumLoop(t *testing.T) {
 	// Parsing renumbers values into block order, so the fixed point is
 	// reached after one normalisation: print∘parse must be idempotent.
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	once, err := Parse(fn.String())
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, fn.String())
@@ -27,7 +27,7 @@ func TestParseRoundTripSumLoop(t *testing.T) {
 }
 
 func TestParsedFunctionExecutesIdentically(t *testing.T) {
-	fn := buildSumLoop(t)
+	fn := mustParse(t, sumLoopSrc)
 	back, err := Parse(fn.String())
 	if err != nil {
 		t.Fatal(err)
@@ -110,20 +110,19 @@ b3 <exit>:  ; preds: b1
 }
 
 func TestParseRejectsBadInput(t *testing.T) {
-	cases := []string{
+	// Rejected by the parser.
+	syntax := []string{
 		"",
 		"func x(1 args) {\n}",                  // no blocks
 		"func x(0 args) {\nb0:\n  bogus v1\n}", // unknown instr
 		"func x(0 args) {\nb0:\n  v0 = wat v1, v2\n}",                 // unknown op
-		"func x(0 args) {\nb0:\n  v0 = const 1\n}",                    // no terminator
 		"func x(0 args) {\nb0:\n  br b7\n}",                           // bad block ref
 		"func x(0 args) {\nb0:\n  cfg {Kind:x} args=[]\n  ret _\n}",   // bad cfg field value
 		"func x(0 args) {\nb0:\n  cfg {Bogus:1} args=[]\n  ret _\n}",  // unknown cfg field
 		"func x(0 args) {\nb0:\n  cfg {GReg:2} args=[-1]\n  ret _\n}", // negative cfg argument
-		"func x(0 args) {\nb0:\n  cfg {GReg:2} args=[5]\n  ret _\n}",  // cfg argument out of range
+		"func x(0 args) {\nb0:\n  cfg {GReg:2} args=[5]\n  ret _\n}",  // cfg argument undefined
 		"func x(0 args) {\nb0:\n  cfg {GReg:2 args=[]\n  ret _\n}",    // unclosed fields
 		"func x(0 args) {\nb0:\n  cfg {GReg:2}\n  ret _\n}",           // no args
-		"func x(0 args) {\nb0:\n  v0 = arg 3\n  ret v0\n}",            // argument out of range
 		// Truncated or malformed lines: errors, not panics.
 		"func x",
 		"func x(0 args) {\nb0:\n  v1 = const\n  ret _\n}",
@@ -131,42 +130,66 @@ func TestParseRejectsBadInput(t *testing.T) {
 		"func x(0 args) {\nb0:\n  v1 = phi\n  ret _\n}",
 		"func x(0 args) {\nb0:\n  v0 = const 1\n  store v0\n  ret _\n}",
 		"func x(0 args) {\nb0 <e:\n  ret _\n}",
-		"func x(0 args) {\nb0:\n  v0 = const 1 ; note\n}", // a trailing comment ends no block
 		"func x(0 args) {\nb0:\n  br b0\nb5#pragma prefetch:\n  ret _\n}",
 		"func x(0 args) {\nb0:\n  br b0\nb-1:\n  ret _\n}",
-		"func x(0 args) {\nb0:\n  br b1\nb1:  ; preds: b9\n  ret _\n}",
 		// A block number past the line count. A parser without the bound
 		// allocates that many blocks, so it goes last.
 		"func x(0 args) {\nb1000000000:\n  ret _\n}",
 	}
-	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse accepted %q", src)
+	// Parsed, then rejected by Verify.
+	invalid := []string{
+		"func x(0 args) {\nb0:\n  v0 = const 1\n}",         // no terminator
+		"func x(0 args) {\nb0:\n  v0 = const 1 ; note\n}",  // a trailing comment ends no block
+		"func x(0 args) {\nb0:\n  v0 = arg 3\n  ret v0\n}", // argument out of range
+		"func x(0 args) {\nb0:\n  br b1\nb1:  ; preds: b9\n  ret _\n}",
+		// A phi with three incoming values in a block of two preds.
+		"func x(0 args) {\nb0:\n  v0 = const 1\n  br b1\nb1:  ; preds: b0 b1\n  v2 = phi [v0, v0, v0]\n  br b1\n}",
+		// A use before its definition in the same block.
+		"func x(0 args) {\nb0:\n  br b1\nb1:  ; preds: b0\n  v2 = add v1, v1\n  v1 = const 5\n  ret _\n}",
+		// A diamond whose join names b0, which does not branch to it, for b2,
+		// which does; then one that leaves b2 out.
+		diamond("b1 b0"),
+		diamond("b1"),
+	}
+	for _, src := range syntax {
+		if _, err := Parse(src); err == nil || strings.Contains(err.Error(), "parsed function invalid") {
+			t.Errorf("Parse(%q) = %v, want a parse error", src, err)
 		}
+	}
+	for _, src := range invalid {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "parsed function invalid") {
+			t.Errorf("Parse(%q) = %v, want Verify's error", src, err)
+		}
+	}
+	if _, err := Parse(diamond("b2 b1")); err != nil {
+		t.Errorf("a diamond listing its join's preds in another order: %v", err)
 	}
 }
 
-func TestParsePreservesPragmaAndNames(t *testing.T) {
-	b := NewBuilder("p", 1)
-	e := b.NewBlock("entry")
-	l := b.NewBlock("") // an unnamed pragma header must reparse too
-	x := b.NewBlock("exit")
-	b.SetBlock(e)
-	n := b.Arg(0)
-	zero := b.Const(0)
-	b.Br(l)
-	b.SetBlock(l)
-	i := b.Phi()
-	c := b.Bin(CmpLTU, i, n)
-	b.CondBr(c, l, x)
-	b.MarkPragma(l)
-	b.SetBlock(x)
-	b.Ret(NoValue)
-	b.SetPhiArgs(i, zero, i)
-	// NOTE: this function is a degenerate loop (i never advances) but is
-	// structurally valid; we only check textual fidelity.
-	fn := b.MustFinish()
+// diamond is an if-else whose join block b3 lists preds as given; b1 and b2
+// branch to it.
+func diamond(preds string) string {
+	return "func d(1 args) {\nb0:\n  v0 = arg 0\n  condbr v0, b1, b2\nb1:  ; preds: b0\n  br b3\n" +
+		"b2:  ; preds: b0\n  br b3\nb3:  ; preds: " + preds + "\n  ret _\n}\n"
+}
 
+func TestParsePreservesPragmaAndNames(t *testing.T) {
+	// An unnamed pragma header must reparse too. The loop is degenerate (i
+	// never advances) but structurally valid; only textual fidelity counts.
+	fn := mustParse(t, `
+func p(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = const 0
+  br b1
+b1 #pragma prefetch:  ; preds: b0 b1
+  v3 = phi [v1, v3]
+  v4 = cmpltu v3, v0
+  condbr v4, b1, b2
+b2 <exit>:  ; preds: b1
+  ret _
+}
+`)
 	back, err := Parse(fn.String())
 	if err != nil {
 		t.Fatal(err)
@@ -180,26 +203,32 @@ func TestParsePreservesPragmaAndNames(t *testing.T) {
 }
 
 // TestParseReadsCfgAndComments: a Cfg instruction reads back from the
-// printer's line, full-line ';' comments are skipped, and text listing the
-// blocks in the order they were built gives the Builder's function exactly,
-// value numbers included.
+// printer's line, full-line ';' comments are skipped, and values are numbered
+// by their position in the text.
 func TestParseReadsCfgAndComments(t *testing.T) {
-	b := NewBuilder("cfg", 1)
-	entry, exit := b.NewBlock("entry"), b.NewBlock("exit")
-	b.SetBlock(entry)
-	x := b.Arg(0)
-	b.Cfg(CfgInfo{Kind: CfgBounds, Slot: 3, LoadKernel: 1, PFKernel: NoKernelID, EWMAGroup: -1, TimedEnd: true}, x, x)
-	b.Br(exit)
-	b.SetBlock(exit)
-	b.Cfg(CfgInfo{Kind: CfgGlobal, GReg: 2}, x)
-	b.Ret(NoValue)
-	want := b.MustFinish()
-
-	src := "; a comment before the header\n" + strings.Replace(want.String(), "b1 <exit>", "  ; an indented comment\nb1 <exit>", 1)
-	got, err := Parse(src)
-	if err != nil {
-		t.Fatalf("Parse: %v\n%s", err, src)
-	}
+	got := mustParse(t, `; a comment before the header
+func cfg(1 args) {
+b0 <entry>:
+  v0 = arg 0
+  cfg {Kind:0 Slot:3 LoadKernel:1 PFKernel:-1 EWMAGroup:-1 Interval:false TimedStart:false TimedEnd:true GReg:0} args=[0 0]
+  br b1
+  ; an indented comment
+b1 <exit>:  ; preds: b0
+  cfg {Kind:1 GReg:2} args=[0]
+  ret _
+}
+`)
+	want := &Fn{Name: "cfg", NArgs: 1, Instrs: []Instr{
+		{Op: Arg, A: NoValue, B: NoValue},
+		{Op: Cfg, A: NoValue, B: NoValue, Args: []Value{0, 0},
+			Info: &CfgInfo{Kind: CfgBounds, Slot: 3, LoadKernel: 1, PFKernel: NoKernelID, EWMAGroup: -1, TimedEnd: true}},
+		{Op: Br, A: NoValue, B: NoValue, Blocks: [2]BlockID{1, -1}},
+		{Op: Cfg, A: NoValue, B: NoValue, Args: []Value{0}, Info: &CfgInfo{Kind: CfgGlobal, GReg: 2}},
+		{Op: Ret, A: NoValue, B: NoValue, Blocks: [2]BlockID{-1, -1}},
+	}, Blocks: []*Block{
+		{ID: 0, Name: "entry", Instrs: []Value{0, 1, 2}},
+		{ID: 1, Name: "exit", Instrs: []Value{3, 4}, Preds: []BlockID{0}},
+	}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed\n%s\nwant\n%s", got, want)
 	}

@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// String renders the function in a readable assembly-like form, used by the
-// compiler-demo example and in test failure output.
+// String renders the function in the readable assembly-like form Parse
+// reads back.
 func (f *Fn) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s(%d args) {\n", f.Name, f.NArgs)

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,33 +11,49 @@ import (
 	"eventpf/internal/mem"
 )
 
-// randomCFGFn builds a random (but well-formed) function: a chain of blocks
-// with random forward conditional branches and a random expression per
-// block, always ending in a return. Used to cross-check the dominator
-// computation against a brute-force definition.
-func randomCFGFn(rng *rand.Rand) *Fn {
-	b := NewBuilder("rand", 1)
-	nBlocks := rng.Intn(6) + 3
-	blocks := make([]BlockID, nBlocks)
-	for i := range blocks {
-		blocks[i] = b.NewBlock("")
-	}
-	b.SetBlock(blocks[0])
-	x := b.Arg(0)
-	for i := 0; i < nBlocks-1; i++ {
-		b.SetBlock(blocks[i])
-		v := b.Add(x, b.Const(int64(i)))
-		if rng.Intn(2) == 0 && i+2 < nBlocks {
-			t1 := blocks[i+1]
-			t2 := blocks[i+2+rng.Intn(nBlocks-i-2)]
-			b.CondBr(v, t1, t2)
-		} else {
-			b.Br(blocks[i+1])
+// randomCFGFn writes and parses a random (but well-formed) function: a
+// chain of blocks with random forward conditional branches and a random
+// expression per block, always ending in a return. Used to cross-check the
+// dominator computation against a brute-force definition.
+func randomCFGFn(t testing.TB, rng *rand.Rand) *Fn {
+	n := rng.Intn(6) + 3
+	succs := make([][]int, n)
+	preds := make([][]int, n)
+	for i := 0; i < n-1; i++ {
+		succs[i] = []int{i + 1}
+		if rng.Intn(2) == 0 && i+2 < n {
+			succs[i] = append(succs[i], i+2+rng.Intn(n-i-2))
+		}
+		for _, s := range succs[i] {
+			preds[s] = append(preds[s], i)
 		}
 	}
-	b.SetBlock(blocks[nBlocks-1])
-	b.Ret(NoValue)
-	return b.fn
+	var src strings.Builder
+	src.WriteString("func rand(1 args) {\n")
+	for i := range n {
+		fmt.Fprintf(&src, "b%d:", i)
+		if len(preds[i]) > 0 {
+			src.WriteString("  ; preds:")
+			for _, p := range preds[i] {
+				fmt.Fprintf(&src, " b%d", p)
+			}
+		}
+		src.WriteString("\n")
+		if i == 0 {
+			src.WriteString("  v0 = arg 0\n")
+		}
+		switch v := 2*i + 1; len(succs[i]) {
+		case 0:
+			src.WriteString("  ret _\n")
+		case 1:
+			fmt.Fprintf(&src, "  v%d = const %d\n  v%d = add v0, v%d\n  br b%d\n", v, i, v+1, v, succs[i][0])
+		default:
+			fmt.Fprintf(&src, "  v%d = const %d\n  v%d = add v0, v%d\n  condbr v%d, b%d, b%d\n",
+				v, i, v+1, v, v+1, succs[i][0], succs[i][1])
+		}
+	}
+	src.WriteString("}\n")
+	return mustParse(t, src.String())
 }
 
 // bruteDominates: a dominates b iff removing a from the CFG makes b
@@ -67,7 +85,7 @@ func bruteDominates(f *Fn, a, b BlockID) bool {
 func TestDominatorsMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fn := randomCFGFn(rng)
+		fn := randomCFGFn(t, rng)
 		idom := fn.Dominators()
 		// Reachability for filtering.
 		reach := map[BlockID]bool{}
@@ -103,26 +121,16 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 // behaviour (return value and stores).
 func TestDCEPreservesBehaviour(t *testing.T) {
 	f := func(seed int64) bool {
-		build := func() *Fn {
-			b := NewBuilder("p", 2)
-			entry := b.NewBlock("entry")
-			b.SetBlock(entry)
-			base := b.Arg(0)
-			n := b.Arg(1)
-			vals := []Value{base, n}
-			rng2 := rand.New(rand.NewSource(seed))
-			for i := 0; i < 20; i++ {
-				op := []Op{Add, Sub, Mul, Xor, And, Or}[rng2.Intn(6)]
-				x := vals[rng2.Intn(len(vals))]
-				y := vals[rng2.Intn(len(vals))]
-				vals = append(vals, b.Bin(op, x, y))
-			}
-			// A store of one random value (observable), the rest dead.
-			addr := b.Add(base, b.Const(int64(rng2.Intn(8))*8))
-			b.Store(addr, vals[len(vals)-1], "out")
-			b.Ret(vals[rng2.Intn(len(vals))])
-			return b.MustFinish()
+		rng := rand.New(rand.NewSource(seed))
+		var src strings.Builder
+		src.WriteString("func p(2 args) {\nb0 <entry>:\n  v0 = arg 0\n  v1 = arg 1\n")
+		for v := 2; v < 22; v++ {
+			op := []Op{Add, Sub, Mul, Xor, And, Or}[rng.Intn(6)]
+			fmt.Fprintf(&src, "  v%d = %s v%d, v%d\n", v, op, rng.Intn(v), rng.Intn(v))
 		}
+		// A store of one random value (observable), the rest dead.
+		fmt.Fprintf(&src, "  v22 = const %d\n  v23 = add v0, v22\n  store v23, v21 ; out\n", rng.Intn(8)*8)
+		fmt.Fprintf(&src, "  ret v%d\n}\n", rng.Intn(22))
 
 		run := func(fn *Fn) (uint64, uint64) {
 			bk := mem.NewBacking()
@@ -142,8 +150,8 @@ func TestDCEPreservesBehaviour(t *testing.T) {
 			return ret, sum
 		}
 
-		plain := build()
-		pruned := build()
+		plain := mustParse(t, src.String())
+		pruned := mustParse(t, src.String())
 		removed := pruned.DeadCodeElim()
 		if err := pruned.Verify(); err != nil {
 			return false
@@ -162,7 +170,7 @@ func TestDCEPreservesBehaviour(t *testing.T) {
 func TestDCEIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fn := randomCFGFn(rng)
+		fn := randomCFGFn(t, rng)
 		fn.DeadCodeElim()
 		return fn.DeadCodeElim() == 0
 	}
@@ -182,12 +190,7 @@ func TestInterpsShareCounter(t *testing.T) {
 		bk.Write64(arr.Base+i*8, i)
 	}
 	mk := func() *Fn {
-		b := NewBuilder("s", 1)
-		e := b.NewBlock("entry")
-		b.SetBlock(e)
-		v := b.Load(b.Arg(0), "a")
-		b.Ret(v)
-		return b.MustFinish()
+		return mustParse(t, "func s(1 args) {\nb0 <entry>:\n  v0 = arg 0\n  v1 = load v0 ; a\n  ret v1\n}\n")
 	}
 	counter := new(int64)
 	i1 := NewInterp(mk(), bk, nil, counter, arr.Base)

@@ -3,9 +3,9 @@ package ir
 import "fmt"
 
 // Verify checks structural well-formedness: every block ends in exactly one
-// terminator, phi argument counts match predecessor counts, operand,
-// argument and block indices are in range, and every use is dominated by its
-// definition.
+// terminator, each block's Preds lists exactly the branch edges into it,
+// phi argument counts match predecessor counts, operand, argument and block
+// indices are in range, and every use is dominated by its definition.
 func (f *Fn) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("function %s has no blocks", f.Name)
@@ -66,7 +66,39 @@ func (f *Fn) Verify() error {
 			}
 		}
 	}
+	if err := f.verifyPreds(); err != nil {
+		return err
+	}
 	return f.verifyDominance()
+}
+
+// verifyPreds checks that each block's Preds is the multiset of branch edges
+// into it, in any order. Parse reads Preds from the "; preds:" comment, and
+// phis and the interpreter index incoming edges by it.
+func (f *Fn) verifyPreds() error {
+	for _, b := range f.Blocks {
+		for _, p := range b.Preds {
+			if n, e := count(b.Preds, p), count(f.Succs(f.Block(p)), b.ID); n != e {
+				return fmt.Errorf("block b%d: preds list b%d %d times for %d branch edges", b.ID, p, n, e)
+			}
+		}
+		for _, s := range f.Succs(b) {
+			if n, e := count(f.Block(s).Preds, b.ID), count(f.Succs(b), s); n != e {
+				return fmt.Errorf("block b%d: preds list b%d %d times for %d branch edges", s, b.ID, n, e)
+			}
+		}
+	}
+	return nil
+}
+
+func count(ids []BlockID, id BlockID) int {
+	n := 0
+	for _, x := range ids {
+		if x == id {
+			n++
+		}
+	}
+	return n
 }
 
 // Dominators computes the immediate dominator of every reachable block using

@@ -8,55 +8,100 @@ import (
 	"eventpf/internal/ppu"
 )
 
-// buildIndirectSum builds the figure 4(a) loop: acc += C[B[A[x]]].
+// indirectSumSrc is the figure 4(a) loop: acc += C[B[A[x]]].
 // Args: 0=A base, 1=B base, 2=C base, 3=N.
+const indirectSumSrc = `
+func indirect-sum(4 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = arg 3
+  v4 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v6 = phi [v4, v22]
+  v7 = phi [v4, v20]
+  v8 = cmpltu v6, v3
+  condbr v8, b2, b3
+b2 <body>:  ; preds: b1
+  v10 = const 8
+  v11 = mul v6, v10
+  v12 = add v0, v11
+  v13 = load v12 ; A
+  v14 = mul v13, v10
+  v15 = add v1, v14
+  v16 = load v15 ; B
+  v17 = mul v16, v10
+  v18 = add v2, v17
+  v19 = load v18 ; C
+  v20 = add v7, v19
+  v21 = const 1
+  v22 = add v6, v21
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v7
+}
+`
+
+// indirectSumSWPfSrc adds swpf(&B[A[x+16]]) to indirectSumSrc:
+// swpf(&C[B[A[x+dist]]]) is impossible without stalling, so standard
+// practice (figure 5a) prefetches one indirection level.
+const indirectSumSWPfSrc = `
+func indirect-sum(4 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  v2 = arg 2
+  v3 = arg 3
+  v4 = const 0
+  br b1
+b1 <head>:  ; preds: b0 b2
+  v6 = phi [v4, v30]
+  v7 = phi [v4, v28]
+  v8 = cmpltu v6, v3
+  condbr v8, b2, b3
+b2 <body>:  ; preds: b1
+  v10 = const 8
+  v11 = const 16
+  v12 = add v6, v11
+  v13 = mul v12, v10
+  v14 = add v0, v13
+  v15 = load v14 ; A
+  v16 = mul v15, v10
+  v17 = add v1, v16
+  swpf v17 ; B
+  v19 = mul v6, v10
+  v20 = add v0, v19
+  v21 = load v20 ; A
+  v22 = mul v21, v10
+  v23 = add v1, v22
+  v24 = load v23 ; B
+  v25 = mul v24, v10
+  v26 = add v2, v25
+  v27 = load v26 ; C
+  v28 = add v7, v27
+  v29 = const 1
+  v30 = add v6, v29
+  br b1
+b3 <exit>:  ; preds: b1
+  ret v7
+}
+`
+
+// buildIndirectSum parses the figure 4(a) loop, with or without its
+// software prefetch.
 func buildIndirectSum(t testing.TB, withSWPf bool) *ir.Fn {
 	t.Helper()
-	b := ir.NewBuilder("indirect-sum", 4)
-	entry := b.NewBlock("entry")
-	head := b.NewBlock("head")
-	body := b.NewBlock("body")
-	exit := b.NewBlock("exit")
-
-	b.SetBlock(entry)
-	aBase, bBase, cBase, n := b.Arg(0), b.Arg(1), b.Arg(2), b.Arg(3)
-	zero := b.Const(0)
-	b.Br(head)
-
-	b.SetBlock(head)
-	x := b.Phi()
-	acc := b.Phi()
-	cmp := b.Bin(ir.CmpLTU, x, n)
-	b.CondBr(cmp, body, exit)
-
-	b.SetBlock(body)
-	eight := b.Const(8)
+	src := indirectSumSrc
 	if withSWPf {
-		// swpf(&C[B[A[x+dist]]]) is impossible without stalling; standard
-		// practice (figure 5a) prefetches one indirection level.
-		dist := b.Const(16)
-		xd := b.Add(x, dist)
-		aAddrD := b.Add(aBase, b.Mul(xd, eight))
-		avD := b.Load(aAddrD, "A")
-		bAddrD := b.Add(bBase, b.Mul(avD, eight))
-		b.SWPf(bAddrD, "B")
+		src = indirectSumSWPfSrc
 	}
-	aAddr := b.Add(aBase, b.Mul(x, eight))
-	av := b.Load(aAddr, "A")
-	bAddr := b.Add(bBase, b.Mul(av, eight))
-	bv := b.Load(bAddr, "B")
-	cAddr := b.Add(cBase, b.Mul(bv, eight))
-	cv := b.Load(cAddr, "C")
-	acc2 := b.Add(acc, cv)
-	x2 := b.Add(x, b.Const(1))
-	b.Br(head)
-
-	b.SetBlock(exit)
-	b.Ret(acc)
-
-	b.SetPhiArgs(x, zero, x2)
-	b.SetPhiArgs(acc, zero, acc2)
-	return b.MustFinish()
+	fn, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fn
 }
 
 const testN = 4096
@@ -192,15 +237,19 @@ func TestConfigInstructionsProgramThePrefetcher(t *testing.T) {
 	m.RegisterKernel(1, ppu.MustAssemble("vaddr r1\naddi r1, r1, 64\npf r1\nhalt"))
 
 	// IR function that configures bounds via Cfg instructions, then loads.
-	b := ir.NewBuilder("cfgrun", 2)
-	e := b.NewBlock("entry")
-	b.SetBlock(e)
-	lo := b.Arg(0)
-	hi := b.Arg(1)
-	b.Cfg(ir.CfgInfo{Kind: ir.CfgBounds, Slot: 0, LoadKernel: 1, PFKernel: -1, EWMAGroup: -1}, lo, hi)
-	v := b.Load(lo, "A")
-	b.Ret(v)
-	fn := b.MustFinish()
+	fn, err := ir.Parse(`
+func cfgrun(2 args) {
+b0 <entry>:
+  v0 = arg 0
+  v1 = arg 1
+  cfg {Kind:0 Slot:0 LoadKernel:1 PFKernel:-1 EWMAGroup:-1 Interval:false TimedStart:false TimedEnd:false GReg:0} args=[0 1]
+  v3 = load v0 ; A
+  ret v3
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	arr := m.Arena.AllocWords("A", 128)
 	it := m.NewInterp(fn, arr.Base, arr.End())

@@ -45,7 +45,7 @@ var (
 )
 
 const (
-	hjTuples = 1 << 19 // HJ-2 (the chained HJ-8 uses a quarter of this)
+	hjTuples = 1 << 19 // tuples built by HJ-2 and HJ-8 alike
 	hjChain  = 8       // average tuples per bucket in HJ-8
 	// Node layout: words 0..2 of a 64-byte node, the offsets hj-8.ir and
 	// hj-8.4.ppu read.

@@ -206,33 +206,6 @@ func TestScaledFloor(t *testing.T) {
 	}
 }
 
-// TestKernelTextRoundTrip checks that every benchmark kernel (in every
-// variant) survives a print→parse→print round trip.
-func TestKernelTextRoundTrip(t *testing.T) {
-	for _, b := range All {
-		_, inst := buildAll(t, b)
-		for _, v := range []Variant{Plain, SWPf, Pragma} {
-			fn := inst.BuildFn(v)
-			if fn == nil {
-				continue
-			}
-			once, err := ir.Parse(fn.String())
-			if err != nil {
-				t.Errorf("%s/%s: parse: %v", b.Name, v, err)
-				continue
-			}
-			twice, err := ir.Parse(once.String())
-			if err != nil {
-				t.Errorf("%s/%s: reparse: %v", b.Name, v, err)
-				continue
-			}
-			if once.String() != twice.String() {
-				t.Errorf("%s/%s: print∘parse not idempotent", b.Name, v)
-			}
-		}
-	}
-}
-
 // TestScratchComesBackZeroed: a buffer borrowed again after release reads
 // all zero, however its last borrower left it, and a wordTable finds every
 // key it holds when probes wrap past the end of its slots.
