@@ -12,12 +12,15 @@ import (
 	"eventpf/internal/sim"
 )
 
-// IssuerStats counts baseline prefetch traffic.
+// IssuerStats counts baseline prefetch traffic. Every generated prefetch
+// ends in exactly one of the other four counters:
+// Generated == Issued + TLBDrops + QueueDrop + MSHRDrops.
 type IssuerStats struct {
 	Generated int64
 	Issued    int64
-	TLBDrops  int64
-	QueueDrop int64
+	TLBDrops  int64 // dropped on a page-table miss
+	QueueDrop int64 // dropped on arrival at a full queue
+	MSHRDrops int64 // translated, then dropped: no L1 MSHR was free
 }
 
 // Add accumulates o into s; every field is a counter.
@@ -26,11 +29,16 @@ func (s *IssuerStats) Add(o IssuerStats) {
 	s.Issued += o.Issued
 	s.TLBDrops += o.TLBDrops
 	s.QueueDrop += o.QueueDrop
+	s.MSHRDrops += o.MSHRDrops
 }
 
 // issuer queues prefetch addresses and drains them into the L1 through the
-// TLB, one translation at a time, exactly like the programmable prefetcher's
-// request queue (§4.6) so comparisons are apples to apples.
+// shared TLB, as the programmable prefetcher's request queue does (§4.6), so
+// both compete for the same translations and MSHRs. It is simpler than that
+// queue: one translation is in flight at a time (the request queue overlaps
+// four), and it starts one whenever any L1 MSHR is free, keeping no headroom
+// for demand misses. A translated prefetch that then finds no free MSHR is
+// dropped.
 type issuer struct {
 	eng     *sim.Engine
 	l1      *mem.Cache
@@ -52,7 +60,9 @@ func (h issuerTransHandler) Handle(_ sim.Ticks, a, ok uint64) {
 	is.pumping = false
 	if ok == 0 {
 		is.stats.TLBDrops++
-	} else if is.l1.FreeMSHRs() > 0 {
+	} else if is.l1.FreeMSHRs() <= 0 {
+		is.stats.MSHRDrops++
+	} else {
 		is.stats.Issued++
 		req := is.l1.Pool.Get()
 		req.Addr, req.Kind, req.PC = a, mem.Prefetch, -1

@@ -214,6 +214,30 @@ func TestIssuerDropsOnQueueLimit(t *testing.T) {
 	}
 }
 
+// A translated prefetch that finds every L1 MSHR taken is dropped and
+// counted: each generated prefetch ends in exactly one counter. One prefetch
+// per page makes every translation a walk, long enough for the previous
+// prefetch to take the L1's only MSHR.
+func TestIssuerDropsOnMSHRShortage(t *testing.T) {
+	f := newFixture(t)
+	f.l1 = mem.NewCache(f.eng, sim.ClockFromMHz(3200), mem.CacheConfig{
+		Name: "L1", SizeBytes: 32 << 10, Ways: 2, HitCycles: 2, MSHRs: 1,
+	}, f.next)
+	f.mapRange(0x10000, 0x100000)
+	is := newIssuer(f.eng, f.l1, f.tlb, 64)
+	for i := uint64(0); i < 32; i++ {
+		is.push(0x10000 + i*mem.PageSize)
+	}
+	f.eng.Run()
+	s := is.stats
+	if s.Generated != s.Issued+s.TLBDrops+s.QueueDrop+s.MSHRDrops {
+		t.Errorf("%d generated, but %+v accounts for %d", s.Generated, s, s.Issued+s.TLBDrops+s.QueueDrop+s.MSHRDrops)
+	}
+	if s.MSHRDrops == 0 || s.Issued == 0 {
+		t.Errorf("%+v: want both issues and MSHR drops from a one-MSHR L1", s)
+	}
+}
+
 func TestIssuerDropsUnmapped(t *testing.T) {
 	f := newFixture(t)
 	is := newIssuer(f.eng, f.l1, f.tlb, 16)

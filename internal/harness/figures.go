@@ -816,10 +816,10 @@ func (s *Suite) ExtraMem() ([]ExtraMemRow, error) {
 			PFReads:      man.DRAM.Reads,
 			ExtraPct:     100 * (float64(man.DRAM.Reads)/float64(base.DRAM.Reads) - 1),
 			Fills:        man.PF.FillCount,
-			ResidentHits: man.PF.ResidentHits,
+			ResidentHits: man.PF.FillObservations - man.PF.FillCount,
 		}
-		if man.PF.IssueCount > 0 {
-			row.MeanIssueTicks = float64(man.PF.IssueLatencySum) / float64(man.PF.IssueCount)
+		if man.PF.Issued > 0 {
+			row.MeanIssueTicks = float64(man.PF.IssueLatencySum) / float64(man.PF.Issued)
 		}
 		if man.PF.FillCount > 0 {
 			row.MeanFillTicks = float64(man.PF.FillLatencySum) / float64(man.PF.FillCount)

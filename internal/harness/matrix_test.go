@@ -64,6 +64,7 @@ const (
 	events                   // hash of every traced event == trace_hashes.json, and traced == plain
 	replay                   // replay of the bench's no-pf capture == the direct run
 	oracle                   // runs and passes the benchmark's oracle
+	ledger                   // every prefetch, translation and DRAM access is counted once where it ends
 	suite                    // a wide parallel Suite's result == the serial run
 	twice                    // a second run == the first
 	speedup                  // manual ≥ 1.1× no-pf
@@ -73,8 +74,8 @@ const (
 type cols = [numSchemes]col
 
 // matrix has one row per bench, marking the columns of its cells beyond
-// those matrixCells derives: every cell of a menu bench carries oracle;
-// golden implies fork and suite implies twice; each Table-2 bench's manual
+// those matrixCells derives: every cell of a menu bench carries oracle, and
+// each of those that runs carries ledger; golden implies fork and suite implies twice; each Table-2 bench's manual
 // cell carries speedup; "B-replay" is the replay of B's no-pf capture, and
 // its cells under every scheme that runs the plain build with no kernels
 // carry replay; a scheme that no fork or events cell reaches gets that
@@ -144,6 +145,9 @@ var matrixCells = sync.OnceValue(func() []cell {
 			}
 			if !isReplay {
 				c.cols |= oracle
+				if c.cols&refuses == 0 {
+					c.cols |= ledger
+				}
 			} else if info.Variant == workloads.Plain && info.Pass == nil && !info.Manual {
 				c.cols |= replay
 			}
@@ -227,6 +231,7 @@ var columns = []column{
 		}
 		return nil
 	}},
+	{ledger, "TestPrefetchLedgerBalances", "", testScale, "", checkLedger},
 	{suite, "TestParallelSuiteMatchesSerial", "", testScale, "", func(t *testing.T, c cell, scale float64) []byte {
 		s, err := wideSuite()
 		if err != nil {
@@ -273,6 +278,7 @@ func TestOpStreamPinned(t *testing.T)                             { runColumns(t
 func TestTraceEventSequencePinned(t *testing.T)                   { runColumns(t) }
 func TestCaptureReplayByteIdentity(t *testing.T)                  { runColumns(t) }
 func TestEveryBenchmarkEverySchemeComputesCorrectly(t *testing.T) { runColumns(t) }
+func TestPrefetchLedgerBalances(t *testing.T)                     { runColumns(t) }
 func TestParallelSuiteMatchesSerial(t *testing.T)                 { runColumns(t) }
 func TestDeterminism(t *testing.T)                                { runColumns(t) }
 func TestManualBeatsNoPFEverywhere(t *testing.T)                  { runColumns(t) }
@@ -593,6 +599,48 @@ func checkFork(t *testing.T, c cell, scale float64) []byte {
 		}
 		if !bytes.Equal(encode(t, results[i]), straight.enc) {
 			t.Errorf("%s: %d cycles, straight-through %d: the result bytes differ", name, results[i].Cycles, straight.res.Cycles)
+		}
+	}
+	return nil
+}
+
+// checkLedger reads the oracle's run of c. At drain each prefetch the
+// programmable prefetcher or a baseline unit generated is counted once
+// more, where it ended; each prefetch a cache level accepted filled a line
+// that was then used or evicted dead; and each translation and DRAM access is
+// counted once by how it was served (DESIGN §8). Where the programmable
+// prefetcher is the L1's only prefetch source, its counters also balance the
+// L1's.
+func checkLedger(t *testing.T, c cell, scale float64) []byte {
+	r := mustAt(t, c.key(scale, plain)).res
+	pf, bl, l1, l2 := r.PF, r.Baseline, r.L1, r.L2
+	type identity struct {
+		name     string
+		lhs, rhs int64
+	}
+	identities := []identity{
+		{"PF.PFGenerated == ReqDropped + TLBDrops + MSHRDrops + FillObservations",
+			pf.PFGenerated, pf.ReqDropped + pf.TLBDrops + pf.MSHRDrops + pf.FillObservations},
+		{"Baseline.Generated == Issued + TLBDrops + QueueDrop + MSHRDrops",
+			bl.Generated, bl.Issued + bl.TLBDrops + bl.QueueDrop + bl.MSHRDrops},
+		{"L1.PrefetchIssue == PrefetchFills", l1.PrefetchIssue, l1.PrefetchFills},
+		{"L1.PrefetchFills == PrefetchUsed + PrefetchDead", l1.PrefetchFills, l1.PrefetchUsed + l1.PrefetchDead},
+		{"L2.PrefetchIssue == PrefetchFills", l2.PrefetchIssue, l2.PrefetchFills},
+		{"L2.PrefetchFills == PrefetchUsed + PrefetchDead", l2.PrefetchFills, l2.PrefetchUsed + l2.PrefetchDead},
+		{"L1.PrefetchIssue == L2.PrefetchHits + L2.PrefetchIssue", l1.PrefetchIssue, l2.PrefetchHits + l2.PrefetchIssue},
+		{"TLB.Accesses == L1Hits + L2Hits + Walks", r.TLB.Accesses, r.TLB.L1Hits + r.TLB.L2Hits + r.TLB.Walks},
+		{"DRAM.Reads + Writes == RowHits + RowMisses + RowEmpties",
+			r.DRAM.Reads + r.DRAM.Writes, r.DRAM.RowHits + r.DRAM.RowMisses + r.DRAM.RowEmpties},
+		{"DRAM.Reads == L2.Misses", r.DRAM.Reads, l2.Misses},
+	}
+	if schemeInfos[c.scheme].Machine == system.Programmable {
+		identities = append(identities,
+			identity{"L1.PrefetchHits == PF.FillObservations − PF.FillCount", l1.PrefetchHits, pf.FillObservations - pf.FillCount},
+			identity{"PF.Issued == PF.FillObservations + L1.PrefetchDrop", pf.Issued, pf.FillObservations + l1.PrefetchDrop})
+	}
+	for _, id := range identities {
+		if id.lhs != id.rhs {
+			t.Errorf("%s: %d ≠ %d", id.name, id.lhs, id.rhs)
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ type CacheStats struct {
 	DemandHits    int64 // demand read lookups that hit
 	DemandStores  int64
 	StoreHits     int64
-	Misses        int64 // demand misses sent down (loads + stores)
+	Misses        int64 // MSHR allocations, each a miss sent down: demand and prefetch
 	MSHRMerges    int64 // accesses merged into an in-flight miss
 	LateMerges    int64 // demand accesses that merged into an in-flight prefetch
 	MSHRStalls    int64 // misses somebody waits on that had to wait for a free MSHR

@@ -424,8 +424,8 @@ func TestFlushReturnsSuspendedInvocationsToPool(t *testing.T) {
 	}
 }
 
-// A prefetch whose target is already resident closes through the resident
-// counters, not the fill-latency mean: resident lookups return in the
+// A prefetch whose target is already resident is a fill observation but not a
+// fill, and stays out of the fill-latency mean: resident lookups return in the
 // cache's hit time and would make real fills look fast.
 func TestResidentHitSplitFromRealFills(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
@@ -453,11 +453,8 @@ func TestResidentHitSplitFromRealFills(t *testing.T) {
 	if s.Issued != 1 {
 		t.Fatalf("Issued = %d, want 1", s.Issued)
 	}
-	if s.ResidentHits != 1 || s.FillCount != 0 {
-		t.Errorf("ResidentHits = %d, FillCount = %d; want 1, 0", s.ResidentHits, s.FillCount)
-	}
-	if s.ResidentLatSum <= 0 {
-		t.Errorf("ResidentLatSum = %d, want > 0", s.ResidentLatSum)
+	if resident := s.FillObservations - s.FillCount; resident != 1 || s.FillCount != 0 {
+		t.Errorf("resident hits (FillObservations − FillCount) = %d, FillCount = %d; want 1, 0", resident, s.FillCount)
 	}
 	if s.FillLatencySum != 0 {
 		t.Errorf("FillLatencySum = %d, want 0 (resident hit leaked into fill stats)", s.FillLatencySum)

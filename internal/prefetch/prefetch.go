@@ -59,10 +59,14 @@ type RangeConfig struct {
 	TimedEnd   bool // fills here close a timed chain into the load-time EWMA
 }
 
-// Stats counts prefetcher activity.
+// Stats counts prefetcher activity. Every generated prefetch is counted once
+// more, where it ends: at drain, with no flush in the run,
+// PFGenerated == ReqDropped + TLBDrops + MSHRDrops + FillObservations. A
+// flush forgets the records of the requests in flight; they still go out,
+// untracked, and reach FillObservations no more (Flush).
 type Stats struct {
 	LoadObservations int64 // filtered demand-load events
-	FillObservations int64 // filtered prefetch-fill events
+	FillObservations int64 // filtered prefetch-fill events, resident hits included
 	ObsDropped       int64 // observation-queue overflow (oldest dropped)
 	KernelRuns       int64
 	KernelFaults     int64
@@ -70,18 +74,22 @@ type Stats struct {
 	PFGenerated      int64     // prefetch addresses produced by kernels
 	ReqDropped       int64     // request-queue overflow
 	FillLatencySum   sim.Ticks // total generation→fill delay of real memory fills
-	FillCount        int64     // prefetches that actually fetched from memory
-	ResidentLatSum   sim.Ticks // generation→lookup delay of already-resident targets
-	ResidentHits     int64     // prefetches whose target was already in the L1
-	QueueDepthSum    int64     // request-queue depth observed at each enqueue
-	PumpBusy         int64     // pump entered while a translation was in flight
-	PumpGated        int64     // pump blocked by the MSHR-headroom gate
-	IssueLatencySum  sim.Ticks // generation→L1-issue delay
-	IssueCount       int64
-	TLBDrops         int64 // prefetches dropped on page-table miss (§5.3)
-	MSHRDrops        int64 // prefetches dropped at L1 for want of an MSHR
-	Issued           int64 // prefetches issued into the L1
-	Flushes          int64 // context-switch flushes
+	// FillCount counts the prefetches that fetched from memory; the rest of
+	// FillObservations, FillObservations − FillCount, found their target
+	// already in the L1.
+	FillCount       int64
+	QueueDepthSum   int64     // request-queue depth observed at each enqueue
+	PumpBusy        int64     // pump entered while a translation was in flight
+	PumpGated       int64     // pump blocked by the MSHR-headroom gate
+	IssueLatencySum sim.Ticks // generation→L1-issue delay of the tracked requests issued
+	TLBDrops        int64     // prefetches dropped on page-table miss (§5.3)
+	// MSHRDrops counts the prefetches dropped for want of an L1 MSHR, at
+	// two places: after translation, when the pump finds none free, and in
+	// the L1 itself (its PrefetchDrop), which drops a request the pump had
+	// already issued. Those L1 drops are counted in Issued as well.
+	MSHRDrops int64
+	Issued    int64 // prefetches issued into the L1
+	Flushes   int64 // context-switch flushes
 }
 
 // Add accumulates o into s; every field is a counter or a duration sum.
@@ -96,13 +104,10 @@ func (s *Stats) Add(o Stats) {
 	s.ReqDropped += o.ReqDropped
 	s.FillLatencySum += o.FillLatencySum
 	s.FillCount += o.FillCount
-	s.ResidentLatSum += o.ResidentLatSum
-	s.ResidentHits += o.ResidentHits
 	s.QueueDepthSum += o.QueueDepthSum
 	s.PumpBusy += o.PumpBusy
 	s.PumpGated += o.PumpGated
 	s.IssueLatencySum += o.IssueLatencySum
-	s.IssueCount += o.IssueCount
 	s.TLBDrops += o.TLBDrops
 	s.MSHRDrops += o.MSHRDrops
 	s.Issued += o.Issued
@@ -513,13 +518,10 @@ func (p *Prefetcher) onPrefetchFill(line uint64, tag int, _ sim.Ticks, filled bo
 		A: int32(pend.chain), B: filledBit, C: -1})
 	// Resident hits return in the cache's lookup latency and say nothing
 	// about memory; mixing them into the fill mean hides how slow real
-	// fills are, so the two populations are counted apart.
+	// fills are, so only real fills are timed.
 	if filled {
 		p.Stats.FillLatencySum += now - pend.createdAt
 		p.Stats.FillCount++
-	} else {
-		p.Stats.ResidentLatSum += now - pend.createdAt
-		p.Stats.ResidentHits++
 	}
 
 	kernel := pend.chain
@@ -787,7 +789,6 @@ func (h pumpDoneHandler) Handle(_ sim.Ticks, a, ok uint64) {
 		if pend := p.pending.find(r.obsID); pend != nil {
 			timed = pend.timedAt
 			p.Stats.IssueLatencySum += p.eng.Now() - pend.createdAt
-			p.Stats.IssueCount++
 		}
 		p.inFlight++
 		req := p.l1.Pool.Get()

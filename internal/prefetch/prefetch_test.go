@@ -394,8 +394,12 @@ func TestFlushClearsState(t *testing.T) {
 	cfg.NumPPUs = 1
 	f := newFixture(t, cfg)
 	arr := f.arena.AllocWords("A", 1<<16)
+	// One prefetch far past the array, on an unmapped page, one on the next
+	// line.
 	f.pf.RegisterKernel(1, ppu.MustAssemble(`
 		vaddr r1
+		addi  r2, r1, 16777216
+		pf    r2
 		addi  r1, r1, 64
 		pftag r1, 1
 		halt
@@ -405,14 +409,30 @@ func TestFlushClearsState(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.demandLoad(arr.Base + uint64(i)*8)
 	}
-	// Flush mid-flight.
-	f.eng.Schedule(100, fn(func() { f.pf.Flush() }), 0, 0)
+	// Flush mid-flight. The requests whose records it forgets still go out,
+	// untracked: one that drops later is counted where it drops, one that
+	// fills is counted nowhere, so the ledger is short by exactly those.
+	s := &f.pf.Stats
+	drops := func() int64 { return s.ReqDropped + s.TLBDrops + s.MSHRDrops }
+	var forgotten, dropsAtFlush, generatedAtFlush int64
+	f.eng.Schedule(100, fn(func() {
+		forgotten, dropsAtFlush, generatedAtFlush = int64(f.pf.pending.liveCount()), drops(), s.PFGenerated
+		f.pf.Flush()
+	}), 0, 0)
 	f.eng.Run()
-	if f.pf.Stats.Flushes != 1 {
+	if s.Flushes != 1 {
 		t.Error("flush not recorded")
 	}
 	if n := f.pf.pending.liveCount(); n != 0 {
 		t.Errorf("%d pending entries survive flush", n)
+	}
+	if s.PFGenerated != generatedAtFlush {
+		t.Fatalf("%d prefetches generated after the flush, want 0", s.PFGenerated-generatedAtFlush)
+	}
+	short, untracked := s.PFGenerated-(drops()+s.FillObservations), forgotten-(drops()-dropsAtFlush)
+	if short != untracked || forgotten == 0 {
+		t.Errorf("ledger short by %d; the flush forgot %d records, %d of whose requests dropped later: want %d (and some forgotten)",
+			short, forgotten, drops()-dropsAtFlush, untracked)
 	}
 	// Configuration survives: a new load still triggers the kernel.
 	runs := f.pf.Stats.KernelRuns
